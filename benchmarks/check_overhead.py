@@ -120,8 +120,8 @@ def replica_run(solver: ElasticWaveSolver, force, nsteps: int) -> np.ndarray:
         solver.K.matvec(u, out=Ku)
         solver.flops.add("stiffness", flops_K)
         np.multiply(m2, u, out=r)
-        np.multiply(Ku, dt2, out=Ku)
-        np.subtract(r, Ku, out=r)
+        np.multiply(Ku, dt2, out=tmp)
+        np.subtract(r, tmp, out=r)
         if solver._has_kab:
             spmv_acc(solver._K_AB_mdt2, u.reshape(-1), r.reshape(-1))
         np.multiply(prev_coef, u_prev, out=tmp)

@@ -4,17 +4,18 @@ The semi-discrete system is
 
     ``M u'' + (C_AB + alpha M + beta K) u' + (K + K_AB) u = b``
 
-with lumped mass ``M``, elementwise Rayleigh coefficients
-``(alpha, beta)``, and Stacey absorbing boundary matrices ``C_AB``
-(lumped) and ``K_AB`` (sparse ``c1`` coupling).  Central differences
+with lumped mass ``M``, Rayleigh coefficients ``(alpha, beta)`` (one
+scalar pair: the target damping ratio is uniform), and Stacey absorbing
+boundary matrices ``C_AB`` (lumped) and ``K_AB`` (sparse ``c1``
+coupling).  Central differences
 with the diagonal/off-diagonal splitting of eq. (2.4) give the explicit
 update; hanging-node continuity is restored each step by the projection
 ``B^T A B ubar = B^T b`` of eq. (2.5), which preserves diagonality.
 
-Per step the solver performs one stiffness matvec (plus one
-``beta``-weighted matvec when attenuation is on, with the previous
-step's product cached), a sparse boundary product, and vector updates —
-work linear in the number of grid points, as the paper requires.
+Per step the solver performs one stiffness matvec — attenuation reuses
+it, ``beta K u = beta * (K u)``, with the previous step's ``K u``
+cached — a sparse boundary product, and vector updates: work linear in
+the number of grid points, as the paper requires.
 """
 
 from __future__ import annotations
@@ -55,6 +56,20 @@ from repro import telemetry
 #: absorbing boundary planes: all four sides plus the bottom;
 #: the free surface is (2, 0) — the z = 0 plane
 DEFAULT_ABSORBING = ((0, 0), (0, 1), (1, 0), (1, 1), (2, 1))
+
+
+def _ku_prev_from(ck, key: str) -> np.ndarray:
+    """The cached ``K u^{k-1}`` a damped resume needs.  Snapshots from
+    before the Rayleigh term became ``beta * (K u)`` carry the
+    ``beta``-scaled product under ``kb_*`` keys; they are refused, not
+    rescaled."""
+    if key not in ck.arrays:
+        raise ValueError(
+            f"checkpoint for step {ck.step} has no {key!r}: it was "
+            "written by an undamped run or in the old 'kb_u_prev' / "
+            "'kb_prev_<i>' format, and cannot resume a damped run"
+        )
+    return ck.arrays[key]
 
 
 class ElasticWaveSolver:
@@ -108,24 +123,21 @@ class ElasticWaveSolver:
         self.K = ElasticOperator(mesh.conn, h, lam, mu, mesh.nnode)
         self.m = lumped_mass(mesh.conn, h, rho, mesh.nnode)  # (nnode,)
 
-        # Rayleigh attenuation, fit per element over the band
+        # Rayleigh attenuation: one least-squares (alpha, beta) over the
+        # band.  The ratio is uniform, so beta K u = beta * (K u) and
+        # the time loops need no second operator.
         if damping_ratio > 0:
-            alpha_e, beta_e = rayleigh_coefficients(
-                np.full(mesh.nelem, float(damping_ratio)), *damping_band
+            alpha, beta = rayleigh_coefficients(
+                float(damping_ratio), *damping_band
             )
-            self.Kb = ElasticOperator(
-                mesh.conn, h, lam * beta_e, mu * beta_e, mesh.nnode
-            )
+            self.alpha, self.beta = float(alpha), float(beta)
             #: hoisted out of the time loop: the diagonal is a full
             #: O(nelem) scatter, constant across steps
-            self.Kb_diag = self.Kb.diagonal()
-            self.m_alpha = lumped_mass(mesh.conn, h, rho * alpha_e, mesh.nnode)
-            self._beta_e = beta_e
+            self.Kb_diag = self.beta * self.K.diagonal()
         else:
-            self.Kb = None
+            self.alpha = self.beta = 0.0
             self.Kb_diag = None
-            self.m_alpha = np.zeros(mesh.nnode)
-            self._beta_e = None
+        self.m_alpha = self.alpha * self.m
 
         # Stacey absorbing boundaries
         faces = []
@@ -154,7 +166,7 @@ class ElasticWaveSolver:
         dt_ = self.dt
         # LHS diagonal of eq. (2.4)
         A = (self.m + 0.5 * dt_ * self.m_alpha)[:, None] + 0.5 * dt_ * self.C_diag
-        if self.Kb is not None:
+        if self.Kb_diag is not None:
             A = A + 0.5 * dt_ * self.Kb_diag
         self.A = A
         # row-sum (lumped) projection of the diagonal LHS: hanging-node
@@ -177,6 +189,25 @@ class ElasticWaveSolver:
     def nnode(self) -> int:
         return self.mesh.nnode
 
+    @property
+    def _update_flops_per_node(self) -> int:
+        """Counted vector work of one update: 12 per node, plus the
+        ``2 * 3`` scalar operations of the cached Rayleigh term."""
+        return 18 if self.beta else 12
+
+    def _residual_coefs(self, dt: float, own=slice(None)):
+        """Coefficients of ``u``, ``K u`` and the cached ``K u^{prev}``
+        in the residual of a step of size ``dt`` (rows ``own``):
+        ``2M + (dt/2) beta diag K``, ``dt^2 + (dt/2) beta`` and
+        ``(dt/2) beta`` — Rayleigh ``beta K u`` is ``beta * (K u)``, so
+        one matvec serves the stiffness and the damping term.  Shared
+        by all four loops, which apply them in the same order."""
+        hd = 0.5 * dt
+        c_u = 2.0 * self.m[own][:, None]
+        if self.Kb_diag is not None:
+            c_u = c_u + hd * self.Kb_diag[own]
+        return c_u, dt * dt + hd * self.beta, hd * self.beta
+
     def memory_bytes(self) -> int:
         """Solver working-set estimate (the paper's ~10x hex-vs-tet
         memory claim is measured from this and the tet counterpart):
@@ -189,10 +220,9 @@ class ElasticWaveSolver:
         n += self.K.workspace_bytes()  # gather/scatter plan + buffers
         # time-loop vectors: u_prev, u, u_next, r, Ku, tmp, fbuf
         nvec = 7
-        if self.Kb is not None:
-            n += self.Kb.workspace_bytes()
+        if self.Kb_diag is not None:
             n += self.Kb_diag.nbytes
-            nvec += 2  # kb_u, kb_u_prev caches
+            nvec += 1  # the cached K u^{k-1}
         n += 8 * 3 * self.nnode * nvec
         n += self.m.nbytes + self.m_alpha.nbytes
         n += self.A.nbytes + self.A_bar.nbytes + self._inv_A_bar.nbytes
@@ -226,11 +256,12 @@ class ElasticWaveSolver:
 
     def _lts_exec(self, plan: LTSPlan) -> list[dict]:
         """Static per-level execution state for the clustered loop: a
-        stiffness (and Rayleigh) operator over the cluster's elements
-        (own + one-coarser halo), the cluster-step diagonals restricted
-        to its own nodes, the per-level hanging-node projection block,
-        and the own-row slice of the Stacey ``c1`` coupling prescaled
-        by ``-dt_c^2``.  Cached on the plan object."""
+        stiffness operator over the cluster's elements (own +
+        one-coarser halo), the cluster-step diagonals and residual
+        coefficients restricted to its own nodes, the per-level
+        hanging-node projection block, and the own-row slice of the
+        Stacey ``c1`` coupling prescaled by ``-dt_c^2``.  Cached on the
+        plan object."""
         c = self._lts_exec_cache
         if c is not None and c[0] is plan:
             return c[1]
@@ -247,17 +278,11 @@ class ElasticWaveSolver:
             K_c = ElasticOperator(
                 conn[e], h[e], self.lam[e], self.mu[e], self.nnode
             )
-            Kb_c = None
-            if self.Kb is not None:
-                be = self._beta_e[e]
-                Kb_c = ElasticOperator(
-                    conn[e], h[e], self.lam[e] * be, self.mu[e] * be,
-                    self.nnode,
-                )
             A_c = (self.m[own] + 0.5 * dtc * self.m_alpha[own])[:, None] \
                 + 0.5 * dtc * self.C_diag[own]
             if self.Kb_diag is not None:
                 A_c = A_c + 0.5 * dtc * self.Kb_diag[own]
+            c_u, c_ku, c_kup = self._residual_coefs(dtc, own)
             cols = np.nonzero(col_rate == lv.rate)[0]
             B_c = self.B[own][:, cols].tocsr()
             BT_c = B_c.T.tocsr()
@@ -268,15 +293,12 @@ class ElasticWaveSolver:
                     "rate": lv.rate,
                     "dtc": dtc,
                     "dtc2": dtc * dtc,
-                    "hdc": 0.5 * dtc,
                     "own": own,
                     "interp": lv.interp_nodes,
                     "K": K_c,
-                    "Kb": Kb_c,
-                    "kb_diag": (
-                        None if self.Kb_diag is None else self.Kb_diag[own]
-                    ),
-                    "m2": 2.0 * self.m[own],
+                    "c_u": c_u,
+                    "c_ku": c_ku,
+                    "c_kup": c_kup,
                     "prev_coef": (0.5 * dtc * self.m_alpha[own]
                                   - self.m[own])[:, None]
                     + 0.5 * dtc * self.C_diag[own],
@@ -368,10 +390,11 @@ class ElasticWaveSolver:
         nnode = self.nnode
         levels = self._lts_exec(plan)
         r_min, r_max = plan.min_rate, plan.max_rate
+        damped = self.beta > 0
+        upd_per_node = self._update_flops_per_node
         u_prev = np.zeros((nnode, 3))
         u = np.zeros((nnode, 3))
         Ku = np.empty((nnode, 3))
-        Kbu = np.empty((nnode, 3)) if self.Kb is not None else None
         fbuf = np.zeros((nnode, 3))
         if hasattr(forces, "forces_at"):
             force_fn = lambda t, out: forces.forces_at(t, out)
@@ -392,12 +415,8 @@ class ElasticWaveSolver:
                     "up_own": np.empty((n_own, 3)),
                     "unew": np.empty((n_own, 3)),
                     "rbar": np.empty((ncols, 3)),
-                    "kb_prev": (
-                        np.zeros((n_own, 3)) if self.Kb is not None else None
-                    ),
-                    "kb_new": (
-                        np.empty((n_own, 3)) if self.Kb is not None else None
-                    ),
+                    "ku": np.empty((n_own, 3)),
+                    "ku_prev": np.zeros((n_own, 3)) if damped else None,
                     "sv": np.empty((ni, 3)),
                     "iv": np.empty((ni, 3)),
                     "fired": 0,
@@ -417,10 +436,9 @@ class ElasticWaveSolver:
             if ck is not None:
                 u_prev[:] = ck.arrays["u_prev"]
                 u[:] = ck.arrays["u"]
-                for i, st in enumerate(rt):
-                    key = f"kb_prev_{i}"
-                    if st["kb_prev"] is not None and key in ck.arrays:
-                        st["kb_prev"][:] = ck.arrays[key]
+                if damped:
+                    for i, st in enumerate(rt):
+                        st["ku_prev"][:] = _ku_prev_from(ck, f"ku_prev_{i}")
                 if data is not None and "rec_data" in ck.arrays:
                     prefix = ck.arrays["rec_data"]
                     data[:, :, : prefix.shape[2]] = prefix
@@ -467,33 +485,23 @@ class ElasticWaveSolver:
                             np.multiply(iv, 0.5, out=iv)
                         u[interp] = iv
                     lev["K"].matvec(u, out=Ku)
-                    if lev["Kb"] is not None:
-                        lev["Kb"].matvec(u, out=Kbu)
                     own = lev["own"]
                     r, tmp = st["r"], st["tmp"]
-                    # r = 2M u - dt_c^2 (K + K_AB) u~  (own rows)
-                    np.take(Ku, own, axis=0, out=r)
-                    np.multiply(r, -lev["dtc2"], out=r)
+                    # r = c_u u - c_ku K u~ - dt_c^2 K_AB u~  (own rows)
                     np.take(u, own, axis=0, out=st["u_own"])
-                    np.multiply(lev["m2"][:, None], st["u_own"], out=tmp)
-                    np.add(r, tmp, out=r)
+                    np.multiply(lev["c_u"], st["u_own"], out=r)
+                    np.take(Ku, own, axis=0, out=st["ku"])
+                    np.multiply(st["ku"], lev["c_ku"], out=tmp)
+                    np.subtract(r, tmp, out=r)
                     if lev["kab"] is not None:
                         spmv_acc(lev["kab"], u.reshape(-1), r.reshape(-1))
                     if ni:
                         u[interp] = sv
-                    if lev["Kb"] is not None:
-                        hdc = lev["hdc"]
-                        np.take(Kbu, own, axis=0, out=st["kb_new"])
-                        np.multiply(st["kb_new"], hdc, out=tmp)
-                        np.subtract(r, tmp, out=r)
-                        np.multiply(lev["kb_diag"], st["u_own"], out=tmp)
-                        np.multiply(tmp, hdc, out=tmp)
+                    if damped:
+                        # + (dt_c/2) beta K u~ of the previous firing
+                        np.multiply(st["ku_prev"], lev["c_kup"], out=tmp)
                         np.add(r, tmp, out=r)
-                        np.multiply(st["kb_prev"], hdc, out=tmp)
-                        np.add(r, tmp, out=r)
-                        st["kb_prev"], st["kb_new"] = (
-                            st["kb_new"], st["kb_prev"],
-                        )
+                        st["ku_prev"], st["ku"] = st["ku"], st["ku_prev"]
                     np.take(u_prev, own, axis=0, out=st["up_own"])
                     np.multiply(lev["prev_coef"], st["up_own"], out=tmp)
                     np.add(r, tmp, out=r)
@@ -531,9 +539,9 @@ class ElasticWaveSolver:
                         > last_sync_saved // checkpoint.interval
                     ):
                         arrays = {"u_prev": u_prev, "u": u}
-                        for i, st in enumerate(rt):
-                            if st["kb_prev"] is not None:
-                                arrays[f"kb_prev_{i}"] = st["kb_prev"]
+                        if damped:
+                            for i, st in enumerate(rt):
+                                arrays[f"ku_prev_{i}"] = st["ku_prev"]
                         if data is not None:
                             arrays["rec_data"] = data[:, :, :s]
                         checkpoint.save(
@@ -542,10 +550,9 @@ class ElasticWaveSolver:
                         last_sync_saved = s
             flops = 0
             for lev, st in zip(levels, rt):
-                per = lev["K"].flops_per_matvec
-                if lev["Kb"] is not None:
-                    per += lev["Kb"].flops_per_matvec
-                flops += st["fired"] * (per + 12 * len(lev["own"]))
+                flops += st["fired"] * (
+                    lev["K"].flops_per_matvec + upd_per_node * len(lev["own"])
+                )
                 _run.add(f"fired_r{lev['rate']}", st["fired"])
             _run.add("flops", flops)
             self.flops.add("stiffness", flops)
@@ -574,10 +581,11 @@ class ElasticWaveSolver:
         nnode = self.nnode
         levels = self._lts_exec(plan)
         r_min, r_max = plan.min_rate, plan.max_rate
+        damped = self.beta > 0
+        upd_per_node = self._update_flops_per_node
         u_prev = np.zeros((nnode, 3, Bn))
         u = np.zeros((nnode, 3, Bn))
         Ku = np.empty((nnode, 3, Bn))
-        Kbu = np.empty((nnode, 3, Bn)) if self.Kb is not None else None
         force_fns = [
             (lambda t, out, fc=fc: fc.forces_at(t, out))
             if hasattr(fc, "forces_at") else fc
@@ -599,13 +607,9 @@ class ElasticWaveSolver:
                     "up_own": np.empty((n_own, 3, Bn)),
                     "unew": np.empty((n_own, 3, Bn)),
                     "rbar": np.empty((ncols, 3, Bn)),
-                    "kb_prev": (
-                        np.zeros((n_own, 3, Bn))
-                        if self.Kb is not None else None
-                    ),
-                    "kb_new": (
-                        np.empty((n_own, 3, Bn))
-                        if self.Kb is not None else None
+                    "ku": np.empty((n_own, 3, Bn)),
+                    "ku_prev": (
+                        np.zeros((n_own, 3, Bn)) if damped else None
                     ),
                     "sv": np.empty((ni, 3, Bn)),
                     "iv": np.empty((ni, 3, Bn)),
@@ -662,18 +666,14 @@ class ElasticWaveSolver:
                             np.multiply(iv, 0.5, out=iv)
                         u[interp] = iv
                     lev["K"].matmat(u, out=Ku)
-                    if lev["Kb"] is not None:
-                        lev["Kb"].matmat(u, out=Kbu)
                     own = lev["own"]
                     n_own = len(own)
                     r, tmp = st["r"], st["tmp"]
-                    np.take(Ku, own, axis=0, out=r)
-                    np.multiply(r, -lev["dtc2"], out=r)
                     np.take(u, own, axis=0, out=st["u_own"])
-                    np.multiply(
-                        lev["m2"][:, None, None], st["u_own"], out=tmp
-                    )
-                    np.add(r, tmp, out=r)
+                    np.multiply(lev["c_u"][:, :, None], st["u_own"], out=r)
+                    np.take(Ku, own, axis=0, out=st["ku"])
+                    np.multiply(st["ku"], lev["c_ku"], out=tmp)
+                    np.subtract(r, tmp, out=r)
                     if lev["kab"] is not None:
                         spmv_acc(
                             lev["kab"],
@@ -682,21 +682,10 @@ class ElasticWaveSolver:
                         )
                     if ni:
                         u[interp] = sv
-                    if lev["Kb"] is not None:
-                        hdc = lev["hdc"]
-                        np.take(Kbu, own, axis=0, out=st["kb_new"])
-                        np.multiply(st["kb_new"], hdc, out=tmp)
-                        np.subtract(r, tmp, out=r)
-                        np.multiply(
-                            lev["kb_diag"][:, :, None], st["u_own"], out=tmp
-                        )
-                        np.multiply(tmp, hdc, out=tmp)
+                    if damped:
+                        np.multiply(st["ku_prev"], lev["c_kup"], out=tmp)
                         np.add(r, tmp, out=r)
-                        np.multiply(st["kb_prev"], hdc, out=tmp)
-                        np.add(r, tmp, out=r)
-                        st["kb_prev"], st["kb_new"] = (
-                            st["kb_new"], st["kb_prev"],
-                        )
+                        st["ku_prev"], st["ku"] = st["ku"], st["ku_prev"]
                     np.take(u_prev, own, axis=0, out=st["up_own"])
                     np.multiply(
                         lev["prev_coef"][:, :, None], st["up_own"], out=tmp
@@ -737,10 +726,10 @@ class ElasticWaveSolver:
                     u[own] = st["unew"]
             flops = 0
             for lev, st in zip(levels, rt):
-                per = lev["K"].flops_per_matmat(Bn)
-                if lev["Kb"] is not None:
-                    per += lev["Kb"].flops_per_matmat(Bn)
-                flops += st["fired"] * (per + 12 * len(lev["own"]) * Bn)
+                flops += st["fired"] * (
+                    lev["K"].flops_per_matmat(Bn)
+                    + upd_per_node * len(lev["own"]) * Bn
+                )
             _run.add("flops", flops)
             self.flops.add("stiffness", flops)
         if recs is None:
@@ -777,8 +766,8 @@ class ElasticWaveSolver:
 
         Resilience: a :class:`~repro.solver.checkpoint.CheckpointManager`
         durably snapshots the leapfrog restart pair (plus the cached
-        Rayleigh matvec and the recorded seismogram prefix) every
-        ``checkpoint.interval`` steps; ``resume=True`` restarts from the
+        ``K u^{k-1}`` of a damped run and the recorded seismogram
+        prefix) every ``checkpoint.interval`` steps; ``resume=True`` restarts from the
         latest valid snapshot instead of rest, reproducing the
         uninterrupted run bit for bit (the update depends only on the
         two previous states and the deterministic forcing).  Snapshot
@@ -816,9 +805,11 @@ class ElasticWaveSolver:
         nnode = self.nnode
         m = self.m[:, None]
         m_alpha = self.m_alpha[:, None]
-        # hoisted loop invariants: 2M for the leading term and the full
-        # u^{k-1} coefficient (mass, Rayleigh alpha, boundary damping)
-        m2 = 2.0 * m
+        damped = self.beta > 0
+        # hoisted loop invariants: the coefficients of u, K u and the
+        # cached K u^{k-1}, and the full u^{k-1} coefficient (mass,
+        # Rayleigh alpha, boundary damping)
+        c_u, c_ku, c_kup = self._residual_coefs(dt)
         prev_coef = (hd * m_alpha - m) + hd * self.C_diag
         # preallocated state and scratch buffers; the loop below is
         # in-place throughout — no per-step O(nnode) heap allocations
@@ -836,8 +827,7 @@ class ElasticWaveSolver:
         fbuf = np.zeros((nnode, 3))
 
         data = receivers.allocate(3, nsteps) if receivers is not None else None
-        kb_u_prev = np.zeros((nnode, 3))  # beta K u^{k-1}, cached
-        kb_u = np.empty((nnode, 3))
+        Ku_prev = np.zeros((nnode, 3)) if damped else None  # K u^{k-1}
 
         if health_interval:
             validate_cfl(dt, self.mesh.elem_h, self.vp)
@@ -847,8 +837,8 @@ class ElasticWaveSolver:
             if ck is not None:
                 u_prev[:] = ck.arrays["u_prev"]
                 u[:] = ck.arrays["u"]
-                if "kb_u_prev" in ck.arrays:
-                    kb_u_prev[:] = ck.arrays["kb_u_prev"]
+                if damped:
+                    Ku_prev[:] = _ku_prev_from(ck, "ku_prev")
                 if data is not None and "rec_data" in ck.arrays:
                     prefix = ck.arrays["rec_data"]
                     data[:, :, : prefix.shape[2]] = prefix
@@ -858,7 +848,7 @@ class ElasticWaveSolver:
         # (literal span names, no kwargs — no hot-loop allocations)
         tel_on = telemetry.enabled()
         flops_K = self.K.flops_per_matvec
-        flops_Kb = 0 if self.Kb is None else self.Kb.flops_per_matvec
+        flops_upd = self._update_flops_per_node * nnode
         if tel_on:
             telemetry.gauge(
                 "elastic.cfl_margin",
@@ -875,26 +865,18 @@ class ElasticWaveSolver:
                     _s.add("flops", flops_K)
                     _s.add("elements", self.K.nelem)
                 self.flops.add("stiffness", flops_K)
-                np.multiply(m2, u, out=r)
-                np.multiply(Ku, dt2, out=Ku)
-                np.subtract(r, Ku, out=r)
+                np.multiply(c_u, u, out=r)
+                np.multiply(Ku, c_ku, out=tmp)
+                np.subtract(r, tmp, out=r)
                 if self._has_kab:
                     # r += (-dt^2 K_AB) u, prescaled at setup
                     spmv_acc(self._K_AB_mdt2, u.reshape(-1), r.reshape(-1))
-                if self.Kb is not None:
-                    with telemetry.span("damping") as _s:
-                        self.Kb.matvec(u, out=kb_u)
-                        _s.add("flops", flops_Kb)
-                    self.flops.add("stiffness", flops_Kb)
-                    # r -= (dt/2)(Kb u - diag(Kb) u) + (dt/2) Kb u^{k-1}
-                    np.multiply(kb_u, hd, out=tmp)
-                    np.subtract(r, tmp, out=r)
-                    np.multiply(self.Kb_diag, u, out=tmp)
-                    np.multiply(tmp, hd, out=tmp)
+                if damped:
+                    # r += (dt/2) beta K u^{k-1}; this step's K u is the
+                    # next step's cache
+                    np.multiply(Ku_prev, c_kup, out=tmp)
                     np.add(r, tmp, out=r)
-                    np.multiply(kb_u_prev, hd, out=tmp)
-                    np.add(r, tmp, out=r)
-                    kb_u_prev, kb_u = kb_u, kb_u_prev
+                    Ku_prev, Ku = Ku, Ku_prev
                 np.multiply(prev_coef, u_prev, out=tmp)
                 np.add(r, tmp, out=r)
                 b = force_fn(t, fbuf)
@@ -906,8 +888,8 @@ class ElasticWaveSolver:
                     spmv_into(self.BT, r, r_bar)
                     np.multiply(r_bar, self._inv_A_bar, out=r_bar)
                     spmv_into(self.B, r_bar, u_next)
-                    _s.add("flops", 12 * nnode)
-                self.flops.add("update", 12 * nnode)
+                    _s.add("flops", flops_upd)
+                self.flops.add("update", flops_upd)
                 if tel_on:
                     # displacement "energy" proxy — drift shows up as
                     # unbounded growth of this per-step series
@@ -935,8 +917,8 @@ class ElasticWaveSolver:
                     check_finite(u, step=k, field="u")
                 if checkpoint is not None and checkpoint.due(k):
                     arrays = {"u_prev": u_prev, "u": u}
-                    if self.Kb is not None:
-                        arrays["kb_u_prev"] = kb_u_prev
+                    if damped:
+                        arrays["ku_prev"] = Ku_prev
                     if data is not None:
                         arrays["rec_data"] = data[:, :, : k + 1]
                     checkpoint.save(k, arrays, {"next_k": k + 1})
@@ -1007,10 +989,11 @@ class ElasticWaveSolver:
         # broadcast the per-node/per-dof diagonals over the batch axis
         m = self.m[:, None, None]
         m_alpha = self.m_alpha[:, None, None]
-        m2 = 2.0 * m
+        damped = self.beta > 0
+        c_u, c_ku, c_kup = self._residual_coefs(dt)
+        c_u = c_u[:, :, None]
         prev_coef = (hd * m_alpha - m) + hd * self.C_diag[:, :, None]
         inv_A_bar = self._inv_A_bar[:, :, None]
-        kb_diag = None if self.Kb_diag is None else self.Kb_diag[:, :, None]
         nbar = self.A_bar.shape[0]
         u_prev = np.zeros((nnode, 3, Bn))
         u = np.zeros((nnode, 3, Bn))
@@ -1040,14 +1023,13 @@ class ElasticWaveSolver:
             [ra.allocate(3, nsteps) for ra in recs]
             if recs is not None else None
         )
-        kb_u_prev = np.zeros((nnode, 3, Bn))
-        kb_u = np.empty((nnode, 3, Bn))
+        Ku_prev = np.zeros((nnode, 3, Bn)) if damped else None
 
         # batched flop counts come from the kernel's own accounting so
         # they cannot drift from the 1-RHS numbers (satellite of the
         # telemetry rework; previously multiplied by Bn by hand here)
         flops_K = self.K.flops_per_matmat(Bn)
-        flops_Kb = 0 if self.Kb is None else self.Kb.flops_per_matmat(Bn)
+        flops_upd = self._update_flops_per_node * nnode * Bn
         with telemetry.span("elastic.run_batch") as _run:
             _run.add("nsteps", nsteps)
             _run.add("nnode", nnode)
@@ -1059,28 +1041,19 @@ class ElasticWaveSolver:
                     _s.add("flops", flops_K)
                     _s.add("elements", self.K.nelem)
                 self.flops.add("stiffness", flops_K)
-                np.multiply(m2, u, out=r)
-                np.multiply(Ku, dt2, out=Ku)
-                np.subtract(r, Ku, out=r)
+                np.multiply(c_u, u, out=r)
+                np.multiply(Ku, c_ku, out=tmp)
+                np.subtract(r, tmp, out=r)
                 if self._has_kab:
                     spmv_acc(
                         self._K_AB_mdt2,
                         u.reshape(3 * nnode, Bn),
                         r.reshape(3 * nnode, Bn),
                     )
-                if self.Kb is not None:
-                    with telemetry.span("damping") as _s:
-                        self.Kb.matmat(u, out=kb_u)
-                        _s.add("flops", flops_Kb)
-                    self.flops.add("stiffness", flops_Kb)
-                    np.multiply(kb_u, hd, out=tmp)
-                    np.subtract(r, tmp, out=r)
-                    np.multiply(kb_diag, u, out=tmp)
-                    np.multiply(tmp, hd, out=tmp)
+                if damped:
+                    np.multiply(Ku_prev, c_kup, out=tmp)
                     np.add(r, tmp, out=r)
-                    np.multiply(kb_u_prev, hd, out=tmp)
-                    np.add(r, tmp, out=r)
-                    kb_u_prev, kb_u = kb_u, kb_u_prev
+                    Ku_prev, Ku = Ku, Ku_prev
                 np.multiply(prev_coef, u_prev, out=tmp)
                 np.add(r, tmp, out=r)
                 live = False
@@ -1113,8 +1086,8 @@ class ElasticWaveSolver:
                         r_bar.reshape(nbar, 3 * Bn),
                         u_next.reshape(nnode, 3 * Bn),
                     )
-                    _s.add("flops", 12 * nnode * Bn)
-                self.flops.add("update", 12 * nnode * Bn)
+                    _s.add("flops", flops_upd)
+                self.flops.add("update", flops_upd)
 
                 if recs is not None:
                     for b, ra in enumerate(recs):

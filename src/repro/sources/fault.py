@@ -148,10 +148,31 @@ class SourceCollection:
             n, w = s.stencil(mesh, tree)
             self.nodes.append(n)
             self.weights.append(w)
+        self.nnode = mesh.nnode
+        # all stencils stacked in source order, so one unbuffered
+        # ``np.add.at`` accumulates exactly like a per-source loop
         self._nodes_flat = np.concatenate(
             [np.asarray(n) for n in self.nodes]
         ) if self.sources else np.zeros(0, dtype=np.int64)
-        self.nnode = mesh.nnode
+        self._weights_flat = np.concatenate(
+            [np.asarray(w, dtype=float) for w in self.weights]
+        ) if self.sources else np.zeros((0, 3))
+        self._row_source = np.repeat(
+            np.arange(len(self.sources)), [len(n) for n in self.nodes]
+        )
+        # sources on the paper's slip function evaluate in one
+        # vectorised call over stacked (T, t0); the rest one by one
+        slip = [
+            i for i, s in enumerate(self.sources)
+            if isinstance(s, MomentTensorSource)
+        ]
+        self._slip_idx = np.array(slip, dtype=np.int64)
+        self._slip_T = np.array([self.sources[i].T for i in slip], float)
+        self._slip_t0 = np.array([self.sources[i].t0 for i in slip], float)
+        self._other = [
+            (i, s) for i, s in enumerate(self.sources)
+            if not isinstance(s, MomentTensorSource)
+        ]
 
     def forces_at(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
         """Nodal force field ``(nnode, 3)`` at time ``t``."""
@@ -159,7 +180,12 @@ class SourceCollection:
             out = np.zeros((self.nnode, 3))
         else:
             out[:] = 0.0
-        for s, n, w in zip(self.sources, self.nodes, self.weights):
-            out_nodes = w * float(s.time_function(t))
-            np.add.at(out, n, out_nodes)
+        g = np.empty(len(self.sources))
+        g[self._slip_idx] = slip_function(t, self._slip_T, self._slip_t0)
+        for i, s in self._other:
+            g[i] = float(s.time_function(t))
+        np.add.at(
+            out, self._nodes_flat,
+            self._weights_flat * g[self._row_source, None],
+        )
         return out

@@ -125,6 +125,39 @@ class TestPointSourceForces:
         with pytest.raises(ValueError):
             nodal_forces_for_point_source(mesh, tree, src)
 
+    def test_collection_forces_bitwise_equal_per_source_loop(self):
+        """The stacked evaluation (one ``slip_function`` call, one
+        ``np.add.at``) keeps the per-source arithmetic and accumulation
+        order — also with a callable-driven source in the middle and
+        subfaults sharing an element."""
+        from repro.mesh import uniform_hex_mesh
+        from repro.octree.linear_octree import build_adaptive_octree
+        from repro.sources.fault import PointForceSource, SourceCollection
+
+        tree = build_adaptive_octree(lambda c, s: np.full(len(c), 0.25), max_level=4)
+        mesh = uniform_hex_mesh(4, L=1000.0)
+        sources = list(
+            idealized_strike_slip(L=1000.0, n_strike=6, n_dip=3).sources
+        )
+        sources.insert(5, PointForceSource(
+            position=np.array([510.0, 490.0, 300.0]),
+            direction=np.array([1.0, 2.0, -1.0]),
+            time_function=lambda t: 3e9 * np.sin(7.0 * t),
+        ))
+        coll = SourceCollection(mesh, tree, sources)
+        assert len(np.unique(coll._nodes_flat)) < len(coll._nodes_flat)
+        t_max = max(s.T + s.t0 for s in sources if hasattr(s, "T"))
+        buf = np.full((mesh.nnode, 3), np.nan)  # forces_at must clear it
+        nonzero = 0
+        for t in np.linspace(-0.1, 1.1 * t_max, 41):
+            want = np.zeros((mesh.nnode, 3))
+            for s, n, w in zip(coll.sources, coll.nodes, coll.weights):
+                np.add.at(want, n, w * float(s.time_function(t)))
+            assert np.array_equal(coll.forces_at(float(t), buf), want)
+            assert np.array_equal(coll.forces_at(float(t)), want)
+            nonzero += bool(np.any(want))
+        assert nonzero > 30
+
 
 class TestScenarios:
     def test_northridge_basic(self):
