@@ -81,23 +81,28 @@ def _csr_scatter_acc(indptr, indices, data, X, Y):  # pragma: no cover
 
 class NumbaElementKernel(NumpyElementKernel):
     """Shared-matrix kernel with jitted apply and scatter (plan
-    construction, coefficient folding, and the overlap split reuse the
+    construction, coefficient binding, and the overlap split reuse the
     numpy kernel)."""
 
-    def matvec(self, u_flat, out_flat, coefs=None):
-        if coefs is not None:
-            self._fold(coefs)
-        elif not self._fixed:
-            raise ValueError("kernel built without fixed coefs: pass coefs")
+    def matvec(self, u_flat, out_flat, handle=None):
+        data = self._bound(handle)
         out_flat.fill(0.0)
         if self.nelem == 0:
             return out_flat
         _apply_elements(self.dof, self.MT, u_flat, self._Y)
         _csr_scatter_acc(
-            self.plan.indptr, self.plan.indices, self._data, self._Yb,
+            self.plan.indptr, self.plan.indices, data, self._Yb,
             out_flat.reshape(self.nnode, self.ncomp),
         )
         return out_flat
+
+    def matrows(self, rows, out_rows, handle=None):
+        # row by row through the jitted matvec, which keeps row t
+        # bit-identical to matvec(rows[t]) on this backend too
+        self._check_rows(rows, out_rows)
+        for row, out in zip(rows, out_rows):
+            self.matvec(row, out, handle)
+        return out_rows
 
     def matvec_interface(self, u_flat, out_flat):
         k = self.split_elems
@@ -136,11 +141,8 @@ class NumbaElementKernel(NumpyElementKernel):
         self._Ym = np.empty((self.nelem, self.nldof * self.nmat, B))
         self._batch_B = B
 
-    def matmat(self, u2, out2, coefs=None):
-        if coefs is not None:
-            self._fold(coefs)
-        elif not self._fixed:
-            raise ValueError("kernel built without fixed coefs: pass coefs")
+    def matmat(self, u2, out2, handle=None):
+        data = self._bound(handle)
         B = self._check_block(u2, out2)
         out2.fill(0.0)
         if self.nelem == 0:
@@ -148,9 +150,7 @@ class NumbaElementKernel(NumpyElementKernel):
         self._ensure_batch(B)
         _apply_elements_mat(self.dof, self.MT, u2, self._Ym)
         Xb, Yb = self._block_views(out2, B)
-        _csr_scatter_acc(
-            self.plan.indptr, self.plan.indices, self._data, Xb, Yb
-        )
+        _csr_scatter_acc(self.plan.indptr, self.plan.indices, data, Xb, Yb)
         return out2
 
     def matmat_interface(self, u2, out2):

@@ -26,27 +26,16 @@ the folded scatter applied to a constant slot block.
 
 from __future__ import annotations
 
-import hashlib
-from collections import OrderedDict
-
 import numpy as np
 
 from repro.backend.sparse_ops import ScatterPlan
 
-#: folded-data entries kept per kernel (see ``NumpyElementKernel._fold``)
-FOLD_CACHE_SLOTS = 4
-
-
-def _coef_digest(coefs) -> tuple:
-    """Stable content key of a coefficient tuple: one blake2b digest
-    per ``(nelem,)`` vector (hits re-verify with ``array_equal``, so a
-    digest collision cannot silently alias two materials)."""
-    return tuple(
-        hashlib.blake2b(
-            np.ascontiguousarray(c, dtype=float).tobytes(), digest_size=16
-        ).digest()
-        for c in coefs
-    )
+#: gather + product workspace of one :meth:`NumpyElementKernel.matrows`
+#: row block (bytes, about one L2): the block's element values are
+#: scattered while still in cache, and the workspace does not grow with
+#: the row count (1-2 MB measured fastest on the 64 x 32 inversion grid;
+#: 4 MB and up cost 25 % more per row)
+ROW_BLOCK_BYTES = 1 << 20
 
 
 def _element_dof(conn: np.ndarray, ncomp: int) -> np.ndarray:
@@ -78,8 +67,8 @@ class NumpyElementKernel:
         Field components per node (1 scalar, 3 elastic).
     coefs:
         Optional fixed per-element coefficients ``c_i`` (one ``(nelem,)``
-        array per matrix).  When given they are folded into the scatter
-        once; otherwise :meth:`matvec` takes them per call.
+        array per matrix): the kernel is bound to them at construction.
+        Without them every apply takes a handle from :meth:`bind`.
     """
 
     def __init__(self, conn, mats, nnode, ncomp=1, coefs=None):
@@ -110,8 +99,6 @@ class NumpyElementKernel:
         self._Y = np.empty((self.nelem, width))
         #: (nslot, ncomp) view of the result block, slot-major
         self._Yb = self._Y.reshape(-1, self.ncomp)
-        self._coef = np.empty((self.nelem, self.nmat * self.ncorner))
-        self._data = np.empty(self.plan.nnz)
         # reference diagonals per (matrix, corner, comp) slot; tiled on
         # demand for diagonal() (cold path)
         self._diag_ref = np.ascontiguousarray(
@@ -119,41 +106,33 @@ class NumpyElementKernel:
                 [np.diag(np.asarray(M, float)) for M in mats]
             ).reshape(self.nmat * self.ncorner, self.ncomp)
         )
-        self._fixed = coefs is not None
         self.split_elems = None
         self._plan_lo = self._plan_hi = None
         self._data_lo = self._data_hi = None
-        # multi-RHS (batched) workspace, sized on first matmat call and
-        # kept for the batch width in use — matmat is allocation-free
-        # after that warmup, exactly like matvec
+        # row-block (matrows) and multi-RHS (matmat) workspace, sized on
+        # first use and kept — both are allocation-free after that
+        # warmup, exactly like matvec
+        self._Ur = self._Yr = self._adj = None
         self._batch_B = 0
-        self._G = self._Uall = self._Yall = self._Ym = None
-        self._fold_count = 0
-        self._last_coefs = None
-        # keyed LRU of folded scatter data (digest -> (coefs, data));
-        # the MRU entry is additionally tracked by _last_coefs for the
-        # hash-free per-step fast path
-        self._fold_lru: "OrderedDict[tuple, tuple]" = OrderedDict()
-        self.fold_cache_slots = FOLD_CACHE_SLOTS
-        self._fold_hits = 0
-        self._fold_misses = 0
-        if self._fixed:
-            # fold once, then free what only refolding would need
-            self._fold(coefs)
-            self._coef = None
+        self._G = self._Ym = None
+        #: folded scatter data of the construction-time coefficients;
+        #: None for a kernel whose applies take a handle
+        self._data = None
+        if coefs is not None:
+            # bind once, then free what only rebinding would need
+            self._data = self.bind(coefs)
             self.plan.drop_order()
 
     # pickling (the service's disk artifact tier stores constructed
     # operators): the workspace buffers are coupled by views — _Yb
-    # aliases _Y, the batch buffers alias each other — and pickle
-    # severs aliasing, so we drop all scratch and rebuild it on load.
-    # Everything semantic (plan, folded data, split data, fold cache)
-    # round-trips; batch workspace re-sizes lazily on the first matmat.
+    # aliases _Y, the row blocks may alias both — and pickle severs
+    # aliasing, so we drop all scratch and rebuild it on load.
+    # Everything semantic (plan, folded data, split data) round-trips,
+    # and so does a handle pickled next to its kernel; row-block and
+    # batch workspace re-size lazily on first use.
     _SCRATCH = (
-        "_U", "_Y", "_Yb", "_u2T", "_o2T", "_Uall", "_Yall", "_G",
-        "_Ym", "_dof_flat", "_Uall_g", "_Uall_rs", "_Yall_rs",
-        "_bplan", "_bdata", "_bdata2", "_Yall_x", "_o2T_y",
-        "_Uall_lo", "_Yall_lo", "_Uall_hi", "_Yall_hi",
+        "_U", "_Y", "_Yb", "_Ur", "_Yr", "_adj", "_u2T", "_o2T", "_G",
+        "_Ym", "_Uall_lo", "_Yall_lo", "_Uall_hi", "_Yall_hi",
     )
 
     def __getstate__(self):
@@ -168,7 +147,39 @@ class NumpyElementKernel:
         self._U = np.empty((self.nelem, self.nldof))
         self._Y = np.empty((self.nelem, self.nldof * self.nmat))
         self._Yb = self._Y.reshape(-1, self.ncomp)
-        self._G = self._Uall = self._Yall = self._Ym = None
+        self._Ur = self._Yr = self._adj = self._G = self._Ym = None
+
+    def bind(self, coefs) -> np.ndarray:
+        """Fold per-element coefficients ``c_i`` (one ``(nelem,)`` array
+        per matrix) into scatter order.  The returned handle — the CSR
+        data array, owned by the caller — is what :meth:`matvec`,
+        :meth:`matmat`, :meth:`matrows` and :meth:`diagonal` take, so a
+        time loop folds once and any number of materials can alternate
+        through one kernel without refolding."""
+        c = np.stack([np.asarray(c, dtype=float) for c in coefs], axis=1)
+        if c.shape != (self.nelem, self.nmat):
+            raise ValueError(
+                f"need {self.nmat} coefficient arrays of length {self.nelem}"
+            )
+        # one coefficient per (element, matrix, corner) slot; fold()
+        # refuses once a construction-time binding dropped its order
+        return self.plan.fold(
+            np.repeat(c, self.ncorner, axis=1).reshape(-1),
+            np.empty(self.plan.nnz),
+        )
+
+    def _bound(self, handle) -> np.ndarray:
+        """The scatter data an apply runs with."""
+        if handle is None:
+            handle = self._data
+            if handle is None:
+                raise ValueError(
+                    "kernel built without fixed coefs: pass a handle "
+                    "from bind()"
+                )
+        elif handle.shape != (self.plan.nnz,):
+            raise ValueError("handle was not bound by this kernel")
+        return handle
 
     @property
     def flops_per_matvec(self) -> int:
@@ -207,7 +218,7 @@ class NumpyElementKernel:
             raise ValueError(
                 f"split {nelem_lo} outside [0, {self.nelem}] elements"
             )
-        if not self._fixed:
+        if self._data is None:
             raise ValueError(
                 "overlap split requires fixed (folded) coefficients"
             )
@@ -271,51 +282,15 @@ class NumpyElementKernel:
     def _ensure_batch(self, B: int) -> None:
         """Size the multi-RHS workspace for batch width ``B``; kept
         until the width (or the overlap split) changes, so steady-state
-        matmat calls perform zero heap allocations.
-
-        The block product runs column slabs *row-stacked*:
-        ``(B * nelem, nldof) @ (nldof, width)`` — the same (k, n) GEMM
-        shape as the serial ``(nelem, nldof) @ (nldof, width)``, so
-        the per-entry summation order over ``k`` is unchanged and each
-        slab is bit-identical to the serial apply (enforced by
-        ``tests/test_batch.py``).  Transposed layouts that fuse ``B``
-        into the GEMM's ``n`` dimension are *not* bitwise-stable."""
+        matmat calls perform zero heap allocations."""
         if self._batch_B == B:
             return
         width = self.nldof * self.nmat
-        nslot = self.nelem * self.nmat * self.ncorner
         #: scenario-major state / result blocks: row b is the full flat
         #: dof vector of column b — one small transpose each way
         #: brackets the batch instead of two large slot-space permutes
         self._u2T = np.empty((B, self.ndof))
         self._o2T = np.empty((B, self.ndof))
-        #: row-stacked GEMM operand / result: column slab b is
-        #: _Uall[b] (nelem, nldof) — exactly the serial gather layout
-        self._Uall = np.empty((B, self.nelem, self.nldof))
-        self._Yall = np.empty((B, self.nelem, width))
-        # per-call reshape views, built once (matmat stays free of
-        # Python-level array construction in steady state)
-        self._dof_flat = self.dof.reshape(-1)
-        self._Uall_g = self._Uall.reshape(B, -1)
-        self._Uall_rs = self._Uall.reshape(-1, self.nldof)
-        self._Yall_rs = self._Yall.reshape(-1, width)
-        # block-diagonal replicated scatter: scenario b's slots target
-        # destination rows offset by b * nnode, so ONE planned CSR
-        # product accumulates the whole batch.  Each diagonal block is
-        # the serial plan (same stable slot order per node row), so
-        # every column keeps the serial scatter's summation order
-        idx_node = np.tile(self.conn, (1, self.nmat)).ravel()
-        gdest = (
-            np.arange(B, dtype=np.int64)[:, None] * self.nnode
-            + idx_node[None, :]
-        ).ravel()
-        self._bplan = ScatterPlan(gdest, B * self.nnode)
-        self._bplan.drop_order()  # data comes pre-folded, tiled below
-        self._bdata = np.tile(self._data, B)
-        self._bdata2 = self._bdata.reshape(B, nslot)
-        self._bdata_stamp = self._fold_count
-        self._Yall_x = self._Yall.reshape(B * nslot, self.ncomp)
-        self._o2T_y = self._o2T.reshape(B * self.nnode, self.ncomp)
         if self.split_elems is not None:
             # the phased (overlapped) matmat keeps the slot-major
             # dataflow: the split sub-plans index the *full* slot
@@ -339,39 +314,16 @@ class NumpyElementKernel:
             out2.reshape(self.nnode, self.ncomp * B),
         )
 
-    def matmat(self, u2, out2, coefs=None):
+    def matmat(self, u2, out2, handle=None):
         """Multi-RHS stiffness: ``out2[:, b] = K(c) u2[:, b]`` for a
-        column block ``(ndof, B)`` — one gather serving every column,
-        one level-3 BLAS product covering the whole batch, one planned
-        CSR scatter per scenario.  Each column is bit-identical to the
-        corresponding :meth:`matvec` (identical per-entry summation
-        orders)."""
-        if coefs is not None:
-            self._fold(coefs)
-        elif not self._fixed:
-            raise ValueError("kernel built without fixed coefs: pass coefs")
+        column block ``(ndof, B)``.  The block is transposed to
+        scenario-major (the only copies are the two ``(ndof, B)``
+        transposes) and applied by :meth:`matrows`, so each column is
+        bit-identical to the corresponding :meth:`matvec`."""
         B = self._check_block(u2, out2)
-        if self.nelem == 0:
-            out2.fill(0.0)
-            return out2
         self._ensure_batch(B)
-        # transpose the state block to scenario-major (the only copies
-        # in the whole apply are these two (ndof, B) transposes), then
-        # every stage is a contiguous per-scenario pass: a row-wise
-        # gather straight into the GEMM operand, the row-stacked GEMM,
-        # and one block-diagonal CSR scatter covering the whole batch —
-        # no slot-space permutes, serial summation order untouched
-        if self._bdata_stamp != self._fold_count:
-            self._bdata2[:] = self._data  # refold: refresh every block
-            self._bdata_stamp = self._fold_count
         np.copyto(self._u2T, u2.T)
-        np.take(
-            self._u2T, self._dof_flat, axis=1, out=self._Uall_g,
-            mode="clip",
-        )
-        np.dot(self._Uall_rs, self.MT, out=self._Yall_rs)
-        self._o2T.fill(0.0)
-        self._bplan.scatter_acc(self._bdata, self._Yall_x, self._o2T_y)
+        self.matrows(self._u2T, self._o2T, handle)
         np.copyto(out2, self._o2T.T)
         return out2
 
@@ -421,70 +373,10 @@ class NumpyElementKernel:
         self._plan_hi.scatter_acc(self._data_hi, Xb, Yb)
         return out2
 
-    def _fold(self, coefs) -> None:
-        # MRU fast path: the time loops pass the same material every
-        # step, so comparing the (nelem,) coefficient vectors is far
-        # cheaper than redoing the nnz-sized fold permutation (and, for
-        # batched applies, the tiled-data refresh it would trigger)
-        if self._last_coefs is not None and len(coefs) == len(
-            self._last_coefs
-        ) and all(
-            np.array_equal(c, lc)
-            for c, lc in zip(coefs, self._last_coefs)
-        ):
-            return
-        # not the MRU entry: consult the keyed LRU before refolding —
-        # a single slot thrashes the moment two solvers alternate
-        # through one kernel (forward + adjoint refold different
-        # coefficient fields each half-iteration), while a few folded
-        # snapshots turn that alternation into memcpy-sized restores
-        if not self._fixed:
-            key = _coef_digest(coefs)
-            hit = self._fold_lru.get(key)
-            if hit is not None:
-                cached_coefs, cached_data = hit
-                if len(cached_coefs) == len(coefs) and all(
-                    np.array_equal(c, cc)
-                    for c, cc in zip(coefs, cached_coefs)
-                ):
-                    self._fold_lru.move_to_end(key)
-                    np.copyto(self._data, cached_data)
-                    self._last_coefs = cached_coefs
-                    self._fold_count += 1  # tiled matmat data refresh
-                    self._fold_hits += 1
-                    return
-        self._last_coefs = [
-            np.array(c, dtype=float, copy=True) for c in coefs
-        ]
-        for i, c in enumerate(coefs):
-            self._coef[:, i * self.ncorner : (i + 1) * self.ncorner] = (
-                np.asarray(c, dtype=float)[:, None]
-            )
-        self.plan.fold(self._coef.reshape(-1), self._data)
-        self._fold_count += 1  # invalidates the tiled matmat data
-        self._fold_misses += 1
-        if not self._fixed and self.fold_cache_slots > 0:
-            self._fold_lru[key] = (self._last_coefs, self._data.copy())
-            while len(self._fold_lru) > self.fold_cache_slots:
-                self._fold_lru.popitem(last=False)
-
-    def fold_cache_info(self) -> dict:
-        """Keyed fold-cache counters: ``hits`` restored a previously
-        folded material by copy, ``misses`` paid the full fold."""
-        return {
-            "slots": self.fold_cache_slots,
-            "entries": len(self._fold_lru),
-            "hits": self._fold_hits,
-            "misses": self._fold_misses,
-            "folds": self._fold_count,
-        }
-
-    def matvec(self, u_flat, out_flat, coefs=None):
-        """``out = K(c) u``; both flat, ``out`` caller-owned."""
-        if coefs is not None:
-            self._fold(coefs)
-        elif not self._fixed:
-            raise ValueError("kernel built without fixed coefs: pass coefs")
+    def matvec(self, u_flat, out_flat, handle=None):
+        """``out = K(c) u``; both flat, ``out`` caller-owned.  ``c`` is
+        the construction-time coefficients or a :meth:`bind` handle."""
+        data = self._bound(handle)
         out_flat.fill(0.0)
         if self.nelem == 0:
             return out_flat
@@ -493,52 +385,144 @@ class NumpyElementKernel:
         np.take(u_flat, self.dof, out=self._U, mode="clip")
         np.dot(self._U, self.MT, out=self._Y)
         self.plan.scatter_acc(
-            self._data, self._Yb, out_flat.reshape(self.nnode, self.ncomp)
+            data, self._Yb, out_flat.reshape(self.nnode, self.ncomp)
         )
         return out_flat
 
-    def diagonal(self, out_flat, coefs=None):
+    # ------------------------------------------------------ row blocks
+
+    def _row_blocks(self, rows):
+        """Gather and block-multiply ``rows`` one cache-sized block at a
+        time: yields ``(t0, Y)`` with ``Y`` ``(n, nelem * width)`` the
+        element products of ``rows[t0 : t0 + n]``, valid until the next
+        block overwrites the workspace.  The block height is
+        fixed by :data:`ROW_BLOCK_BYTES`, not by the caller's row
+        count; when one row fills a block the matvec buffers serve and
+        nothing is allocated.
+
+        The product runs the rows *stacked*: ``(n * nelem, nldof) @
+        (nldof, width)`` — the same (k, n) GEMM shape as the one-row
+        apply, so the per-entry summation order over ``k`` is unchanged
+        and every row is bit-identical to :meth:`matvec`'s (enforced by
+        ``tests/test_batch.py``).  Layouts that fuse the rows into the
+        GEMM's ``n`` dimension are *not* bitwise-stable."""
+        width = self.nldof * self.nmat
+        if self._Ur is None:
+            per_row = 8 * self.nelem * (self.nldof + width)
+            nb = ROW_BLOCK_BYTES // max(per_row, 1)
+            if nb <= 1:
+                self._Ur = self._U.reshape(1, -1)
+                self._Yr = self._Y.reshape(1, -1)
+            else:
+                self._Ur = np.empty((nb, self.nelem * self.nldof))
+                self._Yr = np.empty((nb, self.nelem * width))
+        U, Y, dof = self._Ur, self._Yr, self.dof.reshape(-1)
+        for t0 in range(0, len(rows), len(U)):
+            n = min(len(U), len(rows) - t0)
+            rows[t0 : t0 + n].take(dof, axis=1, out=U[:n], mode="clip")
+            np.dot(
+                U[:n].reshape(-1, self.nldof), self.MT,
+                out=Y[:n].reshape(-1, width),
+            )
+            yield t0, Y[:n]
+
+    def _check_rows(self, rows, out_rows) -> None:
+        """Validate a ``(T, ndof)`` row block pair (the scatter writes
+        each output row through a reshaped node-major view)."""
+        if rows.ndim != 2 or rows.shape[1] != self.ndof:
+            raise ValueError(
+                f"matrows input must be (T, {self.ndof}), got {rows.shape}"
+            )
+        if out_rows.shape != rows.shape or not out_rows.flags.c_contiguous:
+            raise ValueError(
+                "matrows output must be C-contiguous and shaped like the input"
+            )
+
+    def matrows(self, rows, out_rows, handle=None):
+        """``out_rows[t] = K(c) rows[t]`` for a time- or scenario-major
+        block ``(T, ndof)`` — row ``t`` bit-identical to
+        ``matvec(rows[t])``.  One gather and one level-3 product per
+        cache-sized row block, then each row scattered through the
+        single plan while its element values are still warm."""
+        data = self._bound(handle)
+        self._check_rows(rows, out_rows)
+        out_rows.fill(0.0)
+        if self.nelem == 0:
+            return out_rows
+        out3 = out_rows.reshape(len(rows), self.nnode, self.ncomp)
+        scatter = self.plan.scatter_acc
+        for t0, Y in self._row_blocks(rows):
+            Yb = Y.reshape(len(Y), -1, self.ncomp)
+            for i in range(len(Y)):
+                scatter(data, Yb[i], out3[t0 + i])
+        return out_rows
+
+    def coef_gradient(self, rows, adj_rows) -> np.ndarray:
+        """``g[i, e] = sum_t adj_t[dof_e] . (M_i rows_t[dof_e])`` — the
+        derivative of ``sum_t adj_t^T K(c) rows_t`` with respect to the
+        coefficient ``c_i[e]`` (the material-gradient accumulation of
+        the inversions).  Same row blocks as :meth:`matrows`, with the
+        scatter replaced by a contraction against the gathered
+        ``adj_rows``; returns ``(nmat, nelem)``."""
+        if (
+            rows.ndim != 2
+            or rows.shape[1] != self.ndof
+            or adj_rows.shape != rows.shape
+        ):
+            raise ValueError(
+                f"need two (T, {self.ndof}) blocks, got {rows.shape} "
+                f"and {adj_rows.shape}"
+            )
+        g = np.zeros((self.nmat, self.nelem))
+        if self.nelem == 0:
+            return g
+        dof = self.dof.reshape(-1)
+        for t0, Y in self._row_blocks(rows):
+            n = len(Y)
+            if self._adj is None:
+                self._adj = np.empty_like(self._Ur)
+            A = self._adj[:n]
+            adj_rows[t0 : t0 + n].take(dof, axis=1, out=A, mode="clip")
+            A = A.reshape(n, self.nelem, self.nldof)
+            Y = Y.reshape(n, self.nelem, self.nmat, self.nldof)
+            for i in range(self.nmat):
+                g[i] += np.einsum("tei,tei->e", A, Y[:, :, i])
+        return g
+
+    def diagonal(self, out_flat, handle=None):
         """Assembled operator diagonal into ``out_flat``."""
-        if coefs is not None:
-            self._fold(coefs)
-        elif not self._fixed:
-            raise ValueError("kernel built without fixed coefs: pass coefs")
+        data = self._bound(handle)
         out_flat.fill(0.0)
         if self.nelem == 0:
             return out_flat
         diag_slots = np.tile(self._diag_ref, (self.nelem, 1))
         self.plan.scatter_acc(
-            self._data, diag_slots, out_flat.reshape(self.nnode, self.ncomp)
+            data, diag_slots, out_flat.reshape(self.nnode, self.ncomp)
         )
         return out_flat
 
     def workspace_bytes(self) -> int:
-        n = (
-            self.dof.nbytes
-            + self._U.nbytes
-            + self._Y.nbytes
-            + self._data.nbytes
-            + self._diag_ref.nbytes
-        )
+        held = [
+            self.dof, self._U, self._Y, self._diag_ref, self._data,
+            self._adj, self._data_lo, self._data_hi,
+        ]
         if self.ncomp > 1:
-            n += self.conn.nbytes
-        if self._coef is not None:
-            n += self._coef.nbytes
-        if self.split_elems is not None:
-            n += self._data_lo.nbytes + self._data_hi.nbytes
-            n += self._plan_lo.workspace_bytes()
-            n += self._plan_hi.workspace_bytes()
+            held.append(self.conn)
+        if self._Ur is not None and len(self._Ur) > 1:
+            held += [self._Ur, self._Yr]
         if self._batch_B:
-            for name in (
-                "_u2T", "_o2T", "_Uall", "_Yall", "_bdata", "_G", "_Ym",
-                "_Uall_lo", "_Yall_lo", "_Uall_hi", "_Yall_hi",
-            ):
-                buf = getattr(self, name, None)
-                if buf is not None:
-                    n += buf.nbytes
-            if getattr(self, "_bplan", None) is not None:
-                n += self._bplan.workspace_bytes()
-        return n + self.plan.workspace_bytes()
+            held += [
+                getattr(self, name, None)
+                for name in (
+                    "_u2T", "_o2T", "_G", "_Ym",
+                    "_Uall_lo", "_Yall_lo", "_Uall_hi", "_Yall_hi",
+                )
+            ]
+        n = sum(buf.nbytes for buf in held if buf is not None)
+        for plan in (self.plan, self._plan_lo, self._plan_hi):
+            if plan is not None:
+                n += plan.workspace_bytes()
+        return n
 
 
 class NumpyVarMatKernel:

@@ -167,13 +167,6 @@ class ElasticOperator:
         """Bytes held by the kernel's precomputed plan and buffers."""
         return self._kernel.workspace_bytes()
 
-    def fold_cache_info(self) -> dict | None:
-        """Keyed fold-cache counters of the underlying kernel (None
-        when the backend kernel has no coefficient cache, e.g. the
-        per-element-matrix tet baseline)."""
-        info = getattr(self._kernel, "fold_cache_info", None)
-        return info() if info is not None else None
-
     @property
     def flops_per_matvec(self) -> int:
         """Floating point operations per stiffness application, the

@@ -40,43 +40,33 @@ from repro.solver.wave_solver import DEFAULT_ABSORBING
 
 
 class _ElasticKernel:
-    """Reusable gather/scatter machinery for coefficient-parameterized
-    stiffness actions and their material derivatives."""
+    """Coefficient-parameterized stiffness actions and their material
+    derivatives on the backend element kernel — the same bound handles
+    and time-batched row blocks as the scalar inversion."""
 
     def __init__(self, mesh: HexMesh):
-        self.mesh = mesh
-        self.conn = mesh.conn
         self.h = mesh.elem_h
-        self.nnode = mesh.nnode
-        self.nelem = mesh.nelem
-        K_l, K_m = hex_elastic_reference()
-        self.K_l, self.K_m = K_l, K_m
-        dof = (self.conn[:, :, None] * 3 + np.arange(3)[None, None, :]).reshape(
-            self.nelem, 24
-        )
-        self._dof_flat = dof.ravel()
-        self._dof = dof
-        # coefficient-per-call kernel: the inversion evaluates many
-        # material iterates through the same gather/scatter plan
         self._kernel = get_backend().element_kernel(
-            self.conn, (K_l, K_m), self.nnode, ncomp=3
+            mesh.conn, hex_elastic_reference(), mesh.nnode, ncomp=3
         )
-        self._c_lam = np.empty(self.nelem)
-        self._c_mu = np.empty(self.nelem)
 
-    def apply_K(
-        self, lam_e, mu_e, u: np.ndarray, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        if out is None:
-            out = np.empty((self.nnode, 3))
-        elif not out.flags.c_contiguous:
-            raise ValueError("out must be C-contiguous")
-        np.multiply(np.asarray(lam_e, float), self.h, out=self._c_lam)
-        np.multiply(np.asarray(mu_e, float), self.h, out=self._c_mu)
-        self._kernel.matvec(
-            np.ascontiguousarray(u).reshape(-1),
-            out.reshape(-1),
-            coefs=(self._c_lam, self._c_mu),
+    def bind(self, lam_e, mu_e) -> np.ndarray:
+        """Handle of ``K(lambda, mu)`` (``K_e = h (lambda K_l + mu
+        K_m)``); a sweep binds once."""
+        return self._kernel.bind(
+            (np.asarray(lam_e, float) * self.h, np.asarray(mu_e, float) * self.h)
+        )
+
+    def apply(self, K: np.ndarray, u: np.ndarray, out: np.ndarray):
+        """``out = K u`` for one ``(nnode, 3)`` state."""
+        self._kernel.matvec(u.reshape(-1), out.reshape(-1), K)
+        return out
+
+    def apply_rows(self, K: np.ndarray, u: np.ndarray, out: np.ndarray):
+        """``out[t] = K u[t]`` over a history ``(nt, nnode, 3)``; row
+        ``t`` is bit-identical to :meth:`apply`."""
+        self._kernel.matrows(
+            u.reshape(len(u), -1), out.reshape(len(u), -1), K
         )
         return out
 
@@ -85,11 +75,10 @@ class _ElasticKernel:
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(sum_t adj^T dK/dlambda_e u, sum_t adj^T dK/dmu_e u)`` for
         time-batched fields of shape ``(nt, nnode, 3)``."""
-        U = u[:, self.conn].reshape(u.shape[0], self.nelem, 24)
-        A = lam_adj[:, self.conn].reshape(u.shape[0], self.nelem, 24)
-        g_l = self.h * np.einsum("tei,ij,tej->e", A, self.K_l, U)
-        g_m = self.h * np.einsum("tei,ij,tej->e", A, self.K_m, U)
-        return g_l, g_m
+        g_l, g_m = self._kernel.coef_gradient(
+            u.reshape(len(u), -1), lam_adj.reshape(len(u), -1)
+        )
+        return self.h * g_l, self.h * g_m
 
 
 class _LysmerBoundary:
@@ -260,6 +249,7 @@ class ElasticInverseProblem:
         inv_a_plus = 1.0 / (self.mass + 0.5 * dt * C)
         a_minus = self.mass - 0.5 * dt * C
         m2 = 2.0 * self.mass
+        K = self.kernel.bind(lam_e, mu_e)  # one fold per march
         nnode = self.mesh.nnode
         x_prev = np.zeros((nnode, 3))
         x = np.zeros((nnode, 3))
@@ -269,7 +259,7 @@ class ElasticInverseProblem:
         hist = np.zeros((N + 1, nnode, 3)) if store else None
         for k in range(1, N):
             f = forcing(k)
-            self.kernel.apply_K(lam_e, mu_e, x, out=Kx)
+            self.kernel.apply(K, x, Kx)
             np.multiply(m2, x, out=r)
             np.multiply(Kx, dt2, out=Kx)
             np.subtract(r, Kx, out=r)
@@ -326,11 +316,13 @@ class ElasticInverseProblem:
         N = self.nsteps
         dt = self.dt
 
+        # single reusable forcing buffer: only the receiver rows are
+        # ever nonzero, so overwriting them each step keeps it correct
+        fbuf = np.zeros((self.mesh.nnode, 3))
+
         def forcing(mrev):
-            j = N + 1 - mrev
-            f = np.zeros((self.mesh.nnode, 3))
-            f[self.receivers] = -dt * rhs_series[j]
-            return f
+            fbuf[self.receivers] = -dt * rhs_series[N + 1 - mrev]
+            return fbuf
 
         x = self._march(lam_e, mu_e, forcing, store=True)
         lam = np.zeros((N + 1, self.mesh.nnode, 3))
@@ -342,18 +334,19 @@ class ElasticInverseProblem:
         material grid via ``P^T``."""
         dt = self.dt
         N = self.nsteps
-        g_l = np.zeros(self.mesh.nelem)
-        g_m = np.zeros(self.mesh.nelem)
+        u = state.u
+        g_l, g_m = self.kernel.K_material_gradient_batch(
+            u[1:N], adj[2 : N + 1]
+        )
+        g_l *= dt**2
+        g_m *= dt**2
         chunk = 32
         for k0 in range(1, N, chunk):
-            ks = np.arange(k0, min(k0 + chunk, N))
-            A = adj[ks + 1]
-            gl, gm = self.kernel.K_material_gradient_batch(state.u[ks], A)
-            g_l += dt**2 * gl
-            g_m += dt**2 * gm
-            w = state.u[ks + 1] - state.u[ks - 1]
+            k1 = min(k0 + chunk, N)
             bl, bm = self.boundary.material_gradient_batch(
-                w, A, state.lam_e, state.mu_e, self.rho_e
+                u[k0 + 1 : k1 + 1] - u[k0 - 1 : k1 - 1],
+                adj[k0 + 1 : k1 + 1],
+                state.lam_e, state.mu_e, self.rho_e,
             )
             g_l += 0.5 * dt * bl
             g_m += 0.5 * dt * bm
@@ -377,19 +370,26 @@ class ElasticInverseProblem:
 
     def gn_hessvec(self, v: np.ndarray, state: ElasticForwardState) -> np.ndarray:
         dt = self.dt
+        N = self.nsteps
         dl_n, dm_n = self.split(np.asarray(v, dtype=float))
         dlam_e, dmu_e = self.P @ dl_n, self.P @ dm_n
         C_delta = self.boundary.damping_perturbation(
             state.lam_e, state.mu_e, self.rho_e, dlam_e, dmu_e
         )
         u = state.u
-
-        def forcing(k):
-            f = -0.5 * dt * C_delta * (u[k + 1] - u[k - 1])
-            f -= dt**2 * self.kernel.apply_K(dlam_e, dmu_e, u[k])
-            return f
-
-        du = self._march(state.lam_e, state.mu_e, forcing, store=True)
+        # the whole incremental forcing as one table: F[k-1] =
+        # -(dt/2) C_delta (u^{k+1} - u^{k-1}) - dt^2 K(dlam, dmu) u^k,
+        # with K(dlam, dmu) applied to the history in one pass
+        F = self.kernel.apply_rows(
+            self.kernel.bind(dlam_e, dmu_e), u[1:N], np.empty(u[1:N].shape)
+        )
+        F *= dt**2
+        D = u[2 : N + 1] - u[0 : N - 1]
+        D *= -0.5 * dt * C_delta
+        np.subtract(D, F, out=F)
+        du = self._march(
+            state.lam_e, state.mu_e, lambda k: F[k - 1], store=True
+        )
         adj = self._adjoint(
             state.lam_e, state.mu_e, du[:, self.receivers, :]
         )

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.backend.sparse_ops import ScatterPlan
 from repro.solver.scalarwave import RegularGridScalarWave
 from repro.sources.slip import dslip_dT, dslip_dt0, slip_function
 
@@ -73,12 +74,14 @@ class FaultLineSource2D:
         # nodal weight pattern: h * dN/dx at the element center is
         # -1/(2h) on the x-min corners and +1/(2h) on the x-max corners,
         # times segment length h -> +-1/2
-        conn = solver.conn[self.elems]  # (ns, 4)
-        self.nodes = conn
-        w = np.empty(4)
-        for k in range(4):
-            w[k] = +0.5 if (k & 1) else -0.5
-        self.w = w  # local corner order: bit0 = x
+        self.nodes = solver.conn[self.elems]  # (ns, 4)
+        self.w = np.array([-0.5, 0.5, -0.5, 0.5])  # corner order: bit0 = x
+        #: the fault's distinct nodes, and the planned scatter summing
+        #: each node's (segment, corner) slots in slot order — the
+        #: accumulation order of ``np.add.at`` over ``nodes.ravel()``
+        self.unodes, inv = np.unique(self.nodes.ravel(), return_inverse=True)
+        self._slot_plan = ScatterPlan(inv, len(self.unodes))
+        self._slot_ones = np.ones(self._slot_plan.nnz)
 
     @property
     def depths(self) -> np.ndarray:
@@ -98,25 +101,51 @@ class FaultLineSource2D:
 
     # ----------------------------------------------------------- forcing
 
-    def _amps(self, mu_e: np.ndarray, p: SourceParams, t: float) -> np.ndarray:
-        g = slip_function(t, p.T, p.t0)
-        return mu_e[self.elems] * p.u0 * g
+    def _nodal_rows(self, amp: np.ndarray, dt: float) -> np.ndarray:
+        """``dt^2``-scaled nodal forces of segment amplitudes ``amp``
+        ``(nt, ns)`` at the distinct fault nodes: ``(nt, len(unodes))``."""
+        slots = (amp.T[:, None, :] * self.w[None, :, None]).reshape(
+            -1, len(amp)
+        ) * dt**2
+        out = np.zeros((len(self.unodes), len(amp)))
+        self._slot_plan.scatter_acc(self._slot_ones, slots, out)
+        return out.T
+
+    def forcing_rows(
+        self, mu_e: np.ndarray, p: SourceParams, ks: np.ndarray, dt: float
+    ) -> np.ndarray:
+        """``dt^2 b^k(mu)`` at the distinct fault nodes ``unodes`` for
+        the steps ``ks``: ``(len(ks), len(unodes))``.  ``b`` is linear
+        in ``mu``, so ``forcing_rows(dmu_e, ...)`` is ``dt^2 (db/dmu)
+        dmu``, the fault term of the incremental forcing."""
+        g = slip_function(ks[:, None] * dt, p.T, p.t0)
+        return self._nodal_rows(mu_e[self.elems] * p.u0 * g, dt)
+
+    def _tabulated(self, rows):
+        """``forcing(k)`` closure for :meth:`RegularGridScalarWave.march`
+        from a rule ``rows(ks)`` giving the nodal forces of the steps
+        ``ks`` at ``unodes``.  The slip functions are evaluated once
+        over all steps (the table doubles if a march runs past it) and
+        every call copies one row into a reused nodal buffer — march
+        only reads it."""
+        buf = np.zeros(self.solver.nnode)
+        table = np.zeros((0, len(self.unodes)))
+
+        def f(k: int) -> np.ndarray:
+            nonlocal table
+            have = len(table)
+            if k >= have:
+                ks = np.arange(have, max(k + 1, 2 * have, 256))
+                table = np.vstack([table, rows(ks)])
+            buf[self.unodes] = table[k]
+            return buf
+
+        return f
 
     def forcing(self, mu_e: np.ndarray, p: SourceParams, dt: float):
         """``forcing(k)`` callable for :meth:`RegularGridScalarWave.march`
         (includes the ``dt^2`` factor)."""
-
-        def f(k: int) -> np.ndarray:
-            amp = self._amps(mu_e, p, k * dt)
-            out = np.zeros(self.solver.nnode)
-            np.add.at(
-                out,
-                self.nodes.ravel(),
-                (amp[:, None] * self.w[None, :]).ravel() * dt**2,
-            )
-            return out
-
-        return f
+        return self._tabulated(lambda ks: self.forcing_rows(mu_e, p, ks, dt))
 
     # --------------------------------------------------------- adjoints
 
@@ -163,44 +192,20 @@ class FaultLineSource2D:
             proj * mu_s * p.u0 * dgdT,
         )
 
-    def forcing_from_mu_perturbation(
-        self, dmu_e: np.ndarray, p: SourceParams, dt: float
-    ):
-        """``dt^2 (db/dmu) dmu`` forcing for the incremental forward."""
-
-        def f(k: int) -> np.ndarray:
-            g = slip_function(k * dt, p.T, p.t0)
-            amp = dmu_e[self.elems] * p.u0 * g
-            out = np.zeros(self.solver.nnode)
-            np.add.at(
-                out,
-                self.nodes.ravel(),
-                (amp[:, None] * self.w[None, :]).ravel() * dt**2,
-            )
-            return out
-
-        return f
-
     def forcing_from_param_perturbation(
         self, mu_e: np.ndarray, p: SourceParams, dp: SourceParams, dt: float
     ):
         """``dt^2 (db/dp) dp`` forcing for the incremental forward."""
         mu_s = mu_e[self.elems]
 
-        def f(k: int) -> np.ndarray:
-            t = k * dt
+        def rows(ks):
+            t = ks[:, None] * dt
             g = slip_function(t, p.T, p.t0)
             amp = (
                 mu_s * dp.u0 * g
                 + mu_s * p.u0 * dslip_dt0(t, p.T, p.t0) * dp.t0
                 + mu_s * p.u0 * dslip_dT(t, p.T, p.t0) * dp.T
             )
-            out = np.zeros(self.solver.nnode)
-            np.add.at(
-                out,
-                self.nodes.ravel(),
-                (amp[:, None] * self.w[None, :]).ravel() * dt**2,
-            )
-            return out
+            return self._nodal_rows(amp, dt)
 
-        return f
+        return self._tabulated(rows)

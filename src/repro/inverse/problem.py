@@ -22,7 +22,10 @@ accuracy — the property Newton-CG convergence rests on.
 
 Gauss-Newton Hessian-vector products cost one incremental forward and
 one incremental adjoint solve, matching the paper's "each CG iteration
-requires one forward and one adjoint wave propagation solution".
+requires one forward and one adjoint wave propagation solution".  The
+incremental forcing is tabulated over the stored forward history before
+the march starts (one time-batched ``K(dmu)`` pass), so the march itself
+only ever applies ``K(mu)``.
 """
 
 from __future__ import annotations
@@ -382,28 +385,30 @@ class ScalarWaveInverseProblem:
         """``g_e = sum_k lam^{k+1,T} [dt^2 K_e u^k + (dt/2) C_e (u^{k+1}
         - u^{k-1}) - dt^2 db^k/dmu_e]`` — shared by gradient and GN Hv.
 
-        Vectorized over time in chunks (the accumulation dominates the
-        cost of a gradient once the wave solves are cheap).  Multi-shot
-        fields ``(nt, nnode, B)`` contract over time *and* shots; the
-        per-shot fault coupling slices its own column."""
+        The stiffness term runs over the whole history on the kernel's
+        row blocks; the boundary and fault terms touch few nodes and
+        are vectorized over time in chunks.  Multi-shot fields ``(nt,
+        nnode, B)`` contract over time *and* shots; the per-shot fault
+        coupling slices its own column."""
         N = self.nsteps
         dt = self.dt
-        g = np.zeros(self.solver.nelem)
+        g = dt**2 * self.solver.K_material_gradient_batch(
+            u[1:N], lam[2 : N + 1]
+        )
         chunk = 128
         multi = u.ndim == 3
         for k0 in range(1, N, chunk):
-            ks = np.arange(k0, min(k0 + chunk, N))
-            L = lam[ks + 1]
-            g += dt**2 * self.solver.K_material_gradient_batch(u[ks], L)
+            k1 = min(k0 + chunk, N)
+            L = lam[k0 + 1 : k1 + 1]
             g += 0.5 * dt * self.solver.C_material_gradient_batch(
-                u[ks + 1] - u[ks - 1], L, mu_e
+                u[k0 + 1 : k1 + 1] - u[k0 - 1 : k1 - 1], L, mu_e
             )
             for s, shot in enumerate(self.shots):
                 if shot.fault is None or shot.source_params is None:
                     continue
                 Ls = L[:, :, s] if multi else L
                 g -= dt**2 * shot.fault.material_gradient_batch(
-                    Ls, shot.source_params, ks * dt
+                    Ls, shot.source_params, np.arange(k0, k1) * dt
                 )
         return g
 
@@ -496,10 +501,11 @@ class ScalarWaveInverseProblem:
         C = solver.damping_diag(mu_e)
         a_plus = solver.m + 0.5 * dt * C
         a_minus = solver.m - 0.5 * dt * C
+        K = solver.bind_K(mu_e)
 
         def step_fn(k, x_prev, x):
             f = forcing(k)
-            r = 2 * solver.m * x - dt**2 * solver.apply_K(mu_e, x)
+            r = 2 * solver.m * x - dt**2 * solver.apply_K_bound(K, x)
             r -= a_minus * x_prev
             if f is not None:
                 r = r + f
@@ -548,6 +554,44 @@ class ScalarWaveInverseProblem:
 
     # ----------------------------------------------- Gauss-Newton Hessian
 
+    def _incremental_forcing(
+        self, state: ForwardState, dmu_e: np.ndarray
+    ) -> np.ndarray:
+        """The whole forcing of the incremental forward as one table:
+        ``F[k-1] = -(dt/2) C_delta (u^{k+1} - u^{k-1}) - dt^2 K(dmu) u^k
+        + dt^2 (db^k/dmu) dmu`` for ``k = 1 .. N-1``, shaped like
+        ``state.u[1:N]``.  ``K(dmu)`` is bound once and applied to the
+        stored history in one time-batched pass, so the march that
+        consumes the table never alternates materials through the
+        kernel."""
+        u = state.u
+        dt = self.dt
+        N = self.nsteps
+        solver = self.solver
+        K_delta = solver.bind_K(dmu_e)
+        F = np.empty(u[1:N].shape)
+        if self._single:
+            solver.apply_K_rows(K_delta, u[1:N], F)
+        else:
+            for k in range(1, N):
+                solver.apply_K_bound(K_delta, u[k], F[k - 1])
+        F *= dt**2
+        C_delta = solver.damping_diag_perturbation(state.mu_e, dmu_e)
+        c = -0.5 * dt * C_delta
+        D = u[2 : N + 1] - u[0 : N - 1]
+        D *= c if self._single else c[:, None]
+        np.subtract(D, F, out=F)
+        ks = np.arange(1, N)
+        for s, shot in enumerate(self.shots):
+            if shot.fault is None:
+                continue
+            col = F if self._single else F[:, :, s]
+            # b is linear in mu: (db/dmu) dmu = b(dmu)
+            col[:, shot.fault.unodes] += shot.fault.forcing_rows(
+                dmu_e, shot.source_params, ks, dt
+            )
+        return F
+
     def gn_hessvec(self, v: np.ndarray, state: ForwardState) -> np.ndarray:
         """Gauss-Newton Hessian action ``H v`` at ``state.m``.
 
@@ -556,68 +600,21 @@ class ScalarWaveInverseProblem:
         count 2 per call regardless of the shot count).
         """
         mu_e = state.mu_e
-        u = state.u
         dmu_e = self.P @ v
-        dt = self.dt
         N = self.nsteps
-        C_delta = self.solver.damping_diag_perturbation(mu_e, dmu_e)
-        if self._single:
-            fault_f = (
-                self.fault.forcing_from_mu_perturbation(
-                    dmu_e, self.source_params, dt
-                )
-                if self.fault is not None
-                else None
+        F = self._incremental_forcing(state, dmu_e)
+        with telemetry.span("inverse.gn_hessvec") as _s:
+            du = self.solver.march(
+                mu_e, lambda k: F[k - 1], N, self.dt, store=True,
+                batch=None if self._single else self.B,
             )
-
-            def forcing(k):
-                f = -0.5 * dt * C_delta * (u[k + 1] - u[k - 1])
-                f -= dt**2 * self.solver.apply_K(dmu_e, u[k])
-                if fault_f is not None:
-                    f += fault_f(k)
-                return f
-
-            with telemetry.span("inverse.gn_hessvec") as _s:
-                du = self.solver.march(mu_e, forcing, N, dt, store=True)
-                _s.add("wave_solves", 1)
-            self.n_wave_solves += 1
+            _s.add("wave_solves", 1)
+        self.n_wave_solves += 1
+        if self._single:
             lam_t = self._adjoint_states(
                 mu_e, self._smooth(self._smooth(du[:, self.receivers]))
             )
         else:
-            C_col = C_delta[:, None]
-            fault_fs = [
-                s.fault.forcing_from_mu_perturbation(
-                    dmu_e, s.source_params, dt
-                )
-                if s.fault is not None
-                else None
-                for s in self.shots
-            ]
-            fblock = np.empty((self.solver.nnode, self.B))
-
-            def forcing(k):
-                # incremental forcing for every shot column at once;
-                # the stiffness term is one level-3 apply on u^k's
-                # (nnode, B) block
-                np.subtract(u[k + 1], u[k - 1], out=fblock)
-                np.multiply(fblock, (-0.5 * dt) * C_col, out=fblock)
-                np.subtract(
-                    fblock,
-                    dt**2 * self.solver.apply_K(dmu_e, u[k]),
-                    out=fblock,
-                )
-                for s, ff in enumerate(fault_fs):
-                    if ff is not None:
-                        fblock[:, s] += ff(k)
-                return fblock
-
-            with telemetry.span("inverse.gn_hessvec") as _s:
-                du = self.solver.march(
-                    mu_e, forcing, N, dt, store=True, batch=self.B
-                )
-                _s.add("wave_solves", 1)
-            self.n_wave_solves += 1
             lam_t = self._adjoint_states_multi(
                 mu_e,
                 [
@@ -625,7 +622,7 @@ class ScalarWaveInverseProblem:
                     for i, s in enumerate(self.shots)
                 ],
             )
-        h_e = self._material_accumulation(mu_e, u, lam_t)
+        h_e = self._material_accumulation(mu_e, state.u, lam_t)
         Hv = self.P.T @ h_e
         if self.reg is not None:
             Hv = Hv + self.reg.hessvec(state.m, v)

@@ -12,7 +12,9 @@ mass, central differences — the same machinery as the 3D forward code.
 
 The class exposes the *operator pieces* the discrete adjoint needs:
 
-* ``apply_K(mu, u)``        — stiffness action for per-element ``mu``;
+* ``apply_K(mu, u)``        — stiffness action for per-element ``mu``
+  (``bind_K(mu)`` once, then ``apply_K_bound`` / ``apply_K_rows`` in a
+  loop or over a stored history);
 * ``damping_diag(mu)``      — lumped absorbing damping (depends on mu);
 * ``K_material_gradient``   — per-element ``lam^T (dK/dmu_e) u``;
 * ``C_material_gradient``   — per-element ``lam^T (dC/dmu_e) w``;
@@ -129,12 +131,12 @@ class RegularGridScalarWave:
         # on the same material iterate
         self._lts_plan_cache = None
         self._lts_exec_cache = None
-        # fused stiffness kernel (coefficients vary per call: the
-        # inversion sweeps evaluate many material iterates)
+        # fused stiffness kernel, built without coefficients: the
+        # inversion sweeps evaluate many material iterates, each bound
+        # once per sweep (see bind_K)
         self._kernel = get_backend().element_kernel(
             self.conn, (self.K_ref,), self.nnode
         )
-        self._coef = np.empty(self.nelem)
 
     # --------------------------------------------------------------- grid
 
@@ -184,10 +186,20 @@ class RegularGridScalarWave:
 
     # ----------------------------------------------------------- operators
 
-    def apply_K(
-        self, mu: np.ndarray, u: np.ndarray, out: np.ndarray | None = None
+    def bind_K(self, mu: np.ndarray) -> np.ndarray:
+        """Bind the stiffness to per-element ``mu``: the handle
+        :meth:`apply_K_bound` / :meth:`apply_K_rows` take.  Every time
+        loop binds once before it starts; handles of different
+        materials (``mu`` and a perturbation ``dmu``) stay valid side
+        by side."""
+        return self._kernel.bind(
+            (np.asarray(mu, dtype=float) * self.h ** (self.d - 2),)
+        )
+
+    def apply_K_bound(
+        self, K: np.ndarray, u: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """Stiffness action ``K(mu) u`` for per-element ``mu``.
+        """Stiffness action ``K u`` for a :meth:`bind_K` handle.
 
         ``u`` may be a single state ``(nnode,)`` or a scenario batch
         ``(nnode, B)`` (each column advanced by one level-3 kernel
@@ -196,10 +208,6 @@ class RegularGridScalarWave:
         flat memory, so ``u`` must be C-contiguous — asserted here
         instead of silently copied (the old ``np.ascontiguousarray``
         hid a full-state copy per call for strided inputs)."""
-        np.multiply(
-            np.asarray(mu, dtype=float), self.h ** (self.d - 2),
-            out=self._coef,
-        )
         u = np.asarray(u, dtype=float)
         if not u.flags.c_contiguous:
             raise ValueError(
@@ -209,17 +217,28 @@ class RegularGridScalarWave:
         if out is None:
             out = np.empty(u.shape)
         if u.ndim == 2:
-            self._kernel.matmat(u, out, coefs=(self._coef,))
+            self._kernel.matmat(u, out, K)
         else:
-            self._kernel.matvec(u, out, coefs=(self._coef,))
+            self._kernel.matvec(u, out, K)
         return out
 
+    def apply_K_rows(
+        self, K: np.ndarray, rows: np.ndarray, out: np.ndarray
+    ) -> np.ndarray:
+        """``out[t] = K rows[t]`` over a stored history ``(T, nnode)``
+        in one time-batched kernel pass; row ``t`` is bit-identical to
+        ``apply_K_bound(K, rows[t])``."""
+        return self._kernel.matrows(rows, out, K)
+
+    def apply_K(
+        self, mu: np.ndarray, u: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Stiffness action ``K(mu) u`` for per-element ``mu`` — the
+        cold-path convenience (bind, then :meth:`apply_K_bound`)."""
+        return self.apply_K_bound(self.bind_K(mu), u, out)
+
     def K_diagonal(self, mu: np.ndarray) -> np.ndarray:
-        np.multiply(
-            np.asarray(mu, dtype=float), self.h ** (self.d - 2),
-            out=self._coef,
-        )
-        return self._kernel.diagonal(np.empty(self.nnode), coefs=(self._coef,))
+        return self._kernel.diagonal(np.empty(self.nnode), self.bind_K(mu))
 
     def K_material_gradient(
         self, u: np.ndarray, lam: np.ndarray
@@ -236,16 +255,19 @@ class RegularGridScalarWave:
     ) -> np.ndarray:
         """Time-batched :meth:`K_material_gradient`: ``u``/``lam`` have
         shape ``(nt, nnode)`` — or ``(nt, nnode, B)`` for shot batches,
-        contracted over time *and* shots; returns the per-element sum."""
-        U = u[:, self.conn]
-        L = lam[:, self.conn]
-        if u.ndim == 3:
-            return self.h ** (self.d - 2) * np.einsum(
-                "teib,ij,tejb->e", L, self.K_ref, U
+        contracted over time *and* shots; returns the per-element sum.
+        Runs on the kernel's row blocks (blocked gathers, one
+        ``(nt * nelem, nn) @ K_ref^T`` product, a two-operand
+        contraction) in workspace that does not grow with ``nt``."""
+        if u.ndim == 3:  # shot columns are strided: contract one by one
+            return sum(
+                self.K_material_gradient_batch(
+                    np.ascontiguousarray(u[:, :, b]),
+                    np.ascontiguousarray(lam[:, :, b]),
+                )
+                for b in range(u.shape[2])
             )
-        return self.h ** (self.d - 2) * np.einsum(
-            "tei,ij,tej->e", L, self.K_ref, U
-        )
+        return self.h ** (self.d - 2) * self._kernel.coef_gradient(u, lam)[0]
 
     def C_material_gradient_batch(
         self, w: np.ndarray, lam: np.ndarray, mu: np.ndarray
@@ -507,10 +529,12 @@ class RegularGridScalarWave:
                     "rc2": float(lv.rate) ** 2,
                     "own": own,
                     "interp": lv.interp_nodes,
+                    # the exec state is keyed on the material, so each
+                    # level kernel is bound to its slice for good
                     "kernel": backend.element_kernel(
-                        self.conn[lv.elems], (self.K_ref,), self.nnode
+                        self.conn[lv.elems], (self.K_ref,), self.nnode,
+                        coefs=(coef_all[lv.elems],),
                     ),
-                    "coef": np.ascontiguousarray(coef_all[lv.elems]),
                     "m2": _diag(2.0 * self.m[own]),
                     "inv_ap": _diag(1.0 / (self.m[own] + 0.5 * dtc * C[own])),
                     "a_minus": _diag(self.m[own] - 0.5 * dtc * C[own]),
@@ -594,9 +618,9 @@ class RegularGridScalarWave:
                             np.multiply(iv, 0.5, out=iv)
                         x[interp] = iv
                     if batch is None:
-                        lev["kernel"].matvec(x, Kx, coefs=(lev["coef"],))
+                        lev["kernel"].matvec(x, Kx)
                     else:
-                        lev["kernel"].matmat(x, Kx, coefs=(lev["coef"],))
+                        lev["kernel"].matmat(x, Kx)
                     if ni:
                         x[interp] = sv
                     own = lev["own"]
@@ -742,6 +766,8 @@ class RegularGridScalarWave:
             inv_a_plus = inv_a_plus[:, None]
             a_minus = a_minus[:, None]
         dt2 = dt * dt
+        K = self.bind_K(mu)  # one fold per march
+        apply = self._kernel.matvec if batch is None else self._kernel.matmat
         # per-call state/scratch buffers (march stays reentrant); the
         # steady-state loop itself is in-place with buffer rotation —
         # zero per-step O(nnode) allocations
@@ -783,7 +809,7 @@ class RegularGridScalarWave:
         with telemetry.span("scalar.march") as _m:
             for k in range(k0, nsteps):
                 f = forcing(k)
-                self.apply_K(mu, x, out=Kx)
+                apply(x, Kx, K)
                 np.multiply(m2, x, out=r)
                 np.multiply(Kx, dt2, out=Kx)
                 np.subtract(r, Kx, out=r)

@@ -113,28 +113,39 @@ class PointForceSource:
         return mesh.conn[e], w
 
 
-def nodal_forces_for_point_source(
-    mesh: HexMesh, tree: LinearOctree, src: MomentTensorSource
+def nodal_forces_for_point_sources(
+    mesh: HexMesh, tree: LinearOctree, sources: list
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Spatial stencil of a point source: ``(nodes, weights)``.
+    """Spatial stencils of ``n`` moment-tensor sources from one element
+    search and one shape-gradient evaluation: ``(nodes, weights)`` of
+    shapes ``(n, 8)`` and ``(n, 8, 3)``.
 
-    ``weights`` has shape ``(8, 3)``: the time-independent nodal force
-    pattern; the force at time ``t`` is ``weights * g(t)``.
+    ``weights[s]`` is the time-independent nodal force pattern of
+    source ``s``; its force at time ``t`` is ``weights[s] * g(t)``.
     """
     from repro.octree.morton import MAX_COORD
 
-    ticks = np.asarray(src.position) / mesh.L * MAX_COORD
-    idx = tree.locate(np.floor(ticks).astype(np.int64)[None, :])
-    e = int(idx[0])
-    if e < 0:
-        raise ValueError(f"source at {src.position} is outside the mesh")
-    h = float(mesh.elem_h[e])
+    pos = np.array([s.position for s in sources], dtype=float).reshape(-1, 3)
+    ticks = pos / mesh.L * MAX_COORD
+    e = tree.locate(np.floor(ticks).astype(np.int64))
+    if np.any(e < 0):
+        bad = sources[int(np.argmax(e < 0))]
+        raise ValueError(f"source at {bad.position} is outside the mesh")
+    h = mesh.elem_h[e][:, None]
     anchor = mesh.elem_anchor[e] * (mesh.L / MAX_COORD)
-    xi = (np.asarray(src.position) - anchor) / h
-    g = shape_gradients(xi[None, :], 3)[0] / h  # (8, 3) physical grads
+    g = shape_gradients((pos - anchor) / h, 3) / h[:, :, None]  # physical
     # b[(i,a)] = sum_b M_ab dN_i/dx_b
-    w = g @ np.asarray(src.moment).T  # (8, 3): w[i, a]
-    return mesh.conn[e], w
+    M = np.array([s.moment for s in sources], dtype=float).reshape(-1, 3, 3)
+    return mesh.conn[e], g @ M.transpose(0, 2, 1)  # w[s, i, a]
+
+
+def nodal_forces_for_point_source(
+    mesh: HexMesh, tree: LinearOctree, src: MomentTensorSource
+) -> tuple[np.ndarray, np.ndarray]:
+    """Spatial stencil of one point source: ``(nodes, weights)`` of
+    shapes ``(8,)`` and ``(8, 3)``."""
+    nodes, w = nodal_forces_for_point_sources(mesh, tree, [src])
+    return nodes[0], w[0]
 
 
 class SourceCollection:
@@ -142,12 +153,24 @@ class SourceCollection:
 
     def __init__(self, mesh: HexMesh, tree: LinearOctree, sources: list):
         self.sources = list(sources)
-        self.nodes = []
-        self.weights = []
-        for s in self.sources:
-            n, w = s.stencil(mesh, tree)
-            self.nodes.append(n)
-            self.weights.append(w)
+        slip = [
+            i for i, s in enumerate(self.sources)
+            if isinstance(s, MomentTensorSource)
+        ]
+        self._other = [
+            (i, s) for i, s in enumerate(self.sources)
+            if not isinstance(s, MomentTensorSource)
+        ]
+        # all moment-tensor sources are located and differentiated in
+        # one batch; other source types bring their own stencil
+        self.nodes = [None] * len(self.sources)
+        self.weights = [None] * len(self.sources)
+        for i, n, w in zip(slip, *nodal_forces_for_point_sources(
+            mesh, tree, [self.sources[i] for i in slip]
+        )):
+            self.nodes[i], self.weights[i] = n, w
+        for i, s in self._other:
+            self.nodes[i], self.weights[i] = s.stencil(mesh, tree)
         self.nnode = mesh.nnode
         # all stencils stacked in source order, so one unbuffered
         # ``np.add.at`` accumulates exactly like a per-source loop
@@ -162,17 +185,9 @@ class SourceCollection:
         )
         # sources on the paper's slip function evaluate in one
         # vectorised call over stacked (T, t0); the rest one by one
-        slip = [
-            i for i, s in enumerate(self.sources)
-            if isinstance(s, MomentTensorSource)
-        ]
         self._slip_idx = np.array(slip, dtype=np.int64)
         self._slip_T = np.array([self.sources[i].T for i in slip], float)
         self._slip_t0 = np.array([self.sources[i].t0 for i in slip], float)
-        self._other = [
-            (i, s) for i, s in enumerate(self.sources)
-            if not isinstance(s, MomentTensorSource)
-        ]
 
     def forces_at(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
         """Nodal force field ``(nnode, 3)`` at time ``t``."""

@@ -422,10 +422,16 @@ def test_transport_calibration_is_memoized():
     clear_transport_calibration()
 
 
-# ------------------------------------------------- keyed fold LRU
+# ------------------------------------------------- bound handles
 
 
-def test_fold_lru_restores_folds_bitwise():
+def test_kernel_and_outstanding_handle_pickle_roundtrip():
+    """A coefficient-free kernel and a handle bound by it survive the
+    disk tier's pickle side by side: the restored pair applies bitwise
+    like the originals, alternating with a second material through the
+    same kernel."""
+    import pickle
+
     from repro.backend import get_backend
     from repro.mesh import uniform_hex_mesh
 
@@ -435,71 +441,34 @@ def test_fold_lru_restores_folds_bitwise():
     coef_a = rng.random(mesh.nelem) + 1.0
     coef_b = rng.random(mesh.nelem) + 2.0
     u = rng.standard_normal(mesh.nnode)
-    out = np.empty(mesh.nnode)
+    U = rng.standard_normal((mesh.nnode, 3))
 
     kern = get_backend().element_kernel(mesh.conn, (K_ref,), mesh.nnode)
-    ref = {}
-    for name, coef in [("a", coef_a), ("b", coef_b)]:
-        fresh = get_backend().element_kernel(
-            mesh.conn, (K_ref,), mesh.nnode
-        )
-        ref[name] = fresh.matvec(u, np.empty(mesh.nnode), coefs=(coef,)).copy()
-
-    # alternate materials: every revisit must restore the folded data
-    # from the LRU (a hit), and the product must be bitwise the fresh
-    # kernel's
-    for name, coef in [("a", coef_a), ("b", coef_b)] * 3:
-        got = kern.matvec(u, out, coefs=(coef,))
-        assert np.array_equal(got, ref[name])
-    info = kern.fold_cache_info()
-    assert info["misses"] == 2  # one real fold per material
-    assert info["hits"] == 4  # every alternation after that restored
-    assert info["entries"] == 2
-
-
-def test_fold_lru_eviction_and_capacity():
-    from repro.backend import get_backend
-    from repro.mesh import uniform_hex_mesh
-
-    mesh = uniform_hex_mesh(2, L=1.0)
-    kern = get_backend().element_kernel(
-        mesh.conn, (np.eye(8),), mesh.nnode
-    )
-    u = np.ones(mesh.nnode)
-    out = np.empty(mesh.nnode)
-    slots = kern.fold_cache_slots
-    coefs = [np.full(mesh.nelem, 1.0 + i) for i in range(slots + 2)]
-    for c in coefs:
-        kern.matvec(u, out, coefs=(c,))
-    info = kern.fold_cache_info()
-    assert info["entries"] == slots  # bounded
-    assert info["misses"] == slots + 2
-    # the oldest entries were evicted: revisiting them refolds...
-    kern.matvec(u, out, coefs=(coefs[0],))
-    assert kern.fold_cache_info()["misses"] == slots + 3
-    # ...while the newest survive: revisiting one is a hit
-    kern.matvec(u, out, coefs=(coefs[-1],))
-    assert kern.fold_cache_info()["hits"] == 1
-
-
-def test_fold_mru_fast_path_not_counted_as_lru_hit():
-    from repro.backend import get_backend
-    from repro.mesh import uniform_hex_mesh
-
-    mesh = uniform_hex_mesh(2, L=1.0)
-    kern = get_backend().element_kernel(
-        mesh.conn, (np.eye(8),), mesh.nnode
-    )
-    u = np.ones(mesh.nnode)
-    out = np.empty(mesh.nnode)
-    c = np.full(mesh.nelem, 2.0)
-    for _ in range(5):  # the steady state of every time loop
-        kern.matvec(u, out, coefs=(c,))
-    info = kern.fold_cache_info()
-    assert info == {
-        "slots": kern.fold_cache_slots,
-        "entries": 1,
-        "hits": 0,
-        "misses": 1,
-        "folds": 1,
+    h_a, h_b = kern.bind((coef_a,)), kern.bind((coef_b,))
+    ref = {
+        name: get_backend().element_kernel(
+            mesh.conn, (K_ref,), mesh.nnode, coefs=(coef,)
+        ).matvec(u, np.empty(mesh.nnode)).copy()
+        for name, coef in [("a", coef_a), ("b", coef_b)]
     }
+    kern.matmat(U, np.empty_like(U), h_a)  # size the lazy workspace too
+    kern2, h_a2 = pickle.loads(pickle.dumps((kern, h_a)))
+    out = np.empty(mesh.nnode)
+    for k, ha in [(kern, h_a), (kern2, h_a2)]:
+        for name, h in [("a", ha), ("b", h_b)] * 3:
+            assert np.array_equal(k.matvec(u, out, h), ref[name])
+    assert np.array_equal(
+        kern2.matmat(U, np.empty_like(U), h_a2),
+        kern.matmat(U, np.empty_like(U), h_a),
+    )
+    # a kernel bound at construction takes no coefficients afterwards,
+    # and one built without them needs a handle
+    fixed = get_backend().element_kernel(
+        mesh.conn, (K_ref,), mesh.nnode, coefs=(coef_a,)
+    )
+    with pytest.raises(ValueError):
+        fixed.bind((coef_b,))
+    with pytest.raises(ValueError):
+        kern.matvec(u, out)
+    with pytest.raises(ValueError):
+        kern.matvec(u, out, h_a[:-1])

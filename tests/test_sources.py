@@ -125,6 +125,56 @@ class TestPointSourceForces:
         with pytest.raises(ValueError):
             nodal_forces_for_point_source(mesh, tree, src)
 
+    def test_collection_stencils_match_one_source_at_a_time(self):
+        """``SourceCollection`` locates and differentiates all moment-
+        tensor sources in one batch: nodes identical and weights within
+        one ulp of the per-source loop it replaced (kept here), with a
+        source of another type in the middle keeping its own stencil."""
+        from repro.fem.shape import shape_gradients
+        from repro.mesh import uniform_hex_mesh
+        from repro.octree.linear_octree import build_adaptive_octree
+        from repro.octree.morton import MAX_COORD
+        from repro.sources.fault import PointForceSource, SourceCollection
+
+        tree = build_adaptive_octree(lambda c, s: np.full(len(c), 0.25), max_level=4)
+        mesh = uniform_hex_mesh(4, L=1000.0)
+
+        def one_at_a_time(src):
+            ticks = np.asarray(src.position) / mesh.L * MAX_COORD
+            e = int(tree.locate(np.floor(ticks).astype(np.int64)[None, :])[0])
+            h = float(mesh.elem_h[e])
+            anchor = mesh.elem_anchor[e] * (mesh.L / MAX_COORD)
+            xi = (np.asarray(src.position) - anchor) / h
+            g = shape_gradients(xi[None, :], 3)[0] / h
+            return mesh.conn[e], g @ np.asarray(src.moment).T
+
+        sources = list(
+            idealized_strike_slip(L=1000.0, n_strike=6, n_dip=4).sources
+        )
+        force = PointForceSource(
+            position=np.array([510.0, 490.0, 300.0]),
+            direction=np.array([1.0, 2.0, -1.0]),
+            time_function=lambda t: 1.0,
+        )
+        sources.insert(7, force)
+        coll = SourceCollection(mesh, tree, sources)
+        assert len(coll.nodes) == len(coll.weights) == len(sources) == 25
+        for s, n, w in zip(sources, coll.nodes, coll.weights):
+            n_ref, w_ref = (
+                s.stencil(mesh, tree) if s is force else one_at_a_time(s)
+            )
+            assert np.array_equal(n, n_ref)
+            assert np.all(np.abs(w - w_ref) <= np.spacing(np.abs(w_ref).max()))
+        # the out-of-mesh error still names the offending source
+        sources[3] = MomentTensorSource(
+            position=np.array([-5.0, 0.0, 0.0]), moment=np.eye(3),
+            T=0.0, t0=1.0,
+        )
+        with pytest.raises(ValueError, match=r"-5\."):
+            SourceCollection(mesh, tree, sources)
+        # no sources at all is still a valid (silent) collection
+        assert not SourceCollection(mesh, tree, []).forces_at(0.3).any()
+
     def test_collection_forces_bitwise_equal_per_source_loop(self):
         """The stacked evaluation (one ``slip_function`` call, one
         ``np.add.at``) keeps the per-source arithmetic and accumulation
