@@ -62,6 +62,7 @@ from repro.resilience import (
     RetryPolicy,
     check_finite,
     should_check,
+    sync_check_due,
     validate_cfl,
 )
 from repro.telemetry.timeline import MergedTimeline, RankTimeline
@@ -319,7 +320,7 @@ def _rank_program_lts(comm, payload):
                 f"LTS resume index {k0} is not a sync boundary "
                 f"(sync rate {r_sync})"
             )
-    last_sync_saved = k0
+    last_sync_saved = last_sync_checked = k0
     fplan = p.get("faults")
     health_interval = int(p.get("health_interval", 0))
     world = comm.world
@@ -390,10 +391,9 @@ def _rank_program_lts(comm, payload):
         if s % r_sync == 0:  # sync: every node holds u(s * dt)
             if fplan is not None:
                 fplan.poison_state(rank, s - 1, u)
-            if health_interval and should_check(
-                s - 1, nsteps, health_interval
-            ):
+            if sync_check_due(s, last_sync_checked, nsteps, health_interval):
                 check_finite(u, step=s - 1, rank=rank, field="u")
+                last_sync_checked = s
             if (
                 mgr is not None
                 and ckpt_every > 0
@@ -1486,7 +1486,7 @@ class DistributedWaveSolver:
                         f"LTS resume index {k0} is not a sync boundary "
                         f"(sync rate {r_sync})"
                     )
-        last_sync_saved = k0
+        last_sync_saved = last_sync_checked = k0
 
         def fire_local(r, lev, j, b):
             if durs is not None:
@@ -1577,11 +1577,12 @@ class DistributedWaveSolver:
                 if faults is not None:
                     for r in range(world.nranks):
                         faults.poison_state(r, s - 1, u[r])
-                if health_interval and should_check(
-                    s - 1, nsteps, health_interval
+                if sync_check_due(
+                    s, last_sync_checked, nsteps, health_interval
                 ):
                     for r in range(world.nranks):
                         check_finite(u[r], step=s - 1, rank=r, field="u")
+                    last_sync_checked = s
                 if (
                     mgrs is not None
                     and checkpoint_every > 0

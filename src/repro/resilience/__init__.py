@@ -25,6 +25,7 @@ from repro.resilience.health import (
     NumericalHealthError,
     check_finite,
     should_check,
+    sync_check_due,
     validate_cfl,
 )
 from repro.resilience.recovery import RetryPolicy
@@ -38,5 +39,6 @@ __all__ = [
     "RetryPolicy",
     "check_finite",
     "should_check",
+    "sync_check_due",
     "validate_cfl",
 ]

@@ -81,6 +81,20 @@ def should_check(k: int, nsteps: int, interval: int | None) -> bool:
     return k == nsteps - 1 or (k + 1) % interval == 0
 
 
+def sync_check_due(
+    s: int, last: int, nsteps: int, interval: int | None
+) -> bool:
+    """Sentinel cadence for loops that can only look at sync boundaries
+    (clustered LTS): due at boundary ``s`` (steps completed) when a
+    multiple of ``interval`` was reached since the last checked
+    boundary ``last`` — the rule the sync checkpoints use — plus always
+    at the end.  Asking :func:`should_check` there instead would check
+    every ``lcm(interval, coarsest rate)`` steps."""
+    if not interval:
+        return False
+    return s == nsteps or s // interval > last // interval
+
+
 from repro.physics.cfl import validate_cfl  # noqa: E402  (re-export)
 
 __all__ = [
@@ -88,5 +102,6 @@ __all__ = [
     "NumericalHealthError",
     "check_finite",
     "should_check",
+    "sync_check_due",
     "validate_cfl",
 ]

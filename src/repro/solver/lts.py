@@ -33,16 +33,27 @@ Schedule contract (shared by every solver; see DESIGN.md):
 * All nodes are synchronized at multiples of the coarsest rate — the
   only indices where checkpoints are taken (and the only ones a resume
   may start from).
+
+A cluster is a subdomain and its one-coarser / one-finer neighbors a
+ghost layer (the paper's own remedy for local work, Section 2.4):
+:meth:`LTSPlan.local_layouts` numbers every level compactly — own
+nodes first, halo behind — and names, for every halo row, the level
+that owns it, so a solver can hold each level's state contiguously,
+build the level's kernel over its own few rows, and copy only halo
+values between levels (:class:`LTSLocalLayout`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
+    "HaloSource",
     "LTSLevel",
+    "LTSLocalLayout",
     "LTSPlan",
     "bin_rates",
     "build_lts_plan",
@@ -128,7 +139,12 @@ class LTSLevel:
     cluster needs for its residuals (``n_own_elems`` marks the split).
     ``own_nodes`` are the grid points this level updates;
     ``interp_nodes`` the coarser (rate ``2r``) points in the cluster's
-    connectivity whose values are time-interpolated around each matvec.
+    connectivity, read time-interpolated by each matvec; ``fine_nodes``
+    the finer (rate ``r/2``) ones, read at their current value.  The
+    three are disjoint, each ascending, and together they are every
+    node the cluster's elements touch (the 2-to-1 invariant) — the
+    level-local numbering of :meth:`LTSPlan.local_layouts` is their
+    concatenation.
     """
 
     rate: int
@@ -136,6 +152,38 @@ class LTSLevel:
     n_own_elems: int
     own_nodes: np.ndarray
     interp_nodes: np.ndarray
+    fine_nodes: np.ndarray
+
+
+class HaloSource(NamedTuple):
+    """Where one group of a level's halo rows comes from: ``rows`` of
+    the level-local vector mirror entries ``pos`` of the own-node array
+    of ``plan.levels[level]``."""
+
+    level: int
+    rows: slice
+    pos: np.ndarray
+
+
+@dataclass
+class LTSLocalLayout:
+    """Level-local numbering of one cluster.
+
+    ``local_nodes = [own_nodes | interp_nodes | fine_nodes]`` (global
+    ids): the leading ``n_own`` rows of a level-local vector *are* the
+    cluster's state, the rest is its ghost layer.  ``conn_local`` is
+    the connectivity of the level's ``elems`` renumbered into it with
+    the element order unchanged, so a scatter over it sums every row in
+    the order the global scatter did.  ``coarse`` names the rate-``2r``
+    owner of the time-interpolated halo rows, ``fine`` the rate-``r/2``
+    owner of the same-time ones (None where the level has no such
+    neighbor)."""
+
+    local_nodes: np.ndarray
+    n_own: int
+    conn_local: np.ndarray
+    coarse: HaloSource | None
+    fine: HaloSource | None
 
 
 @dataclass
@@ -152,6 +200,9 @@ class LTSPlan:
     elem_rate: np.ndarray
     node_rate: np.ndarray
     levels: list[LTSLevel] = field(default_factory=list)
+    _layouts: list[LTSLocalLayout] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def nelem(self) -> int:
@@ -188,6 +239,20 @@ class LTSPlan:
         (all nodes hold the state at ``j*dt``) — the only indices where
         checkpoints may be written or a resume may start."""
         return j % self.max_rate == 0
+
+    def local_layouts(self, conn) -> list[LTSLocalLayout]:
+        """Level-local layouts, one per level in ``levels`` order, for
+        the connectivity the plan was built from.  Built on first use
+        and kept: consumers that march on global vectors never pay for
+        it."""
+        if self._layouts is None:
+            conn = np.asarray(conn)
+            if len(conn) != self.nelem:
+                raise ValueError(
+                    f"plan covers {self.nelem} elements, conn has {len(conn)}"
+                )
+            self._layouts = _local_layouts(self, conn)
+        return self._layouts
 
     def as_dict(self) -> dict:
         return {
@@ -236,15 +301,22 @@ def build_lts_plan(
         halo_mask = (rates == 2 * r) & (nrate[conn] == r).any(axis=1)
         elems = np.concatenate([own, np.nonzero(halo_mask)[0]])
         enodes = np.unique(conn[elems])
-        levels.append(
-            LTSLevel(
-                rate=int(r),
-                elems=elems,
-                n_own_elems=len(own),
-                own_nodes=enodes[nrate[enodes] == r],
-                interp_nodes=enodes[nrate[enodes] == 2 * r],
-            )
+        erate = nrate[enodes]
+        lv = LTSLevel(
+            rate=int(r),
+            elems=elems,
+            n_own_elems=len(own),
+            own_nodes=enodes[erate == r],
+            interp_nodes=enodes[erate == 2 * r],
+            fine_nodes=enodes[2 * erate == r],
         )
+        # 2-to-1: a cluster reads its own, one-coarser and one-finer
+        # points and nothing else
+        assert (
+            len(lv.own_nodes) + len(lv.interp_nodes) + len(lv.fine_nodes)
+            == len(enodes)
+        )
+        levels.append(lv)
     # a level can end up owning no grid points (every node of its
     # elements touches a finer element); firing it would waste a matvec
     # that updates nothing — drop it, its elements already ride along
@@ -257,6 +329,41 @@ def build_lts_plan(
     # over its adjacent elements, so it always names an existing level)
     assert sum(len(lv.own_nodes) for lv in levels) == nnode
     return plan
+
+
+def _local_layouts(plan: LTSPlan, conn: np.ndarray) -> list[LTSLocalLayout]:
+    """Build :meth:`LTSPlan.local_layouts` (see :class:`LTSLocalLayout`)."""
+    index = {lv.rate: i for i, lv in enumerate(plan.levels)}
+    nnode = len(plan.node_rate)
+    # position of every node inside its owner's own-node array
+    pos = np.empty(nnode, dtype=np.int64)
+    for lv in plan.levels:
+        pos[lv.own_nodes] = np.arange(len(lv.own_nodes))
+    g2l = np.empty(nnode, dtype=np.int64)  # valid on one level's nodes
+
+    def source(rate, nodes, start):
+        if not len(nodes):
+            return None
+        # the owner exists: a level is only dropped for owning nothing
+        return HaloSource(
+            index[rate], slice(start, start + len(nodes)), pos[nodes]
+        )
+
+    layouts = []
+    for lv in plan.levels:
+        local = np.concatenate([lv.own_nodes, lv.interp_nodes, lv.fine_nodes])
+        g2l[local] = np.arange(len(local))
+        n_own, n_coarse = len(lv.own_nodes), len(lv.interp_nodes)
+        layouts.append(
+            LTSLocalLayout(
+                local_nodes=local,
+                n_own=n_own,
+                conn_local=g2l[conn[lv.elems]],
+                coarse=source(2 * lv.rate, lv.interp_nodes, n_own),
+                fine=source(lv.rate // 2, lv.fine_nodes, n_own + n_coarse),
+            )
+        )
+    return layouts
 
 
 def constraint_groups(masters: dict) -> list[np.ndarray]:

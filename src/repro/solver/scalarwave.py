@@ -39,7 +39,7 @@ from repro.backend import get_backend
 from repro.backend.sparse_ops import ScatterPlan
 from repro.fem.scalar_element import scalar_stiffness_reference
 from repro.physics.cfl import elem_stable_dt
-from repro.resilience import check_finite, should_check
+from repro.resilience import check_finite, should_check, sync_check_due
 from repro.solver.checkpoint import CheckpointManager
 from repro.solver.lts import DEFAULT_MAX_RATE, LTSPlan, build_lts_plan
 
@@ -486,11 +486,20 @@ class RegularGridScalarWave:
         return plan
 
     def _lts_exec(self, plan, mu, dt, alpha, batch):
-        """Per-level execution state: a fused stiffness kernel over the
-        cluster's elements (own + halo), the cluster-step leapfrog
-        diagonals restricted to its own nodes, and preallocated substep
-        buffers — so the clustered loop stays allocation-free.  Single-
-        entry cache keyed on (plan, material, dt, batch)."""
+        """Per-level execution state, one subdomain per cluster: a
+        fused stiffness kernel over the level's elements (own + halo)
+        **in level-local numbering** (``nnode = len(local_nodes)``, so
+        an apply touches the cluster's rows and nothing else), the
+        cluster-step leapfrog diagonals of its own nodes, and the
+        level's state — three rotating ``(n_local[, B])`` buffers
+        ``x_prev / x / Kx`` whose leading ``n_own`` rows are the
+        cluster's own values and whose tail is its ghost layer, plus an
+        ``(n_own[, B])`` scratch.  ``coarse`` / ``fine`` are the halo
+        sources ``(owner level state, local rows, positions in the
+        owner's own rows)`` from :meth:`LTSPlan.local_layouts`.
+        Single-entry cache keyed on (plan, material, dt, batch); the
+        buffers are per-march scratch that :meth:`_march_lts` re-zeroes
+        on entry."""
         c = self._lts_exec_cache
         alpha = None if alpha is None else np.asarray(alpha, dtype=float)
         if (
@@ -508,49 +517,58 @@ class RegularGridScalarWave:
             C = C + self.volume_damping_diag(alpha)
         backend = get_backend()
         coef_all = np.asarray(mu, dtype=float) * self.h ** (self.d - 2)
+        cols = () if batch is None else (batch,)
+
+        def _diag(v):
+            return v if batch is None else v[:, None]
+
+        layouts = plan.local_layouts(self.conn)
         levels = []
-        for lv in plan.levels:
+        for lv, lay in zip(plan.levels, layouts):
             dtc = lv.rate * dt
             own = lv.own_nodes
-            shp = (len(own),) if batch is None else (len(own), batch)
-            ishp = (
-                (len(lv.interp_nodes),)
-                if batch is None
-                else (len(lv.interp_nodes), batch)
-            )
-
-            def _diag(v):
-                return v if batch is None else v[:, None]
-
+            n_local = len(lay.local_nodes)
             levels.append(
                 {
                     "rate": lv.rate,
                     "dtc2": dtc * dtc,
                     "rc2": float(lv.rate) ** 2,
                     "own": own,
-                    "interp": lv.interp_nodes,
+                    "n_own": lay.n_own,
                     # the exec state is keyed on the material, so each
                     # level kernel is bound to its slice for good
                     "kernel": backend.element_kernel(
-                        self.conn[lv.elems], (self.K_ref,), self.nnode,
+                        lay.conn_local, (self.K_ref,), n_local,
                         coefs=(coef_all[lv.elems],),
                     ),
                     "m2": _diag(2.0 * self.m[own]),
                     "inv_ap": _diag(1.0 / (self.m[own] + 0.5 * dtc * C[own])),
                     "a_minus": _diag(self.m[own] - 0.5 * dtc * C[own]),
-                    "xo": np.empty(shp),
-                    "xpo": np.empty(shp),
-                    "ko": np.empty(shp),
-                    "fo": np.empty(shp),
-                    "sv": np.empty(ishp),
-                    "iv": np.empty(ishp),
-                    "fired": 0,
+                    "x_prev": np.empty((n_local, *cols)),
+                    "x": np.empty((n_local, *cols)),
+                    "Kx": np.empty((n_local, *cols)),
+                    "fo": np.empty((lay.n_own, *cols)),
                 }
             )
+        for lev, lay in zip(levels, layouts):
+            for key, src in (("coarse", lay.coarse), ("fine", lay.fine)):
+                lev[key] = (
+                    None if src is None
+                    else (levels[src.level], src.rows, src.pos)
+                )
         self._lts_exec_cache = (
             plan, np.asarray(mu, dtype=float).copy(), dt, alpha, batch, levels
         )
         return levels
+
+    @staticmethod
+    def _lts_gather(levels, pair) -> None:
+        """Assemble the global restart pair ``(2, nnode[, B])`` from the
+        levels' own rows (every node is owned by exactly one level)."""
+        for lev in levels:
+            n = lev["n_own"]
+            pair[0][lev["own"]] = lev["x_prev"][:n]
+            pair[1][lev["own"]] = lev["x"][:n]
 
     def _march_lts(
         self, mu, forcing, nsteps, dt, plan, *,
@@ -559,122 +577,146 @@ class RegularGridScalarWave:
     ) -> np.ndarray:
         """Clustered-leapfrog march (see :mod:`repro.solver.lts` for
         the schedule contract): one loop over fine indices; each level
-        fires when its rate divides the index, coarsest first, reading
-        time-interpolated values at its coarse halo.  Returns the final
-        ``(2, nnode)`` restart pair (``store`` histories are a global-
-        loop feature).  Unlike the global march — which posits
-        ``x^1 = 0`` and starts at ``k = 1`` — every level takes its
-        first step at index 0, so ``forcing(0)`` is applied; sources
-        quiet at ``t = 0`` (the standard case) see identical startups.
+        fires when its rate divides the index, coarsest first.  A level
+        is a subdomain (:meth:`_lts_exec`): a firing refreshes its halo
+        rows from their owners — the one-coarser neighbor's ``x_prev``
+        (``theta = 0``) or ``(x_prev + x) / 2`` (``theta = 1/2``), the
+        one-finer neighbor's current ``x`` — applies the level's
+        compact kernel, updates the own rows in place and rotates the
+        level's buffers; nothing node-count-sized is touched.  Returns
+        the final ``(2, nnode)`` restart pair (``store`` histories are
+        a global-loop feature), assembled from the levels on return.
+        Unlike the global march — which posits ``x^1 = 0`` and starts
+        at ``k = 1`` — every level takes its first step at index 0, so
+        ``forcing(0)`` is applied; sources quiet at ``t = 0`` (the
+        standard case) see identical startups.
 
-        Checkpoints are written only at **sync boundaries** (fine
-        indices that are multiples of the coarsest rate, where every
-        node holds the state at the same time): whenever the manager's
-        cadence came due since the last sync snapshot, the restart pair
-        is saved there, and a resume restarts from it bit-identically.
+        Fault injection, the health sentinel and checkpoints act only
+        at **sync boundaries** (fine indices that are multiples of the
+        coarsest rate, where every node holds the state at the same
+        time); the sentinel and the checkpoint each when their cadence
+        came due since the last boundary that served them (the sentinel
+        also at the final step), and only then is the global pair
+        assembled.  A resume restarts from a sync snapshot
+        bit-identically.
         """
         shape = (self.nnode,) if batch is None else (self.nnode, int(batch))
-        levels = self._lts_exec(plan, mu, dt, alpha, batch)
-        x_prev = np.zeros(shape)
-        x = np.zeros(shape)
-        Kx = np.empty(shape)
         r_min, r_max = plan.min_rate, plan.max_rate
         if nsteps % r_max:
             raise ValueError(
                 f"nsteps = {nsteps} must be a multiple of the coarsest "
                 f"cluster rate {r_max} so the march ends synchronized"
             )
+        levels = self._lts_exec(plan, mu, dt, alpha, batch)
+        for lev in levels:  # from rest, whatever the last march left
+            lev["x_prev"].fill(0.0)
+            lev["x"].fill(0.0)
+        pair = np.empty((2, *shape))
         k0 = 0
         if resume and checkpoint is not None:
             ck = checkpoint.latest()
             if ck is not None:
-                x_prev[:] = ck.arrays["x_prev"]
-                x[:] = ck.arrays["x"]
                 k0 = int(ck.meta["next_k"])
                 if k0 % r_max:
                     raise ValueError(
                         f"LTS resume index {k0} is not a sync boundary "
                         f"(coarsest rate {r_max})"
                     )
-        last_sync_saved = k0
+                for lev in levels:
+                    for key in ("x_prev", "x"):
+                        np.take(ck.arrays[key], lev["own"], axis=0,
+                                out=lev[key][: lev["n_own"]])
+        last_sync_saved = last_sync_checked = k0
+        fired = [0] * len(levels)
         with telemetry.span("scalar.march_lts") as _m:
             for j in range(k0, nsteps, r_min):
                 f = forcing(j)
-                for lev in levels:
+                for i, lev in enumerate(levels):
                     rate = lev["rate"]
                     if j % rate:
                         continue
-                    lev["fired"] += 1
-                    interp = lev["interp"]
-                    ni = len(interp)
-                    if ni:
-                        # overwrite the coarse halo with its time-
-                        # interpolated value, apply, then restore
-                        sv, iv = lev["sv"], lev["iv"]
-                        np.take(x, interp, axis=0, out=sv)
-                        np.take(x_prev, interp, axis=0, out=iv)
+                    fired[i] += 1
+                    x_prev, x, Kx = lev["x_prev"], lev["x"], lev["Kx"]
+                    if lev["coarse"] is not None:
+                        src, rows, pos = lev["coarse"]
+                        halo = x[rows]
+                        np.take(src["x_prev"], pos, axis=0, out=halo,
+                                mode="clip")
                         if j % (2 * rate):  # theta = 1/2
-                            np.add(iv, sv, out=iv)
-                            np.multiply(iv, 0.5, out=iv)
-                        x[interp] = iv
+                            # Kx is overwritten by the apply below: its
+                            # halo rows serve as the second operand
+                            mid = Kx[rows]
+                            np.take(src["x"], pos, axis=0, out=mid,
+                                    mode="clip")
+                            np.add(halo, mid, out=halo)
+                            np.multiply(halo, 0.5, out=halo)
+                    if lev["fine"] is not None:
+                        src, rows, pos = lev["fine"]
+                        np.take(src["x"], pos, axis=0, out=x[rows],
+                                mode="clip")
                     if batch is None:
                         lev["kernel"].matvec(x, Kx)
                     else:
                         lev["kernel"].matmat(x, Kx)
-                    if ni:
-                        x[interp] = sv
-                    own = lev["own"]
-                    xo, xpo, ko = lev["xo"], lev["xpo"], lev["ko"]
-                    np.take(x, own, axis=0, out=xo)
-                    np.take(x_prev, own, axis=0, out=xpo)
-                    np.take(Kx, own, axis=0, out=ko)
+                    n = lev["n_own"]
+                    xo, ko, fo = x[:n], Kx[:n], lev["fo"]
                     # r = 2M x - dt_c^2 K x~ - A- x_prev + r_c^2 f
                     np.multiply(ko, lev["dtc2"], out=ko)
-                    np.multiply(lev["m2"], xo, out=lev["fo"])
-                    np.subtract(lev["fo"], ko, out=ko)
-                    np.multiply(lev["a_minus"], xpo, out=lev["fo"])
-                    np.subtract(ko, lev["fo"], out=ko)
+                    np.multiply(lev["m2"], xo, out=fo)
+                    np.subtract(fo, ko, out=ko)
+                    np.multiply(lev["a_minus"], x_prev[:n], out=fo)
+                    np.subtract(ko, fo, out=ko)
                     if f is not None:
                         # forcing(j) is dt^2-prescaled by convention;
                         # the cluster step dt_c = r dt scales it by r^2
-                        np.take(f, own, axis=0, out=lev["fo"])
-                        np.multiply(lev["fo"], lev["rc2"], out=lev["fo"])
-                        np.add(ko, lev["fo"], out=ko)
+                        np.take(f, lev["own"], axis=0, out=fo, mode="clip")
+                        np.multiply(fo, lev["rc2"], out=fo)
+                        np.add(ko, fo, out=ko)
                     np.multiply(ko, lev["inv_ap"], out=ko)
-                    x_prev[own] = xo
-                    x[own] = ko
+                    # the own rows of Kx now hold the new state
+                    lev["x_prev"], lev["x"], lev["Kx"] = x, Kx, x_prev
                 s = j + r_min
-                if s % r_max == 0:  # sync boundary: all nodes at s*dt
-                    if faults is not None:
-                        faults.poison_state(0, s - 1, x)
-                    if health_interval and should_check(
-                        s - 1, nsteps, health_interval
-                    ):
-                        check_finite(x, step=s - 1, field="x")
-                    if (
-                        checkpoint is not None
-                        and checkpoint.interval > 0
-                        and s // checkpoint.interval
-                        > last_sync_saved // checkpoint.interval
-                    ):
-                        checkpoint.save(
-                            s - 1, {"x_prev": x_prev, "x": x},
-                            {"next_k": s, "lts_rate": r_max},
-                        )
-                        last_sync_saved = s
+                if s % r_max:
+                    continue
+                # sync boundary: all nodes at s*dt
+                if faults is not None:
+                    # the hook poisons the leading entry of the state it
+                    # is handed, i.e. node 0: give it the own rows of
+                    # the level that holds that node
+                    lev = next(lv for lv in levels if lv["own"][0] == 0)
+                    faults.poison_state(0, s - 1, lev["x"][: lev["n_own"]])
+                if sync_check_due(
+                    s, last_sync_checked, nsteps, health_interval
+                ):
+                    self._lts_gather(levels, pair)
+                    check_finite(pair[1], step=s - 1, field="x")
+                    last_sync_checked = s
+                if (
+                    checkpoint is not None
+                    and checkpoint.interval > 0
+                    and s // checkpoint.interval
+                    > last_sync_saved // checkpoint.interval
+                ):
+                    self._lts_gather(levels, pair)
+                    checkpoint.save(
+                        s - 1, {"x_prev": pair[0], "x": pair[1]},
+                        {"next_k": s, "lts_rate": r_max},
+                    )
+                    last_sync_saved = s
             flops = 0
-            for lev in levels:
+            for lev, n in zip(levels, fired):
                 per = (
                     lev["kernel"].flops_per_matvec
                     if batch is None
                     else lev["kernel"].flops_per_matmat(batch)
                 )
-                flops += lev["fired"] * (
-                    per + 6 * len(lev["own"]) * (1 if batch is None else batch)
+                flops += n * (
+                    per + 6 * lev["n_own"] * (1 if batch is None else batch)
                 )
-                _m.add(f"fired_r{lev['rate']}", lev["fired"])
+                _m.add(f"fired_r{lev['rate']}", n)
             _m.add("flops", flops)
-        return np.stack([x_prev, x])
+        self._lts_gather(levels, pair)
+        return pair
 
     def march(
         self,

@@ -40,6 +40,7 @@ from repro.resilience import (
     DEFAULT_HEALTH_INTERVAL,
     check_finite,
     should_check,
+    sync_check_due,
     validate_cfl,
 )
 from repro.solver.checkpoint import CheckpointManager
@@ -448,7 +449,7 @@ class ElasticWaveSolver:
                         f"LTS resume index {k0} is not a sync boundary "
                         f"(coarsest rate {r_max})"
                     )
-        last_sync_saved = k0
+        last_sync_saved = last_sync_checked = k0
         if telemetry.enabled():
             telemetry.gauge(
                 "elastic.cfl_margin",
@@ -528,10 +529,11 @@ class ElasticWaveSolver:
                 if s % r_max == 0:  # sync: all nodes hold u(s * dt)
                     if faults is not None:
                         faults.poison_state(0, s - 1, u)
-                    if health_interval and should_check(
-                        s - 1, nsteps, health_interval
+                    if sync_check_due(
+                        s, last_sync_checked, nsteps, health_interval
                     ):
                         check_finite(u, step=s - 1, field="u")
+                        last_sync_checked = s
                     if (
                         checkpoint is not None
                         and checkpoint.interval > 0

@@ -9,7 +9,14 @@ The guarantees under test (see :mod:`repro.solver.lts` and DESIGN.md):
   global-dt loops on every solver;
 * the clustered schedule agrees with the global-dt reference within
   leapfrog accuracy on two-layer soft-over-stiff problems, serial
-  scalar, serial elastic, and distributed;
+  scalar, serial elastic, and distributed — and is second order in
+  ``dt`` with the coarsest cluster's own dispersion constant;
+* the scalar solver's level-local march (one subdomain per cluster,
+  compact per-level kernels) is **bitwise** the global-state loop it
+  replaced, which survives here as the oracle; its layout invariants
+  hold on random materials; its steady-state loop allocates nothing
+  node-sized; its counters are per march; the NaN sentinel (scalar and
+  elastic) looks at the first sync boundary after its cadence came due;
 * checkpoints are written only at sync boundaries and resume
   bit-identically, serial and distributed;
 * both transports produce the same bits under LTS, ranks exchange
@@ -19,10 +26,15 @@ The guarantees under test (see :mod:`repro.solver.lts` and DESIGN.md):
 """
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import telemetry
+from repro.backend import get_backend
 from repro.materials import HomogeneousMaterial, LayeredMaterial
 from repro.mesh import extract_mesh, uniform_hex_mesh
 from repro.octree import build_adaptive_octree
@@ -240,6 +252,294 @@ def test_scalar_lts_batch_matches_solo():
         mu, forcing2, 64, dt, store=False, lts=True, batch=2
     )
     assert np.array_equal(pair[:, :, 0], solo)
+
+
+def _oracle_march_lts(solver, mu, forcing, nsteps, dt, plan, *,
+                      batch=None, alpha=None):
+    """The clustered loop as it ran before the level-local layout
+    (commit 88a2357), stripped of its checkpoint / fault / health /
+    telemetry hooks: global ``x / x_prev / Kx``, every level kernel
+    built over all ``nnode`` rows, the coarse halo overwritten with its
+    interpolated value around the apply and restored after, own-sized
+    gathers and scatters per firing.  The oracle the level-local march
+    must equal bit for bit."""
+    shape = (solver.nnode,) if batch is None else (solver.nnode, batch)
+    C = solver.damping_diag(mu)
+    if alpha is not None:
+        C = C + solver.volume_damping_diag(alpha)
+    coef_all = np.asarray(mu, dtype=float) * solver.h ** (solver.d - 2)
+
+    def _diag(v):
+        return v if batch is None else v[:, None]
+
+    levels = []
+    for lv in plan.levels:
+        dtc, own = lv.rate * dt, lv.own_nodes
+        levels.append(
+            {
+                "rate": lv.rate,
+                "dtc2": dtc * dtc,
+                "rc2": float(lv.rate) ** 2,
+                "own": own,
+                "interp": lv.interp_nodes,
+                "kernel": get_backend().element_kernel(
+                    solver.conn[lv.elems], (solver.K_ref,), solver.nnode,
+                    coefs=(coef_all[lv.elems],),
+                ),
+                "m2": _diag(2.0 * solver.m[own]),
+                "inv_ap": _diag(1.0 / (solver.m[own] + 0.5 * dtc * C[own])),
+                "a_minus": _diag(solver.m[own] - 0.5 * dtc * C[own]),
+            }
+        )
+    x_prev, x, Kx = np.zeros(shape), np.zeros(shape), np.empty(shape)
+    for j in range(0, nsteps, plan.min_rate):
+        f = forcing(j)
+        for lev in levels:
+            rate = lev["rate"]
+            if j % rate:
+                continue
+            interp = lev["interp"]
+            if len(interp):
+                sv, iv = x[interp], x_prev[interp]
+                if j % (2 * rate):  # theta = 1/2
+                    np.add(iv, sv, out=iv)
+                    np.multiply(iv, 0.5, out=iv)
+                x[interp] = iv
+            if batch is None:
+                lev["kernel"].matvec(x, Kx)
+            else:
+                lev["kernel"].matmat(x, Kx)
+            if len(interp):
+                x[interp] = sv
+            own = lev["own"]
+            xo, xpo, ko = x[own], x_prev[own], Kx[own]
+            np.multiply(ko, lev["dtc2"], out=ko)
+            fo = lev["m2"] * xo
+            np.subtract(fo, ko, out=ko)
+            np.multiply(lev["a_minus"], xpo, out=fo)
+            np.subtract(ko, fo, out=ko)
+            if f is not None:
+                fo = f[own]
+                np.multiply(fo, lev["rc2"], out=fo)
+                np.add(ko, fo, out=ko)
+            np.multiply(ko, lev["inv_ap"], out=ko)
+            x_prev[own] = xo
+            x[own] = ko
+    return np.stack([x_prev, x])
+
+
+def _random_clustered(seed, d):
+    """Small grid with a random piecewise-constant wave speed: blocks
+    of 2^d..3^d elements drawn from an 8x speed range, so three or four
+    rate clusters with ragged, multiply-connected interfaces."""
+    rng = np.random.default_rng(seed)
+    shape = tuple(
+        int(n) for n in rng.integers(*((8, 17) if d == 2 else (4, 7)), d)
+    )
+    solver = RegularGridScalarWave(shape, 1.0, rho=1.0)
+    block = int(rng.integers(2, 4))
+    nblk = [-(-n // block) for n in shape]
+    v_blk = 2.0 ** rng.integers(0, 4, nblk)
+    cells = (solver.elem_centers() // block).astype(int)
+    v = v_blk[tuple(cells.T)]
+    mu = v * v
+    dt = solver.stable_dt(mu, safety=0.5)
+    nsteps = 16
+    srcs = rng.choice(solver.nnode, 3, replace=False)
+    amp = rng.uniform(0.5, 2.0, 3)
+    buf = np.zeros(solver.nnode)
+
+    def forcing(k):
+        if k % 5 == 4:  # quiet steps take the f-is-None branch
+            return None
+        buf[srcs] = dt * dt * amp * np.sin(0.7 * k + amp)
+        return buf
+
+    alpha = rng.uniform(0.0, 0.3, solver.nelem)
+    return solver, mu, dt, nsteps, forcing, alpha
+
+
+@settings(deadline=None, max_examples=20)
+@given(
+    st.integers(min_value=0, max_value=2**31),
+    st.sampled_from([2, 3]),
+    st.booleans(),
+    st.booleans(),
+)
+def test_scalar_lts_level_local_equals_global_state_oracle(
+    seed, d, batched, damped
+):
+    solver, mu, dt, nsteps, forcing, alpha = _random_clustered(seed, d)
+    plan = solver.lts_plan(mu, max_rate=8)
+    if plan.trivial:
+        return
+    alpha = alpha if damped else None
+    batch = None
+    if batched:
+        batch, solo = 2, forcing
+
+        def forcing(k):
+            f = solo(k)
+            return None if f is None else np.stack([f, -0.5 * f], axis=1)
+
+    # layout invariants
+    layouts = plan.local_layouts(solver.conn)
+    owned = np.concatenate([lv.own_nodes for lv in plan.levels])
+    assert np.array_equal(np.sort(owned), np.arange(solver.nnode))
+    for lv, lay in zip(plan.levels, layouts):
+        n_local = len(lay.local_nodes)
+        assert np.array_equal(lay.local_nodes[: lay.n_own], lv.own_nodes)
+        assert len(np.unique(lay.local_nodes)) == n_local
+        assert lay.conn_local.min() >= 0 and lay.conn_local.max() < n_local
+        assert np.array_equal(
+            lay.local_nodes[lay.conn_local], solver.conn[lv.elems]
+        )
+        halo_rate = plan.node_rate[lay.local_nodes[lay.n_own:]]
+        assert np.all((halo_rate == 2 * lv.rate) | (2 * halo_rate == lv.rate))
+        rows = np.zeros(n_local, dtype=int)
+        rows[: lay.n_own] += 1
+        for src, rate in ((lay.coarse, 2 * lv.rate), (lay.fine, lv.rate // 2)):
+            if src is None:
+                continue
+            owner = plan.levels[src.level]
+            assert owner.rate == rate
+            assert np.array_equal(
+                owner.own_nodes[src.pos], lay.local_nodes[src.rows]
+            )
+            rows[src.rows] += 1
+        assert np.all(rows == 1)  # every local row has exactly one source
+
+    want = _oracle_march_lts(
+        solver, mu, forcing, nsteps, dt, plan, batch=batch, alpha=alpha
+    )
+    for _ in range(2):  # the second march reuses the cached exec state
+        got = solver.march(
+            mu, forcing, nsteps, dt, store=False, lts=plan,
+            batch=batch, alpha=alpha,
+        )
+        assert np.array_equal(got, want)
+    for lev, lay in zip(solver._lts_exec_cache[5], layouts):
+        assert lev["kernel"].nnode == len(lay.local_nodes)
+
+
+def test_scalar_lts_steady_state_allocates_nothing_node_sized():
+    solver, mu, dt, forcing = _scalar_two_layer()
+    nsteps, peak = 128, []
+
+    def probed(k):
+        # trace from the second coarse step to the last: every level
+        # has fired, the exec state is warm, the result not yet stacked
+        if k == 8:
+            tracemalloc.start()
+        elif k == nsteps - 1:
+            peak.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        return forcing(k)
+
+    solver.march(mu, forcing, 16, dt, store=False, lts=True)  # warm-up
+    solver.march(mu, probed, nsteps, dt, store=False, lts=True)
+    assert peak[0] < 8 * solver.nnode // 2, (
+        f"clustered loop allocated {peak[0]} B "
+        f"(a node vector is {8 * solver.nnode} B)"
+    )
+
+
+def _lts_counters(solver, *args, **kw):
+    tr = telemetry.enable()
+    try:
+        solver.march(*args, store=False, lts=True, **kw)
+    finally:
+        telemetry.disable()
+    agg = {a["name"]: a for a in tr.aggregates()}
+    return agg["scalar.march_lts"]["counters"]
+
+
+def test_scalar_lts_counters_are_per_march(tmp_path):
+    solver, mu, dt, forcing = _scalar_two_layer()
+    first = _lts_counters(solver, mu, forcing, 128, dt)
+    assert {k: v for k, v in first.items() if k.startswith("fired_r")} == {
+        "fired_r8": 16, "fired_r4": 32, "fired_r2": 64, "fired_r1": 128,
+    }
+    # same (plan, mu, dt): the cached exec state must not carry counts
+    assert _lts_counters(solver, mu, forcing, 128, dt) == first
+    # a resumed march reports only its own firings
+    mgr = CheckpointManager(str(tmp_path), interval=48)
+    solver.march(mu, forcing, 96, dt, store=False, lts=True, checkpoint=mgr)
+    k0 = max(mgr.steps()) + 1
+    assert k0 == 96
+    tail = _lts_counters(
+        solver, mu, forcing, 128, dt, checkpoint=mgr, resume=True
+    )
+    assert tail["fired_r1"] == 128 - k0 and tail["fired_r8"] == (128 - k0) // 8
+    assert tail["flops"] * 128 == first["flops"] * (128 - k0)
+
+
+@pytest.mark.parametrize("interval, caught_at", [(8, 7), (10, 15), (12, 15)])
+def test_scalar_lts_health_cadence_is_the_interval(interval, caught_at):
+    # r_max = 8: the sentinel only sees sync boundaries, and must look
+    # at the first one after its cadence came due — not every
+    # lcm(interval, 8) steps (39 and 23 for intervals 10 and 12)
+    solver, mu, dt, forcing = _scalar_two_layer()
+    with pytest.raises(NumericalHealthError) as err:
+        solver.march(
+            mu, forcing, 128, dt, store=False, lts=True,
+            faults=FaultPlan.parse("nan:rank=0,step=7"),
+            health_interval=interval,
+        )
+    assert err.value.step == caught_at
+
+
+def test_elastic_lts_health_cadence_is_the_interval():
+    _, solver, force, rec = _elastic_layered()
+    with pytest.raises(NumericalHealthError) as err:
+        solver.run(
+            force, 63.5 * solver.dt, receivers=rec, lts=True,
+            faults=FaultPlan.parse("nan:rank=0,step=7"), health_interval=10,
+        )
+    assert err.value.step == 15
+
+
+def test_scalar_lts_second_order_in_dt():
+    """ROADMAP item 5's question: the clustered scheme's error against
+    the global-dt loop is not an interface defect.  Against an over-
+    resolved reference both are second order in ``dt``; LTS carries a
+    constant ``~ r_max^2`` times larger, which is the soft cluster's
+    own leapfrog dispersion at its own (CFL-limited) step ``r_max dt``.
+    """
+    shape, n0 = (64, 32), 256
+    solver = RegularGridScalarWave(shape, 1.0, rho=1.0)
+    v = np.where(solver.elem_centers()[:, 1] > 0.875 * shape[1], 8.0, 1.0)
+    mu = v * v
+    dt0 = solver.stable_dt(mu, safety=0.5)
+    t_end = n0 * dt0
+    src = solver.node_index((shape[0] // 2, shape[1] // 4))
+    r_max = solver.lts_plan(mu, max_rate=8).max_rate
+    assert r_max == 8
+
+    def final(refine, lts):
+        dt = dt0 / refine
+        buf = np.zeros(solver.nnode)
+
+        def forcing(k):  # quiet at t = 0: both loops start alike
+            a = (k * dt - 0.3 * t_end) / (0.08 * t_end)
+            buf[src] = dt * dt * (1.0 - 2.0 * a * a) * np.exp(-a * a)
+            return buf
+
+        return solver.march(
+            mu, forcing, n0 * refine, dt, store=False, lts=lts
+        )[1]
+
+    ref = final(16, None)
+
+    def err(refine, lts):
+        return np.linalg.norm(final(refine, lts) - ref) / np.linalg.norm(ref)
+
+    e_lts = [err(r, r_max) for r in (1, 2, 4)]
+    e_glb = [err(r, None) for r in (1, 2, 4)]
+    for e in (e_lts, e_glb):
+        assert np.log2(e[0] / e[1]) >= 1.8 and np.log2(e[1] / e[2]) >= 1.8
+    for a, b in zip(e_lts, e_glb):
+        assert r_max**2 / 2 <= a / b <= 2 * r_max**2
 
 
 # ------------------------------------------------------ elastic solver
