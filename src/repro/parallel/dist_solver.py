@@ -9,23 +9,26 @@ elements while the messages are in flight, then receives and
 accumulates (see :mod:`repro.parallel.decomposition` for the
 interface-first element ordering and split scatter plans).
 
-The same schedule runs over either transport behind
-:class:`repro.parallel.simcomm.SimComm`:
+Each schedule is written once, as an SPMD **rank program**
+(:func:`_rank_program`, :func:`_rank_program_lts`,
+:func:`_rank_program_fused`, :func:`_shot_program`) that takes its
+:class:`repro.parallel.simcomm.SimComm`; the transport is the argument:
 
 * :class:`repro.parallel.simcomm.SimWorld` — in-process mailboxes; the
-  parallel semantics execute for real on one core;
+  rank programs are resumed round-robin on one core (each suspends once
+  per exchange, between its sends and its receives), so the parallel
+  semantics execute for real and deterministically;
 * :class:`repro.parallel.transport.ProcWorld` — persistent worker
   processes exchanging boundary data through double-buffered
   shared-memory channels, so ``run()`` actually uses N cores.  Each
   worker marches its own rank's full time loop; only boundary partial
   sums and the final gathered displacement cross process boundaries.
 
-Both paths perform the identical per-rank arithmetic in the identical
-order (same phased matvec shapes, same sorted-neighbor accumulation,
-same deterministic lowest-owner gather), so their trajectories are
-bit-identical — the transport equivalence tests assert
-``np.array_equal``, and that the per-rank :class:`TrafficStats` match
-message for message.
+Both worlds are handed the same program objects and payloads through
+their ``run_spmd``, so per-rank arithmetic, operation order and
+:class:`TrafficStats` are the same by construction; the transport
+equivalence tests (``np.array_equal`` trajectories, traffic matching
+message for message) pin the two *transports* against each other.
 
 Scope: lumped mass, Lysmer absorbing damping (the ``c1`` coupling and
 hanging-node projection would add further interface reductions; the
@@ -61,7 +64,6 @@ from repro.parallel.transport import (
 from repro.resilience import (
     RetryPolicy,
     check_finite,
-    should_check,
     sync_check_due,
     validate_cfl,
 )
@@ -121,13 +123,13 @@ def recommend_sharding(
     return "shots"
 
 
-def _hoist_update_terms(m_local, C_local, dt):
-    """Per-rank invariants of the central-difference update, computed
-    once (identically for both transports)."""
-    m2 = [2.0 * m for m in m_local]
-    inv_A = [1.0 / (m + 0.5 * dt * C) for m, C in zip(m_local, C_local)]
-    prev_coef = [-m + 0.5 * dt * C for m, C in zip(m_local, C_local)]
-    return m2, inv_A, prev_coef
+def _update_coefs(m, C, dt):
+    """Invariants of the central-difference update at step ``dt`` from
+    the raw mass / damping slices: ``(2m, 1/(m + dt/2 C), -m + dt/2
+    C)``.  Every rank program hoists its own, through these
+    expressions, so the coefficients are the same bits on every
+    schedule."""
+    return 2.0 * m, 1.0 / (m + 0.5 * dt * C), -m + 0.5 * dt * C
 
 
 def _make_force_caller(force_fn, nnode: int):
@@ -151,9 +153,7 @@ def _make_force_caller(force_fn, nnode: int):
 
 
 def _local_update(rhs, t_r, u, u_prev, u_next, m2, inv_A, prev_coef, b, dt2):
-    """One rank's in-place central-difference update.  Shared by the
-    in-process and worker-process paths so the arithmetic sequence is
-    bit-identical across transports."""
+    """One rank's in-place central-difference update."""
     np.multiply(rhs, -dt2, out=rhs)
     np.multiply(m2, u, out=t_r)
     np.add(rhs, t_r, out=rhs)
@@ -165,11 +165,134 @@ def _local_update(rhs, t_r, u, u_prev, u_next, m2, inv_A, prev_coef, b, dt2):
     np.multiply(rhs, inv_A, out=u_next)
 
 
+class _RankFrame:
+    """What every rank program does around its schedule — the part
+    that is not the time loop.
+
+    Opt-in through the payload: a per-rank
+    :class:`~repro.solver.checkpoint.CheckpointManager` (restart pair
+    every ``ckpt_every`` steps, start from ``resume_step`` instead of
+    rest), a bound :class:`~repro.resilience.FaultPlan`,
+    ``health_interval`` for the NaN/Inf sentinel, and a
+    :class:`RankTimeline` (the master's telemetry flag does not
+    propagate into a worker process, so recording is requested through
+    the payload).
+
+    The state is consistent across ranks — and may be poisoned,
+    checked and checkpointed — only at the schedule's **boundaries**:
+    every step for the plain program, every ``stride`` steps (sync
+    rate, window length) for the clustered and fused ones.  All three
+    call the one :meth:`boundary` there.
+    """
+
+    def __init__(self, comm, p, *, stride=1, stride_name="", meta=None):
+        self.comm = comm
+        self.rank = rank = comm.rank
+        self.p = p
+        self.nsteps = p["nsteps"]
+        self.stride, self.stride_name = stride, stride_name
+        self.meta = meta or {}
+        self.tl = (
+            RankTimeline(rank, self.nsteps,
+                         trace_id=telemetry.get_trace_context())
+            if p.get("timeline")
+            else None
+        )
+        #: ``(nsteps, phases)`` durations to fill in, or None
+        self.dur = self.tl.durations if self.tl is not None else None
+        self.mgr = (
+            CheckpointManager(
+                p["ckpt_dir"], p.get("ckpt_every") or 0,
+                keep=p.get("ckpt_keep", 3), prefix=f"rank{rank}",
+            )
+            if p.get("ckpt_dir")
+            else None
+        )
+        self.health_interval = int(p.get("health_interval", 0))
+        self.faults = p.get("faults")
+        # kill and send-path faults (drop / delay / corrupt) exercise
+        # the worker-process machinery, so only an endpoint with a
+        # fault slot arms them: an in-process kill would ``os._exit``
+        # the caller.  State poisoning applies on every transport.
+        self._armed = self.faults is not None and hasattr(
+            comm.world, "fault_plan"
+        )
+        if self._armed:
+            comm.world.fault_plan = self.faults
+        self._saved = self._checked = 0
+
+    def resume(self, u, u_prev) -> int:
+        """Load the ``resume_step`` restart pair into ``u`` / ``u_prev``
+        when one was requested; returns the step index to start from."""
+        k0 = 0
+        resume_step = self.p.get("resume_step")
+        if self.mgr is not None and resume_step is not None:
+            ck = self.mgr.load_step(resume_step)
+            u_prev[:] = ck.arrays["u_prev"]
+            u[:] = ck.arrays["u"]
+            k0 = int(ck.meta["next_k"])
+            if k0 % self.stride and k0 != self.nsteps:
+                raise ValueError(
+                    f"resume index {k0} is not {self.stride_name} "
+                    f"(every {self.stride} steps)"
+                )
+        self._saved = self._checked = k0
+        return k0
+
+    def begin_step(self, k: int) -> None:
+        """Top-of-step hooks: scheduled kill, the step the transport's
+        send faults are keyed on, liveness ping."""
+        if self._armed:
+            self.faults.on_step_begin(self.rank, k)
+            self.comm.world.fault_step = k
+        self.comm.heartbeat(k)
+
+    def boundary(self, s: int, u, u_prev) -> None:
+        """Boundary duties after ``s`` completed steps (``u`` holds
+        ``x^s``), in this order: poison, health check, checkpoint.
+        Both cadences are the quotient rule — due when a multiple of
+        the interval was reached since the last boundary that acted —
+        so a schedule that only sees every ``stride``-th boundary
+        still acts at the first one after the cadence came due."""
+        if self.faults is not None:
+            self.faults.poison_state(self.rank, s - 1, u)
+        if sync_check_due(
+            s, self._checked, self.nsteps, self.health_interval
+        ):
+            check_finite(u, step=s - 1, rank=self.rank, field="u")
+            self._checked = s
+        mgr = self.mgr
+        if (
+            mgr is not None
+            and mgr.interval > 0
+            and s // mgr.interval > self._saved // mgr.interval
+        ):
+            mgr.save(
+                s - 1, {"u_prev": u_prev, "u": u},
+                {"next_k": s, **self.meta},
+            )
+            self._saved = s
+
+    def finish(self, u, **timings) -> dict:
+        """Unbind the fault plan, write the grid points this rank is
+        the lowest owner of into the named shared result array, and
+        build the program's return value."""
+        if self._armed:
+            self.comm.world.fault_plan = None
+        name, nnode_global = self.p["result"]
+        shm, res = attach_shared_array(name, (nnode_global, 3))
+        res[self.p["gather_nodes"]] = u[self.p["gather_local"]]
+        del res  # drop the exported view before closing the mapping
+        shm.close()
+        out = {"nsteps": self.nsteps, **timings}
+        if self.tl is not None:
+            out["timeline"] = self.tl.to_payload()
+        return out
+
+
 def _lts_rank_levels(conn, h, lam, mu, nloc, plan, m, C, dt, r_int, n_iface):
     """Per-level execution state for one rank's clustered-leapfrog loop
-    (see :mod:`repro.solver.lts` for the schedule contract).  Shared by
-    the in-process and worker-process paths so the per-rank arithmetic
-    is bit-identical across transports.
+    (see :mod:`repro.solver.lts` for the schedule contract).
 
     The level whose rate equals the common interface rate ``r_int``
     carries the rank's interface elements (they are clamped to exactly
@@ -187,7 +310,7 @@ def _lts_rank_levels(conn, h, lam, mu, nloc, plan, m, C, dt, r_int, n_iface):
             conn[e], h[e], lam[e], mu[e], nloc,
             split_elems=n_iface if is_iface else None,
         )
-        mo, Co = m[own], C[own]
+        m2, inv_A, prev_coef = _update_coefs(m[own], C[own], dtc)
         n_own, n_int = len(own), len(lv.interp_nodes)
         levels.append(
             {
@@ -197,9 +320,9 @@ def _lts_rank_levels(conn, h, lam, mu, nloc, plan, m, C, dt, r_int, n_iface):
                 "interp": lv.interp_nodes,
                 "op": op,
                 "is_iface": is_iface,
-                "m2": 2.0 * mo,
-                "inv_A": 1.0 / (mo + 0.5 * dtc * Co),
-                "prev_coef": -mo + 0.5 * dtc * Co,
+                "m2": m2,
+                "inv_A": inv_A,
+                "prev_coef": prev_coef,
                 "r": np.empty((n_own, 3)),
                 "tmp": np.empty((n_own, 3)),
                 "u_own": np.empty((n_own, 3)),
@@ -262,7 +385,7 @@ def _lts_level_update(lev, u, u_prev, Ku, b):
 
 def _rank_program_lts(comm, payload):
     """SPMD rank program for the clustered-LTS loop: one rank's full
-    multirate time march inside a persistent worker.
+    multirate time march.
 
     The loop runs over fine step indices at the rank's own finest rate;
     every level fires when due (coarsest first).  Only the common
@@ -293,50 +416,20 @@ def _rank_program_lts(comm, payload):
     t_compute = 0.0
     t_wait = 0.0
     clock = time.perf_counter
-    tl = (
-        RankTimeline(rank, nsteps,
-                     trace_id=telemetry.get_trace_context())
-        if p.get("timeline")
-        else None
+    frame = _RankFrame(
+        comm, p, stride=r_sync, stride_name="a sync boundary",
+        meta={"lts_rate": r_sync},
     )
-    dur = tl.durations if tl is not None else None
-
-    mgr = None
-    ckpt_every = int(p.get("ckpt_every", 0) or 0)
-    if p.get("ckpt_dir"):
-        mgr = CheckpointManager(
-            p["ckpt_dir"], ckpt_every,
-            keep=p.get("ckpt_keep", 3), prefix=f"rank{rank}",
-        )
-    k0 = 0
-    resume_step = p.get("resume_step")
-    if mgr is not None and resume_step is not None:
-        ck = mgr.load_step(resume_step)
-        u_prev[:] = ck.arrays["u_prev"]
-        u[:] = ck.arrays["u"]
-        k0 = int(ck.meta["next_k"])
-        if k0 % r_sync:
-            raise ValueError(
-                f"LTS resume index {k0} is not a sync boundary "
-                f"(sync rate {r_sync})"
-            )
-    last_sync_saved = last_sync_checked = k0
-    fplan = p.get("faults")
-    health_interval = int(p.get("health_interval", 0))
-    world = comm.world
-    if fplan is not None and hasattr(world, "fault_plan"):
-        world.fault_plan = fplan  # send-path faults (drop/delay/corrupt)
+    dur = frame.dur
+    k0 = frame.resume(u, u_prev)
 
     r_min = plan.min_rate
     for j in range(k0, nsteps, r_min):
-        if fplan is not None:
-            fplan.on_step_begin(rank, j)
-            if hasattr(world, "fault_step"):
-                world.fault_step = j
-        comm.heartbeat(j)
+        frame.begin_step(j)
         t = j * dt
         tA = clock()
         wait_j = 0.0
+        away_j = 0.0
         iface_fired = False
         b_global = force_fn(t)
         b = b_global[gnodes] if b_global is not None else None
@@ -357,6 +450,8 @@ def _rank_program_lts(comm, payload):
                 op.matvec_interior_acc(u, Ku)
                 _lts_interp_out(lev, u, sv)
                 t3 = clock()
+                yield  # sends posted, nothing received yet
+                t3r = clock()
                 for o, loc in neighbors:
                     comm.Recv(o, tag=o, out=rbuf[o])
                 t4 = clock()
@@ -366,12 +461,13 @@ def _rank_program_lts(comm, payload):
                 if neighbors:
                     comm.stats.exchanges += 1
                 _lts_level_update(lev, u, u_prev, Ku, b)
-                wait_j += (t2 - t1) + (t4 - t3)
+                wait_j += (t2 - t1) + (t4 - t3r)
+                away_j += t3r - t3
                 if dur is not None:
                     dur[j, 0] = t1 - tA  # up to interface matvec
                     dur[j, 1] = t2 - t1  # send
                     dur[j, 2] = t3 - t2  # interior
-                    dur[j, 3] = t4 - t3  # recv
+                    dur[j, 3] = t4 - t3r  # recv
             else:
                 sv = _lts_interp_in(lev, u, u_prev, j)
                 op.matvec(u, out=Ku)
@@ -379,70 +475,36 @@ def _rank_program_lts(comm, payload):
                 _lts_interp_out(lev, u, sv)
                 _lts_level_update(lev, u, u_prev, Ku, b)
             comm.add_flops(15 * len(lev["own"]))
-        tB = clock()
+        # time suspended at the yield belongs to no phase of this rank
+        busy_j = (clock() - tA) - away_j
         t_wait += wait_j
-        t_compute += (tB - tA) - wait_j
+        t_compute += busy_j - wait_j
         if dur is not None:
             if iface_fired:
-                dur[j, 4] = (tB - tA) - dur[j, :4].sum()
+                dur[j, 4] = busy_j - dur[j, :4].sum()
             else:
-                dur[j, 0] = tB - tA
+                dur[j, 0] = busy_j
         s = j + r_min
         if s % r_sync == 0:  # sync: every node holds u(s * dt)
-            if fplan is not None:
-                fplan.poison_state(rank, s - 1, u)
-            if sync_check_due(s, last_sync_checked, nsteps, health_interval):
-                check_finite(u, step=s - 1, rank=rank, field="u")
-                last_sync_checked = s
-            if (
-                mgr is not None
-                and ckpt_every > 0
-                and s // ckpt_every > last_sync_saved // ckpt_every
-            ):
-                mgr.save(
-                    s - 1, {"u_prev": u_prev, "u": u},
-                    {"next_k": s, "lts_rate": r_sync},
-                )
-                last_sync_saved = s
+            frame.boundary(s, u, u_prev)
 
-    if fplan is not None and hasattr(world, "fault_plan"):
-        world.fault_plan = None
-
-    name, nnode_global = p["result"]
-    shm, res = attach_shared_array(name, (nnode_global, 3))
-    res[p["gather_nodes"]] = u[p["gather_local"]]
-    del res  # drop the exported view before closing the mapping
-    shm.close()
-    out = {
-        "t_compute": t_compute,
-        "t_wait": t_wait,
-        "nsteps": nsteps,
-        "lts_fired": {lev["rate"]: lev["fired"] for lev in levels},
-    }
-    if tl is not None:
-        out["timeline"] = tl.to_payload()
-    return out
+    return frame.finish(
+        u, t_compute=t_compute, t_wait=t_wait,
+        lts_fired={lev["rate"]: lev["fired"] for lev in levels},
+    )
 
 
 def _rank_program(comm, payload):
-    """SPMD rank program: one rank's full time loop, executed inside a
-    persistent worker over the shared-memory transport.
+    """SPMD rank program: one rank's full global-dt time loop.
 
-    Boundary partial sums move through ``comm`` (double-buffered
-    channels: sends complete without waiting, so the interior matvec
+    Boundary partial sums move through ``comm`` (sends complete
+    without waiting, so on the process transport the interior matvec
     genuinely overlaps the exchange); the final displacement lands in
     the named shared result array, each rank writing the grid points it
     is the lowest owner of.  Returns wall-time split into compute and
-    communication-wait for the scaling benchmark.
-
-    Resilience hooks (all opt-in through the payload): a per-rank
-    :class:`~repro.solver.checkpoint.CheckpointManager` snapshots the
-    leapfrog restart pair every ``ckpt_every`` steps and the loop can
-    start from a ``resume_step`` instead of rest; a bound
-    :class:`~repro.resilience.FaultPlan` drives the injection hooks
-    (kill / send faults / NaN poisoning); ``health_interval`` arms the
-    NaN/Inf sentinel; heartbeats keep the master's failure detector
-    informed on long quiet stretches.
+    communication-wait.  Checkpoints, fault hooks, the health sentinel
+    and the timeline are :class:`_RankFrame`'s; every step is a
+    boundary.
     """
     p = payload
     op = ElasticOperator(
@@ -450,8 +512,8 @@ def _rank_program(comm, payload):
         split_elems=p["n_iface"],
     )
     neighbors = p["neighbors"]  # [(rank, local idx of shared nodes)]
-    m2, inv_A, prev_coef = p["m2"], p["inv_A"], p["prev_coef"]
     dt, dt2, nsteps = p["dt"], p["dt"] * p["dt"], p["nsteps"]
+    m2, inv_A, prev_coef = _update_coefs(p["m"], p["C"], dt)
     force_fn = _make_force_caller(p["force_fn"], p["result"][1])
     gnodes = p["gnodes"]
     rank = comm.rank
@@ -465,60 +527,34 @@ def _rank_program(comm, payload):
     flops_mv = op.flops_per_matvec
     t_compute = 0.0
     t_wait = 0.0
-    # the master's telemetry flag does not propagate into the worker
-    # process, so per-step timeline recording is requested through the
-    # payload; the t0..t5 readings are taken either way (the scaling
-    # benchmark consumes t_compute/t_wait), recording just keeps them
-    tl = (
-        RankTimeline(rank, nsteps,
-                     trace_id=telemetry.get_trace_context())
-        if p.get("timeline")
-        else None
-    )
-    dur = tl.durations if tl is not None else None
-
-    mgr = None
-    if p.get("ckpt_dir"):
-        mgr = CheckpointManager(
-            p["ckpt_dir"],
-            p.get("ckpt_every", 0),
-            keep=p.get("ckpt_keep", 3),
-            prefix=f"rank{rank}",
-        )
-    k0 = 0
-    resume_step = p.get("resume_step")
-    if mgr is not None and resume_step is not None:
-        ck = mgr.load_step(resume_step)
-        u_prev[:] = ck.arrays["u_prev"]
-        u[:] = ck.arrays["u"]
-        k0 = int(ck.meta["next_k"])
-    plan = p.get("faults")
-    health_interval = int(p.get("health_interval", 0))
-    world = comm.world
-    if plan is not None and hasattr(world, "fault_plan"):
-        world.fault_plan = plan  # send-path faults (drop/delay/corrupt)
+    clock = time.perf_counter
+    frame = _RankFrame(comm, p)
+    # the t0..t5 readings are taken either way (t_compute / t_wait are
+    # always returned); recording a timeline just keeps them
+    dur = frame.dur
+    k0 = frame.resume(u, u_prev)
 
     for k in range(k0, nsteps):
-        if plan is not None:
-            plan.on_step_begin(rank, k)
-            if hasattr(world, "fault_step"):
-                world.fault_step = k
-        comm.heartbeat(k)
+        frame.begin_step(k)
         t = k * dt
-        t0 = time.perf_counter()
+        t0 = clock()
         b_global = force_fn(t)
         b = b_global[gnodes] if b_global is not None else None
         op.matvec_interface(u, Ku)
         comm.add_flops(flops_mv)
-        t1 = time.perf_counter()
+        t1 = clock()
         for o, loc in neighbors:
             comm.Send(Ku[loc], o, tag=rank)
-        t2 = time.perf_counter()
+        t2 = clock()
         op.matvec_interior_acc(u, Ku)
-        t3 = time.perf_counter()
+        t3 = clock()
+        # sends posted, nothing received yet; the time spent suspended
+        # is charged to no phase (the clock is read again on return)
+        yield
+        t3r = clock()
         for o, loc in neighbors:
             comm.Recv(o, tag=o, out=rbuf[o])
-        t4 = time.perf_counter()
+        t4 = clock()
         for o, loc in neighbors:
             Ku[loc] += rbuf[o]
             comm.add_flops(3 * len(loc))
@@ -529,41 +565,23 @@ def _rank_program(comm, payload):
         )
         u_prev, u, u_next = u, u_next, u_prev
         comm.add_flops(15 * nloc)
-        t5 = time.perf_counter()
+        t5 = clock()
         t_compute += (t1 - t0) + (t3 - t2) + (t5 - t4)
-        t_wait += (t2 - t1) + (t4 - t3)
+        t_wait += (t2 - t1) + (t4 - t3r)
         if dur is not None:
             dur[k, 0] = t1 - t0  # interface (+ force eval)
             dur[k, 1] = t2 - t1  # send
             dur[k, 2] = t3 - t2  # interior
-            dur[k, 3] = t4 - t3  # recv
+            dur[k, 3] = t4 - t3r  # recv
             dur[k, 4] = t5 - t4  # accumulate + update
-        if plan is not None:
-            plan.poison_state(rank, k, u)  # u is x^{k+1} after rotation
-        if health_interval and should_check(k, nsteps, health_interval):
-            check_finite(u, step=k, rank=rank, field="u")
-        if mgr is not None and mgr.due(k):
-            mgr.save(k, {"u_prev": u_prev, "u": u}, {"next_k": k + 1})
+        frame.boundary(k + 1, u, u_prev)  # u is x^{k+1} after rotation
 
-    if plan is not None and hasattr(world, "fault_plan"):
-        world.fault_plan = None
-
-    name, nnode_global = p["result"]
-    shm, res = attach_shared_array(name, (nnode_global, 3))
-    res[p["gather_nodes"]] = u[p["gather_local"]]
-    del res  # drop the exported view before closing the mapping
-    shm.close()
-    out = {"t_compute": t_compute, "t_wait": t_wait, "nsteps": nsteps}
-    if tl is not None:
-        out["timeline"] = tl.to_payload()
-    return out
+    return frame.finish(u, t_compute=t_compute, t_wait=t_wait)
 
 
 def _fused_build_state(p, dt):
     """Per-rank execution state for the fused (communication-avoiding)
     window march, built from the payload's perspective descriptions.
-    Shared by the in-process and worker-process paths so the per-rank
-    arithmetic is bit-identical across transports.
 
     The own perspective gets the identical split operator and hoisted
     update coefficients as the one-step-per-exchange program (same
@@ -577,18 +595,18 @@ def _fused_build_state(p, dt):
     persps = {}
     for q in p["perspectives"]:
         n = q["nloc"]
-        m, C = q["m"], q["C"]
         op = ElasticOperator(
             q["conn"], q["h"], q["lam"], q["mu"], n,
             split_elems=q["n_iface"] if q["own"] else None,
         )
+        m2, inv_A, prev_coef = _update_coefs(q["m"], q["C"], dt)
         persps[q["owner"]] = {
             "own": q["own"],
             "op": op,
             "gnodes": q["gnodes"],
-            "m2": 2.0 * m,
-            "inv_A": 1.0 / (m + 0.5 * dt * C),
-            "prev_coef": -m + 0.5 * dt * C,
+            "m2": m2,
+            "inv_A": inv_A,
+            "prev_coef": prev_coef,
             "u": np.zeros((n, 3)),
             "u_prev": np.zeros((n, 3)),
             "u_next": np.zeros((n, 3)),
@@ -659,8 +677,7 @@ def _fused_march_step(state, b_global, add_flops):
 
 def _rank_program_fused(comm, payload):
     """SPMD rank program for communication-avoiding stepping: march
-    ``k`` leapfrog steps per transport round-trip inside a persistent
-    worker.
+    ``k`` leapfrog steps per transport round-trip.
 
     Each window starts with one aggregated refresh per directed halo
     pair — the owner's ``[u; u_prev]`` restacked at the requester's
@@ -673,8 +690,7 @@ def _rank_program_fused(comm, payload):
 
     Checkpoints, NaN poisoning, and health checks happen only at
     window boundaries — the only steps where the rank's own state is
-    globally consistent — with the same quotient-advance cadence rule
-    the LTS program uses, so collective-restart recovery works
+    globally consistent — so collective-restart recovery works
     unchanged; fault kill hooks still fire at every inner step, and a
     mid-window kill rewinds to the last boundary checkpoint.
     """
@@ -688,46 +704,15 @@ def _rank_program_fused(comm, payload):
     clock = time.perf_counter
     t_compute = 0.0
     t_wait = 0.0
-    tl = (
-        RankTimeline(rank, nsteps,
-                     trace_id=telemetry.get_trace_context())
-        if p.get("timeline")
-        else None
+    frame = _RankFrame(
+        comm, p, stride=k, stride_name="an exchange boundary",
+        meta={"fused_k": k},
     )
-    dur = tl.durations if tl is not None else None
-
-    mgr = None
-    ckpt_every = int(p.get("ckpt_every", 0) or 0)
-    if p.get("ckpt_dir"):
-        mgr = CheckpointManager(
-            p["ckpt_dir"], ckpt_every,
-            keep=p.get("ckpt_keep", 3), prefix=f"rank{rank}",
-        )
-    k0 = 0
-    resume_step = p.get("resume_step")
-    if mgr is not None and resume_step is not None:
-        ck = mgr.load_step(resume_step)
-        own["u_prev"][:] = ck.arrays["u_prev"]
-        own["u"][:] = ck.arrays["u"]
-        k0 = int(ck.meta["next_k"])
-        if k0 % k and k0 != nsteps:
-            raise ValueError(
-                f"fused resume index {k0} is not an exchange boundary "
-                f"(steps_per_exchange {k})"
-            )
-    last_saved = k0
-    fplan = p.get("faults")
-    health_interval = int(p.get("health_interval", 0))
-    world = comm.world
-    if fplan is not None and hasattr(world, "fault_plan"):
-        world.fault_plan = fplan  # send-path faults (drop/delay/corrupt)
+    dur = frame.dur
+    k0 = frame.resume(own["u"], own["u_prev"])
 
     for s0 in range(k0, nsteps, k):
-        if fplan is not None:
-            fplan.on_step_begin(rank, s0)
-            if hasattr(world, "fault_step"):
-                world.fault_step = s0  # sends only happen at s0
-        comm.heartbeat(s0)
+        frame.begin_step(s0)
         # window-start refresh: every perspective's full restart pair,
         # one message per directed halo pair (also runs at step 0 and
         # after a resume, so ghosts never start stale)
@@ -737,6 +722,8 @@ def _rank_program_fused(comm, payload):
             np.take(own["u_prev"], idx, axis=0, out=sbuf[1])
             comm.Send(sbuf, dest, tag=rank)
         t2 = clock()
+        yield  # sends posted, nothing received yet
+        t2r = clock()
         for o, rbuf in state["recvs"]:
             comm.Recv(o, tag=o, out=rbuf)
             q = state["persps"][o]
@@ -745,15 +732,14 @@ def _rank_program_fused(comm, payload):
         t3 = clock()
         if state["sends"] or state["recvs"]:
             comm.stats.exchanges += 1
-        t_wait += t3 - t1
+        t_wait += (t2 - t1) + (t3 - t2r)
         if dur is not None:
             dur[s0, 1] = t2 - t1  # send
-            dur[s0, 3] = t3 - t2  # recv
+            dur[s0, 3] = t3 - t2r  # recv
         s_end = min(s0 + k, nsteps)
         for s in range(s0, s_end):
-            if fplan is not None and s != s0:
-                fplan.on_step_begin(rank, s)
-            comm.heartbeat(s)
+            if s != s0:  # no sends inside the window: kill + ping only
+                frame.begin_step(s)
             tA = clock()
             b_global = force_fn(s * dt)
             _fused_march_step(state, b_global, comm.add_flops)
@@ -762,52 +748,21 @@ def _rank_program_fused(comm, payload):
             if dur is not None:
                 dur[s, 0] += tB - tA
         # window boundary: own u holds x^{s_end} exactly
-        if fplan is not None:
-            fplan.poison_state(rank, s_end - 1, own["u"])
-        if health_interval and should_check(
-            s_end - 1, nsteps, health_interval
-        ):
-            check_finite(own["u"], step=s_end - 1, rank=rank, field="u")
-        if (
-            mgr is not None
-            and ckpt_every > 0
-            and s_end // ckpt_every > last_saved // ckpt_every
-        ):
-            mgr.save(
-                s_end - 1,
-                {"u_prev": own["u_prev"], "u": own["u"]},
-                {"next_k": s_end, "fused_k": k},
-            )
-            last_saved = s_end
+        frame.boundary(s_end, own["u"], own["u_prev"])
 
-    if fplan is not None and hasattr(world, "fault_plan"):
-        world.fault_plan = None
-
-    name, nnode_global = p["result"]
-    shm, res = attach_shared_array(name, (nnode_global, 3))
-    res[p["gather_nodes"]] = own["u"][p["gather_local"]]
-    del res  # drop the exported view before closing the mapping
-    shm.close()
-    out = {
-        "t_compute": t_compute,
-        "t_wait": t_wait,
-        "nsteps": nsteps,
-        "fused_k": k,
-    }
-    if tl is not None:
-        out["timeline"] = tl.to_payload()
-    return out
+    return frame.finish(
+        own["u"], t_compute=t_compute, t_wait=t_wait, fused_k=k
+    )
 
 
 def _march_shot_slice(
     op, m2, inv_A, prev_coef, force_fns, nnode, dt, nsteps, add_flops=None
 ):
     """March one worker's shot slice over the *whole* domain as a
-    single batched time loop.  Shared by the in-process and
-    worker-process paths so shot-sharded trajectories are bit-identical
-    across transports; each column also reproduces the corresponding
-    single-shot run bit for bit (the batched ``matmat`` guarantees
-    per-column identity, and every other term is elementwise).
+    single batched time loop.  Each column reproduces the
+    corresponding single-shot run bit for bit (the batched ``matmat``
+    guarantees per-column identity, and every other term is
+    elementwise).
 
     ``m2``/``inv_A``/``prev_coef`` carry a trailing broadcast axis;
     returns the final ``(nnode, 3, B)`` displacement block.
@@ -856,9 +811,13 @@ def _shot_program(comm, payload):
     if len(idx) == 0:
         return {"t_compute": 0.0, "nsteps": p["nsteps"], "nshots": 0}
     op = ElasticOperator(p["conn"], p["h"], p["lam"], p["mu"], nnode)
+    # trailing broadcast axis over the batch columns
+    m2, inv_A, prev_coef = (
+        c[:, :, None] for c in _update_coefs(p["m"], p["C"], p["dt"])
+    )
     t0 = time.perf_counter()
     u = _march_shot_slice(
-        op, p["m2"], p["inv_A"], p["prev_coef"], p["force_fns"],
+        op, m2, inv_A, prev_coef, p["force_fns"],
         nnode, p["dt"], p["nsteps"], add_flops=comm.add_flops,
     )
     t_compute = time.perf_counter() - t0
@@ -879,14 +838,13 @@ class DistributedWaveSolver:
     damping) are interface-summed once at setup, and the stiffness
     partial sums are exchanged every step.
 
-    ``world`` selects the transport: a
-    :class:`~repro.parallel.simcomm.SimWorld` runs every rank
+    ``world`` selects the transport the rank programs run over: a
+    :class:`~repro.parallel.simcomm.SimWorld` resumes them round-robin
     in-process (mailbox exchange, one core); a
-    :class:`~repro.parallel.transport.ProcWorld` dispatches the rank
-    programs to its persistent worker processes (shared-memory
-    exchange, N cores).  On the process transport ``force_fn`` must be
-    picklable (a module-level function or callable object) and
-    ``callback`` is not supported.
+    :class:`~repro.parallel.transport.ProcWorld` dispatches them to its
+    persistent worker processes (shared-memory exchange, N cores).  On
+    the process transport ``force_fn`` must be picklable (a
+    module-level function or callable object).
     """
 
     def __init__(
@@ -931,12 +889,10 @@ class DistributedWaveSolver:
         C_global, _ = stacey_boundary_matrices(
             faces, mesh.nnode, include_c1=False
         )
-        # kept whole for the shot-sharded path (each worker then needs
-        # the full-domain mass/damping, not a rank slice)
+        # kept whole and sliced per payload: a rank's own nodes, a
+        # halo perspective's, or (shot sharding) the full domain
         self._m_global = m_global
         self._C_global = C_global
-        self.m_local = [m_global[rp.nodes][:, None] for rp in self.dist.ranks]
-        self.C_local = [C_global[rp.nodes] for rp in self.dist.ranks]
         for r, rp in enumerate(self.dist.ranks):
             # account the setup exchange (mass + damping on interfaces)
             for o, (loc, _) in rp.shared_with.items():
@@ -957,6 +913,11 @@ class DistributedWaveSolver:
         #: merged per-rank timeline of the most recent :meth:`run`,
         #: populated when telemetry is enabled at run time
         self.last_timeline: MergedTimeline | None = None
+        #: what the rank programs of the most recent :meth:`run` /
+        #: :meth:`run_shots` returned, one dict per rank
+        #: (``t_compute``, ``t_wait``, ``nsteps``; ``lts_fired`` per
+        #: rate under LTS, ``fused_k`` under fusion)
+        self.last_timings: list[dict] | None = None
 
     def _lts_setup(self, max_rate: int) -> dict:
         """Global clustered-LTS plan for the partitioned mesh.
@@ -1008,7 +969,6 @@ class DistributedWaveSolver:
             "rates": rates,
             "r_int": r_int,
             "r_sync": max(p.max_rate for p in plans),
-            "plans": plans,
             "trivial": bool(np.all(rates == 1)),
         }
         self._lts_cache = (max_rate, ctx)
@@ -1019,7 +979,6 @@ class DistributedWaveSolver:
         force_fn: Callable[[float], np.ndarray],
         t_end: float,
         *,
-        callback: Callable[[int, float, np.ndarray], None] | None = None,
         checkpoint_dir: str | None = None,
         checkpoint_every: int = 0,
         checkpoint_keep: int = 3,
@@ -1109,12 +1068,6 @@ class DistributedWaveSolver:
             rp.shared_with for rp in self.dist.ranks
         ):
             k_fused, fallback = 1, "no interfaces"
-        if k_fused > 1 and callback is not None:
-            raise ValueError(
-                "callback is not supported with steps_per_exchange > 1 "
-                "(nodes are only globally consistent at exchange "
-                "boundaries)"
-            )
         fused_ctx = None
         if k_fused > 1:
             fused_ctx = {
@@ -1136,52 +1089,14 @@ class DistributedWaveSolver:
                 _s.add("lts_r_sync", ctx["r_sync"])
             if fused_ctx is not None:
                 _s.add("steps_per_exchange", k_fused)
-            if hasattr(self.world, "run_spmd"):
-                if callback is not None:
-                    raise ValueError(
-                        "callback is not supported on the process "
-                        "transport (state lives in the workers); use a "
-                        "SimWorld"
-                    )
-                return self._run_proc(
-                    force_fn, nsteps,
-                    checkpoint_dir=checkpoint_dir,
-                    checkpoint_every=checkpoint_every,
-                    checkpoint_keep=checkpoint_keep,
-                    resume=resume, faults=faults,
-                    health_interval=health_interval, retry=retry,
-                    lts_ctx=ctx, fused_ctx=fused_ctx,
-                )
-            if fused_ctx is not None:
-                return self._run_sim_fused(
-                    force_fn, nsteps, fused_ctx,
-                    checkpoint_dir=checkpoint_dir,
-                    checkpoint_every=checkpoint_every,
-                    checkpoint_keep=checkpoint_keep,
-                    resume=resume, faults=faults,
-                    health_interval=health_interval,
-                )
-            if ctx is not None:
-                if callback is not None:
-                    raise ValueError(
-                        "callback is not supported with lts (nodes are "
-                        "only globally consistent at sync boundaries)"
-                    )
-                return self._run_sim_lts(
-                    force_fn, nsteps, ctx,
-                    checkpoint_dir=checkpoint_dir,
-                    checkpoint_every=checkpoint_every,
-                    checkpoint_keep=checkpoint_keep,
-                    resume=resume, faults=faults,
-                    health_interval=health_interval,
-                )
-            return self._run_sim(
-                force_fn, nsteps, callback,
+            return self._run_spmd(
+                force_fn, nsteps,
                 checkpoint_dir=checkpoint_dir,
                 checkpoint_every=checkpoint_every,
                 checkpoint_keep=checkpoint_keep,
                 resume=resume, faults=faults,
-                health_interval=health_interval,
+                health_interval=health_interval, retry=retry,
+                lts_ctx=ctx, fused_ctx=fused_ctx,
             )
 
     def run_shots(self, force_fns: Sequence, t_end: float) -> np.ndarray:
@@ -1204,436 +1119,32 @@ class DistributedWaveSolver:
             raise ValueError("need at least one shot")
         nsteps = int(np.ceil(t_end / self.dt))
         mesh = self.mesh
-        m2, inv_A, prev_coef = _hoist_update_terms(
-            [self._m_global[:, None]], [self._C_global], self.dt
-        )
-        # trailing broadcast axis over the batch columns
-        m2 = m2[0][:, :, None]
-        inv_A = inv_A[0][:, :, None]
-        prev_coef = prev_coef[0][:, :, None]
         slices = np.array_split(np.arange(B), self.world.nranks)
-
-        if hasattr(self.world, "run_spmd"):
-            shm, result = create_shared_array((B, mesh.nnode, 3))
-            try:
-                result.fill(0.0)
-                payloads = [
-                    {
-                        "conn": mesh.conn,
-                        "h": mesh.elem_h,
-                        "lam": self._lam,
-                        "mu": self._mu,
-                        "m2": m2,
-                        "inv_A": inv_A,
-                        "prev_coef": prev_coef,
-                        "dt": self.dt,
-                        "nsteps": nsteps,
-                        "shots": idx,
-                        "force_fns": [force_fns[i] for i in idx],
-                        "result": (shm.name, B, mesh.nnode),
-                    }
-                    for idx in slices
-                ]
-                self.last_timings = self.world.run_spmd(
-                    _shot_program, payloads
-                )
-                out = result.copy()
-            finally:
-                del result  # drop the exported view before closing
-                release_shared_array(shm)
-            return out
-
-        # in-process path: the identical per-slice arithmetic, one
-        # worker at a time (separate operators so each slice's batch
-        # workspace matches its width)
-        out = np.zeros((B, mesh.nnode, 3))
-        for r, idx in enumerate(slices):
-            if len(idx) == 0:
-                continue
-            op = ElasticOperator(
-                mesh.conn, mesh.elem_h, self._lam, self._mu, mesh.nnode
-            )
-            stats = self.world.stats[r]
-
-            def add_flops(n, stats=stats):
-                stats.flops += int(n)
-
-            u = _march_shot_slice(
-                op, m2, inv_A, prev_coef,
-                [force_fns[i] for i in idx],
-                mesh.nnode, self.dt, nsteps, add_flops=add_flops,
-            )
-            out[idx] = np.moveaxis(u, 2, 0)
-        return out
-
-    # ------------------------------------------------- in-process path
-
-    def _run_sim(self, force_fn, nsteps, callback, *,
-                 checkpoint_dir=None, checkpoint_every=0,
-                 checkpoint_keep=3, resume=False, faults=None,
-                 health_interval=0):
-        world = self.world
-        dist = self.dist
-        dt = self.dt
-        dt2 = dt * dt
-        ranks = dist.ranks
-        # hoisted per-rank invariants and preallocated buffers: the
-        # step loop is fully in-place (matching the serial solver)
-        m2, inv_A, prev_coef = _hoist_update_terms(
-            self.m_local, self.C_local, dt
-        )
-        u_prev = [np.zeros((len(rp.nodes), 3)) for rp in ranks]
-        u = [np.zeros((len(rp.nodes), 3)) for rp in ranks]
-        u_next = [np.zeros((len(rp.nodes), 3)) for rp in ranks]
-        Ku = [np.empty((len(rp.nodes), 3)) for rp in ranks]
-        tmp = [np.empty((len(rp.nodes), 3)) for rp in ranks]
-        comms = world.comms()
-        force = _make_force_caller(force_fn, self.mesh.nnode)
-        # per-rank timelines (telemetry only): each rank's share of the
-        # globally ordered supersteps is timed individually, so the
-        # merged view is structurally equivalent to the process
-        # transport's (same ranks, steps, phases; wall times differ —
-        # here the "overlap" phases are serialized on one core)
-        tls = (
-            [
-                RankTimeline(
-                    r, nsteps,
-                    trace_id=telemetry.get_trace_context(),
-                )
-                for r in range(world.nranks)
-            ]
-            if telemetry.enabled()
-            else None
-        )
-        durs = [tl.durations for tl in tls] if tls is not None else None
-        clock = time.perf_counter
-
-        # per-rank durable checkpoints: same on-disk layout as the
-        # process path, so runs resume across transports
-        mgrs = None
-        if checkpoint_dir:
-            mgrs = [
-                CheckpointManager(
-                    checkpoint_dir, checkpoint_every,
-                    keep=checkpoint_keep, prefix=f"rank{r}",
-                )
-                for r in range(world.nranks)
-            ]
-        k0 = 0
-        if resume and checkpoint_dir:
-            step = collective_latest_step(checkpoint_dir, world.nranks)
-            if step is not None:
-                for r in range(world.nranks):
-                    ck = mgrs[r].load_step(step)
-                    u_prev[r][:] = ck.arrays["u_prev"]
-                    u[r][:] = ck.arrays["u"]
-                    k0 = int(ck.meta["next_k"])
-
-        for k in range(k0, nsteps):
-            t = k * dt
-            b_global = force(t)
-            # phase 1: interface elements -> boundary partials complete
-            for r, rp in enumerate(ranks):
-                if durs is not None:
-                    _t = clock()
-                dist.ops[r].matvec_interface(u[r], Ku[r])
-                world.stats[r].flops += dist.ops[r].flops_per_matvec
-                if durs is not None:
-                    durs[r][k, 0] = clock() - _t
-            # phase 2: post all boundary sends
-            for r, rp in enumerate(ranks):
-                if durs is not None:
-                    _t = clock()
-                for o, (loc, _) in rp.shared_with.items():
-                    comms[r].Send(Ku[r][loc], o, tag=r)
-                if durs is not None:
-                    durs[r][k, 1] = clock() - _t
-            # phase 3: interior elements (the work the exchange hides
-            # behind on the process transport)
-            for r, rp in enumerate(ranks):
-                if durs is not None:
-                    _t = clock()
-                dist.ops[r].matvec_interior_acc(u[r], Ku[r])
-                if durs is not None:
-                    durs[r][k, 2] = clock() - _t
-            # phase 4: receive and accumulate partial sums
-            for r, rp in enumerate(ranks):
-                if durs is not None:
-                    _t = clock()
-                for o, (loc, _) in rp.shared_with.items():
-                    Ku[r][loc] += comms[r].Recv(o, tag=o)
-                    world.stats[r].flops += 3 * len(loc)
-                if rp.shared_with:
-                    world.stats[r].exchanges += 1
-                if durs is not None:
-                    durs[r][k, 3] = clock() - _t
-            # phase 5: local update (nodal data now consistent)
-            for r, rp in enumerate(ranks):
-                if durs is not None:
-                    _t = clock()
-                b = b_global[rp.nodes] if b_global is not None else None
-                _local_update(
-                    Ku[r], tmp[r], u[r], u_prev[r], u_next[r],
-                    m2[r], inv_A[r], prev_coef[r], b, dt2,
-                )
-                u_prev[r], u[r], u_next[r] = u[r], u_next[r], u_prev[r]
-                world.stats[r].flops += 15 * len(rp.nodes)
-                if durs is not None:
-                    durs[r][k, 4] = clock() - _t
-            if faults is not None:
-                # in-process: only state poisoning applies (kill/send
-                # faults exercise the worker-process machinery)
-                for r in range(world.nranks):
-                    faults.poison_state(r, k, u[r])
-            if health_interval and should_check(k, nsteps, health_interval):
-                for r in range(world.nranks):
-                    check_finite(u[r], step=k, rank=r, field="u")
-            if mgrs is not None and mgrs[0].due(k):
-                for r in range(world.nranks):
-                    mgrs[r].save(
-                        k,
-                        {"u_prev": u_prev[r], "u": u[r]},
-                        {"next_k": k + 1},
-                    )
-            if callback is not None:
-                callback(k, t, u)
-
-        if tls is not None:
-            self.last_timeline = MergedTimeline(tls)
-        return dist.gather_field(u)
-
-    def _run_sim_lts(self, force_fn, nsteps, ctx, *,
-                     checkpoint_dir=None, checkpoint_every=0,
-                     checkpoint_keep=3, resume=False, faults=None,
-                     health_interval=0):
-        """In-process clustered-LTS march: the identical per-rank
-        arithmetic as :func:`_rank_program_lts`, executed one rank at a
-        time with the interface exchange staged across ranks.
-
-        Per fine index, each rank first fires its levels **coarser**
-        than the interface rate, then — when the interface level is due
-        — all ranks run the four exchange phases (interface matvec /
-        send / interior / receive-accumulate-update) in the same global
-        order as the global-dt path, then each rank fires its **finer**
-        levels.  That reproduces every rank's coarsest-first firing
-        order exactly, so trajectories are bit-identical to the process
-        transport.
-        """
-        world = self.world
-        dist = self.dist
-        mesh = self.mesh
-        dt = self.dt
-        ranks = dist.ranks
-        plans = ctx["plans"]
-        r_int, r_sync = ctx["r_int"], ctx["r_sync"]
-        levels = [
-            _lts_rank_levels(
-                rp.local_conn, mesh.elem_h[rp.elements],
-                self._lam[rp.elements], self._mu[rp.elements],
-                len(rp.nodes), plans[r],
-                self.m_local[r], self.C_local[r],
-                dt, r_int, rp.n_iface_elems,
-            )
-            for r, rp in enumerate(ranks)
-        ]
-        # each rank's levels split around its interface-rate level (the
-        # coarsest-first order is: pre -> interface -> post)
-        pre = [[lv for lv in ls if lv["rate"] > r_int] for ls in levels]
-        ifc = [
-            next((lv for lv in ls if lv["rate"] == r_int), None)
-            for ls in levels
-        ] if r_int else [None] * len(levels)
-        post = [[lv for lv in ls if lv["rate"] < r_int] for ls in levels]
-        u_prev = [np.zeros((len(rp.nodes), 3)) for rp in ranks]
-        u = [np.zeros((len(rp.nodes), 3)) for rp in ranks]
-        Ku = [np.empty((len(rp.nodes), 3)) for rp in ranks]
-        comms = world.comms()
-        force = _make_force_caller(force_fn, mesh.nnode)
-        tls = (
-            [
-                RankTimeline(
-                    r, nsteps,
-                    trace_id=telemetry.get_trace_context(),
-                )
-                for r in range(world.nranks)
-            ]
-            if telemetry.enabled()
-            else None
-        )
-        durs = [tl.durations for tl in tls] if tls is not None else None
-        clock = time.perf_counter
-
-        mgrs = None
-        if checkpoint_dir:
-            mgrs = [
-                CheckpointManager(
-                    checkpoint_dir, checkpoint_every,
-                    keep=checkpoint_keep, prefix=f"rank{r}",
-                )
-                for r in range(world.nranks)
-            ]
-        k0 = 0
-        if resume and checkpoint_dir:
-            step = collective_latest_step(checkpoint_dir, world.nranks)
-            if step is not None:
-                for r in range(world.nranks):
-                    ck = mgrs[r].load_step(step)
-                    u_prev[r][:] = ck.arrays["u_prev"]
-                    u[r][:] = ck.arrays["u"]
-                    k0 = int(ck.meta["next_k"])
-                if k0 % r_sync:
-                    raise ValueError(
-                        f"LTS resume index {k0} is not a sync boundary "
-                        f"(sync rate {r_sync})"
-                    )
-        last_sync_saved = last_sync_checked = k0
-
-        def fire_local(r, lev, j, b):
-            if durs is not None:
-                _t = clock()
-            lev["fired"] += 1
-            sv = _lts_interp_in(lev, u[r], u_prev[r], j)
-            lev["op"].matvec(u[r], out=Ku[r])
-            world.stats[r].flops += lev["op"].flops_per_matvec
-            _lts_interp_out(lev, u[r], sv)
-            _lts_level_update(lev, u[r], u_prev[r], Ku[r], b)
-            world.stats[r].flops += 15 * len(lev["own"])
-            if durs is not None:
-                durs[r][j, 0] += clock() - _t
-
-        r_min = min(p.min_rate for p in plans)
-        for j in range(k0, nsteps, r_min):
-            t = j * dt
-            b_global = force(t)
-            bs = [
-                b_global[rp.nodes] if b_global is not None else None
-                for rp in ranks
-            ]
-            # coarser-than-interface clusters: purely rank-local
-            for r in range(len(ranks)):
-                for lev in pre[r]:
-                    if j % lev["rate"] == 0:
-                        fire_local(r, lev, j, bs[r])
-            if r_int and j % r_int == 0:
-                # interface-rate clusters fire in the same four global
-                # phases as the global-dt loop (exchange overlap)
-                sv = [None] * len(ranks)
-                for r, rp in enumerate(ranks):
-                    lev = ifc[r]
-                    if lev is None:
-                        continue
-                    if not lev["is_iface"]:  # neighborless rank
-                        fire_local(r, lev, j, bs[r])
-                        continue
-                    lev["fired"] += 1
-                    if durs is not None:
-                        _t = clock()
-                    sv[r] = _lts_interp_in(lev, u[r], u_prev[r], j)
-                    lev["op"].matvec_interface(u[r], Ku[r])
-                    world.stats[r].flops += lev["op"].flops_per_matvec
-                    if durs is not None:
-                        durs[r][j, 0] += clock() - _t
-                for r, rp in enumerate(ranks):
-                    if ifc[r] is None or not ifc[r]["is_iface"]:
-                        continue
-                    if durs is not None:
-                        _t = clock()
-                    for o, (loc, _) in rp.shared_with.items():
-                        comms[r].Send(Ku[r][loc], o, tag=r)
-                    if durs is not None:
-                        durs[r][j, 1] = clock() - _t
-                for r, rp in enumerate(ranks):
-                    lev = ifc[r]
-                    if lev is None or not lev["is_iface"]:
-                        continue
-                    if durs is not None:
-                        _t = clock()
-                    lev["op"].matvec_interior_acc(u[r], Ku[r])
-                    _lts_interp_out(lev, u[r], sv[r])
-                    if durs is not None:
-                        durs[r][j, 2] = clock() - _t
-                for r, rp in enumerate(ranks):
-                    lev = ifc[r]
-                    if lev is None or not lev["is_iface"]:
-                        continue
-                    if durs is not None:
-                        _t = clock()
-                    for o, (loc, _) in rp.shared_with.items():
-                        Ku[r][loc] += comms[r].Recv(o, tag=o)
-                        world.stats[r].flops += 3 * len(loc)
-                    if rp.shared_with:
-                        world.stats[r].exchanges += 1
-                    _lts_level_update(lev, u[r], u_prev[r], Ku[r], bs[r])
-                    world.stats[r].flops += 15 * len(lev["own"])
-                    if durs is not None:
-                        durs[r][j, 3] = clock() - _t
-            # finer-than-interface clusters: purely rank-local
-            for r in range(len(ranks)):
-                for lev in post[r]:
-                    if j % lev["rate"] == 0:
-                        fire_local(r, lev, j, bs[r])
-            s = j + r_min
-            if s % r_sync == 0:  # sync: every node holds u(s * dt)
-                if faults is not None:
-                    for r in range(world.nranks):
-                        faults.poison_state(r, s - 1, u[r])
-                if sync_check_due(
-                    s, last_sync_checked, nsteps, health_interval
-                ):
-                    for r in range(world.nranks):
-                        check_finite(u[r], step=s - 1, rank=r, field="u")
-                    last_sync_checked = s
-                if (
-                    mgrs is not None
-                    and checkpoint_every > 0
-                    and s // checkpoint_every
-                    > last_sync_saved // checkpoint_every
-                ):
-                    for r in range(world.nranks):
-                        mgrs[r].save(
-                            s - 1,
-                            {"u_prev": u_prev[r], "u": u[r]},
-                            {"next_k": s, "lts_rate": r_sync},
-                        )
-                    last_sync_saved = s
-
-        if tls is not None:
-            self.last_timeline = MergedTimeline(tls)
-        return dist.gather_field(u)
-
-    # ------------------------------------- communication-avoiding path
-
-    def _fused_payload(self, halo) -> dict:
-        """Transport-ready description of one rank's k-deep halo: the
-        perspective operators' inputs (owner-ordered element subsets,
-        material and mass/damping slices), the inter-perspective
-        partial-sum adds, and the window-refresh send lists.  Shared by
-        the in-process and worker-process paths; everything is a plain
-        numpy array, so the dict pickles straight into a worker."""
-        mesh = self.mesh
-        persp = []
-        for o in sorted(halo.perspectives):
-            pp = halo.perspectives[o]
-            persp.append(
+        shm, result = create_shared_array((B, mesh.nnode, 3))
+        try:
+            result.fill(0.0)
+            payloads = [
                 {
-                    "owner": o,
-                    "own": o == halo.rank,
-                    "conn": pp.conn,
-                    "h": mesh.elem_h[pp.elements_global],
-                    "lam": self._lam[pp.elements_global],
-                    "mu": self._mu[pp.elements_global],
-                    "nloc": len(pp.nodes_global),
-                    "n_iface": pp.n_iface,
-                    "m": self._m_global[pp.nodes_global][:, None],
-                    "C": self._C_global[pp.nodes_global],
-                    "gnodes": pp.nodes_global,
+                    "conn": mesh.conn,
+                    "h": mesh.elem_h,
+                    "lam": self._lam,
+                    "mu": self._mu,
+                    "m": self._m_global[:, None],
+                    "C": self._C_global,
+                    "dt": self.dt,
+                    "nsteps": nsteps,
+                    "shots": idx,
+                    "force_fns": [force_fns[i] for i in idx],
+                    "result": (shm.name, B, mesh.nnode),
                 }
-            )
-        return {
-            "perspectives": persp,
-            "adds": halo.adds,
-            "sends": list(halo.sends.items()),
-        }
+                for idx in slices
+            ]
+            self.last_timings = self.world.run_spmd(_shot_program, payloads)
+            out = result.copy()
+        finally:
+            del result  # drop the exported view before closing
+            release_shared_array(shm)
+        return out
 
     def recommend_steps_per_exchange(
         self,
@@ -1646,8 +1157,9 @@ class DistributedWaveSolver:
 
         With no ``machine`` given, one is calibrated in place: the
         sustained flop rate from timing the heaviest rank's real
-        stiffness matvec, and — on a process transport with >= 2 ranks
-        — alpha/beta/gamma from a quick
+        stiffness matvec, and — on a transport with real channels
+        (``world.slot_bytes``) and >= 2 ranks — alpha/beta/gamma from a
+        quick
         :func:`~repro.parallel.transport.measure_transport` burst
         ping-pong (whose traffic lands in ``world.stats``; pass an
         explicit machine when exact accounting matters).  In-process
@@ -1679,7 +1191,7 @@ class DistributedWaveSolver:
                 op.matvec(u, out=Ku)
             per_mv = (time.perf_counter() - t0) / reps
             flop_rate = op.flops_per_matvec / max(per_mv, 1e-12)
-            if hasattr(self.world, "run_spmd") and self.world.nranks >= 2:
+            if self.world.slot_bytes and self.world.nranks >= 2:
                 from repro.parallel.transport import calibrate_transport
 
                 # memoized process-wide: repeat "auto" runs over the
@@ -1703,142 +1215,93 @@ class DistributedWaveSolver:
             self.dist, machine, candidates=candidates, nsteps=nsteps
         )
 
-    def _run_sim_fused(self, force_fn, nsteps, fused_ctx, *,
-                       checkpoint_dir=None, checkpoint_every=0,
-                       checkpoint_keep=3, resume=False, faults=None,
-                       health_interval=0):
-        """In-process communication-avoiding march: the identical
-        per-rank arithmetic as :func:`_rank_program_fused`, executed
-        one rank at a time with the window refresh staged across ranks
-        (every rank posts its sends before any rank receives — each
-        rank's window march depends only on its own refreshed state, so
-        the rank-at-a-time schedule is bit-identical to the concurrent
-        process transport)."""
-        world = self.world
-        dist = self.dist
-        dt = self.dt
-        k = fused_ctx["k"]
-        states = [
-            _fused_build_state(self._fused_payload(h), dt)
-            for h in fused_ctx["halos"].halos
-        ]
-        comms = world.comms()
-        force = _make_force_caller(force_fn, self.mesh.nnode)
-        tls = (
-            [
-                RankTimeline(
-                    r, nsteps,
-                    trace_id=telemetry.get_trace_context(),
+    # ------------------------------------------------ running the ranks
+
+    def _subdomain(self, conn, elements, nodes, n_iface) -> dict:
+        """What a rank program builds one subdomain's operator and
+        update coefficients from: local connectivity plus the element
+        (size, material) and node (mass, damping) slices.  The
+        coefficients travel raw — every program hoists its own — and
+        everything is a plain numpy array, so the dict pickles straight
+        into a worker."""
+        return {
+            "conn": conn,
+            "h": self.mesh.elem_h[elements],
+            "lam": self._lam[elements],
+            "mu": self._mu[elements],
+            "nloc": len(nodes),
+            "n_iface": n_iface,
+            "m": self._m_global[nodes][:, None],
+            "C": self._C_global[nodes],
+            "gnodes": nodes,
+        }
+
+    def _rank_payloads(self, common: dict, lts_ctx, fused_ctx):
+        """The schedule's rank program and one payload per rank:
+        ``common``, the rank's gather lists, and the subdomain(s) the
+        schedule marches over."""
+        if fused_ctx is not None:
+            program = _rank_program_fused
+        elif lts_ctx is not None:
+            program = _rank_program_lts
+        else:
+            program = _rank_program
+        payloads = []
+        for r, rp in enumerate(self.dist.ranks):
+            pl = dict(
+                common,
+                gather_nodes=rp.gather_nodes,
+                gather_local=rp.gather_local,
+            )
+            if fused_ctx is not None:
+                # the k-deep halo: one replica subdomain per owner
+                # (owner-ordered element subsets), the inter-perspective
+                # partial-sum adds, the window-refresh send lists
+                halo = fused_ctx["halos"].halos[r]
+                pl.update(
+                    k=fused_ctx["k"],
+                    perspectives=[
+                        dict(
+                            self._subdomain(
+                                pp.conn, pp.elements_global,
+                                pp.nodes_global, pp.n_iface,
+                            ),
+                            owner=o,
+                            own=o == halo.rank,
+                        )
+                        for o, pp in sorted(halo.perspectives.items())
+                    ],
+                    adds=halo.adds,
+                    sends=list(halo.sends.items()),
                 )
-                for r in range(world.nranks)
-            ]
-            if telemetry.enabled()
-            else None
-        )
-        durs = [tl.durations for tl in tls] if tls is not None else None
-        clock = time.perf_counter
-
-        mgrs = None
-        if checkpoint_dir:
-            mgrs = [
-                CheckpointManager(
-                    checkpoint_dir, checkpoint_every,
-                    keep=checkpoint_keep, prefix=f"rank{r}",
+            else:
+                pl.update(
+                    self._subdomain(
+                        rp.local_conn, rp.elements, rp.nodes,
+                        rp.n_iface_elems,
+                    ),
+                    neighbors=[
+                        (o, loc) for o, (loc, _) in rp.shared_with.items()
+                    ],
                 )
-                for r in range(world.nranks)
-            ]
-        k0 = 0
-        if resume and checkpoint_dir:
-            step = collective_latest_step(checkpoint_dir, world.nranks)
-            if step is not None:
-                for r in range(world.nranks):
-                    ck = mgrs[r].load_step(step)
-                    own = states[r]["own"]
-                    own["u_prev"][:] = ck.arrays["u_prev"]
-                    own["u"][:] = ck.arrays["u"]
-                    k0 = int(ck.meta["next_k"])
-                if k0 % k and k0 != nsteps:
-                    raise ValueError(
-                        f"fused resume index {k0} is not an exchange "
-                        f"boundary (steps_per_exchange {k})"
+                if lts_ctx is not None:
+                    pl.update(
+                        rates=lts_ctx["rates"][rp.elements],
+                        r_int=lts_ctx["r_int"],
+                        r_sync=lts_ctx["r_sync"],
                     )
-        last_saved = k0
+            payloads.append(pl)
+        return program, payloads
 
-        for s0 in range(k0, nsteps, k):
-            s_end = min(s0 + k, nsteps)
-            # phase 1: every rank posts its window-refresh messages
-            for r, st in enumerate(states):
-                if durs is not None:
-                    _t = clock()
-                own = st["own"]
-                for dest, idx, sbuf in st["sends"]:
-                    np.take(own["u"], idx, axis=0, out=sbuf[0])
-                    np.take(own["u_prev"], idx, axis=0, out=sbuf[1])
-                    comms[r].Send(sbuf, dest, tag=r)
-                if durs is not None:
-                    durs[r][s0, 1] = clock() - _t
-            # phase 2: each rank refreshes its ghosts and marches its
-            # whole window locally
-            for r, st in enumerate(states):
-                if durs is not None:
-                    _t = clock()
-                for o, rbuf in st["recvs"]:
-                    comms[r].Recv(o, tag=o, out=rbuf)
-                    q = st["persps"][o]
-                    q["u"][:] = rbuf[0]
-                    q["u_prev"][:] = rbuf[1]
-                if st["sends"] or st["recvs"]:
-                    world.stats[r].exchanges += 1
-                if durs is not None:
-                    durs[r][s0, 3] = clock() - _t
-                for s in range(s0, s_end):
-                    if durs is not None:
-                        _t = clock()
-                    b_global = force(s * dt)
-                    _fused_march_step(st, b_global, comms[r].add_flops)
-                    if durs is not None:
-                        durs[r][s, 0] += clock() - _t
-            # window boundary: own states hold x^{s_end} exactly
-            if faults is not None:
-                for r in range(world.nranks):
-                    faults.poison_state(
-                        r, s_end - 1, states[r]["own"]["u"]
-                    )
-            if health_interval and should_check(
-                s_end - 1, nsteps, health_interval
-            ):
-                for r in range(world.nranks):
-                    check_finite(
-                        states[r]["own"]["u"],
-                        step=s_end - 1, rank=r, field="u",
-                    )
-            if (
-                mgrs is not None
-                and checkpoint_every > 0
-                and s_end // checkpoint_every
-                > last_saved // checkpoint_every
-            ):
-                for r in range(world.nranks):
-                    own = states[r]["own"]
-                    mgrs[r].save(
-                        s_end - 1,
-                        {"u_prev": own["u_prev"], "u": own["u"]},
-                        {"next_k": s_end, "fused_k": k},
-                    )
-                last_saved = s_end
-
-        if tls is not None:
-            self.last_timeline = MergedTimeline(tls)
-        return dist.gather_field([st["own"]["u"] for st in states])
-
-    # --------------------------------------------- worker-process path
-
-    def _run_proc(self, force_fn, nsteps, *, checkpoint_dir=None,
+    def _run_spmd(self, force_fn, nsteps, *, checkpoint_dir=None,
                   checkpoint_every=0, checkpoint_keep=3, resume=False,
                   faults=None, health_interval=0, retry=None,
                   lts_ctx=None, fused_ctx=None):
+        """Hand the schedule's rank program to the world and gather the
+        result; on a :class:`WorkerFailure` (process transport only —
+        in-process a rank's exception propagates as itself) respawn,
+        rewind to the last collective checkpoint and retry."""
         world = self.world
-        dist = self.dist
         mesh = self.mesh
         if fused_ctx is not None:
             # fused windows replace per-step interface messages with
@@ -1849,21 +1312,18 @@ class DistributedWaveSolver:
             max_msg = max(
                 (
                     24 * len(loc)
-                    for rp in dist.ranks
+                    for rp in self.dist.ranks
                     for (loc, _) in rp.shared_with.values()
                 ),
                 default=0,
             )
             kind = "interface"
-        if max_msg > world.slot_bytes:
+        if world.slot_bytes and max_msg > world.slot_bytes:
             raise ValueError(
                 f"largest {kind} message is {max_msg} bytes but the "
                 f"ProcWorld channels hold {world.slot_bytes}; rebuild the "
                 f"world with slot_bytes >= {max_msg}"
             )
-        m2, inv_A, prev_coef = _hoist_update_terms(
-            self.m_local, self.C_local, self.dt
-        )
         want_timeline = telemetry.enabled()
         recoverable = bool(checkpoint_dir) and checkpoint_every > 0
         retry = retry if retry is not None else RetryPolicy()
@@ -1874,71 +1334,28 @@ class DistributedWaveSolver:
             )
         shm, result = create_shared_array((mesh.nnode, 3))
         try:
+            program, base = self._rank_payloads(
+                {
+                    "dt": self.dt,
+                    "nsteps": nsteps,
+                    "force_fn": force_fn,
+                    "result": (shm.name, mesh.nnode),
+                    "timeline": want_timeline,
+                    "ckpt_dir": checkpoint_dir,
+                    "ckpt_every": checkpoint_every,
+                    "ckpt_keep": checkpoint_keep,
+                    "health_interval": health_interval,
+                },
+                lts_ctx, fused_ctx,
+            )
             attempt = 0
             while True:
                 result.fill(0.0)
-                payloads = []
-                for r, rp in enumerate(dist.ranks):
-                    pl = {
-                        "dt": self.dt,
-                        "nsteps": nsteps,
-                        "force_fn": force_fn,
-                        "gather_nodes": rp.gather_nodes,
-                        "gather_local": rp.gather_local,
-                        "result": (shm.name, mesh.nnode),
-                        "timeline": want_timeline,
-                        "ckpt_dir": checkpoint_dir,
-                        "ckpt_every": checkpoint_every,
-                        "ckpt_keep": checkpoint_keep,
-                        "resume_step": resume_step,
-                        "faults": faults,
-                        "health_interval": health_interval,
-                    }
-                    if fused_ctx is not None:
-                        # perspectives carry their own connectivity and
-                        # coefficient slices
-                        pl.update(
-                            self._fused_payload(
-                                fused_ctx["halos"].halos[r]
-                            ),
-                            k=fused_ctx["k"],
-                        )
-                        payloads.append(pl)
-                        continue
-                    pl.update(
-                        conn=rp.local_conn,
-                        h=mesh.elem_h[rp.elements],
-                        lam=self._lam[rp.elements],
-                        mu=self._mu[rp.elements],
-                        nloc=len(rp.nodes),
-                        n_iface=rp.n_iface_elems,
-                        neighbors=[
-                            (o, loc)
-                            for o, (loc, _) in rp.shared_with.items()
-                        ],
-                        gnodes=rp.nodes,
-                    )
-                    if lts_ctx is None:
-                        pl.update(
-                            m2=m2[r], inv_A=inv_A[r],
-                            prev_coef=prev_coef[r],
-                        )
-                    else:
-                        # the LTS program hoists per-level coefficients
-                        # itself, from the raw mass/damping slices
-                        pl.update(
-                            m=self.m_local[r], C=self.C_local[r],
-                            rates=lts_ctx["rates"][rp.elements],
-                            r_int=lts_ctx["r_int"],
-                            r_sync=lts_ctx["r_sync"],
-                        )
-                    payloads.append(pl)
-                if fused_ctx is not None:
-                    program = _rank_program_fused
-                elif lts_ctx is not None:
-                    program = _rank_program_lts
-                else:
-                    program = _rank_program
+                # the only payload entries a recovery attempt changes
+                payloads = [
+                    dict(pl, resume_step=resume_step, faults=faults)
+                    for pl in base
+                ]
                 try:
                     timings = world.run_spmd(program, payloads)
                     break

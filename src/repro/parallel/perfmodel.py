@@ -116,11 +116,12 @@ def machine_from_measurements(
     :func:`repro.parallel.transport.measure_transport` — a ping-pong
     fit of one-way time ``t(n) = alpha + n / beta`` over the process
     transport's shared-memory channels.  ``flop_rate`` is the sustained
-    per-process rate measured on the actual element kernel (the scaling
-    benchmark times a serial matvec for it).  The result plugs into
+    per-process rate measured on the actual element kernel (time a
+    serial matvec for it).  The result plugs into
     :func:`predict_scalability`, so the same Table 2.1 machinery that
-    models LeMieux also predicts *this machine's* strong scaling, which
-    ``benchmarks/bench_scaling.py`` compares against measured runs.
+    models LeMieux also predicts *this machine's* strong scaling;
+    ``perfbench``'s ``dist_2rank`` workload reports the measured side
+    (``parallel.alpha_s`` / ``beta_gbps`` / ``efficiency``).
     """
     return MachineModel(
         name=name,

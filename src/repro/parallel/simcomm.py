@@ -27,10 +27,28 @@ Transport protocol (what a world must provide to back a ``SimComm``)::
     _add_flops(rank, n)
     rank_stats(rank)            -> TrafficStats
     _heartbeat(rank, step)      (optional: liveness ping, may no-op)
+
+and, on the master side, the one execution entry of both worlds::
+
+    run_spmd(program, payloads) -> per-rank results, in rank order
+    slot_bytes                  -> int  (largest message a channel
+                                   holds; 0 = unbounded mailboxes)
+
+A rank program is ``program(comm, payload) -> result``.  One that
+exchanges messages is written as a **generator** that suspends with a
+bare ``yield`` exactly once per exchange: after it has posted all of
+that exchange's sends, before its first receive.  On the process
+transport the suspension is a no-op (the worker drains the generator;
+blocking channel receives synchronise the ranks).  In-process it is the
+scheduling point: :meth:`SimWorld.run_spmd` resumes the ranks
+round-robin, so when a rank wakes up every peer has already posted the
+messages it is about to receive.  A program that exchanges nothing can
+stay a plain function.
 """
 
 from __future__ import annotations
 
+import inspect
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
@@ -204,6 +222,10 @@ class SimComm:
 class SimWorld:
     """A set of ``P`` simulated ranks sharing in-memory mailboxes."""
 
+    #: the mailboxes are unbounded deques: no message is too large and
+    #: there is no channel whose latency is worth calibrating
+    slot_bytes = 0
+
     def __init__(self, nranks: int):
         if nranks < 1:
             raise ValueError("need at least one rank")
@@ -224,6 +246,53 @@ class SimWorld:
         for s in self.stats:
             out.merge(s)
         return out
+
+    def run_spmd(self, program, payloads: list) -> list:
+        """Run ``program(comm, payload)`` for every rank on this one
+        thread; returns the per-rank results in rank order.
+
+        Deterministic cooperative round-robin (see the module
+        docstring for the suspension contract): every rank runs to its
+        next ``yield`` in rank order, again and again, until all have
+        returned.  A receive whose message was never sent therefore
+        raises (:meth:`_recv_at`) instead of hanging, and a rank's
+        exception propagates with its own type.  A failed run leaves
+        no state behind — the suspended ranks are closed and the
+        mailboxes cleared, so the peers' already-posted messages cannot
+        leak into the next program — and a run that completes with a
+        message still queued is a schedule bug and raises.
+        """
+        if len(payloads) != self.nranks:
+            raise ValueError("one payload per rank required")
+        results = [None] * self.nranks
+        live = {}
+        try:
+            for r, payload in enumerate(payloads):
+                out = program(self.comm(r), payload)
+                if inspect.isgenerator(out):
+                    live[r] = out
+                else:
+                    results[r] = out
+            while live:
+                for r, gen in list(live.items()):
+                    try:
+                        next(gen)
+                    except StopIteration as stop:
+                        results[r] = stop.value
+                        del live[r]
+        except BaseException:
+            for gen in live.values():
+                gen.close()
+            self._mail.clear()
+            raise
+        left = {k: len(v) for k, v in self._mail.items() if v}
+        if left:
+            self._mail.clear()
+            raise RuntimeError(
+                "SPMD program finished with undelivered messages "
+                f"(src, dst, tag) -> count: {left}"
+            )
+        return results
 
     def allreduce(self, values: list[float], op=sum) -> float:
         """World-level scalar allreduce (one value per rank), executed
@@ -277,7 +346,7 @@ class SimWorld:
         return got
 
     def _barrier(self, rank: int) -> None:
-        pass  # supersteps are globally ordered in-process
+        pass  # one thread: ranks only interleave at their yields
 
     def _add_flops(self, rank: int, n: int) -> None:
         self.stats[rank].flops += int(n)

@@ -16,9 +16,11 @@ backed by real cores and real wall time:
   ``verify_crc``) so in-flight corruption surfaces as a structured
   :class:`TransportCorruption` instead of silent garbage;
 * **programs**: any picklable ``fn(comm, payload) -> result`` submitted
-  with :meth:`ProcWorld.run_spmd`; each worker executes it SPMD-style
-  against its own rank's endpoint and ships the (small) result back
-  over a pipe.  Bulk state moves through named
+  with :meth:`ProcWorld.run_spmd` — the same entry, and the same
+  program objects, :class:`~repro.parallel.simcomm.SimWorld` executes
+  in-process; each worker executes it SPMD-style against its own
+  rank's endpoint (running a generator program straight through its
+  suspension points) and ships the (small) result back over a pipe.  Bulk state moves through named
   :mod:`multiprocessing.shared_memory` blocks instead (see
   :func:`create_shared_array` / :func:`attach_shared_array`);
 * **accounting**: every worker counts messages/bytes/flops in its own
@@ -49,6 +51,7 @@ rather than deadlocking).
 from __future__ import annotations
 
 import atexit
+import inspect
 import multiprocessing as mp
 import os
 import time
@@ -291,6 +294,15 @@ def _worker_main(rank, nranks, conn, send_chs, recv_chs, barrier,
         prev_trace = spans.set_trace_context(trace_ctx)
         try:
             result = program(comm, payload)
+            if inspect.isgenerator(result):
+                # the per-exchange suspension points only matter to the
+                # in-process scheduler: here the blocking channel
+                # receives already synchronise the ranks
+                try:
+                    while True:
+                        next(result)
+                except StopIteration as stop:
+                    result = stop.value
             conn.send(
                 (
                     "ok",
@@ -333,9 +345,9 @@ class ProcWorld:
 
     Mirrors the master-side surface of :class:`SimWorld` that the
     decomposition and solver layers use (``nranks``, ``stats``,
-    ``total_stats``), and adds :meth:`run_spmd` for executing rank
-    programs on real cores.  Workers are daemonic: they die with the
-    master even if :meth:`close` is never reached.
+    ``total_stats``, ``slot_bytes``, :meth:`run_spmd`), executing the
+    rank programs on real cores.  Workers are daemonic: they die with
+    the master even if :meth:`close` is never reached.
 
     Failure handling: ``hang_timeout`` (seconds, None = disabled)
     bounds how long a rank may go without any pipe activity

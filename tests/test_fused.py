@@ -238,6 +238,28 @@ def test_fused_proc_kill_recovery_bit_identical(tmp_path):
         assert np.array_equal(u, u_ref)
 
 
+@pytest.mark.parametrize(
+    "k, interval, caught_at",
+    [(1, 10, 9), (4, 10, 11), (8, 10, 15), (4, 1, 7), (4, 0, None)],
+)
+def test_fused_health_cadence_is_the_interval(k, interval, caught_at):
+    # the sentinel only sees window boundaries, and must look at the
+    # first one after its cadence came due — not every lcm(interval, k)
+    # steps (19 and 39 for k = 4 and 8); off by default
+    mesh, parts, force = _problem(2)
+    solver = DistributedWaveSolver(mesh, MAT, parts, SimWorld(2))
+    kw = dict(
+        steps_per_exchange=k, health_interval=interval,
+        faults=FaultPlan.parse("nan:rank=1,step=7"),
+    )
+    if caught_at is None:
+        assert np.isnan(solver.run(force, 23.5 * solver.dt, **kw)).any()
+        return
+    with pytest.raises(NumericalHealthError) as err:
+        solver.run(force, 23.5 * solver.dt, **kw)
+    assert err.value.step == caught_at
+
+
 def test_env_fused_fault_matrix(tmp_path):
     """CI fused fault cell: ``REPRO_FAULTS`` x ProcWorld x
     ``steps_per_exchange=4`` must recover to the unfaulted bits."""
@@ -279,16 +301,11 @@ def test_env_fused_fault_matrix(tmp_path):
 # ------------------------------------------------- knobs and the model
 
 
-def test_fused_rejects_callback_and_bad_k():
+def test_fused_rejects_bad_k():
     mesh, parts, force = _problem(2)
     solver = DistributedWaveSolver(mesh, MAT, parts, SimWorld(2))
     with pytest.raises(ValueError, match="steps_per_exchange"):
         solver.run(force, 4.5 * solver.dt, steps_per_exchange=0)
-    with pytest.raises(ValueError, match="callback"):
-        solver.run(
-            force, 4.5 * solver.dt, steps_per_exchange=2,
-            callback=lambda k, t, u: None,
-        )
 
 
 def test_choose_steps_per_exchange_latency_tradeoff():

@@ -426,14 +426,14 @@ def test_simworld_resume_bit_identical(tmp_path):
     d = str(tmp_path)
     solver = DistributedWaveSolver(mesh, MAT, parts, SimWorld(2))
 
-    def crash(k, t, u):
-        if k == 15:
+    def crashing_force(t):
+        if t > 15.5 * solver.dt:
             raise Interrupt
+        return force(t)
 
     with pytest.raises(Interrupt):
         solver.run(
-            force, t_end, callback=crash, checkpoint_dir=d,
-            checkpoint_every=6,
+            crashing_force, t_end, checkpoint_dir=d, checkpoint_every=6
         )
     assert collective_latest_step(d, 2) == 11
     solver = DistributedWaveSolver(mesh, MAT, parts, SimWorld(2))

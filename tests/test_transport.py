@@ -9,22 +9,31 @@ path, and every measured byte/message count means the same thing on
 both.
 """
 
+import time
+
 import numpy as np
 import pytest
 
-from repro.materials import HomogeneousMaterial
+from repro import telemetry
+from repro.materials import HomogeneousMaterial, LayeredMaterial
 from repro.mesh import rcb_partition, uniform_hex_mesh
 from repro.parallel import (
     DistributedWaveSolver,
     ProcWorld,
     SimWorld,
     binomial_rounds,
+    dist_solver,
     measure_transport,
 )
 from repro.parallel.transport import attach_shared_array, create_shared_array
+from repro.resilience import FaultPlan, NumericalHealthError
 from repro.solver.checkpoint import checkpoint_schedule
 
 MAT = HomogeneousMaterial(vs=1000.0, vp=1800.0, rho=2000.0)
+#: soft layer over stiff bedrock on a 1000 m box: a non-trivial LTS plan
+LAYERED = LayeredMaterial(
+    [875.0], vs=[200.0, 1600.0], vp=[400.0, 3200.0], rho=[2000.0, 2000.0]
+)
 
 
 class PointForce:
@@ -161,14 +170,166 @@ def test_measure_transport_sane():
         assert seconds > 0
 
 
-def test_callback_rejected_on_process_transport():
+# ------------------------------------- one program, two transports
+
+
+def _rank_id(comm, payload):
+    return (comm.rank, payload)
+
+
+def _rank_id_suspending(comm, payload):
+    yield
+    yield
+    return (comm.rank, payload)
+
+
+def _ring_program(comm, payload):
+    dest = (comm.rank + 1) % comm.size
+    comm.Send(np.full(3, float(payload)), dest, tag=comm.rank)
+    yield  # every send is posted before any rank receives
+    src = (comm.rank - 1) % comm.size
+    return float(comm.Recv(src, tag=src)[0])
+
+
+def _recv_unsent(comm, payload):
+    yield
+    comm.Recv((comm.rank + 1) % comm.size, tag=7)
+
+
+def _send_unreceived(comm, payload):
+    if comm.rank == 0:
+        comm.Send(np.zeros(2), 1, tag=0)
+    yield
+
+
+def test_simworld_run_spmd_contract():
+    world = SimWorld(3)
+    for program in (_rank_id, _rank_id_suspending):
+        assert world.run_spmd(program, ["a", "b", "c"]) == [
+            (0, "a"), (1, "b"), (2, "c"),
+        ]
+    assert world.run_spmd(_ring_program, [10, 11, 12]) == [12.0, 10.0, 11.0]
+    with pytest.raises(ValueError, match="one payload per rank"):
+        world.run_spmd(_rank_id, [None])
+    # a schedule bug is an error, never a hang — and never state that
+    # outlives the run
+    with pytest.raises(RuntimeError, match="no message from"):
+        world.run_spmd(_recv_unsent, [None] * 3)
+    with pytest.raises(RuntimeError, match="undelivered"):
+        world.run_spmd(_send_unreceived, [None] * 3)
+    assert world.run_spmd(_ring_program, [1, 2, 3]) == [3.0, 1.0, 2.0]
+
+
+def test_ring_program_runs_on_the_process_transport_too():
+    with ProcWorld(3) as world:
+        with pytest.raises(ValueError, match="one payload per rank"):
+            world.run_spmd(_rank_id, [None])
+        assert world.run_spmd(_ring_program, [10, 11, 12]) == [
+            12.0, 10.0, 11.0,
+        ]
+
+
+def test_both_worlds_are_handed_the_same_programs(monkeypatch):
+    handed = {SimWorld: [], ProcWorld: []}
+    for cls, log in handed.items():
+
+        def spy(self, program, payloads, _real=cls.run_spmd, _log=log):
+            _log.append(program)
+            return _real(self, program, payloads)
+
+        monkeypatch.setattr(cls, "run_spmd", spy)
+    mesh = uniform_hex_mesh(4, L=1000.0)
+    force = PointForce(mesh.nnode // 2, mesh.nnode)
+    parts = rcb_partition(mesh.elem_centers, 2)
+
+    def drive(world):
+        solver = DistributedWaveSolver(mesh, MAT, parts, world)
+        t_end = 3.5 * solver.dt
+        solver.run(force, t_end)
+        solver.run(force, t_end, steps_per_exchange=2)
+        solver.run_shots([force, force], t_end)
+        solver = DistributedWaveSolver(mesh, LAYERED, parts, world, lts=8)
+        solver.run(force, 7.5 * solver.dt)
+        assert sum(solver.last_timings[0]["lts_fired"].values()) > 0
+
+    drive(SimWorld(2))
+    with ProcWorld(2) as proc:
+        drive(proc)
+    assert handed[SimWorld] == handed[ProcWorld] == [
+        dist_solver._rank_program,
+        dist_solver._rank_program_fused,
+        dist_solver._shot_program,
+        dist_solver._rank_program_lts,
+    ]
+
+
+def test_in_process_suspension_is_charged_to_no_phase():
+    # one thread runs every rank, so the phases of all ranks together
+    # cannot exceed the wall time — unless the time a rank spends
+    # suspended (its peers' whole step) leaks into one of its phases
+    mesh = uniform_hex_mesh(4, L=1000.0)
+    parts = rcb_partition(mesh.elem_centers, 4)
+    force = PointForce(mesh.nnode // 2, mesh.nnode)
+    telemetry.enable()
+    try:
+        for mat, kw in (
+            (MAT, {}),
+            (MAT, {"steps_per_exchange": 2}),
+            (LAYERED, {"lts": 8}),
+        ):
+            solver = DistributedWaveSolver(mesh, mat, parts, SimWorld(4))
+            t0 = time.perf_counter()
+            solver.run(force, 39.5 * solver.dt, **kw)
+            wall = time.perf_counter() - t0
+            busy = sum(r.durations.sum() for r in solver.last_timeline.ranks)
+            assert 0 < busy <= wall
+            assert sum(
+                t["t_compute"] + t["t_wait"] for t in solver.last_timings
+            ) <= wall
+    finally:
+        telemetry.disable()
+        telemetry.reset()
+
+
+class _RaisingForce:
+    def __init__(self, force, t_fail):
+        self.force, self.t_fail = force, t_fail
+
+    def __call__(self, t):
+        if t > self.t_fail:
+            raise ArithmeticError("source blew up")
+        return self.force(t)
+
+
+def test_failed_in_process_run_leaves_the_world_reusable():
+    # under cooperative scheduling rank 0 fails while rank 1's message
+    # for the same step is already queued; a stale partial sum left in
+    # the mailbox would make the next run finite and wrong
     mesh = uniform_hex_mesh(4)
     parts = rcb_partition(mesh.elem_centers, 2)
-    force = PointForce(0, mesh.nnode)
-    with ProcWorld(2) as proc:
-        solver = DistributedWaveSolver(mesh, MAT, parts, proc, dt=1e-3)
-        with pytest.raises(ValueError, match="callback"):
-            solver.run(force, 5e-3, callback=lambda k, t, u: None)
+    force = PointForce(mesh.nnode // 2, mesh.nnode)
+    u_ref, _ = _run_on(SimWorld(2), mesh, parts, force, 25)
+
+    world = SimWorld(2)
+    solver = DistributedWaveSolver(mesh, MAT, parts, world)
+    t_end = 24.5 * solver.dt
+    with pytest.raises(NumericalHealthError) as err:
+        solver.run(
+            force, t_end, health_interval=1,
+            faults=FaultPlan.parse("nan:rank=0,step=7"),
+        )
+    assert (err.value.rank, err.value.step) == (0, 7)
+    assert np.array_equal(solver.run(force, t_end), u_ref)
+    with pytest.raises(ArithmeticError):
+        solver.run(_RaisingForce(force, 9.5 * solver.dt), t_end)
+    assert np.array_equal(solver.run(force, t_end), u_ref)
+    # kill and send-path faults exercise the worker-process machinery:
+    # in-process they stay unarmed (a kill would exit this process)
+    plan = FaultPlan.parse(
+        "kill:rank=1,step=3;drop:rank=0,step=4;corrupt:rank=0,step=5"
+    )
+    assert np.array_equal(solver.run(force, t_end, faults=plan), u_ref)
+    assert plan.fired == []
 
 
 # --------------------------------------------- checkpoint_schedule edges
