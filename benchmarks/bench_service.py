@@ -11,8 +11,7 @@ Two questions, matching the service's two claims:
   :class:`CoalescingScheduler` into one fused ``run_batch`` loop,
   against the same B requests run solo through the warm engine, and
   against a *direct* ``run_batch`` call (the scheduler's overhead
-  ceiling — BENCH_batch.json's numbers come from that direct path),
-  at B in {1, 4, 16}.
+  ceiling), at B in {1, 4, 16}.
 
 Usage::
 

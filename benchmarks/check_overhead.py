@@ -12,9 +12,9 @@ marches the same quickstart-scale elastic problem two ways:
 * the instrumented :meth:`ElasticWaveSolver.run` with telemetry
   disabled and resilience in the shipping configuration (default
   health interval, a bound-but-never-due checkpoint manager);
-* a *replica loop* — the identical per-step numpy sequence with every
-  telemetry and resilience call stripped, i.e. the pre-telemetry seed
-  loop.
+* a *replica loop* — the same kernel apply and the solver's own
+  ``_update`` per step with every telemetry and resilience call
+  stripped.
 
 Both runs must produce bitwise-identical final states (the replica is
 checked against the solver, so it cannot silently drift), and the
@@ -62,7 +62,6 @@ import numpy as np
 
 from repro import telemetry
 from repro.solver.checkpoint import CheckpointManager
-from repro.backend import spmv_acc, spmv_into
 from repro.materials import HomogeneousMaterial
 from repro.mesh import extract_mesh
 from repro.octree import build_adaptive_octree
@@ -92,55 +91,26 @@ def make_force(solver: ElasticWaveSolver):
 
 
 def replica_run(solver: ElasticWaveSolver, force, nsteps: int) -> np.ndarray:
-    """The seed time loop: byte-for-byte the arithmetic of
-    :meth:`ElasticWaveSolver.run` (damping off) with every telemetry
-    call removed.  Returns the final ``u`` state."""
+    """The bare step of :meth:`ElasticWaveSolver.run` (damping off):
+    kernel apply, the solver's own ``_update`` on the global
+    coefficient set, the seed loop's flop accounting, rotate — no
+    telemetry or resilience calls, so both sides of the ratio pay the
+    same update and a change to the step cannot leave this loop
+    behind.  Returns the final ``u`` state."""
     dt = solver.dt
-    dt2 = dt * dt
-    hd = 0.5 * dt
-    nnode = solver.nnode
-    m = solver.m[:, None]
-    m_alpha = solver.m_alpha[:, None]
-    m2 = 2.0 * m
-    prev_coef = (hd * m_alpha - m) + hd * solver.C_diag
-    u_prev = np.zeros((nnode, 3))
-    u = np.zeros((nnode, 3))
-    u_next = np.zeros((nnode, 3))
-    r = np.empty((nnode, 3))
-    Ku = np.empty((nnode, 3))
-    tmp = np.empty((nnode, 3))
+    shape = (solver.nnode, 3)
+    co = solver._coefs()
+    u_prev, u, u_next = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    r, Ku, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
     r_bar = np.empty((solver.A_bar.shape[0], 3))
-    fbuf = np.zeros((nnode, 3))
+    fbuf = np.zeros(shape)
     flops_K = solver.K.flops_per_matvec
-    callback = None
-    receivers = None
-    snapshots = None
     for k in range(nsteps):
-        t = k * dt
         solver.K.matvec(u, out=Ku)
         solver.flops.add("stiffness", flops_K)
-        np.multiply(m2, u, out=r)
-        np.multiply(Ku, dt2, out=tmp)
-        np.subtract(r, tmp, out=r)
-        if solver._has_kab:
-            spmv_acc(solver._K_AB_mdt2, u.reshape(-1), r.reshape(-1))
-        np.multiply(prev_coef, u_prev, out=tmp)
-        np.add(r, tmp, out=r)
-        b = force(t, fbuf)
-        if b is not None:
-            np.multiply(b, dt2, out=tmp)
-            np.add(r, tmp, out=r)
-        spmv_into(solver.BT, r, r_bar)
-        np.multiply(r_bar, solver._inv_A_bar, out=r_bar)
-        spmv_into(solver.B, r_bar, u_next)
-        solver.flops.add("update", 12 * nnode)
-        # the seed loop carried these per-step dispatch checks
-        if receivers is not None:
-            pass
-        if snapshots is not None:
-            pass
-        if callback is not None:
-            pass
+        b = force(k * dt, fbuf)
+        solver._update(co, u, Ku, None, u_prev, b, u, r, tmp, r_bar, u_next)
+        solver.flops.add("update", 12 * solver.nnode)
         u_prev, u, u_next = u, u_next, u_prev
     return u
 

@@ -210,5 +210,6 @@ class ForwardSimulation:
             mesh=self.mesh,
             tree=self.tree,
             solver=self.solver,
-            nsteps=int(np.ceil(t_end / self.dt)),
+            # the count the solver marched (LTS rounds it up to a sync)
+            nsteps=self.solver._lts_dispatch(lts, t_end)[1],
         )

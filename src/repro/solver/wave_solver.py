@@ -16,10 +16,19 @@ Per step the solver performs one stiffness matvec — attenuation reuses
 it, ``beta K u = beta * (K u)``, with the previous step's ``K u``
 cached — a sparse boundary product, and vector updates: work linear in
 the number of grid points, as the paper requires.
+
+That update is written once, :meth:`ElasticWaveSolver._update`, as a
+function of a *row set* (all rows, or one LTS cluster's own rows).  Two
+schedules call it: the every-step march ``_march`` and the clustered
+one ``_march_lts``.  A batch of ``B`` scenarios is a trailing axis of
+the same bodies — ``tail = (B,)`` sizes the buffers, broadcasts the
+per-dof diagonals and picks ``matmat`` over ``matvec`` — so ``run``
+and ``run_batch`` are wrappers over one ``_run``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -71,6 +80,12 @@ def _ku_prev_from(ck, key: str) -> np.ndarray:
             "'kb_prev_<i>' format, and cannot resume a damped run"
         )
     return ck.arrays[key]
+
+
+def _column(rows: np.ndarray, b: int, tail: tuple) -> tuple:
+    """Index of ``rows`` of scenario ``b`` in an ``(n, 3, *tail)``
+    block: the rows themselves solo, column ``b`` of them in a batch."""
+    return (rows, slice(None), b) if tail else (rows,)
 
 
 class ElasticWaveSolver:
@@ -196,18 +211,49 @@ class ElasticWaveSolver:
         ``2 * 3`` scalar operations of the cached Rayleigh term."""
         return 18 if self.beta else 12
 
-    def _residual_coefs(self, dt: float, own=slice(None)):
-        """Coefficients of ``u``, ``K u`` and the cached ``K u^{prev}``
-        in the residual of a step of size ``dt`` (rows ``own``):
+    def _row_coefs(self, dt: float, own=slice(None)) -> dict:
+        """Residual coefficients of a step of size ``dt`` on the rows
+        ``own``: of ``u``, ``K u`` and the cached ``K u^{prev}`` —
         ``2M + (dt/2) beta diag K``, ``dt^2 + (dt/2) beta`` and
-        ``(dt/2) beta`` — Rayleigh ``beta K u`` is ``beta * (K u)``, so
-        one matvec serves the stiffness and the damping term.  Shared
-        by all four loops, which apply them in the same order."""
+        ``(dt/2) beta``; Rayleigh ``beta K u`` is ``beta * (K u)``, so
+        one matvec serves the stiffness and the damping term — of
+        ``u^{prev}`` (mass, Rayleigh alpha, boundary damping) and of the
+        forcing.  :meth:`_update` is the one place that applies them."""
         hd = 0.5 * dt
-        c_u = 2.0 * self.m[own][:, None]
+        m = self.m[own][:, None]
+        c_u = 2.0 * m
         if self.Kb_diag is not None:
             c_u = c_u + hd * self.Kb_diag[own]
-        return c_u, dt * dt + hd * self.beta, hd * self.beta
+        return {
+            "c_u": c_u,
+            "c_ku": dt * dt + hd * self.beta,
+            "c_kup": hd * self.beta,
+            "prev_coef": (hd * self.m_alpha[own][:, None] - m)
+            + hd * self.C_diag[own],
+            "dtc2": dt * dt,
+        }
+
+    def _coefs(self) -> dict:
+        """The row set of the global march: every node at the solver's
+        own ``dt``, with the projection and the prescaled ``c1``
+        coupling ``__init__`` already holds — the same keys
+        :meth:`_lts_exec` builds per cluster."""
+        return {
+            **self._row_coefs(self.dt),
+            "kab": self._K_AB_mdt2 if self._has_kab else None,
+            "B": self.B,
+            "BT": self.BT,
+            "inv_A_bar": self._inv_A_bar,
+        }
+
+    @staticmethod
+    def _over(co: dict, tail: tuple) -> dict:
+        """``co`` with its three per-dof diagonals broadcast over the
+        batch axis of ``(n, 3, *tail)`` blocks (once per march)."""
+        if not tail:
+            return co
+        diags = ("c_u", "prev_coef", "inv_A_bar")
+        return {**co, **{k: co[k][..., None] for k in diags}}
 
     def memory_bytes(self) -> int:
         """Solver working-set estimate (the paper's ~10x hex-vs-tet
@@ -283,7 +329,6 @@ class ElasticWaveSolver:
                 + 0.5 * dtc * self.C_diag[own]
             if self.Kb_diag is not None:
                 A_c = A_c + 0.5 * dtc * self.Kb_diag[own]
-            c_u, c_ku, c_kup = self._residual_coefs(dtc, own)
             cols = np.nonzero(col_rate == lv.rate)[0]
             B_c = self.B[own][:, cols].tocsr()
             BT_c = B_c.T.tocsr()
@@ -293,16 +338,10 @@ class ElasticWaveSolver:
                 {
                     "rate": lv.rate,
                     "dtc": dtc,
-                    "dtc2": dtc * dtc,
                     "own": own,
                     "interp": lv.interp_nodes,
                     "K": K_c,
-                    "c_u": c_u,
-                    "c_ku": c_ku,
-                    "c_kup": c_kup,
-                    "prev_coef": (0.5 * dtc * self.m_alpha[own]
-                                  - self.m[own])[:, None]
-                    + 0.5 * dtc * self.C_diag[own],
+                    **self._row_coefs(dtc, own),
                     "B": B_c,
                     "BT": BT_c,
                     "inv_A_bar": 1.0 / (BT_c @ A_c),
@@ -313,10 +352,13 @@ class ElasticWaveSolver:
         return levels
 
     @staticmethod
-    def _lts_receiver_slots(levels: list[dict], receivers) -> list[tuple]:
-        """Per-level receiver membership: each receiver node is owned
-        by exactly one level; returns ``(receiver idx, position of the
-        node inside the level's own-node array)`` pairs per level."""
+    def _lts_receiver_slots(
+        levels: list[dict], receivers, b: int, tail: tuple
+    ) -> list[tuple]:
+        """Per-level receiver membership of scenario ``b``: each
+        receiver node is owned by exactly one level; returns
+        ``(receiver idx, index of those nodes' rows in the level's
+        own-sized blocks)`` pairs per level."""
         slots = []
         for lev in levels:
             own = lev["own"]
@@ -325,7 +367,7 @@ class ElasticWaveSolver:
             pos_c = np.minimum(pos, max(len(own) - 1, 0))
             mask = (pos < len(own)) & (own[pos_c] == nodes)
             ridx = np.nonzero(mask)[0]
-            slots.append((ridx, pos[ridx]))
+            slots.append((ridx, _column(pos[ridx], b, tail)))
         return slots
 
     @staticmethod
@@ -367,106 +409,274 @@ class ElasticWaveSolver:
         r_max = plan.max_rate
         return plan, -(-nsteps // r_max) * r_max
 
-    def _run_lts(
-        self,
-        forces,
-        nsteps: int,
-        plan: LTSPlan,
-        *,
-        receivers=None,
-        record="velocity",
-        checkpoint=None,
-        resume=False,
-        faults=None,
-        health_interval=DEFAULT_HEALTH_INTERVAL,
-    ) -> Seismograms | None:
-        """Clustered-leapfrog march (schedule contract in
+    # ------------------------------------------------------ the one update
+
+    @staticmethod
+    def _update(co, uo, ko, kpo, po, bo, u, r, tmp, rbar, out) -> None:
+        """The explicit update of eq. (2.4) and the hanging-node
+        projection of eq. (2.5) on one *row set*, written once:
+
+            ``r = c_u∘u − c_ku·K u − dt² K_AB u + c_kup·K u^{prev}
+            + prev_coef∘u^{prev} + dt² b``,
+            ``out = B (BᵀAB)⁻¹ Bᵀ r``.
+
+        ``co`` is the row set's coefficient dict (:meth:`_coefs` for
+        all rows, one :meth:`_lts_exec` entry per cluster); ``uo``,
+        ``ko``, ``kpo``, ``po`` and ``bo`` are its rows of ``u``,
+        ``K u``, the cached ``K u^{prev}`` (None undamped), ``u^{prev}``
+        and the forcing (None when quiet); ``u`` is the full state the
+        ``c1`` product reads; ``r``, ``tmp`` and ``rbar`` are
+        caller-owned scratch.  Blocks are ``(n, 3)`` or ``(n, 3, B)`` —
+        the sparse products see them as ``(n, 3 B)`` / ``(3 n[, B])`` —
+        and every path applies the same ufuncs in the same order, so
+        solo, batched, global and clustered marches agree bit for bit
+        wherever their operands do."""
+        np.multiply(co["c_u"], uo, out=r)
+        np.multiply(ko, co["c_ku"], out=tmp)
+        np.subtract(r, tmp, out=r)
+        if co["kab"] is not None:
+            # r += (-dt^2 K_AB) u, prescaled at setup
+            tail = u.shape[2:]
+            spmv_acc(co["kab"], u.reshape(-1, *tail), r.reshape(-1, *tail))
+        if kpo is not None:
+            # r += (dt/2) beta K u^{prev}; the caller swaps this step's
+            # K u into the cache afterwards
+            np.multiply(kpo, co["c_kup"], out=tmp)
+            np.add(r, tmp, out=r)
+        np.multiply(co["prev_coef"], po, out=tmp)
+        np.add(r, tmp, out=r)
+        if bo is not None:
+            np.multiply(bo, co["dtc2"], out=tmp)
+            np.add(r, tmp, out=r)
+        # hanging-node projection keeps the update explicit (2.5)
+        w = math.prod(r.shape[1:])
+        rbar2 = rbar.reshape(-1, w)
+        spmv_into(co["BT"], r.reshape(-1, w), rbar2)
+        np.multiply(rbar, co["inv_A_bar"], out=rbar)
+        spmv_into(co["B"], rbar2, out.reshape(-1, w))
+
+    def _forcing(self, forces, tail: tuple):
+        """``force(t) -> (nnode, 3, *tail) block | None`` for a march.
+        Solo, ``forces`` is a callable ``forces(t, out)`` or a
+        :class:`~repro.sources.fault.SourceCollection`; in a batch, a
+        sequence of them stacked column by column into one reused
+        block (None while every scenario is quiet)."""
+        fns = [
+            fc.forces_at if hasattr(fc, "forces_at") else fc
+            for fc in (forces if tail else [forces])
+        ]
+        fbuf = np.zeros((self.nnode, 3, *tail))
+        if not tail:
+            fn = fns[0]
+            return lambda t: fn(t, fbuf)
+        fcol = np.zeros((self.nnode, 3))  # contiguous per-scenario scratch
+        col_live = np.zeros(len(fns), dtype=bool)  # column nonzero in fbuf
+
+        def force(t):
+            live = False
+            for b, fn in enumerate(fns):
+                fb = fn(t, fcol)
+                if fb is None:
+                    # a column goes quiet: zero it once, then skip the
+                    # fill until the source speaks again (the content
+                    # is zero either way, so bit-identity holds)
+                    if col_live[b]:
+                        fbuf[:, :, b] = 0.0
+                        col_live[b] = False
+                else:
+                    fbuf[:, :, b] = fb
+                    col_live[b] = True
+                    live = True
+            return fbuf if live else None
+
+        return force
+
+    @staticmethod
+    def _restore(checkpoint, resume, u_prev, u, data):
+        """Load the latest snapshot's restart pair and seismogram
+        prefix (a checkpointed march is solo: ``data`` has one column);
+        returns the snapshot, or None to start from rest."""
+        ck = checkpoint.latest() if resume and checkpoint is not None else None
+        if ck is not None:
+            u_prev[:] = ck.arrays["u_prev"]
+            u[:] = ck.arrays["u"]
+            if data is not None and "rec_data" in ck.arrays:
+                prefix = ck.arrays["rec_data"]
+                data[0][:, :, : prefix.shape[2]] = prefix
+        return ck
+
+    # ------------------------------------------------- the two schedules
+
+    def _march(
+        self, force, nsteps, tail, recs, data, record, snapshots, callback,
+        checkpoint, resume, faults, health_interval,
+    ) -> None:
+        """Every-step schedule: all rows advance by ``dt`` each step;
+        three state buffers rotate, and the step's ``K u`` swaps into
+        the Rayleigh cache.  In place throughout — no per-step
+        O(nnode) heap allocations."""
+        dt = self.dt
+        nnode = self.nnode
+        damped = self.beta > 0
+        co = self._over(self._coefs(), tail)
+        shape = (nnode, 3, *tail)
+        u_prev, u, u_next = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+        r, Ku, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
+        r_bar = np.empty((self.A_bar.shape[0], 3, *tail))
+        Ku_prev = np.zeros(shape) if damped else None  # K u^{k-1}
+        apply = self.K.matmat if tail else self.K.matvec
+        update = self._update
+        sel = [_column(ra.nodes, b, tail) for b, ra in enumerate(recs or ())]
+
+        k0 = 0
+        ck = self._restore(checkpoint, resume, u_prev, u, data)
+        if ck is not None:
+            if damped:
+                Ku_prev[:] = _ku_prev_from(ck, "ku_prev")
+            k0 = int(ck.meta["next_k"])
+
+        # telemetry: one is-None gate per step region when disabled
+        # (literal span names, no kwargs — no hot-loop allocations);
+        # flop counts come from the kernel's own accounting so the
+        # batched numbers cannot drift from the 1-RHS ones
+        tel_on = telemetry.enabled()
+        width = math.prod(tail)
+        flops_K = self.K.flops_per_matmat(width)
+        flops_upd = self._update_flops_per_node * nnode * width
+        with telemetry.span(
+            "elastic.run_batch" if tail else "elastic.run"
+        ) as _run:
+            _run.add("nsteps", nsteps)
+            _run.add("nnode", nnode)
+            if tail:
+                _run.add("batch", width)
+            for k in range(k0, nsteps):
+                t = k * dt
+                with telemetry.span("stiffness") as _s:
+                    apply(u, out=Ku)
+                    _s.add("flops", flops_K)
+                    _s.add("elements", self.K.nelem)
+                self.flops.add("stiffness", flops_K)
+                b = force(t)
+                with telemetry.span("update") as _s:
+                    update(
+                        co, u, Ku, Ku_prev, u_prev, b, u, r, tmp, r_bar, u_next
+                    )
+                    _s.add("flops", flops_upd)
+                self.flops.add("update", flops_upd)
+                if damped:
+                    # this step's K u is the next step's cache
+                    Ku_prev, Ku = Ku, Ku_prev
+                if tel_on:
+                    # displacement "energy" proxy — drift shows up as
+                    # unbounded growth of this per-step series
+                    telemetry.sample(
+                        "elastic.u2", float(np.vdot(u_next, u_next)), step=k
+                    )
+                    telemetry.sample_alloc(step=k)
+
+                if data is not None:
+                    for d, rows in zip(data, sel):
+                        if record == "velocity":
+                            d[:, :, k] = (
+                                u_next[rows] - u_prev[rows]
+                            ) / (2.0 * dt)
+                        else:
+                            d[:, :, k] = u[rows]
+                if snapshots is not None:
+                    snapshots.maybe_record(k, t, u)
+                if callback is not None:
+                    callback(k, t, u)
+                u_prev, u, u_next = u, u_next, u_prev
+                # u is now x^{k+1}, u_prev is x^k — the restart pair
+                if faults is not None:
+                    faults.poison_state(0, k, u)
+                if health_interval and should_check(k, nsteps, health_interval):
+                    check_finite(u, step=k, field="u")
+                if checkpoint is not None and checkpoint.due(k):
+                    arrays = {"u_prev": u_prev, "u": u}
+                    if damped:
+                        arrays["ku_prev"] = Ku_prev
+                    if data is not None:
+                        arrays["rec_data"] = data[0][:, :, : k + 1]
+                    checkpoint.save(k, arrays, {"next_k": k + 1})
+
+    def _march_lts(
+        self, force, nsteps, plan, tail, recs, data, record,
+        checkpoint, resume, faults, health_interval,
+    ) -> None:
+        """Clustered-leapfrog schedule (contract in
         :mod:`repro.solver.lts`): one loop over fine indices, each
         cluster fires when its rate divides the index, coarsest first,
         reading time-interpolated values at its one-coarser halo.
         Checkpoints (and fault/health probes) happen only at sync
         boundaries — multiples of the coarsest rate, where every node
-        holds the state at the same time."""
+        holds the state at the same time.  State is global: a firing
+        gathers its own rows, updates them and scatters them back."""
         dt = self.dt
         nnode = self.nnode
-        levels = self._lts_exec(plan)
+        levels = [self._over(lev, tail) for lev in self._lts_exec(plan)]
         r_min, r_max = plan.min_rate, plan.max_rate
         damped = self.beta > 0
-        upd_per_node = self._update_flops_per_node
-        u_prev = np.zeros((nnode, 3))
-        u = np.zeros((nnode, 3))
-        Ku = np.empty((nnode, 3))
-        fbuf = np.zeros((nnode, 3))
-        if hasattr(forces, "forces_at"):
-            force_fn = lambda t, out: forces.forces_at(t, out)
-        else:
-            force_fn = forces
+        width = math.prod(tail)
+        shape = (nnode, 3, *tail)
+        u_prev, u, Ku = np.zeros(shape), np.zeros(shape), np.empty(shape)
         # per-level runtime buffers (own-node sized; the loop below is
         # allocation-free) and firing counters
         rt = []
         for lev in levels:
-            n_own = len(lev["own"])
-            ncols = lev["B"].shape[1]
-            ni = len(lev["interp"])
+            own3 = (len(lev["own"]), 3, *tail)
+            halo3 = (len(lev["interp"]), 3, *tail)
             rt.append(
                 {
-                    "r": np.empty((n_own, 3)),
-                    "tmp": np.empty((n_own, 3)),
-                    "u_own": np.empty((n_own, 3)),
-                    "up_own": np.empty((n_own, 3)),
-                    "unew": np.empty((n_own, 3)),
-                    "rbar": np.empty((ncols, 3)),
-                    "ku": np.empty((n_own, 3)),
-                    "ku_prev": np.zeros((n_own, 3)) if damped else None,
-                    "sv": np.empty((ni, 3)),
-                    "iv": np.empty((ni, 3)),
+                    "apply": lev["K"].matmat if tail else lev["K"].matvec,
+                    "r": np.empty(own3),
+                    "tmp": np.empty(own3),
+                    "u_own": np.empty(own3),
+                    "up_own": np.empty(own3),
+                    "b_own": np.empty(own3),
+                    "unew": np.empty(own3),
+                    "rbar": np.empty((lev["B"].shape[1], 3, *tail)),
+                    "ku": np.empty(own3),
+                    "ku_prev": np.zeros(own3) if damped else None,
+                    "sv": np.empty(halo3),
+                    "iv": np.empty(halo3),
                     "fired": 0,
                 }
             )
-        data = receivers.allocate(3, nsteps) if receivers is not None else None
-        slots = (
-            self._lts_receiver_slots(levels, receivers)
-            if receivers is not None
-            else [(np.zeros(0, dtype=np.int64),) * 2] * len(levels)
-        )
-        if health_interval:
-            validate_cfl(dt, self.mesh.elem_h, self.vp)
+        slots = [
+            self._lts_receiver_slots(levels, ra, b, tail)
+            for b, ra in enumerate(recs or ())
+        ]
         k0 = 0
-        if resume and checkpoint is not None:
-            ck = checkpoint.latest()
-            if ck is not None:
-                u_prev[:] = ck.arrays["u_prev"]
-                u[:] = ck.arrays["u"]
-                if damped:
-                    for i, st in enumerate(rt):
-                        st["ku_prev"][:] = _ku_prev_from(ck, f"ku_prev_{i}")
-                if data is not None and "rec_data" in ck.arrays:
-                    prefix = ck.arrays["rec_data"]
-                    data[:, :, : prefix.shape[2]] = prefix
-                k0 = int(ck.meta["next_k"])
-                if k0 % r_max:
-                    raise ValueError(
-                        f"LTS resume index {k0} is not a sync boundary "
-                        f"(coarsest rate {r_max})"
-                    )
+        ck = self._restore(checkpoint, resume, u_prev, u, data)
+        if ck is not None:
+            if damped:
+                for i, st in enumerate(rt):
+                    st["ku_prev"][:] = _ku_prev_from(ck, f"ku_prev_{i}")
+            k0 = int(ck.meta["next_k"])
+            if k0 % r_max:
+                raise ValueError(
+                    f"LTS resume index {k0} is not a sync boundary "
+                    f"(coarsest rate {r_max})"
+                )
         last_sync_saved = last_sync_checked = k0
         if telemetry.enabled():
             telemetry.gauge(
-                "elastic.cfl_margin",
-                stable_timestep(self.mesh.elem_h, self.vp, safety=1.0) / dt,
-            )
-            telemetry.gauge(
                 "elastic.lts_theoretical_speedup", plan.theoretical_speedup()
             )
-        with telemetry.span("elastic.run_lts") as _run:
+        with telemetry.span(
+            "elastic.run_batch_lts" if tail else "elastic.run_lts"
+        ) as _run:
             _run.add("nsteps", nsteps)
             _run.add("nnode", nnode)
+            if tail:
+                _run.add("batch", width)
             _run.add("levels", len(levels))
             _run.add("max_rate", r_max)
             for j in range(k0, nsteps, r_min):
-                t = j * dt
-                b = force_fn(t, fbuf)
-                for lev, st, (ridx, rpos) in zip(levels, rt, slots):
+                b = force(j * dt)
+                for li, (lev, st) in enumerate(zip(levels, rt)):
                     rate = lev["rate"]
                     if j % rate:
                         continue
@@ -475,9 +685,10 @@ class ElasticWaveSolver:
                     ni = len(interp)
                     if ni:
                         # overwrite the one-coarser halo with its time-
-                        # interpolated value for the matvecs, restore
-                        # right after (the coarse pair brackets j*dt;
-                        # theta is 0 or 1/2 — see lts.interp_theta)
+                        # interpolated value for the products that read
+                        # the full u, restore after (the coarse pair
+                        # brackets j*dt; theta is 0 or 1/2 — see
+                        # lts.interp_theta)
                         sv, iv = st["sv"], st["iv"]
                         np.take(u, interp, axis=0, out=sv)
                         np.take(u_prev, interp, axis=0, out=iv)
@@ -485,44 +696,38 @@ class ElasticWaveSolver:
                             np.add(iv, sv, out=iv)
                             np.multiply(iv, 0.5, out=iv)
                         u[interp] = iv
-                    lev["K"].matvec(u, out=Ku)
+                    st["apply"](u, out=Ku)
                     own = lev["own"]
-                    r, tmp = st["r"], st["tmp"]
-                    # r = c_u u - c_ku K u~ - dt_c^2 K_AB u~  (own rows)
                     np.take(u, own, axis=0, out=st["u_own"])
-                    np.multiply(lev["c_u"], st["u_own"], out=r)
                     np.take(Ku, own, axis=0, out=st["ku"])
-                    np.multiply(st["ku"], lev["c_ku"], out=tmp)
-                    np.subtract(r, tmp, out=r)
-                    if lev["kab"] is not None:
-                        spmv_acc(lev["kab"], u.reshape(-1), r.reshape(-1))
+                    np.take(u_prev, own, axis=0, out=st["up_own"])
+                    bo = None
+                    if b is not None:
+                        bo = np.take(b, own, axis=0, out=st["b_own"])
+                    # the c1 product inside reads the halo rows of u:
+                    # they must still hold the interpolated values
+                    self._update(
+                        lev, st["u_own"], st["ku"], st["ku_prev"],
+                        st["up_own"], bo, u, st["r"], st["tmp"],
+                        st["rbar"], st["unew"],
+                    )
                     if ni:
                         u[interp] = sv
                     if damped:
-                        # + (dt_c/2) beta K u~ of the previous firing
-                        np.multiply(st["ku_prev"], lev["c_kup"], out=tmp)
-                        np.add(r, tmp, out=r)
+                        # this firing's K u~ is the next one's cache
                         st["ku_prev"], st["ku"] = st["ku"], st["ku_prev"]
-                    np.take(u_prev, own, axis=0, out=st["up_own"])
-                    np.multiply(lev["prev_coef"], st["up_own"], out=tmp)
-                    np.add(r, tmp, out=r)
-                    if b is not None:
-                        np.take(b, own, axis=0, out=tmp)
-                        np.multiply(tmp, lev["dtc2"], out=tmp)
-                        np.add(r, tmp, out=r)
-                    # per-level hanging-node projection (block of 2.5)
-                    spmv_into(lev["BT"], r, st["rbar"])
-                    np.multiply(st["rbar"], lev["inv_A_bar"], out=st["rbar"])
-                    spmv_into(lev["B"], st["rbar"], st["unew"])
-                    if data is not None and len(ridx):
+                    for d, sl in zip(data or (), slots):
+                        ridx, rows = sl[li]
+                        if not len(ridx):
+                            continue
                         # sampled at the cluster's own cadence (column
                         # j); gaps are interpolated after the loop
                         if record == "velocity":
-                            data[ridx, :, j] = (
-                                st["unew"][rpos] - st["up_own"][rpos]
+                            d[ridx, :, j] = (
+                                st["unew"][rows] - st["up_own"][rows]
                             ) / (2.0 * lev["dtc"])
                         else:
-                            data[ridx, :, j] = st["u_own"][rpos]
+                            d[ridx, :, j] = st["u_own"][rows]
                     u_prev[own] = st["u_own"]
                     u[own] = st["unew"]
                 s = j + r_min
@@ -545,7 +750,7 @@ class ElasticWaveSolver:
                             for i, st in enumerate(rt):
                                 arrays[f"ku_prev_{i}"] = st["ku_prev"]
                         if data is not None:
-                            arrays["rec_data"] = data[:, :, :s]
+                            arrays["rec_data"] = data[0][:, :, :s]
                         checkpoint.save(
                             s - 1, arrays, {"next_k": s, "lts_rate": r_max}
                         )
@@ -553,197 +758,60 @@ class ElasticWaveSolver:
             flops = 0
             for lev, st in zip(levels, rt):
                 flops += st["fired"] * (
-                    lev["K"].flops_per_matvec + upd_per_node * len(lev["own"])
+                    lev["K"].flops_per_matmat(width)
+                    + self._update_flops_per_node * len(lev["own"]) * width
                 )
                 _run.add(f"fired_r{lev['rate']}", st["fired"])
             _run.add("flops", flops)
             self.flops.add("stiffness", flops)
-        if receivers is None:
-            return None
-        self._lts_fill_receiver_gaps(data, levels, slots, nsteps)
-        return Seismograms(
-            data=data, dt=dt, kind=record, positions=receivers.positions
-        )
+        for d, sl in zip(data or (), slots):
+            self._lts_fill_receiver_gaps(d, levels, sl, nsteps)
 
-    def _run_batch_lts(
-        self,
-        forces: Sequence,
-        nsteps: int,
-        plan: LTSPlan,
-        *,
-        receivers=None,
-        record="velocity",
+    def _run(
+        self, forces, t_end, tail, recs, *, record, lts, faults,
+        health_interval, snapshots=None, callback=None, checkpoint=None,
+        resume=False,
     ) -> list[Seismograms] | None:
-        """Batched clustered-leapfrog march: same schedule as
-        :meth:`_run_lts` over ``(nnode, 3, B)`` state blocks — one
-        level-3 per-cluster ``matmat`` and multi-vector CSR products
-        per firing instead of ``B`` of each."""
-        Bn = len(forces)
-        dt = self.dt
-        nnode = self.nnode
-        levels = self._lts_exec(plan)
-        r_min, r_max = plan.min_rate, plan.max_rate
-        damped = self.beta > 0
-        upd_per_node = self._update_flops_per_node
-        u_prev = np.zeros((nnode, 3, Bn))
-        u = np.zeros((nnode, 3, Bn))
-        Ku = np.empty((nnode, 3, Bn))
-        force_fns = [
-            (lambda t, out, fc=fc: fc.forces_at(t, out))
-            if hasattr(fc, "forces_at") else fc
-            for fc in forces
-        ]
-        fbuf = np.zeros((nnode, 3, Bn))
-        fcol = np.zeros((nnode, 3))
-        col_live = np.zeros(Bn, dtype=bool)
-        rt = []
-        for lev in levels:
-            n_own = len(lev["own"])
-            ncols = lev["B"].shape[1]
-            ni = len(lev["interp"])
-            rt.append(
-                {
-                    "r": np.empty((n_own, 3, Bn)),
-                    "tmp": np.empty((n_own, 3, Bn)),
-                    "u_own": np.empty((n_own, 3, Bn)),
-                    "up_own": np.empty((n_own, 3, Bn)),
-                    "unew": np.empty((n_own, 3, Bn)),
-                    "rbar": np.empty((ncols, 3, Bn)),
-                    "ku": np.empty((n_own, 3, Bn)),
-                    "ku_prev": (
-                        np.zeros((n_own, 3, Bn)) if damped else None
-                    ),
-                    "sv": np.empty((ni, 3, Bn)),
-                    "iv": np.empty((ni, 3, Bn)),
-                    "fired": 0,
-                }
+        """What :meth:`run` (``tail = ()``) and :meth:`run_batch`
+        (``tail = (B,)``) share: resolve the LTS setting, validate,
+        pick the schedule, wrap the records — one
+        :class:`ReceiverArray` of ``recs`` per column.  Snapshots,
+        ``checkpoint`` and ``resume`` are solo arguments (the
+        checkpointed record is column 0's)."""
+        plan, nsteps = self._lts_dispatch(lts, t_end)
+        if plan is not None and (snapshots is not None or callback is not None):
+            raise ValueError(
+                "snapshots/callback need the full state every step; "
+                "run with lts=0 (they are unsupported under LTS)"
             )
-        if receivers is None:
-            recs = None
-        elif isinstance(receivers, ReceiverArray):
-            recs = [receivers] * Bn
-        else:
-            recs = list(receivers)
-            if len(recs) != Bn:
-                raise ValueError("need one receiver array per scenario")
+        if health_interval:
+            validate_cfl(self.dt, self.mesh.elem_h, self.vp)
+        if telemetry.enabled():
+            telemetry.gauge(
+                "elastic.cfl_margin",
+                stable_timestep(self.mesh.elem_h, self.vp, safety=1.0)
+                / self.dt,
+            )
+        force = self._forcing(forces, tail)
         data = (
             [ra.allocate(3, nsteps) for ra in recs]
             if recs is not None else None
         )
-        slots = (
-            [self._lts_receiver_slots(levels, ra) for ra in recs]
-            if recs is not None else None
-        )
-        with telemetry.span("elastic.run_batch_lts") as _run:
-            _run.add("nsteps", nsteps)
-            _run.add("nnode", nnode)
-            _run.add("batch", Bn)
-            _run.add("levels", len(levels))
-            for j in range(0, nsteps, r_min):
-                t = j * dt
-                live = False
-                for b, fn in enumerate(force_fns):
-                    fb = fn(t, fcol)
-                    if fb is None:
-                        if col_live[b]:
-                            fbuf[:, :, b] = 0.0
-                            col_live[b] = False
-                    else:
-                        fbuf[:, :, b] = fb
-                        col_live[b] = True
-                        live = True
-                for li, (lev, st) in enumerate(zip(levels, rt)):
-                    rate = lev["rate"]
-                    if j % rate:
-                        continue
-                    st["fired"] += 1
-                    interp = lev["interp"]
-                    ni = len(interp)
-                    if ni:
-                        sv, iv = st["sv"], st["iv"]
-                        np.take(u, interp, axis=0, out=sv)
-                        np.take(u_prev, interp, axis=0, out=iv)
-                        if j % (2 * rate):  # theta = 1/2
-                            np.add(iv, sv, out=iv)
-                            np.multiply(iv, 0.5, out=iv)
-                        u[interp] = iv
-                    lev["K"].matmat(u, out=Ku)
-                    own = lev["own"]
-                    n_own = len(own)
-                    r, tmp = st["r"], st["tmp"]
-                    np.take(u, own, axis=0, out=st["u_own"])
-                    np.multiply(lev["c_u"][:, :, None], st["u_own"], out=r)
-                    np.take(Ku, own, axis=0, out=st["ku"])
-                    np.multiply(st["ku"], lev["c_ku"], out=tmp)
-                    np.subtract(r, tmp, out=r)
-                    if lev["kab"] is not None:
-                        spmv_acc(
-                            lev["kab"],
-                            u.reshape(3 * nnode, Bn),
-                            r.reshape(3 * n_own, Bn),
-                        )
-                    if ni:
-                        u[interp] = sv
-                    if damped:
-                        np.multiply(st["ku_prev"], lev["c_kup"], out=tmp)
-                        np.add(r, tmp, out=r)
-                        st["ku_prev"], st["ku"] = st["ku"], st["ku_prev"]
-                    np.take(u_prev, own, axis=0, out=st["up_own"])
-                    np.multiply(
-                        lev["prev_coef"][:, :, None], st["up_own"], out=tmp
-                    )
-                    np.add(r, tmp, out=r)
-                    if live:
-                        np.take(fbuf, own, axis=0, out=tmp)
-                        np.multiply(tmp, lev["dtc2"], out=tmp)
-                        np.add(r, tmp, out=r)
-                    ncols = lev["B"].shape[1]
-                    spmv_into(
-                        lev["BT"],
-                        r.reshape(n_own, 3 * Bn),
-                        st["rbar"].reshape(ncols, 3 * Bn),
-                    )
-                    np.multiply(
-                        st["rbar"], lev["inv_A_bar"][:, :, None],
-                        out=st["rbar"],
-                    )
-                    spmv_into(
-                        lev["B"],
-                        st["rbar"].reshape(ncols, 3 * Bn),
-                        st["unew"].reshape(n_own, 3 * Bn),
-                    )
-                    if data is not None:
-                        for b in range(Bn):
-                            ridx, rpos = slots[b][li]
-                            if not len(ridx):
-                                continue
-                            if record == "velocity":
-                                data[b][ridx, :, j] = (
-                                    st["unew"][rpos, :, b]
-                                    - st["up_own"][rpos, :, b]
-                                ) / (2.0 * lev["dtc"])
-                            else:
-                                data[b][ridx, :, j] = st["u_own"][rpos, :, b]
-                    u_prev[own] = st["u_own"]
-                    u[own] = st["unew"]
-            flops = 0
-            for lev, st in zip(levels, rt):
-                flops += st["fired"] * (
-                    lev["K"].flops_per_matmat(Bn)
-                    + upd_per_node * len(lev["own"]) * Bn
-                )
-            _run.add("flops", flops)
-            self.flops.add("stiffness", flops)
+        if plan is None:
+            self._march(
+                force, nsteps, tail, recs, data, record, snapshots,
+                callback, checkpoint, resume, faults, health_interval,
+            )
+        else:
+            self._march_lts(
+                force, nsteps, plan, tail, recs, data, record,
+                checkpoint, resume, faults, health_interval,
+            )
         if recs is None:
             return None
-        for b in range(Bn):
-            self._lts_fill_receiver_gaps(data[b], levels, slots[b], nsteps)
         return [
-            Seismograms(
-                data=data[b], dt=dt, kind=record,
-                positions=recs[b].positions,
-            )
-            for b in range(Bn)
+            Seismograms(data=d, dt=self.dt, kind=record, positions=ra.positions)
+            for d, ra in zip(data, recs)
         ]
 
     def run(
@@ -783,153 +851,18 @@ class ElasticWaveSolver:
         ``lts`` overrides the solver's clustered local-time-stepping
         setting for this run (None = use the ``lts=`` knob from the
         constructor).  A trivial plan — every element in the rate-1
-        cluster — falls back to this global loop, so ``lts`` enabled on
-        an unclustered model stays bitwise-identical to ``lts`` off.
-        Snapshot recorders and per-step callbacks need the full state
-        at every step and are not supported under LTS.
+        cluster — falls back to the every-step schedule, so ``lts``
+        enabled on an unclustered model stays bitwise-identical to
+        ``lts`` off.  Snapshot recorders and per-step callbacks need the
+        full state at every step and are not supported under LTS.
         """
-        plan, nsteps = self._lts_dispatch(lts, t_end)
-        if plan is not None:
-            if snapshots is not None or callback is not None:
-                raise ValueError(
-                    "snapshots/callback need the full state every step; "
-                    "run with lts=0 (they are unsupported under LTS)"
-                )
-            return self._run_lts(
-                forces, nsteps, plan,
-                receivers=receivers, record=record, checkpoint=checkpoint,
-                resume=resume, faults=faults,
-                health_interval=health_interval,
-            )
-        dt = self.dt
-        dt2 = dt * dt
-        hd = 0.5 * dt
-        nnode = self.nnode
-        m = self.m[:, None]
-        m_alpha = self.m_alpha[:, None]
-        damped = self.beta > 0
-        # hoisted loop invariants: the coefficients of u, K u and the
-        # cached K u^{k-1}, and the full u^{k-1} coefficient (mass,
-        # Rayleigh alpha, boundary damping)
-        c_u, c_ku, c_kup = self._residual_coefs(dt)
-        prev_coef = (hd * m_alpha - m) + hd * self.C_diag
-        # preallocated state and scratch buffers; the loop below is
-        # in-place throughout — no per-step O(nnode) heap allocations
-        u_prev = np.zeros((nnode, 3))
-        u = np.zeros((nnode, 3))
-        u_next = np.zeros((nnode, 3))
-        r = np.empty((nnode, 3))
-        Ku = np.empty((nnode, 3))
-        tmp = np.empty((nnode, 3))
-        r_bar = np.empty((self.A_bar.shape[0], 3))
-        if hasattr(forces, "forces_at"):
-            force_fn = lambda t, out: forces.forces_at(t, out)
-        else:
-            force_fn = forces
-        fbuf = np.zeros((nnode, 3))
-
-        data = receivers.allocate(3, nsteps) if receivers is not None else None
-        Ku_prev = np.zeros((nnode, 3)) if damped else None  # K u^{k-1}
-
-        if health_interval:
-            validate_cfl(dt, self.mesh.elem_h, self.vp)
-        k0 = 0
-        if resume and checkpoint is not None:
-            ck = checkpoint.latest()
-            if ck is not None:
-                u_prev[:] = ck.arrays["u_prev"]
-                u[:] = ck.arrays["u"]
-                if damped:
-                    Ku_prev[:] = _ku_prev_from(ck, "ku_prev")
-                if data is not None and "rec_data" in ck.arrays:
-                    prefix = ck.arrays["rec_data"]
-                    data[:, :, : prefix.shape[2]] = prefix
-                k0 = int(ck.meta["next_k"])
-
-        # telemetry: one is-None gate per step region when disabled
-        # (literal span names, no kwargs — no hot-loop allocations)
-        tel_on = telemetry.enabled()
-        flops_K = self.K.flops_per_matvec
-        flops_upd = self._update_flops_per_node * nnode
-        if tel_on:
-            telemetry.gauge(
-                "elastic.cfl_margin",
-                stable_timestep(self.mesh.elem_h, self.vp, safety=1.0)
-                / dt,
-            )
-        with telemetry.span("elastic.run") as _run:
-            _run.add("nsteps", nsteps)
-            _run.add("nnode", nnode)
-            for k in range(k0, nsteps):
-                t = k * dt
-                with telemetry.span("stiffness") as _s:
-                    self.K.matvec(u, out=Ku)
-                    _s.add("flops", flops_K)
-                    _s.add("elements", self.K.nelem)
-                self.flops.add("stiffness", flops_K)
-                np.multiply(c_u, u, out=r)
-                np.multiply(Ku, c_ku, out=tmp)
-                np.subtract(r, tmp, out=r)
-                if self._has_kab:
-                    # r += (-dt^2 K_AB) u, prescaled at setup
-                    spmv_acc(self._K_AB_mdt2, u.reshape(-1), r.reshape(-1))
-                if damped:
-                    # r += (dt/2) beta K u^{k-1}; this step's K u is the
-                    # next step's cache
-                    np.multiply(Ku_prev, c_kup, out=tmp)
-                    np.add(r, tmp, out=r)
-                    Ku_prev, Ku = Ku, Ku_prev
-                np.multiply(prev_coef, u_prev, out=tmp)
-                np.add(r, tmp, out=r)
-                b = force_fn(t, fbuf)
-                if b is not None:
-                    np.multiply(b, dt2, out=tmp)
-                    np.add(r, tmp, out=r)
-                # hanging-node projection keeps the update explicit (2.5)
-                with telemetry.span("update") as _s:
-                    spmv_into(self.BT, r, r_bar)
-                    np.multiply(r_bar, self._inv_A_bar, out=r_bar)
-                    spmv_into(self.B, r_bar, u_next)
-                    _s.add("flops", flops_upd)
-                self.flops.add("update", flops_upd)
-                if tel_on:
-                    # displacement "energy" proxy — drift shows up as
-                    # unbounded growth of this per-step series
-                    telemetry.sample(
-                        "elastic.u2", float(np.vdot(u_next, u_next)), step=k
-                    )
-                    telemetry.sample_alloc(step=k)
-
-                if receivers is not None:
-                    if record == "velocity":
-                        data[:, :, k] = (
-                            u_next[receivers.nodes] - u_prev[receivers.nodes]
-                        ) / (2.0 * dt)
-                    else:
-                        data[:, :, k] = u[receivers.nodes]
-                if snapshots is not None:
-                    snapshots.maybe_record(k, t, u)
-                if callback is not None:
-                    callback(k, t, u)
-                u_prev, u, u_next = u, u_next, u_prev
-                # u is now x^{k+1}, u_prev is x^k — the restart pair
-                if faults is not None:
-                    faults.poison_state(0, k, u)
-                if health_interval and should_check(k, nsteps, health_interval):
-                    check_finite(u, step=k, field="u")
-                if checkpoint is not None and checkpoint.due(k):
-                    arrays = {"u_prev": u_prev, "u": u}
-                    if damped:
-                        arrays["ku_prev"] = Ku_prev
-                    if data is not None:
-                        arrays["rec_data"] = data[:, :, : k + 1]
-                    checkpoint.save(k, arrays, {"next_k": k + 1})
-
-        if receivers is None:
-            return None
-        return Seismograms(
-            data=data, dt=dt, kind=record, positions=receivers.positions
+        out = self._run(
+            forces, t_end, (), None if receivers is None else [receivers],
+            record=record, lts=lts, faults=faults,
+            health_interval=health_interval, snapshots=snapshots,
+            callback=callback, checkpoint=checkpoint, resume=resume,
         )
+        return None if out is None else out[0]
 
     def run_batch(
         self,
@@ -964,55 +897,13 @@ class ElasticWaveSolver:
 
         ``faults``/``health_interval`` mirror :meth:`run`: the fused
         state block is checked for non-finite values every
-        ``health_interval`` steps (and at the final step), raising
+        ``health_interval`` steps (and at the final step; under LTS, at
+        the sync boundaries), raising
         :class:`~repro.resilience.health.NumericalHealthError` — one
         poisoned column fails the whole fused loop, which is exactly
-        the signal the service scheduler's bisection isolates.  The
-        LTS path keeps its own sync-boundary checks and ignores
-        ``faults``.
+        the signal the service scheduler's bisection isolates.
         """
-        plan, nsteps = self._lts_dispatch(lts, t_end)
-        if plan is not None:
-            if callback is not None:
-                raise ValueError(
-                    "callback needs the full state every step; run with "
-                    "lts=0 (it is unsupported under LTS)"
-                )
-            return self._run_batch_lts(
-                forces, nsteps, plan, receivers=receivers, record=record
-            )
         Bn = len(forces)
-        dt = self.dt
-        dt2 = dt * dt
-        hd = 0.5 * dt
-        nnode = self.nnode
-        if health_interval:
-            validate_cfl(dt, self.mesh.elem_h, self.vp)
-        # broadcast the per-node/per-dof diagonals over the batch axis
-        m = self.m[:, None, None]
-        m_alpha = self.m_alpha[:, None, None]
-        damped = self.beta > 0
-        c_u, c_ku, c_kup = self._residual_coefs(dt)
-        c_u = c_u[:, :, None]
-        prev_coef = (hd * m_alpha - m) + hd * self.C_diag[:, :, None]
-        inv_A_bar = self._inv_A_bar[:, :, None]
-        nbar = self.A_bar.shape[0]
-        u_prev = np.zeros((nnode, 3, Bn))
-        u = np.zeros((nnode, 3, Bn))
-        u_next = np.zeros((nnode, 3, Bn))
-        r = np.empty((nnode, 3, Bn))
-        Ku = np.empty((nnode, 3, Bn))
-        tmp = np.empty((nnode, 3, Bn))
-        r_bar = np.empty((nbar, 3, Bn))
-        force_fns = [
-            (lambda t, out, fc=fc: fc.forces_at(t, out))
-            if hasattr(fc, "forces_at") else fc
-            for fc in forces
-        ]
-        fbuf = np.zeros((nnode, 3, Bn))
-        fcol = np.zeros((nnode, 3))  # contiguous per-scenario scratch
-        col_live = np.zeros(Bn, dtype=bool)  # column nonzero in fbuf
-
         if receivers is None:
             recs = None
         elif isinstance(receivers, ReceiverArray):
@@ -1021,97 +912,7 @@ class ElasticWaveSolver:
             recs = list(receivers)
             if len(recs) != Bn:
                 raise ValueError("need one receiver array per scenario")
-        data = (
-            [ra.allocate(3, nsteps) for ra in recs]
-            if recs is not None else None
+        return self._run(
+            forces, t_end, (Bn,), recs, record=record, lts=lts,
+            faults=faults, health_interval=health_interval, callback=callback,
         )
-        Ku_prev = np.zeros((nnode, 3, Bn)) if damped else None
-
-        # batched flop counts come from the kernel's own accounting so
-        # they cannot drift from the 1-RHS numbers (satellite of the
-        # telemetry rework; previously multiplied by Bn by hand here)
-        flops_K = self.K.flops_per_matmat(Bn)
-        flops_upd = self._update_flops_per_node * nnode * Bn
-        with telemetry.span("elastic.run_batch") as _run:
-            _run.add("nsteps", nsteps)
-            _run.add("nnode", nnode)
-            _run.add("batch", Bn)
-            for k in range(nsteps):
-                t = k * dt
-                with telemetry.span("stiffness") as _s:
-                    self.K.matmat(u, out=Ku)
-                    _s.add("flops", flops_K)
-                    _s.add("elements", self.K.nelem)
-                self.flops.add("stiffness", flops_K)
-                np.multiply(c_u, u, out=r)
-                np.multiply(Ku, c_ku, out=tmp)
-                np.subtract(r, tmp, out=r)
-                if self._has_kab:
-                    spmv_acc(
-                        self._K_AB_mdt2,
-                        u.reshape(3 * nnode, Bn),
-                        r.reshape(3 * nnode, Bn),
-                    )
-                if damped:
-                    np.multiply(Ku_prev, c_kup, out=tmp)
-                    np.add(r, tmp, out=r)
-                    Ku_prev, Ku = Ku, Ku_prev
-                np.multiply(prev_coef, u_prev, out=tmp)
-                np.add(r, tmp, out=r)
-                live = False
-                for b, fn in enumerate(force_fns):
-                    fb = fn(t, fcol)
-                    if fb is None:
-                        # a column goes quiet: zero it once, then skip
-                        # the fill until the source speaks again (the
-                        # content is zero either way, so bit-identity
-                        # holds)
-                        if col_live[b]:
-                            fbuf[:, :, b] = 0.0
-                            col_live[b] = False
-                    else:
-                        fbuf[:, :, b] = fb
-                        col_live[b] = True
-                        live = True
-                if live:
-                    np.multiply(fbuf, dt2, out=tmp)
-                    np.add(r, tmp, out=r)
-                with telemetry.span("update") as _s:
-                    spmv_into(
-                        self.BT,
-                        r.reshape(nnode, 3 * Bn),
-                        r_bar.reshape(nbar, 3 * Bn),
-                    )
-                    np.multiply(r_bar, inv_A_bar, out=r_bar)
-                    spmv_into(
-                        self.B,
-                        r_bar.reshape(nbar, 3 * Bn),
-                        u_next.reshape(nnode, 3 * Bn),
-                    )
-                    _s.add("flops", flops_upd)
-                self.flops.add("update", flops_upd)
-
-                if recs is not None:
-                    for b, ra in enumerate(recs):
-                        if record == "velocity":
-                            data[b][:, :, k] = (
-                                u_next[ra.nodes, :, b] - u_prev[ra.nodes, :, b]
-                            ) / (2.0 * dt)
-                        else:
-                            data[b][:, :, k] = u[ra.nodes, :, b]
-                if callback is not None:
-                    callback(k, t, u)
-                u_prev, u, u_next = u, u_next, u_prev
-                if faults is not None:
-                    faults.poison_state(0, k, u)
-                if health_interval and should_check(
-                    k, nsteps, health_interval
-                ):
-                    check_finite(u, step=k, field="u")
-
-        if recs is None:
-            return None
-        return [
-            Seismograms(data=data[b], dt=dt, kind=record, positions=recs[b].positions)
-            for b in range(Bn)
-        ]

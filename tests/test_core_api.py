@@ -9,7 +9,11 @@ from repro.core import (
     MaterialInversion,
     SourceInversion,
 )
-from repro.materials import HomogeneousMaterial, SyntheticBasinModel
+from repro.materials import (
+    HomogeneousMaterial,
+    LayeredMaterial,
+    SyntheticBasinModel,
+)
 from repro.sources import idealized_strike_slip
 
 
@@ -41,6 +45,24 @@ class TestForwardSimulation:
         assert np.isfinite(result.seismograms.data).all()
         assert np.abs(result.seismograms.data).max() > 0
         assert result.snapshots.as_array().shape[0] >= 1
+
+    def test_nsteps_is_the_marched_count_under_lts(self):
+        # soft over stiff: clusters up to rate 8, so the march is
+        # rounded up to a sync boundary (13 -> 16 steps)
+        soft_over_stiff = LayeredMaterial(
+            [875.0], vs=[200.0, 1600.0], vp=[400.0, 3200.0],
+            rho=[2000.0, 2000.0],
+        )
+        sim = ForwardSimulation(
+            soft_over_stiff, L=2000.0, fmax=0.1, box_frac=(1, 1, 0.5),
+            max_level=3, lts=8,
+        )
+        assert sim.solver.lts_plan(max_rate=8).max_rate == 8
+        result = sim.run(
+            idealized_strike_slip(L=2000.0, n_strike=2, n_dip=1),
+            t_end=12.5 * sim.dt, receivers=np.array([[1000.0, 1000.0, 0.0]]),
+        )
+        assert result.nsteps == result.seismograms.data.shape[2] == 16
 
     def test_basin_mesh_is_multiresolution(self):
         mat = SyntheticBasinModel(L=8000.0, depth=4000.0, vs_min=400.0)

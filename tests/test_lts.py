@@ -34,10 +34,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
-from repro.backend import get_backend
+from repro.backend import get_backend, spmv_acc
 from repro.materials import HomogeneousMaterial, LayeredMaterial
 from repro.mesh import extract_mesh, uniform_hex_mesh
-from repro.octree import build_adaptive_octree
+from repro.octree import balance_octree, build_adaptive_octree
 from repro.parallel import DistributedWaveSolver, ProcWorld, SimWorld
 from repro.resilience import (
     FaultPlan,
@@ -491,12 +491,32 @@ def test_scalar_lts_health_cadence_is_the_interval(interval, caught_at):
 
 def test_elastic_lts_health_cadence_is_the_interval():
     _, solver, force, rec = _elastic_layered()
-    with pytest.raises(NumericalHealthError) as err:
-        solver.run(
-            force, 63.5 * solver.dt, receivers=rec, lts=True,
-            faults=FaultPlan.parse("nan:rank=0,step=7"), health_interval=10,
+    # solo and batched: one clustered schedule, one sentinel (the
+    # batched loop used to have none and returned normally)
+    for march, forces in (
+        (solver.run, force), (solver.run_batch, [force, force])
+    ):
+        with pytest.raises(NumericalHealthError) as err:
+            march(
+                forces, 63.5 * solver.dt, receivers=rec, lts=True,
+                faults=FaultPlan.parse("nan:rank=0,step=7"),
+                health_interval=10,
+            )
+        assert err.value.step == 15
+
+
+def test_elastic_lts_batch_raises_on_a_nan_forcing_column():
+    # the batched clustered march used to return a non-finite record
+    _, solver, force, rec = _elastic_layered()
+
+    def nan_force(t, out):
+        out.fill(np.nan)
+        return out
+
+    with pytest.raises(NumericalHealthError):
+        solver.run_batch(
+            [force, nan_force], 63.5 * solver.dt, receivers=rec, lts=True
         )
-    assert err.value.step == 15
 
 
 def test_scalar_lts_second_order_in_dt():
@@ -650,6 +670,113 @@ def test_elastic_lts_batch_matches_solo():
     batch = solver.run_batch([force, force2], t_end, receivers=rec, lts=True)
     for got, want in zip(batch, solo):
         assert np.array_equal(got.data, want.data)
+
+
+def _elastic_lts_oracle(solver, plan, force, nsteps, rec, record):
+    """The clustered elastic loop as it ran before the solver had one
+    ``_update`` (commit ea6db08's ``_run_lts``), stripped of its
+    checkpoint / fault / health / telemetry hooks: global ``u`` /
+    ``u_prev`` / ``K u``, the coarse halo overwritten with its
+    interpolated value for the stiffness *and* the ``c1`` product and
+    restored right after, then the rest of the residual and the
+    per-level projection on own-sized gathers.  The oracle the
+    clustered schedule must equal bit for bit — in particular a loop
+    that restores the halo before its ``c1`` product does not."""
+    dt, nnode = solver.dt, solver.nnode
+    levels = solver._lts_exec(plan)
+    damped = solver.beta > 0
+    u_prev, u = np.zeros((nnode, 3)), np.zeros((nnode, 3))
+    Ku, fbuf = np.empty((nnode, 3)), np.zeros((nnode, 3))
+    ku_prev = [np.zeros((len(lev["own"]), 3)) for lev in levels]
+    data = rec.allocate(3, nsteps)
+    slots = []
+    for lev in levels:
+        ridx = np.nonzero(np.isin(rec.nodes, lev["own"]))[0]
+        slots.append((ridx, np.searchsorted(lev["own"], rec.nodes[ridx])))
+    for j in range(0, nsteps, plan.min_rate):
+        b = force(j * dt, fbuf)
+        for lev, kup, (ridx, rpos) in zip(levels, ku_prev, slots):
+            rate = lev["rate"]
+            if j % rate:
+                continue
+            own, interp = lev["own"], lev["interp"]
+            if len(interp):
+                sv, iv = u[interp], u_prev[interp]
+                if j % (2 * rate):  # theta = 1/2
+                    np.add(iv, sv, out=iv)
+                    np.multiply(iv, 0.5, out=iv)
+                u[interp] = iv
+            lev["K"].matvec(u, out=Ku)
+            uo, ko = u[own], Ku[own]
+            r = lev["c_u"] * uo
+            r -= ko * lev["c_ku"]
+            if lev["kab"] is not None:
+                spmv_acc(lev["kab"], u.reshape(-1), r.reshape(-1))
+            if len(interp):
+                u[interp] = sv
+            if damped:
+                r += kup * lev["c_kup"]
+                kup[:] = ko
+            upo = u_prev[own]
+            r += lev["prev_coef"] * upo
+            if b is not None:
+                r += b[own] * lev["dtc2"]
+            unew = lev["B"] @ ((lev["BT"] @ r) * lev["inv_A_bar"])
+            if len(ridx) and record == "velocity":
+                vel = (unew[rpos] - upo[rpos]) / (2.0 * lev["dtc"])
+                data[ridx, :, j] = vel
+            elif len(ridx):
+                data[ridx, :, j] = uo[rpos]
+            u_prev[own] = uo
+            u[own] = unew
+    solver._lts_fill_receiver_gaps(data, levels, slots, nsteps)
+    return data
+
+
+def _elastic_refined_corner(*, damping_ratio=0.0):
+    """Homogeneous box whose refined corner octant hangs on its coarse
+    neighbours and runs in its own cluster.  Unlike the flat interfaces
+    of :func:`_elastic_layered` — where the ``c1`` entries between a
+    cluster and its halo are exactly zero — this interface crosses the
+    absorbing faces with nonzero ``c1`` coupling across it."""
+    tree = balance_octree(build_adaptive_octree(
+        lambda c, s: np.where(np.all(c < 0.5, axis=1), 1.0 / 8, 1.0 / 4),
+        max_level=4,
+    ))
+    mesh = extract_mesh(tree, L=1000.0)
+    solver = ElasticWaveSolver(
+        mesh, tree, HomogeneousMaterial(vs=1000.0, vp=1800.0, rho=2000.0),
+        damping_ratio=damping_ratio,
+    )
+    fine = solver._lts_exec(solver.lts_plan())[-1]
+    halo_dofs = (fine["interp"][:, None] * 3 + np.arange(3)).ravel()
+    assert solver.constraints.n_hanging and fine["kab"][:, halo_dofs].nnz
+    force = RickerForce(
+        int(fine["own"][0]), mesh.nnode, t0=12 * solver.dt, sig=4 * solver.dt
+    )
+    rec = ReceiverArray(
+        mesh, np.array([[0.0, 250.0, 500.0], [750.0, 500.0, 0.0]])
+    )
+    return mesh, solver, force, rec
+
+
+@pytest.mark.parametrize("record", ["velocity", "displacement"])
+@pytest.mark.parametrize("zeta", [0.0, 0.02])
+@pytest.mark.parametrize(
+    "problem", [_elastic_layered, _elastic_refined_corner]
+)
+def test_elastic_lts_equals_global_state_oracle(problem, zeta, record):
+    _, solver, force, rec = problem(damping_ratio=zeta)
+    plan = solver.lts_plan()
+    assert not plan.trivial and solver.K_AB.nnz > 0  # clustered, c1 on
+    nsteps = 64
+    got = solver.run(
+        force, (nsteps - 0.5) * solver.dt, receivers=rec, record=record,
+        lts=plan,
+    )
+    want = _elastic_lts_oracle(solver, plan, force, nsteps, rec, record)
+    assert np.all(np.abs(want).max(axis=(1, 2)) > 0)
+    assert np.array_equal(got.data, want)
 
 
 # --------------------------------------------------------- distributed

@@ -27,7 +27,7 @@ from concurrent.futures import TimeoutError as FuturesTimeoutError
 import numpy as np
 import pytest
 
-from repro.materials import HomogeneousMaterial
+from repro.materials import HomogeneousMaterial, LayeredMaterial
 from repro.parallel.transport import WorkerFailure
 from repro.resilience.health import NumericalHealthError
 from repro.resilience.recovery import RetryPolicy
@@ -46,6 +46,10 @@ from repro.service import (
 from repro.sources import idealized_strike_slip
 
 MAT = HomogeneousMaterial(vs=1000.0, vp=1800.0, rho=2000.0)
+#: tests/test_lts.py's soft basin over stiff bedrock: a two-cluster plan
+LAYERED = LayeredMaterial(
+    [875.0], vs=[200.0, 1600.0], vp=[400.0, 3200.0], rho=[2000.0, 2000.0]
+)
 
 SPEC_KW = dict(
     material=MAT,
@@ -132,8 +136,8 @@ def _wait_for(predicate, timeout=5.0):
 # -------------------------------------------------- poisoned batches
 
 
-def test_one_poisoned_member_is_isolated(warm_engine):
-    spec = make_spec()
+def test_one_poisoned_member_is_isolated(warm_engine, spec=None):
+    spec = spec or make_spec()
     sim = warm_engine.simulation(spec)
     t_end = 12 * sim.dt
     scenarios = [
@@ -176,6 +180,15 @@ def test_one_poisoned_member_is_isolated(warm_engine):
     assert stats["poisoned"] == 1
     assert stats["bisections"] == 2
     sched.close()
+
+
+def test_one_poisoned_member_is_isolated_under_lts(warm_engine):
+    # a two-cluster plan: the batched clustered schedule carries the
+    # sentinel too (it used to resolve request 0 with a non-finite
+    # seismogram: solves 1, poisoned 0, bisections 0)
+    spec = make_spec(material=LAYERED, lts=8)
+    assert not warm_engine.simulation(spec).solver.lts_plan(max_rate=8).trivial
+    test_one_poisoned_member_is_isolated(warm_engine, spec)
 
 
 def test_two_poisoned_members_are_both_isolated(warm_engine):

@@ -2,9 +2,10 @@
 
 The oracles below build the formula the solver used before — a second
 ``ElasticOperator`` with ``lam * beta, mu * beta`` applied next to ``K``
-every step — inside the test only, and compare all four elastic loops
-against it; the call-count tests pin "exactly one kernel application
-per (cluster) step"; the checkpoint tests pin the ``ku_prev`` payload.
+every step — inside the test only, and compare both elastic schedules,
+solo and batched, against it; the call-count tests pin "exactly one
+kernel application and one call of the solver's one ``_update`` per
+(cluster) step"; the checkpoint tests pin the ``ku_prev`` payload.
 """
 
 import numpy as np
@@ -200,15 +201,29 @@ class CountingKernel:
         return getattr(self._kernel, name)
 
 
+def count_updates(solver, monkeypatch) -> list:
+    """Wrap the solver's one update; its calls land in the returned
+    list (every loop must go through it, solo and batched)."""
+    calls, update = [], solver._update
+
+    def counted(*args):
+        calls.append(1)
+        return update(*args)
+
+    monkeypatch.setattr(solver, "_update", counted)
+    return calls
+
+
 def test_damped_global_step_applies_the_kernel_once(problem, monkeypatch):
     _, solver, _, forces, _, t_end = problem
     counter = CountingKernel(solver.K._kernel)
     monkeypatch.setattr(solver.K, "_kernel", counter)
+    updates = count_updates(solver, monkeypatch)
     solver.run(forces[0], t_end)
-    assert counter.calls == NSTEPS
+    assert counter.calls == len(updates) == NSTEPS
     counter.calls = 0
     solver.run_batch(forces, t_end)
-    assert counter.calls == NSTEPS
+    assert counter.calls == NSTEPS and len(updates) == 2 * NSTEPS
 
 
 def test_damped_lts_firing_applies_the_kernel_once(problem, monkeypatch):
@@ -217,13 +232,16 @@ def test_damped_lts_firing_applies_the_kernel_once(problem, monkeypatch):
     for lev in solver._lts_exec(plan):
         counters.append(CountingKernel(lev["K"]._kernel))
         monkeypatch.setattr(lev["K"], "_kernel", counters[-1])
+    updates = count_updates(solver, monkeypatch)
     fired = [NSTEPS // lv.rate for lv in plan.levels]
     solver.run(forces[0], t_end, lts=plan)
     assert [c.calls for c in counters] == fired
+    assert len(updates) == sum(fired)
     for c in counters:
         c.calls = 0
     solver.run_batch(forces, t_end, lts=plan)
     assert [c.calls for c in counters] == fired
+    assert len(updates) == 2 * sum(fired)
 
 
 def test_flop_counter_reports_one_matvec_per_damped_step(problem):
