@@ -7,7 +7,9 @@ through a *kernel* object built by the active backend:
 
 * ``numpy`` (default): BLAS block products plus a coefficient-folded
   CSR scatter, all writing into preallocated workspace
-  (:mod:`repro.backend.numpy_backend`);
+  (:mod:`repro.backend.numpy_backend`); instantiating it runs numpy's
+  OpenBLAS on one thread, process-wide, unless the environment sets a
+  thread count (:mod:`repro.backend.blas_threads`);
 * ``numba``: the same kernels JIT-compiled with ``prange`` parallelism
   (:mod:`repro.backend.numba_backend`); selecting it when numba is not
   installed warns and falls back to ``numpy``.

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.backend.blas_threads import single_thread_blas
 from repro.backend.sparse_ops import ScatterPlan
 
 #: gather + product workspace of one :meth:`NumpyElementKernel.matrows`
@@ -597,6 +598,9 @@ class NumpyBackend:
     """Default backend: BLAS block apply + C-level CSR scatter."""
 
     name = "numpy"
+
+    def __init__(self):
+        single_thread_blas()  # the kernels' GEMM is tall and skinny
 
     def element_kernel(self, conn, mats, nnode, ncomp=1, coefs=None):
         return NumpyElementKernel(conn, mats, nnode, ncomp=ncomp, coefs=coefs)

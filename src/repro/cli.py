@@ -189,25 +189,6 @@ class _ProfilePointForce:
         return b
 
 
-def _parse_steps_per_exchange(raw) -> "int | str":
-    """``--steps-per-exchange`` value: a positive int or ``auto``."""
-    if isinstance(raw, int):
-        return raw
-    text = str(raw).strip().lower()
-    if text == "auto":
-        return "auto"
-    try:
-        k = int(text)
-    except ValueError:
-        raise SystemExit(
-            f"--steps-per-exchange must be a positive integer or 'auto', "
-            f"got {raw!r}"
-        )
-    if k < 1:
-        raise SystemExit("--steps-per-exchange must be >= 1")
-    return k
-
-
 def _profile_forward(args, out_dir: str) -> list:
     """Serial elastic baseline + distributed runs on both transports,
     all under one trace.  Writes ``forward.trace.jsonl`` (including the
@@ -268,7 +249,6 @@ def _profile_forward(args, out_dir: str) -> list:
               f"achieved {t_serial.seconds / t_lts.seconds:.2f}x)")
 
     nw = args.workers
-    spx = _parse_steps_per_exchange(getattr(args, "steps_per_exchange", "1"))
     parts = (
         rcb_partition(mesh.elem_centers, nw)
         if nw > 1
@@ -279,31 +259,19 @@ def _profile_forward(args, out_dir: str) -> list:
         mesh, mat, parts, SimWorld(nw), dt=dt, lts=lts
     )
     with Timer() as t_run:
-        solver.run(force, t_end, steps_per_exchange=spx)
-    runs.append(
-        ("sim", solver.world, solver.last_timeline, t_run.seconds,
-         solver.last_fused)
-    )
+        solver.run(force, t_end)
+    runs.append(("sim", solver.world, solver.last_timeline, t_run.seconds))
     with ProcWorld(nw) as world:
         solver = DistributedWaveSolver(
             mesh, mat, parts, world, dt=dt, lts=lts
         )
         with Timer() as t_run:
-            solver.run(force, t_end, steps_per_exchange=spx)
-        runs.append(
-            ("proc", world, solver.last_timeline, t_run.seconds,
-             solver.last_fused)
-        )
-        if solver.last_fused:
-            print(
-                "forward fused: steps_per_exchange="
-                f"{solver.last_fused['steps_per_exchange']} "
-                f"(requested {solver.last_fused['requested']})"
-            )
+            solver.run(force, t_end)
+        runs.append(("proc", world, solver.last_timeline, t_run.seconds))
 
     reports = []
     extra = []
-    for name, world, timeline, seconds, fused_info in runs:
+    for name, world, timeline, seconds in runs:
         report = telemetry.PerfReport.collect(
             tracer=telemetry.current_tracer(),
             world=world,
@@ -314,7 +282,6 @@ def _profile_forward(args, out_dir: str) -> list:
             parallel_seconds=seconds,
             nranks=nw,
             lts=lts_info,
-            fused=fused_info,
             title=f"forward elastic, {name} transport, P={nw}",
         )
         reports.append(report)
@@ -1059,12 +1026,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="profile the forward runs with clustered local time "
              "stepping on a layered (soft-over-stiff) material, "
              "reporting theoretical vs achieved speedup",
-    )
-    pp.add_argument(
-        "--steps-per-exchange", default="1", metavar="K",
-        help="fuse K time steps per halo exchange in the distributed "
-             "forward runs (communication-avoiding stepping); 'auto' "
-             "picks K from the calibrated machine model",
     )
     pp.set_defaults(func=cmd_profile)
 

@@ -6,10 +6,13 @@ element partitions, per-rank work, interface exchange volumes — behind
 a pluggable transport: the same SPMD solver runs over an in-process
 simulated MPI (:class:`SimWorld`, one core, measured traffic) or over
 persistent worker processes with shared-memory channels
-(:class:`ProcWorld`, N real cores, comm/compute overlap).  The two
-transports produce bit-identical trajectories and identical traffic
-statistics; the measured work/communication converts to wall time with
-a machine model (:class:`MachineModel`) calibrated either to LeMieux
+(:class:`ProcWorld`, N real cores, comm/compute overlap).  There are
+two domain-sharded schedules — one interface exchange per global step,
+as in the paper, and clustered local time stepping, which exchanges at
+the interface rate — plus shot sharding.  The two transports produce
+bit-identical trajectories and identical traffic statistics; the
+measured work/communication converts to wall time with an alpha-beta
+machine model (:class:`MachineModel`) calibrated either to LeMieux
 (:data:`ALPHASERVER_ES45`) or to the local transport
 (:func:`measure_transport` + :func:`machine_from_measurements`).
 """
@@ -24,17 +27,9 @@ from repro.parallel.transport import (
     ProcWorld,
     TransportCorruption,
     WorkerFailure,
-    calibrate_transport,
-    clear_transport_calibration,
     measure_transport,
-    transport_fingerprint,
 )
-from repro.parallel.decomposition import (
-    DistributedElasticOperator,
-    FusedHalo,
-    FusedHaloSet,
-    HaloPerspective,
-)
+from repro.parallel.decomposition import DistributedElasticOperator
 from repro.parallel.dist_solver import (
     DistributedWaveSolver,
     recommend_sharding,
@@ -43,7 +38,6 @@ from repro.parallel.perfmodel import (
     MachineModel,
     ALPHASERVER_ES45,
     ScalabilityRow,
-    choose_steps_per_exchange,
     machine_from_measurements,
     predict_scalability,
 )
@@ -56,20 +50,13 @@ __all__ = [
     "ProcWorld",
     "TransportCorruption",
     "WorkerFailure",
-    "calibrate_transport",
-    "clear_transport_calibration",
     "measure_transport",
-    "transport_fingerprint",
     "DistributedElasticOperator",
-    "FusedHalo",
-    "FusedHaloSet",
-    "HaloPerspective",
     "DistributedWaveSolver",
     "recommend_sharding",
     "MachineModel",
     "ALPHASERVER_ES45",
     "ScalabilityRow",
-    "choose_steps_per_exchange",
     "machine_from_measurements",
     "predict_scalability",
 ]

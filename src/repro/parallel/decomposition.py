@@ -30,11 +30,10 @@ tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend.sparse_ops import ScatterPlan
 from repro.fem.assembly import ElasticOperator
 from repro.mesh.hexmesh import HexMesh
 
@@ -60,101 +59,6 @@ class RankPartition:
     gather_local: np.ndarray  # their local indices
 
 
-@dataclass
-class HaloPerspective:
-    """One owner rank's sub-domain replica inside another rank's halo.
-
-    A *perspective* is a miniature copy of rank ``owner``'s partition
-    restricted to the halo elements ``owner`` contributes: the element
-    subset keeps the owner's **local element order** (interface first,
-    then interior — ascending owner-local index) and the node subset
-    keeps the owner's ascending local node order, so every per-node
-    partial sum a perspective computes accumulates contributions in
-    exactly the sequence the owner's own split matvec produces.  That
-    ordering is what makes the fused multi-step march bitwise-identical
-    to the one-step-per-exchange loop on the owned region.
-    """
-
-    owner: int
-    elements: np.ndarray  # owner-local element indices, ascending
-    nodes: np.ndarray  # owner-local node indices, ascending
-    conn: np.ndarray  # sub-connectivity renumbered into ``nodes``
-    elements_global: np.ndarray  # global element ids (material slices)
-    nodes_global: np.ndarray  # global node ids, sorted (force slices)
-    n_iface: int  # owner's interface split (own perspective only)
-
-
-@dataclass
-class FusedHalo:
-    """One rank's complete k-deep ghost state for fused stepping.
-
-    ``perspectives`` maps every rank owning at least one halo element
-    (including this rank itself) to its :class:`HaloPerspective`.
-    ``adds`` lists the intra-halo partial-sum exchanges that replace
-    the per-step transport messages: entry ``(dst, src, dst_idx,
-    src_idx)`` adds perspective ``src``'s boundary partials (at
-    ``src``-perspective node positions ``src_idx``) into perspective
-    ``dst`` (at positions ``dst_idx``), grouped by ``dst`` and ordered
-    by ascending ``src`` within each group — the same neighbor order
-    the unfused receive loop uses.  ``sources`` are the halo owners a
-    refresh message is received from at each window start; ``sends``
-    maps each rank that holds *this* rank in its halo to the local node
-    indices it needs shipped.
-    """
-
-    rank: int
-    depth: int
-    perspectives: dict  # owner -> HaloPerspective, ascending keys
-    adds: list  # (dst, src, dst_idx, src_idx)
-    sources: list  # halo owners != rank, ascending
-    sends: dict = field(default_factory=dict)  # dest -> own-local idx
-
-
-@dataclass
-class FusedHaloSet:
-    """All ranks' :class:`FusedHalo` structures for one depth ``k``."""
-
-    depth: int
-    halos: list  # per-rank FusedHalo
-
-    def max_message_bytes(self) -> int:
-        """Largest window-refresh payload (``[u; u_prev]`` stacked at
-        the requested nodes): bounds the transport slot size."""
-        return max(
-            (
-                2 * 3 * 8 * len(idx)
-                for h in self.halos
-                for idx in h.sends.values()
-            ),
-            default=0,
-        )
-
-    def profile(self, per_elem_flops: float) -> list[dict]:
-        """Per-rank cost profile of ONE fused inner step plus its
-        amortized window exchange — pure accounting for the
-        alpha-beta-gamma model (no execution)."""
-        out = []
-        for h in self.halos:
-            flops = 0.0
-            for p in h.perspectives.values():
-                flops += per_elem_flops * len(p.elements)
-                flops += 15 * len(p.nodes)
-            flops += sum(3 * len(di) for (_, _, di, _) in h.adds)
-            out.append(
-                {
-                    "flops": flops,
-                    "partners": len(h.sends),
-                    "bytes": sum(
-                        2 * 3 * 8 * len(idx) for idx in h.sends.values()
-                    ),
-                    "halo_elements": sum(
-                        len(p.elements) for p in h.perspectives.values()
-                    ),
-                }
-            )
-        return out
-
-
 class DistributedElasticOperator:
     """Element partition + per-rank operators + ghost exchange."""
 
@@ -177,7 +81,6 @@ class DistributedElasticOperator:
         mu = np.asarray(mu)
         self.ranks: list[RankPartition] = []
         self.ops: list[ElasticOperator] = []
-        self._fused_cache: dict[int, FusedHaloSet] = {}
 
         # (node, part) incidence, deduplicated; rows sort by node then
         # part, so the first row of each node names its lowest owner
@@ -296,151 +199,6 @@ class DistributedElasticOperator:
                 partials[r][loc] += incoming
                 self.world.stats[r].flops += incoming.size
         return self.gather_field(partials)
-
-    # ------------------------------------------------- k-deep ghost halos
-
-    def build_fused_halos(self, depth: int) -> FusedHaloSet:
-        """Construct every rank's k-deep ghost halo for fused stepping.
-
-        The halo of rank ``r`` is grown by ``depth`` rings of the
-        node-element adjacency the :class:`~repro.backend.sparse_ops.
-        ScatterPlan` already encodes (its CSR rows are nodes, its slots
-        name elements): starting from the rank's own nodes, each ring
-        marks every element touching a marked node and then every node
-        of a marked element.  After ``depth`` rings the rank holds
-        enough ghost state to march ``depth`` leapfrog steps before any
-        value it owns depends on un-refreshed data — errors at the halo
-        fringe propagate exactly one element ring inward per step.
-
-        The halo elements are grouped by owning rank into
-        :class:`HaloPerspective` replicas (owner-local element and node
-        order preserved), and the directed partial-sum ``adds`` between
-        perspectives are derived from the owners' ``shared_with``
-        intersections restricted to the nodes both perspectives carry —
-        nodes where only one side is present lie in the stale fringe
-        and never reach the owned region within ``depth`` steps.
-
-        Results are cached per depth (construction is a few global
-        passes over the connectivity).
-        """
-        depth = int(depth)
-        if depth < 1:
-            raise ValueError(f"halo depth must be >= 1, got {depth}")
-        cached = self._fused_cache.get(depth)
-        if cached is not None:
-            return cached
-        mesh = self.mesh
-        conn = mesh.conn
-        ncorner = conn.shape[1]
-        # node -> touching elements, read off the ScatterPlan CSR
-        # (slot i of the flattened connectivity belongs to element
-        # i // ncorner)
-        plan = ScatterPlan(conn.ravel(), mesh.nnode)
-        adj_elems = np.asarray(plan.indices, dtype=np.int64) // ncorner
-        counts = np.diff(plan.indptr).astype(np.int64)
-
-        halos = []
-        for r, rp in enumerate(self.ranks):
-            node_mask = np.zeros(mesh.nnode, dtype=bool)
-            node_mask[rp.nodes] = True
-            elem_mask = np.zeros(mesh.nelem, dtype=bool)
-            for _ in range(depth):
-                elem_mask[adj_elems[np.repeat(node_mask, counts)]] = True
-                node_mask[conn[elem_mask].ravel()] = True
-            owners = (
-                np.unique(self.parts[elem_mask])
-                if elem_mask.any()
-                else np.array([], dtype=np.int64)
-            )
-            persp: dict[int, HaloPerspective] = {}
-            for o in owners:
-                o = int(o)
-                rp_o = self.ranks[o]
-                sel = elem_mask[rp_o.elements]
-                e_lo = np.nonzero(sel)[0]
-                sub_conn = rp_o.local_conn[e_lo]
-                n_lo = np.unique(sub_conn)
-                persp[o] = HaloPerspective(
-                    owner=o,
-                    elements=e_lo,
-                    nodes=n_lo,
-                    conn=np.searchsorted(n_lo, sub_conn),
-                    elements_global=rp_o.elements[e_lo],
-                    nodes_global=rp_o.nodes[n_lo],
-                    n_iface=rp_o.n_iface_elems if o == r else 0,
-                )
-            if r not in persp:  # empty rank: keep an (empty) own replica
-                persp[r] = HaloPerspective(
-                    owner=r,
-                    elements=np.zeros(0, dtype=np.int64),
-                    nodes=np.zeros(0, dtype=np.int64),
-                    conn=np.zeros((0, ncorner), dtype=np.int64),
-                    elements_global=np.zeros(0, dtype=np.int64),
-                    nodes_global=np.zeros(0, dtype=np.int64),
-                    n_iface=0,
-                )
-            else:
-                # ring 1 starts from every own node, so the own
-                # perspective is the rank's full partition
-                assert len(persp[r].elements) == len(rp.elements)
-
-            adds = []
-            for dst in sorted(persp):
-                p = persp[dst]
-                rp_p = self.ranks[dst]
-                # ascending-src order == the unfused receive loop order
-                # (shared_with is built in ascending rank order)
-                for src, (_, gids) in rp_p.shared_with.items():
-                    if src not in persp:
-                        continue
-                    s = persp[src]
-                    pres = np.isin(
-                        gids, p.nodes_global, assume_unique=True
-                    ) & np.isin(gids, s.nodes_global, assume_unique=True)
-                    if dst == r and not pres.all():
-                        raise AssertionError(
-                            "own-perspective partial-sum adds must cover "
-                            "every shared node (halo ring 1 incomplete)"
-                        )
-                    common = gids[pres]
-                    if not len(common):
-                        continue
-                    adds.append(
-                        (
-                            dst,
-                            src,
-                            np.searchsorted(p.nodes_global, common),
-                            np.searchsorted(s.nodes_global, common),
-                        )
-                    )
-            halos.append(
-                FusedHalo(
-                    rank=r,
-                    depth=depth,
-                    perspectives=persp,
-                    adds=adds,
-                    sources=sorted(o for o in persp if o != r),
-                )
-            )
-        # second pass: each source rank learns what to ship where (the
-        # request is simply every node of the requester's replica)
-        for h in halos:
-            for o in h.sources:
-                halos[o].sends[h.rank] = h.perspectives[o].nodes
-        out = FusedHaloSet(depth=depth, halos=halos)
-        self._fused_cache[depth] = out
-        return out
-
-    def fused_profile(self, depth: int) -> list[dict]:
-        """Per-rank cost rows of one fused inner step at ``depth``
-        (see :meth:`FusedHaloSet.profile`)."""
-        nelem_tot = sum(len(rp.elements) for rp in self.ranks)
-        per_elem = (
-            sum(op.flops_per_matvec for op in self.ops) / nelem_tot
-            if nelem_tot
-            else 0.0
-        )
-        return self.build_fused_halos(depth).profile(per_elem)
 
     # --------------------------------------------------------- accounting
 

@@ -9,10 +9,12 @@ elements while the messages are in flight, then receives and
 accumulates (see :mod:`repro.parallel.decomposition` for the
 interface-first element ordering and split scatter plans).
 
-Each schedule is written once, as an SPMD **rank program**
-(:func:`_rank_program`, :func:`_rank_program_lts`,
-:func:`_rank_program_fused`, :func:`_shot_program`) that takes its
-:class:`repro.parallel.simcomm.SimComm`; the transport is the argument:
+There are two domain-sharded schedules — one exchange per global step
+(:func:`_rank_program`) and the clustered-LTS march
+(:func:`_rank_program_lts`) — plus the shot-sharded
+:func:`_shot_program`.  Each is written once, as an SPMD **rank
+program** that takes its :class:`repro.parallel.simcomm.SimComm`; the
+transport is the argument:
 
 * :class:`repro.parallel.simcomm.SimWorld` — in-process mailboxes; the
   rank programs are resumed round-robin on one core (each suspends once
@@ -153,7 +155,8 @@ def _make_force_caller(force_fn, nnode: int):
 
 
 def _local_update(rhs, t_r, u, u_prev, u_next, m2, inv_A, prev_coef, b, dt2):
-    """One rank's in-place central-difference update."""
+    """The in-place central-difference update of one row set: a rank's
+    grid points, one LTS level's own rows, or a shot slice's columns."""
     np.multiply(rhs, -dt2, out=rhs)
     np.multiply(m2, u, out=t_r)
     np.add(rhs, t_r, out=rhs)
@@ -180,9 +183,9 @@ class _RankFrame:
 
     The state is consistent across ranks — and may be poisoned,
     checked and checkpointed — only at the schedule's **boundaries**:
-    every step for the plain program, every ``stride`` steps (sync
-    rate, window length) for the clustered and fused ones.  All three
-    call the one :meth:`boundary` there.
+    every step for the plain program, every ``stride`` steps (the sync
+    rate) for the clustered one.  Both call the one :meth:`boundary`
+    there.
     """
 
     def __init__(self, comm, p, *, stride=1, stride_name="", meta=None):
@@ -327,6 +330,7 @@ def _lts_rank_levels(conn, h, lam, mu, nloc, plan, m, C, dt, r_int, n_iface):
                 "tmp": np.empty((n_own, 3)),
                 "u_own": np.empty((n_own, 3)),
                 "up_own": np.empty((n_own, 3)),
+                "b_own": np.empty((n_own, 3)),
                 "sv": np.empty((n_int, 3)),
                 "iv": np.empty((n_int, 3)),
                 "fired": 0,
@@ -359,26 +363,19 @@ def _lts_interp_out(lev, u, sv):
 
 
 def _lts_level_update(lev, u, u_prev, Ku, b):
-    """Advance one level's own grid points by its cluster step ``dtc``
-    (in-place central difference, same op sequence as
-    :func:`_local_update` with the level-local coefficients)."""
+    """Advance one level's own grid points by its cluster step ``dtc``:
+    gather the own rows, :func:`_local_update` with the level-local
+    coefficients, scatter back."""
     own = lev["own"]
-    r, t_r = lev["r"], lev["tmp"]
+    r, uo, upo = lev["r"], lev["u_own"], lev["up_own"]
     np.take(Ku, own, axis=0, out=r)
-    np.multiply(r, -lev["dtc2"], out=r)
-    uo = lev["u_own"]
     np.take(u, own, axis=0, out=uo)
-    np.multiply(lev["m2"], uo, out=t_r)
-    np.add(r, t_r, out=r)
-    upo = lev["up_own"]
     np.take(u_prev, own, axis=0, out=upo)
-    np.multiply(lev["prev_coef"], upo, out=t_r)
-    np.add(r, t_r, out=r)
-    if b is not None:
-        np.take(b, own, axis=0, out=t_r)
-        np.multiply(t_r, lev["dtc2"], out=t_r)
-        np.add(r, t_r, out=r)
-    np.multiply(r, lev["inv_A"], out=r)
+    bo = None if b is None else np.take(b, own, axis=0, out=lev["b_own"])
+    _local_update(
+        r, lev["tmp"], uo, upo, r, lev["m2"], lev["inv_A"],
+        lev["prev_coef"], bo, lev["dtc2"],
+    )
     u_prev[own] = uo
     u[own] = r
 
@@ -458,8 +455,6 @@ def _rank_program_lts(comm, payload):
                 for o, loc in neighbors:
                     Ku[loc] += rbuf[o]
                     comm.add_flops(3 * len(loc))
-                if neighbors:
-                    comm.stats.exchanges += 1
                 _lts_level_update(lev, u, u_prev, Ku, b)
                 wait_j += (t2 - t1) + (t4 - t3r)
                 away_j += t3r - t3
@@ -558,8 +553,6 @@ def _rank_program(comm, payload):
         for o, loc in neighbors:
             Ku[loc] += rbuf[o]
             comm.add_flops(3 * len(loc))
-        if neighbors:
-            comm.stats.exchanges += 1
         _local_update(
             Ku, tmp, u, u_prev, u_next, m2, inv_A, prev_coef, b, dt2
         )
@@ -577,182 +570,6 @@ def _rank_program(comm, payload):
         frame.boundary(k + 1, u, u_prev)  # u is x^{k+1} after rotation
 
     return frame.finish(u, t_compute=t_compute, t_wait=t_wait)
-
-
-def _fused_build_state(p, dt):
-    """Per-rank execution state for the fused (communication-avoiding)
-    window march, built from the payload's perspective descriptions.
-
-    The own perspective gets the identical split operator and hoisted
-    update coefficients as the one-step-per-exchange program (same
-    expressions over the same slices), so its floating-point sequence
-    is structurally — not just empirically — the k=1 sequence.  Ghost
-    perspectives are plain (unsplit) operators over the owner-ordered
-    halo element subsets; their per-node partial sums accumulate in the
-    owner's ascending slot order, which is what keeps the replicated
-    arithmetic bitwise-equal to what the owner itself computes.
-    """
-    persps = {}
-    for q in p["perspectives"]:
-        n = q["nloc"]
-        op = ElasticOperator(
-            q["conn"], q["h"], q["lam"], q["mu"], n,
-            split_elems=q["n_iface"] if q["own"] else None,
-        )
-        m2, inv_A, prev_coef = _update_coefs(q["m"], q["C"], dt)
-        persps[q["owner"]] = {
-            "own": q["own"],
-            "op": op,
-            "gnodes": q["gnodes"],
-            "m2": m2,
-            "inv_A": inv_A,
-            "prev_coef": prev_coef,
-            "u": np.zeros((n, 3)),
-            "u_prev": np.zeros((n, 3)),
-            "u_next": np.zeros((n, 3)),
-            "Ku": np.empty((n, 3)),
-            "tmp": np.empty((n, 3)),
-        }
-    adds = [
-        (dst, src, di, si, np.empty((len(di), 3)))
-        for (dst, src, di, si) in p["adds"]
-    ]
-    sends = [
-        (dest, idx, np.empty((2, len(idx), 3)))
-        for dest, idx in p["sends"]
-    ]
-    recvs = [
-        (o, np.empty((2, len(persps[o]["u"]), 3)))
-        for o in sorted(persps)
-        if not persps[o]["own"]
-    ]
-    own = next(q for q in persps.values() if q["own"])
-    return {
-        "persps": persps,
-        "adds": adds,
-        "sends": sends,
-        "recvs": recvs,
-        "own": own,
-        "dt2": dt * dt,
-    }
-
-
-def _fused_march_step(state, b_global, add_flops):
-    """One fused inner step: every perspective applies its stiffness
-    operator, boundary partial sums cross between perspectives (the
-    in-halo replica of the unfused transport exchange), every
-    perspective updates and rotates.
-
-    The partial-sum snapshot (``np.take`` into per-add buffers) must
-    complete for *all* adds before any is applied — the unfused
-    exchange ships pre-accumulation partials, so a perspective's ``Ku``
-    may not be mutated while another perspective still reads from it.
-    Applies are grouped by destination with ascending source, the exact
-    neighbor order of the unfused receive loop.
-    """
-    persps = state["persps"]
-    dt2 = state["dt2"]
-    for q in persps.values():
-        op = q["op"]
-        if q["own"]:
-            op.matvec_interface(q["u"], q["Ku"])
-            op.matvec_interior_acc(q["u"], q["Ku"])
-        else:
-            op.matvec(q["u"], out=q["Ku"])
-        add_flops(op.flops_per_matvec)
-    for _, src, _, si, buf in state["adds"]:
-        np.take(persps[src]["Ku"], si, axis=0, out=buf)
-    for dst, _, di, _, buf in state["adds"]:
-        persps[dst]["Ku"][di] += buf
-        add_flops(3 * len(di))
-    for q in persps.values():
-        b = b_global[q["gnodes"]] if b_global is not None else None
-        _local_update(
-            q["Ku"], q["tmp"], q["u"], q["u_prev"], q["u_next"],
-            q["m2"], q["inv_A"], q["prev_coef"], b, dt2,
-        )
-        q["u_prev"], q["u"], q["u_next"] = q["u"], q["u_next"], q["u_prev"]
-        add_flops(15 * len(q["u"]))
-
-
-def _rank_program_fused(comm, payload):
-    """SPMD rank program for communication-avoiding stepping: march
-    ``k`` leapfrog steps per transport round-trip.
-
-    Each window starts with one aggregated refresh per directed halo
-    pair — the owner's ``[u; u_prev]`` restacked at the requester's
-    replica nodes — replacing the ``k`` per-step boundary exchanges of
-    :func:`_rank_program`; the window then marches entirely locally,
-    recomputing the ghost perspectives redundantly.  The owned region
-    stays bitwise-identical to the unfused loop (errors at the halo
-    fringe advance one element ring per step and the halo is ``k``
-    rings deep).
-
-    Checkpoints, NaN poisoning, and health checks happen only at
-    window boundaries — the only steps where the rank's own state is
-    globally consistent — so collective-restart recovery works
-    unchanged; fault kill hooks still fire at every inner step, and a
-    mid-window kill rewinds to the last boundary checkpoint.
-    """
-    p = payload
-    k = int(p["k"])
-    dt, nsteps = p["dt"], p["nsteps"]
-    state = _fused_build_state(p, dt)
-    own = state["own"]
-    force_fn = _make_force_caller(p["force_fn"], p["result"][1])
-    rank = comm.rank
-    clock = time.perf_counter
-    t_compute = 0.0
-    t_wait = 0.0
-    frame = _RankFrame(
-        comm, p, stride=k, stride_name="an exchange boundary",
-        meta={"fused_k": k},
-    )
-    dur = frame.dur
-    k0 = frame.resume(own["u"], own["u_prev"])
-
-    for s0 in range(k0, nsteps, k):
-        frame.begin_step(s0)
-        # window-start refresh: every perspective's full restart pair,
-        # one message per directed halo pair (also runs at step 0 and
-        # after a resume, so ghosts never start stale)
-        t1 = clock()
-        for dest, idx, sbuf in state["sends"]:
-            np.take(own["u"], idx, axis=0, out=sbuf[0])
-            np.take(own["u_prev"], idx, axis=0, out=sbuf[1])
-            comm.Send(sbuf, dest, tag=rank)
-        t2 = clock()
-        yield  # sends posted, nothing received yet
-        t2r = clock()
-        for o, rbuf in state["recvs"]:
-            comm.Recv(o, tag=o, out=rbuf)
-            q = state["persps"][o]
-            q["u"][:] = rbuf[0]
-            q["u_prev"][:] = rbuf[1]
-        t3 = clock()
-        if state["sends"] or state["recvs"]:
-            comm.stats.exchanges += 1
-        t_wait += (t2 - t1) + (t3 - t2r)
-        if dur is not None:
-            dur[s0, 1] = t2 - t1  # send
-            dur[s0, 3] = t3 - t2r  # recv
-        s_end = min(s0 + k, nsteps)
-        for s in range(s0, s_end):
-            if s != s0:  # no sends inside the window: kill + ping only
-                frame.begin_step(s)
-            tA = clock()
-            b_global = force_fn(s * dt)
-            _fused_march_step(state, b_global, comm.add_flops)
-            tB = clock()
-            t_compute += tB - tA
-            if dur is not None:
-                dur[s, 0] += tB - tA
-        # window boundary: own u holds x^{s_end} exactly
-        frame.boundary(s_end, own["u"], own["u_prev"])
-
-    return frame.finish(
-        own["u"], t_compute=t_compute, t_wait=t_wait, fused_k=k
-    )
 
 
 def _march_shot_slice(
@@ -858,7 +675,6 @@ class DistributedWaveSolver:
         dt: float | None = None,
         cfl_safety: float = 0.5,
         lts: int | bool = 0,
-        steps_per_exchange: int | str = 1,
     ):
         if len(np.unique(mesh.elem_level)) > 1:
             raise ValueError(
@@ -889,8 +705,8 @@ class DistributedWaveSolver:
         C_global, _ = stacey_boundary_matrices(
             faces, mesh.nnode, include_c1=False
         )
-        # kept whole and sliced per payload: a rank's own nodes, a
-        # halo perspective's, or (shot sharding) the full domain
+        # kept whole and sliced per payload: a rank's own nodes or
+        # (shot sharding) the full domain
         self._m_global = m_global
         self._C_global = C_global
         for r, rp in enumerate(self.dist.ranks):
@@ -901,22 +717,13 @@ class DistributedWaveSolver:
         #: ``True`` = on with the default rate cap, an int = the cap)
         self.lts = lts
         self._lts_cache: tuple | None = None
-        #: default fusion depth for :meth:`run` (``1`` = exchange every
-        #: step — the classic loop — or ``"auto"`` to let the measured
-        #: alpha-beta-gamma model pick); see
-        #: :meth:`recommend_steps_per_exchange`
-        self.steps_per_exchange = steps_per_exchange
-        #: what the most recent :meth:`run` actually fused: requested
-        #: and effective ``steps_per_exchange``, any clamp reason, and
-        #: the model's per-candidate times when auto-chosen
-        self.last_fused: dict | None = None
         #: merged per-rank timeline of the most recent :meth:`run`,
         #: populated when telemetry is enabled at run time
         self.last_timeline: MergedTimeline | None = None
         #: what the rank programs of the most recent :meth:`run` /
         #: :meth:`run_shots` returned, one dict per rank
         #: (``t_compute``, ``t_wait``, ``nsteps``; ``lts_fired`` per
-        #: rate under LTS, ``fused_k`` under fusion)
+        #: rate under LTS)
         self.last_timings: list[dict] | None = None
 
     def _lts_setup(self, max_rate: int) -> dict:
@@ -987,7 +794,6 @@ class DistributedWaveSolver:
         health_interval: int = 0,
         retry: RetryPolicy | None = None,
         lts: int | bool | None = None,
-        steps_per_exchange: int | str | None = None,
     ) -> np.ndarray:
         """March to ``t_end``; ``force_fn(t)`` returns the *global*
         nodal force field (each rank reads its slice, as if the sources
@@ -1019,19 +825,6 @@ class DistributedWaveSolver:
         the next sync boundary.  ``lts=off`` runs the global-dt loop
         bit-identically to before; a clustered run returns the state at
         the (possibly later) rounded end time.
-
-        ``steps_per_exchange`` (default: the constructor setting) turns
-        on communication-avoiding fused stepping: with ``k > 1`` each
-        rank holds a ``k``-ring ghost halo and marches ``k`` steps per
-        aggregated exchange, trading redundant halo recompute for a
-        ``k``-fold cut in message count — bitwise-identical on the
-        owned region.  ``"auto"`` lets the measured alpha-beta-gamma
-        model pick ``k`` (see :meth:`recommend_steps_per_exchange`).
-        ``k`` is clamped to 1 under a non-trivial ``lts`` plan (the
-        clustered rates own the exchange cadence) and when no rank has
-        neighbors; checkpoints land only on exchange boundaries.
-        ``steps_per_exchange=1`` runs the exact per-step loop as
-        before.
         """
         nsteps = int(np.ceil(t_end / self.dt))
         if health_interval:
@@ -1044,51 +837,12 @@ class DistributedWaveSolver:
             if not c["trivial"]:
                 ctx = c
                 nsteps = -(-nsteps // c["r_sync"]) * c["r_sync"]
-        spe = (
-            self.steps_per_exchange
-            if steps_per_exchange is None
-            else steps_per_exchange
-        )
-        auto_times = None
-        if spe == "auto":
-            k_fused, auto_times = self.recommend_steps_per_exchange(
-                nsteps=nsteps
-            )
-        else:
-            k_fused = int(spe)
-            if k_fused < 1:
-                raise ValueError(
-                    f"steps_per_exchange must be >= 1, got {k_fused}"
-                )
-        fallback = None
-        if k_fused > 1 and ctx is not None:
-            # clustered rates own the exchange cadence — fall back
-            k_fused, fallback = 1, "lts"
-        if k_fused > 1 and not any(
-            rp.shared_with for rp in self.dist.ranks
-        ):
-            k_fused, fallback = 1, "no interfaces"
-        fused_ctx = None
-        if k_fused > 1:
-            fused_ctx = {
-                "k": k_fused,
-                "halos": self.dist.build_fused_halos(k_fused),
-            }
-        self.last_fused = {
-            "steps_per_exchange": k_fused,
-            "requested": spe,
-            "fallback": fallback,
-            "model_times": auto_times,
-            "nsteps": nsteps,
-        }
         with telemetry.span("dist.run") as _s:
             _s.add("nsteps", nsteps)
             _s.add("nranks", self.world.nranks)
             if ctx is not None:
                 _s.add("lts_r_int", ctx["r_int"])
                 _s.add("lts_r_sync", ctx["r_sync"])
-            if fused_ctx is not None:
-                _s.add("steps_per_exchange", k_fused)
             return self._run_spmd(
                 force_fn, nsteps,
                 checkpoint_dir=checkpoint_dir,
@@ -1096,7 +850,7 @@ class DistributedWaveSolver:
                 checkpoint_keep=checkpoint_keep,
                 resume=resume, faults=faults,
                 health_interval=health_interval, retry=retry,
-                lts_ctx=ctx, fused_ctx=fused_ctx,
+                lts_ctx=ctx,
             )
 
     def run_shots(self, force_fns: Sequence, t_end: float) -> np.ndarray:
@@ -1146,181 +900,73 @@ class DistributedWaveSolver:
             release_shared_array(shm)
         return out
 
-    def recommend_steps_per_exchange(
-        self,
-        *,
-        machine=None,
-        candidates: Sequence[int] = (1, 2, 4, 8),
-        nsteps: int | None = None,
-    ) -> tuple[int, dict[int, float]]:
-        """Model-pick the fusion depth for this partition on this world.
-
-        With no ``machine`` given, one is calibrated in place: the
-        sustained flop rate from timing the heaviest rank's real
-        stiffness matvec, and — on a transport with real channels
-        (``world.slot_bytes``) and >= 2 ranks — alpha/beta/gamma from a
-        quick
-        :func:`~repro.parallel.transport.measure_transport` burst
-        ping-pong (whose traffic lands in ``world.stats``; pass an
-        explicit machine when exact accounting matters).  In-process
-        mailboxes have no real latency, so a :class:`SimWorld` gets a
-        near-free communication model and the chooser keeps ``k=1``.
-
-        Returns ``(best_k, {k: modeled_step_seconds})`` from
-        :func:`~repro.parallel.perfmodel.choose_steps_per_exchange`.
-        """
-        from repro.parallel.perfmodel import (
-            MachineModel,
-            choose_steps_per_exchange,
-            machine_from_measurements,
-        )
-
-        if machine is None:
-            ops = self.dist.ops
-            r = max(
-                range(len(ops)), key=lambda i: ops[i].flops_per_matvec
-            )
-            op = ops[r]
-            n = len(self.dist.ranks[r].nodes)
-            u = np.zeros((n, 3))
-            Ku = np.empty((n, 3))
-            op.matvec(u, out=Ku)  # warm the kernel workspace
-            reps = 3
-            t0 = time.perf_counter()
-            for _ in range(reps):
-                op.matvec(u, out=Ku)
-            per_mv = (time.perf_counter() - t0) / reps
-            flop_rate = op.flops_per_matvec / max(per_mv, 1e-12)
-            if self.world.slot_bytes and self.world.nranks >= 2:
-                from repro.parallel.transport import calibrate_transport
-
-                # memoized process-wide: repeat "auto" runs over the
-                # same transport flavour reuse one burst ping-pong
-                meas = calibrate_transport(
-                    self.world, sizes=(256, 4096, 32768), repeats=10
-                )
-                machine = machine_from_measurements(
-                    meas,
-                    flop_rate=flop_rate,
-                    name="measured proc transport",
-                )
-            else:
-                machine = MachineModel(
-                    name="in-process sim transport",
-                    flop_rate=flop_rate,
-                    latency=1e-9,
-                    bandwidth=1e12,
-                )
-        return choose_steps_per_exchange(
-            self.dist, machine, candidates=candidates, nsteps=nsteps
-        )
-
     # ------------------------------------------------ running the ranks
 
-    def _subdomain(self, conn, elements, nodes, n_iface) -> dict:
-        """What a rank program builds one subdomain's operator and
+    def _subdomain(self, rp) -> dict:
+        """What a rank program builds its subdomain's operator and
         update coefficients from: local connectivity plus the element
         (size, material) and node (mass, damping) slices.  The
         coefficients travel raw — every program hoists its own — and
         everything is a plain numpy array, so the dict pickles straight
         into a worker."""
         return {
-            "conn": conn,
-            "h": self.mesh.elem_h[elements],
-            "lam": self._lam[elements],
-            "mu": self._mu[elements],
-            "nloc": len(nodes),
-            "n_iface": n_iface,
-            "m": self._m_global[nodes][:, None],
-            "C": self._C_global[nodes],
-            "gnodes": nodes,
+            "conn": rp.local_conn,
+            "h": self.mesh.elem_h[rp.elements],
+            "lam": self._lam[rp.elements],
+            "mu": self._mu[rp.elements],
+            "nloc": len(rp.nodes),
+            "n_iface": rp.n_iface_elems,
+            "m": self._m_global[rp.nodes][:, None],
+            "C": self._C_global[rp.nodes],
+            "gnodes": rp.nodes,
         }
 
-    def _rank_payloads(self, common: dict, lts_ctx, fused_ctx):
+    def _rank_payloads(self, common: dict, lts_ctx):
         """The schedule's rank program and one payload per rank:
-        ``common``, the rank's gather lists, and the subdomain(s) the
-        schedule marches over."""
-        if fused_ctx is not None:
-            program = _rank_program_fused
-        elif lts_ctx is not None:
-            program = _rank_program_lts
-        else:
-            program = _rank_program
+        ``common``, the rank's gather lists, its subdomain and
+        neighbors, and under LTS its element rates."""
         payloads = []
-        for r, rp in enumerate(self.dist.ranks):
+        for rp in self.dist.ranks:
             pl = dict(
                 common,
+                **self._subdomain(rp),
                 gather_nodes=rp.gather_nodes,
                 gather_local=rp.gather_local,
+                neighbors=[
+                    (o, loc) for o, (loc, _) in rp.shared_with.items()
+                ],
             )
-            if fused_ctx is not None:
-                # the k-deep halo: one replica subdomain per owner
-                # (owner-ordered element subsets), the inter-perspective
-                # partial-sum adds, the window-refresh send lists
-                halo = fused_ctx["halos"].halos[r]
+            if lts_ctx is not None:
                 pl.update(
-                    k=fused_ctx["k"],
-                    perspectives=[
-                        dict(
-                            self._subdomain(
-                                pp.conn, pp.elements_global,
-                                pp.nodes_global, pp.n_iface,
-                            ),
-                            owner=o,
-                            own=o == halo.rank,
-                        )
-                        for o, pp in sorted(halo.perspectives.items())
-                    ],
-                    adds=halo.adds,
-                    sends=list(halo.sends.items()),
+                    rates=lts_ctx["rates"][rp.elements],
+                    r_int=lts_ctx["r_int"],
+                    r_sync=lts_ctx["r_sync"],
                 )
-            else:
-                pl.update(
-                    self._subdomain(
-                        rp.local_conn, rp.elements, rp.nodes,
-                        rp.n_iface_elems,
-                    ),
-                    neighbors=[
-                        (o, loc) for o, (loc, _) in rp.shared_with.items()
-                    ],
-                )
-                if lts_ctx is not None:
-                    pl.update(
-                        rates=lts_ctx["rates"][rp.elements],
-                        r_int=lts_ctx["r_int"],
-                        r_sync=lts_ctx["r_sync"],
-                    )
             payloads.append(pl)
+        program = _rank_program if lts_ctx is None else _rank_program_lts
         return program, payloads
 
     def _run_spmd(self, force_fn, nsteps, *, checkpoint_dir=None,
                   checkpoint_every=0, checkpoint_keep=3, resume=False,
                   faults=None, health_interval=0, retry=None,
-                  lts_ctx=None, fused_ctx=None):
+                  lts_ctx=None):
         """Hand the schedule's rank program to the world and gather the
         result; on a :class:`WorkerFailure` (process transport only —
         in-process a rank's exception propagates as itself) respawn,
         rewind to the last collective checkpoint and retry."""
         world = self.world
         mesh = self.mesh
-        if fused_ctx is not None:
-            # fused windows replace per-step interface messages with
-            # one aggregated [u; u_prev] refresh per directed halo pair
-            max_msg = fused_ctx["halos"].max_message_bytes()
-            kind = "window-refresh"
-        else:
-            max_msg = max(
-                (
-                    24 * len(loc)
-                    for rp in self.dist.ranks
-                    for (loc, _) in rp.shared_with.values()
-                ),
-                default=0,
-            )
-            kind = "interface"
+        max_msg = max(
+            (
+                24 * len(loc)
+                for rp in self.dist.ranks
+                for (loc, _) in rp.shared_with.values()
+            ),
+            default=0,
+        )
         if world.slot_bytes and max_msg > world.slot_bytes:
             raise ValueError(
-                f"largest {kind} message is {max_msg} bytes but the "
+                f"largest interface message is {max_msg} bytes but the "
                 f"ProcWorld channels hold {world.slot_bytes}; rebuild the "
                 f"world with slot_bytes >= {max_msg}"
             )
@@ -1346,7 +992,7 @@ class DistributedWaveSolver:
                     "ckpt_keep": checkpoint_keep,
                     "health_interval": health_interval,
                 },
-                lts_ctx, fused_ctx,
+                lts_ctx,
             )
             attempt = 0
             while True:

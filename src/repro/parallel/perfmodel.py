@@ -48,11 +48,6 @@ class MachineModel:
     latency: float  # seconds per message (alpha)
     bandwidth: float  # bytes/s per link (beta)
     sync_per_hop: float = 0.0  # seconds per log2(P) per step
-    #: fixed cost per exchange round (gamma): Python dispatch + handoff
-    #: overhead paid once per superstep regardless of message sizes —
-    #: the term that makes fused (communication-avoiding) stepping pay
-    #: off when alpha/gamma rival the per-step compute
-    dispatch: float = 0.0
 
     def rank_step_time(
         self, flops: int, neighbors: int, bytes_: int, nranks: int = 1
@@ -63,29 +58,7 @@ class MachineModel:
             + neighbors * self.latency
             + bytes_ / self.bandwidth
             + hops * self.sync_per_hop
-            + self.dispatch
         )
-
-    def fused_step_time(
-        self,
-        flops: float,
-        partners: int,
-        bytes_: float,
-        k: int,
-        nranks: int = 1,
-    ) -> float:
-        """Modeled per-step time of a rank marching ``k`` steps per
-        exchange: ``flops`` is one *inner* step's work (own elements
-        plus the redundant halo recompute) and ``partners``/``bytes_``
-        the whole window's refresh traffic, amortized over ``k``."""
-        hops = np.log2(nranks) if nranks > 1 else 0.0
-        window = (
-            partners * self.latency
-            + bytes_ / self.bandwidth
-            + hops * self.sync_per_hop
-            + self.dispatch
-        )
-        return flops / self.flop_rate + window / k
 
 
 #: PSC LeMieux: HP AlphaServer ES45 (EV68 @ 1 GHz, 2 Gflop/s peak, the
@@ -129,61 +102,7 @@ def machine_from_measurements(
         latency=float(measurement["alpha"]),
         bandwidth=float(measurement["beta"]),
         sync_per_hop=sync_per_hop,
-        dispatch=float(measurement.get("gamma", 0.0)),
     )
-
-
-def choose_steps_per_exchange(
-    dist,
-    machine: MachineModel,
-    *,
-    candidates: Sequence[int] = (1, 2, 4, 8),
-    nsteps: int | None = None,
-) -> tuple[int, dict[int, float]]:
-    """Pick the fusion depth ``k`` that minimizes modeled step time.
-
-    For ``k = 1`` the cost profile is the ordinary
-    :meth:`~repro.parallel.decomposition.DistributedElasticOperator.per_step_profile`;
-    for ``k > 1`` it is
-    :meth:`~repro.parallel.decomposition.DistributedElasticOperator.fused_profile`,
-    whose flops include the redundant halo recompute and whose traffic
-    is one aggregated ``(u, u_prev)`` refresh per window.  The modeled
-    per-step time of rank ``r`` is
-
-        ``flops_r / rate + (partners_r * alpha + bytes_r / beta
-                            + gamma + log2(P) * sync) / k``
-
-    and the step time is the max over ranks.  Returns ``(best_k,
-    {k: modeled_step_seconds})``; ties go to the smaller ``k`` (less
-    redundant compute, less ghost memory).  ``nsteps`` (if given)
-    drops candidates larger than the run length.
-    """
-    nranks = dist.world.nranks
-    times: dict[int, float] = {}
-    for k in sorted(set(int(c) for c in candidates)):
-        if k < 1 or (nsteps is not None and k > max(1, nsteps)):
-            continue
-        if k == 1:
-            profile = dist.per_step_profile()
-            t = max(
-                machine.rank_step_time(
-                    p["flops"], p["neighbors"], p["bytes"], nranks
-                )
-                for p in profile
-            )
-        else:
-            profile = dist.fused_profile(k)
-            t = max(
-                machine.fused_step_time(
-                    p["flops"], p["partners"], p["bytes"], k, nranks
-                )
-                for p in profile
-            )
-        times[k] = t
-    if not times:
-        return 1, {}
-    best = min(times, key=lambda k: (times[k], k))
-    return best, times
 
 
 @dataclass

@@ -74,11 +74,6 @@ class TrafficStats:
     bytes_sent: int = 0
     flops: int = 0
     peers: dict = field(default_factory=dict)
-    #: exchange rounds entered (one per superstep that touched the
-    #: transport) — lets reports derive messages-per-step under fused
-    #: stepping.  Not part of :meth:`as_tuple`, which stays a 3-tuple
-    #: for compatibility.
-    exchanges: int = 0
 
     def record_send(self, src: int, dst: int, nbytes: int) -> None:
         """Account one message of ``nbytes`` from ``src`` to ``dst``:
@@ -94,14 +89,12 @@ class TrafficStats:
             self.bytes_sent,
             self.flops,
             dict(self.peers),
-            self.exchanges,
         )
 
     def merge(self, other: "TrafficStats") -> None:
         self.messages_sent += other.messages_sent
         self.bytes_sent += other.bytes_sent
         self.flops += other.flops
-        self.exchanges += other.exchanges
         for pair, (m, b) in other.peers.items():
             pm, pb = self.peers.get(pair, (0, 0))
             self.peers[pair] = (pm + m, pb + b)
@@ -222,8 +215,7 @@ class SimComm:
 class SimWorld:
     """A set of ``P`` simulated ranks sharing in-memory mailboxes."""
 
-    #: the mailboxes are unbounded deques: no message is too large and
-    #: there is no channel whose latency is worth calibrating
+    #: the mailboxes are unbounded deques: no message is too large
     slot_bytes = 0
 
     def __init__(self, nranks: int):

@@ -63,6 +63,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
+from repro.backend.blas_threads import single_thread_blas
 from repro.parallel.simcomm import SimComm, TrafficStats
 from repro.telemetry import spans
 
@@ -272,6 +273,7 @@ def _worker_main(rank, nranks, conn, send_chs, recv_chs, barrier,
                  heartbeat_interval):
     """Persistent worker loop: execute submitted programs until told
     to stop, shipping results and traffic counts back over the pipe."""
+    single_thread_blas()  # n workers x m BLAS threads oversubscribe
     transport = ProcTransport(
         rank, nranks, send_chs, recv_chs, barrier, conn,
         heartbeat_interval,
@@ -309,7 +311,6 @@ def _worker_main(rank, nranks, conn, send_chs, recv_chs, barrier,
                     result,
                     transport._stats.as_tuple(),
                     transport._stats.peers_payload(),
-                    transport._stats.exchanges,
                 )
             )
             transport._stats = TrafficStats()
@@ -506,8 +507,6 @@ class ProcWorld:
                     st.flops += f
                     if len(msg) > 3:
                         st.merge_peers_payload(msg[3])
-                    if len(msg) > 4:
-                        st.exchanges += msg[4]
                 else:
                     errors.append((r, msg[1]))
             now = time.perf_counter()
@@ -720,44 +719,43 @@ def attach_shared_array(name, shape, dtype=np.float64):
 
 
 def _pingpong_program(comm, payload):
-    """Ranks 0 and 1 exchange fixed-size message bursts; returns, on
-    rank 0, the median round time per ``(size, burst)`` configuration.
-
-    One round of burst ``m`` is: rank 0 sends ``m`` back-to-back
-    messages, rank 1 receives ``m`` and replies with ``m``, rank 0
-    receives them — ``2m`` transfers total.  Varying ``m`` separates
-    the per-round fixed cost (gamma: Python dispatch, wakeup) from the
-    per-message cost (alpha), which a single-message ping-pong cannot
-    do.  The median over ``repeats`` rounds rejects the scheduler
-    outliers that previously made the raw means non-monotone in size.
-    """
-    sizes, bursts, repeats = payload
+    """Ranks 0 and 1 bounce one fixed-size message back and forth;
+    returns, on rank 0, ``[(bytes, median round-trip seconds)]`` per
+    size.  The median over ``repeats`` round trips rejects scheduler
+    outliers."""
+    sizes, repeats = payload
     if comm.rank > 1 or comm.size < 2:
         return None
     samples = []
     for nbytes in sizes:
         arr = np.zeros(max(nbytes // 8, 1))
-        for m in bursts:
-            if comm.rank == 0:
-                rounds = []
-                for it in range(repeats + 1):
-                    t0 = time.perf_counter()
-                    for _ in range(m):
-                        comm.Send(arr, 1, tag=99)
-                    for _ in range(m):
-                        comm.Recv(1, tag=99)
-                    if it > 0:  # round 0 warms the channel both ways
-                        rounds.append(time.perf_counter() - t0)
-                samples.append(
-                    (int(arr.nbytes), int(m), float(np.median(rounds)))
-                )
-            else:
-                for _ in range(repeats + 1):
-                    for _ in range(m):
-                        comm.Recv(0, tag=99)
-                    for _ in range(m):
-                        comm.Send(arr, 0, tag=99)
+        if comm.rank == 0:
+            rounds = []
+            for it in range(repeats + 1):
+                t0 = time.perf_counter()
+                comm.Send(arr, 1, tag=99)
+                comm.Recv(1, tag=99)
+                if it > 0:  # round 0 warms the channel both ways
+                    rounds.append(time.perf_counter() - t0)
+            samples.append((int(arr.nbytes), float(np.median(rounds))))
+        else:
+            for _ in range(repeats + 1):
+                comm.Recv(0, tag=99)
+                comm.Send(arr, 0, tag=99)
     return samples
+
+
+def fit_alpha_beta(samples) -> tuple[float, float]:
+    """Least-squares fit of the one-way time ``t(n) = alpha + n / beta``
+    to ``[(bytes, round_trip_seconds)]`` ping-pong samples (a round
+    trip is two transfers).  Returns ``(alpha, beta)``, each clamped
+    positive: timer noise on a fast transport can put the fitted
+    intercept or slope below zero."""
+    ns = np.array([s[0] for s in samples], dtype=float)
+    ts = 0.5 * np.array([s[1] for s in samples], dtype=float)
+    A = np.stack([np.ones_like(ns), ns], axis=1)
+    (alpha, slope), *_ = np.linalg.lstsq(A, ts, rcond=None)
+    return float(max(alpha, 1e-9)), float(1.0 / max(slope, 1e-15))
 
 
 def measure_transport(
@@ -765,101 +763,25 @@ def measure_transport(
     *,
     sizes: tuple = (64, 1024, 8192, 65536),
     repeats: int = 30,
-    bursts: tuple = (1, 2),
 ) -> dict:
-    """Calibrate the transport's alpha/beta/gamma by burst ping-pong
-    between ranks 0 and 1.
+    """Measure the transport's alpha/beta by ping-pong between ranks 0
+    and 1: the median round trip per message size, halved, fit by
+    :func:`fit_alpha_beta` to ``t(n) = alpha + n / beta`` — the
+    per-message cost the one-exchange-per-step machine model charges.
 
-    Each ``(size n, burst m)`` configuration is timed as the median of
-    ``repeats`` rounds of ``2m`` transfers, then all configurations are
-    fit jointly by least squares to
-
-        ``T_round = gamma + 2m * alpha + 2m * n / beta``
-
-    Returns ``{"alpha": s/message, "beta": bytes/s, "gamma": s/round,
-    "samples": [(bytes, burst, round_s)]}`` — the constants
+    Returns ``{"alpha": s/message, "beta": bytes/s, "samples":
+    [(bytes, round_s)]}`` — the constants
     :func:`repro.parallel.perfmodel.machine_from_measurements` turns
-    into a calibrated MachineModel (gamma becomes ``dispatch``).  Note
-    the ping-pong traffic is merged into ``world.stats``; use a scratch
-    world when exact solver accounting matters.  Burst depth is capped
-    at 2 by the channels' double buffering.
+    into a calibrated MachineModel.  Note the ping-pong traffic is
+    merged into ``world.stats``; use a scratch world when exact solver
+    accounting matters.
     """
     if world.nranks < 2:
         raise ValueError("transport measurement needs at least 2 ranks")
     sizes = tuple(s for s in sizes if s <= world.slot_bytes)
-    bursts = tuple(sorted(set(int(m) for m in bursts)))
-    if any(m < 1 or m > 2 for m in bursts):
-        raise ValueError("bursts must be within the channel depth (1-2)")
     results = world.run_spmd(
-        _pingpong_program, [(sizes, bursts, repeats)] * world.nranks
+        _pingpong_program, [(sizes, repeats)] * world.nranks
     )
     samples = results[0]
-    ns = np.array([s[0] for s in samples], dtype=float)
-    ms = np.array([s[1] for s in samples], dtype=float)
-    ts = np.array([s[2] for s in samples], dtype=float)
-    A = np.stack([np.ones_like(ns), 2.0 * ms, 2.0 * ms * ns], axis=1)
-    (gamma, alpha, slope), *_ = np.linalg.lstsq(A, ts, rcond=None)
-    return {
-        "alpha": float(max(alpha, 1e-9)),
-        "beta": float(1.0 / max(slope, 1e-15)),
-        "gamma": float(max(gamma, 0.0)),
-        "samples": samples,
-    }
-
-
-#: process-wide memo of transport calibrations — the alpha/beta/gamma
-#: of a transport flavour at a rank count are machine properties, not
-#: per-world state, so one burst ping-pong serves every solver and
-#: ``steps_per_exchange="auto"`` call in the process
-_CALIBRATION_CACHE: dict[tuple, dict] = {}
-
-
-def transport_fingerprint(world) -> tuple:
-    """What makes two worlds calibration-equivalent: the transport
-    implementation, the rank count, and the channel slot size (the
-    ping-pong saturates differently against different slot depths)."""
-    return (
-        type(world).__name__,
-        int(world.nranks),
-        int(getattr(world, "slot_bytes", 0)),
-    )
-
-
-def calibrate_transport(
-    world,
-    *,
-    sizes: tuple = (64, 1024, 8192, 65536),
-    repeats: int = 30,
-    bursts: tuple = (1, 2),
-    refresh: bool = False,
-) -> dict:
-    """Memoized :func:`measure_transport`: the first call per
-    ``(transport, nranks, slot_bytes, sizes, repeats, bursts)`` runs
-    the burst ping-pong, every later one is a dictionary lookup — so
-    ``steps_per_exchange="auto"`` and sharding heuristics stop paying
-    the measurement on every solver construction.  ``refresh=True``
-    forces a re-measurement (and replaces the memo entry);
-    :func:`clear_transport_calibration` drops everything, which tests
-    use to keep measurements hermetic."""
-    key = transport_fingerprint(world) + (
-        tuple(int(s) for s in sizes),
-        int(repeats),
-        tuple(sorted(set(int(m) for m in bursts))),
-    )
-    if not refresh:
-        hit = _CALIBRATION_CACHE.get(key)
-        if hit is not None:
-            from repro import telemetry
-
-            telemetry.count("service.calibration_hits")
-            return dict(hit)
-    meas = measure_transport(
-        world, sizes=sizes, repeats=repeats, bursts=bursts
-    )
-    _CALIBRATION_CACHE[key] = dict(meas)
-    return meas
-
-
-def clear_transport_calibration() -> None:
-    """Forget all memoized transport calibrations."""
-    _CALIBRATION_CACHE.clear()
+    alpha, beta = fit_alpha_beta(samples)
+    return {"alpha": alpha, "beta": beta, "samples": samples}

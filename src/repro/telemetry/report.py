@@ -58,13 +58,6 @@ class PerfReport:
         :meth:`repro.solver.lts.LTSPlan.as_dict` dict (histogram,
         theoretical speedup), optionally extended with an
         ``achieved_speedup`` measured against a global-dt run.
-    fused:
-        Optional communication-avoiding stepping summary, typically a
-        :attr:`repro.parallel.dist_solver.DistributedWaveSolver.
-        last_fused` dict (``steps_per_exchange``, ``nsteps``, model
-        times).  :meth:`collect` derives ``messages_per_step`` and the
-        fused-vs-unfused message ``reduction`` from the traffic matrix
-        when ``world`` is given.
     service:
         Optional simulation-service summary: merge of
         :meth:`repro.service.Engine.stats` (artifact-cache hit/miss,
@@ -83,7 +76,6 @@ class PerfReport:
     nranks: int | None = None
     metrics: dict = field(default_factory=dict)
     lts: dict | None = None
-    fused: dict | None = None
     service: dict | None = None
     title: str = "Performance report"
 
@@ -102,7 +94,6 @@ class PerfReport:
         nranks=None,
         metrics=None,
         lts=None,
-        fused=None,
         service=None,
         title="Performance report",
     ) -> "PerfReport":
@@ -149,26 +140,6 @@ class PerfReport:
                     traffic[(src, dst)] = (pm + m, pb + b)
             if nranks is None:
                 nranks = world.nranks
-        fused_out = dict(fused) if fused is not None else None
-        if fused_out is not None and world is not None:
-            # Derive per-step message counts from the measured traffic.
-            nsteps = fused_out.get("nsteps")
-            msgs = sum(
-                st.messages_sent for st in world.stats
-            )
-            exch = sum(st.exchanges for st in world.stats)
-            fused_out.setdefault("messages", msgs)
-            fused_out.setdefault("exchanges", exch)
-            if nsteps:
-                fused_out.setdefault("messages_per_step", msgs / nsteps)
-                # Unfused pays one exchange round every step on every
-                # rank; fused pays one per k steps, so the realised
-                # per-rank reduction factor is steps per exchange round.
-                nranks_w = max(len(world.stats), 1)
-                fused_out.setdefault(
-                    "message_reduction",
-                    nsteps * nranks_w / exch if exch else None,
-                )
         return cls(
             phases=phases,
             traffic=traffic,
@@ -182,7 +153,6 @@ class PerfReport:
             nranks=nranks,
             metrics=dict(metrics.as_dict()) if metrics is not None else {},
             lts=dict(lts) if lts is not None else None,
-            fused=fused_out,
             service=dict(service) if service is not None else None,
             title=title,
         )
@@ -224,7 +194,6 @@ class PerfReport:
             "efficiency": self.efficiency,
             "metrics": self.metrics,
             "lts": self.lts,
-            "fused": self.fused,
             "service": self.service,
         }
 
@@ -300,32 +269,6 @@ class PerfReport:
                 + (f"   achieved {_fmt(ach, 7, 2)}x" if ach is not None
                    else "")
             )
-        if self.fused:
-            lines.append("")
-            k = self.fused.get("steps_per_exchange", 1)
-            lines.append(
-                f"communication-avoiding stepping  (k={k}"
-                + (
-                    ", auto"
-                    if self.fused.get("requested") == "auto"
-                    else ""
-                )
-                + ")"
-            )
-            mps = self.fused.get("messages_per_step")
-            red = self.fused.get("message_reduction")
-            if mps is not None:
-                lines.append(
-                    f"  messages/step {_fmt(mps, 8, 2)}"
-                    + (
-                        f"   exchange reduction {_fmt(red, 6, 2)}x"
-                        if red is not None
-                        else ""
-                    )
-                )
-            fb = self.fused.get("fallback")
-            if fb:
-                lines.append(f"  fell back to k=1 ({fb})")
         if self.service:
             lines.append("")
             sv = self.service

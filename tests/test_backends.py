@@ -8,6 +8,7 @@ provide actually holds — verified with tracemalloc, so an accidental
 reintroduction of a per-step temporary fails the suite.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -26,6 +27,11 @@ from repro.backend import (
     spmv_acc,
     spmv_into,
     use_backend,
+)
+from repro.backend.blas_threads import (
+    THREAD_VARS,
+    _bundled_openblas,
+    single_thread_blas,
 )
 from repro.fem.assembly import ElasticOperator, assemble_csr
 from repro.materials import HomogeneousMaterial
@@ -246,6 +252,78 @@ class TestBackendSelection:
             assert b.name == "numpy"
             assert get_backend() is b
         assert backend_mod._active is before
+
+
+# ------------------------------------------------------ BLAS threading
+
+_BLAS_PROBE = """
+import json, statistics, time
+import numpy as np
+from repro.backend.blas_threads import _bundled_openblas
+from repro.fem.assembly import ElasticOperator
+from repro.mesh import uniform_hex_mesh
+
+lib = _bundled_openblas()
+before = lib.scipy_openblas_get_num_threads64_()
+mesh = uniform_hex_mesh(16)
+n = 2048
+op = ElasticOperator(
+    mesh.conn[:n], mesh.elem_h[:n], np.ones(n), np.ones(n), mesh.nnode
+)
+after = lib.scipy_openblas_get_num_threads64_()
+u = np.random.default_rng(0).standard_normal((mesh.nnode, 3))
+out = np.empty_like(u)
+op.matvec(u, out=out)
+times = []
+for _ in range(30):
+    t0 = time.perf_counter()
+    op.matvec(u, out=out)
+    times.append(time.perf_counter() - t0)
+print(json.dumps({"before": before, "after": after,
+                  "matvec_s": statistics.median(times)}))
+"""
+
+
+def _blas_probe(**thread_env):
+    """Build a 2,048-element operator in a subprocess whose environment
+    has no BLAS thread variable but ``thread_env``."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env.update(thread_env)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, ["src", env.get("PYTHONPATH", "")])
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", _BLAS_PROBE],
+        capture_output=True, text=True, env=env, check=True,
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    )
+    return json.loads(out.stdout)
+
+
+@pytest.mark.skipif(
+    os.cpu_count() == 1 or _bundled_openblas() is None,
+    reason="needs >= 2 cores and numpy's bundled OpenBLAS",
+)
+class TestBlasThreads:
+    def test_clean_environment_runs_single_threaded(self):
+        clean = _blas_probe()
+        assert clean["before"] >= 2
+        assert clean["after"] == 1
+        pinned = _blas_probe(OPENBLAS_NUM_THREADS="1")
+        assert pinned["before"] == pinned["after"] == 1
+        # the unpinned stall is 50x on a 2-vCPU host; 3x is generous
+        assert clean["matvec_s"] <= 3 * pinned["matvec_s"]
+
+    def test_an_explicit_setting_wins(self, monkeypatch):
+        lib = _bundled_openblas()
+        saved = lib.scipy_openblas_get_num_threads64_()
+        try:
+            lib.scipy_openblas_set_num_threads64_(2)
+            monkeypatch.setenv("OMP_NUM_THREADS", "2")
+            single_thread_blas()
+            assert lib.scipy_openblas_get_num_threads64_() == 2
+        finally:
+            lib.scipy_openblas_set_num_threads64_(saved)
 
 
 # ---------------------------------------------- cross-backend equivalence

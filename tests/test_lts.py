@@ -15,10 +15,12 @@ The guarantees under test (see :mod:`repro.solver.lts` and DESIGN.md):
   compact per-level kernels) is **bitwise** the global-state loop it
   replaced, which survives here as the oracle; its layout invariants
   hold on random materials; its steady-state loop allocates nothing
-  node-sized; its counters are per march; the NaN sentinel (scalar and
-  elastic) looks at the first sync boundary after its cadence came due;
+  node-sized; its counters are per march; the NaN sentinel (scalar,
+  elastic and distributed) looks at the first sync boundary after its
+  cadence came due;
 * checkpoints are written only at sync boundaries and resume
-  bit-identically, serial and distributed;
+  bit-identically, serial and distributed; a distributed resume from
+  a checkpoint that is not on a sync boundary is rejected;
 * both transports produce the same bits under LTS, ranks exchange
   interface sums only at the interface rate, and a rank killed in the
   middle of a coarse step recovers bit-identically from the last
@@ -858,6 +860,44 @@ def test_dist_lts_resume_bit_identical(tmp_path):
     solver = DistributedWaveSolver(mesh, LAYERED, parts, SimWorld(2), lts=8)
     u = solver.run(force, t_end, checkpoint_dir=d, resume=True)
     assert np.array_equal(u, u_ref)
+
+
+def test_dist_lts_resume_rejects_misaligned_boundary(tmp_path):
+    mesh, parts, src = _dist_lts_problem()
+    d = str(tmp_path)
+    solver = DistributedWaveSolver(mesh, LAYERED, parts, SimWorld(2))
+    force = _dist_force(mesh, src, solver.dt)
+    t_end = 12.5 * solver.dt
+    # global-dt checkpoints every 5 steps -> latest resume index 10,
+    # which is not a multiple of the clustered sync rate (4)
+    solver.run(force, t_end, checkpoint_dir=d, checkpoint_every=5)
+    solver = DistributedWaveSolver(mesh, LAYERED, parts, SimWorld(2))
+    with pytest.raises(ValueError, match="sync boundary"):
+        solver.run(force, t_end, lts=8, checkpoint_dir=d, resume=True)
+
+
+@pytest.mark.parametrize(
+    "lts, interval, caught_at",
+    [(0, 10, 9), (8, 10, 11), (8, 1, 7), (8, 0, None)],
+)
+def test_dist_health_cadence_is_the_interval(lts, interval, caught_at):
+    # the clustered program only sees sync boundaries (every 4 steps
+    # here), and the sentinel must look at the first one after its
+    # cadence came due — not every lcm(interval, 4) steps, which would
+    # read 19; off by default
+    mesh, parts, src = _dist_lts_problem()
+    solver = DistributedWaveSolver(mesh, LAYERED, parts, SimWorld(2))
+    force = _dist_force(mesh, src, solver.dt)
+    kw = dict(
+        lts=lts, health_interval=interval,
+        faults=FaultPlan.parse("nan:rank=1,step=7"),
+    )
+    if caught_at is None:
+        assert np.isnan(solver.run(force, 23.5 * solver.dt, **kw)).any()
+        return
+    with pytest.raises(NumericalHealthError) as err:
+        solver.run(force, 23.5 * solver.dt, **kw)
+    assert err.value.step == caught_at
 
 
 def test_proc_lts_kill_mid_coarse_step_recovers_bitwise(tmp_path):
