@@ -368,15 +368,17 @@ def _profile_inverse(args, out_dir: str):
     return report
 
 
-_SPEC_FIELDS = (
-    "L", "depth_frac", "vs_min", "fmax", "ppw", "h_min", "max_level"
-)
+def cmd_submit(args) -> int:
+    """Spool one forward request for a (possibly already running)
+    ``repro serve`` process (:meth:`repro.service.spool.Spool.submit`:
+    atomic, so a concurrently draining server never sees a torn file,
+    and exclusive, so concurrent submitters never share an id)."""
+    from repro.service import Spool
+    from repro.service.server import spec_from_dict
 
-
-def _request_spec(args) -> dict:
-    """The spool-file spec dict for a submitted request (plain floats
-    and ints — the JSON the service rebuilds a SimulationSpec from)."""
-    return {
+    # plain floats and ints: the JSON the service rebuilds a
+    # SimulationSpec from
+    spec = {
         "L": float(args.L),
         "depth_frac": float(args.depth_frac),
         "vs_min": float(args.vs_min),
@@ -385,45 +387,6 @@ def _request_spec(args) -> dict:
         "h_min": float(args.h_min),
         "max_level": int(args.max_level),
     }
-
-
-def _spec_from_dict(d: dict):
-    """Rebuild the :class:`~repro.service.SimulationSpec` a spool file
-    names.  Field-for-field deterministic, so two spool files with
-    equal spec dicts hash to one artifact key and share a build."""
-    from repro.materials import SyntheticBasinModel
-    from repro.service import SimulationSpec
-
-    material = SyntheticBasinModel(
-        L=d["L"], depth=d["depth_frac"] * d["L"], vs_min=d["vs_min"]
-    )
-    return SimulationSpec(
-        material=material,
-        L=d["L"],
-        fmax=d["fmax"],
-        box_frac=(1, 1, d["depth_frac"]),
-        points_per_wavelength=d["ppw"],
-        max_level=d["max_level"],
-        h_min=d["h_min"],
-    )
-
-
-def _scenario_from_name(name: str, L: float):
-    from repro.sources import idealized_northridge, idealized_strike_slip
-
-    return (
-        idealized_northridge(L=L)
-        if name == "northridge"
-        else idealized_strike_slip(L=L)
-    )
-
-
-def cmd_submit(args) -> int:
-    """Spool one forward request for a (possibly already running)
-    ``repro serve`` process.  The write is atomic (tmp + rename), so a
-    concurrently draining server never sees a torn file."""
-    os.makedirs(args.spool, exist_ok=True)
-    spec = _request_spec(args)
     if args.receivers:
         receivers = json.loads(args.receivers)
     else:
@@ -431,46 +394,28 @@ def cmd_submit(args) -> int:
         receivers = np.stack(
             [xs, np.full_like(xs, 0.5 * args.L), np.zeros_like(xs)], axis=1
         ).tolist()
-    # ids stay unique across drain generations: count retired requests
-    # in done/ too, so a later submit never reuses (and a later serve
-    # never overwrites) an earlier request's output file
-    lifecycle_dirs = [args.spool] + [
-        os.path.join(args.spool, d)
-        for d in ("done", "inflight", "quarantine")
-    ]
-    existing = [
-        f
-        for d in lifecycle_dirs
-        if os.path.isdir(d)
-        for f in os.listdir(d)
-        if f.startswith("req-") and f.endswith(".json")
-    ]
-    req_id = f"req-{len(existing):06d}"
-    while any(
-        os.path.exists(os.path.join(d, req_id + ".json"))
-        for d in lifecycle_dirs
-    ):
-        req_id = f"req-{int(req_id[4:]) + 1:06d}"
-    request = {
-        "id": req_id,
+    spool = Spool(args.spool)
+    req_id = spool.submit({
         "spec": spec,
         "scenario": args.scenario,
         "t_end": float(args.t_end),
         "receivers": receivers,
-    }
-    path = os.path.join(args.spool, req_id + ".json")
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(request, f, indent=2)
-    os.replace(tmp, path)
-    key = _spec_from_dict(spec).key
-    print(f"spooled {path}  (artifact key {key[:12]}…)")
+    })
+    key = spec_from_dict(spec).key
+    print(f"spooled {spool.path(req_id)}  (artifact key {key[:12]}…)")
     return 0
 
 
-def _serve_status_payload(
-    engine, scheduler, served, failed, drain, *, quarantined=0
-):
+def _timelines(engine):
+    """Rank timelines of the last distributed run of each simulation
+    the engine holds."""
+    for sim in list(engine.cache._mem.values()):
+        tl = getattr(getattr(sim, "solver", None), "last_timeline", None)
+        if tl is not None:
+            yield tl
+
+
+def _serve_status_payload(engine, scheduler, tally):
     """The live-state dict ``repro serve`` publishes for ``repro top``:
     counts, window occupancy, cache tiers, latency quantiles, and the
     per-rank phase split of the most recent distributed run."""
@@ -489,20 +434,17 @@ def _serve_status_payload(
                     "p99": h.quantile(0.99),
                     "max": h.max,
                 }
-    per_rank = None
-    for sim in list(engine.cache._mem.values()):
-        tl = getattr(getattr(sim, "solver", None), "last_timeline", None)
-        if tl is not None:
-            per_rank = tl.summary()["per_rank"]
-            break
+    per_rank = next(
+        (tl.summary()["per_rank"] for tl in _timelines(engine)), None
+    )
     return {
-        "served": served,
-        "failed": failed,
-        "quarantined": quarantined,
+        "served": tally.served,
+        "failed": tally.failed,
+        "quarantined": tally.quarantined,
         "queue": scheduler.queue_snapshot(),
         "scheduler": scheduler.stats(),
         "cache": engine.cache.stats(),
-        "drain": drain,
+        "drain": tally.drain,
         "pools": engine.stats()["pools"],
         "latency": latency,
         "per_rank": per_rank,
@@ -510,53 +452,36 @@ def _serve_status_payload(
 
 
 def cmd_serve(args) -> int:
-    """Drain the spool through a warm engine, crash-safely.
+    """Drain the spool through a warm engine, crash-safely
+    (:func:`repro.service.server.serve` is the loop,
+    :mod:`repro.service.spool` the directory protocol).
 
-    Each pass *claims* every pending ``req-*.json`` by atomic rename
-    into ``<spool>/inflight/`` (the at-least-once journal: a SIGKILL
-    at any instant leaves each request in exactly one directory),
-    submits all of them to the coalescing scheduler (requests naming
-    the same basin, horizon, and record coalesce into one fused
-    batch), writes one ``.npz`` seismogram archive per request, and
-    retires the spool file to ``<spool>/done``.  A restarted server
-    replays whatever a crashed predecessor left in ``inflight/`` —
-    idempotent, because results are rebuilt from the same
-    content-addressed artifacts.  Requests that fail
-    ``--max-attempts`` times (or whose spool file cannot be parsed)
-    move to ``<spool>/quarantine/`` with a failure-report JSON
-    instead of wedging the drain loop.  With ``--watch`` the server
-    polls for new requests until interrupted; the default is one
-    drain pass (empty spool = no-op), which is what the CI smoke
-    drives.
+    Each pass claims every pending ``req-*.json`` into
+    ``<spool>/inflight/`` and hands the whole pass to the coalescing
+    scheduler, which dispatches it at once: requests naming the same
+    basin, horizon and record ride one fused batch (at most
+    ``--max-batch`` wide), and what arrives while they solve is the
+    next pass — the spool is the batching queue.  Each result lands as
+    one ``.npz`` before its spool file retires to ``<spool>/done``; a
+    restarted server replays ``inflight/``; a request that fails
+    ``--max-attempts`` times (or cannot be parsed) moves to
+    ``<spool>/quarantine/`` with a failure report.  With ``--watch``
+    the server polls for new requests until interrupted; the default
+    is one drain pass (empty spool = no-op).
 
-    Resilience knobs: ``--max-queue-depth`` sheds excess submissions,
-    ``--deadline`` expires queued requests, ``--no-bisect`` disables
-    poisoned-batch isolation (see
-    :class:`~repro.service.policy.ServicePolicy`).
-
-    Observability: ``--status-file`` publishes live state for ``repro
-    top``; ``--prometheus``/``--metrics-jsonl`` export the metric
-    registry; ``--trace-out`` dumps the request-stitched span trace.
-    Any of these flags turns telemetry on for the process.
+    ``--max-queue-depth`` sheds excess submissions, ``--deadline``
+    expires queued requests, ``--no-bisect`` disables poisoned-batch
+    isolation (:class:`~repro.service.policy.ServicePolicy`).
+    ``--status-file`` publishes live state for ``repro top``,
+    ``--prometheus``/``--metrics-jsonl`` export the metric registry,
+    ``--trace-out`` dumps the request-stitched span trace; any of
+    these turns telemetry on for the process.
     """
-    import time as _time
-
     from repro import telemetry
     from repro.resilience.faults import FaultPlan
     from repro.service import (
-        CoalescingScheduler,
-        Engine,
-        ForwardRequest,
-        ServicePolicy,
+        CoalescingScheduler, Engine, ServeStats, ServicePolicy, Spool, serve,
     )
-
-    os.makedirs(args.spool, exist_ok=True)
-    os.makedirs(args.out_dir, exist_ok=True)
-    done_dir = os.path.join(args.spool, "done")
-    inflight_dir = os.path.join(args.spool, "inflight")
-    quarantine_dir = os.path.join(args.spool, "quarantine")
-    for d in (done_dir, inflight_dir, quarantine_dir):
-        os.makedirs(d, exist_ok=True)
 
     exporting = bool(
         args.status_file or args.prometheus
@@ -579,209 +504,31 @@ def cmd_serve(args) -> int:
         bisect=not args.no_bisect,
         max_attempts=args.max_attempts,
     )
-    fault_plan = FaultPlan.from_env()
     engine = Engine(
         capacity=args.capacity, disk_dir=args.cache_dir,
-        faults=fault_plan,
+        faults=FaultPlan.from_env(),
     )
+    # every pass is handed over with submit_many, which never waits:
+    # the scheduler's max_wait timer (and --max-wait) has no part here
     scheduler = CoalescingScheduler(
-        engine, max_batch=args.max_batch, max_wait=args.max_wait,
-        policy=policy,
+        engine, max_batch=args.max_batch, policy=policy
     )
-    served = failed = quarantined = 0
-    drain = None
-    traces = []
+    tally = ServeStats()
 
     def publish():
         if status is not None:
-            status.write(
-                _serve_status_payload(
-                    engine, scheduler, served, failed, drain,
-                    quarantined=quarantined,
-                )
-            )
+            status.write(_serve_status_payload(engine, scheduler, tally))
         if jsonl is not None:
             jsonl.export()
         if args.prometheus:
             telemetry.write_prometheus(args.prometheus)
 
-    def _attempts_path(fname):
-        return os.path.join(inflight_dir, fname + ".attempts")
-
-    def _read_attempts(fname):
-        try:
-            with open(_attempts_path(fname)) as f:
-                return int(f.read().strip() or 0)
-        except (OSError, ValueError):
-            return 0
-
-    def _bump_attempts(fname):
-        n = _read_attempts(fname) + 1
-        path = _attempts_path(fname)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as f:
-            f.write(str(n))
-        os.replace(tmp, path)
-        return n
-
-    def _quarantine(fname, report):
-        """Move an inflight request to quarantine/ with a failure
-        report; removes its attempts sidecar.  The request leaves the
-        drain loop permanently — exactly-once disposition."""
-        nonlocal quarantined
-        src = os.path.join(inflight_dir, fname)
-        if os.path.exists(src):
-            os.replace(src, os.path.join(quarantine_dir, fname))
-        try:
-            os.remove(_attempts_path(fname))
-        except OSError:
-            pass
-        report = {"file": fname, "ts": _time.time(), **report}
-        rpath = os.path.join(
-            quarantine_dir, fname[:-len(".json")] + ".report.json"
-        )
-        tmp = rpath + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump(report, f, indent=2)
-        os.replace(tmp, rpath)
-        quarantined += 1
-        telemetry.count("service.quarantined")
-        print(
-            f"  {fname[:-len('.json')]}: QUARANTINED "
-            f"({report.get('stage')}: {report.get('error')})"
-        )
-
+    spool = Spool(args.spool)
     try:
-        while True:
-            # claim: atomic rename out of the spool root — after this
-            # instant the request is journalled in inflight/ and will
-            # be replayed by any restart
-            for fname in sorted(os.listdir(args.spool)):
-                if fname.startswith("req-") and fname.endswith(".json"):
-                    os.replace(
-                        os.path.join(args.spool, fname),
-                        os.path.join(inflight_dir, fname),
-                    )
-            progressed = False
-            while True:  # attempt loop: converges in <= max_attempts
-                claimed = sorted(
-                    f for f in os.listdir(inflight_dir)
-                    if f.startswith("req-") and f.endswith(".json")
-                )
-                if not claimed:
-                    break
-                progressed = True
-                batch = []
-                drain_base = engine.cache.counters()
-                for fname in claimed:
-                    fpath = os.path.join(inflight_dir, fname)
-                    attempts = _bump_attempts(fname)
-                    if attempts > 1:
-                        telemetry.count("service.replayed")
-                    try:
-                        with open(fpath) as f:
-                            req = json.load(f)
-                        spec = _spec_from_dict(req["spec"])
-                        request = ForwardRequest(
-                            spec,
-                            _scenario_from_name(
-                                req.get("scenario", "strike-slip"),
-                                spec.L,
-                            ),
-                            float(req["t_end"]),
-                            receivers=(
-                                np.asarray(req["receivers"], dtype=float)
-                                if req.get("receivers")
-                                else None
-                            ),
-                            record=req.get("record", "velocity"),
-                            request_id=req["id"],
-                        )
-                    except Exception as e:
-                        # torn/corrupt spool JSON (or a bad spec):
-                        # unservable no matter how often we retry
-                        _quarantine(fname, {
-                            "id": fname[:-len(".json")],
-                            "stage": "parse",
-                            "error": str(e),
-                            "error_type": type(e).__name__,
-                            "attempts": attempts,
-                        })
-                        failed += 1
-                        continue
-                    try:
-                        future = scheduler.submit(request)
-                    except Exception as e:  # shed / breaker open
-                        from concurrent.futures import Future as _F
-                        future = _F()
-                        future.set_exception(e)
-                    batch.append((fname, req, request, future))
-                still_failing = False
-                for fname, req, request, future in batch:
-                    out = os.path.join(
-                        args.out_dir, req["id"] + ".npz"
-                    )
-                    try:
-                        seis = future.result()
-                    except Exception as e:  # keep serving the rest
-                        attempts = _read_attempts(fname)
-                        if attempts >= policy.max_attempts:
-                            _quarantine(fname, {
-                                "id": req["id"],
-                                "stage": "solve",
-                                "error": str(e),
-                                "error_type": type(e).__name__,
-                                "attempts": attempts,
-                                "trace_id": request.trace_id,
-                            })
-                            failed += 1
-                        else:
-                            still_failing = True
-                            print(
-                                f"  {req['id']}: attempt {attempts} "
-                                f"failed ({e}); will retry"
-                            )
-                        continue
-                    if seis is not None:
-                        # ends in .npz so savez does not append one
-                        tmp = out + ".tmp.npz"
-                        np.savez_compressed(
-                            tmp,
-                            data=seis.data,
-                            dt=seis.dt,
-                            kind=seis.kind,
-                            positions=seis.positions,
-                        )
-                        os.replace(tmp, out)
-                        print(f"  {req['id']}: {out}")
-                    if request.trace_id is not None:
-                        traces.append((req["id"], request.trace_id))
-                    served += 1
-                    os.replace(
-                        os.path.join(inflight_dir, fname),
-                        os.path.join(done_dir, fname),
-                    )
-                    try:
-                        os.remove(_attempts_path(fname))
-                    except OSError:
-                        pass
-                # per-drain cache scope: hit ratios of THIS drain,
-                # not the engine's lifetime totals
-                drain = engine.cache.stats_since(drain_base)
-                if fault_plan is not None:
-                    # advance one-shot faults so a retry pass runs
-                    # clean — mirrors the solver's own recovery loop
-                    fault_plan = fault_plan.retried()
-                    engine.faults = fault_plan
-                if not still_failing:
-                    break
-            publish()
-            if not args.watch:
-                break
-            if not progressed:
-                _time.sleep(args.poll)
-    except KeyboardInterrupt:
-        pass
+        serve(
+            spool, args.out_dir, scheduler, watch=args.watch,
+            poll=args.poll, publish=publish, stats=tally,
+        )
     finally:
         scheduler.close()
         engine.close()
@@ -790,13 +537,14 @@ def cmd_serve(args) -> int:
     stats = engine.stats()
     sched = scheduler.stats()
     print(
-        f"served {served} request(s) ({failed} failed) in "
+        f"served {tally.served} request(s) ({tally.failed} failed) in "
         f"{sched['batches']} batch(es), mean width "
         f"{sched['mean_batch']:.2f}, max {sched['max_batch_observed']}"
     )
-    if quarantined:
+    if tally.quarantined:
         print(
-            f"quarantine: {quarantined} request(s) -> {quarantine_dir}"
+            f"quarantine: {tally.quarantined} request(s) -> "
+            f"{spool.quarantine_dir}"
         )
     print(
         f"artifact cache: {stats['hits']} hits / {stats['misses']} misses "
@@ -805,20 +553,16 @@ def cmd_serve(args) -> int:
     if args.trace_out and telemetry.enabled():
         extra = [
             {"type": "request_trace", "request": rid, "trace": tid}
-            for rid, tid in traces
+            for rid, tid in tally.traces
         ]
-        for sim in list(engine.cache._mem.values()):
-            tl = getattr(
-                getattr(sim, "solver", None), "last_timeline", None
-            )
-            if tl is not None:
-                extra.extend(tl.span_records())
+        for tl in _timelines(engine):
+            extra.extend(tl.span_records())
         n = telemetry.dump_jsonl(args.trace_out, extra_records=extra)
         print(f"trace: {n} records -> {args.trace_out}")
     if args.report:
-        service = {**stats, **sched, "quarantined": quarantined}
-        if drain is not None:
-            service["drain"] = drain
+        service = {**stats, **sched, "quarantined": tally.quarantined}
+        if tally.drain is not None:
+            service["drain"] = tally.drain
         report = telemetry.PerfReport.collect(
             metrics=telemetry.metrics(),
             service=service,
@@ -826,7 +570,7 @@ def cmd_serve(args) -> int:
         )
         print()
         print(report.as_text())
-    return 1 if failed else 0
+    return 1 if tally.failed else 0
 
 
 def cmd_top(args) -> int:
@@ -1063,7 +807,10 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--max-batch", type=int, default=16,
                     help="coalescing width cap (B of the fused loop)")
     pv.add_argument("--max-wait", type=float, default=0.05,
-                    help="seconds a batching window stays open")
+                    help="ignored: a claimed pass dispatches at once "
+                         "(the spool is the batching queue); still "
+                         "parsed because the frozen serve_open "
+                         "benchmark passes it")
     pv.add_argument("--watch", action="store_true",
                     help="keep polling the spool instead of one drain pass")
     pv.add_argument("--poll", type=float, default=0.5,

@@ -10,13 +10,19 @@ scenario run is a cache hit plus one batched column:
 * :mod:`~repro.service.scheduler` — :class:`CoalescingScheduler`, an
   async job queue that packs co-batchable requests into one fused
   ``run_batch`` time loop (each column bitwise-identical to a solo
-  run);
+  run); ``submit_many`` hands over an already-collected list, which
+  dispatches at once;
 * :mod:`~repro.service.policy` — :class:`ServicePolicy` resilience
   knobs (admission control, deadlines, poisoned-batch bisection,
   retry + circuit breaker) and the structured errors
   (:class:`ShedError`, :class:`DeadlineExceeded`,
   :class:`PoisonedRequestError`, :class:`CircuitOpenError`) callers
-  program against.
+  program against;
+* :mod:`~repro.service.spool` — :class:`Spool`, the crash-safe
+  directory protocol between ``repro submit`` and ``repro serve``;
+* :mod:`~repro.service.server` — :func:`serve`, the drain loop that
+  feeds a spool through the scheduler (the spool is its batching
+  queue).
 """
 
 from repro.service.cache import (
@@ -37,6 +43,8 @@ from repro.service.policy import (
     ShedError,
 )
 from repro.service.scheduler import CoalescingScheduler, ForwardRequest
+from repro.service.server import ServeStats, serve
+from repro.service.spool import Spool
 
 __all__ = [
     "ArtifactCache",
@@ -48,11 +56,14 @@ __all__ = [
     "Engine",
     "ForwardRequest",
     "PoisonedRequestError",
+    "ServeStats",
     "ServicePolicy",
     "ShedError",
     "SimulationSpec",
+    "Spool",
     "artifact_key",
     "fingerprint",
     "load_artifact",
     "save_artifact",
+    "serve",
 ]

@@ -13,10 +13,22 @@ The batching window is a small state machine per group:
 
 * **idle** — no pending requests for the key;
 * **open** — the first request arrives and starts a ``max_wait``
-  timer (the window);
-* **dispatch** — when the group reaches ``max_batch`` members
-  (*full*), its window expires (*timeout*), or the scheduler is
-  flushed/closed, the group leaves the queue and runs as one batch.
+  timer (the window for *independently arriving* ``submit`` calls);
+* **ready** — the group reaches ``max_batch`` members (*full*), its
+  window expires (*timeout*), the scheduler is flushed/closed, or the
+  group was touched by :meth:`~CoalescingScheduler.submit_many` — a
+  caller that hands over a list has done the coalescing, and holding
+  an idle engine for a window nothing can join buys no batch.  A
+  ready group is still joinable while it queues behind a running
+  solve;
+* **dispatch** — the scheduler thread pops **at most** ``max_batch``
+  requests off the first ready group and runs them as one batch; the
+  remainder stays queued and ready.
+
+The rule is work-conserving: an idle engine never holds a request it
+was handed, and a busy one batches exactly what arrived while it was
+busy.  ``repro serve`` relies on it — the spool is its batching queue
+(:mod:`repro.service.server`).
 
 Coalescing is free of numerical consequence: ``run_batch`` column
 ``b`` is bit-identical to a solo ``run`` of scenario ``b`` (the
@@ -127,6 +139,14 @@ class _Group:
         self.t_open = t_open
         self.t_enq: list[float] = []
 
+    def split(self, n: int) -> "_Group":
+        """Detach the first ``n`` requests as their own group."""
+        head = _Group(self.deadline, self.t_open)
+        head.requests, self.requests = self.requests[:n], self.requests[n:]
+        head.futures, self.futures = self.futures[:n], self.futures[n:]
+        head.t_enq, self.t_enq = self.t_enq[:n], self.t_enq[n:]
+        return head
+
 
 class CoalescingScheduler:
     """Async job queue in front of an :class:`Engine`.
@@ -136,13 +156,15 @@ class CoalescingScheduler:
     engine:
         The warm engine that executes dispatched batches.
     max_batch:
-        Dispatch a group as soon as it holds this many requests
-        (``B`` of the fused loop).
+        Dispatch a group as soon as it holds this many requests, and
+        never run a wider batch (``B`` of the fused loop).
     max_wait:
-        Seconds a group may wait for co-batchable traffic after its
-        first request arrives.  ``0`` disables coalescing latency
-        entirely — every request dispatches immediately (B=1) —
-        which is the idle-overhead configuration the CI gate checks.
+        Seconds a group of single :meth:`submit` calls may wait for
+        co-batchable traffic after its first request arrives
+        (:meth:`submit_many` does not wait).  ``0`` disables
+        coalescing latency entirely — every request dispatches
+        immediately (B=1) — which is the idle-overhead configuration
+        the CI gate checks.
     policy:
         A :class:`~repro.service.policy.ServicePolicy` arming
         admission control, deadlines, bisection, retry, and the
@@ -189,6 +211,52 @@ class CoalescingScheduler:
 
     # ------------------------------------------------------- submission
 
+    def _enqueue(self, request: ForwardRequest) -> tuple[Future, _Group]:
+        """Under the lock: run the admission gates, then join (or
+        open) the request's group.  Raises before anything is enqueued
+        when a gate rejects."""
+        if self._closed:
+            raise RuntimeError("scheduler is closed")
+        policy = self.policy
+        if self._breaker is not None and not self._breaker.allow():
+            telemetry.count("service.breaker.rejected")
+            raise CircuitOpenError(
+                "circuit breaker open after repeated pool failures",
+                retry_after=self._breaker.retry_after(),
+            )
+        if policy.max_queue_depth > 0:
+            depth = sum(len(g.requests) for g in self._groups.values())
+            if depth >= policy.max_queue_depth:
+                self.shed += 1
+                telemetry.count("service.shed")
+                raise ShedError(
+                    f"queue at capacity ({depth}/"
+                    f"{policy.max_queue_depth}); shedding",
+                    depth=depth,
+                    limit=policy.max_queue_depth,
+                )
+        if request.deadline is None and policy.deadline is not None:
+            request.deadline = time.monotonic() + policy.deadline
+        instrumented = telemetry.enabled()
+        key = request.group_key()
+        group = self._groups.get(key)
+        if group is None:
+            group = _Group(
+                time.monotonic() + self.max_wait,
+                time.perf_counter() if instrumented else 0.0,
+            )
+            self._groups[key] = group
+        future: Future = Future()
+        group.requests.append(request)
+        group.futures.append(future)
+        if instrumented:
+            if request.trace_id is None:
+                request.trace_id = telemetry.new_trace_id()
+            group.t_enq.append(time.perf_counter())
+        self.requests += 1
+        telemetry.count("service.requests")
+        return future, group
+
     def submit(self, request: ForwardRequest) -> Future:
         """Enqueue a request; the Future resolves to its
         :class:`~repro.io.seismogram.Seismograms` (or None without
@@ -199,60 +267,49 @@ class CoalescingScheduler:
         :class:`~repro.service.policy.CircuitOpenError` and a full
         queue raises :class:`~repro.service.policy.ShedError` — both
         in microseconds, with no solver time or queue slot spent."""
-        future: Future = Future()
-        instrumented = telemetry.enabled()
-        policy = self.policy
         with self._wake:
-            if self._closed:
-                raise RuntimeError("scheduler is closed")
-            if self._breaker is not None and not self._breaker.allow():
-                telemetry.count("service.breaker.rejected")
-                raise CircuitOpenError(
-                    "circuit breaker open after repeated pool failures",
-                    retry_after=self._breaker.retry_after(),
-                )
-            if policy.max_queue_depth > 0:
-                depth = sum(
-                    len(g.requests) for g in self._groups.values()
-                )
-                if depth >= policy.max_queue_depth:
-                    self.shed += 1
-                    telemetry.count("service.shed")
-                    raise ShedError(
-                        f"queue at capacity ({depth}/"
-                        f"{policy.max_queue_depth}); shedding",
-                        depth=depth,
-                        limit=policy.max_queue_depth,
-                    )
-            if request.deadline is None and policy.deadline is not None:
-                request.deadline = time.monotonic() + policy.deadline
-            key = request.group_key()
-            group = self._groups.get(key)
-            if group is None:
-                group = _Group(
-                    time.monotonic() + self.max_wait,
-                    time.perf_counter() if instrumented else 0.0,
-                )
-                self._groups[key] = group
-            group.requests.append(request)
-            group.futures.append(future)
-            if instrumented:
-                if request.trace_id is None:
-                    request.trace_id = telemetry.new_trace_id()
-                group.t_enq.append(time.perf_counter())
-            self.requests += 1
-            telemetry.count("service.requests")
+            future, _ = self._enqueue(request)
             self._wake.notify()
         return future
 
+    def submit_many(self, requests) -> list[Future]:
+        """Hand over a list the caller has already collected: every
+        request is enqueued under one lock hold (co-keyed members are
+        one batch, not a race against the scheduler thread) and every
+        group touched is dispatchable at once — the ``max_wait`` window
+        is for independently arriving :meth:`submit` calls, and a
+        caller blocked on these futures cannot add to it.  A ready
+        group stays joinable while it queues behind a running solve.
+
+        The admission gates run per request, in order; a shed or
+        breaker-rejected request comes back as an already-failed
+        future instead of raising, so one rejection does not lose the
+        caller its handles on the rest."""
+        futures = []
+        with self._wake:
+            try:
+                for request in requests:
+                    try:
+                        future, group = self._enqueue(request)
+                        group.deadline = 0.0
+                    except (ShedError, CircuitOpenError) as e:
+                        future = Future()
+                        future.set_exception(e)
+                    futures.append(future)
+            finally:
+                # also when a later request raises (closed scheduler,
+                # unhashable spec): what is already enqueued must run
+                self._wake.notify()
+        return futures
+
     def map_wait(self, requests, *, timeout: float | None = None) -> list:
-        """Submit many requests and block for all results (in order).
+        """:meth:`submit_many`, then block for all results (in order).
 
         ``timeout`` bounds the *total* wait across all futures;
         exceeding it raises :class:`concurrent.futures.TimeoutError`
         (the remaining futures stay pending — close the scheduler to
         cancel them)."""
-        futures = [self.submit(r) for r in requests]
+        futures = self.submit_many(requests)
         if timeout is None:
             return [f.result() for f in futures]
         deadline = time.monotonic() + timeout
@@ -278,17 +335,18 @@ class CoalescingScheduler:
 
     _dispatching = False
 
-    def _take_ready(self):
-        """Under the lock: pop the first group that is full or past
-        its window; returns ``(key, group, reason)`` or None."""
+    def _take_ready(self) -> _Group | None:
+        """Under the lock: pop up to ``max_batch`` requests off the
+        first group that is full or past its window.  What a group
+        holds beyond the cap (it can grow past it behind a running
+        solve) stays queued under the same deadline."""
         now = time.monotonic()
         for key, group in self._groups.items():
-            if len(group.requests) >= self.max_batch:
+            if len(group.requests) > self.max_batch:
+                return group.split(self.max_batch)
+            if len(group.requests) == self.max_batch or now >= group.deadline:
                 del self._groups[key]
-                return key, group, "full"
-            if now >= group.deadline:
-                del self._groups[key]
-                return key, group, "timeout"
+                return group
         return None
 
     def _next_deadline(self):
@@ -299,8 +357,8 @@ class CoalescingScheduler:
     def _loop(self) -> None:
         while True:
             with self._wake:
-                ready = self._take_ready()
-                if ready is None:
+                group = self._take_ready()
+                if group is None:
                     if self._closed and not self._groups:
                         return
                     deadline = self._next_deadline()
@@ -312,17 +370,16 @@ class CoalescingScheduler:
                     self._wake.wait(timeout=timeout)
                     continue
                 self._dispatching = True
-                self._inflight = ready[1].futures
-            key, group, reason = ready
+                self._inflight = group.futures
             try:
-                self._run_group(group, reason)
+                self._run_group(group)
             finally:
                 with self._wake:
                     self._dispatching = False
                     self._inflight = None
                     self._wake.notify()
 
-    def _run_group(self, group: _Group, reason: str) -> None:
+    def _run_group(self, group: _Group) -> None:
         requests, futures = group.requests, group.futures
         B = len(requests)
         self.batches += 1
@@ -382,7 +439,7 @@ class CoalescingScheduler:
             with telemetry.trace_context(batch_trace):
                 with telemetry.span("service.dispatch") as _s:
                     _s.add("batch", len(requests))
-                    self._dispatch(requests, futures)
+                    demux = self._dispatch(requests, futures)
         except BaseException as e:
             # belt and braces: _dispatch handles Exceptions itself, so
             # only interpreter-level BaseExceptions land here — never
@@ -391,10 +448,12 @@ class CoalescingScheduler:
                 _fail(f, e)
             return
         if tr is not None:
-            t_solved = time.perf_counter()
+            # demux is timed where the futures resolve (summed over
+            # sub-batches under bisection); the rest of the dispatch
+            # is the solve
             t_done = time.perf_counter()
+            t_solved = t_done - demux
             solve = t_solved - t_dispatch
-            demux = t_done - t_solved
             coalesce = (
                 t_dispatch - group.t_open if group.t_open else 0.0
             )
@@ -462,8 +521,10 @@ class CoalescingScheduler:
 
     def _dispatch(
         self, requests: list[ForwardRequest], futures: list[Future]
-    ) -> None:
-        """Solve ``requests`` as one batch, bisecting on failure.
+    ) -> float:
+        """Solve ``requests`` as one batch, bisecting on failure;
+        returns the seconds spent resolving futures with results (the
+        demux), summed over the sub-batches of a bisection.
 
         A clean solve resolves every future.  A ``WorkerFailure``
         surviving the retry policy is *infrastructure*, not request
@@ -496,7 +557,7 @@ class CoalescingScheduler:
                         ),
                     )
                 )
-            return
+            return 0.0
         except Exception as e:
             if len(requests) == 1 or not self.policy.bisect:
                 for r, f in zip(requests, futures):
@@ -510,17 +571,18 @@ class CoalescingScheduler:
                     )
                     err.__cause__ = e
                     _fail(f, err)
-                return
+                return 0.0
             self.bisections += 1
             telemetry.count("service.bisect.rounds")
             mid = len(requests) // 2
-            self._dispatch(requests[:mid], futures[:mid])
-            self._dispatch(requests[mid:], futures[mid:])
-            return
+            return self._dispatch(
+                requests[:mid], futures[:mid]
+            ) + self._dispatch(requests[mid:], futures[mid:])
         if self._breaker is not None:
             self._breaker.record_success()
         if results is None:
             results = [None] * len(requests)
+        t_solved = time.perf_counter()
         now = time.monotonic()
         for r, f, seis in zip(requests, futures, results):
             if r.deadline is not None and now >= r.deadline:
@@ -540,6 +602,7 @@ class CoalescingScheduler:
                 )
             else:
                 _resolve(f, seis)
+        return time.perf_counter() - t_solved
 
     def _drain_queue(self, exc: Exception) -> None:
         """Fail every queued (not yet dispatched) request with

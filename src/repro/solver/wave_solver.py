@@ -893,7 +893,9 @@ class ElasticWaveSolver:
         ``receivers`` is a single shared :class:`ReceiverArray` or one
         per scenario; ``callback(k, t, u)`` sees the full
         ``(nnode, 3, B)`` block.  Returns one :class:`Seismograms` per
-        scenario (None without receivers).
+        scenario (None without receivers).  A width-1 batch without a
+        callback runs the solo schedule of :meth:`run` — the same bits,
+        minus the block layout's overhead.
 
         ``faults``/``health_interval`` mirror :meth:`run`: the fused
         state block is checked for non-finite values every
@@ -912,6 +914,15 @@ class ElasticWaveSolver:
             recs = list(receivers)
             if len(recs) != Bn:
                 raise ValueError("need one receiver array per scenario")
+        if Bn == 1 and callback is None:
+            # a width-1 batch is a solo run: the tail = () schedule is
+            # bitwise the batch column (the pinned batched == solo
+            # invariant) without the (B,) layout's transposes and row
+            # blocks; a callback's contract is the (nnode, 3, B) block
+            return self._run(
+                forces[0], t_end, (), recs, record=record, lts=lts,
+                faults=faults, health_interval=health_interval,
+            )
         return self._run(
             forces, t_end, (Bn,), recs, record=record, lts=lts,
             faults=faults, health_interval=health_interval, callback=callback,

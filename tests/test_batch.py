@@ -272,6 +272,33 @@ class TestElasticRunBatch:
             ref = solver.run(forces[b], 0.1, receivers=recs[b])
             assert np.array_equal(seis[b].data, ref.data)
 
+    def test_width_one_batch_runs_the_solo_schedule(self, monkeypatch):
+        # 96 % of the service's dispatches are B = 1: they must not pay
+        # the (B,) layout for a column that is bitwise a solo run anyway
+        tree, mesh = make_mesh()
+        solver = ElasticWaveSolver(mesh, tree, MAT, stacey_c1=False)
+        [force] = make_sources(mesh, tree, 1)
+        rec = ReceiverArray(mesh, np.array([[500.0, 500.0, 0.0]]))
+        calls = {"matvec": 0, "matmat": 0}
+        for name in calls:
+            def counted(*a, _real=getattr(solver.K, name), _name=name, **kw):
+                calls[_name] += 1
+                return _real(*a, **kw)
+            monkeypatch.setattr(solver.K, name, counted)
+        [seis] = solver.run_batch([force], 0.1, receivers=rec)
+        nsteps = seis.data.shape[2]
+        assert calls == {"matvec": nsteps, "matmat": 0}
+        assert np.array_equal(
+            seis.data, solver.run(force, 0.1, receivers=rec).data
+        )
+        # callback= keeps the (nnode, 3, B) block contract, so it stays
+        # on the batched schedule
+        shapes = set()
+        solver.run_batch(
+            [force], 0.1, callback=lambda k, t, u: shapes.add(u.shape)
+        )
+        assert shapes == {(mesh.nnode, 3, 1)}
+
 
 # ------------------------------------------------- multi-shot inverse
 

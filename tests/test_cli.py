@@ -76,12 +76,7 @@ def test_submit_serve_roundtrip(tmp_path, capsys):
     keys = {line.split("artifact key ")[1] for line in out.splitlines()}
     assert len(keys) == 1
 
-    rc = main(
-        [
-            "serve", "--spool", spool, "--out-dir", out_dir,
-            "--max-wait", "2.0",
-        ]
-    )
+    rc = main(["serve", "--spool", spool, "--out-dir", out_dir])
     assert rc == 0
     out = capsys.readouterr().out
     assert "served 2 request(s) (0 failed) in 1 batch(es)" in out
@@ -113,12 +108,7 @@ def test_serve_quarantines_torn_spool_json(tmp_path, capsys):
     (tmp_path / "spool" / "req-000099.json").write_text(
         '{"id": "req-000099", "spec": {'
     )
-    rc = main(
-        [
-            "serve", "--spool", spool, "--out-dir", out_dir,
-            "--max-wait", "2.0",
-        ]
-    )
+    rc = main(["serve", "--spool", spool, "--out-dir", out_dir])
     assert rc == 1
     assert "QUARANTINED" in capsys.readouterr().out
     # the valid request was still served and retired
@@ -148,7 +138,7 @@ def test_serve_replays_claimed_inflight_requests(tmp_path, capsys):
     rc = main(
         [
             "serve", "--spool", spool,
-            "--out-dir", str(tmp_path / "out"), "--max-wait", "2.0",
+            "--out-dir", str(tmp_path / "out"),
         ]
     )
     assert rc == 0
@@ -166,7 +156,7 @@ def test_serve_injected_fault_retries_then_serves(tmp_path, monkeypatch, capsys)
     rc = main(
         [
             "serve", "--spool", spool,
-            "--out-dir", str(tmp_path / "out"), "--max-wait", "2.0",
+            "--out-dir", str(tmp_path / "out"),
         ]
     )
     assert rc == 0
@@ -183,7 +173,7 @@ def test_serve_quarantines_at_max_attempts(tmp_path, monkeypatch, capsys):
         [
             "serve", "--spool", spool,
             "--out-dir", str(tmp_path / "out"),
-            "--max-wait", "2.0", "--max-attempts", "1",
+            "--max-attempts", "1",
         ]
     )
     assert rc == 1
