@@ -13,7 +13,7 @@ marches the same quickstart-scale elastic problem two ways:
   disabled and resilience in the shipping configuration (default
   health interval, a bound-but-never-due checkpoint manager);
 * a *replica loop* — the same kernel apply and the solver's own
-  ``_update`` per step with every telemetry and resilience call
+  ``elastic_update`` per step with every telemetry and resilience call
   stripped.
 
 Both runs must produce bitwise-identical final states (the replica is
@@ -66,6 +66,7 @@ from repro.materials import HomogeneousMaterial
 from repro.mesh import extract_mesh
 from repro.octree import build_adaptive_octree
 from repro.solver import ElasticWaveSolver
+from repro.solver.wave_solver import elastic_update, update_flops_per_node
 
 MAT = HomogeneousMaterial(vs=1000.0, vp=1800.0, rho=2000.0)
 L = 1000.0
@@ -92,7 +93,7 @@ def make_force(solver: ElasticWaveSolver):
 
 def replica_run(solver: ElasticWaveSolver, force, nsteps: int) -> np.ndarray:
     """The bare step of :meth:`ElasticWaveSolver.run` (damping off):
-    kernel apply, the solver's own ``_update`` on the global
+    kernel apply, the solver's own ``elastic_update`` on the global
     coefficient set, the seed loop's flop accounting, rotate — no
     telemetry or resilience calls, so both sides of the ratio pay the
     same update and a change to the step cannot leave this loop
@@ -105,12 +106,13 @@ def replica_run(solver: ElasticWaveSolver, force, nsteps: int) -> np.ndarray:
     r_bar = np.empty((solver.A_bar.shape[0], 3))
     fbuf = np.zeros(shape)
     flops_K = solver.K.flops_per_matvec
+    flops_upd = update_flops_per_node(False) * solver.nnode
     for k in range(nsteps):
         solver.K.matvec(u, out=Ku)
         solver.flops.add("stiffness", flops_K)
         b = force(k * dt, fbuf)
-        solver._update(co, u, Ku, None, u_prev, b, u, r, tmp, r_bar, u_next)
-        solver.flops.add("update", 12 * solver.nnode)
+        elastic_update(co, u, Ku, None, u_prev, b, u, r, tmp, r_bar, u_next)
+        solver.flops.add("update", flops_upd)
         u_prev, u, u_next = u, u_next, u_prev
     return u
 

@@ -31,11 +31,13 @@ tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from repro.fem.assembly import ElasticOperator
 from repro.mesh.hexmesh import HexMesh
+from repro.solver.wave_solver import update_flops_per_node
 
 
 @dataclass
@@ -77,10 +79,9 @@ class DistributedElasticOperator:
         if parts.max() >= nranks:
             raise ValueError("partition refers to more ranks than the world")
         self.parts = parts
-        lam = np.asarray(lam)
-        mu = np.asarray(mu)
+        self._lam = np.asarray(lam)
+        self._mu = np.asarray(mu)
         self.ranks: list[RankPartition] = []
-        self.ops: list[ElasticOperator] = []
 
         # (node, part) incidence, deduplicated; rows sort by node then
         # part, so the first row of each node names its lowest owner
@@ -143,16 +144,24 @@ class DistributedElasticOperator:
                     gather_local=gather_local,
                 )
             )
-            self.ops.append(
-                ElasticOperator(
-                    local_conn,
-                    mesh.elem_h[eids],
-                    lam[eids],
-                    mu[eids],
-                    len(gnodes),
-                    split_elems=n_iface,
-                )
+
+    @cached_property
+    def ops(self) -> list[ElasticOperator]:
+        """One interface-first split operator per rank, built on first
+        use: :meth:`matvec_distributed` and :meth:`per_step_profile`
+        run them in the master; a distributed time march never does
+        (each rank program builds its own from its payload)."""
+        return [
+            ElasticOperator(
+                rp.local_conn,
+                self.mesh.elem_h[rp.elements],
+                self._lam[rp.elements],
+                self._mu[rp.elements],
+                len(rp.nodes),
+                split_elems=rp.n_iface_elems,
             )
+            for rp in self.ranks
+        ]
 
     # ------------------------------------------------------------ actions
 
@@ -213,7 +222,8 @@ class DistributedElasticOperator:
             )
             profile.append(
                 {
-                    "flops": op.flops_per_matvec + 12 * len(rp.nodes),
+                    "flops": op.flops_per_matvec
+                    + update_flops_per_node(False) * len(rp.nodes),
                     "neighbors": len(rp.shared_with),
                     "bytes": bytes_out,
                     "elements": len(rp.elements),

@@ -32,9 +32,18 @@ their ``run_spmd``, so per-rank arithmetic, operation order and
 equivalence tests (``np.array_equal`` trajectories, traffic matching
 message for message) pin the two *transports* against each other.
 
-Scope: lumped mass, Lysmer absorbing damping (the ``c1`` coupling and
-hanging-node projection would add further interface reductions; the
-accounting for those is already covered by the operator-level layer).
+The programs hold no arithmetic of their own: a rank's grid points are
+a *row set* of the serial solver's one update
+(:func:`repro.solver.wave_solver.elastic_update`, coefficients from its
+``row_coefs``; a cluster firing is its ``halo_in`` / ``fire_cluster``),
+so a one-rank run is the serial ``stacey_c1=False`` run bit for bit and
+more ranks differ only by the order of the interface sums.
+
+Scope: lumped mass, Lysmer absorbing damping, conforming meshes — a
+rank's coefficient dict (:func:`_row_set`) carries no ``c1`` coupling,
+no projection and no Rayleigh term.  Adding them is three entries of
+that dict plus ghosting the masters of a rank's hanging nodes into its
+node set, not another update body.
 
 Two parallelisation axes are available.  :meth:`DistributedWaveSolver.
 run` shards the **domain**: each worker owns an element partition and
@@ -80,7 +89,16 @@ from repro.solver.lts import (
     build_lts_plan,
     smooth_rates,
 )
-from repro.solver.wave_solver import DEFAULT_ABSORBING
+from repro.solver.wave_solver import (
+    DEFAULT_ABSORBING,
+    cluster_buffers,
+    elastic_update,
+    fire_cluster,
+    halo_in,
+    over_batch,
+    row_coefs,
+    update_flops_per_node,
+)
 
 from repro import telemetry
 
@@ -125,13 +143,15 @@ def recommend_sharding(
     return "shots"
 
 
-def _update_coefs(m, C, dt):
-    """Invariants of the central-difference update at step ``dt`` from
-    the raw mass / damping slices: ``(2m, 1/(m + dt/2 C), -m + dt/2
-    C)``.  Every rank program hoists its own, through these
-    expressions, so the coefficients are the same bits on every
-    schedule."""
-    return 2.0 * m, 1.0 / (m + 0.5 * dt * C), -m + 0.5 * dt * C
+def _row_set(m, C, dt) -> dict:
+    """:func:`~repro.solver.wave_solver.elastic_update` coefficients of
+    a conforming, Lysmer-damped row set at step ``dt`` from its raw
+    mass / damping slices: no ``c1`` coupling, no projection, the LHS
+    diagonal inverted as it stands.  Every rank program hoists its own,
+    through the serial solver's expressions, so the coefficients are
+    the same bits on every schedule."""
+    co, A = row_coefs(m, C, dt)
+    return {**co, "kab": None, "B": None, "inv_A_bar": 1.0 / A}
 
 
 def _make_force_caller(force_fn, nnode: int):
@@ -152,20 +172,6 @@ def _make_force_caller(force_fn, nnode: int):
         return force_fn
     buf = np.zeros((nnode, 3))
     return lambda t: force_fn(t, buf)
-
-
-def _local_update(rhs, t_r, u, u_prev, u_next, m2, inv_A, prev_coef, b, dt2):
-    """The in-place central-difference update of one row set: a rank's
-    grid points, one LTS level's own rows, or a shot slice's columns."""
-    np.multiply(rhs, -dt2, out=rhs)
-    np.multiply(m2, u, out=t_r)
-    np.add(rhs, t_r, out=rhs)
-    np.multiply(prev_coef, u_prev, out=t_r)
-    np.add(rhs, t_r, out=rhs)
-    if b is not None:
-        np.multiply(b, dt2, out=t_r)
-        np.add(rhs, t_r, out=rhs)
-    np.multiply(rhs, inv_A, out=u_next)
 
 
 class _RankFrame:
@@ -293,9 +299,11 @@ class _RankFrame:
         return out
 
 
-def _lts_rank_levels(conn, h, lam, mu, nloc, plan, m, C, dt, r_int, n_iface):
+def _lts_rank_levels(p: dict, plan) -> list[tuple[dict, dict]]:
     """Per-level execution state for one rank's clustered-leapfrog loop
-    (see :mod:`repro.solver.lts` for the schedule contract).
+    (see :mod:`repro.solver.lts` for the schedule contract), from the
+    rank's payload: the cluster's row set at its own step and its
+    operator, paired with its buffers.
 
     The level whose rate equals the common interface rate ``r_int``
     carries the rank's interface elements (they are clamped to exactly
@@ -304,80 +312,27 @@ def _lts_rank_levels(conn, h, lam, mu, nloc, plan, m, C, dt, r_int, n_iface):
     the interface/interior comm-overlap phases; every other level is
     purely rank-local.
     """
+    r_int, n_iface = p["r_int"], p["n_iface"]
     levels = []
     for lv in plan.levels:
         e, own = lv.elems, lv.own_nodes
-        dtc = lv.rate * dt
         is_iface = r_int > 0 and lv.rate == r_int and n_iface > 0
         op = ElasticOperator(
-            conn[e], h[e], lam[e], mu[e], nloc,
+            p["conn"][e], p["h"][e], p["lam"][e], p["mu"][e], p["nloc"],
             split_elems=n_iface if is_iface else None,
         )
-        m2, inv_A, prev_coef = _update_coefs(m[own], C[own], dtc)
-        n_own, n_int = len(own), len(lv.interp_nodes)
-        levels.append(
-            {
-                "rate": lv.rate,
-                "dtc2": dtc * dtc,
-                "own": own,
-                "interp": lv.interp_nodes,
-                "op": op,
-                "is_iface": is_iface,
-                "m2": m2,
-                "inv_A": inv_A,
-                "prev_coef": prev_coef,
-                "r": np.empty((n_own, 3)),
-                "tmp": np.empty((n_own, 3)),
-                "u_own": np.empty((n_own, 3)),
-                "up_own": np.empty((n_own, 3)),
-                "b_own": np.empty((n_own, 3)),
-                "sv": np.empty((n_int, 3)),
-                "iv": np.empty((n_int, 3)),
-                "fired": 0,
-            }
-        )
+        lev = {
+            "rate": lv.rate,
+            "own": own,
+            "interp": lv.interp_nodes,
+            **_row_set(p["m"][own], p["C"][own], lv.rate * p["dt"]),
+            "op": op,
+            "is_iface": is_iface,
+            "flops": op.flops_per_matvec
+            + update_flops_per_node(False) * len(own),  # one firing
+        }
+        levels.append((lev, cluster_buffers(lev)))
     return levels
-
-
-def _lts_interp_in(lev, u, u_prev, j):
-    """Overwrite the level's coarser (rate ``2r``) neighbor points with
-    their time-interpolated values for the matvecs at fine index ``j``;
-    returns the saved exact values (or None) for :func:`_lts_interp_out`.
-    """
-    interp = lev["interp"]
-    if not len(interp):
-        return None
-    sv, iv = lev["sv"], lev["iv"]
-    np.take(u, interp, axis=0, out=sv)
-    np.take(u_prev, interp, axis=0, out=iv)
-    if j % (2 * lev["rate"]):  # theta = 1/2 midpoint, else theta = 0
-        np.add(iv, sv, out=iv)
-        np.multiply(iv, 0.5, out=iv)
-    u[interp] = iv
-    return sv
-
-
-def _lts_interp_out(lev, u, sv):
-    if sv is not None:
-        u[lev["interp"]] = sv
-
-
-def _lts_level_update(lev, u, u_prev, Ku, b):
-    """Advance one level's own grid points by its cluster step ``dtc``:
-    gather the own rows, :func:`_local_update` with the level-local
-    coefficients, scatter back."""
-    own = lev["own"]
-    r, uo, upo = lev["r"], lev["u_own"], lev["up_own"]
-    np.take(Ku, own, axis=0, out=r)
-    np.take(u, own, axis=0, out=uo)
-    np.take(u_prev, own, axis=0, out=upo)
-    bo = None if b is None else np.take(b, own, axis=0, out=lev["b_own"])
-    _local_update(
-        r, lev["tmp"], uo, upo, r, lev["m2"], lev["inv_A"],
-        lev["prev_coef"], bo, lev["dtc2"],
-    )
-    u_prev[own] = uo
-    u[own] = r
 
 
 def _rank_program_lts(comm, payload):
@@ -395,12 +350,9 @@ def _rank_program_lts(comm, payload):
     """
     p = payload
     dt, nsteps = p["dt"], p["nsteps"]
-    r_int, r_sync = p["r_int"], p["r_sync"]
+    r_sync = p["r_sync"]
     plan = build_lts_plan(p["conn"], p["nloc"], dt=dt, rates=p["rates"])
-    levels = _lts_rank_levels(
-        p["conn"], p["h"], p["lam"], p["mu"], p["nloc"], plan,
-        p["m"], p["C"], dt, r_int, p["n_iface"],
-    )
+    levels = _lts_rank_levels(p, plan)
     neighbors = p["neighbors"]
     force_fn = _make_force_caller(p["force_fn"], p["result"][1])
     gnodes = p["gnodes"]
@@ -409,6 +361,7 @@ def _rank_program_lts(comm, payload):
     u_prev = np.zeros((nloc, 3))
     u = np.zeros((nloc, 3))
     Ku = np.empty((nloc, 3))
+    b_loc = np.empty((nloc, 3))
     rbuf = {o: np.empty((len(loc), 3)) for o, loc in neighbors}
     t_compute = 0.0
     t_wait = 0.0
@@ -428,24 +381,22 @@ def _rank_program_lts(comm, payload):
         wait_j = 0.0
         away_j = 0.0
         iface_fired = False
-        b_global = force_fn(t)
-        b = b_global[gnodes] if b_global is not None else None
-        for lev in levels:
+        b = force_fn(t)
+        if b is not None:
+            b = np.take(b, gnodes, axis=0, out=b_loc)
+        for lev, st in levels:
             if j % lev["rate"]:
                 continue
-            lev["fired"] += 1
             op = lev["op"]
+            halo_in(lev, st, u, u_prev, j)
             if lev["is_iface"]:
                 iface_fired = True
-                sv = _lts_interp_in(lev, u, u_prev, j)
                 op.matvec_interface(u, Ku)
-                comm.add_flops(op.flops_per_matvec)
                 t1 = clock()
                 for o, loc in neighbors:
                     comm.Send(Ku[loc], o, tag=rank)
                 t2 = clock()
                 op.matvec_interior_acc(u, Ku)
-                _lts_interp_out(lev, u, sv)
                 t3 = clock()
                 yield  # sends posted, nothing received yet
                 t3r = clock()
@@ -455,7 +406,6 @@ def _rank_program_lts(comm, payload):
                 for o, loc in neighbors:
                     Ku[loc] += rbuf[o]
                     comm.add_flops(3 * len(loc))
-                _lts_level_update(lev, u, u_prev, Ku, b)
                 wait_j += (t2 - t1) + (t4 - t3r)
                 away_j += t3r - t3
                 if dur is not None:
@@ -464,12 +414,9 @@ def _rank_program_lts(comm, payload):
                     dur[j, 2] = t3 - t2  # interior
                     dur[j, 3] = t4 - t3r  # recv
             else:
-                sv = _lts_interp_in(lev, u, u_prev, j)
                 op.matvec(u, out=Ku)
-                comm.add_flops(op.flops_per_matvec)
-                _lts_interp_out(lev, u, sv)
-                _lts_level_update(lev, u, u_prev, Ku, b)
-            comm.add_flops(15 * len(lev["own"]))
+            fire_cluster(lev, st, u, u_prev, Ku, b)
+            comm.add_flops(lev["flops"])
         # time suspended at the yield belongs to no phase of this rank
         busy_j = (clock() - tA) - away_j
         t_wait += wait_j
@@ -485,7 +432,7 @@ def _rank_program_lts(comm, payload):
 
     return frame.finish(
         u, t_compute=t_compute, t_wait=t_wait,
-        lts_fired={lev["rate"]: lev["fired"] for lev in levels},
+        lts_fired={lev["rate"]: st["fired"] for lev, st in levels},
     )
 
 
@@ -507,8 +454,8 @@ def _rank_program(comm, payload):
         split_elems=p["n_iface"],
     )
     neighbors = p["neighbors"]  # [(rank, local idx of shared nodes)]
-    dt, dt2, nsteps = p["dt"], p["dt"] * p["dt"], p["nsteps"]
-    m2, inv_A, prev_coef = _update_coefs(p["m"], p["C"], dt)
+    dt, nsteps = p["dt"], p["nsteps"]
+    co = _row_set(p["m"], p["C"], dt)
     force_fn = _make_force_caller(p["force_fn"], p["result"][1])
     gnodes = p["gnodes"]
     rank = comm.rank
@@ -516,10 +463,11 @@ def _rank_program(comm, payload):
     u_prev = np.zeros((nloc, 3))
     u = np.zeros((nloc, 3))
     u_next = np.zeros((nloc, 3))
-    Ku = np.empty((nloc, 3))
-    tmp = np.empty((nloc, 3))
+    Ku, r, tmp = (np.empty((nloc, 3)) for _ in range(3))
+    b_loc = np.empty((nloc, 3))
     rbuf = {o: np.empty((len(loc), 3)) for o, loc in neighbors}
     flops_mv = op.flops_per_matvec
+    flops_upd = update_flops_per_node(False) * nloc
     t_compute = 0.0
     t_wait = 0.0
     clock = time.perf_counter
@@ -533,8 +481,9 @@ def _rank_program(comm, payload):
         frame.begin_step(k)
         t = k * dt
         t0 = clock()
-        b_global = force_fn(t)
-        b = b_global[gnodes] if b_global is not None else None
+        b = force_fn(t)
+        if b is not None:
+            b = np.take(b, gnodes, axis=0, out=b_loc)
         op.matvec_interface(u, Ku)
         comm.add_flops(flops_mv)
         t1 = clock()
@@ -553,11 +502,9 @@ def _rank_program(comm, payload):
         for o, loc in neighbors:
             Ku[loc] += rbuf[o]
             comm.add_flops(3 * len(loc))
-        _local_update(
-            Ku, tmp, u, u_prev, u_next, m2, inv_A, prev_coef, b, dt2
-        )
+        elastic_update(co, u, Ku, None, u_prev, b, u, r, tmp, None, u_next)
         u_prev, u, u_next = u, u_next, u_prev
-        comm.add_flops(15 * nloc)
+        comm.add_flops(flops_upd)
         t5 = clock()
         t_compute += (t1 - t0) + (t3 - t2) + (t5 - t4)
         t_wait += (t2 - t1) + (t4 - t3r)
@@ -572,29 +519,28 @@ def _rank_program(comm, payload):
     return frame.finish(u, t_compute=t_compute, t_wait=t_wait)
 
 
-def _march_shot_slice(
-    op, m2, inv_A, prev_coef, force_fns, nnode, dt, nsteps, add_flops=None
-):
+def _march_shot_slice(op, co, force_fns, nnode, dt, nsteps, add_flops=None):
     """March one worker's shot slice over the *whole* domain as a
     single batched time loop.  Each column reproduces the
     corresponding single-shot run bit for bit (the batched ``matmat``
     guarantees per-column identity, and every other term is
     elementwise).
 
-    ``m2``/``inv_A``/``prev_coef`` carry a trailing broadcast axis;
-    returns the final ``(nnode, 3, B)`` displacement block.
+    ``co`` is the whole domain's :func:`_row_set`; returns the final
+    ``(nnode, 3, B)`` displacement block.
     """
     B = len(force_fns)
-    dt2 = dt * dt
+    co = over_batch(co, (B,))
     callers = [_make_force_caller(fn, nnode) for fn in force_fns]
     u_prev = np.zeros((nnode, 3, B))
     u = np.zeros((nnode, 3, B))
     u_next = np.zeros((nnode, 3, B))
-    Ku = np.empty((nnode, 3, B))
-    tmp = np.empty((nnode, 3, B))
+    Ku, r, tmp = (np.empty((nnode, 3, B)) for _ in range(3))
     fbuf = np.zeros((nnode, 3, B))
     # kernel-provided batched count (cannot drift from the 1-RHS rate)
-    flops_step = op.flops_per_matmat(B) + 15 * nnode * B
+    flops_step = (
+        op.flops_per_matmat(B) + update_flops_per_node(False) * nnode * B
+    )
 
     for k in range(nsteps):
         t = k * dt
@@ -607,9 +553,9 @@ def _march_shot_slice(
                 fbuf[:, :, b] = f
                 live = True
         op.matmat(u, out=Ku)
-        _local_update(
-            Ku, tmp, u, u_prev, u_next, m2, inv_A, prev_coef,
-            fbuf if live else None, dt2,
+        elastic_update(
+            co, u, Ku, None, u_prev, fbuf if live else None, u, r, tmp,
+            None, u_next,
         )
         u_prev, u, u_next = u, u_next, u_prev
         if add_flops is not None:
@@ -628,13 +574,10 @@ def _shot_program(comm, payload):
     if len(idx) == 0:
         return {"t_compute": 0.0, "nsteps": p["nsteps"], "nshots": 0}
     op = ElasticOperator(p["conn"], p["h"], p["lam"], p["mu"], nnode)
-    # trailing broadcast axis over the batch columns
-    m2, inv_A, prev_coef = (
-        c[:, :, None] for c in _update_coefs(p["m"], p["C"], p["dt"])
-    )
+    co = _row_set(p["m"], p["C"], p["dt"])
     t0 = time.perf_counter()
     u = _march_shot_slice(
-        op, m2, inv_A, prev_coef, p["force_fns"],
+        op, co, p["force_fns"],
         nnode, p["dt"], p["nsteps"], add_flops=comm.add_flops,
     )
     t_compute = time.perf_counter() - t0
@@ -883,7 +826,7 @@ class DistributedWaveSolver:
                     "h": mesh.elem_h,
                     "lam": self._lam,
                     "mu": self._mu,
-                    "m": self._m_global[:, None],
+                    "m": self._m_global,
                     "C": self._C_global,
                     "dt": self.dt,
                     "nsteps": nsteps,
@@ -916,7 +859,7 @@ class DistributedWaveSolver:
             "mu": self._mu[rp.elements],
             "nloc": len(rp.nodes),
             "n_iface": rp.n_iface_elems,
-            "m": self._m_global[rp.nodes][:, None],
+            "m": self._m_global[rp.nodes],
             "C": self._C_global[rp.nodes],
             "gnodes": rp.nodes,
         }

@@ -17,13 +17,18 @@ it, ``beta K u = beta * (K u)``, with the previous step's ``K u``
 cached — a sparse boundary product, and vector updates: work linear in
 the number of grid points, as the paper requires.
 
-That update is written once, :meth:`ElasticWaveSolver._update`, as a
-function of a *row set* (all rows, or one LTS cluster's own rows).  Two
-schedules call it: the every-step march ``_march`` and the clustered
-one ``_march_lts``.  A batch of ``B`` scenarios is a trailing axis of
-the same bodies — ``tail = (B,)`` sizes the buffers, broadcasts the
-per-dof diagonals and picks ``matmat`` over ``matvec`` — so ``run``
-and ``run_batch`` are wrappers over one ``_run``.
+That update is written once, :func:`elastic_update`, as a function of
+a *row set* (all rows, one LTS cluster's own rows, a rank's grid
+points) whose coefficients come from :func:`row_coefs`; one cluster
+firing is :func:`halo_in` -> the caller's ``K`` -> :func:`fire_cluster`.
+They are module functions because code that holds only a row set's
+arrays calls them too: the rank programs of
+:mod:`repro.parallel.dist_solver` have no arithmetic of their own.
+Here, two schedules call the update: the every-step march ``_march``
+and the clustered one ``_march_lts``.  A batch of ``B`` scenarios is a
+trailing axis of the same bodies — ``tail = (B,)`` sizes the buffers,
+broadcasts the per-dof diagonals and picks ``matmat`` over ``matvec``
+— so ``run`` and ``run_batch`` are wrappers over one ``_run``.
 """
 
 from __future__ import annotations
@@ -86,6 +91,173 @@ def _column(rows: np.ndarray, b: int, tail: tuple) -> tuple:
     """Index of ``rows`` of scenario ``b`` in an ``(n, 3, *tail)``
     block: the rows themselves solo, column ``b`` of them in a batch."""
     return (rows, slice(None), b) if tail else (rows,)
+
+
+def update_flops_per_node(damped: bool) -> int:
+    """Counted vector work of one :func:`elastic_update`: 12 per node,
+    plus the ``2 * 3`` scalar operations of the cached Rayleigh term.
+    The one number every schedule — serial, clustered, rank, shot — and
+    the scalability profile charge per updated node."""
+    return 18 if damped else 12
+
+
+def row_coefs(m, C_diag, dt, m_alpha=None, Kb_diag=None, beta=0.0):
+    """Coefficients of a step of size ``dt`` on one row set, from its
+    rows of the lumped mass ``m`` ``(n,)``, the boundary damping
+    ``C_diag`` ``(n, 3)`` and, when attenuating, Rayleigh ``alpha M``
+    ``(n,)`` and ``beta diag K`` ``(n, 3)``.  Returns ``(co, A)``:
+
+    ``co`` — the residual coefficients of ``u``, ``K u`` and the cached
+    ``K u^{prev}`` — ``2M + (dt/2) beta diag K``, ``dt^2 + (dt/2) beta``
+    and ``(dt/2) beta``; Rayleigh ``beta K u`` is ``beta * (K u)``, so
+    one matvec serves the stiffness and the damping term — of
+    ``u^{prev}`` (mass, Rayleigh alpha, boundary damping) and of the
+    forcing; ``A`` — the LHS diagonal of eq. (2.4), which the caller
+    inverts (after projecting it, where rows hang).
+    :func:`elastic_update` is the one place that applies them."""
+    hd = 0.5 * dt
+    m = m[:, None]
+    ma = 0.0 if m_alpha is None else m_alpha[:, None]
+    c_u = 2.0 * m
+    A = (m + hd * ma) + hd * C_diag
+    if Kb_diag is not None:
+        c_u = c_u + hd * Kb_diag
+        A = A + hd * Kb_diag
+    co = {
+        "c_u": c_u,
+        "c_ku": dt * dt + hd * beta,
+        "c_kup": hd * beta,
+        "prev_coef": (hd * ma - m) + hd * C_diag,
+        "dtc2": dt * dt,
+    }
+    return co, A
+
+
+def over_batch(co: dict, tail: tuple) -> dict:
+    """``co`` with its three per-dof diagonals broadcast over the
+    batch axis of ``(n, 3, *tail)`` blocks (once per march)."""
+    if not tail:
+        return co
+    diags = ("c_u", "prev_coef", "inv_A_bar")
+    return {**co, **{k: co[k][..., None] for k in diags}}
+
+
+def elastic_update(co, uo, ko, kpo, po, bo, u, r, tmp, rbar, out) -> None:
+    """The explicit update of eq. (2.4) and the hanging-node
+    projection of eq. (2.5) on one *row set*, written once:
+
+        ``r = c_u∘u − c_ku·K u − dt² K_AB u + c_kup·K u^{prev}
+        + prev_coef∘u^{prev} + dt² b``,
+        ``out = B (BᵀAB)⁻¹ Bᵀ r``.
+
+    ``co`` is the row set's coefficient dict — all rows of the serial
+    march, one cluster's own rows, a rank's grid points: :func:`row_coefs`
+    plus ``inv_A_bar`` and what the row set carries of ``kab`` (the
+    prescaled ``c1`` coupling) and ``B`` / ``BT``, each ``None`` when it
+    has none: a conforming row set's ``inv_A_bar`` is ``1 / A`` and
+    ``out = r ∘ inv_A_bar``.  ``uo``, ``ko``, ``kpo``, ``po`` and ``bo``
+    are its rows of ``u``, ``K u``, the cached ``K u^{prev}`` (None
+    undamped), ``u^{prev}`` and the forcing (None when quiet); ``u`` is
+    the full state the ``c1`` product reads; ``r``, ``tmp`` and ``rbar``
+    are caller-owned scratch.  Blocks are ``(n, 3)`` or ``(n, 3, B)`` —
+    the sparse products see them as ``(n, 3 B)`` / ``(3 n[, B])`` — and
+    every path applies the same ufuncs in the same order, so solo,
+    batched, global, clustered and distributed marches agree bit for
+    bit wherever their operands do."""
+    np.multiply(co["c_u"], uo, out=r)
+    np.multiply(ko, co["c_ku"], out=tmp)
+    np.subtract(r, tmp, out=r)
+    if co["kab"] is not None:
+        # r += (-dt^2 K_AB) u, prescaled at setup
+        tail = u.shape[2:]
+        spmv_acc(co["kab"], u.reshape(-1, *tail), r.reshape(-1, *tail))
+    if kpo is not None:
+        # r += (dt/2) beta K u^{prev}; the caller swaps this step's
+        # K u into the cache afterwards
+        np.multiply(kpo, co["c_kup"], out=tmp)
+        np.add(r, tmp, out=r)
+    np.multiply(co["prev_coef"], po, out=tmp)
+    np.add(r, tmp, out=r)
+    if bo is not None:
+        np.multiply(bo, co["dtc2"], out=tmp)
+        np.add(r, tmp, out=r)
+    if co["B"] is None:
+        np.multiply(r, co["inv_A_bar"], out=out)
+        return
+    # hanging-node projection keeps the update explicit (2.5)
+    w = math.prod(r.shape[1:])
+    rbar2 = rbar.reshape(-1, w)
+    spmv_into(co["BT"], r.reshape(-1, w), rbar2)
+    np.multiply(rbar, co["inv_A_bar"], out=rbar)
+    spmv_into(co["B"], rbar2, out.reshape(-1, w))
+
+
+def cluster_buffers(lev: dict, tail: tuple = (), damped=False) -> dict:
+    """Own- and halo-sized runtime buffers ``st`` of one cluster and
+    its firing counter; the firing itself — :func:`halo_in`, the
+    caller's ``K`` application (a rank's interface level sends,
+    suspends and receives inside it), :func:`fire_cluster` — is
+    allocation-free.  ``lev`` is the cluster's static state: ``rate``,
+    its ``own`` rows, the ``interp`` rows of its one-coarser halo and
+    an :func:`elastic_update` coefficient dict."""
+    own3 = (len(lev["own"]), 3, *tail)
+    halo3 = (len(lev["interp"]), 3, *tail)
+    B = lev["B"]
+    st = {k: np.empty(own3) for k in
+          ("r", "tmp", "u_own", "up_own", "b_own", "unew", "ku")}
+    st.update(
+        rbar=None if B is None else np.empty((B.shape[1], 3, *tail)),
+        ku_prev=np.zeros(own3) if damped else None,  # K u~ of the last firing
+        sv=np.empty(halo3),
+        iv=np.empty(halo3),
+        fired=0,
+    )
+    return st
+
+
+def halo_in(lev, st, u, u_prev, j) -> None:
+    """Overwrite the cluster's one-coarser halo rows of ``u`` with
+    their time-interpolated value at fine index ``j``, for the products
+    that read the full ``u`` (the coarse pair brackets ``j dt``; theta
+    is 0 or 1/2 — see ``lts.interp_theta``).  :func:`fire_cluster`
+    puts the saved rows back."""
+    interp = lev["interp"]
+    if not len(interp):
+        return
+    sv, iv = st["sv"], st["iv"]
+    np.take(u, interp, axis=0, out=sv)
+    np.take(u_prev, interp, axis=0, out=iv)
+    if j % (2 * lev["rate"]):  # theta = 1/2
+        np.add(iv, sv, out=iv)
+        np.multiply(iv, 0.5, out=iv)
+    u[interp] = iv
+
+
+def fire_cluster(lev, st, u, u_prev, Ku, b) -> None:
+    """Advance the cluster's own rows by its step, given ``Ku`` = its
+    ``K`` applied to the :func:`halo_in` state: gather the own rows,
+    :func:`elastic_update`, restore the halo, scatter back.  The
+    gathered ``u_own`` / ``up_own`` and the new ``unew`` stay in ``st``
+    for the caller's receivers."""
+    own, interp = lev["own"], lev["interp"]
+    np.take(u, own, axis=0, out=st["u_own"])
+    np.take(Ku, own, axis=0, out=st["ku"])
+    np.take(u_prev, own, axis=0, out=st["up_own"])
+    bo = None if b is None else np.take(b, own, axis=0, out=st["b_own"])
+    # the c1 product inside reads the halo rows of u: they must still
+    # hold the interpolated values
+    elastic_update(
+        lev, st["u_own"], st["ku"], st["ku_prev"], st["up_own"], bo, u,
+        st["r"], st["tmp"], st["rbar"], st["unew"],
+    )
+    if len(interp):
+        u[interp] = st["sv"]
+    if st["ku_prev"] is not None:
+        # this firing's K u~ is the next one's cache
+        st["ku_prev"], st["ku"] = st["ku"], st["ku_prev"]
+    u_prev[own] = st["u_own"]
+    u[own] = st["unew"]
+    st["fired"] += 1
 
 
 class ElasticWaveSolver:
@@ -181,14 +353,11 @@ class ElasticWaveSolver:
         )
         dt_ = self.dt
         # LHS diagonal of eq. (2.4)
-        A = (self.m + 0.5 * dt_ * self.m_alpha)[:, None] + 0.5 * dt_ * self.C_diag
-        if self.Kb_diag is not None:
-            A = A + 0.5 * dt_ * self.Kb_diag
-        self.A = A
+        _, self.A = self._row_coefs(dt_)
         # row-sum (lumped) projection of the diagonal LHS: hanging-node
         # mass is distributed to the masters by the constraint weights,
         # which conserves mass and "preserves the diagonality of A"
-        self.A_bar = self.BT @ A
+        self.A_bar = self.BT @ self.A
         self._inv_A_bar = 1.0 / self.A_bar
         # c1 coupling pre-scaled by -dt^2 so the time loop accumulates
         # it into the residual with one sparse product, no temporaries
@@ -205,33 +374,14 @@ class ElasticWaveSolver:
     def nnode(self) -> int:
         return self.mesh.nnode
 
-    @property
-    def _update_flops_per_node(self) -> int:
-        """Counted vector work of one update: 12 per node, plus the
-        ``2 * 3`` scalar operations of the cached Rayleigh term."""
-        return 18 if self.beta else 12
-
-    def _row_coefs(self, dt: float, own=slice(None)) -> dict:
-        """Residual coefficients of a step of size ``dt`` on the rows
-        ``own``: of ``u``, ``K u`` and the cached ``K u^{prev}`` —
-        ``2M + (dt/2) beta diag K``, ``dt^2 + (dt/2) beta`` and
-        ``(dt/2) beta``; Rayleigh ``beta K u`` is ``beta * (K u)``, so
-        one matvec serves the stiffness and the damping term — of
-        ``u^{prev}`` (mass, Rayleigh alpha, boundary damping) and of the
-        forcing.  :meth:`_update` is the one place that applies them."""
-        hd = 0.5 * dt
-        m = self.m[own][:, None]
-        c_u = 2.0 * m
-        if self.Kb_diag is not None:
-            c_u = c_u + hd * self.Kb_diag[own]
-        return {
-            "c_u": c_u,
-            "c_ku": dt * dt + hd * self.beta,
-            "c_kup": hd * self.beta,
-            "prev_coef": (hd * self.m_alpha[own][:, None] - m)
-            + hd * self.C_diag[own],
-            "dtc2": dt * dt,
-        }
+    def _row_coefs(self, dt: float, own=slice(None)) -> tuple[dict, np.ndarray]:
+        """:func:`row_coefs` of a step of size ``dt`` on the rows
+        ``own`` of this solver's mass and damping diagonals."""
+        kb = self.Kb_diag
+        return row_coefs(
+            self.m[own], self.C_diag[own], dt, self.m_alpha[own],
+            None if kb is None else kb[own], self.beta,
+        )
 
     def _coefs(self) -> dict:
         """The row set of the global march: every node at the solver's
@@ -239,21 +389,12 @@ class ElasticWaveSolver:
         coupling ``__init__`` already holds — the same keys
         :meth:`_lts_exec` builds per cluster."""
         return {
-            **self._row_coefs(self.dt),
+            **self._row_coefs(self.dt)[0],
             "kab": self._K_AB_mdt2 if self._has_kab else None,
             "B": self.B,
             "BT": self.BT,
             "inv_A_bar": self._inv_A_bar,
         }
-
-    @staticmethod
-    def _over(co: dict, tail: tuple) -> dict:
-        """``co`` with its three per-dof diagonals broadcast over the
-        batch axis of ``(n, 3, *tail)`` blocks (once per march)."""
-        if not tail:
-            return co
-        diags = ("c_u", "prev_coef", "inv_A_bar")
-        return {**co, **{k: co[k][..., None] for k in diags}}
 
     def memory_bytes(self) -> int:
         """Solver working-set estimate (the paper's ~10x hex-vs-tet
@@ -325,10 +466,7 @@ class ElasticWaveSolver:
             K_c = ElasticOperator(
                 conn[e], h[e], self.lam[e], self.mu[e], self.nnode
             )
-            A_c = (self.m[own] + 0.5 * dtc * self.m_alpha[own])[:, None] \
-                + 0.5 * dtc * self.C_diag[own]
-            if self.Kb_diag is not None:
-                A_c = A_c + 0.5 * dtc * self.Kb_diag[own]
+            co, A_c = self._row_coefs(dtc, own)
             cols = np.nonzero(col_rate == lv.rate)[0]
             B_c = self.B[own][:, cols].tocsr()
             BT_c = B_c.T.tocsr()
@@ -341,7 +479,7 @@ class ElasticWaveSolver:
                     "own": own,
                     "interp": lv.interp_nodes,
                     "K": K_c,
-                    **self._row_coefs(dtc, own),
+                    **co,
                     "B": B_c,
                     "BT": BT_c,
                     "inv_A_bar": 1.0 / (BT_c @ A_c),
@@ -409,52 +547,6 @@ class ElasticWaveSolver:
         r_max = plan.max_rate
         return plan, -(-nsteps // r_max) * r_max
 
-    # ------------------------------------------------------ the one update
-
-    @staticmethod
-    def _update(co, uo, ko, kpo, po, bo, u, r, tmp, rbar, out) -> None:
-        """The explicit update of eq. (2.4) and the hanging-node
-        projection of eq. (2.5) on one *row set*, written once:
-
-            ``r = c_u∘u − c_ku·K u − dt² K_AB u + c_kup·K u^{prev}
-            + prev_coef∘u^{prev} + dt² b``,
-            ``out = B (BᵀAB)⁻¹ Bᵀ r``.
-
-        ``co`` is the row set's coefficient dict (:meth:`_coefs` for
-        all rows, one :meth:`_lts_exec` entry per cluster); ``uo``,
-        ``ko``, ``kpo``, ``po`` and ``bo`` are its rows of ``u``,
-        ``K u``, the cached ``K u^{prev}`` (None undamped), ``u^{prev}``
-        and the forcing (None when quiet); ``u`` is the full state the
-        ``c1`` product reads; ``r``, ``tmp`` and ``rbar`` are
-        caller-owned scratch.  Blocks are ``(n, 3)`` or ``(n, 3, B)`` —
-        the sparse products see them as ``(n, 3 B)`` / ``(3 n[, B])`` —
-        and every path applies the same ufuncs in the same order, so
-        solo, batched, global and clustered marches agree bit for bit
-        wherever their operands do."""
-        np.multiply(co["c_u"], uo, out=r)
-        np.multiply(ko, co["c_ku"], out=tmp)
-        np.subtract(r, tmp, out=r)
-        if co["kab"] is not None:
-            # r += (-dt^2 K_AB) u, prescaled at setup
-            tail = u.shape[2:]
-            spmv_acc(co["kab"], u.reshape(-1, *tail), r.reshape(-1, *tail))
-        if kpo is not None:
-            # r += (dt/2) beta K u^{prev}; the caller swaps this step's
-            # K u into the cache afterwards
-            np.multiply(kpo, co["c_kup"], out=tmp)
-            np.add(r, tmp, out=r)
-        np.multiply(co["prev_coef"], po, out=tmp)
-        np.add(r, tmp, out=r)
-        if bo is not None:
-            np.multiply(bo, co["dtc2"], out=tmp)
-            np.add(r, tmp, out=r)
-        # hanging-node projection keeps the update explicit (2.5)
-        w = math.prod(r.shape[1:])
-        rbar2 = rbar.reshape(-1, w)
-        spmv_into(co["BT"], r.reshape(-1, w), rbar2)
-        np.multiply(rbar, co["inv_A_bar"], out=rbar)
-        spmv_into(co["B"], rbar2, out.reshape(-1, w))
-
     def _forcing(self, forces, tail: tuple):
         """``force(t) -> (nnode, 3, *tail) block | None`` for a march.
         Solo, ``forces`` is a callable ``forces(t, out)`` or a
@@ -518,14 +610,13 @@ class ElasticWaveSolver:
         dt = self.dt
         nnode = self.nnode
         damped = self.beta > 0
-        co = self._over(self._coefs(), tail)
+        co = over_batch(self._coefs(), tail)
         shape = (nnode, 3, *tail)
         u_prev, u, u_next = np.zeros(shape), np.zeros(shape), np.zeros(shape)
         r, Ku, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
         r_bar = np.empty((self.A_bar.shape[0], 3, *tail))
         Ku_prev = np.zeros(shape) if damped else None  # K u^{k-1}
         apply = self.K.matmat if tail else self.K.matvec
-        update = self._update
         sel = [_column(ra.nodes, b, tail) for b, ra in enumerate(recs or ())]
 
         k0 = 0
@@ -542,7 +633,7 @@ class ElasticWaveSolver:
         tel_on = telemetry.enabled()
         width = math.prod(tail)
         flops_K = self.K.flops_per_matmat(width)
-        flops_upd = self._update_flops_per_node * nnode * width
+        flops_upd = update_flops_per_node(damped) * nnode * width
         with telemetry.span(
             "elastic.run_batch" if tail else "elastic.run"
         ) as _run:
@@ -559,7 +650,7 @@ class ElasticWaveSolver:
                 self.flops.add("stiffness", flops_K)
                 b = force(t)
                 with telemetry.span("update") as _s:
-                    update(
+                    elastic_update(
                         co, u, Ku, Ku_prev, u_prev, b, u, r, tmp, r_bar, u_next
                     )
                     _s.add("flops", flops_upd)
@@ -615,35 +706,13 @@ class ElasticWaveSolver:
         gathers its own rows, updates them and scatters them back."""
         dt = self.dt
         nnode = self.nnode
-        levels = [self._over(lev, tail) for lev in self._lts_exec(plan)]
+        levels = [over_batch(lev, tail) for lev in self._lts_exec(plan)]
         r_min, r_max = plan.min_rate, plan.max_rate
         damped = self.beta > 0
         width = math.prod(tail)
         shape = (nnode, 3, *tail)
         u_prev, u, Ku = np.zeros(shape), np.zeros(shape), np.empty(shape)
-        # per-level runtime buffers (own-node sized; the loop below is
-        # allocation-free) and firing counters
-        rt = []
-        for lev in levels:
-            own3 = (len(lev["own"]), 3, *tail)
-            halo3 = (len(lev["interp"]), 3, *tail)
-            rt.append(
-                {
-                    "apply": lev["K"].matmat if tail else lev["K"].matvec,
-                    "r": np.empty(own3),
-                    "tmp": np.empty(own3),
-                    "u_own": np.empty(own3),
-                    "up_own": np.empty(own3),
-                    "b_own": np.empty(own3),
-                    "unew": np.empty(own3),
-                    "rbar": np.empty((lev["B"].shape[1], 3, *tail)),
-                    "ku": np.empty(own3),
-                    "ku_prev": np.zeros(own3) if damped else None,
-                    "sv": np.empty(halo3),
-                    "iv": np.empty(halo3),
-                    "fired": 0,
-                }
-            )
+        rt = [cluster_buffers(lev, tail, damped) for lev in levels]
         slots = [
             self._lts_receiver_slots(levels, ra, b, tail)
             for b, ra in enumerate(recs or ())
@@ -677,45 +746,12 @@ class ElasticWaveSolver:
             for j in range(k0, nsteps, r_min):
                 b = force(j * dt)
                 for li, (lev, st) in enumerate(zip(levels, rt)):
-                    rate = lev["rate"]
-                    if j % rate:
+                    if j % lev["rate"]:
                         continue
-                    st["fired"] += 1
-                    interp = lev["interp"]
-                    ni = len(interp)
-                    if ni:
-                        # overwrite the one-coarser halo with its time-
-                        # interpolated value for the products that read
-                        # the full u, restore after (the coarse pair
-                        # brackets j*dt; theta is 0 or 1/2 — see
-                        # lts.interp_theta)
-                        sv, iv = st["sv"], st["iv"]
-                        np.take(u, interp, axis=0, out=sv)
-                        np.take(u_prev, interp, axis=0, out=iv)
-                        if j % (2 * rate):  # theta = 1/2
-                            np.add(iv, sv, out=iv)
-                            np.multiply(iv, 0.5, out=iv)
-                        u[interp] = iv
-                    st["apply"](u, out=Ku)
-                    own = lev["own"]
-                    np.take(u, own, axis=0, out=st["u_own"])
-                    np.take(Ku, own, axis=0, out=st["ku"])
-                    np.take(u_prev, own, axis=0, out=st["up_own"])
-                    bo = None
-                    if b is not None:
-                        bo = np.take(b, own, axis=0, out=st["b_own"])
-                    # the c1 product inside reads the halo rows of u:
-                    # they must still hold the interpolated values
-                    self._update(
-                        lev, st["u_own"], st["ku"], st["ku_prev"],
-                        st["up_own"], bo, u, st["r"], st["tmp"],
-                        st["rbar"], st["unew"],
-                    )
-                    if ni:
-                        u[interp] = sv
-                    if damped:
-                        # this firing's K u~ is the next one's cache
-                        st["ku_prev"], st["ku"] = st["ku"], st["ku_prev"]
+                    halo_in(lev, st, u, u_prev, j)
+                    K = lev["K"]
+                    (K.matmat if tail else K.matvec)(u, out=Ku)
+                    fire_cluster(lev, st, u, u_prev, Ku, b)
                     for d, sl in zip(data or (), slots):
                         ridx, rows = sl[li]
                         if not len(ridx):
@@ -728,8 +764,6 @@ class ElasticWaveSolver:
                             ) / (2.0 * lev["dtc"])
                         else:
                             d[ridx, :, j] = st["u_own"][rows]
-                    u_prev[own] = st["u_own"]
-                    u[own] = st["unew"]
                 s = j + r_min
                 if s % r_max == 0:  # sync: all nodes hold u(s * dt)
                     if faults is not None:
@@ -759,7 +793,7 @@ class ElasticWaveSolver:
             for lev, st in zip(levels, rt):
                 flops += st["fired"] * (
                     lev["K"].flops_per_matmat(width)
-                    + self._update_flops_per_node * len(lev["own"]) * width
+                    + update_flops_per_node(damped) * len(lev["own"]) * width
                 )
                 _run.add(f"fired_r{lev['rate']}", st["fired"])
             _run.add("flops", flops)

@@ -820,6 +820,34 @@ def test_dist_lts_sim_vs_proc_bitwise():
     assert stats_sim == stats_proc
 
 
+def test_dist_lts_one_rank_equals_serial_bitwise():
+    # the clustered rank program fires its clusters through the serial
+    # schedule's halo_in / fire_cluster, so with no neighbour to sum
+    # with it is the serial clustered march, bit for bit
+    tree = build_adaptive_octree(
+        lambda c, s: np.full(len(c), 1.0 / 8), max_level=3
+    )
+    mesh = extract_mesh(tree, L=1000.0)
+    serial = ElasticWaveSolver(mesh, tree, LAYERED, stacey_c1=False, lts=8)
+    dist = DistributedWaveSolver(
+        mesh, LAYERED, np.zeros(mesh.nelem, dtype=np.int64), SimWorld(1),
+        dt=serial.dt, lts=8,
+    )
+    force = _dist_force(mesh, mesh.nnode // 2, serial.dt)
+    nsteps = 48
+    u = dist.run(force, (nsteps - 0.5) * serial.dt)
+    fired = dist.last_timings[0]["lts_fired"]
+    assert fired == {r: nsteps // r for r in (8, 4, 2, 1)}
+    # every cluster fires at a sync column and records u^j there
+    rec = ReceiverArray(mesh, mesh.coords)
+    seis = serial.run(
+        force, (nsteps + 8 - 0.5) * serial.dt, receivers=rec,
+        record="displacement",
+    )
+    assert np.abs(u).max() > 0
+    assert np.array_equal(seis.data[:, :, nsteps], u[rec.nodes])
+
+
 def test_dist_lts_exchanges_only_at_interface_rate():
     mesh, parts, src = _dist_lts_problem()
     sim_g = SimWorld(2)

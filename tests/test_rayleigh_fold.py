@@ -4,7 +4,7 @@ The oracles below build the formula the solver used before — a second
 ``ElasticOperator`` with ``lam * beta, mu * beta`` applied next to ``K``
 every step — inside the test only, and compare both elastic schedules,
 solo and batched, against it; the call-count tests pin "exactly one
-kernel application and one call of the solver's one ``_update`` per
+kernel application and one call of the one ``elastic_update`` per
 (cluster) step"; the checkpoint tests pin the ``ku_prev`` payload.
 """
 
@@ -16,7 +16,7 @@ from repro.io.seismogram import ReceiverArray
 from repro.materials import HomogeneousMaterial
 from repro.mesh import extract_mesh
 from repro.octree import balance_octree, build_adaptive_octree
-from repro.solver import ElasticWaveSolver
+from repro.solver import ElasticWaveSolver, wave_solver
 from repro.solver.checkpoint import CheckpointManager
 
 L = 1000.0
@@ -201,16 +201,16 @@ class CountingKernel:
         return getattr(self._kernel, name)
 
 
-def count_updates(solver, monkeypatch) -> list:
-    """Wrap the solver's one update; its calls land in the returned
-    list (every loop must go through it, solo and batched)."""
-    calls, update = [], solver._update
+def count_updates(monkeypatch) -> list:
+    """Wrap the one update; its calls land in the returned list (every
+    loop must go through it, solo and batched)."""
+    calls, update = [], wave_solver.elastic_update
 
     def counted(*args):
         calls.append(1)
         return update(*args)
 
-    monkeypatch.setattr(solver, "_update", counted)
+    monkeypatch.setattr(wave_solver, "elastic_update", counted)
     return calls
 
 
@@ -218,7 +218,7 @@ def test_damped_global_step_applies_the_kernel_once(problem, monkeypatch):
     _, solver, _, forces, _, t_end = problem
     counter = CountingKernel(solver.K._kernel)
     monkeypatch.setattr(solver.K, "_kernel", counter)
-    updates = count_updates(solver, monkeypatch)
+    updates = count_updates(monkeypatch)
     solver.run(forces[0], t_end)
     assert counter.calls == len(updates) == NSTEPS
     counter.calls = 0
@@ -232,7 +232,7 @@ def test_damped_lts_firing_applies_the_kernel_once(problem, monkeypatch):
     for lev in solver._lts_exec(plan):
         counters.append(CountingKernel(lev["K"]._kernel))
         monkeypatch.setattr(lev["K"], "_kernel", counters[-1])
-    updates = count_updates(solver, monkeypatch)
+    updates = count_updates(monkeypatch)
     fired = [NSTEPS // lv.rate for lv in plan.levels]
     solver.run(forces[0], t_end, lts=plan)
     assert [c.calls for c in counters] == fired
