@@ -1,20 +1,26 @@
 """Inverse earthquake modeling (paper Section 3).
 
-Discrete-adjoint nonlinear least squares for the scalar (antiplane /
-3D scalar) wave equation: invert the shear modulus field and/or the
-fault source parameters (dislocation amplitude ``u0``, rise time
-``t0``, delay time ``T``) from receiver records, with total-variation
-regularization on the material and Tikhonov regularization on the
-source fields.
+Discrete-adjoint nonlinear least squares: invert the shear modulus
+field (scalar antiplane / 3D scalar waves), the fault source parameters
+(dislocation amplitude ``u0``, rise time ``t0``, delay time ``T``), the
+3D elastic Lamé fields or an attenuation field from receiver records,
+with total-variation regularization on material fields and Tikhonov
+regularization on the source fields.
 
 Everything is discretize-then-optimize: gradients are the *exact*
 adjoints of the leapfrog recurrence (verified against finite
 differences to ~1e-7), so Gauss-Newton-CG converges the way the paper
 reports.  The solver stack is:
 
-* :class:`ScalarWaveInverseProblem` — misfit, gradient, Gauss-Newton
-  Hessian-vector products (one forward + one adjoint wave solve per CG
-  iteration, as in the paper);
+* :class:`LeastSquaresProblem` — the recipe, written once: forward
+  sweep and residuals, misfit + penalties + log-barrier, the reversed
+  adjoint march, gradient and Gauss-Newton Hessian-vector products (one
+  forward + one adjoint wave solve per CG iteration, as in the paper);
+  multi-shot problems are a trailing axis of one march each way;
+* :class:`ScalarWaveInverseProblem`, :class:`SourceInverseProblem`,
+  :class:`ElasticInverseProblem`, :class:`AttenuationInverseProblem` —
+  its physics hooks: parameters to model, march, parameter equation,
+  incremental forcing table, penalty blocks;
 * :func:`gauss_newton_cg` — Newton-CG with Armijo backtracking and a
   log-barrier safeguard for positivity;
 * :class:`LBFGSPreconditioner` — Morales-Nocedal automatic
@@ -27,7 +33,11 @@ reports.  The solver stack is:
 from repro.inverse.parametrization import MaterialGrid
 from repro.inverse.regularization import TotalVariation, Tikhonov1D
 from repro.inverse.fault_source import FaultLineSource2D
-from repro.inverse.problem import ScalarWaveInverseProblem, Shot
+from repro.inverse.problem import (
+    LeastSquaresProblem,
+    ScalarWaveInverseProblem,
+    Shot,
+)
 from repro.inverse.gauss_newton import GNResult, gauss_newton_cg
 from repro.inverse.precond import LBFGSPreconditioner, frankel_solve
 from repro.inverse.multiscale import multiscale_invert
@@ -42,6 +52,7 @@ __all__ = [
     "TotalVariation",
     "Tikhonov1D",
     "FaultLineSource2D",
+    "LeastSquaresProblem",
     "ScalarWaveInverseProblem",
     "Shot",
     "gauss_newton_cg",

@@ -18,24 +18,16 @@ forward plus one adjoint solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from repro.inverse.parametrization import MaterialGrid
+from repro.inverse.problem import LeastSquaresProblem, Shot
 from repro.solver.scalarwave import RegularGridScalarWave
 
 
-@dataclass
-class AttenuationForwardState:
-    m: np.ndarray
-    alpha_e: np.ndarray
-    u: np.ndarray
-    residual: np.ndarray
-
-
-class AttenuationInverseProblem:
+class AttenuationInverseProblem(LeastSquaresProblem):
     """Invert the damping field ``alpha`` with ``mu`` known and fixed.
 
     Parameters mirror :class:`ScalarWaveInverseProblem`; ``m`` holds
@@ -56,73 +48,37 @@ class AttenuationInverseProblem:
         barrier_gamma: float = 0.0,
         alpha_min: float = -1e-12,
     ):
+        super().__init__(
+            [Shot(receivers, data)], dt, nsteps,
+            barrier_gamma=barrier_gamma, mu_min=alpha_min,
+        )
         self.solver = solver
         self.grid = grid
         self.P = grid.to_elements(solver)
         self.mu_e = np.asarray(mu_e, dtype=float)
-        self.receivers = np.asarray(receivers, dtype=np.int64)
-        self.data = np.asarray(data, dtype=float)
-        self.dt = float(dt)
-        self.nsteps = int(nsteps)
         self.forcing = forcing
-        self.barrier_gamma = float(barrier_gamma)
-        self.mu_min = float(alpha_min)  # generic name for the GN driver
-        self.n_wave_solves = 0
 
-    def alpha_elements(self, m: np.ndarray) -> np.ndarray:
-        return self.P @ m
+    # -------------------------------------------------------------- hooks
 
-    # ------------------------------------------------------------ forward
-
-    def forward(self, m: np.ndarray) -> AttenuationForwardState:
-        alpha_e = self.alpha_elements(m)
+    def model(self, m: np.ndarray) -> np.ndarray:
+        alpha_e = self.P @ m
         if np.any(alpha_e < 0):
             raise FloatingPointError("negative attenuation")
-        u = self.solver.march(
-            self.mu_e, self.forcing, self.nsteps, self.dt, store=True,
+        return alpha_e
+
+    def sources(self, alpha_e: np.ndarray):
+        return self.forcing
+
+    def march(self, alpha_e: np.ndarray, forcing) -> np.ndarray:
+        return self.solver.march(
+            self.mu_e, forcing, self.nsteps, self.dt, store=True,
             alpha=alpha_e,
         )
-        self.n_wave_solves += 1
-        return AttenuationForwardState(
-            m=np.asarray(m, float).copy(),
-            alpha_e=alpha_e,
-            u=u,
-            residual=u[:, self.receivers] - self.data,
-        )
 
-    def objective(self, m, state: AttenuationForwardState | None = None):
-        if state is None:
-            state = self.forward(m)
-        parts = {"data": 0.5 * self.dt * float(np.sum(state.residual**2))}
-        if self.barrier_gamma > 0:
-            gap = m - self.mu_min
-            if np.any(gap <= 0):
-                return np.inf, parts, state
-            parts["barrier"] = -self.barrier_gamma * float(np.sum(np.log(gap)))
-        return sum(parts.values()), parts, state
-
-    # ------------------------------------------------------------ adjoint
-
-    def _adjoint(self, alpha_e: np.ndarray, rhs_series: np.ndarray):
-        N = self.nsteps
-
-        def forcing(mrev):
-            j = N + 1 - mrev
-            f = np.zeros(self.solver.nnode)
-            f[self.receivers] = -self.dt * rhs_series[j]
-            return f
-
-        x = self.solver.march(
-            self.mu_e, forcing, N, self.dt, store=True, alpha=alpha_e
-        )
-        self.n_wave_solves += 1
-        lam = np.zeros((N + 1, self.solver.nnode))
-        lam[2 : N + 1] = x[2 : N + 1][::-1]
-        return lam
-
-    def _accumulate(self, u: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    def accumulate(self, state, lam: np.ndarray) -> np.ndarray:
         N = self.nsteps
         dt = self.dt
+        u = state.u
         g = np.zeros(self.solver.nelem)
         chunk = 128
         for k0 in range(1, N, chunk):
@@ -132,32 +88,11 @@ class AttenuationInverseProblem:
             )
         return self.P.T @ g
 
-    def gradient(self, m, state: AttenuationForwardState | None = None):
-        if state is None:
-            state = self.forward(m)
-        J, _, _ = self.objective(m, state)
-        lam = self._adjoint(state.alpha_e, state.residual)
-        g = self._accumulate(state.u, lam)
-        if self.barrier_gamma > 0:
-            g -= self.barrier_gamma / (m - self.mu_min)
-        return g, J, state
-
-    def gn_hessvec(self, v: np.ndarray, state: AttenuationForwardState):
-        dt = self.dt
-        dalpha_e = self.P @ np.asarray(v, dtype=float)
-        C_delta = self.solver.volume_damping_diag(dalpha_e)
+    def incremental_forcing(self, state, v: np.ndarray) -> np.ndarray:
+        """``F[k-1] = -(dt/2) C(dalpha) (u^{k+1} - u^{k-1})``, ``dalpha
+        = P v``."""
         u = state.u
-
-        def forcing(k):
-            return -0.5 * dt * C_delta * (u[k + 1] - u[k - 1])
-
-        du = self.solver.march(
-            self.mu_e, forcing, self.nsteps, dt, store=True,
-            alpha=state.alpha_e,
-        )
-        self.n_wave_solves += 1
-        lam_t = self._adjoint(state.alpha_e, du[:, self.receivers])
-        Hv = self._accumulate(u, lam_t)
-        if self.barrier_gamma > 0:
-            Hv += self.barrier_gamma * v / (state.m - self.mu_min) ** 2
-        return Hv
+        N = self.nsteps
+        D = u[2 : N + 1] - u[0 : N - 1]
+        D *= -0.5 * self.dt * self.solver.volume_damping_diag(self.P @ v)
+        return D

@@ -4,13 +4,15 @@ The paper presents 2D antiplane inversions and announces that "results
 from 3D inversion will be presented at SC2003".  This module supplies
 that capability for the hexahedral elastic solver: invert the Lamé
 fields ``(lambda(x), mu(x))`` — parameterized on a coarse 3D material
-grid — from three-component records, by the same
-discretize-then-optimize machinery as the scalar problem:
+grid — from three-component records, as the hooks of the same
+:class:`~repro.inverse.problem.LeastSquaresProblem` the scalar problem
+uses:
 
-* forward: the explicit central-difference update with lumped mass and
-  Lysmer absorbing damping (conforming meshes; the Stacey ``c1``
-  coupling and hanging projection are solver features not needed for
-  the exactness result here);
+* forward: the forward solver's explicit update,
+  :func:`~repro.solver.wave_solver.elastic_update`, on a lumped-mass,
+  Lysmer-damped row set (conforming meshes; the Stacey ``c1`` coupling
+  and hanging projection are solver features not needed for the
+  exactness result here);
 * adjoint: the same dissipative leapfrog backward in time;
 * material equations: per-element accumulations against the two
   reference stiffness matrices (``K_e = h (lambda K_l + mu K_m)``) and
@@ -25,18 +27,22 @@ problem unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.backend import get_backend
 from repro.fem.assembly import lumped_mass
 from repro.fem.hex_element import hex_elastic_reference
 from repro.inverse.parametrization import MaterialGrid
+from repro.inverse.problem import LeastSquaresProblem, Shot
+from repro.inverse.regularization import TotalVariation
 from repro.mesh.hexmesh import HexMesh
-from repro.solver.wave_solver import DEFAULT_ABSORBING
+from repro.solver.wave_solver import (
+    DEFAULT_ABSORBING,
+    elastic_update,
+    lysmer_row_set,
+)
 
 
 class _ElasticKernel:
@@ -146,16 +152,7 @@ class _LysmerBoundary:
         return g_l, g_m
 
 
-@dataclass
-class ElasticForwardState:
-    m: np.ndarray
-    lam_e: np.ndarray
-    mu_e: np.ndarray
-    u: np.ndarray  # (nsteps+1, nnode, 3)
-    residual: np.ndarray  # (nsteps+1, nrec, 3)
-
-
-class ElasticInverseProblem:
+class ElasticInverseProblem(LeastSquaresProblem):
     """Invert ``(lambda, mu)`` of a 3D elastic model from 3-component
     records.
 
@@ -194,37 +191,30 @@ class ElasticInverseProblem:
     ):
         if len(np.unique(mesh.elem_level)) > 1:
             raise ValueError("elastic inversion requires a conforming mesh")
+        shot = Shot(receivers, data)
+        if shot.data.shape != (nsteps + 1, len(shot.receivers), 3):
+            raise ValueError("data must be (nsteps+1, nrec, 3)")
+        if grid.d != 3:
+            raise ValueError("elastic inversion needs a 3D material grid")
+        super().__init__(
+            [shot], dt, nsteps, barrier_gamma=barrier_gamma, mu_min=mu_min
+        )
         self.mesh = mesh
         self.grid = grid
         self.kernel = _ElasticKernel(mesh)
         self.boundary = _LysmerBoundary(mesh, absorbing)
         self.rho_e = np.asarray(rho, dtype=float)
-        self.mass = lumped_mass(
-            mesh.conn, mesh.elem_h, self.rho_e, mesh.nnode
-        )[:, None]
-        self.receivers = np.asarray(receivers, dtype=np.int64)
-        self.data = np.asarray(data, dtype=float)
-        if self.data.shape != (nsteps + 1, len(self.receivers), 3):
-            raise ValueError("data must be (nsteps+1, nrec, 3)")
-        self.dt = float(dt)
-        self.nsteps = int(nsteps)
+        self.mass = lumped_mass(mesh.conn, mesh.elem_h, self.rho_e, mesh.nnode)
         self.forces = forces
-        if grid.d != 3:
-            raise ValueError("elastic inversion needs a 3D material grid")
         self.P = grid.interpolation_matrix(mesh.elem_centers)
         self.nhalf = grid.n
         self.reg_lambda = float(reg_lambda)
-        self.barrier_gamma = float(barrier_gamma)
-        self.mu_min = float(mu_min)
-        self.n_wave_solves = 0
-        # simple Tikhonov-on-gradient regularizer built from the grid
-        if self.reg_lambda > 0:
-            from repro.inverse.regularization import TotalVariation
-
-            # quadratic smoothing: TV with a huge eps degenerates to H1
-            self._reg = TotalVariation(grid, self.reg_lambda, eps=1e6)
-        else:
-            self._reg = None
+        # quadratic smoothing on each field: TV with a huge eps
+        # degenerates to H1
+        self._reg = (
+            TotalVariation(grid, self.reg_lambda, eps=1e6)
+            if self.reg_lambda > 0 else None
+        )
 
     # ----------------------------------------------------------- plumbing
 
@@ -235,106 +225,65 @@ class ElasticInverseProblem:
         lam_n, mu_n = self.split(np.asarray(m, dtype=float))
         return self.P @ lam_n, self.P @ mu_n
 
+    def penalties(self) -> list:
+        if self._reg is None:
+            return []
+        n = self.nhalf
+        return [(slice(None, n), self._reg), (slice(n, None), self._reg)]
+
     # ------------------------------------------------------------ forward
 
     def _march(self, lam_e, mu_e, forcing, *, store=True):
-        """Vector leapfrog, same convention as the scalar substrate.
-
-        Fused in-place update with buffer rotation: the steady-state
-        loop performs no per-step O(nnode) heap allocations."""
-        dt = self.dt
-        dt2 = dt * dt
+        """Vector leapfrog, same convention as the scalar substrate:
+        every step is :func:`~repro.solver.wave_solver.elastic_update`
+        on the conforming, Lysmer-damped row set of all nodes — the
+        forward solver's update — with ``dtc2 = 1`` because the
+        forcings here arrive scaled by ``dt^2``.  Buffer rotation keeps
+        the loop free of per-step O(nnode) heap allocations."""
         N = self.nsteps
         C = self.boundary.damping_diag(lam_e, mu_e, self.rho_e)
-        inv_a_plus = 1.0 / (self.mass + 0.5 * dt * C)
-        a_minus = self.mass - 0.5 * dt * C
-        m2 = 2.0 * self.mass
+        co = {**lysmer_row_set(self.mass, C, self.dt), "dtc2": 1.0}
         K = self.kernel.bind(lam_e, mu_e)  # one fold per march
-        nnode = self.mesh.nnode
-        x_prev = np.zeros((nnode, 3))
-        x = np.zeros((nnode, 3))
-        x_next = np.zeros((nnode, 3))
-        r = np.empty((nnode, 3))
-        Kx = np.empty((nnode, 3))
-        hist = np.zeros((N + 1, nnode, 3)) if store else None
+        x_prev, x, x_next, r, tmp, Kx = (
+            np.zeros((self.mesh.nnode, 3)) for _ in range(6)
+        )
+        hist = np.zeros((N + 1, *x.shape)) if store else None
         for k in range(1, N):
             f = forcing(k)
             self.kernel.apply(K, x, Kx)
-            np.multiply(m2, x, out=r)
-            np.multiply(Kx, dt2, out=Kx)
-            np.subtract(r, Kx, out=r)
-            np.multiply(a_minus, x_prev, out=Kx)
-            np.subtract(r, Kx, out=r)
-            if f is not None:
-                np.add(r, f, out=r)
-            np.multiply(r, inv_a_plus, out=x_next)
+            elastic_update(co, x, Kx, None, x_prev, f, x, r, tmp, None, x_next)
             if store:
                 hist[k + 1] = x_next
             x_prev, x, x_next = x, x_next, x_prev
-        self.n_wave_solves += 1
         return hist if store else np.stack([x_prev, x])
 
-    def forward(self, m: np.ndarray) -> ElasticForwardState:
+    # -------------------------------------------------------------- hooks
+
+    def model(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         lam_e, mu_e = self.fields(m)
         if np.any(mu_e <= 0) or np.any(lam_e <= 0):
             raise FloatingPointError("non-positive Lamé field")
+        return lam_e, mu_e
+
+    def sources(self, model):
         dt = self.dt
 
         def forcing(k):
             b = self.forces(k * dt)
             return dt**2 * b if b is not None else None
 
-        u = self._march(lam_e, mu_e, forcing, store=True)
-        residual = u[:, self.receivers, :] - self.data
-        return ElasticForwardState(
-            m=np.asarray(m, float).copy(),
-            lam_e=lam_e,
-            mu_e=mu_e,
-            u=u,
-            residual=residual,
-        )
+        return forcing
 
-    def objective(self, m: np.ndarray, state: ElasticForwardState | None = None):
-        if state is None:
-            state = self.forward(m)
-        parts = {"data": 0.5 * self.dt * float(np.sum(state.residual**2))}
-        if self._reg is not None:
-            lam_n, mu_n = self.split(m)
-            parts["reg"] = self._reg.value(lam_n) + self._reg.value(mu_n)
-        if self.barrier_gamma > 0:
-            gap = m - self.mu_min
-            if np.any(gap <= 0):
-                return np.inf, parts, state
-            parts["barrier"] = -self.barrier_gamma * float(
-                np.sum(np.log(gap))
-            )
-        return sum(parts.values()), parts, state
+    def march(self, model, forcing) -> np.ndarray:
+        return self._march(*model, forcing)
 
-    # ------------------------------------------------------------ adjoint
-
-    def _adjoint(self, lam_e, mu_e, rhs_series: np.ndarray) -> np.ndarray:
-        N = self.nsteps
-        dt = self.dt
-
-        # single reusable forcing buffer: only the receiver rows are
-        # ever nonzero, so overwriting them each step keeps it correct
-        fbuf = np.zeros((self.mesh.nnode, 3))
-
-        def forcing(mrev):
-            fbuf[self.receivers] = -dt * rhs_series[N + 1 - mrev]
-            return fbuf
-
-        x = self._march(lam_e, mu_e, forcing, store=True)
-        lam = np.zeros((N + 1, self.mesh.nnode, 3))
-        lam[2 : N + 1] = x[2 : N + 1][::-1]
-        return lam
-
-    def _accumulate(self, state, adj) -> np.ndarray:
+    def accumulate(self, state, adj: np.ndarray) -> np.ndarray:
         """Per-element ``(g_lambda, g_mu)`` stacked as one vector on the
         material grid via ``P^T``."""
         dt = self.dt
         N = self.nsteps
         u = state.u
+        lam_e, mu_e = state.model
         g_l, g_m = self.kernel.K_material_gradient_batch(
             u[1:N], adj[2 : N + 1]
         )
@@ -346,58 +295,28 @@ class ElasticInverseProblem:
             bl, bm = self.boundary.material_gradient_batch(
                 u[k0 + 1 : k1 + 1] - u[k0 - 1 : k1 - 1],
                 adj[k0 + 1 : k1 + 1],
-                state.lam_e, state.mu_e, self.rho_e,
+                lam_e, mu_e, self.rho_e,
             )
             g_l += 0.5 * dt * bl
             g_m += 0.5 * dt * bm
         return np.concatenate([self.P.T @ g_l, self.P.T @ g_m])
 
-    def gradient(self, m: np.ndarray, state: ElasticForwardState | None = None):
-        if state is None:
-            state = self.forward(m)
-        J, _, _ = self.objective(m, state)
-        adj = self._adjoint(state.lam_e, state.mu_e, state.residual)
-        g = self._accumulate(state, adj)
-        if self._reg is not None:
-            lam_n, mu_n = self.split(m)
-            g[: self.nhalf] += self._reg.gradient(lam_n)
-            g[self.nhalf :] += self._reg.gradient(mu_n)
-        if self.barrier_gamma > 0:
-            g -= self.barrier_gamma / (m - self.mu_min)
-        return g, J, state
-
-    # ------------------------------------------------- Gauss-Newton HVP
-
-    def gn_hessvec(self, v: np.ndarray, state: ElasticForwardState) -> np.ndarray:
+    def incremental_forcing(self, state, v: np.ndarray) -> np.ndarray:
+        """``F[k-1] = -(dt/2) C_delta (u^{k+1} - u^{k-1}) - dt^2 K(dlam,
+        dmu) u^k``, with ``K(dlam, dmu)`` applied to the history in one
+        pass."""
         dt = self.dt
         N = self.nsteps
-        dl_n, dm_n = self.split(np.asarray(v, dtype=float))
-        dlam_e, dmu_e = self.P @ dl_n, self.P @ dm_n
-        C_delta = self.boundary.damping_perturbation(
-            state.lam_e, state.mu_e, self.rho_e, dlam_e, dmu_e
-        )
         u = state.u
-        # the whole incremental forcing as one table: F[k-1] =
-        # -(dt/2) C_delta (u^{k+1} - u^{k-1}) - dt^2 K(dlam, dmu) u^k,
-        # with K(dlam, dmu) applied to the history in one pass
+        dlam_e, dmu_e = self.fields(v)
+        C_delta = self.boundary.damping_perturbation(
+            *state.model, self.rho_e, dlam_e, dmu_e
+        )
         F = self.kernel.apply_rows(
             self.kernel.bind(dlam_e, dmu_e), u[1:N], np.empty(u[1:N].shape)
         )
-        F *= dt**2
+        F *= -(dt**2)
         D = u[2 : N + 1] - u[0 : N - 1]
         D *= -0.5 * dt * C_delta
-        np.subtract(D, F, out=F)
-        du = self._march(
-            state.lam_e, state.mu_e, lambda k: F[k - 1], store=True
-        )
-        adj = self._adjoint(
-            state.lam_e, state.mu_e, du[:, self.receivers, :]
-        )
-        Hv = self._accumulate(state, adj)
-        if self._reg is not None:
-            lam_n, mu_n = self.split(state.m)
-            Hv[: self.nhalf] += self._reg.hessvec(lam_n, dl_n)
-            Hv[self.nhalf :] += self._reg.hessvec(mu_n, dm_n)
-        if self.barrier_gamma > 0:
-            Hv += self.barrier_gamma * v / (state.m - self.mu_min) ** 2
-        return Hv
+        F += D
+        return F

@@ -147,22 +147,24 @@ class FaultLineSource2D:
         (includes the ``dt^2`` factor)."""
         return self._tabulated(lambda ks: self.forcing_rows(mu_e, p, ks, dt))
 
-    # --------------------------------------------------------- adjoints
-
-    def lam_projection(self, lam_k: np.ndarray) -> np.ndarray:
-        """``sum_i w_i lam[node_i]`` per fault segment — the contraction
-        every parameter derivative needs."""
-        return np.sum(lam_k[self.nodes] * self.w[None, :], axis=1)
-
-    def material_gradient_term(
-        self, proj: np.ndarray, p: SourceParams, t: float
+    def perturbation_rows(
+        self, mu_e: np.ndarray, p: SourceParams, dp: SourceParams,
+        ks: np.ndarray, dt: float,
     ) -> np.ndarray:
-        """Per-element ``lam^T db/dmu_e`` at time ``t`` (fault elements
-        only); ``proj`` is :meth:`lam_projection` of ``lam^{k+1}``."""
+        """``dt^2 (db^k/dp) dp`` at ``unodes`` for the steps ``ks`` —
+        the incremental forcing of a source perturbation, laid out like
+        :meth:`forcing_rows`."""
+        mu_s = mu_e[self.elems]
+        t = ks[:, None] * dt
         g = slip_function(t, p.T, p.t0)
-        out = np.zeros(self.solver.nelem)
-        np.add.at(out, self.elems, proj * p.u0 * g)
-        return out
+        amp = (
+            mu_s * dp.u0 * g
+            + mu_s * p.u0 * dslip_dt0(t, p.T, p.t0) * dp.t0
+            + mu_s * p.u0 * dslip_dT(t, p.T, p.t0) * dp.T
+        )
+        return self._nodal_rows(amp, dt)
+
+    # --------------------------------------------------------- adjoints
 
     def material_gradient_batch(
         self, lam_batch: np.ndarray, p: SourceParams, times: np.ndarray
@@ -177,35 +179,3 @@ class FaultLineSource2D:
         out = np.zeros(self.solver.nelem)
         np.add.at(out, self.elems, amp)
         return out
-
-    def source_gradient_terms(
-        self, proj: np.ndarray, mu_e: np.ndarray, p: SourceParams, t: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``lam^T db/d(u0, t0, T)`` per fault segment at time ``t``."""
-        mu_s = mu_e[self.elems]
-        g = slip_function(t, p.T, p.t0)
-        dgdt0 = dslip_dt0(t, p.T, p.t0)
-        dgdT = dslip_dT(t, p.T, p.t0)
-        return (
-            proj * mu_s * g,
-            proj * mu_s * p.u0 * dgdt0,
-            proj * mu_s * p.u0 * dgdT,
-        )
-
-    def forcing_from_param_perturbation(
-        self, mu_e: np.ndarray, p: SourceParams, dp: SourceParams, dt: float
-    ):
-        """``dt^2 (db/dp) dp`` forcing for the incremental forward."""
-        mu_s = mu_e[self.elems]
-
-        def rows(ks):
-            t = ks[:, None] * dt
-            g = slip_function(t, p.T, p.t0)
-            amp = (
-                mu_s * dp.u0 * g
-                + mu_s * p.u0 * dslip_dt0(t, p.T, p.t0) * dp.t0
-                + mu_s * p.u0 * dslip_dT(t, p.T, p.t0) * dp.T
-            )
-            return self._nodal_rows(amp, dt)
-
-        return self._tabulated(rows)

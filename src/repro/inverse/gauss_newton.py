@@ -118,7 +118,9 @@ def gauss_newton_cg(
 
     ``problem`` must provide ``gradient(m) -> (g, J, state)``,
     ``gn_hessvec(v, state)``, ``objective(m)``, and the attributes
-    ``barrier_gamma`` / ``mu_min`` (for the fraction-to-boundary rule).
+    ``barrier_gamma`` / ``mu_min`` and, when ``barrier_gamma > 0``,
+    ``barrier_rows`` (for the fraction-to-boundary rule) — a
+    :class:`~repro.inverse.problem.LeastSquaresProblem` does.
 
     The CG tolerance follows an Eisenstat-Walker-style forcing term
     ``min(cg_forcing, sqrt(|g|/|g0|))`` for superlinear convergence.
@@ -186,13 +188,10 @@ def gauss_newton_cg(
         # fraction-to-boundary: stay strictly inside the barrier domain
         # (only for the components the problem's barrier actually covers)
         step = 1.0
-        if getattr(problem, "barrier_gamma", 0.0) > 0:
-            if hasattr(problem, "_barrier_mask"):
-                mask = problem._barrier_mask(m)
-            else:
-                mask = np.ones(len(m), dtype=bool)
-            gap = m[mask] - problem.mu_min
-            dm = d[mask]
+        if problem.barrier_gamma > 0:
+            rows = problem.barrier_rows
+            gap = m[rows] - problem.mu_min
+            dm = d[rows]
             neg = dm < 0
             if np.any(neg):
                 limit = np.min(-bounds_fraction * gap[neg] / dm[neg])

@@ -99,7 +99,7 @@ def joint_invert(
         s_state = src_prob.forward(p.pack())
         history.append(
             {"outer": outer, "block": "source",
-             "J_data": 0.5 * dt * float(np.sum(s_state.residual**2))}
+             "J_data": src_prob.data_misfit(s_state)}
         )
         if verbose:
             print(f"outer {outer} source  : J_data {history[-1]['J_data']:.4e}")

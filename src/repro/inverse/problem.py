@@ -1,4 +1,5 @@
-"""Material inverse problem: misfit, exact discrete gradient, GN Hv.
+"""The least-squares inverse problem, written once; the scalar material
+inversion on top of it.
 
 Discretize-then-optimize on the leapfrog recurrence
 
@@ -26,11 +27,17 @@ requires one forward and one adjoint wave propagation solution".  The
 incremental forcing is tabulated over the stored forward history before
 the march starts (one time-batched ``K(dmu)`` pass), so the march itself
 only ever applies ``K(mu)``.
+
+Material, source and attenuation inversion differ only in which
+parameters enter that recurrence, so :class:`LeastSquaresProblem` owns
+the recipe — forward sweep and residuals, misfit, penalties and
+log-barrier, the reversed adjoint march, gradient and Gauss-Newton
+``H v`` — and each physics supplies five hooks (see its docstring).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -69,7 +76,7 @@ class Shot:
     wave operator is common — only the forcing columns differ)."""
 
     receivers: np.ndarray
-    data: np.ndarray  # (nsteps + 1, nrec)
+    data: np.ndarray  # (nsteps + 1, nrec[, 3])
     fault: FaultLineSource2D | None = None
     source_params: SourceParams | None = None
     extra_forcing: Callable[[int], np.ndarray] | None = None
@@ -81,12 +88,13 @@ class Shot:
 
 @dataclass
 class ForwardState:
-    """Cached sweep results reused by Hessian-vector products."""
+    """One forward sweep, reused by the gradient and every Hessian-
+    vector product at its iterate."""
 
     m: np.ndarray
-    mu_e: np.ndarray
-    u: np.ndarray  # (nsteps+1, nnode) — or (nsteps+1, nnode, B) multi-shot
-    residuals: list = field(default_factory=list)  # (nsteps+1, nrec) per shot
+    model: object  # what the physics' ``march`` runs on
+    u: np.ndarray | None  # (nsteps+1, nnode[, 3][, B]); None if not stored
+    residuals: list  # (nsteps+1, nrec[, 3]) per shot
 
     @property
     def residual(self) -> np.ndarray:
@@ -97,7 +105,215 @@ class ForwardState:
         return self.residuals[0]
 
 
-class ScalarWaveInverseProblem:
+class LeastSquaresProblem:
+    """``J(m) = (dt/2) sum_shots |F (u_r(m) - d)|^2 + penalties - barrier``
+    with its exact discrete gradient and Gauss-Newton ``H v``, for any
+    physics that supplies the hooks
+
+    * ``model(m)`` — parameters to the model the march runs on; raises
+      ``FloatingPointError`` where the model is not physical;
+    * ``sources(model)`` — the forward sweep's ``forcing(k)``;
+    * ``march(model, forcing)`` — the stored leapfrog history
+      ``(nsteps + 1, nnode, *comp, *tail)`` driven by ``forcing(k)``
+      (``dt^2``-scaled, as every forcing here is);
+    * ``accumulate(state, lam)`` — the parameter equation: the gradient
+      contribution of an adjoint history ``lam`` against ``state.u``;
+    * ``incremental_forcing(state, v)`` — the Gauss-Newton incremental
+      forward's forcing as a table ``F[k - 1]``, shaped like
+      ``state.u[1:nsteps]``;
+
+    and, when it regularizes, ``penalties()`` — blocks ``(rows, reg)``,
+    each ``reg`` with ``value(p)``, ``gradient(p)`` and ``hessvec(p,
+    v)`` of ``p = m[rows]``.
+
+    Shots are a trailing axis: ``tail = ()`` for one shot and ``(B,)``
+    for ``B``, so a one-shot problem runs the solo march and shot ``b``
+    is column ``b`` of every state.  The log-barrier ``-gamma sum
+    log(m[barrier_rows] - mu_min)`` keeps the rows it covers positive;
+    :func:`~repro.inverse.gauss_newton_cg` keeps its iterates inside the
+    same rows.
+    """
+
+    def __init__(
+        self,
+        shots: Sequence[Shot],
+        dt: float,
+        nsteps: int,
+        *,
+        barrier_gamma: float = 0.0,
+        mu_min: float = 0.0,
+        residual_smoother: np.ndarray | None = None,
+    ):
+        self.shots = list(shots)
+        if not self.shots:
+            raise ValueError("need at least one shot")
+        for s in self.shots:
+            if s.data.shape[:2] != (nsteps + 1, len(s.receivers)):
+                raise ValueError(
+                    f"shot data must be (nsteps+1, nrec) = "
+                    f"{(nsteps + 1, len(s.receivers))}, got {s.data.shape}"
+                )
+        self.tail = () if len(self.shots) == 1 else (len(self.shots),)
+        self.dt = float(dt)
+        self.nsteps = int(nsteps)
+        self.barrier_gamma = float(barrier_gamma)
+        self.mu_min = float(mu_min)
+        self.barrier_rows = slice(None)
+        if residual_smoother is not None:
+            w = np.asarray(residual_smoother, dtype=float)
+            if len(w) % 2 == 0 or not np.allclose(w, w[::-1]):
+                raise ValueError(
+                    "residual_smoother must be an odd-length symmetric kernel"
+                )
+            self.residual_smoother = w
+        else:
+            self.residual_smoother = None
+        #: counts of wave-equation solves (forward + adjoint), reported
+        #: by the Table 3.1 benchmark
+        self.n_wave_solves = 0
+
+    def penalties(self) -> list:
+        return []
+
+    def _column(self, a: np.ndarray, b: int) -> np.ndarray:
+        """Shot ``b``'s view of a state-shaped block."""
+        return a[..., b] if self.tail else a
+
+    def _traces(self, u: np.ndarray) -> list:
+        """Each shot's receiver records of a history ``u``."""
+        return [
+            self._column(u, b)[:, s.receivers]
+            for b, s in enumerate(self.shots)
+        ]
+
+    def _solve(self, model, forcing, span: str) -> np.ndarray:
+        with telemetry.span(span) as _s:
+            u = self.march(model, forcing)
+            _s.add("wave_solves", 1)
+        self.n_wave_solves += 1
+        return u
+
+    # ------------------------------------------------------------ forward
+
+    def forward(self, m: np.ndarray) -> ForwardState:
+        model = self.model(m)
+        u = self._solve(model, self.sources(model), "inverse.forward")
+        # an unstable forward march propagates NaN garbage into the
+        # misfit and every adjoint quantity; any non-finite value
+        # reaches the final state, so one check here catches it
+        check_finite(u[-1], step=self.nsteps, field="u")
+        residuals = [t - s.data for t, s in zip(self._traces(u), self.shots)]
+        return ForwardState(np.asarray(m, float).copy(), model, u, residuals)
+
+    # ---------------------------------------------------------- objective
+
+    def _smooth(self, r: np.ndarray) -> np.ndarray:
+        """Apply the symmetric residual filter ``F`` along time."""
+        if self.residual_smoother is None:
+            return r
+        from scipy.ndimage import convolve1d
+
+        return convolve1d(r, self.residual_smoother, axis=0, mode="constant")
+
+    def data_misfit(self, state: ForwardState) -> float:
+        return 0.5 * self.dt * float(
+            sum(np.sum(self._smooth(r) ** 2) for r in state.residuals)
+        )
+
+    def objective(self, m: np.ndarray, state: ForwardState | None = None):
+        """Total objective and its parts; reuses ``state`` if given."""
+        if state is None:
+            state = self.forward(m)
+        parts = {"data": self.data_misfit(state)}
+        blocks = self.penalties()
+        if blocks:
+            parts["reg"] = sum(reg.value(m[rows]) for rows, reg in blocks)
+        if self.barrier_gamma > 0:
+            gap = m[self.barrier_rows] - self.mu_min
+            if np.any(gap <= 0):
+                return np.inf, parts, state
+            parts["barrier"] = -self.barrier_gamma * float(np.sum(np.log(gap)))
+        return sum(parts.values()), parts, state
+
+    # ----------------------------------------------------------- adjoint
+
+    def _receiver_forcing(self, shape: tuple, traces: list):
+        """Reversed-time forcing of the adjoint march: step ``mrev``
+        carries ``-dt F^T F traces`` at index ``N + 1 - mrev`` on each
+        shot's receivers (``F^T F = F F`` for the symmetric smoother),
+        shot ``b`` in column ``b``.  One buffer serves every step: only
+        receiver entries are ever nonzero, and they are overwritten."""
+        N = self.nsteps
+        rhs = [self._smooth(self._smooth(t)) for t in traces]
+        fbuf = np.zeros(shape)
+
+        def forcing(mrev: int):
+            j = N + 1 - mrev
+            for b, (s, r) in enumerate(zip(self.shots, rhs)):
+                self._column(fbuf, b)[s.receivers] = -self.dt * r[j]
+            return fbuf
+
+        return forcing
+
+    def _adjoint(self, state: ForwardState, traces: list) -> np.ndarray:
+        """Adjoint history ``lam`` (``lam[j]`` valid for ``j = 2 ..
+        nsteps``) driven by per-shot receiver ``traces``.
+
+        The adjoint is the same leapfrog with time reversed: with
+        ``x^m := lam^{N+2-m}``, the recurrence and the dissipative sign
+        of the absorbing boundary are unchanged (paper eq. 3.3).
+        """
+        N = self.nsteps
+        shape = state.u.shape[1:]
+        x = self._solve(
+            state.model, self._receiver_forcing(shape, traces),
+            "inverse.adjoint",
+        )
+        lam = np.zeros((N + 1, *shape))
+        lam[2 : N + 1] = x[2 : N + 1][::-1]
+        return lam
+
+    def _add_penalty_gradient(self, m: np.ndarray, g: np.ndarray) -> np.ndarray:
+        for rows, reg in self.penalties():
+            g[rows] += reg.gradient(m[rows])
+        if self.barrier_gamma > 0:
+            rows = self.barrier_rows
+            g[rows] -= self.barrier_gamma / (m[rows] - self.mu_min)
+        return g
+
+    def gradient(self, m: np.ndarray, state: ForwardState | None = None):
+        """Exact discrete gradient; returns ``(g, J, state)``.
+
+        Every shot's residual drives its own column of ONE adjoint
+        march (on top of the one forward march in :meth:`forward`), so
+        the wave-solve count per gradient is 2 regardless of the shot
+        count."""
+        if state is None:
+            state = self.forward(m)
+        J, _, _ = self.objective(m, state)
+        g = self.accumulate(state, self._adjoint(state, state.residuals))
+        return self._add_penalty_gradient(m, g), J, state
+
+    # ----------------------------------------------- Gauss-Newton Hessian
+
+    def gn_hessvec(self, v: np.ndarray, state: ForwardState) -> np.ndarray:
+        """Gauss-Newton Hessian action ``H v`` at ``state.m``: one
+        incremental forward plus one incremental adjoint solve, every
+        shot in its column of each."""
+        F = self.incremental_forcing(state, v)
+        du = self._solve(state.model, lambda k: F[k - 1], "inverse.gn_hessvec")
+        Hv = self.accumulate(state, self._adjoint(state, self._traces(du)))
+        m = state.m
+        for rows, reg in self.penalties():
+            Hv[rows] += reg.hessvec(m[rows], v[rows])
+        if self.barrier_gamma > 0:
+            rows = self.barrier_rows
+            gap = m[rows] - self.mu_min
+            Hv[rows] += self.barrier_gamma * v[rows] / gap**2
+        return Hv
+
+
+class ScalarWaveInverseProblem(LeastSquaresProblem):
     """Invert the shear modulus field from receiver records.
 
     Parameters
@@ -148,21 +364,14 @@ class ScalarWaveInverseProblem:
         mu_min: float = 0.0,
         residual_smoother: np.ndarray | None = None,
     ):
-        self.solver = solver
-        self.grid = grid
-        self.P = grid.to_elements(solver)
         if shots is not None:
             if receivers is not None or data is not None:
                 raise ValueError("pass either (receivers, data, ...) or shots")
             if fault is not None or source_params is not None or extra_forcing is not None:
                 raise ValueError("per-shot sources live on the Shot objects")
-            self.shots = [
-                s if isinstance(s, Shot) else Shot(**s) for s in shots
-            ]
-            if not self.shots:
-                raise ValueError("need at least one shot")
+            shots = [s if isinstance(s, Shot) else Shot(**s) for s in shots]
         else:
-            self.shots = [
+            shots = [
                 Shot(
                     receivers=receivers,
                     data=data,
@@ -171,41 +380,14 @@ class ScalarWaveInverseProblem:
                     extra_forcing=extra_forcing,
                 )
             ]
-        self.B = len(self.shots)
-        #: single-shot problems keep the exact serial sweep paths (and
-        #: bitwise results) of the original implementation
-        self._single = self.B == 1
-        for s in self.shots:
-            if s.data.shape != (nsteps + 1, len(s.receivers)):
-                raise ValueError(
-                    f"shot data must be (nsteps+1, nrec) = "
-                    f"{(nsteps + 1, len(s.receivers))}, got {s.data.shape}"
-                )
-        shot0 = self.shots[0]
-        # legacy single-shot attribute surface (joint/source inversion
-        # and the checkpointed gradient read these)
-        self.receivers = shot0.receivers if self._single else None
-        self.data = shot0.data if self._single else None
-        self.fault = shot0.fault if self._single else None
-        self.source_params = shot0.source_params if self._single else None
-        self.extra_forcing = shot0.extra_forcing if self._single else None
-        self.dt = float(dt)
-        self.nsteps = int(nsteps)
+        super().__init__(
+            shots, dt, nsteps, barrier_gamma=barrier_gamma, mu_min=mu_min,
+            residual_smoother=residual_smoother,
+        )
+        self.solver = solver
+        self.grid = grid
+        self.P = grid.to_elements(solver)
         self.reg = reg
-        self.barrier_gamma = float(barrier_gamma)
-        self.mu_min = float(mu_min)
-        if residual_smoother is not None:
-            w = np.asarray(residual_smoother, dtype=float)
-            if len(w) % 2 == 0 or not np.allclose(w, w[::-1]):
-                raise ValueError(
-                    "residual_smoother must be an odd-length symmetric kernel"
-                )
-            self.residual_smoother = w
-        else:
-            self.residual_smoother = None
-        #: counts of wave-equation solves (forward + adjoint), reported
-        #: by the Table 3.1 benchmark
-        self.n_wave_solves = 0
 
     @classmethod
     def multi_shot(
@@ -227,10 +409,16 @@ class ScalarWaveInverseProblem:
     def n(self) -> int:
         return self.grid.n
 
-    def mu_elements(self, m: np.ndarray) -> np.ndarray:
-        return self.P @ m
+    def penalties(self) -> list:
+        return [] if self.reg is None else [(slice(None), self.reg)]
 
-    # ------------------------------------------------------------ forward
+    # -------------------------------------------------------------- hooks
+
+    def model(self, m: np.ndarray) -> np.ndarray:
+        mu_e = self.P @ m
+        if np.any(mu_e <= 0):
+            raise FloatingPointError("non-positive modulus in forward model")
+        return mu_e
 
     def _shot_forcing(self, shot: Shot, mu_e: np.ndarray):
         parts = []
@@ -256,134 +444,20 @@ class ScalarWaveInverseProblem:
 
         return combined
 
-    def _total_forcing(self, mu_e: np.ndarray):
-        if not self._single:
-            raise ValueError("multi-shot problems force per shot")
-        return self._shot_forcing(self.shots[0], mu_e)
+    def sources(self, mu_e: np.ndarray):
+        cols = [self._shot_forcing(s, mu_e) for s in self.shots]
+        return batched_forcing(cols, self.solver.nnode) if self.tail else cols[0]
 
-    def forward(self, m: np.ndarray) -> ForwardState:
-        mu_e = self.mu_elements(m)
-        if np.any(mu_e <= 0):
-            raise FloatingPointError("non-positive modulus in forward model")
-        with telemetry.span("inverse.forward") as _s:
-            if self._single:
-                u = self.solver.march(
-                    mu_e, self._total_forcing(mu_e), self.nsteps, self.dt,
-                    store=True,
-                )
-                self.n_wave_solves += 1
-                residuals = [u[:, self.receivers] - self.data]
-            else:
-                # ONE batched march advances every shot's state column
-                cols = [self._shot_forcing(s, mu_e) for s in self.shots]
-                u = self.solver.march(
-                    mu_e, batched_forcing(cols, self.solver.nnode),
-                    self.nsteps, self.dt, store=True, batch=self.B,
-                )
-                self.n_wave_solves += 1
-                residuals = [
-                    u[:, s.receivers, i] - s.data
-                    for i, s in enumerate(self.shots)
-                ]
-            _s.add("wave_solves", 1)
-        # an unstable forward march propagates NaN garbage into the
-        # misfit and every adjoint quantity; any non-finite value
-        # reaches the final state, so one check here catches it
-        check_finite(u[-1], step=self.nsteps, field="u")
-        return ForwardState(m=np.asarray(m, float).copy(), mu_e=mu_e, u=u,
-                            residuals=residuals)
-
-    # ---------------------------------------------------------- objective
-
-    def _smooth(self, r: np.ndarray) -> np.ndarray:
-        """Apply the symmetric residual filter ``F`` along time."""
-        if self.residual_smoother is None:
-            return r
-        from scipy.ndimage import convolve1d
-
-        return convolve1d(r, self.residual_smoother, axis=0, mode="constant")
-
-    def data_misfit(self, state: ForwardState) -> float:
-        return 0.5 * self.dt * float(
-            sum(np.sum(self._smooth(r) ** 2) for r in state.residuals)
+    def march(self, mu_e: np.ndarray, forcing) -> np.ndarray:
+        return self.solver.march(
+            mu_e, forcing, self.nsteps, self.dt, store=True,
+            batch=self.tail[0] if self.tail else None,
         )
 
-    def objective(self, m: np.ndarray, state: ForwardState | None = None):
-        """Total objective and its parts; reuses ``state`` if given."""
-        if state is None:
-            state = self.forward(m)
-        parts = {"data": self.data_misfit(state)}
-        if self.reg is not None:
-            parts["reg"] = self.reg.value(m)
-        if self.barrier_gamma > 0:
-            gap = m - self.mu_min
-            if np.any(gap <= 0):
-                return np.inf, parts, state
-            parts["barrier"] = -self.barrier_gamma * float(np.sum(np.log(gap)))
-        return sum(parts.values()), parts, state
-
-    # ----------------------------------------------------------- adjoint
-
-    def _adjoint_states(
-        self, mu_e: np.ndarray, rhs_series: np.ndarray
-    ) -> np.ndarray:
-        """Solve the adjoint recurrence for nodal forcing series
-        ``rhs_series`` of shape ``(nsteps+1, nrec)`` (receiver values);
-        returns ``lam`` with ``lam[j]`` valid for ``j = 2 .. nsteps``.
-
-        The adjoint is the same leapfrog with time reversed: with
-        ``x^m := lam^{N+2-m}``, the recurrence and the dissipative sign
-        of the absorbing boundary are unchanged (paper eq. 3.3).
-        """
-        N = self.nsteps
-        # single reusable forcing buffer: only the receiver entries are
-        # ever nonzero, so overwriting them each step keeps it correct
-        fbuf = np.zeros(self.solver.nnode)
-
-        def forcing(mrev: int):
-            j = N + 1 - mrev
-            fbuf[self.receivers] = -self.dt * rhs_series[j]
-            return fbuf
-
-        with telemetry.span("inverse.adjoint") as _s:
-            x = self.solver.march(mu_e, forcing, N, self.dt, store=True)
-            _s.add("wave_solves", 1)
-        self.n_wave_solves += 1
-        lam = np.zeros((N + 1, self.solver.nnode))
-        lam[2 : N + 1] = x[2 : N + 1][::-1]
-        return lam
-
-    def _adjoint_states_multi(
-        self, mu_e: np.ndarray, rhs_list: list[np.ndarray]
-    ) -> np.ndarray:
-        """Batched :meth:`_adjoint_states`: shot ``s``'s receiver
-        residual series drives adjoint column ``s``, all columns in
-        ONE reversed march.  Returns ``lam`` ``(N+1, nnode, B)``."""
-        N = self.nsteps
-        fbuf = np.zeros((self.solver.nnode, self.B))
-        recs = [s.receivers for s in self.shots]
-
-        def forcing(mrev: int):
-            j = N + 1 - mrev
-            for s, rs in enumerate(recs):
-                fbuf[rs, s] = -self.dt * rhs_list[s][j]
-            return fbuf
-
-        with telemetry.span("inverse.adjoint") as _s:
-            x = self.solver.march(
-                mu_e, forcing, N, self.dt, store=True, batch=self.B
-            )
-            _s.add("wave_solves", 1)
-        self.n_wave_solves += 1
-        lam = np.zeros((N + 1, self.solver.nnode, self.B))
-        lam[2 : N + 1] = x[2 : N + 1][::-1]
-        return lam
-
-    def _material_accumulation(
-        self, mu_e: np.ndarray, u: np.ndarray, lam: np.ndarray
-    ) -> np.ndarray:
+    def accumulate(self, state: ForwardState, lam: np.ndarray) -> np.ndarray:
         """``g_e = sum_k lam^{k+1,T} [dt^2 K_e u^k + (dt/2) C_e (u^{k+1}
-        - u^{k-1}) - dt^2 db^k/dmu_e]`` — shared by gradient and GN Hv.
+        - u^{k-1}) - dt^2 db^k/dmu_e]``, returned on the grid as ``P^T
+        g_e``.
 
         The stiffness term runs over the whole history on the kernel's
         row blocks; the boundary and fault terms touch few nodes and
@@ -392,11 +466,11 @@ class ScalarWaveInverseProblem:
         coupling slices its own column."""
         N = self.nsteps
         dt = self.dt
+        u, mu_e = state.u, state.model
         g = dt**2 * self.solver.K_material_gradient_batch(
             u[1:N], lam[2 : N + 1]
         )
         chunk = 128
-        multi = u.ndim == 3
         for k0 in range(1, N, chunk):
             k1 = min(k0 + chunk, N)
             L = lam[k0 + 1 : k1 + 1]
@@ -406,39 +480,42 @@ class ScalarWaveInverseProblem:
             for s, shot in enumerate(self.shots):
                 if shot.fault is None or shot.source_params is None:
                     continue
-                Ls = L[:, :, s] if multi else L
                 g -= dt**2 * shot.fault.material_gradient_batch(
-                    Ls, shot.source_params, np.arange(k0, k1) * dt
+                    self._column(L, s), shot.source_params,
+                    np.arange(k0, k1) * dt,
                 )
-        return g
+        return self.P.T @ g
 
-    def gradient(self, m: np.ndarray, state: ForwardState | None = None):
-        """Exact discrete gradient; returns ``(g, J, state)``.
+    def incremental_forcing(self, state: ForwardState, v: np.ndarray) -> np.ndarray:
+        """``F[k-1] = -(dt/2) C_delta (u^{k+1} - u^{k-1}) - dt^2 K(dmu)
+        u^k + dt^2 (db^k/dmu) dmu`` for ``k = 1 .. N-1``, ``dmu = P v``.
+        ``K(dmu)`` is bound once and applied to the stored history in
+        one time-batched pass, so the march that consumes the table
+        never alternates materials through the kernel."""
+        u = state.u
+        dt = self.dt
+        N = self.nsteps
+        solver = self.solver
+        dmu_e = self.P @ v
+        F = solver.apply_K_rows(
+            solver.bind_K(dmu_e), u[1:N], np.empty(u[1:N].shape)
+        )
+        F *= -(dt**2)
+        c = -0.5 * dt * solver.damping_diag_perturbation(state.model, dmu_e)
+        D = u[2 : N + 1] - u[0 : N - 1]
+        D *= c[:, None] if self.tail else c
+        F += D
+        ks = np.arange(1, N)
+        for s, shot in enumerate(self.shots):
+            if shot.fault is None:
+                continue
+            # b is linear in mu: (db/dmu) dmu = b(dmu)
+            self._column(F, s)[:, shot.fault.unodes] += shot.fault.forcing_rows(
+                dmu_e, shot.source_params, ks, dt
+            )
+        return F
 
-        Multi-shot: the residual columns of every shot drive ONE
-        batched adjoint march (on top of the one batched forward march
-        in :meth:`forward`), so the wave-solve count per gradient is 2
-        regardless of the shot count."""
-        if state is None:
-            state = self.forward(m)
-        J, _, _ = self.objective(m, state)
-        # adjoint forcing: F^T F r (= F F r for the symmetric smoother)
-        if self._single:
-            lam = self._adjoint_states(
-                state.mu_e, self._smooth(self._smooth(state.residual))
-            )
-        else:
-            lam = self._adjoint_states_multi(
-                state.mu_e,
-                [self._smooth(self._smooth(r)) for r in state.residuals],
-            )
-        g_e = self._material_accumulation(state.mu_e, state.u, lam)
-        g = self.P.T @ g_e
-        if self.reg is not None:
-            g = g + self.reg.gradient(m)
-        if self.barrier_gamma > 0:
-            g = g - self.barrier_gamma / (m - self.mu_min)
-        return g, J, state
+    # ----------------------------------------------- bounded-memory sweep
 
     def gradient_checkpointed(
         self, m: np.ndarray, slots: int = 8
@@ -460,42 +537,34 @@ class ScalarWaveInverseProblem:
             checkpoint_schedule,
         )
 
-        if not self._single:
+        if self.tail:
             raise NotImplementedError(
                 "checkpointed gradients are single-shot only; multi-shot "
                 "gradients already run one batched sweep each way"
             )
-        mu_e = self.mu_elements(m)
-        if np.any(mu_e <= 0):
-            raise FloatingPointError("non-positive modulus in forward model")
+        mu_e = self.model(m)
         N = self.nsteps
         dt = self.dt
         solver = self.solver
-        forcing = self._total_forcing(mu_e)
+        shot = self.shots[0]
+        forcing = self.sources(mu_e)
 
         # forward sweep: snapshots + receiver traces only
         sched = set(checkpoint_schedule(N, slots))
         snaps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        traces = np.zeros((N + 1, len(self.receivers)))
+        traces = np.zeros((N + 1, len(shot.receivers)))
         last: dict = {}
 
         def on_step(k, x):
-            traces[k] = x[self.receivers]
+            traces[k] = x[shot.receivers]
             if k - 1 in sched:
                 snaps[k - 1] = (last["x"], x.copy())
             last["x"] = x.copy()
 
         solver.march(mu_e, forcing, N, dt, store=False, on_step=on_step)
         self.n_wave_solves += 1
-        residual = traces - self.data
-        J = 0.5 * dt * float(np.sum(self._smooth(residual) ** 2))
-        residual_adj = self._smooth(self._smooth(residual))
-        if self.reg is not None:
-            J += self.reg.value(m)
-        if self.barrier_gamma > 0:
-            J += -self.barrier_gamma * float(
-                np.sum(np.log(m - self.mu_min))
-            )
+        state = ForwardState(m, mu_e, None, [traces - shot.data])
+        J = self.objective(m, state)[0]
 
         # replay machinery for the forward states
         C = solver.damping_diag(mu_e)
@@ -517,12 +586,6 @@ class ScalarWaveInverseProblem:
         # carries lam^{N+2-mrev}; the material terms for k = N+1-mrev
         # need u^{k-1}, u^k, u^{k+1}
         g_e = np.zeros(solver.nelem)
-        adj_fbuf = np.zeros(solver.nnode)
-
-        def adj_forcing(mrev):
-            j = N + 1 - mrev
-            adj_fbuf[self.receivers] = -dt * residual_adj[j]
-            return adj_fbuf
 
         def adj_on_step(mrev, x):
             j = N + 2 - mrev  # lam index
@@ -535,97 +598,14 @@ class ScalarWaveInverseProblem:
             um = states.state(k - 1)
             g_e[:] += dt**2 * solver.K_material_gradient(uk, x)
             g_e[:] += 0.5 * dt * solver.C_material_gradient(up - um, x, mu_e)
-            if self.fault is not None and self.source_params is not None:
-                proj = self.fault.lam_projection(x)
-                g_e[:] -= dt**2 * self.fault.material_gradient_term(
-                    proj, self.source_params, k * dt
+            if shot.fault is not None and shot.source_params is not None:
+                g_e[:] -= dt**2 * shot.fault.material_gradient_batch(
+                    x[None], shot.source_params, np.array([k * dt])
                 )
 
         solver.march(
-            mu_e, adj_forcing, N, dt, store=False, on_step=adj_on_step
+            mu_e, self._receiver_forcing((solver.nnode,), state.residuals),
+            N, dt, store=False, on_step=adj_on_step,
         )
         self.n_wave_solves += 1
-        g = self.P.T @ g_e
-        if self.reg is not None:
-            g = g + self.reg.gradient(m)
-        if self.barrier_gamma > 0:
-            g = g - self.barrier_gamma / (m - self.mu_min)
-        return g, J
-
-    # ----------------------------------------------- Gauss-Newton Hessian
-
-    def _incremental_forcing(
-        self, state: ForwardState, dmu_e: np.ndarray
-    ) -> np.ndarray:
-        """The whole forcing of the incremental forward as one table:
-        ``F[k-1] = -(dt/2) C_delta (u^{k+1} - u^{k-1}) - dt^2 K(dmu) u^k
-        + dt^2 (db^k/dmu) dmu`` for ``k = 1 .. N-1``, shaped like
-        ``state.u[1:N]``.  ``K(dmu)`` is bound once and applied to the
-        stored history in one time-batched pass, so the march that
-        consumes the table never alternates materials through the
-        kernel."""
-        u = state.u
-        dt = self.dt
-        N = self.nsteps
-        solver = self.solver
-        K_delta = solver.bind_K(dmu_e)
-        F = np.empty(u[1:N].shape)
-        if self._single:
-            solver.apply_K_rows(K_delta, u[1:N], F)
-        else:
-            for k in range(1, N):
-                solver.apply_K_bound(K_delta, u[k], F[k - 1])
-        F *= dt**2
-        C_delta = solver.damping_diag_perturbation(state.mu_e, dmu_e)
-        c = -0.5 * dt * C_delta
-        D = u[2 : N + 1] - u[0 : N - 1]
-        D *= c if self._single else c[:, None]
-        np.subtract(D, F, out=F)
-        ks = np.arange(1, N)
-        for s, shot in enumerate(self.shots):
-            if shot.fault is None:
-                continue
-            col = F if self._single else F[:, :, s]
-            # b is linear in mu: (db/dmu) dmu = b(dmu)
-            col[:, shot.fault.unodes] += shot.fault.forcing_rows(
-                dmu_e, shot.source_params, ks, dt
-            )
-        return F
-
-    def gn_hessvec(self, v: np.ndarray, state: ForwardState) -> np.ndarray:
-        """Gauss-Newton Hessian action ``H v`` at ``state.m``.
-
-        One incremental forward plus one incremental adjoint solve —
-        batched over all shots for multi-shot problems (wave-solve
-        count 2 per call regardless of the shot count).
-        """
-        mu_e = state.mu_e
-        dmu_e = self.P @ v
-        N = self.nsteps
-        F = self._incremental_forcing(state, dmu_e)
-        with telemetry.span("inverse.gn_hessvec") as _s:
-            du = self.solver.march(
-                mu_e, lambda k: F[k - 1], N, self.dt, store=True,
-                batch=None if self._single else self.B,
-            )
-            _s.add("wave_solves", 1)
-        self.n_wave_solves += 1
-        if self._single:
-            lam_t = self._adjoint_states(
-                mu_e, self._smooth(self._smooth(du[:, self.receivers]))
-            )
-        else:
-            lam_t = self._adjoint_states_multi(
-                mu_e,
-                [
-                    self._smooth(self._smooth(du[:, s.receivers, i]))
-                    for i, s in enumerate(self.shots)
-                ],
-            )
-        h_e = self._material_accumulation(mu_e, state.u, lam_t)
-        Hv = self.P.T @ h_e
-        if self.reg is not None:
-            Hv = Hv + self.reg.hessvec(state.m, v)
-        if self.barrier_gamma > 0:
-            Hv = Hv + self.barrier_gamma * v / (state.m - self.mu_min) ** 2
-        return Hv
+        return self._add_penalty_gradient(m, self.P.T @ g_e), J

@@ -101,5 +101,7 @@ class Tikhonov1D:
     def gradient(self, p: np.ndarray) -> np.ndarray:
         return self.beta * self.h * (self.D.T @ (self.D @ p))
 
-    def hessvec(self, v: np.ndarray) -> np.ndarray:
+    def hessvec(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """``H v`` (``H`` is constant: ``p`` is taken for the interface
+        :class:`TotalVariation` shares)."""
         return self.beta * self.h * (self.D.T @ (self.D @ v))

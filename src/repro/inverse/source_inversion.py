@@ -10,33 +10,21 @@ field along the fault (paper eq. 3.5-3.7).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.inverse.fault_source import FaultLineSource2D, SourceParams
+from repro.inverse.problem import LeastSquaresProblem, Shot
 from repro.inverse.regularization import Tikhonov1D
 from repro.solver.scalarwave import RegularGridScalarWave
 
 
-@dataclass
-class SourceForwardState:
-    p: SourceParams
-    u: np.ndarray
-    residual: np.ndarray
-
-    @property
-    def m(self):  # the generic GN driver stores/passes this through
-        return None
-
-
-class SourceInverseProblem:
+class SourceInverseProblem(LeastSquaresProblem):
     """Invert ``(u0, t0, T)`` on the fault; parameters are packed as a
     single vector ``[u0; t0; T]`` for the Gauss-Newton driver.
 
     Physical bounds: ``t0 > 0`` is required for a well-defined slip
     function; the ``barrier_gamma`` log-barrier keeps ``t0`` and ``u0``
-    positive (``T`` may be any non-negative delay).
+    above ``p_min`` (``T`` may be any non-negative delay).
     """
 
     def __init__(
@@ -55,91 +43,50 @@ class SourceInverseProblem:
         barrier_gamma: float = 0.0,
         p_min: float = 1e-3,
     ):
+        super().__init__(
+            [Shot(receivers, data)], dt, nsteps,
+            barrier_gamma=barrier_gamma, mu_min=p_min,
+        )
         self.solver = solver
         self.fault = fault
         self.mu_e = np.asarray(mu_e, dtype=float)
-        self.receivers = np.asarray(receivers, dtype=np.int64)
-        self.data = np.asarray(data, dtype=float)
-        self.dt = float(dt)
-        self.nsteps = int(nsteps)
-        ns = fault.ns
+        ns = self.ns = fault.ns
         h = solver.h
         self.reg_u0 = Tikhonov1D(ns, h, beta_u0)
         self.reg_t0 = Tikhonov1D(ns, h, beta_t0)
         self.reg_T = Tikhonov1D(ns, h, beta_T)
-        self.barrier_gamma = float(barrier_gamma)
-        self.mu_min = float(p_min)  # generic name used by the GN driver
-        self.n_wave_solves = 0
-        self.ns = ns
+        # the barrier covers u0 and t0; T is unconstrained from above
+        self.barrier_rows = slice(None, 2 * ns)
 
-    # barrier applies to u0 and t0 only; T is unconstrained from above
-    def _barrier_mask(self, x: np.ndarray) -> np.ndarray:
-        mask = np.zeros(len(x), dtype=bool)
-        mask[: 2 * self.ns] = True
-        return mask
+    def penalties(self) -> list:
+        ns = self.ns
+        return [
+            (slice(None, ns), self.reg_u0),
+            (slice(ns, 2 * ns), self.reg_t0),
+            (slice(2 * ns, None), self.reg_T),
+        ]
 
-    # ------------------------------------------------------------ forward
+    # -------------------------------------------------------------- hooks
 
-    def forward(self, x: np.ndarray) -> SourceForwardState:
-        p = SourceParams.unpack(x)
-        u = self.solver.march(
-            self.mu_e,
-            self.fault.forcing(self.mu_e, p, self.dt),
-            self.nsteps,
-            self.dt,
-            store=True,
-        )
-        self.n_wave_solves += 1
-        return SourceForwardState(
-            p=p, u=u, residual=u[:, self.receivers] - self.data
+    def model(self, x: np.ndarray) -> SourceParams:
+        return SourceParams.unpack(x)
+
+    def sources(self, p: SourceParams):
+        return self.fault.forcing(self.mu_e, p, self.dt)
+
+    def march(self, p: SourceParams, forcing) -> np.ndarray:
+        return self.solver.march(
+            self.mu_e, forcing, self.nsteps, self.dt, store=True
         )
 
-    def objective(self, x: np.ndarray, state: SourceForwardState | None = None):
-        if state is None:
-            state = self.forward(x)
-        p = state.p
-        parts = {
-            "data": 0.5 * self.dt * float(np.sum(state.residual**2)),
-            "reg": (
-                self.reg_u0.value(p.u0)
-                + self.reg_t0.value(p.t0)
-                + self.reg_T.value(p.T)
-            ),
-        }
-        if self.barrier_gamma > 0:
-            mask = self._barrier_mask(x)
-            gap = x[mask] - self.mu_min
-            if np.any(gap <= 0):
-                return np.inf, parts, state
-            parts["barrier"] = -self.barrier_gamma * float(np.sum(np.log(gap)))
-        return sum(parts.values()), parts, state
-
-    # ------------------------------------------------------------ adjoint
-
-    def _adjoint_states(self, rhs_series: np.ndarray) -> np.ndarray:
-        N = self.nsteps
-
-        def forcing(mrev: int):
-            j = N + 1 - mrev
-            f = np.zeros(self.solver.nnode)
-            f[self.receivers] = -self.dt * rhs_series[j]
-            return f
-
-        x = self.solver.march(self.mu_e, forcing, N, self.dt, store=True)
-        self.n_wave_solves += 1
-        lam = np.zeros((N + 1, self.solver.nnode))
-        lam[2 : N + 1] = x[2 : N + 1][::-1]
-        return lam
-
-    def _param_accumulation(
-        self, lam: np.ndarray, p: SourceParams
-    ) -> np.ndarray:
+    def accumulate(self, state, lam: np.ndarray) -> np.ndarray:
         """``-dt^2 sum_k lam^{k+1,T} db^k/dp`` packed as ``[u0; t0; T]``
         (time-batched)."""
         from repro.sources.slip import dslip_dT, dslip_dt0, slip_function
 
         dt = self.dt
         N = self.nsteps
+        p = state.model
         mu_s = self.mu_e[self.fault.elems]
         g_u0 = np.zeros(self.ns)
         g_t0 = np.zeros(self.ns)
@@ -158,45 +105,12 @@ class SourceInverseProblem:
             g_T -= dt**2 * np.sum(base * u0 * dslip_dT(t, T, t0), axis=0)
         return np.concatenate([g_u0, g_t0, g_T])
 
-    def gradient(self, x: np.ndarray, state: SourceForwardState | None = None):
-        if state is None:
-            state = self.forward(x)
-        J, _, _ = self.objective(x, state)
-        lam = self._adjoint_states(state.residual)
-        g = self._param_accumulation(lam, state.p)
-        p = state.p
-        g[: self.ns] += self.reg_u0.gradient(p.u0)
-        g[self.ns : 2 * self.ns] += self.reg_t0.gradient(p.t0)
-        g[2 * self.ns :] += self.reg_T.gradient(p.T)
-        if self.barrier_gamma > 0:
-            mask = self._barrier_mask(x)
-            g[mask] -= self.barrier_gamma / (x[mask] - self.mu_min)
-        state_x = x  # the GN driver re-derives state from objective()
-        return g, J, state
-
-    # ------------------------------------------------- Gauss-Newton HVP
-
-    def gn_hessvec(self, v: np.ndarray, state: SourceForwardState) -> np.ndarray:
-        dp = SourceParams.unpack(v)
-        du = self.solver.march(
-            self.mu_e,
-            self.fault.forcing_from_param_perturbation(
-                self.mu_e, state.p, dp, self.dt
-            ),
-            self.nsteps,
+    def incremental_forcing(self, state, v: np.ndarray) -> np.ndarray:
+        """``dt^2 (db/dp) dp`` on the fault nodes, ``dp = v``."""
+        N = self.nsteps
+        F = np.zeros(state.u[1:N].shape)
+        F[:, self.fault.unodes] = self.fault.perturbation_rows(
+            self.mu_e, state.model, SourceParams.unpack(v), np.arange(1, N),
             self.dt,
-            store=True,
         )
-        self.n_wave_solves += 1
-        lam_t = self._adjoint_states(du[:, self.receivers])
-        Hv = self._param_accumulation(lam_t, state.p)
-        Hv[: self.ns] += self.reg_u0.hessvec(dp.u0)
-        Hv[self.ns : 2 * self.ns] += self.reg_t0.hessvec(dp.t0)
-        Hv[2 * self.ns :] += self.reg_T.hessvec(dp.T)
-        if self.barrier_gamma > 0:
-            x = np.concatenate([state.p.u0, state.p.t0, state.p.T])
-            mask = self._barrier_mask(x)
-            Hv[mask] += (
-                self.barrier_gamma * v[mask] / (x[mask] - self.mu_min) ** 2
-            )
-        return Hv
+        return F

@@ -40,10 +40,10 @@ so a one-rank run is the serial ``stacey_c1=False`` run bit for bit and
 more ranks differ only by the order of the interface sums.
 
 Scope: lumped mass, Lysmer absorbing damping, conforming meshes — a
-rank's coefficient dict (:func:`_row_set`) carries no ``c1`` coupling,
-no projection and no Rayleigh term.  Adding them is three entries of
-that dict plus ghosting the masters of a rank's hanging nodes into its
-node set, not another update body.
+rank's coefficient dict (its ``lysmer_row_set``) carries no ``c1``
+coupling, no projection and no Rayleigh term.  Adding them is three
+entries of that dict plus ghosting the masters of a rank's hanging
+nodes into its node set, not another update body.
 
 Two parallelisation axes are available.  :meth:`DistributedWaveSolver.
 run` shards the **domain**: each worker owns an element partition and
@@ -95,8 +95,8 @@ from repro.solver.wave_solver import (
     elastic_update,
     fire_cluster,
     halo_in,
+    lysmer_row_set,
     over_batch,
-    row_coefs,
     update_flops_per_node,
 )
 
@@ -141,17 +141,6 @@ def recommend_sharding(
     if op_bytes + state_bytes > worker_mem_bytes:
         return "domain"
     return "shots"
-
-
-def _row_set(m, C, dt) -> dict:
-    """:func:`~repro.solver.wave_solver.elastic_update` coefficients of
-    a conforming, Lysmer-damped row set at step ``dt`` from its raw
-    mass / damping slices: no ``c1`` coupling, no projection, the LHS
-    diagonal inverted as it stands.  Every rank program hoists its own,
-    through the serial solver's expressions, so the coefficients are
-    the same bits on every schedule."""
-    co, A = row_coefs(m, C, dt)
-    return {**co, "kab": None, "B": None, "inv_A_bar": 1.0 / A}
 
 
 def _make_force_caller(force_fn, nnode: int):
@@ -325,7 +314,7 @@ def _lts_rank_levels(p: dict, plan) -> list[tuple[dict, dict]]:
             "rate": lv.rate,
             "own": own,
             "interp": lv.interp_nodes,
-            **_row_set(p["m"][own], p["C"][own], lv.rate * p["dt"]),
+            **lysmer_row_set(p["m"][own], p["C"][own], lv.rate * p["dt"]),
             "op": op,
             "is_iface": is_iface,
             "flops": op.flops_per_matvec
@@ -455,7 +444,7 @@ def _rank_program(comm, payload):
     )
     neighbors = p["neighbors"]  # [(rank, local idx of shared nodes)]
     dt, nsteps = p["dt"], p["nsteps"]
-    co = _row_set(p["m"], p["C"], dt)
+    co = lysmer_row_set(p["m"], p["C"], dt)
     force_fn = _make_force_caller(p["force_fn"], p["result"][1])
     gnodes = p["gnodes"]
     rank = comm.rank
@@ -526,7 +515,7 @@ def _march_shot_slice(op, co, force_fns, nnode, dt, nsteps, add_flops=None):
     guarantees per-column identity, and every other term is
     elementwise).
 
-    ``co`` is the whole domain's :func:`_row_set`; returns the final
+    ``co`` is the whole domain's ``lysmer_row_set``; returns the final
     ``(nnode, 3, B)`` displacement block.
     """
     B = len(force_fns)
@@ -574,7 +563,7 @@ def _shot_program(comm, payload):
     if len(idx) == 0:
         return {"t_compute": 0.0, "nsteps": p["nsteps"], "nshots": 0}
     op = ElasticOperator(p["conn"], p["h"], p["lam"], p["mu"], nnode)
-    co = _row_set(p["m"], p["C"], p["dt"])
+    co = lysmer_row_set(p["m"], p["C"], p["dt"])
     t0 = time.perf_counter()
     u = _march_shot_slice(
         op, co, p["force_fns"],

@@ -226,8 +226,13 @@ class RegularGridScalarWave:
         self, K: np.ndarray, rows: np.ndarray, out: np.ndarray
     ) -> np.ndarray:
         """``out[t] = K rows[t]`` over a stored history ``(T, nnode)``
-        in one time-batched kernel pass; row ``t`` is bit-identical to
-        ``apply_K_bound(K, rows[t])``."""
+        in one time-batched kernel pass — or over a shot-batched one
+        ``(T, nnode, B)``, one ``matmat`` per row; row ``t`` is
+        bit-identical to ``apply_K_bound(K, rows[t])``."""
+        if rows.ndim == 3:
+            for t in range(len(rows)):
+                self._kernel.matmat(rows[t], out[t], K)
+            return out
         return self._kernel.matrows(rows, out, K)
 
     def apply_K(

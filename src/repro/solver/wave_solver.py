@@ -133,6 +133,18 @@ def row_coefs(m, C_diag, dt, m_alpha=None, Kb_diag=None, beta=0.0):
     return co, A
 
 
+def lysmer_row_set(m, C, dt) -> dict:
+    """:func:`elastic_update` coefficients of a conforming,
+    Lysmer-damped row set at step ``dt`` from its rows of the lumped
+    mass and damping: no ``c1`` coupling, no projection, the LHS
+    diagonal inverted as it stands.  The rank programs of
+    :mod:`repro.parallel.dist_solver` and the elastic inversion's march
+    build theirs here, so their coefficients are the serial solver's
+    bits."""
+    co, A = row_coefs(m, C, dt)
+    return {**co, "kab": None, "B": None, "inv_A_bar": 1.0 / A}
+
+
 def over_batch(co: dict, tail: tuple) -> dict:
     """``co`` with its three per-dof diagonals broadcast over the
     batch axis of ``(n, 3, *tail)`` blocks (once per march)."""

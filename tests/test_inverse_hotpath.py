@@ -5,8 +5,9 @@ material accumulation.
 Every fast path is held against the slow code it replaced, kept here as
 the oracle: bitwise where the arithmetic is unchanged (``matrows`` rows,
 the forcing table, the fault closures), to 1e-12 where only the
-summation order moved (the accumulation), and to 1e-9 against values
-recorded at the parent commit for a whole multiscale inversion.
+summation order moved (the accumulation), and against values recorded
+at a parent commit: to 1e-9 for a whole multiscale inversion, to 1e-12
+for one objective, gradient and ``H v`` of each problem kind.
 """
 
 import tracemalloc
@@ -20,13 +21,17 @@ from repro.core import AntiplaneSetup, MaterialInversion
 from repro.fem.hex_element import hex_elastic_reference
 from repro.fem.scalar_element import scalar_stiffness_reference
 from repro.inverse import (
+    AttenuationInverseProblem,
+    ElasticInverseProblem,
     FaultLineSource2D,
     MaterialGrid,
     ScalarWaveInverseProblem,
+    SourceInverseProblem,
+    TotalVariation,
 )
 from repro.inverse.elastic import _ElasticKernel
 from repro.inverse.fault_source import SourceParams
-from repro.inverse.problem import Shot
+from repro.inverse.problem import Shot, gaussian_time_kernel
 from repro.mesh import uniform_hex_mesh
 from repro.solver import RegularGridScalarWave
 from repro.sources.slip import dslip_dT, dslip_dt0, slip_function
@@ -164,7 +169,9 @@ def test_fault_closures_bitwise_equal_per_step_oracle(section):
             lambda t: mu_s * p.u0 * slip_function(t, p.T, p.t0),
         ),
         (
-            fault.forcing_from_param_perturbation(mu_e, p, dp, dt),
+            fault._tabulated(
+                lambda ks: fault.perturbation_rows(mu_e, p, dp, ks, dt)
+            ),
             lambda t: (
                 mu_s * dp.u0 * slip_function(t, p.T, p.t0)
                 + mu_s * p.u0 * dslip_dt0(t, p.T, p.t0) * dp.t0
@@ -187,7 +194,7 @@ def _oracle_forcing(prob, state, dmu_e):
     """The per-step incremental-forcing closures ``gn_hessvec`` used to
     hand to march (single- and multi-shot forms)."""
     solver, dt, u = prob.solver, prob.dt, state.u
-    C_delta = solver.damping_diag_perturbation(state.mu_e, dmu_e)
+    C_delta = solver.damping_diag_perturbation(state.model, dmu_e)
     fault_fs = [
         _old_fault_closure(
             s.fault,
@@ -260,8 +267,9 @@ def test_gn_forcing_table_bitwise_equals_per_step_closure(section, which):
     prob = _problems(section)[which]
     rng = np.random.default_rng(3)
     state = prob.forward(np.full(prob.n, 2.5e9))
-    dmu_e = prob.P @ (rng.standard_normal(prob.n) * 1e8)
-    F = prob._incremental_forcing(state, dmu_e)
+    v = rng.standard_normal(prob.n) * 1e8
+    dmu_e = prob.P @ v
+    F = prob.incremental_forcing(state, v)
     assert F.shape == state.u[1 : prob.nsteps].shape
     oracle = _oracle_forcing(prob, state, dmu_e)
     assert np.abs(F).max() > 0
@@ -392,3 +400,197 @@ def test_three_level_inversion_matches_parent_commit():
     assert res.multiscale.total_cg_iterations == 15
     scale = np.abs(M_FINAL_PARENT).max()
     assert np.abs(res.m_final - M_FINAL_PARENT).max() <= 1e-9 * scale
+
+
+def _pin_problem(kind):
+    """One problem of each kind the least-squares recipe serves, and the
+    iterate it is pinned at.  Weights are set so the data, penalty and
+    barrier terms each carry a visible share of the gradient."""
+    nx, nz, h = 12, 6, 100.0
+    solver = RegularGridScalarWave((nx, nz), h, rho=1000.0)
+    grid = MaterialGrid((2, 1), (nx * h, nz * h))
+    m_true = grid.sample(lambda p: 2.0e9 + 1.5e9 * (p[:, 1] > 300.0))
+    mu_e = grid.to_elements(solver) @ m_true
+    dt = solver.stable_dt(np.full(solver.nelem, m_true.max()))
+    nsteps = 60
+    rec = solver.surface_nodes()[::2]
+    m0 = np.linspace(2.3e9, 2.9e9, grid.n)
+
+    def shot(ix, hypo_j):
+        fault = FaultLineSource2D(solver, ix=ix, jz=range(1, 5))
+        p = fault.hypocentral_params(
+            hypo_j=hypo_j, rupture_velocity=2000.0, u0=1.0, t0=0.2
+        )
+        u = solver.march(mu_e, fault.forcing(mu_e, p, dt), nsteps, dt)
+        return Shot(receivers=rec, data=u[:, rec], fault=fault,
+                    source_params=p)
+
+    if kind == "scalar":
+        s = shot(6, 3)
+        return ScalarWaveInverseProblem(
+            solver, grid, rec, s.data, dt, nsteps, fault=s.fault,
+            source_params=s.source_params,
+            reg=TotalVariation(grid, 3e-15, eps=1e6),
+            barrier_gamma=1e-3, mu_min=1e8,
+            residual_smoother=gaussian_time_kernel(dt, 4.0),
+        ), m0
+    if kind == "multi_shot":
+        shots = [shot(6, 3), shot(3, 2), shot(9, 4)]
+        return ScalarWaveInverseProblem.multi_shot(
+            solver, grid, shots, dt, nsteps
+        ), m0
+    if kind == "source":
+        s = shot(6, 3)
+        x = np.concatenate([
+            np.linspace(0.8, 1.2, 4), np.linspace(0.25, 0.15, 4),
+            s.source_params.T + 0.01,
+        ])
+        return SourceInverseProblem(
+            solver, s.fault, mu_e, rec, s.data, dt, nsteps,
+            beta_u0=1.0, beta_t0=2.0, beta_T=3.0, barrier_gamma=1e-2,
+        ), x
+    if kind == "attenuation":
+        alpha = grid.sample(lambda p: 0.5 + 1.5 * (p[:, 0] > 600.0))
+        src = solver.node_index((nx // 2, 2))
+        fb = np.zeros(solver.nnode)
+
+        def forcing(k):
+            fb[src] = dt**2 * 1e6 * np.exp(-(((k * dt - 0.3) / 0.1) ** 2))
+            return fb
+
+        u = solver.march(mu_e, forcing, nsteps, dt,
+                         alpha=grid.to_elements(solver) @ alpha)
+        return AttenuationInverseProblem(
+            solver, grid, mu_e, rec, u[:, rec], dt, nsteps, forcing,
+            barrier_gamma=3e-11,
+        ), np.linspace(0.8, 1.6, grid.n)
+    assert kind == "elastic"
+    L, n, N = 1000.0, 2, 40
+    mesh = uniform_hex_mesh(n, L=L)
+    egrid = MaterialGrid((1, 1, 1), (L, L, L))
+    rho = np.full(mesh.nelem, 2000.0)
+    lam_t = egrid.sample(lambda p: 2.0e9 + 1.0e9 * (p[:, 2] > 500.0))
+    mu_t = egrid.sample(lambda p: 1.0e9 + 0.5e9 * (p[:, 2] > 500.0))
+    edt = 0.4 * (L / n) / 2000.0 / np.sqrt(3)
+    fbuf = np.zeros((mesh.nnode, 3))
+
+    def forces(t):
+        fbuf[mesh.nnode // 2] = np.array([1.0, 0.5, 0.3]) * 1e10 * np.exp(
+            -(((t - 0.05) / 0.02) ** 2)
+        )
+        return fbuf
+
+    erec = mesh.surface_nodes(2, 0)
+    probe = ElasticInverseProblem(
+        mesh, egrid, rho, np.arange(0), np.zeros((N + 1, 0, 3)), edt, N,
+        forces,
+    )
+    u = probe.forward(np.concatenate([lam_t, mu_t])).u
+    return ElasticInverseProblem(
+        mesh, egrid, rho, erec, u[:, erec], edt, N, forces,
+        reg_lambda=1e-22, barrier_gamma=1e-8, mu_min=1e8,
+    ), np.concatenate([np.linspace(2.2e9, 2.8e9, egrid.n),
+                       np.linspace(1.1e9, 1.4e9, egrid.n)])
+
+
+#: ``(J, g, gn_hessvec(g, state))`` of each :func:`_pin_problem` as
+#: commit ad4fa69 computed them — before the four problems shared one
+#: least-squares recipe
+PINS_PARENT = {
+    "scalar": (
+        -0.12544271655742367,
+        [
+            -7.21156817380766e-13, -1.219188487217388e-12,
+            2.9422912665372156e-12, 3.966370126191911e-13,
+            1.5514562960305024e-12, 1.1412921155919554e-12,
+        ],
+        [
+            1.5128004131009119e-33, -7.751657461735671e-33,
+            3.4616698720504985e-32, 8.049310219613011e-33,
+            9.97811341879574e-33, 2.0390820852490012e-33,
+        ],
+    ),
+    "multi_shot": (
+        0.011709534072208162,
+        [
+            3.1582745329115474e-12, -1.1279891995191088e-12,
+            2.500304100783812e-11, 5.5555023692939785e-12,
+            1.1494501642003701e-11, 4.927657199436324e-12,
+        ],
+        [
+            3.6824450421233123e-31, 5.956611052375084e-32,
+            1.744731279205442e-30, 5.505179463765057e-31,
+            4.981163776686541e-31, 1.701220184173071e-31,
+        ],
+    ),
+    "elastic": (
+        -3.1788558004687573e-06,
+        [
+            -1.777393659793376e-17, -1.4219868226621942e-17,
+            -8.061466932118946e-18, -5.4491460814574886e-18,
+            -1.0514594819922984e-18, 2.3909796707121983e-18,
+            8.65578402961585e-18, 1.1116421835033419e-17,
+            -6.5232958847173066e-18, -1.1181592730409685e-17,
+            1.2095025449262255e-17, -1.6215037968127066e-18,
+            3.1547868314405834e-18, -1.4675660514100693e-18,
+            2.2398166996227172e-17, 8.267244874973113e-18,
+        ],
+        [
+            -6.766366802238076e-43, -5.490394615723617e-43,
+            -1.660024561148479e-43, -8.04857759381895e-44,
+            1.4043259987062218e-43, 2.6090599543219625e-43,
+            6.464249558785266e-43, 7.232483358392825e-43,
+            9.337682578920389e-44, -7.43591112372259e-43,
+            1.728187346651376e-42, 3.102843250758318e-43,
+            6.6958565442214154e-43, -1.620485275206541e-43,
+            2.3010662161986415e-42, 8.81106463755635e-43,
+        ],
+    ),
+    "source": (
+        0.0687998586439888,
+        [
+            -0.01849686218178219, -0.014805803979761117,
+            -0.013841211568859058, -0.007592530926524475,
+            -0.008547791384435725, -0.019084276810692705,
+            -0.025778183838831906, -0.06250509348821408,
+            0.06601410302951068, 0.05510669645735771,
+            0.04630519980821955, 0.02301575956729862,
+        ],
+        [
+            -0.0013408707674617047, -0.0035664299733068794,
+            -0.005840907540247043, 0.0013148949664924118,
+            0.04547890475891796, 0.05216662846053968,
+            0.055306326506654624, -0.01745007280818387,
+            0.11088331437415502, 0.11739950734396089,
+            0.11389929010260756, 0.04448653143352188,
+        ],
+    ),
+    "attenuation": (
+        9.512011035839654e-12,
+        [
+            -1.3008423922413435e-11, -2.2395581282670347e-11,
+            4.640422352394806e-11, 5.177920898559653e-12,
+            -8.946972355429876e-12, -1.3783857692488813e-11,
+        ],
+        [
+            2.948048758199843e-23, -6.082817734306851e-22,
+            4.563135070106695e-21, 1.035336334165328e-21,
+            5.1585896957385355e-22, -3.0175136018351784e-23,
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(PINS_PARENT))
+def test_objective_gradient_and_hessvec_match_parent_commit(kind):
+    """Every hook keeps its operand order, so on the reference host the
+    values are bit-identical to the parent's; 1e-12 of each vector's
+    largest entry leaves room for other BLAS builds, and nothing else."""
+    prob, m = _pin_problem(kind)
+    J_want, g_want, Hv_want = PINS_PARENT[kind]
+    g, J, state = prob.gradient(m)
+    assert abs(J - J_want) <= 1e-12 * abs(J_want)
+    assert prob.objective(m)[0] == J
+    for got, want in [(g, g_want), (prob.gn_hessvec(g, state), Hv_want)]:
+        want = np.asarray(want)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

@@ -86,6 +86,8 @@ class TestRegularization:
             pm[i] -= eps
             fd[i] = (t.value(pp) - t.value(pm)) / (2 * eps)
         np.testing.assert_allclose(g, fd, atol=1e-6)
+        # quadratic: the gradient is the Hessian applied to p
+        np.testing.assert_array_equal(t.hessvec(p, p), g)
 
 
 class TestMaterialGrid:
