@@ -37,7 +37,11 @@ a *row set* of the serial solver's one update
 (:func:`repro.solver.wave_solver.elastic_update`, coefficients from its
 ``row_coefs``; a cluster firing is its ``halo_in`` / ``fire_cluster``),
 so a one-rank run is the serial ``stacey_c1=False`` run bit for bit and
-more ranks differ only by the order of the interface sums.
+more ranks differ only by the order of the interface sums.  Nor do they
+hold duties of their own: resume, poisoning, the health sentinel and
+checkpoints are the serial schedules'
+:class:`~repro.solver.frame.MarchFrame`, which ``_RankFrame`` extends
+with what needs a ``comm``.
 
 Scope: lumped mass, Lysmer absorbing damping, conforming meshes — a
 rank's coefficient dict (its ``lysmer_row_set``) carries no ``c1``
@@ -72,17 +76,13 @@ from repro.parallel.transport import (
     create_shared_array,
     release_shared_array,
 )
-from repro.resilience import (
-    RetryPolicy,
-    check_finite,
-    sync_check_due,
-    validate_cfl,
-)
+from repro.resilience import RetryPolicy, validate_cfl
 from repro.telemetry.timeline import MergedTimeline, RankTimeline
 from repro.physics.cfl import elem_stable_dt, stable_timestep
 from repro.physics.elastic import lame_from_velocities
 from repro.physics.stacey import stacey_boundary_matrices, stacey_coefficients
 from repro.solver.checkpoint import CheckpointManager, collective_latest_step
+from repro.solver.frame import MarchFrame
 from repro.solver.lts import (
     DEFAULT_MAX_RATE,
     bin_rates,
@@ -163,33 +163,40 @@ def _make_force_caller(force_fn, nnode: int):
     return lambda t: force_fn(t, buf)
 
 
-class _RankFrame:
-    """What every rank program does around its schedule — the part
-    that is not the time loop.
+class _RankFrame(MarchFrame):
+    """The :class:`~repro.solver.frame.MarchFrame` of one rank program,
+    plus what needs its ``comm``.
 
     Opt-in through the payload: a per-rank
     :class:`~repro.solver.checkpoint.CheckpointManager` (restart pair
-    every ``ckpt_every`` steps, start from ``resume_step`` instead of
-    rest), a bound :class:`~repro.resilience.FaultPlan`,
-    ``health_interval`` for the NaN/Inf sentinel, and a
-    :class:`RankTimeline` (the master's telemetry flag does not
-    propagate into a worker process, so recording is requested through
-    the payload).
-
-    The state is consistent across ranks — and may be poisoned,
-    checked and checkpointed — only at the schedule's **boundaries**:
-    every step for the plain program, every ``stride`` steps (the sync
-    rate) for the clustered one.  Both call the one :meth:`boundary`
-    there.
+    every ``ckpt_every`` steps, files ``rank{r}_{step}.ckpt``; a run
+    restarts from the collective ``resume_step``), a
+    :class:`~repro.resilience.FaultPlan`, ``health_interval`` for the
+    NaN/Inf sentinel, and a :class:`RankTimeline` (the master's
+    telemetry flag does not propagate into a worker process, so
+    recording is requested through the payload).  The plain program's
+    stride is 1, the clustered one's the sync rate.  On top of the
+    frame's resume and boundary duties: fault-plan binding, the
+    top-of-step hooks and the shared-array result write.
     """
 
-    def __init__(self, comm, p, *, stride=1, stride_name="", meta=None):
+    def __init__(self, comm, p, *, stride=1):
+        rank = comm.rank
+        super().__init__(
+            p["nsteps"], stride=stride, rank=rank,
+            checkpoint=(
+                CheckpointManager(
+                    p["ckpt_dir"], p.get("ckpt_every") or 0,
+                    keep=p.get("ckpt_keep", 3), prefix=f"rank{rank}",
+                )
+                if p.get("ckpt_dir")
+                else None
+            ),
+            faults=p.get("faults"),
+            health_interval=int(p.get("health_interval", 0)),
+        )
         self.comm = comm
-        self.rank = rank = comm.rank
         self.p = p
-        self.nsteps = p["nsteps"]
-        self.stride, self.stride_name = stride, stride_name
-        self.meta = meta or {}
         self.tl = (
             RankTimeline(rank, self.nsteps,
                          trace_id=telemetry.get_trace_context())
@@ -198,16 +205,6 @@ class _RankFrame:
         )
         #: ``(nsteps, phases)`` durations to fill in, or None
         self.dur = self.tl.durations if self.tl is not None else None
-        self.mgr = (
-            CheckpointManager(
-                p["ckpt_dir"], p.get("ckpt_every") or 0,
-                keep=p.get("ckpt_keep", 3), prefix=f"rank{rank}",
-            )
-            if p.get("ckpt_dir")
-            else None
-        )
-        self.health_interval = int(p.get("health_interval", 0))
-        self.faults = p.get("faults")
         # kill and send-path faults (drop / delay / corrupt) exercise
         # the worker-process machinery, so only an endpoint with a
         # fault slot arms them: an in-process kill would ``os._exit``
@@ -217,25 +214,6 @@ class _RankFrame:
         )
         if self._armed:
             comm.world.fault_plan = self.faults
-        self._saved = self._checked = 0
-
-    def resume(self, u, u_prev) -> int:
-        """Load the ``resume_step`` restart pair into ``u`` / ``u_prev``
-        when one was requested; returns the step index to start from."""
-        k0 = 0
-        resume_step = self.p.get("resume_step")
-        if self.mgr is not None and resume_step is not None:
-            ck = self.mgr.load_step(resume_step)
-            u_prev[:] = ck.arrays["u_prev"]
-            u[:] = ck.arrays["u"]
-            k0 = int(ck.meta["next_k"])
-            if k0 % self.stride and k0 != self.nsteps:
-                raise ValueError(
-                    f"resume index {k0} is not {self.stride_name} "
-                    f"(every {self.stride} steps)"
-                )
-        self._saved = self._checked = k0
-        return k0
 
     def begin_step(self, k: int) -> None:
         """Top-of-step hooks: scheduled kill, the step the transport's
@@ -244,32 +222,6 @@ class _RankFrame:
             self.faults.on_step_begin(self.rank, k)
             self.comm.world.fault_step = k
         self.comm.heartbeat(k)
-
-    def boundary(self, s: int, u, u_prev) -> None:
-        """Boundary duties after ``s`` completed steps (``u`` holds
-        ``x^s``), in this order: poison, health check, checkpoint.
-        Both cadences are the quotient rule — due when a multiple of
-        the interval was reached since the last boundary that acted —
-        so a schedule that only sees every ``stride``-th boundary
-        still acts at the first one after the cadence came due."""
-        if self.faults is not None:
-            self.faults.poison_state(self.rank, s - 1, u)
-        if sync_check_due(
-            s, self._checked, self.nsteps, self.health_interval
-        ):
-            check_finite(u, step=s - 1, rank=self.rank, field="u")
-            self._checked = s
-        mgr = self.mgr
-        if (
-            mgr is not None
-            and mgr.interval > 0
-            and s // mgr.interval > self._saved // mgr.interval
-        ):
-            mgr.save(
-                s - 1, {"u_prev": u_prev, "u": u},
-                {"next_k": s, **self.meta},
-            )
-            self._saved = s
 
     def finish(self, u, **timings) -> dict:
         """Unbind the fault plan, write the grid points this rank is
@@ -355,12 +307,13 @@ def _rank_program_lts(comm, payload):
     t_compute = 0.0
     t_wait = 0.0
     clock = time.perf_counter
-    frame = _RankFrame(
-        comm, p, stride=r_sync, stride_name="a sync boundary",
-        meta={"lts_rate": r_sync},
-    )
+
+    def snapshot(s):
+        return {"u_prev": u_prev, "u": u}
+
+    frame = _RankFrame(comm, p, stride=r_sync)
     dur = frame.dur
-    k0 = frame.resume(u, u_prev)
+    k0 = frame.resume(snapshot, step=p.get("resume_step"))
 
     r_min = plan.min_rate
     for j in range(k0, nsteps, r_min):
@@ -415,9 +368,7 @@ def _rank_program_lts(comm, payload):
                 dur[j, 4] = busy_j - dur[j, :4].sum()
             else:
                 dur[j, 0] = busy_j
-        s = j + r_min
-        if s % r_sync == 0:  # sync: every node holds u(s * dt)
-            frame.boundary(s, u, u_prev)
+        frame.boundary(j + r_min, u, snapshot)
 
     return frame.finish(
         u, t_compute=t_compute, t_wait=t_wait,
@@ -460,11 +411,15 @@ def _rank_program(comm, payload):
     t_compute = 0.0
     t_wait = 0.0
     clock = time.perf_counter
+
+    def snapshot(s):
+        return {"u_prev": u_prev, "u": u}
+
     frame = _RankFrame(comm, p)
     # the t0..t5 readings are taken either way (t_compute / t_wait are
     # always returned); recording a timeline just keeps them
     dur = frame.dur
-    k0 = frame.resume(u, u_prev)
+    k0 = frame.resume(snapshot, step=p.get("resume_step"))
 
     for k in range(k0, nsteps):
         frame.begin_step(k)
@@ -503,7 +458,7 @@ def _rank_program(comm, payload):
             dur[k, 2] = t3 - t2  # interior
             dur[k, 3] = t4 - t3r  # recv
             dur[k, 4] = t5 - t4  # accumulate + update
-        frame.boundary(k + 1, u, u_prev)  # u is x^{k+1} after rotation
+        frame.boundary(k + 1, u, snapshot)  # u is x^{k+1} after rotation
 
     return frame.finish(u, t_compute=t_compute, t_wait=t_wait)
 

@@ -24,7 +24,6 @@ from repro.resilience.health import (
     DEFAULT_HEALTH_INTERVAL,
     NumericalHealthError,
     check_finite,
-    should_check,
     sync_check_due,
     validate_cfl,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "NumericalHealthError",
     "RetryPolicy",
     "check_finite",
-    "should_check",
     "sync_check_due",
     "validate_cfl",
 ]

@@ -5,9 +5,10 @@ propagates ``inf``/``NaN`` garbage for the rest of the run (hours, at
 the paper's scale).  The guards here turn that failure mode into a
 structured, attributable error:
 
-* :func:`check_finite` — NaN/Inf sentinel for state arrays, called from
-  the fused update loops every ``health_interval`` steps (amortized:
-  one ``np.isfinite`` reduction per interval, nothing per step);
+* :func:`check_finite` — NaN/Inf sentinel for state arrays, called by
+  the time loops' march frame (:mod:`repro.solver.frame`) on the
+  :func:`sync_check_due` cadence (amortized: one ``np.isfinite``
+  reduction per ``health_interval`` steps, nothing per step);
 * :func:`validate_cfl` — re-validates the time step against the CFL
   bound at run start, catching a ``dt`` that was computed for a
   different mesh or material (the implementation lives with the CFL
@@ -73,23 +74,17 @@ def check_finite(arr: np.ndarray, *, step: int | None = None,
     raise err
 
 
-def should_check(k: int, nsteps: int, interval: int | None) -> bool:
-    """Sentinel cadence: every ``interval`` steps plus always the final
-    step (so late-run corruption cannot escape the guard)."""
-    if not interval:
-        return False
-    return k == nsteps - 1 or (k + 1) % interval == 0
-
-
 def sync_check_due(
     s: int, last: int, nsteps: int, interval: int | None
 ) -> bool:
-    """Sentinel cadence for loops that can only look at sync boundaries
-    (clustered LTS): due at boundary ``s`` (steps completed) when a
-    multiple of ``interval`` was reached since the last checked
-    boundary ``last`` — the rule the sync checkpoints use — plus always
-    at the end.  Asking :func:`should_check` there instead would check
-    every ``lcm(interval, coarsest rate)`` steps."""
+    """Sentinel cadence at schedule boundary ``s`` (steps completed):
+    due when a multiple of ``interval`` was reached since the last
+    checked boundary ``last`` — the rule the checkpoints use — plus
+    always at the end, so late-run corruption cannot escape the guard.
+    On an every-step schedule that is every ``interval`` steps; a
+    clustered one, which sees only its sync boundaries, checks at the
+    first one after the cadence came due (not every ``lcm(interval,
+    coarsest rate)`` steps)."""
     if not interval:
         return False
     return s == nsteps or s // interval > last // interval
@@ -101,7 +96,6 @@ __all__ = [
     "DEFAULT_HEALTH_INTERVAL",
     "NumericalHealthError",
     "check_finite",
-    "should_check",
     "sync_check_due",
     "validate_cfl",
 ]

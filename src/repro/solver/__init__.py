@@ -16,6 +16,11 @@ substrate of the inverse problem (2D antiplane and 3D scalar).
 :mod:`repro.solver.lts` plans clustered local time stepping — rate-
 binned power-of-two step clusters with a 2-to-1 neighbor invariant —
 which every solver takes through its ``lts=`` knob.
+
+:class:`~repro.solver.frame.MarchFrame` is what every time loop —
+serial or rank program, every-step or clustered — does around its
+schedule: resume, and poison / health check / checkpoint at its
+boundaries.
 """
 
 from repro.solver.wave_solver import ElasticWaveSolver

@@ -13,9 +13,9 @@ Two related mechanisms live here:
 * **Durable checkpoint/restart** for crash recovery: the
   :class:`RunCheckpoint` disk format (versioned header, CRC32-verified
   state arrays, atomic write-rename) and the :class:`CheckpointManager`
-  that schedules, prunes, and scans them.  The solvers snapshot the
-  leapfrog restart pair (plus any carried recurrences) every
-  ``interval`` steps and resume **bit-identically** from the latest
+  that writes, prunes, and scans them.  The solvers' march frame
+  (:mod:`repro.solver.frame`) snapshots the leapfrog restart pair (plus
+  any carried recurrences) every ``interval`` steps and resume **bit-identically** from the latest
   valid file — the explicit update depends only on the two previous
   states and the (deterministic) forcing, so restoring them reproduces
   the uninterrupted trajectory exactly.
@@ -229,14 +229,15 @@ def load_checkpoint(path: str) -> RunCheckpoint:
 
 
 class CheckpointManager:
-    """Schedules, writes, prunes, and scans durable checkpoints.
+    """Writes, prunes, and scans durable checkpoints.
 
     Parameters
     ----------
     directory:
         Where the checkpoint files live (created on first save).
     interval:
-        Snapshot cadence in steps: :meth:`due` is true once every
+        Snapshot cadence in steps: a time loop's
+        :class:`~repro.solver.frame.MarchFrame` saves once every
         ``interval`` completed steps.  ``0`` disables periodic saves
         (the manager can still :meth:`save` explicitly).
     keep:
@@ -253,11 +254,6 @@ class CheckpointManager:
         self.interval = int(interval)
         self.keep = max(int(keep), 1)
         self.prefix = str(prefix)
-
-    def due(self, step: int) -> bool:
-        """True when a snapshot is due after completing step ``step``
-        (0-based: with ``interval = 5``, due at steps 4, 9, 14, ...)."""
-        return self.interval > 0 and (step + 1) % self.interval == 0
 
     def path_for(self, step: int) -> str:
         return os.path.join(

@@ -20,7 +20,9 @@ The class exposes the *operator pieces* the discrete adjoint needs:
 * ``C_material_gradient``   — per-element ``lam^T (dC/dmu_e) w``;
 * ``march``                 — the shared leapfrog driver used by the
   forward, adjoint, and incremental (Gauss-Newton) sweeps, which are
-  all the same dissipative recurrence.
+  all the same dissipative recurrence; every step (or, clustered,
+  every sync boundary) it hands resume, fault, health and checkpoint
+  duties to a :class:`~repro.solver.frame.MarchFrame`.
 
 The leapfrog convention (states ``x^0 .. x^N``, ``x^0 = x^1 = 0``):
 
@@ -39,8 +41,8 @@ from repro.backend import get_backend
 from repro.backend.sparse_ops import ScatterPlan
 from repro.fem.scalar_element import scalar_stiffness_reference
 from repro.physics.cfl import elem_stable_dt
-from repro.resilience import check_finite, should_check, sync_check_due
 from repro.solver.checkpoint import CheckpointManager
+from repro.solver.frame import MarchFrame
 from repro.solver.lts import DEFAULT_MAX_RATE, LTSPlan, build_lts_plan
 
 from repro import telemetry
@@ -576,9 +578,8 @@ class RegularGridScalarWave:
             pair[1][lev["own"]] = lev["x"][:n]
 
     def _march_lts(
-        self, mu, forcing, nsteps, dt, plan, *,
-        batch=None, alpha=None, checkpoint=None, resume=False,
-        faults=None, health_interval=0,
+        self, mu, forcing, nsteps, dt, plan, *, batch=None, alpha=None,
+        frame, resume=False,
     ) -> np.ndarray:
         """Clustered-leapfrog march (see :mod:`repro.solver.lts` for
         the schedule contract): one loop over fine indices; each level
@@ -596,13 +597,11 @@ class RegularGridScalarWave:
         ``forcing(0)`` is applied; sources quiet at ``t = 0`` (the
         standard case) see identical startups.
 
-        Fault injection, the health sentinel and checkpoints act only
-        at **sync boundaries** (fine indices that are multiples of the
-        coarsest rate, where every node holds the state at the same
-        time); the sentinel and the checkpoint each when their cadence
-        came due since the last boundary that served them (the sentinel
-        also at the final step), and only then is the global pair
-        assembled.  A resume restarts from a sync snapshot
+        The ``frame`` strides by the coarsest rate, so fault injection,
+        the health sentinel and checkpoints act only at **sync
+        boundaries**, where every node holds the state at the same
+        time; the global pair is assembled only when a check or a save
+        is due.  A resume restarts from a sync snapshot
         bit-identically.
         """
         shape = (self.nnode,) if batch is None else (self.nnode, int(batch))
@@ -617,21 +616,20 @@ class RegularGridScalarWave:
             lev["x_prev"].fill(0.0)
             lev["x"].fill(0.0)
         pair = np.empty((2, *shape))
-        k0 = 0
-        if resume and checkpoint is not None:
-            ck = checkpoint.latest()
-            if ck is not None:
-                k0 = int(ck.meta["next_k"])
-                if k0 % r_max:
-                    raise ValueError(
-                        f"LTS resume index {k0} is not a sync boundary "
-                        f"(coarsest rate {r_max})"
-                    )
-                for lev in levels:
-                    for key in ("x_prev", "x"):
-                        np.take(ck.arrays[key], lev["own"], axis=0,
-                                out=lev[key][: lev["n_own"]])
-        last_sync_saved = last_sync_checked = k0
+
+        def snapshot(s):
+            self._lts_gather(levels, pair)
+            return {"x_prev": pair[0], "x": pair[1]}
+
+        k0 = frame.resume(snapshot, latest=resume)
+        if k0:  # the restored pair's own rows into each level
+            for lev in levels:
+                for key, src in zip(("x_prev", "x"), pair):
+                    np.take(src, lev["own"], axis=0,
+                            out=lev[key][: lev["n_own"]])
+        # a nan fault poisons the leading entry of the state it is
+        # handed: the owner of node 0 leads its own rows with it
+        lev0 = next(lev for lev in levels if lev["own"][0] == 0)
         fired = [0] * len(levels)
         with telemetry.span("scalar.march_lts") as _m:
             for j in range(k0, nsteps, r_min):
@@ -680,34 +678,7 @@ class RegularGridScalarWave:
                     np.multiply(ko, lev["inv_ap"], out=ko)
                     # the own rows of Kx now hold the new state
                     lev["x_prev"], lev["x"], lev["Kx"] = x, Kx, x_prev
-                s = j + r_min
-                if s % r_max:
-                    continue
-                # sync boundary: all nodes at s*dt
-                if faults is not None:
-                    # the hook poisons the leading entry of the state it
-                    # is handed, i.e. node 0: give it the own rows of
-                    # the level that holds that node
-                    lev = next(lv for lv in levels if lv["own"][0] == 0)
-                    faults.poison_state(0, s - 1, lev["x"][: lev["n_own"]])
-                if sync_check_due(
-                    s, last_sync_checked, nsteps, health_interval
-                ):
-                    self._lts_gather(levels, pair)
-                    check_finite(pair[1], step=s - 1, field="x")
-                    last_sync_checked = s
-                if (
-                    checkpoint is not None
-                    and checkpoint.interval > 0
-                    and s // checkpoint.interval
-                    > last_sync_saved // checkpoint.interval
-                ):
-                    self._lts_gather(levels, pair)
-                    checkpoint.save(
-                        s - 1, {"x_prev": pair[0], "x": pair[1]},
-                        {"next_k": s, "lts_rate": r_max},
-                    )
-                    last_sync_saved = s
+                frame.boundary(j + r_min, lev0["x"], snapshot)
             flops = 0
             for lev, n in zip(levels, fired):
                 per = (
@@ -770,6 +741,7 @@ class RegularGridScalarWave:
         ``health_interval`` arms the NaN/Inf sentinel; ``faults`` takes
         a :class:`~repro.resilience.FaultPlan` (state poisoning).
         """
+        plan = None
         if lts:
             if isinstance(lts, LTSPlan):
                 plan = lts
@@ -780,24 +752,27 @@ class RegularGridScalarWave:
                 # largest power of two that does
                 cap = min(cap, nsteps & -nsteps)
                 plan = self.lts_plan(mu, max_rate=cap)
-            if not plan.trivial:
-                if (
-                    store
-                    or on_step is not None
-                    or x0 is not None
-                    or x1 is not None
-                ):
-                    raise ValueError(
-                        "lts marches run from rest with store=False (no "
-                        "history storage, on_step callbacks, or initial "
-                        "states)"
-                    )
-                return self._march_lts(
-                    mu, forcing, nsteps, dt, plan,
-                    batch=batch, alpha=alpha, checkpoint=checkpoint,
-                    resume=resume, faults=faults,
-                    health_interval=health_interval,
+            if plan.trivial:
+                plan = None
+            elif (
+                store or on_step is not None
+                or x0 is not None or x1 is not None
+            ):
+                raise ValueError(
+                    "lts marches run from rest with store=False (no "
+                    "history storage, on_step callbacks, or initial "
+                    "states)"
                 )
+        frame = MarchFrame(
+            nsteps, stride=1 if plan is None else plan.max_rate,
+            checkpoint=checkpoint, faults=faults,
+            health_interval=health_interval, field="x",
+        )
+        if plan is not None:
+            return self._march_lts(
+                mu, forcing, nsteps, dt, plan, batch=batch, alpha=alpha,
+                frame=frame, resume=resume,
+            )
         if batch is None and x0 is not None and np.ndim(x0) == 2:
             batch = np.shape(x0)[1]
         if batch is None and x1 is not None and np.ndim(x1) == 2:
@@ -833,16 +808,14 @@ class RegularGridScalarWave:
         r = np.empty(shape)
         Kx = np.empty(shape)
         hist = np.zeros((nsteps + 1, *shape)) if store else None
-        k0 = 1
-        if resume and checkpoint is not None:
-            ck = checkpoint.latest()
-            if ck is not None:
-                x_prev[:] = ck.arrays["x_prev"]
-                x[:] = ck.arrays["x"]
-                k0 = int(ck.meta["next_k"])
-                if store and "hist" in ck.arrays:
-                    prefix = ck.arrays["hist"]
-                    hist[: prefix.shape[0]] = prefix
+
+        def snapshot(s):
+            rec = {"x_prev": x_prev, "x": x}
+            if store:
+                rec["hist"] = hist[: s + 1]
+            return rec
+
+        k0 = frame.resume(snapshot, k0=1, latest=resume)
         if k0 == 1:  # fresh start (not a mid-run resume)
             if store:
                 hist[0] = x_prev
@@ -871,15 +844,7 @@ class RegularGridScalarWave:
                     on_step(k + 1, x_next)
                 x_prev, x, x_next = x, x_next, x_prev
                 # x is now x^{k+1}, x_prev is x^k — the restart pair
-                if faults is not None:
-                    faults.poison_state(0, k, x)
-                if health_interval and should_check(k, nsteps, health_interval):
-                    check_finite(x, step=k, field="x")
-                if checkpoint is not None and checkpoint.due(k):
-                    arrays = {"x_prev": x_prev, "x": x}
-                    if store:
-                        arrays["hist"] = hist[: k + 2]
-                    checkpoint.save(k, arrays, {"next_k": k + 1})
+                frame.boundary(k + 1, x, snapshot)
             napply = max(nsteps - k0, 0)
             _m.add("steps", napply)
             _m.add(

@@ -6,8 +6,11 @@ shared reference matrix across the mixed shapes of the 6-tet split), so
 memory per grid point is roughly an order of magnitude above the
 hexahedral code — the comparison the paper reports.
 
-Absorbing boundaries use the viscous (Lysmer) damping terms only;
-central-difference time stepping matches the hexahedral solver.
+Absorbing boundaries use the viscous (Lysmer) damping terms only, so
+the baseline's nodes are one conforming Lysmer row set and its time
+step is the hexahedral solver's own central-difference update
+(:func:`~repro.solver.wave_solver.elastic_update`) around the stored-
+matrix stiffness product.
 """
 
 from __future__ import annotations
@@ -24,7 +27,11 @@ from repro.mesh.tetmesh import TetMesh, hex_to_tet_mesh
 from repro.physics.cfl import stable_timestep
 from repro.physics.elastic import lame_from_velocities
 from repro.physics.stacey import stacey_boundary_matrices, stacey_coefficients
-from repro.solver.wave_solver import DEFAULT_ABSORBING
+from repro.solver.wave_solver import (
+    DEFAULT_ABSORBING,
+    elastic_update,
+    lysmer_row_set,
+)
 from repro.util.flops import FlopCounter
 
 
@@ -81,7 +88,7 @@ class TetWaveSolver:
         n = self.Ke.nbytes  # dominant: per-element dense stiffness
         n += self.tet.conn.nbytes
         n += self._kernel.workspace_bytes()
-        n += 8 * 3 * self.nnode * 6  # u_prev, u, u_next, r, tmp, fbuf
+        n += 8 * 3 * self.nnode * 7  # u_prev, u, u_next, r, Ku, tmp, fbuf
         n += self.m.nbytes + self.C_diag.nbytes
         return n
 
@@ -106,39 +113,22 @@ class TetWaveSolver:
         record: str = "velocity",
     ) -> Seismograms | None:
         dt = self.dt
-        dt2 = dt * dt
         nsteps = int(np.ceil(t_end / dt))
-        nnode = self.nnode
-        m = self.m[:, None]
-        # hoisted invariants and preallocated buffers: the loop is
-        # fully in-place, matching the hexahedral solver
-        m2 = 2.0 * m
-        inv_A = 1.0 / (m + 0.5 * dt * self.C_diag)
-        prev_coef = -m + 0.5 * dt * self.C_diag
-        u_prev = np.zeros((nnode, 3))
-        u = np.zeros((nnode, 3))
-        u_next = np.zeros((nnode, 3))
-        r = np.empty((nnode, 3))
-        tmp = np.empty((nnode, 3))
+        shape = (self.nnode, 3)
+        co = lysmer_row_set(self.m, self.C_diag, dt)
+        u_prev, u, u_next = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+        r, Ku, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
         if hasattr(forces, "forces_at"):
             force_fn = lambda t, out: forces.forces_at(t, out)
         else:
             force_fn = forces
-        fbuf = np.zeros((nnode, 3))
+        fbuf = np.zeros(shape)
         data = receivers.allocate(3, nsteps) if receivers is not None else None
         for k in range(nsteps):
             t = k * dt
-            self.matvec(u, out=tmp)
-            np.multiply(m2, u, out=r)
-            np.multiply(tmp, dt2, out=tmp)
-            np.subtract(r, tmp, out=r)
-            np.multiply(prev_coef, u_prev, out=tmp)
-            np.add(r, tmp, out=r)
+            self.matvec(u, out=Ku)
             b = force_fn(t, fbuf)
-            if b is not None:
-                np.multiply(b, dt2, out=tmp)
-                np.add(r, tmp, out=r)
-            np.multiply(r, inv_A, out=u_next)
+            elastic_update(co, u, Ku, None, u_prev, b, u, r, tmp, None, u_next)
             if receivers is not None:
                 if record == "velocity":
                     data[:, :, k] = (

@@ -28,7 +28,11 @@ Here, two schedules call the update: the every-step march ``_march``
 and the clustered one ``_march_lts``.  A batch of ``B`` scenarios is a
 trailing axis of the same bodies — ``tail = (B,)`` sizes the buffers,
 broadcasts the per-dof diagonals and picks ``matmat`` over ``matvec``
-— so ``run`` and ``run_batch`` are wrappers over one ``_run``.
+— so ``run`` and ``run_batch`` are wrappers over one ``_run``.  What a
+schedule does around its loop — resume, and poison / health check /
+checkpoint at its boundaries (every step, or every sync under LTS) —
+is :class:`~repro.solver.frame.MarchFrame`'s; a schedule only names
+its restart record.
 """
 
 from __future__ import annotations
@@ -50,14 +54,9 @@ from repro.octree.linear_octree import LinearOctree
 from repro.physics.cfl import elem_stable_dt, stable_timestep
 from repro.physics.elastic import lame_from_velocities
 from repro.physics.stacey import stacey_boundary_matrices, stacey_coefficients
-from repro.resilience import (
-    DEFAULT_HEALTH_INTERVAL,
-    check_finite,
-    should_check,
-    sync_check_due,
-    validate_cfl,
-)
+from repro.resilience import DEFAULT_HEALTH_INTERVAL, validate_cfl
 from repro.solver.checkpoint import CheckpointManager
+from repro.solver.frame import MarchFrame
 from repro.solver.lts import (
     DEFAULT_MAX_RATE,
     LTSPlan,
@@ -73,18 +72,15 @@ from repro import telemetry
 DEFAULT_ABSORBING = ((0, 0), (0, 1), (1, 0), (1, 1), (2, 1))
 
 
-def _ku_prev_from(ck, key: str) -> np.ndarray:
-    """The cached ``K u^{k-1}`` a damped resume needs.  Snapshots from
-    before the Rayleigh term became ``beta * (K u)`` carry the
-    ``beta``-scaled product under ``kb_*`` keys; they are refused, not
-    rescaled."""
-    if key not in ck.arrays:
-        raise ValueError(
-            f"checkpoint for step {ck.step} has no {key!r}: it was "
-            "written by an undamped run or in the old 'kb_u_prev' / "
-            "'kb_prev_<i>' format, and cannot resume a damped run"
-        )
-    return ck.arrays[key]
+def _restart_record(s, u_prev, u, ku, data) -> dict:
+    """The elastic restart record after ``s`` steps (see
+    :mod:`repro.solver.frame`): the pair, ``ku`` — a damped run's
+    cached ``K u`` buffers by key — and the recorded seismogram prefix
+    (a checkpointed march is solo: column 0's)."""
+    rec = {"u_prev": u_prev, "u": u, **ku}
+    if data is not None:
+        rec["rec_data"] = data[0][:, :, :s]
+    return rec
 
 
 def _column(rows: np.ndarray, b: int, tail: tuple) -> tuple:
@@ -138,9 +134,9 @@ def lysmer_row_set(m, C, dt) -> dict:
     Lysmer-damped row set at step ``dt`` from its rows of the lumped
     mass and damping: no ``c1`` coupling, no projection, the LHS
     diagonal inverted as it stands.  The rank programs of
-    :mod:`repro.parallel.dist_solver` and the elastic inversion's march
-    build theirs here, so their coefficients are the serial solver's
-    bits."""
+    :mod:`repro.parallel.dist_solver`, the elastic inversion's march and
+    the linear-tet baseline build theirs here, so their coefficients
+    are the serial solver's bits."""
     co, A = row_coefs(m, C, dt)
     return {**co, "kab": None, "B": None, "inv_A_bar": 1.0 / A}
 
@@ -595,30 +591,17 @@ class ElasticWaveSolver:
 
         return force
 
-    @staticmethod
-    def _restore(checkpoint, resume, u_prev, u, data):
-        """Load the latest snapshot's restart pair and seismogram
-        prefix (a checkpointed march is solo: ``data`` has one column);
-        returns the snapshot, or None to start from rest."""
-        ck = checkpoint.latest() if resume and checkpoint is not None else None
-        if ck is not None:
-            u_prev[:] = ck.arrays["u_prev"]
-            u[:] = ck.arrays["u"]
-            if data is not None and "rec_data" in ck.arrays:
-                prefix = ck.arrays["rec_data"]
-                data[0][:, :, : prefix.shape[2]] = prefix
-        return ck
-
     # ------------------------------------------------- the two schedules
 
     def _march(
         self, force, nsteps, tail, recs, data, record, snapshots, callback,
-        checkpoint, resume, faults, health_interval,
+        frame, resume,
     ) -> None:
         """Every-step schedule: all rows advance by ``dt`` each step;
         three state buffers rotate, and the step's ``K u`` swaps into
         the Rayleigh cache.  In place throughout — no per-step
-        O(nnode) heap allocations."""
+        O(nnode) heap allocations.  Every step is a ``frame``
+        boundary."""
         dt = self.dt
         nnode = self.nnode
         damped = self.beta > 0
@@ -631,12 +614,11 @@ class ElasticWaveSolver:
         apply = self.K.matmat if tail else self.K.matvec
         sel = [_column(ra.nodes, b, tail) for b, ra in enumerate(recs or ())]
 
-        k0 = 0
-        ck = self._restore(checkpoint, resume, u_prev, u, data)
-        if ck is not None:
-            if damped:
-                Ku_prev[:] = _ku_prev_from(ck, "ku_prev")
-            k0 = int(ck.meta["next_k"])
+        def snapshot(s):
+            ku = {"ku_prev": Ku_prev} if damped else {}
+            return _restart_record(s, u_prev, u, ku, data)
+
+        k0 = frame.resume(snapshot, latest=resume)
 
         # telemetry: one is-None gate per step region when disabled
         # (literal span names, no kwargs — no hot-loop allocations);
@@ -692,30 +674,19 @@ class ElasticWaveSolver:
                     callback(k, t, u)
                 u_prev, u, u_next = u, u_next, u_prev
                 # u is now x^{k+1}, u_prev is x^k — the restart pair
-                if faults is not None:
-                    faults.poison_state(0, k, u)
-                if health_interval and should_check(k, nsteps, health_interval):
-                    check_finite(u, step=k, field="u")
-                if checkpoint is not None and checkpoint.due(k):
-                    arrays = {"u_prev": u_prev, "u": u}
-                    if damped:
-                        arrays["ku_prev"] = Ku_prev
-                    if data is not None:
-                        arrays["rec_data"] = data[0][:, :, : k + 1]
-                    checkpoint.save(k, arrays, {"next_k": k + 1})
+                frame.boundary(k + 1, u, snapshot)
 
     def _march_lts(
-        self, force, nsteps, plan, tail, recs, data, record,
-        checkpoint, resume, faults, health_interval,
+        self, force, nsteps, plan, tail, recs, data, record, frame, resume,
     ) -> None:
         """Clustered-leapfrog schedule (contract in
         :mod:`repro.solver.lts`): one loop over fine indices, each
         cluster fires when its rate divides the index, coarsest first,
-        reading time-interpolated values at its one-coarser halo.
-        Checkpoints (and fault/health probes) happen only at sync
-        boundaries — multiples of the coarsest rate, where every node
-        holds the state at the same time.  State is global: a firing
-        gathers its own rows, updates them and scatters them back."""
+        reading time-interpolated values at its one-coarser halo.  The
+        ``frame`` strides by the coarsest rate, so it acts only at sync
+        boundaries, where every node holds the state at the same time.
+        State is global: a firing gathers its own rows, updates them
+        and scatters them back."""
         dt = self.dt
         nnode = self.nnode
         levels = [over_batch(lev, tail) for lev in self._lts_exec(plan)]
@@ -729,19 +700,14 @@ class ElasticWaveSolver:
             self._lts_receiver_slots(levels, ra, b, tail)
             for b, ra in enumerate(recs or ())
         ]
-        k0 = 0
-        ck = self._restore(checkpoint, resume, u_prev, u, data)
-        if ck is not None:
-            if damped:
-                for i, st in enumerate(rt):
-                    st["ku_prev"][:] = _ku_prev_from(ck, f"ku_prev_{i}")
-            k0 = int(ck.meta["next_k"])
-            if k0 % r_max:
-                raise ValueError(
-                    f"LTS resume index {k0} is not a sync boundary "
-                    f"(coarsest rate {r_max})"
-                )
-        last_sync_saved = last_sync_checked = k0
+
+        def snapshot(s):
+            ku = {
+                f"ku_prev_{i}": st["ku_prev"] for i, st in enumerate(rt)
+            } if damped else {}
+            return _restart_record(s, u_prev, u, ku, data)
+
+        k0 = frame.resume(snapshot, latest=resume)
         if telemetry.enabled():
             telemetry.gauge(
                 "elastic.lts_theoretical_speedup", plan.theoretical_speedup()
@@ -776,31 +742,7 @@ class ElasticWaveSolver:
                             ) / (2.0 * lev["dtc"])
                         else:
                             d[ridx, :, j] = st["u_own"][rows]
-                s = j + r_min
-                if s % r_max == 0:  # sync: all nodes hold u(s * dt)
-                    if faults is not None:
-                        faults.poison_state(0, s - 1, u)
-                    if sync_check_due(
-                        s, last_sync_checked, nsteps, health_interval
-                    ):
-                        check_finite(u, step=s - 1, field="u")
-                        last_sync_checked = s
-                    if (
-                        checkpoint is not None
-                        and checkpoint.interval > 0
-                        and s // checkpoint.interval
-                        > last_sync_saved // checkpoint.interval
-                    ):
-                        arrays = {"u_prev": u_prev, "u": u}
-                        if damped:
-                            for i, st in enumerate(rt):
-                                arrays[f"ku_prev_{i}"] = st["ku_prev"]
-                        if data is not None:
-                            arrays["rec_data"] = data[0][:, :, :s]
-                        checkpoint.save(
-                            s - 1, arrays, {"next_k": s, "lts_rate": r_max}
-                        )
-                        last_sync_saved = s
+                frame.boundary(j + r_min, u, snapshot)
             flops = 0
             for lev, st in zip(levels, rt):
                 flops += st["fired"] * (
@@ -843,15 +785,19 @@ class ElasticWaveSolver:
             [ra.allocate(3, nsteps) for ra in recs]
             if recs is not None else None
         )
+        frame = MarchFrame(
+            nsteps, stride=1 if plan is None else plan.max_rate,
+            checkpoint=checkpoint, faults=faults,
+            health_interval=health_interval,
+        )
         if plan is None:
             self._march(
                 force, nsteps, tail, recs, data, record, snapshots,
-                callback, checkpoint, resume, faults, health_interval,
+                callback, frame, resume,
             )
         else:
             self._march_lts(
-                force, nsteps, plan, tail, recs, data, record,
-                checkpoint, resume, faults, health_interval,
+                force, nsteps, plan, tail, recs, data, record, frame, resume,
             )
         if recs is None:
             return None

@@ -188,7 +188,56 @@ class TestElasticSolver:
         assert solver.flops.total > 0
 
 
+def _tet_oracle(tets, forces, nsteps, rec):
+    """:meth:`TetWaveSolver.run` as it was before it called
+    ``elastic_update``: the hand-written seven-ufunc central-difference
+    update around the stored-matrix product, recording velocities.  The
+    oracle the run must equal bit for bit."""
+    dt = tets.dt
+    dt2 = dt * dt
+    n = tets.nnode
+    m = tets.m[:, None]
+    m2 = 2.0 * m
+    inv_A = 1.0 / (m + 0.5 * dt * tets.C_diag)
+    prev_coef = -m + 0.5 * dt * tets.C_diag
+    u_prev, u, u_next = np.zeros((n, 3)), np.zeros((n, 3)), np.zeros((n, 3))
+    r, tmp, fbuf = np.empty((n, 3)), np.empty((n, 3)), np.zeros((n, 3))
+    data = rec.allocate(3, nsteps)
+    for k in range(nsteps):
+        tets.matvec(u, out=tmp)
+        np.multiply(m2, u, out=r)
+        np.multiply(tmp, dt2, out=tmp)
+        np.subtract(r, tmp, out=r)
+        np.multiply(prev_coef, u_prev, out=tmp)
+        np.add(r, tmp, out=r)
+        b = forces.forces_at(k * dt, fbuf)
+        if b is not None:
+            np.multiply(b, dt2, out=tmp)
+            np.add(r, tmp, out=r)
+        np.multiply(r, inv_A, out=u_next)
+        data[:, :, k] = (u_next[rec.nodes] - u_prev[rec.nodes]) / (2 * dt)
+        u_prev, u, u_next = u, u_next, u_prev
+    return data
+
+
 class TestTetBaseline:
+    def test_tet_run_is_the_hand_written_update_bitwise(self):
+        # the baseline's nodes are one Lysmer row set of elastic_update:
+        # its coefficients and ufunc order are the old loop's exactly
+        tree, mesh = make_uniform(8)
+        forces = SourceCollection(
+            mesh, tree, [center_source(kind="explosion")]
+        )
+        rec = ReceiverArray(
+            mesh, np.array([[500.0, 500.0, 0.0], [250.0, 750.0, 0.0]])
+        )
+        tets = TetWaveSolver(mesh, MAT)
+        nsteps = 100
+        seis = tets.run(forces, (nsteps - 0.5) * tets.dt, receivers=rec)
+        ref = _tet_oracle(tets, forces, nsteps, rec)
+        assert np.abs(ref).max() > 0
+        assert np.array_equal(seis.data, ref)
+
     def test_tet_runs_and_agrees_with_hex_at_low_frequency(self):
         """The paper's Figure 2.4 logic: both codes agree once both
         resolve the wavefield (here same mesh, low-passed)."""

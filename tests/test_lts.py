@@ -928,6 +928,73 @@ def test_dist_health_cadence_is_the_interval(lts, interval, caught_at):
     assert err.value.step == caught_at
 
 
+@pytest.mark.parametrize("march", ["march", "run", "run_batch"])
+def test_every_step_health_cadence_is_the_interval(march):
+    # the every-step schedules are the stride-1 case of the same rule:
+    # a NaN after step 7 is caught at the first check after it, step 9
+    # at interval 10 — serial errors name the field and no rank
+    plan = FaultPlan.parse("nan:rank=0,step=7")
+    if march == "march":
+        solver, mu, dt, forcing = _scalar_two_layer()
+        args = (mu, forcing, 128, dt)
+        kw = dict(store=False)
+    else:
+        _, solver, force, rec = _elastic_layered()
+        args = (force if march == "run" else [force, force], 63.5 * solver.dt)
+        kw = dict(receivers=rec)
+    with pytest.raises(NumericalHealthError) as err:
+        getattr(solver, march)(
+            *args, faults=plan, health_interval=10, **kw
+        )
+    assert err.value.step == 9
+    assert err.value.rank is None
+    assert err.value.field == ("x" if march == "march" else "u")
+
+
+#: checkpoint steps each schedule writes at interval 10 (keep them all):
+#: every tenth step on the every-step schedules, the first sync
+#: boundary after each multiple of 10 on the clustered ones (rate 8
+#: serial, 4 distributed)
+CHECKPOINT_STEPS = {
+    "scalar": [9, 19, 29, 39, 49, 59],
+    "scalar_lts": [15, 23, 31, 39, 55, 63],
+    "elastic": [9, 19, 29, 39, 49, 59],
+    "elastic_lts": [15, 23, 31, 39, 55, 63],
+    "dist": [9, 19, 29, 39],
+    "dist_lts": [11, 19, 31, 39],
+}
+
+
+@pytest.mark.parametrize("schedule", sorted(CHECKPOINT_STEPS))
+def test_checkpoint_steps_of_each_schedule(tmp_path, schedule):
+    d = str(tmp_path)
+    lts = 8 if schedule.endswith("_lts") else 0
+    if schedule.startswith("scalar"):
+        solver, mu, dt, forcing = _scalar_two_layer()
+        mgr = CheckpointManager(d, interval=10, keep=100)
+        solver.march(
+            mu, forcing, 64, dt, store=False, lts=lts, checkpoint=mgr
+        )
+        mgrs = [mgr]
+    elif schedule.startswith("elastic"):
+        _, solver, force, rec = _elastic_layered()
+        mgr = CheckpointManager(d, interval=10, keep=100)
+        solver.run(
+            force, 63.5 * solver.dt, receivers=rec, lts=lts, checkpoint=mgr
+        )
+        mgrs = [mgr]
+    else:
+        mesh, parts, src = _dist_lts_problem()
+        solver = DistributedWaveSolver(mesh, LAYERED, parts, SimWorld(2))
+        solver.run(
+            _dist_force(mesh, src, solver.dt), 47.5 * solver.dt, lts=lts,
+            checkpoint_dir=d, checkpoint_every=10, checkpoint_keep=100,
+        )
+        mgrs = [CheckpointManager(d, prefix=f"rank{r}") for r in range(2)]
+    for mgr in mgrs:
+        assert mgr.steps() == CHECKPOINT_STEPS[schedule]
+
+
 def test_proc_lts_kill_mid_coarse_step_recovers_bitwise(tmp_path):
     mesh, parts, src = _dist_lts_problem()
     with ProcWorld(2) as clean:

@@ -39,7 +39,6 @@ from repro.resilience import (
     NumericalHealthError,
     RetryPolicy,
     check_finite,
-    should_check,
     validate_cfl,
 )
 from repro.solver import ElasticWaveSolver, RegularGridScalarWave
@@ -51,6 +50,7 @@ from repro.solver.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from repro.solver.frame import MarchFrame
 
 MAT = HomogeneousMaterial(vs=1000.0, vp=1800.0, rho=2000.0)
 
@@ -118,11 +118,26 @@ def test_checkpoint_rejects_corruption(tmp_path):
         load_checkpoint(str(tmp_path / "missing.ckpt"))
 
 
+def _frame_cadence(frame, s_end):
+    """Drive ``frame`` through boundaries ``1 .. s_end`` of a finite
+    state whose leading entry is the step; return the 0-based steps at
+    which it checked or saved."""
+    acted = []
+
+    def snapshot(s):
+        acted.append(s - 1)
+        return {"u": np.full(4, float(s - 1))}
+
+    for s in range(1, s_end + 1):
+        frame.boundary(s, np.zeros(4), snapshot)
+    return acted
+
+
 def test_manager_prunes_and_skips_corrupt_latest(tmp_path):
     mgr = CheckpointManager(str(tmp_path), interval=5, keep=3)
-    assert [k for k in range(20) if mgr.due(k)] == [4, 9, 14, 19]
-    for step in (4, 9, 14, 19):
-        mgr.save(step, {"u": np.full(4, float(step))}, {"next_k": step + 1})
+    # the frame saves once every `interval` completed steps
+    frame = MarchFrame(20, checkpoint=mgr)
+    assert _frame_cadence(frame, 20) == [4, 9, 14, 19]
     # keep=3: the oldest file is pruned
     assert mgr.steps() == [9, 14, 19]
     # corrupt the newest -> latest() falls back to the previous one
@@ -219,11 +234,12 @@ def test_check_finite_structured_error():
 
 
 def test_should_check_cadence():
-    # every `interval` steps plus always the final step
-    hits = [k for k in range(10) if should_check(k, 10, 4)]
-    assert hits == [3, 7, 9]
-    assert not any(should_check(k, 10, 0) for k in range(10))
-    assert should_check(9, 10, 100)  # final step even with huge interval
+    # the frame's sentinel: every `interval` steps plus always the
+    # final step; off at interval 0
+    assert _frame_cadence(MarchFrame(10, health_interval=4), 10) == [3, 7, 9]
+    assert _frame_cadence(MarchFrame(10, health_interval=0), 10) == []
+    # final step even with huge interval
+    assert _frame_cadence(MarchFrame(10, health_interval=100), 10) == [9]
 
 
 def test_validate_cfl_rejects_unstable_dt():
@@ -336,6 +352,46 @@ def test_scalar_march_nan_injection():
             mu, lambda k: None, 10, dt, faults=plan, health_interval=1
         )
     assert ei.value.step == 5 and ei.value.field == "x"
+
+
+@pytest.mark.parametrize("kind", ["scalar", "elastic", "simworld"])
+def test_resume_past_nsteps_is_refused(tmp_path, kind):
+    # a 20-step run's last snapshot cannot finish a 10-step march: it
+    # used to come back as the 20-step state, without an error
+    d = str(tmp_path)
+    mgr = CheckpointManager(d, interval=5)
+    if kind == "scalar":
+        solver = RegularGridScalarWave((8, 4), 100.0, rho=1000.0)
+        mu = np.full(solver.nelem, 2.0e9)
+        dt = solver.stable_dt(mu)
+        f0 = np.zeros(solver.nnode)
+        f0[solver.nnode // 2] = 1e6
+
+        def march(nsteps, **kw):
+            return solver.march(
+                mu, lambda k: f0 if k < 3 else None, nsteps, dt,
+                store=False, checkpoint=mgr, **kw,
+            )
+    elif kind == "elastic":
+        _, solver = _small_elastic()
+        force = PointForce(solver.nnode // 2, solver.nnode)
+
+        def march(nsteps, **kw):
+            return solver.run(
+                force, (nsteps - 0.5) * solver.dt, checkpoint=mgr, **kw
+            )
+    else:
+        mesh, parts, force = _dist_problem()
+        solver = DistributedWaveSolver(mesh, MAT, parts, SimWorld(2))
+
+        def march(nsteps, **kw):
+            return solver.run(
+                force, (nsteps - 0.5) * solver.dt, checkpoint_dir=d,
+                checkpoint_every=5, **kw,
+            )
+    march(20)
+    with pytest.raises(ValueError, match="next_k = 20.*nsteps = 10"):
+        march(10, resume=True)
 
 
 # ------------------------------------------------ Gauss-Newton resume
@@ -611,12 +667,19 @@ def _heartbeat_program(comm, payload):
 
 def test_env_fault_matrix(tmp_path):
     """Driven by the CI matrix: ``REPRO_FAULTS`` picks the fault,
-    ``REPRO_FAULT_TRANSPORT`` the transport.  Defaults exercise a NaN
-    fault on the in-process transport."""
+    ``REPRO_FAULT_TRANSPORT`` the transport (``sim``, ``proc``, or
+    ``serial`` for the serial solvers).  Defaults exercise a NaN fault
+    on the in-process transport."""
     plan = FaultPlan.from_env() or FaultPlan.parse("nan:rank=0,step=7")
     transport = os.environ.get("REPRO_FAULT_TRANSPORT", "sim")
     kinds = {s.kind for s in plan.specs}
     mesh, parts, force = _dist_problem()
+
+    if transport == "serial":
+        if kinds - {"nan"}:
+            pytest.skip("kill/channel faults need the process transport")
+        _serial_nan_stops_with_a_flight_dump(plan, str(tmp_path / "flight"))
+        return
 
     if transport == "sim":
         if kinds - {"nan"}:
@@ -651,3 +714,41 @@ def test_env_fault_matrix(tmp_path):
         )
         assert world.respawns >= 1
         assert np.array_equal(u, u_ref)
+
+
+def _serial_nan_stops_with_a_flight_dump(plan, fallback_dir):
+    """The serial cell of the fault matrix: elastic ``run`` and scalar
+    ``march`` (both rank 0) stop at the NaN with a
+    :class:`NumericalHealthError` and leave one flight dump each in
+    ``$REPRO_FLIGHT_DIR`` — or ``fallback_dir``, armed here, when the
+    variable is unset."""
+    from repro import telemetry
+
+    plan = FaultPlan(
+        [FaultSpec("nan", rank=0, step=s.step) for s in plan.specs]
+    )
+    flight = os.environ.get("REPRO_FLIGHT_DIR")
+    if not flight:
+        flight = fallback_dir
+        telemetry.arm_flight_recorder(flight)
+    before = set(os.listdir(flight)) if os.path.isdir(flight) else set()
+    _, elastic = _small_elastic()
+    scalar = RegularGridScalarWave((8, 4), 100.0, rho=1000.0)
+    mu = np.full(scalar.nelem, 2.0e9)
+    try:
+        with pytest.raises(NumericalHealthError) as ei:
+            elastic.run(
+                PointForce(0, elastic.nnode), 20.5 * elastic.dt,
+                faults=plan, health_interval=1,
+            )
+        assert ei.value.field == "u" and ei.value.rank is None
+        with pytest.raises(NumericalHealthError) as ei:
+            scalar.march(
+                mu, lambda k: None, 20, scalar.stable_dt(mu), faults=plan,
+                health_interval=1,
+            )
+        assert ei.value.field == "x" and ei.value.rank is None
+    finally:
+        if flight == fallback_dir:
+            telemetry.arm_flight_recorder(None)
+    assert len(set(os.listdir(flight)) - before) == 2
