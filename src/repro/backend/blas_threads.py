@@ -49,10 +49,11 @@ def single_thread_blas() -> None:
 
     **Process-wide**: OpenBLAS has one thread count per process, so
     this also single-threads the caller's own numpy BLAS calls made
-    after a numpy backend (or a ``ProcWorld`` worker) exists.  Setting
-    any of :data:`THREAD_VARS` before numpy loads is the knob that
-    overrides it — then this function does nothing, as it does when the
-    bundled library or its symbols are not there.
+    after the first :func:`repro.backend.get_backend` call (or in a
+    ``ProcWorld`` worker).  Setting any of :data:`THREAD_VARS` before
+    numpy loads is the knob that overrides it — then this function does
+    nothing, as it does when the bundled library or its symbols are not
+    there.
     """
     if any(var in os.environ for var in THREAD_VARS):
         return

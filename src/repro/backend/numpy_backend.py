@@ -115,7 +115,6 @@ class NumpyElementKernel:
         # warmup, exactly like matvec
         self._Ur = self._Yr = self._adj = None
         self._batch_B = 0
-        self._G = self._Ym = None
         #: folded scatter data of the construction-time coefficients;
         #: None for a kernel whose applies take a handle
         self._data = None
@@ -131,10 +130,7 @@ class NumpyElementKernel:
     # Everything semantic (plan, folded data, split data) round-trips,
     # and so does a handle pickled next to its kernel; row-block and
     # batch workspace re-size lazily on first use.
-    _SCRATCH = (
-        "_U", "_Y", "_Yb", "_Ur", "_Yr", "_adj", "_u2T", "_o2T", "_G",
-        "_Ym", "_Uall_lo", "_Yall_lo", "_Uall_hi", "_Yall_hi",
-    )
+    _SCRATCH = ("_U", "_Y", "_Yb", "_Ur", "_Yr", "_adj", "_u2T", "_o2T")
 
     def __getstate__(self):
         state = {
@@ -148,7 +144,7 @@ class NumpyElementKernel:
         self._U = np.empty((self.nelem, self.nldof))
         self._Y = np.empty((self.nelem, self.nldof * self.nmat))
         self._Yb = self._Y.reshape(-1, self.ncomp)
-        self._Ur = self._Yr = self._adj = self._G = self._Ym = None
+        self._Ur = self._Yr = self._adj = None
 
     def bind(self, coefs) -> np.ndarray:
         """Fold per-element coefficients ``c_i`` (one ``(nelem,)`` array
@@ -229,7 +225,6 @@ class NumpyElementKernel:
         self._plan_lo, self._plan_hi = plan_lo, plan_hi
         self._data_lo = np.ascontiguousarray(self._data[mask_lo])
         self._data_hi = np.ascontiguousarray(self._data[~mask_lo])
-        self._batch_B = 0  # phased matmat buffers depend on the split
 
     def matvec_interface(self, u_flat, out_flat):
         """Phase 1 of the overlapped matvec: zero ``out`` and apply
@@ -282,38 +277,16 @@ class NumpyElementKernel:
 
     def _ensure_batch(self, B: int) -> None:
         """Size the multi-RHS workspace for batch width ``B``; kept
-        until the width (or the overlap split) changes, so steady-state
-        matmat calls perform zero heap allocations."""
+        until the width changes, so steady-state matmat calls perform
+        zero heap allocations."""
         if self._batch_B == B:
             return
-        width = self.nldof * self.nmat
         #: scenario-major state / result blocks: row b is the full flat
         #: dof vector of column b — one small transpose each way
         #: brackets the batch instead of two large slot-space permutes
         self._u2T = np.empty((B, self.ndof))
         self._o2T = np.empty((B, self.ndof))
-        if self.split_elems is not None:
-            # the phased (overlapped) matmat keeps the slot-major
-            # dataflow: the split sub-plans index the *full* slot
-            # space, so lo/hi results land in one shared block
-            k = self.split_elems
-            self._G = np.empty((self.nelem, self.nldof, B))
-            self._Ym = np.empty((self.nelem, width, B))
-            self._Uall_lo = np.empty((B, k, self.nldof))
-            self._Yall_lo = np.empty((B, k, width))
-            self._Uall_hi = np.empty((B, self.nelem - k, self.nldof))
-            self._Yall_hi = np.empty((B, self.nelem - k, width))
         self._batch_B = B
-
-    def _block_views(self, out2, B):
-        """(slot block, node-major output) views the scatter consumes:
-        all ``ncomp * B`` values of a node accumulate per indirect
-        lookup — the level-3 analogue of the node-wise matvec plan."""
-        nslot = self.nelem * self.nmat * self.ncorner
-        return (
-            self._Ym.reshape(nslot, self.ncomp * B),
-            out2.reshape(self.nnode, self.ncomp * B),
-        )
 
     def matmat(self, u2, out2, handle=None):
         """Multi-RHS stiffness: ``out2[:, b] = K(c) u2[:, b]`` for a
@@ -326,52 +299,6 @@ class NumpyElementKernel:
         np.copyto(self._u2T, u2.T)
         self.matrows(self._u2T, self._o2T, handle)
         np.copyto(out2, self._o2T.T)
-        return out2
-
-    def matmat_interface(self, u2, out2):
-        """Phase 1 of the overlapped multi-RHS apply: zero ``out2`` and
-        apply the leading (interface) elements to every column, so all
-        boundary partial sums of the batch ship in one exchange."""
-        k = self.split_elems
-        if k is None:
-            raise ValueError("call set_split() before the phased matmat")
-        B = self._check_block(u2, out2)
-        out2.fill(0.0)
-        if k == 0:
-            return out2
-        self._ensure_batch(B)
-        np.take(u2, self.dof[:k], axis=0, out=self._G[:k], mode="clip")
-        np.copyto(self._Uall_lo, self._G[:k].transpose(2, 0, 1))
-        np.dot(
-            self._Uall_lo.reshape(-1, self.nldof),
-            self.MT,
-            out=self._Yall_lo.reshape(k * B, -1),
-        )
-        np.copyto(self._Ym[:k], self._Yall_lo.transpose(1, 2, 0))
-        Xb, Yb = self._block_views(out2, B)
-        self._plan_lo.scatter_acc(self._data_lo, Xb, Yb)
-        return out2
-
-    def matmat_interior(self, u2, out2):
-        """Phase 2: accumulate the trailing (interior) elements into
-        every column — the work a ghost exchange hides behind."""
-        k = self.split_elems
-        if k is None:
-            raise ValueError("call set_split() before the phased matmat")
-        B = self._check_block(u2, out2)
-        if k >= self.nelem:
-            return out2
-        self._ensure_batch(B)
-        np.take(u2, self.dof[k:], axis=0, out=self._G[k:], mode="clip")
-        np.copyto(self._Uall_hi, self._G[k:].transpose(2, 0, 1))
-        np.dot(
-            self._Uall_hi.reshape(-1, self.nldof),
-            self.MT,
-            out=self._Yall_hi.reshape((self.nelem - k) * B, -1),
-        )
-        np.copyto(self._Ym[k:], self._Yall_hi.transpose(1, 2, 0))
-        Xb, Yb = self._block_views(out2, B)
-        self._plan_hi.scatter_acc(self._data_hi, Xb, Yb)
         return out2
 
     def matvec(self, u_flat, out_flat, handle=None):
@@ -512,13 +439,7 @@ class NumpyElementKernel:
         if self._Ur is not None and len(self._Ur) > 1:
             held += [self._Ur, self._Yr]
         if self._batch_B:
-            held += [
-                getattr(self, name, None)
-                for name in (
-                    "_u2T", "_o2T", "_G", "_Ym",
-                    "_Uall_lo", "_Yall_lo", "_Uall_hi", "_Yall_hi",
-                )
-            ]
+            held += [self._u2T, self._o2T]
         n = sum(buf.nbytes for buf in held if buf is not None)
         for plan in (self.plan, self._plan_lo, self._plan_hi):
             if plan is not None:
@@ -595,7 +516,7 @@ class NumpyVarMatKernel:
 
 
 class NumpyBackend:
-    """Default backend: BLAS block apply + C-level CSR scatter."""
+    """The backend: BLAS block apply + C-level CSR scatter."""
 
     name = "numpy"
 

@@ -16,22 +16,14 @@ gathered element value by its coefficient as it accumulates.
 
 :func:`spmv_acc` / :func:`spmv_into` wrap scipy's internal
 ``csr_matvec(s)`` C routines, which accumulate into a caller-provided
-output vector; when those private kernels are unavailable the helpers
-fall back to ordinary (allocating) scipy products, trading the
-zero-allocation guarantee for portability.
+output vector (``scipy.sparse._sparsetools`` ships with every scipy the
+package supports).
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-try:  # scipy's C kernels accumulate into caller buffers (y += A @ x)
-    from scipy.sparse import _sparsetools as _st
-
-    HAVE_INPLACE_SPMV = True
-except ImportError:  # pragma: no cover - depends on scipy internals
-    _st = None
-    HAVE_INPLACE_SPMV = False
+from scipy.sparse import _sparsetools as _st
 
 
 class ScatterPlan:
@@ -70,7 +62,6 @@ class ScatterPlan:
         self.indptr = np.zeros(self.n + 1, dtype=itype)
         self.indptr[1:] = np.cumsum(counts)
         self.indices = self.order.astype(itype)
-        self._rows = None  # built lazily, fallback path only
 
     def fold(self, coef_flat: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Permute per-slot coefficients into CSR data order (so the
@@ -117,7 +108,6 @@ class ScatterPlan:
                 np.bincount(rows[m], minlength=self.n)
             )
             sub.indices = self.indices[m]
-            sub._rows = None
             plans.append(sub)
         return plans[0], plans[1], mask_lo
 
@@ -135,71 +125,46 @@ class ScatterPlan:
         ``x`` may be ``(nnz,)`` or ``(nnz, ncomp)`` (with matching
         ``y``): a 2D block scatters all components of a slot in one
         pass — one indirect lookup per slot instead of per value.
-        Allocation-free via scipy's C CSR matvec(s); the pure-scipy
-        fallback allocates small temporaries but is always available.
+        Allocation-free via scipy's C CSR matvec(s).
         """
         if self.nnz == 0:
             return y
-        if _st is not None:
-            if x.ndim == 2 and x.shape[1] == 1:
-                # single-component block: the 1D kernel skips the
-                # per-entry inner vector loop of csr_matvecs
-                _st.csr_matvec(
-                    self.n, self.ncols, self.indptr, self.indices, data,
-                    x.reshape(-1), y.reshape(-1),
-                )
-            elif x.ndim == 2:
-                _st.csr_matvecs(
-                    self.n, self.ncols, x.shape[1], self.indptr,
-                    self.indices, data, x.reshape(-1), y.reshape(-1),
-                )
-            else:
-                _st.csr_matvec(
-                    self.n, self.ncols, self.indptr, self.indices, data, x, y
-                )
-        else:  # pragma: no cover - exercised only without _sparsetools
-            if self._rows is None:
-                self._rows = np.repeat(
-                    np.arange(self.n, dtype=np.int64),
-                    np.diff(self.indptr).astype(np.int64),
-                )
-            if x.ndim == 2:
-                contrib = data[:, None] * x[self.indices]
-                for c in range(x.shape[1]):
-                    y[:, c] += np.bincount(
-                        self._rows, weights=contrib[:, c], minlength=self.n
-                    )
-            else:
-                contrib = data * x[self.indices]
-                y += np.bincount(
-                    self._rows, weights=contrib, minlength=self.n
-                )
+        if x.ndim == 2 and x.shape[1] == 1:
+            # single-component block: the 1D kernel skips the per-entry
+            # inner vector loop of csr_matvecs
+            _st.csr_matvec(
+                self.n, self.ncols, self.indptr, self.indices, data,
+                x.reshape(-1), y.reshape(-1),
+            )
+        elif x.ndim == 2:
+            _st.csr_matvecs(
+                self.n, self.ncols, x.shape[1], self.indptr,
+                self.indices, data, x.reshape(-1), y.reshape(-1),
+            )
+        else:
+            _st.csr_matvec(
+                self.n, self.ncols, self.indptr, self.indices, data, x, y
+            )
         return y
 
     def workspace_bytes(self) -> int:
         n = self.indptr.nbytes + self.indices.nbytes
         if self.order is not None:
             n += self.order.nbytes
-        if self._rows is not None:  # pragma: no cover
-            n += self._rows.nbytes
         return n
 
 
 def spmv_acc(A, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``y += A @ x`` for a CSR matrix ``A``; ``x``/``y`` may be 1D or
-    C-contiguous 2D (multiple right-hand sides).  Allocation-free when
-    scipy's C kernels are importable."""
+    C-contiguous 2D (multiple right-hand sides); allocation-free."""
     M, N = A.shape
-    if _st is not None:
-        if x.ndim == 2:
-            _st.csr_matvecs(
-                M, N, x.shape[1], A.indptr, A.indices, A.data,
-                x.reshape(-1), y.reshape(-1),
-            )
-        else:
-            _st.csr_matvec(M, N, A.indptr, A.indices, A.data, x, y)
-    else:  # pragma: no cover - exercised only without _sparsetools
-        y += A @ x
+    if x.ndim == 2:
+        _st.csr_matvecs(
+            M, N, x.shape[1], A.indptr, A.indices, A.data,
+            x.reshape(-1), y.reshape(-1),
+        )
+    else:
+        _st.csr_matvec(M, N, A.indptr, A.indices, A.data, x, y)
     return y
 
 

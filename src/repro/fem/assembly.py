@@ -48,22 +48,15 @@ class ElasticOperator:
         self.conn = np.ascontiguousarray(conn, dtype=np.int64)
         self.nnode = int(nnode)
         self.nelem = len(conn)
-        K_l, K_m = hex_elastic_reference()
-        self.K_l = K_l
-        self.K_m = K_m
         h = np.asarray(h, dtype=float)
         self.c_lam = np.asarray(lam, dtype=float) * h
         self.c_mu = np.asarray(mu, dtype=float) * h
-        # flattened dof scatter indices: element dof (i, a) -> 3*node + a
-        dof = (self.conn[:, :, None] * 3 + np.arange(3)[None, None, :]).reshape(
-            self.nelem, 24
-        )
-        self._dof_flat = dof.ravel()
         self._ndof = 3 * self.nnode
-        # fused gather/apply/scatter kernel from the active backend; the
-        # material coefficients are fixed, so they fold into the scatter
+        # fused gather/apply/scatter kernel (it owns the element dof
+        # map); the material coefficients are fixed, so they fold into
+        # the scatter
         self._kernel = get_backend().element_kernel(
-            self.conn, (K_l, K_m), self.nnode, ncomp=3,
+            self.conn, hex_elastic_reference(), self.nnode, ncomp=3,
             coefs=(self.c_lam, self.c_mu),
         )
         self.split_elems = split_elems
@@ -116,24 +109,6 @@ class ElasticOperator:
             raise ValueError("out must be C-contiguous")
         B = U.shape[2]
         self._kernel.matmat(
-            U.reshape(self._ndof, B), out.reshape(self._ndof, B)
-        )
-        return out
-
-    def matmat_interface(self, U: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Phase 1 of the overlapped batched apply (requires
-        ``split_elems``): interface elements only, all columns."""
-        B = U.shape[2]
-        self._kernel.matmat_interface(
-            U.reshape(self._ndof, B), out.reshape(self._ndof, B)
-        )
-        return out
-
-    def matmat_interior_acc(self, U: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Phase 2 of the overlapped batched apply: interior elements
-        accumulated into every column."""
-        B = U.shape[2]
-        self._kernel.matmat_interior(
             U.reshape(self._ndof, B), out.reshape(self._ndof, B)
         )
         return out

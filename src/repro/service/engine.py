@@ -12,7 +12,7 @@ A request names its basin with a :class:`SimulationSpec` — a frozen
 description whose :attr:`SimulationSpec.key` is the content address
 used throughout the service.  Two requests with bitwise-equal specs
 share one constructed simulation; any perturbed field (a material
-array entry, ``fmax``, the backend) produces a different key and a
+array entry, ``fmax``, the dtype) produces a different key and a
 fresh build.  Warm runs are bit-identical to cold runs: the cache
 stores the *constructed operators*, and the solver time loop is
 deterministic given those operators and the scenario.
@@ -31,21 +31,17 @@ from repro.service.cache import ArtifactCache, artifact_key
 __all__ = ["SimulationSpec", "Engine"]
 
 
-def _default_backend() -> str:
-    from repro.backend import get_backend
-
-    return get_backend().name
-
-
 @dataclass(frozen=True)
 class SimulationSpec:
     """Everything that determines the expensive immutables of a basin.
 
     Mirrors the :class:`~repro.core.simulation.ForwardSimulation`
     constructor; :attr:`key` is the stable content hash of every field
-    (including the material model's arrays) plus the active compute
-    backend and dtype, so a cache entry can never be served across a
-    change that would alter the constructed operators.
+    (including the material model's arrays), so a cache entry can never
+    be served across a change that would alter the constructed
+    operators.  The key also hashes the literal ``backend="numpy"``:
+    dropping it would move every content address, and with them the
+    disk-tier artifacts already written.
     """
 
     material: object
@@ -60,7 +56,6 @@ class SimulationSpec:
     stacey_c1: bool = True
     cfl_safety: float = 0.5
     lts: int = 0
-    backend: str | None = None
     dtype: str = "float64"
 
     @property
@@ -82,7 +77,7 @@ class SimulationSpec:
             stacey_c1=bool(self.stacey_c1),
             cfl_safety=float(self.cfl_safety),
             lts=int(self.lts),
-            backend=self.backend or _default_backend(),
+            backend="numpy",
             dtype=str(self.dtype),
         )
 

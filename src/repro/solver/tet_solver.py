@@ -69,10 +69,6 @@ class TetWaveSolver:
         self.dt = dt if dt is not None else stable_timestep(
             np.full(self.tet.nelem, hmin), vp, safety=cfl_safety
         )
-        self._dof = (
-            self.tet.conn[:, :, None] * 3 + np.arange(3)[None, None, :]
-        ).reshape(self.tet.nelem, 12)
-        self._dof_flat = self._dof.ravel()
         # per-element dense matrices: the varying-matrix kernel (no
         # shared reference matrix exists for the 6-tet split)
         self._kernel = get_backend().varmat_kernel(

@@ -1,9 +1,9 @@
 """Backend layer tests.
 
 Three concerns: (1) the planned gather/GEMM/scatter kernels reproduce
-the straightforward bincount assembly to roundoff, (2) backend
-selection (env var, ``set_backend``, numba fallback) behaves as
-documented, (3) the zero-allocation guarantee the kernels exist to
+the straightforward bincount assembly to roundoff, (2) ``get_backend``
+is the one lazily built numpy backend and its construction owns the
+BLAS threading, (3) the zero-allocation guarantee the kernels exist to
 provide actually holds — verified with tracemalloc, so an accidental
 reintroduction of a per-step temporary fails the suite.
 """
@@ -17,17 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import repro.backend as backend_mod
-from repro.backend import (
-    HAVE_INPLACE_SPMV,
-    ScatterPlan,
-    available_backends,
-    get_backend,
-    set_backend,
-    spmv_acc,
-    spmv_into,
-    use_backend,
-)
+from repro.backend import ScatterPlan, get_backend, spmv_acc, spmv_into
 from repro.backend.blas_threads import (
     THREAD_VARS,
     _bundled_openblas,
@@ -35,14 +25,9 @@ from repro.backend.blas_threads import (
 )
 from repro.fem.assembly import ElasticOperator, assemble_csr
 from repro.materials import HomogeneousMaterial
-from repro.mesh import extract_mesh, uniform_hex_mesh
+from repro.mesh import extract_mesh
 from repro.octree import build_adaptive_octree
-from repro.io.seismogram import ReceiverArray
-from repro.solver import ElasticWaveSolver, RegularGridScalarWave, TetWaveSolver
-from repro.sources import MomentTensorSource, double_couple_moment
-from repro.sources.fault import SourceCollection
-
-HAVE_NUMBA = "numba" in available_backends()
+from repro.solver import RegularGridScalarWave, TetWaveSolver
 
 L = 1000.0
 MAT = HomogeneousMaterial(vs=1000.0, vp=1800.0, rho=2000.0)
@@ -54,24 +39,6 @@ def make_uniform(n=4):
     )
     mesh = extract_mesh(tree, L=L)
     return tree, mesh
-
-
-def center_source():
-    M = double_couple_moment(90.0, 90.0, 0.0, 1e12)
-    return MomentTensorSource(
-        position=np.array([0.5 * L + 1.0, 0.5 * L + 1.0, 0.5 * L + 1.0]),
-        moment=M,
-        T=0.05,
-        t0=0.15,
-    )
-
-
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    """Every test leaves the process-global backend as it found it."""
-    saved = backend_mod._active
-    yield
-    backend_mod._active = saved
 
 
 # ------------------------------------------------------------- ScatterPlan
@@ -191,67 +158,27 @@ class TestKernelsMatchReference:
         solver = TetWaveSolver(mesh, MAT)
         rng = np.random.default_rng(6)
         u = rng.standard_normal((solver.nnode, 3))
-        U = u.reshape(-1)[solver._dof]
-        Y = np.einsum("eij,ej->ei", solver.Ke, U)
+        dof = solver._kernel.dof
+        Y = np.einsum("eij,ej->ei", solver.Ke, u.reshape(-1)[dof])
         ref = np.bincount(
-            solver._dof_flat, weights=Y.ravel(), minlength=3 * solver.nnode
+            dof.ravel(), weights=Y.ravel(), minlength=3 * solver.nnode
         ).reshape(solver.nnode, 3)
         np.testing.assert_allclose(
             solver.matvec(u), ref, rtol=1e-12, atol=1e-9
         )
 
 
-# --------------------------------------------------- backend selection
+# ---------------------------------------------------- backend accessor
 
 
 class TestBackendSelection:
+    """There is nothing to select: ``get_backend`` builds the numpy
+    backend on first call and hands out that object ever after."""
+
     def test_numpy_always_available(self):
-        assert "numpy" in available_backends()
-        assert set_backend("numpy").name == "numpy"
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            set_backend("fortran")
-
-    def test_env_var_selects(self):
-        code = (
-            "from repro.backend import get_backend; "
-            "print(get_backend().name)"
-        )
-        env = dict(os.environ, REPRO_BACKEND="numpy")
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, ["src", env.get("PYTHONPATH", "")])
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        )
-        assert out.stdout.strip() == "numpy"
-
-    def test_bad_env_var_warns_and_falls_back(self):
-        backend_mod._active = None
-        os.environ["REPRO_BACKEND"] = "no-such-backend"
-        try:
-            with pytest.warns(RuntimeWarning, match="not a known backend"):
-                assert get_backend().name == "numpy"
-        finally:
-            del os.environ["REPRO_BACKEND"]
-            backend_mod._active = None
-
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba installed")
-    def test_numba_fallback_warns(self):
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            assert set_backend("numba").name == "numpy"
-
-    def test_use_backend_restores(self):
-        before = backend_mod._active
-        with use_backend("numpy") as b:
-            assert b.name == "numpy"
-            assert get_backend() is b
-        assert backend_mod._active is before
+        # perfbench fingerprints every run with get_backend().name
+        assert get_backend().name == "numpy"
+        assert get_backend() is get_backend()
 
 
 # ------------------------------------------------------ BLAS threading
@@ -326,69 +253,9 @@ class TestBlasThreads:
             lib.scipy_openblas_set_num_threads64_(saved)
 
 
-# ---------------------------------------------- cross-backend equivalence
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-class TestNumbaEquivalence:
-    def _forward(self):
-        tree, mesh = make_uniform(4)
-        solver = ElasticWaveSolver(mesh, tree, MAT)
-        forces = SourceCollection(mesh, tree, [center_source()])
-        rec = ReceiverArray(mesh, np.array([[500.0, 500.0, 0.0]]))
-        seis = solver.run(forces, 0.3, receivers=rec)
-        return seis.data
-
-    def test_elastic_forward_matches(self):
-        with use_backend("numpy"):
-            ref = self._forward()
-        with use_backend("numba"):
-            got = self._forward()
-        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
-
-    def test_scalar_gradient_matches(self):
-        from repro.inverse import MaterialGrid, ScalarWaveInverseProblem
-
-        def gradient():
-            nx, nz = 8, 6
-            h = 100.0
-            solver = RegularGridScalarWave((nx, nz), h, rho=1000.0)
-            grid = MaterialGrid((2, 2), (nx * h, nz * h))
-            m_true = grid.sample(lambda p: np.full(len(p), 3.0e9))
-            m0 = grid.sample(lambda p: np.full(len(p), 2.5e9))
-            dt = solver.stable_dt(np.full(solver.nelem, m_true.max()))
-            nsteps = 40
-            src_node = int(solver.nnode // 2)
-            fbuf = np.zeros(solver.nnode)
-
-            def forcing(k):
-                fbuf[src_node] = dt**2 * np.sin(0.3 * k)
-                return fbuf
-
-            rec = solver.surface_nodes()[::2]
-            mu_true = grid.to_elements(solver) @ m_true
-            u = solver.march(mu_true, forcing, nsteps, dt, store=True)
-            data = u[:, rec]
-            prob = ScalarWaveInverseProblem(
-                solver, grid, rec, data, dt, nsteps, extra_forcing=forcing
-            )
-            g, _, _ = prob.gradient(m0)
-            return g
-
-        with use_backend("numpy"):
-            g_np = gradient()
-        with use_backend("numba"):
-            g_nb = gradient()
-        np.testing.assert_allclose(g_nb, g_np, rtol=1e-12, atol=1e-20)
-
-
 # ------------------------------------------------- allocation regression
 
 
-@pytest.mark.skipif(
-    not HAVE_INPLACE_SPMV,
-    reason="scipy in-place CSR kernels unavailable: fallback allocates",
-)
 class TestZeroAllocation:
     def test_elastic_matvec_allocates_nothing(self):
         """After warmup, ``matvec(u, out=...)`` must not allocate any

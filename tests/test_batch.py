@@ -5,7 +5,7 @@ fused level-3 time loop produces, for every column, exactly the bits
 the serial single-RHS run produces — same gather, same row-stacked
 GEMM accumulation order, same slot-ordered scatter, same elementwise
 updates.  These tests pin that contract at every layer: the element
-kernel (``matmat`` vs ``matvec``, phased vs plain), the scalar and
+kernel (``matmat`` vs ``matvec``), the scalar and
 elastic ensemble time loops, the multi-shot inverse problem (one
 batched forward + one batched adjoint regardless of shot count), and
 the shot-sharded distributed path on both transports.
@@ -16,8 +16,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import repro.backend as backend_mod
-from repro.backend import available_backends, use_backend
 from repro.fem.assembly import ElasticOperator
 from repro.inverse import (
     FaultLineSource2D,
@@ -45,14 +43,6 @@ from repro.sources.fault import SourceCollection
 
 L = 1000.0
 MAT = HomogeneousMaterial(vs=1000.0, vp=1800.0, rho=2000.0)
-BACKENDS = available_backends()
-
-
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    saved = backend_mod._active
-    yield
-    backend_mod._active = saved
 
 
 def make_mesh(n=4, max_level=3):
@@ -78,64 +68,60 @@ def make_sources(mesh, tree, B):
 # ---------------------------------------------------- kernel level
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestKernelMatmat:
-    def test_matmat_bitwise_per_column(self, backend):
+    def test_matmat_bitwise_per_column(self):
         _, mesh = make_mesh()
         rng = np.random.default_rng(0)
         lam = rng.uniform(1.0, 3.0, mesh.nelem)
         mu = rng.uniform(0.5, 2.0, mesh.nelem)
-        with use_backend(backend):
-            op = ElasticOperator(mesh.conn, mesh.elem_h, lam, mu, mesh.nnode)
-            B = 5
-            U = np.ascontiguousarray(
-                rng.standard_normal((mesh.nnode, 3, B))
-            )
-            out = op.matmat(U)
-            for b in range(B):
-                ref = op.matvec(np.ascontiguousarray(U[:, :, b]))
-                assert np.array_equal(out[:, :, b], ref), f"column {b}"
+        op = ElasticOperator(mesh.conn, mesh.elem_h, lam, mu, mesh.nnode)
+        B = 5
+        U = np.ascontiguousarray(rng.standard_normal((mesh.nnode, 3, B)))
+        out = op.matmat(U)
+        for b in range(B):
+            ref = op.matvec(np.ascontiguousarray(U[:, :, b]))
+            assert np.array_equal(out[:, :, b], ref), f"column {b}"
 
-    def test_phased_matmat_equals_plain(self, backend):
+    def test_matmat_zero_allocation_warm(self):
         _, mesh = make_mesh()
         lam = np.full(mesh.nelem, 2.0)
         mu = np.full(mesh.nelem, 1.0)
-        with use_backend(backend):
-            op = ElasticOperator(
-                mesh.conn, mesh.elem_h, lam, mu, mesh.nnode,
-                split_elems=mesh.nelem // 3,
-            )
-            rng = np.random.default_rng(1)
-            U = np.ascontiguousarray(rng.standard_normal((mesh.nnode, 3, 4)))
-            full = op.matmat(U)
-            phased = np.empty_like(full)
-            op.matmat_interface(U, phased)
-            op.matmat_interior_acc(U, phased)
-            # interface + interior partition the element loop, so the
-            # phased sums equal the single pass to roundoff (the same
-            # guarantee the single-RHS overlap path provides)
-            np.testing.assert_allclose(phased, full, rtol=1e-12, atol=1e-9)
-            for b in range(4):
-                ref = np.empty((mesh.nnode, 3))
-                op.matvec_interface(np.ascontiguousarray(U[:, :, b]), ref)
-                op.matvec_interior_acc(np.ascontiguousarray(U[:, :, b]), ref)
-                assert np.array_equal(phased[:, :, b], ref)
+        op = ElasticOperator(mesh.conn, mesh.elem_h, lam, mu, mesh.nnode)
+        U = np.ones((mesh.nnode, 3, 8))
+        out = np.empty_like(U)
+        op.matmat(U, out=out)  # warmup sizes the batch workspace
+        tracemalloc.start()
+        for _ in range(5):
+            op.matmat(U, out=out)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < 2048, f"warm matmat allocated {peak} B"
 
-    def test_matmat_zero_allocation_warm(self, backend):
-        _, mesh = make_mesh()
-        lam = np.full(mesh.nelem, 2.0)
-        mu = np.full(mesh.nelem, 1.0)
-        with use_backend(backend):
-            op = ElasticOperator(mesh.conn, mesh.elem_h, lam, mu, mesh.nnode)
-            U = np.ones((mesh.nnode, 3, 8))
-            out = np.empty_like(U)
-            op.matmat(U, out=out)  # warmup sizes the batch workspace
-            tracemalloc.start()
-            for _ in range(5):
-                op.matmat(U, out=out)
-            _, peak = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
-            assert peak < 2048, f"warm matmat allocated {peak} B"
+
+@pytest.mark.parametrize("split", ["none", "third", "all"])
+def test_phased_matvec_equals_plain(split):
+    """Interface + interior phases partition the element loop, so they
+    sum to the single pass to roundoff and are bit-reproducible — at
+    an empty interface, a proper split and an empty interior."""
+    _, mesh = make_mesh()
+    k = {"none": 0, "third": mesh.nelem // 3, "all": mesh.nelem}[split]
+    rng = np.random.default_rng(1)
+    op = ElasticOperator(
+        mesh.conn, mesh.elem_h,
+        rng.uniform(1.0, 3.0, mesh.nelem), rng.uniform(0.5, 2.0, mesh.nelem),
+        mesh.nnode, split_elems=k,
+    )
+    u = rng.standard_normal((mesh.nnode, 3))
+    full = op.matvec(u)
+
+    def phased():
+        out = np.empty((mesh.nnode, 3))
+        op.matvec_interface(u, out)
+        return op.matvec_interior_acc(u, out)
+
+    first = phased()
+    np.testing.assert_allclose(first, full, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(phased(), first)
 
 
 def test_strided_input_rejected_not_copied():
@@ -154,34 +140,32 @@ def test_strided_input_rejected_not_copied():
 # ------------------------------------------------ scalar ensemble march
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_scalar_batched_march_bitwise(backend):
-    with use_backend(backend):
-        solver = RegularGridScalarWave((16, 8), 100.0, rho=1000.0)
-        rng = np.random.default_rng(2)
-        mu = rng.uniform(2e9, 4e9, solver.nelem)
-        dt = solver.stable_dt(mu)
-        nsteps = 60
-        src = [5, 40, 77]
+def test_scalar_batched_march_bitwise():
+    solver = RegularGridScalarWave((16, 8), 100.0, rho=1000.0)
+    rng = np.random.default_rng(2)
+    mu = rng.uniform(2e9, 4e9, solver.nelem)
+    dt = solver.stable_dt(mu)
+    nsteps = 60
+    src = [5, 40, 77]
 
-        def forcing_for(b):
-            def forcing(k):
-                f = np.zeros(solver.nnode)
-                f[src[b]] = dt**2 * np.sin(0.3 * k + b)
-                return f
-            return forcing
+    def forcing_for(b):
+        def forcing(k):
+            f = np.zeros(solver.nnode)
+            f[src[b]] = dt**2 * np.sin(0.3 * k + b)
+            return f
+        return forcing
 
-        cols = [forcing_for(0), None, forcing_for(2)]
-        batched = solver.march(
-            mu, batched_forcing(cols, solver.nnode), nsteps, dt,
-            batch=len(cols),
+    cols = [forcing_for(0), None, forcing_for(2)]
+    batched = solver.march(
+        mu, batched_forcing(cols, solver.nnode), nsteps, dt,
+        batch=len(cols),
+    )
+    for b, fn in enumerate(cols):
+        serial = solver.march(
+            mu, fn if fn is not None else (lambda k: None),
+            nsteps, dt,
         )
-        for b, fn in enumerate(cols):
-            serial = solver.march(
-                mu, fn if fn is not None else (lambda k: None),
-                nsteps, dt,
-            )
-            assert np.array_equal(batched[:, :, b], serial), f"column {b}"
+        assert np.array_equal(batched[:, :, b], serial), f"column {b}"
 
 
 def test_scalar_batched_march_with_initial_states_and_alpha():

@@ -91,6 +91,13 @@ def test_spec_key_stable_across_instances():
     assert make_spec().key == make_spec(material=mat2).key
 
 
+def test_spec_key_is_pinned():
+    """The README example's content address does not move, so disk-tier
+    artifacts written by earlier versions stay addressable."""
+    key = make_spec(max_level=4).key
+    assert key == "15a8e347603185b2b186d174823d65cc99951043"
+
+
 @pytest.mark.parametrize(
     "override",
     [
