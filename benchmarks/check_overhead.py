@@ -181,8 +181,8 @@ def floor_gate(
 
 
 def service_gate(args) -> int:
-    """Idle-service overhead: Engine + zero-wait scheduler routed
-    requests vs direct ``ForwardSimulation.run`` calls.
+    """Idle-service overhead: Engine + scheduler routed requests vs
+    direct ``ForwardSimulation.run`` calls.
 
     With ``--policy-armed`` the routed side also pays the full
     resilience policy on every request — admission-control depth
@@ -218,11 +218,9 @@ def service_gate(args) -> int:
         # every knob on, none ever triggering: a deep queue bound, a
         # generous deadline, bisection + retry + breaker armed
         policy = ServicePolicy(max_queue_depth=1024, deadline=600.0)
-    # max_wait=0: every request dispatches alone, immediately — the
+    # one request at a time: each dispatches alone, immediately — the
     # idle configuration whose per-request cost this gate bounds
-    scheduler = CoalescingScheduler(
-        engine, max_batch=1, max_wait=0.0, policy=policy
-    )
+    scheduler = CoalescingScheduler(engine, max_batch=1, policy=policy)
     label = "service+policy" if args.policy_armed else "service"
     try:
         # correctness first: the routed path must be bitwise the

@@ -417,7 +417,7 @@ def _timelines(engine):
 
 def _serve_status_payload(engine, scheduler, tally):
     """The live-state dict ``repro serve`` publishes for ``repro top``:
-    counts, window occupancy, cache tiers, latency quantiles, and the
+    counts, queue depth, cache tiers, latency quantiles, and the
     per-rank phase split of the most recent distributed run."""
     from repro import telemetry
 
@@ -508,8 +508,7 @@ def cmd_serve(args) -> int:
         capacity=args.capacity, disk_dir=args.cache_dir,
         faults=FaultPlan.from_env(),
     )
-    # every pass is handed over with submit_many, which never waits:
-    # the scheduler's max_wait timer (and --max-wait) has no part here
+    # every pass is handed over with submit_many and dispatches at once
     scheduler = CoalescingScheduler(
         engine, max_batch=args.max_batch, policy=policy
     )
@@ -611,16 +610,11 @@ def cmd_top(args) -> int:
                 f"{rb['quarantined']}, breaker {breaker}"
             )
         q = snap.get("queue") or {}
-        windows = q.get("open_windows") or []
-        busy = "dispatching" if q.get("dispatching") else "idle"
         lines.append(
-            f"  windows: {len(windows)} open, {busy}"
+            f"  queue: {q.get('depth', 0)} queued in "
+            f"{len(q.get('pending', []))} group(s), "
+            f"{'dispatching' if q.get('dispatching') else 'idle'}"
         )
-        for w in windows:
-            lines.append(
-                f"    {w['pending']}/{w['max_batch']} pending, "
-                f"{w['window_remaining'] * 1e3:.0f} ms remaining"
-            )
         c = snap.get("cache") or {}
         lines.append(
             f"  cache: {c.get('entries', 0)}/{c.get('capacity', 0)} "
@@ -807,10 +801,10 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--max-batch", type=int, default=16,
                     help="coalescing width cap (B of the fused loop)")
     pv.add_argument("--max-wait", type=float, default=0.05,
-                    help="ignored: a claimed pass dispatches at once "
-                         "(the spool is the batching queue); still "
-                         "parsed because the frozen serve_open "
-                         "benchmark passes it")
+                    help="ignored: the scheduler has no batching window "
+                         "and a claimed pass dispatches at once; still "
+                         "parsed because the serve_open benchmark "
+                         "passes it")
     pv.add_argument("--watch", action="store_true",
                     help="keep polling the spool instead of one drain pass")
     pv.add_argument("--poll", type=float, default=0.5,

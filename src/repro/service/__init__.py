@@ -7,11 +7,12 @@ scenario run is a cache hit plus one batched column:
   (stable spec hashing, in-memory LRU + CRC-verified disk tier);
 * :mod:`~repro.service.engine` — warm :class:`Engine` owning the
   constructed simulations and persistent :class:`ProcWorld` pools;
-* :mod:`~repro.service.scheduler` — :class:`CoalescingScheduler`, an
-  async job queue that packs co-batchable requests into one fused
-  ``run_batch`` time loop (each column bitwise-identical to a solo
-  run); ``submit_many`` hands over an already-collected list, which
-  dispatches at once;
+* :mod:`~repro.service.scheduler` — :class:`CoalescingScheduler`, a
+  keyed async job queue that packs co-batchable requests into one
+  fused ``run_batch`` time loop (each column bitwise-identical to a
+  solo run); every request dispatches as soon as the engine is free,
+  and ``submit_many`` hands over an already-collected list as one
+  batch;
 * :mod:`~repro.service.policy` — :class:`ServicePolicy` resilience
   knobs (admission control, deadlines, poisoned-batch bisection,
   retry + circuit breaker) and the structured errors

@@ -12,7 +12,7 @@ rupture.  This module gives those immutables a stable content address
   their workspace bytes for telemetry);
 * an optional **on-disk tier** using the durable-checkpoint idiom of
   :mod:`repro.solver.checkpoint`: magic + JSON header + CRC32 of the
-  payload, written to a temp name and atomically renamed, so a torn
+  payload, written by :func:`repro.durable.atomic_write`, so a torn
   write can never be half-loaded — a corrupt or truncated entry is
   rejected (:class:`CacheCorruptError`), removed, and rebuilt.
 
@@ -37,6 +37,7 @@ from collections import OrderedDict
 import numpy as np
 
 from repro import telemetry
+from repro.durable import atomic_write
 
 MAGIC = b"RPROCART"
 VERSION = 1
@@ -116,9 +117,10 @@ def artifact_key(**fields) -> str:
 def save_artifact(path: str, key: str, artifact) -> int:
     """Durably write ``artifact`` under content address ``key``:
     pickle payload framed by ``MAGIC`` + length-prefixed JSON header
-    carrying the payload CRC32, written to ``path + ".tmp"`` and
-    atomically renamed — readers see the old entry or the new one,
-    never a torn write.  Returns the payload size in bytes."""
+    carrying the payload CRC32, written with
+    :func:`repro.durable.atomic_write` — readers see the old entry or
+    the new one, never a torn write.  Returns the payload size in
+    bytes."""
     payload = pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL)
     header = json.dumps(
         {
@@ -128,15 +130,8 @@ def save_artifact(path: str, key: str, artifact) -> int:
             "crc32": zlib.crc32(payload) & 0xFFFFFFFF,
         }
     ).encode()
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<Q", len(header)))
-        f.write(header)
-        f.write(payload)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
+    chunks = [MAGIC, struct.pack("<Q", len(header)), header, payload]
+    atomic_write(path, lambda f: f.writelines(chunks), mode="wb")
     return len(payload)
 
 

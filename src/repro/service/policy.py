@@ -87,7 +87,8 @@ class PoisonedRequestError(RuntimeError):
     """This specific request made its solve raise.
 
     Minted by the scheduler's bisection after a batch failure has
-    been narrowed to a single culprit; ``__cause__`` carries the
+    been narrowed to a single culprit (with bisection off, for every
+    member of the failing batch); ``__cause__`` carries the
     original solver exception (e.g. a
     :class:`~repro.resilience.health.NumericalHealthError`)."""
 
@@ -211,13 +212,15 @@ class ServicePolicy:
     unchanged on the success path.
     """
 
-    #: queue-depth bound across all open windows; 0 = unbounded.
+    #: bound on queued requests (not counting the batch in flight);
+    #: 0 = unbounded.
     max_queue_depth: int = 0
     #: default per-request deadline in seconds from submit; None =
     #: requests never expire.
     deadline: float | None = None
-    #: bisect failing batches to isolate culprits (False fails the
-    #: whole batch with the raw exception, the pre-policy behavior).
+    #: bisect failing batches to isolate culprits (False fails every
+    #: member with :class:`PoisonedRequestError`, the solver's
+    #: exception as its ``__cause__``, after one solve).
     bisect: bool = True
     #: backoff schedule for transient ``WorkerFailure`` retries;
     #: None disables retrying.

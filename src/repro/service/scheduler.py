@@ -9,25 +9,16 @@ each group into one :meth:`~repro.service.engine.Engine.submit_batch`
 call, demultiplexing the per-scenario seismograms back onto the
 futures.
 
-The batching window is a small state machine per group:
-
-* **idle** — no pending requests for the key;
-* **open** — the first request arrives and starts a ``max_wait``
-  timer (the window for *independently arriving* ``submit`` calls);
-* **ready** — the group reaches ``max_batch`` members (*full*), its
-  window expires (*timeout*), the scheduler is flushed/closed, or the
-  group was touched by :meth:`~CoalescingScheduler.submit_many` — a
-  caller that hands over a list has done the coalescing, and holding
-  an idle engine for a window nothing can join buys no batch.  A
-  ready group is still joinable while it queues behind a running
-  solve;
-* **dispatch** — the scheduler thread pops **at most** ``max_batch``
-  requests off the first ready group and runs them as one batch; the
-  remainder stays queued and ready.
-
-The rule is work-conserving: an idle engine never holds a request it
-was handed, and a busy one batches exactly what arrived while it was
-busy.  ``repro serve`` relies on it — the spool is its batching queue
+The queue is keyed: a request joins the queued group of its key (or
+starts one), and the scheduler thread pops **at most** ``max_batch``
+requests off the oldest group as soon as there is one and the engine
+is free; the remainder stays queued, first in line.  The rule is
+work-conserving and has nothing to tune: an idle engine never holds a
+request, and a busy one batches exactly what arrived while it was
+busy.  A caller that already holds several requests hands them over
+together with :meth:`~CoalescingScheduler.submit_many` (or
+:meth:`~CoalescingScheduler.map_wait`) so that they ride one batch;
+``repro serve`` does, and its spool is the batching queue
 (:mod:`repro.service.server`).
 
 Coalescing is free of numerical consequence: ``run_batch`` column
@@ -55,7 +46,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future, InvalidStateError
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,22 +117,20 @@ class ForwardRequest:
 
 
 class _Group:
-    """Pending requests sharing a group key (one open window)."""
+    """Queued requests sharing a group key."""
 
-    __slots__ = ("requests", "futures", "deadline", "t_open", "t_enq")
+    __slots__ = ("requests", "futures", "t_enq")
 
-    def __init__(self, deadline: float, t_open: float = 0.0):
+    def __init__(self):
         self.requests: list[ForwardRequest] = []
         self.futures: list[Future] = []
-        self.deadline = deadline
-        # latency bookkeeping (perf_counter readings), only written
-        # while telemetry is enabled
-        self.t_open = t_open
+        # enqueue times (perf_counter readings), only written while
+        # telemetry is enabled
         self.t_enq: list[float] = []
 
     def split(self, n: int) -> "_Group":
         """Detach the first ``n`` requests as their own group."""
-        head = _Group(self.deadline, self.t_open)
+        head = _Group()
         head.requests, self.requests = self.requests[:n], self.requests[n:]
         head.futures, self.futures = self.futures[:n], self.futures[n:]
         head.t_enq, self.t_enq = self.t_enq[:n], self.t_enq[n:]
@@ -156,15 +145,7 @@ class CoalescingScheduler:
     engine:
         The warm engine that executes dispatched batches.
     max_batch:
-        Dispatch a group as soon as it holds this many requests, and
-        never run a wider batch (``B`` of the fused loop).
-    max_wait:
-        Seconds a group of single :meth:`submit` calls may wait for
-        co-batchable traffic after its first request arrives
-        (:meth:`submit_many` does not wait).  ``0`` disables
-        coalescing latency entirely — every request dispatches
-        immediately (B=1) — which is the idle-overhead configuration
-        the CI gate checks.
+        The widest batch a dispatch runs (``B`` of the fused loop).
     policy:
         A :class:`~repro.service.policy.ServicePolicy` arming
         admission control, deadlines, bisection, retry, and the
@@ -177,14 +158,12 @@ class CoalescingScheduler:
         engine: Engine,
         *,
         max_batch: int = 16,
-        max_wait: float = 0.05,
         policy: ServicePolicy | None = None,
     ):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self.engine = engine
         self.max_batch = int(max_batch)
-        self.max_wait = float(max_wait)
         self.policy = policy if policy is not None else ServicePolicy()
         self._breaker = self.policy.make_breaker()
         self._groups: dict[tuple, _Group] = {}
@@ -211,10 +190,10 @@ class CoalescingScheduler:
 
     # ------------------------------------------------------- submission
 
-    def _enqueue(self, request: ForwardRequest) -> tuple[Future, _Group]:
+    def _enqueue(self, request: ForwardRequest) -> Future:
         """Under the lock: run the admission gates, then join (or
-        open) the request's group.  Raises before anything is enqueued
-        when a gate rejects."""
+        start) the request's group.  Raises before anything is
+        enqueued when a gate rejects."""
         if self._closed:
             raise RuntimeError("scheduler is closed")
         policy = self.policy
@@ -237,30 +216,27 @@ class CoalescingScheduler:
                 )
         if request.deadline is None and policy.deadline is not None:
             request.deadline = time.monotonic() + policy.deadline
-        instrumented = telemetry.enabled()
         key = request.group_key()
         group = self._groups.get(key)
         if group is None:
-            group = _Group(
-                time.monotonic() + self.max_wait,
-                time.perf_counter() if instrumented else 0.0,
-            )
-            self._groups[key] = group
+            group = self._groups[key] = _Group()
         future: Future = Future()
         group.requests.append(request)
         group.futures.append(future)
-        if instrumented:
+        if telemetry.enabled():
             if request.trace_id is None:
                 request.trace_id = telemetry.new_trace_id()
             group.t_enq.append(time.perf_counter())
         self.requests += 1
         telemetry.count("service.requests")
-        return future, group
+        return future
 
     def submit(self, request: ForwardRequest) -> Future:
         """Enqueue a request; the Future resolves to its
         :class:`~repro.io.seismogram.Seismograms` (or None without
-        receivers) once its batch has run.
+        receivers) once its batch has run.  It dispatches as soon as
+        the engine is free, joining its key's queued group if one is
+        waiting behind a running solve.
 
         Fast-fail admission gates run *before* anything is enqueued:
         an open circuit breaker raises
@@ -268,18 +244,15 @@ class CoalescingScheduler:
         queue raises :class:`~repro.service.policy.ShedError` — both
         in microseconds, with no solver time or queue slot spent."""
         with self._wake:
-            future, _ = self._enqueue(request)
+            future = self._enqueue(request)
             self._wake.notify()
         return future
 
     def submit_many(self, requests) -> list[Future]:
         """Hand over a list the caller has already collected: every
-        request is enqueued under one lock hold (co-keyed members are
-        one batch, not a race against the scheduler thread) and every
-        group touched is dispatchable at once — the ``max_wait`` window
-        is for independently arriving :meth:`submit` calls, and a
-        caller blocked on these futures cannot add to it.  A ready
-        group stays joinable while it queues behind a running solve.
+        request is enqueued under one lock hold, so co-keyed members
+        are one batch (up to ``max_batch``) rather than a race of
+        single submits against the scheduler thread.
 
         The admission gates run per request, in order; a shed or
         breaker-rejected request comes back as an already-failed
@@ -290,8 +263,7 @@ class CoalescingScheduler:
             try:
                 for request in requests:
                     try:
-                        future, group = self._enqueue(request)
-                        group.deadline = 0.0
+                        future = self._enqueue(request)
                     except (ShedError, CircuitOpenError) as e:
                         future = Future()
                         future.set_exception(e)
@@ -318,56 +290,29 @@ class CoalescingScheduler:
             for f in futures
         ]
 
-    def flush(self) -> None:
-        """Dispatch every open window now, ignoring remaining wait
-        time, and block until the queue is empty."""
-        with self._wake:
-            for group in self._groups.values():
-                group.deadline = 0.0
-            self._wake.notify()
-        while True:
-            with self._wake:
-                if not self._groups and not self._dispatching:
-                    return
-            time.sleep(0.001)
-
     # -------------------------------------------------------- dispatch
 
     _dispatching = False
 
     def _take_ready(self) -> _Group | None:
         """Under the lock: pop up to ``max_batch`` requests off the
-        first group that is full or past its window.  What a group
-        holds beyond the cap (it can grow past it behind a running
-        solve) stays queued under the same deadline."""
-        now = time.monotonic()
-        for key, group in self._groups.items():
-            if len(group.requests) > self.max_batch:
-                return group.split(self.max_batch)
-            if len(group.requests) == self.max_batch or now >= group.deadline:
-                del self._groups[key]
-                return group
-        return None
-
-    def _next_deadline(self):
-        return min(
-            (g.deadline for g in self._groups.values()), default=None
-        )
+        oldest group.  What a group holds beyond the cap (it can grow
+        past it behind a running solve) stays queued, first in line."""
+        key = next(iter(self._groups), None)
+        if key is None:
+            return None
+        if len(self._groups[key].requests) > self.max_batch:
+            return self._groups[key].split(self.max_batch)
+        return self._groups.pop(key)
 
     def _loop(self) -> None:
         while True:
             with self._wake:
                 group = self._take_ready()
                 if group is None:
-                    if self._closed and not self._groups:
+                    if self._closed:
                         return
-                    deadline = self._next_deadline()
-                    timeout = (
-                        None
-                        if deadline is None
-                        else max(deadline - time.monotonic(), 0.0)
-                    )
-                    self._wake.wait(timeout=timeout)
+                    self._wake.wait()
                     continue
                 self._dispatching = True
                 self._inflight = group.futures
@@ -454,9 +399,8 @@ class CoalescingScheduler:
             t_done = time.perf_counter()
             t_solved = t_done - demux
             solve = t_solved - t_dispatch
-            coalesce = (
-                t_dispatch - group.t_open if group.t_open else 0.0
-            )
+            # how long the batch's oldest member waited for it
+            coalesce = t_dispatch - enq[0] if enq else 0.0
             telemetry.observe("service.latency.solve", solve)
             telemetry.observe("service.latency.demux", demux)
             telemetry.observe("service.latency.coalesce", coalesce)
@@ -633,43 +577,30 @@ class CoalescingScheduler:
             "poisoned": self.poisoned,
             "retries": self.retries,
             "bisections": self.bisections,
-            "breaker": (
-                self._breaker.state
-                if self._breaker is not None
-                else "disabled"
-            ),
+            "breaker": self._breaker_state(),
         }
 
+    def _breaker_state(self) -> str:
+        return self._breaker.state if self._breaker is not None else "disabled"
+
     def queue_snapshot(self) -> dict:
-        """Point-in-time live state for the status file: open windows
-        (occupancy + remaining wait) and whether a batch is in flight.
-        Taken under the scheduler lock, so it is a consistent view."""
-        now = time.monotonic()
+        """Point-in-time live state for the status file: the queued
+        requests of each group key (oldest group first) and their
+        total ``depth`` — in-flight requests are not queued — whether
+        a batch is in flight, and the breaker state.  Taken under the
+        scheduler lock, so it is a consistent view."""
         with self._wake:
-            windows = [
-                {
-                    "pending": len(g.requests),
-                    "max_batch": self.max_batch,
-                    "window_remaining": max(g.deadline - now, 0.0),
-                }
-                for g in self._groups.values()
-            ]
+            pending = [len(g.requests) for g in self._groups.values()]
             return {
-                "open_windows": windows,
-                "dispatching": bool(self._dispatching),
-                "depth": sum(
-                    len(g.requests) for g in self._groups.values()
-                ),
-                "breaker": (
-                    self._breaker.state
-                    if self._breaker is not None
-                    else "disabled"
-                ),
+                "pending": pending,
+                "depth": sum(pending),
+                "dispatching": self._dispatching,
+                "breaker": self._breaker_state(),
             }
 
     def close(self, *, wait: bool = True, timeout: float = 60.0) -> None:
-        """Stop accepting requests; drain open windows, then stop the
-        scheduler thread.
+        """Stop accepting requests; dispatch what is queued, then stop
+        the scheduler thread.
 
         If the thread does not finish within ``timeout`` (a wedged
         engine, a hung pool), every still-pending future — queued or
@@ -680,8 +611,6 @@ class CoalescingScheduler:
             if self._closed:
                 return
             self._closed = True
-            for group in self._groups.values():
-                group.deadline = 0.0
             self._wake.notify()
         if not wait:
             return

@@ -1,10 +1,9 @@
 """The drain loop behind ``repro serve``: spool → scheduler → ``.npz``.
 
 The spool is the batching queue.  A pass claims everything pending and
-hands it to the scheduler whole (``submit_many``), so it is
-dispatchable at once: an idle engine never holds a request for a window
-that only this (blocked) loop could add to, and what arrives while a
-pass solves is claimed together by the next pass and rides one batch.
+hands it to the scheduler whole (``submit_many``), so co-keyed
+requests ride one batch that dispatches at once, and what arrives while
+a pass solves is claimed together by the next pass and rides the next.
 Results are written as their futures resolve; the request then retires
 to ``done/``, stays in ``inflight/`` for the next attempt, or is
 quarantined (:mod:`repro.service.spool` has the directory protocol).
@@ -20,10 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import telemetry
+from repro.durable import atomic_write
 from repro.materials import SyntheticBasinModel
 from repro.service.engine import SimulationSpec
 from repro.service.scheduler import CoalescingScheduler, ForwardRequest
-from repro.service.spool import Spool, atomic_write
+from repro.service.spool import Spool
 from repro.sources import idealized_northridge, idealized_strike_slip
 
 __all__ = ["ServeStats", "request_from_dict", "serve", "spec_from_dict"]

@@ -20,30 +20,11 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import time
 
-__all__ = ["Spool", "atomic_write"]
+from repro.durable import atomic_write
 
-
-def atomic_write(path: str, write, *, mode: str = "w",
-                 exclusive: bool = False) -> None:
-    """``write(f)`` into a temporary sibling, then move it onto
-    ``path`` in one step: a reader sees the old file or the complete
-    new one, never a torn write.  ``exclusive`` publishes with
-    ``os.link`` instead of ``os.replace`` and raises
-    :class:`FileExistsError` rather than overwrite."""
-    # pid + thread id: concurrent writers never share a temporary
-    tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
-    with open(tmp, mode) as f:
-        write(f)
-    if not exclusive:
-        os.replace(tmp, path)
-        return
-    try:
-        os.link(tmp, path)
-    finally:
-        os.unlink(tmp)
+__all__ = ["Spool"]
 
 
 def _is_request(fname: str) -> bool:
@@ -174,7 +155,10 @@ class Spool:
 
     def complete(self, fname: str) -> None:
         """Retire a served request to ``done/`` (call it only after
-        its result is durably in place)."""
+        its result is durably in place: ``serve`` writes the ``.npz``
+        with :func:`repro.durable.atomic_write`, which syncs the bytes
+        to disk before the rename publishes them, so ``done/`` never
+        points at a torn or empty result)."""
         self._retire(fname, self.done_dir)
 
     def quarantine(self, fname: str, report: dict) -> None:

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import telemetry
+from repro.durable import atomic_write
 
 
 def checkpoint_schedule(nsteps: int, slots: int) -> list[int]:
@@ -140,10 +141,10 @@ def save_checkpoint(path: str, step: int, arrays: dict,
 
     Layout: 8-byte magic, uint32 version, uint32 header length, JSON
     header (step, meta, array table with dtype/shape/nbytes/CRC32),
-    then the raw array payloads back to back.  The file is written to
-    ``path + ".tmp"``, fsynced, and atomically renamed over ``path`` —
-    a crash mid-write leaves the previous checkpoint intact, never a
-    half-written one under the live name.
+    then the raw array payloads back to back.  Written with
+    :func:`repro.durable.atomic_write` — a crash mid-write leaves the
+    previous checkpoint intact, never a half-written one under the
+    live name.
     """
     entries = []
     blobs = []
@@ -164,18 +165,11 @@ def save_checkpoint(path: str, step: int, arrays: dict,
         {"step": int(step), "meta": meta or {}, "arrays": entries},
         sort_keys=True,
     ).encode()
-    tmp = path + ".tmp"
+    chunks = [_MAGIC, struct.pack("<II", _VERSION, len(header)), header,
+              *blobs]
     with telemetry.span("ckpt.save"):
-        with open(tmp, "wb") as f:
-            f.write(_MAGIC)
-            f.write(struct.pack("<II", _VERSION, len(header)))
-            f.write(header)
-            for blob in blobs:
-                f.write(blob)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    nbytes = len(_MAGIC) + 8 + len(header) + sum(len(b) for b in blobs)
+        atomic_write(path, lambda f: f.writelines(chunks), mode="wb")
+    nbytes = sum(len(c) for c in chunks)
     telemetry.count("resilience.checkpoints_written")
     telemetry.count("resilience.checkpoint_bytes", nbytes)
     return nbytes

@@ -27,6 +27,8 @@ import json
 import os
 import time
 
+from repro.durable import atomic_write
+
 __all__ = [
     "FlightRecorder",
     "MetricsJsonlExporter",
@@ -111,12 +113,8 @@ def prometheus_text(registry=None, *, include_spans: bool = True) -> str:
 def write_prometheus(path: str, registry=None) -> None:
     """Atomically write :func:`prometheus_text` to ``path`` (the
     node-exporter textfile-collector contract)."""
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as f:
-        f.write(prometheus_text(registry))
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
+    text = prometheus_text(registry)
+    atomic_write(path, lambda f: f.write(text))
 
 
 class MetricsJsonlExporter:
@@ -256,19 +254,17 @@ class StatusFile:
 
     ``repro serve`` writes it after every poll/drain; ``repro top``
     (or anything else) reads it without coordination — the write is
-    tmp + ``os.replace`` so a reader never sees a torn file."""
+    :func:`repro.durable.atomic_write`, so a reader never sees a torn
+    file."""
 
     def __init__(self, path: str):
         self.path = path
 
     def write(self, payload: dict) -> None:
         rec = {"ts": time.time(), "pid": os.getpid(), **payload}
-        tmp = f"{self.path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as f:
-            json.dump(rec, f, indent=2, default=str)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, self.path)
+        atomic_write(
+            self.path, lambda f: json.dump(rec, f, indent=2, default=str)
+        )
 
     def read(self) -> dict | None:
         try:

@@ -67,8 +67,8 @@ _NULL_SPAN = _NullSpan()
 # per submitted job, the service sets it as the ambient context around
 # the solve, and every recorded span event (plus the per-rank
 # timelines, which ship it through the ProcWorld pipe protocol) is
-# tagged with it — so the exporter can stitch queue wait, coalescing
-# window, solve phases, and demux back into one per-request trace.
+# tagged with it — so the exporter can stitch queue wait, solve
+# phases, and demux back into one per-request trace.
 # The context is independent of whether telemetry is enabled: worker
 # processes run with telemetry off but still need to label the
 # timelines they return.

@@ -184,3 +184,48 @@ def test_serve_quarantines_at_max_attempts(tmp_path, monkeypatch, capsys):
     assert report["attempts"] == 1
     assert report["error_type"] == "PoisonedRequestError"
     assert not list((tmp_path / "spool" / "inflight").glob("req-*"))
+
+
+def test_serve_exporters_and_top(tmp_path, capsys):
+    # two spooled requests served with every exporter armed: both
+    # request traces stitch to the batch's solve spans, the Prometheus
+    # file carries the service metrics, and `top` renders the status
+    from repro import telemetry
+
+    spool, status = str(tmp_path / "spool"), str(tmp_path / "status.json")
+    prom, trace = tmp_path / "prom.txt", tmp_path / "trace.jsonl"
+    spec_args = ["--L", "8000", "--fmax", "0.15", "--max-level", "3",
+                 "--t-end", "1.0"]
+    telemetry.disable()
+    try:
+        assert main(["submit", "--spool", spool] + spec_args) == 0
+        assert main(["submit", "--spool", spool] + spec_args
+                    + ["--scenario", "northridge"]) == 0
+        rc = main([
+            "serve", "--spool", spool, "--out-dir", str(tmp_path / "out"),
+            "--status-file", status, "--prometheus", str(prom),
+            "--metrics-jsonl", str(tmp_path / "metrics.jsonl"),
+            "--trace-out", str(trace), "--report",
+        ])
+        assert rc == 0
+        recs = [json.loads(line) for line in trace.read_text().splitlines()]
+        reqs = [r for r in recs if r["type"] == "request_trace"]
+        links = {r["trace"]: r["parent"]
+                 for r in recs if r["type"] == "trace_link"}
+        assert len(reqs) == 2
+        for r in reqs:
+            ids = (r["trace"], links.get(r["trace"]))
+            assert any(
+                e["type"] == "event" and e.get("trace") in ids for e in recs
+            ), f"no stitched events for {r['request']}"
+        text = prom.read_text()
+        assert "repro_service_latency_total" in text
+        assert 'quantile="0.99"' in text
+        assert "repro_service_cache_hit_ratio" in text
+        capsys.readouterr()
+        assert main(["top", "--status-file", status]) == 0
+        assert "  queue: 0 queued in 0 group(s), idle" in (
+            capsys.readouterr().out
+        )
+    finally:
+        telemetry.disable()

@@ -7,8 +7,8 @@ The contracts under test:
   sample cap and bounded-error bucket estimates beyond it.
 * **Ring buffer** — the span event stream keeps the *most recent* N
   events, counts evictions, and surfaces the count in every export.
-* **Trace propagation** — a request's trace id survives the
-  scheduler's coalescing window, the engine dispatch, both transports
+* **Trace propagation** — a request's trace id survives coalescing,
+  the engine dispatch, both transports
   (piggybacked on the ProcWorld pipe protocol), and a mid-run rank
   kill + respawn — stitching back into one per-request trace.
 * **Exporters** — Prometheus text and JSONL snapshots render the same
@@ -18,6 +18,7 @@ The contracts under test:
 
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -50,6 +51,7 @@ from repro.telemetry.export import (
 )
 from repro.telemetry.metrics import Histogram, MetricsRegistry
 from repro.telemetry.spans import Tracer
+from tests.test_policy import StubEngine, _req, _wait_for
 
 MAT = HomogeneousMaterial(vs=1000.0, vp=1800.0, rho=2000.0)
 
@@ -262,7 +264,7 @@ class TestPrometheus:
         path = str(tmp_path / "prom.txt")
         telemetry.write_prometheus(path)
         assert "repro_x_total 3" in open(path).read()
-        assert not os.path.exists(path + f".tmp.{os.getpid()}")
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestJsonlExporter:
@@ -289,15 +291,12 @@ class TestJsonlExporter:
 class TestStatusFile:
     def test_write_read_roundtrip(self, tmp_path):
         st = StatusFile(str(tmp_path / "status.json"))
-        st.write({"served": 4, "queue": {"open_windows": []}})
+        st.write({"served": 4, "queue": {"depth": 0}})
         snap = st.read()
         assert snap["served"] == 4
         assert snap["pid"] == os.getpid()
         assert snap["ts"] > 0
-        assert not any(
-            f.startswith("status.json.tmp")
-            for f in os.listdir(str(tmp_path))
-        )
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_read_missing_or_torn_is_none(self, tmp_path):
         st = StatusFile(str(tmp_path / "nope.json"))
@@ -358,14 +357,11 @@ class TestServiceTracing:
         with Engine() as engine:
             sim = engine.simulation(spec)
             t_end = 10.5 * sim.dt
-            sched = CoalescingScheduler(
-                engine, max_batch=4, max_wait=0.2
-            )
+            sched = CoalescingScheduler(engine, max_batch=4)
             with sched:
                 r1 = ForwardRequest(spec, s1, t_end, receivers=RECEIVERS)
                 r2 = ForwardRequest(spec, s2, t_end, receivers=RECEIVERS)
-                f1, f2 = sched.submit(r1), sched.submit(r2)
-                f1.result(), f2.result()
+                sched.map_wait([r1, r2])
             assert sched.stats()["batches"] == 1  # they coalesced
         tr = telemetry.current_tracer()
         assert r1.trace_id is not None and r2.trace_id is not None
@@ -389,33 +385,35 @@ class TestServiceTracing:
             e["trace"] == r2.trace_id for e in st["events"]
         )
 
-    def test_queue_snapshot_reports_window_occupancy(self):
-        telemetry.enable()
-        spec = SimulationSpec(**SPEC_KW)
-        scen = idealized_strike_slip(L=spec.L)
-        with Engine() as engine:
-            sim = engine.simulation(spec)
-            sched = CoalescingScheduler(
-                engine, max_batch=8, max_wait=30.0
+    def test_queue_snapshot_reports_depth_behind_a_running_solve(self):
+        gate = threading.Event()
+        engine = StubEngine(gate=gate)
+        sched = CoalescingScheduler(engine, max_batch=8)
+        try:
+            sched.submit(_req(t_end=1.0))
+            _wait_for(lambda: engine.calls == 1)  # in flight, gated
+            sched.submit_many(
+                [_req(t_end=2.0), _req(t_end=2.0), _req(t_end=3.0)]
             )
-            try:
-                sched.submit(
-                    ForwardRequest(spec, scen, 5.5 * sim.dt)
-                )
-                snap = sched.queue_snapshot()
-                assert len(snap["open_windows"]) == 1
-                w = snap["open_windows"][0]
-                assert w["pending"] == 1 and w["max_batch"] == 8
-                assert 0.0 < w["window_remaining"] <= 30.0
-            finally:
-                sched.close()
+            # the in-flight request is not queued; the rest wait per
+            # key, oldest group first
+            assert sched.queue_snapshot() == {
+                "pending": [2, 1],
+                "depth": 3,
+                "dispatching": True,
+                "breaker": "closed",
+            }
+        finally:
+            gate.set()
+            sched.close()
+        assert sched.queue_snapshot()["depth"] == 0
 
     def test_disabled_scheduler_mints_no_traces(self):
         spec = SimulationSpec(**SPEC_KW)
         scen = idealized_strike_slip(L=spec.L)
         with Engine() as engine:
             sim = engine.simulation(spec)
-            with CoalescingScheduler(engine, max_wait=0.0) as sched:
+            with CoalescingScheduler(engine) as sched:
                 req = ForwardRequest(spec, scen, 5.5 * sim.dt)
                 sched.submit(req).result()
         assert req.trace_id is None

@@ -21,7 +21,7 @@ What PR 10 guarantees, each with a test:
 
 import threading
 import time
-from concurrent.futures import CancelledError
+from concurrent.futures import CancelledError, wait
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 
 import numpy as np
@@ -149,19 +149,15 @@ def test_one_poisoned_member_is_isolated(warm_engine, spec=None):
     sched = CoalescingScheduler(
         warm_engine,
         max_batch=len(scenarios),
-        max_wait=30.0,
         policy=ServicePolicy(retry=None),
     )
-    futures = [
-        sched.submit(
-            ForwardRequest(
-                spec, sc, t_end,
-                receivers=RECEIVERS, request_id=f"req-{i}",
-            )
+    futures = sched.submit_many([
+        ForwardRequest(
+            spec, sc, t_end, receivers=RECEIVERS, request_id=f"req-{i}",
         )
         for i, sc in enumerate(scenarios)
-    ]
-    sched.flush()
+    ])
+    wait(futures)
     # the culprit fails alone, structurally
     err = futures[0].exception()
     assert isinstance(err, PoisonedRequestError)
@@ -204,19 +200,15 @@ def test_two_poisoned_members_are_both_isolated(warm_engine):
     sched = CoalescingScheduler(
         warm_engine,
         max_batch=len(scenarios),
-        max_wait=30.0,
         policy=ServicePolicy(retry=None),
     )
-    futures = [
-        sched.submit(
-            ForwardRequest(
-                spec, sc, t_end,
-                receivers=RECEIVERS, request_id=f"req-{i}",
-            )
+    futures = sched.submit_many([
+        ForwardRequest(
+            spec, sc, t_end, receivers=RECEIVERS, request_id=f"req-{i}",
         )
         for i, sc in enumerate(scenarios)
-    ]
-    sched.flush()
+    ])
+    wait(futures)
     for i in (0, 3):
         err = futures[i].exception()
         assert isinstance(err, PoisonedRequestError)
@@ -245,14 +237,13 @@ def test_bisect_disabled_fails_whole_batch(warm_engine):
     sched = CoalescingScheduler(
         warm_engine,
         max_batch=2,
-        max_wait=30.0,
         policy=ServicePolicy(bisect=False, retry=None),
     )
-    futures = [
-        sched.submit(ForwardRequest(spec, sc, t_end, receivers=RECEIVERS))
+    futures = sched.submit_many([
+        ForwardRequest(spec, sc, t_end, receivers=RECEIVERS)
         for sc in scenarios
-    ]
-    sched.flush()
+    ])
+    wait(futures)
     # pre-policy blast radius: both futures fail, one solve
     assert all(
         isinstance(f.exception(), PoisonedRequestError) for f in futures
@@ -269,23 +260,20 @@ def test_expired_request_rejected_before_solve(warm_engine):
     sim = warm_engine.simulation(spec)
     t_end = 12 * sim.dt
     sched = CoalescingScheduler(
-        warm_engine, max_batch=2, max_wait=30.0,
-        policy=ServicePolicy(retry=None),
+        warm_engine, max_batch=2, policy=ServicePolicy(retry=None),
     )
-    dead = sched.submit(
+    dead, live = sched.submit_many([
         ForwardRequest(
             spec, idealized_strike_slip(L=spec.L), t_end,
             receivers=RECEIVERS, request_id="dead",
             deadline=time.monotonic() - 0.001,
-        )
-    )
-    live = sched.submit(
+        ),
         ForwardRequest(
             spec, idealized_strike_slip(L=spec.L), t_end,
             receivers=RECEIVERS, request_id="live",
-        )
-    )
-    sched.flush()
+        ),
+    ])
+    wait([dead, live])
     err = dead.exception()
     assert isinstance(err, DeadlineExceeded)
     assert err.stage == "dispatch"
@@ -303,7 +291,7 @@ def test_deadline_checked_again_at_demux():
 
     eng = StubEngine(script=slow)
     sched = CoalescingScheduler(
-        eng, max_batch=1, max_wait=0.0,
+        eng, max_batch=1,
         policy=ServicePolicy(retry=None),
     )
     f = sched.submit(_req(deadline=time.monotonic() + 0.05))
@@ -316,23 +304,27 @@ def test_deadline_checked_again_at_demux():
 def test_policy_mints_deadline_at_submit():
     eng = StubEngine()
     sched = CoalescingScheduler(
-        eng, max_batch=4, max_wait=30.0,
-        policy=ServicePolicy(deadline=60.0, retry=None),
+        eng, max_batch=4, policy=ServicePolicy(deadline=60.0, retry=None),
     )
     r = _req()
-    sched.submit(r)
+    [f] = sched.submit_many([r])
     assert r.deadline is not None
     assert 55.0 < r.deadline - time.monotonic() <= 60.0
-    sched.flush()
+    f.result(timeout=5)
     sched.close()
 
 
 def test_queue_at_capacity_sheds():
-    eng = StubEngine()
+    gate = threading.Event()
+    eng = StubEngine(gate=gate)
     sched = CoalescingScheduler(
-        eng, max_batch=10, max_wait=30.0,
+        eng, max_batch=10,
         policy=ServicePolicy(max_queue_depth=2, retry=None),
     )
+    # one request in flight (gated), two queued behind it: depth
+    # counts the queued ones only
+    f0 = sched.submit(_req())
+    _wait_for(lambda: eng.calls == 1)
     f1 = sched.submit(_req())
     f2 = sched.submit(_req())
     with pytest.raises(ShedError) as ei:
@@ -340,7 +332,8 @@ def test_queue_at_capacity_sheds():
     assert ei.value.depth == 2
     assert ei.value.limit == 2
     assert sched.stats()["shed"] == 1
-    sched.flush()
+    gate.set()
+    assert f0.result(timeout=5) == "result-0"
     # the admitted requests were untouched by the shed
     assert f1.result() == "result-0"
     assert f2.result() == "result-1"
@@ -357,7 +350,7 @@ def test_transient_worker_failure_retries():
 
     eng = StubEngine(script=flaky)
     sched = CoalescingScheduler(
-        eng, max_batch=1, max_wait=0.0,
+        eng, max_batch=1,
         policy=ServicePolicy(
             retry=RetryPolicy(max_retries=2, backoff=0.001)
         ),
@@ -380,7 +373,7 @@ def test_breaker_trips_fast_fails_and_half_opens():
 
     eng = StubEngine(script=script)
     sched = CoalescingScheduler(
-        eng, max_batch=1, max_wait=0.0,
+        eng, max_batch=1,
         policy=ServicePolicy(
             retry=None, breaker_threshold=2, breaker_cooldown=0.2
         ),
@@ -414,7 +407,7 @@ def test_breaker_trip_drains_queued_requests():
 
     eng = StubEngine(script=script, gate=gate)
     sched = CoalescingScheduler(
-        eng, max_batch=1, max_wait=0.0,
+        eng, max_batch=1,
         policy=ServicePolicy(retry=None, breaker_threshold=1),
     )
     f1 = sched.submit(_req(t_end=1.0))
@@ -437,7 +430,7 @@ def test_breaker_trip_drains_queued_requests():
 def test_close_cancels_stuck_futures():
     gate = threading.Event()
     eng = StubEngine(gate=gate)
-    sched = CoalescingScheduler(eng, max_batch=1, max_wait=0.0)
+    sched = CoalescingScheduler(eng, max_batch=1)
     f = sched.submit(_req())
     _wait_for(lambda: eng.calls == 1)
     # the engine is wedged: close's join times out and the pending
@@ -455,7 +448,7 @@ def test_close_cancels_stuck_futures():
 def test_map_wait_timeout():
     gate = threading.Event()
     eng = StubEngine(gate=gate)
-    sched = CoalescingScheduler(eng, max_batch=1, max_wait=0.0)
+    sched = CoalescingScheduler(eng, max_batch=1)
     with pytest.raises(FuturesTimeoutError):
         sched.map_wait([_req()], timeout=0.2)
     gate.set()

@@ -92,7 +92,7 @@ def test_run_checkpoint_roundtrip(tmp_path):
     np.testing.assert_array_equal(ck.arrays["u"], arrays["u"])
     np.testing.assert_array_equal(ck.arrays["mask"], arrays["mask"])
     # no stray temp file from the atomic write-rename
-    assert not os.path.exists(path + ".tmp")
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_checkpoint_rejects_corruption(tmp_path):

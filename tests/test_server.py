@@ -1,12 +1,12 @@
 """``repro.service.server.serve``: the dispatch rule, without sleeps.
 
 The rule under test is work conservation — a claimed pass is handed to
-the scheduler whole (``submit_many``) and is dispatchable at once, and
-no batch is ever wider than ``max_batch``.  Every scheduler here is
-built with ``max_wait=30.0``: a test that waits on the window instead
-of the rule would take 30 s, so none of them needs a real timer.  The
-engine is :class:`tests.test_policy.StubEngine` (scripted, gate-able);
-``sleep`` is a fake that records its calls and ends a ``watch`` loop.
+the scheduler whole (``submit_many``) and is dispatchable at once, a
+request that arrives behind a running solve joins its key's queued
+group, and no batch is ever wider than ``max_batch``.  None of it needs
+a real timer.  The engine is :class:`tests.test_policy.StubEngine`
+(scripted, gate-able); ``sleep`` is a fake that records its calls and
+ends a ``watch`` loop.
 """
 
 import threading
@@ -71,14 +71,14 @@ class FakeSleep:
 
 @pytest.fixture
 def rig(tmp_path):
-    """A spool, an output directory and a 30 s-window scheduler on a
-    stub engine; ``rig.scheduler(...)`` builds the scheduler so a test
-    can choose ``max_batch`` / ``policy`` / the engine's gate."""
+    """A spool, an output directory and a scheduler on a stub engine;
+    ``rig.scheduler(...)`` builds the scheduler so a test can choose
+    ``max_batch`` / ``policy`` / the engine's gate."""
     made = []
 
     def scheduler(*, gate=None, **kw):
         engine = ServeStub(gate=gate)
-        sched = CoalescingScheduler(engine, max_wait=30.0, **kw)
+        sched = CoalescingScheduler(engine, **kw)
         made.append(sched)
         return sched
 
@@ -189,14 +189,21 @@ def test_submit_many_reports_rejection_on_the_future(rig):
     ]
 
 
-def test_ready_group_stays_joinable_behind_a_running_solve(rig):
+@pytest.mark.parametrize("entry", ["submit", "submit_many"])
+def test_ready_group_stays_joinable_behind_a_running_solve(rig, entry):
     gate = threading.Event()
     sched = rig.scheduler(gate=gate)
     engine = sched.engine
-    first = sched.submit_many([_req(t_end=1.0)])
+
+    def enqueue(request):
+        if entry == "submit":
+            return [sched.submit(request)]
+        return sched.submit_many([request])
+
+    # a lone submit used to sit out the scheduler's batching window
+    first = enqueue(_req(t_end=1.0))
     _wait_for(lambda: engine.calls == 1)  # key 1 is solving, gated
-    late = sched.submit_many([_req(t_end=2.0)])
-    late += sched.submit_many([_req(t_end=2.0)])
+    late = enqueue(_req(t_end=2.0)) + enqueue(_req(t_end=2.0))
     gate.set()
     for f in first + late:
         f.result(timeout=5.0)

@@ -256,9 +256,7 @@ def test_coalesced_columns_bitwise_equal_solo(warm_engine):
         ForwardRequest(spec, sc, t_end, receivers=RECEIVERS)
         for sc in scenarios
     ]
-    with CoalescingScheduler(
-        warm_engine, max_batch=len(requests), max_wait=30.0
-    ) as sched:
+    with CoalescingScheduler(warm_engine, max_batch=len(requests)) as sched:
         coalesced = sched.map_wait(requests)
         stats = sched.stats()
     assert stats["batches"] == 1  # all three shared one fused loop
@@ -277,12 +275,8 @@ def test_incompatible_requests_do_not_coalesce(warm_engine):
         ForwardRequest(spec, scenario, 11 * sim.dt, receivers=RECEIVERS),
     ]
     assert requests[0].group_key() != requests[1].group_key()
-    with CoalescingScheduler(
-        warm_engine, max_batch=4, max_wait=30.0
-    ) as sched:
-        futures = [sched.submit(r) for r in requests]
-        sched.flush()
-        results = [f.result() for f in futures]
+    with CoalescingScheduler(warm_engine, max_batch=4) as sched:
+        results = sched.map_wait(requests)
         assert sched.stats()["batches"] == 2
     for req, seis in zip(requests, results):
         solo = warm_engine.submit(

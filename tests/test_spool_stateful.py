@@ -25,10 +25,12 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro import durable
+from repro.durable import atomic_write
 from repro.service import CoalescingScheduler
 from repro.service import spool as spool_mod
 from repro.service.server import serve
-from repro.service.spool import Spool, atomic_write
+from repro.service.spool import Spool
 from tests.test_server import ServeStub, spooled
 
 WHERE = ("pending", "inflight", "done", "quarantine")
@@ -40,9 +42,10 @@ class Crash(BaseException):
 
 
 class FaultyOS:
-    """Stands in for ``os`` inside ``repro.service.spool``: counts the
-    mutating calls and dies at the armed one — before it takes effect
-    or right after — and stays dead until :meth:`revive`."""
+    """Stands in for ``os`` inside ``repro.service.spool`` and
+    ``repro.durable`` (the spool's writes): counts the mutating calls
+    and dies at the armed one — before it takes effect or right after
+    — and stays dead until :meth:`revive`."""
 
     MUTATORS = ("replace", "link", "remove", "unlink")
 
@@ -90,10 +93,10 @@ class SpoolModel(RuleBasedStateMachine):
         self.dir = tempfile.TemporaryDirectory()
         self.out = os.path.join(self.dir.name, "out")
         os.makedirs(self.out)
-        self.os = spool_mod.os = FaultyOS()
+        self.os = spool_mod.os = durable.os = FaultyOS()
         self.where: dict[str, str] = {}
         self.attempts: dict[str, int] = {}
-        self.scheduler = CoalescingScheduler(ServeStub(), max_wait=30.0)
+        self.scheduler = CoalescingScheduler(ServeStub())
         self.open()
 
     def open(self) -> None:
@@ -103,7 +106,7 @@ class SpoolModel(RuleBasedStateMachine):
     def teardown(self):
         self.drain()
         self.scheduler.close()
-        spool_mod.os = os
+        spool_mod.os = durable.os = os
         self.dir.cleanup()
 
     # ---------------------------------------------------------- helpers
