@@ -388,8 +388,8 @@ class NumpyElementKernel:
     def coef_gradient(self, rows, adj_rows) -> np.ndarray:
         """``g[i, e] = sum_t adj_t[dof_e] . (M_i rows_t[dof_e])`` — the
         derivative of ``sum_t adj_t^T K(c) rows_t`` with respect to the
-        coefficient ``c_i[e]`` (the material-gradient accumulation of
-        the inversions).  Same row blocks as :meth:`matrows`, with the
+        coefficient ``c_i[e]`` (the elastic inversion's material-gradient
+        accumulation).  Same row blocks as :meth:`matrows`, with the
         scatter replaced by a contraction against the gathered
         ``adj_rows``; returns ``(nmat, nelem)``."""
         if (

@@ -14,16 +14,54 @@ Per-element material coefficients are *folded into the CSR data array*
 scaling passes from the hot loop entirely: the scatter multiplies each
 gathered element value by its coefficient as it accumulates.
 
-:func:`spmv_acc` / :func:`spmv_into` wrap scipy's internal
-``csr_matvec(s)`` C routines, which accumulate into a caller-provided
-output vector (``scipy.sparse._sparsetools`` ships with every scipy the
-package supports).
+:func:`spmv_acc` / :func:`spmv_into` and :meth:`CSR.acc` wrap scipy's
+internal ``csr_matvec(s)`` C routines, which accumulate into a
+caller-provided output vector (``scipy.sparse._sparsetools`` ships with
+every scipy the package supports).
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 from scipy.sparse import _sparsetools as _st
+
+
+def _csr_acc(nrows, ncols, indptr, indices, data, x, y):
+    """``y += A x`` for the CSR arrays of an ``(nrows, ncols)`` matrix;
+    a C-contiguous 2D ``x`` / ``y`` is a block of column vectors, each
+    column bit for bit the 1D product."""
+    if x.ndim == 2:
+        _st.csr_matvecs(
+            nrows, ncols, x.shape[1], indptr, indices, data,
+            x.reshape(-1), y.reshape(-1),
+        )
+    else:
+        _st.csr_matvec(nrows, ncols, indptr, indices, data, x, y)
+    return y
+
+
+class CSR(NamedTuple):
+    """A CSR matrix as its bare arrays — ``len(indptr) - 1`` rows,
+    ``ncols`` columns — applied without building a scipy object."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    ncols: int
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def acc(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``y += A x``, allocation-free; ``x`` is ``(ncols,)`` or a
+        C-contiguous ``(ncols, B)`` block, ``y`` likewise."""
+        return _csr_acc(
+            len(self.indptr) - 1, self.ncols, self.indptr, self.indices,
+            self.data, x, y,
+        )
 
 
 class ScatterPlan:
@@ -157,15 +195,7 @@ class ScatterPlan:
 def spmv_acc(A, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``y += A @ x`` for a CSR matrix ``A``; ``x``/``y`` may be 1D or
     C-contiguous 2D (multiple right-hand sides); allocation-free."""
-    M, N = A.shape
-    if x.ndim == 2:
-        _st.csr_matvecs(
-            M, N, x.shape[1], A.indptr, A.indices, A.data,
-            x.reshape(-1), y.reshape(-1),
-        )
-    else:
-        _st.csr_matvec(M, N, A.indptr, A.indices, A.data, x, y)
-    return y
+    return _csr_acc(*A.shape, A.indptr, A.indices, A.data, x, y)
 
 
 def spmv_into(A, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -75,7 +75,7 @@ class AttenuationInverseProblem(LeastSquaresProblem):
             alpha=alpha_e,
         )
 
-    def accumulate(self, state, lam: np.ndarray) -> np.ndarray:
+    def accumulate(self, state, L: np.ndarray) -> np.ndarray:
         N = self.nsteps
         dt = self.dt
         u = state.u
@@ -84,7 +84,7 @@ class AttenuationInverseProblem(LeastSquaresProblem):
         for k0 in range(1, N, chunk):
             ks = np.arange(k0, min(k0 + chunk, N))
             g += 0.5 * dt * self.solver.alpha_material_gradient_batch(
-                u[ks + 1] - u[ks - 1], lam[ks + 1]
+                u[ks + 1] - u[ks - 1], L[ks - 1]
             )
         return self.P.T @ g
 

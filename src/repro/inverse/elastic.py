@@ -277,16 +277,14 @@ class ElasticInverseProblem(LeastSquaresProblem):
     def march(self, model, forcing) -> np.ndarray:
         return self._march(*model, forcing)
 
-    def accumulate(self, state, adj: np.ndarray) -> np.ndarray:
+    def accumulate(self, state, L: np.ndarray) -> np.ndarray:
         """Per-element ``(g_lambda, g_mu)`` stacked as one vector on the
         material grid via ``P^T``."""
         dt = self.dt
         N = self.nsteps
         u = state.u
         lam_e, mu_e = state.model
-        g_l, g_m = self.kernel.K_material_gradient_batch(
-            u[1:N], adj[2 : N + 1]
-        )
+        g_l, g_m = self.kernel.K_material_gradient_batch(u[1:N], L)
         g_l *= dt**2
         g_m *= dt**2
         chunk = 32
@@ -294,7 +292,7 @@ class ElasticInverseProblem(LeastSquaresProblem):
             k1 = min(k0 + chunk, N)
             bl, bm = self.boundary.material_gradient_batch(
                 u[k0 + 1 : k1 + 1] - u[k0 - 1 : k1 - 1],
-                adj[k0 + 1 : k1 + 1],
+                L[k0 - 1 : k1 - 1],
                 lam_e, mu_e, self.rho_e,
             )
             g_l += 0.5 * dt * bl

@@ -116,8 +116,11 @@ class LeastSquaresProblem:
     * ``march(model, forcing)`` — the stored leapfrog history
       ``(nsteps + 1, nnode, *comp, *tail)`` driven by ``forcing(k)``
       (``dt^2``-scaled, as every forcing here is);
-    * ``accumulate(state, lam)`` — the parameter equation: the gradient
-      contribution of an adjoint history ``lam`` against ``state.u``;
+    * ``accumulate(state, L)`` — the parameter equation: the gradient
+      contribution of an adjoint history against ``state.u``, handed
+      over as ``L[k - 1] = lam^{k+1}`` for ``k = 1 .. nsteps - 1``
+      (shaped like ``state.u[1:nsteps]``, a reversed view of the
+      adjoint march);
     * ``incremental_forcing(state, v)`` — the Gauss-Newton incremental
       forward's forcing as a table ``F[k - 1]``, shaped like
       ``state.u[1:nsteps]``;
@@ -256,22 +259,19 @@ class LeastSquaresProblem:
         return forcing
 
     def _adjoint(self, state: ForwardState, traces: list) -> np.ndarray:
-        """Adjoint history ``lam`` (``lam[j]`` valid for ``j = 2 ..
-        nsteps``) driven by per-shot receiver ``traces``.
+        """Adjoint history ``L`` driven by per-shot receiver ``traces``:
+        ``L[k - 1] = lam^{k+1}`` for ``k = 1 .. nsteps - 1``.
 
         The adjoint is the same leapfrog with time reversed: with
         ``x^m := lam^{N+2-m}``, the recurrence and the dissipative sign
-        of the absorbing boundary are unchanged (paper eq. 3.3).
+        of the absorbing boundary are unchanged (paper eq. 3.3) — so
+        ``L`` is the reversed view ``x[N:1:-1]`` of the march, no copy.
         """
-        N = self.nsteps
-        shape = state.u.shape[1:]
         x = self._solve(
-            state.model, self._receiver_forcing(shape, traces),
+            state.model, self._receiver_forcing(state.u.shape[1:], traces),
             "inverse.adjoint",
         )
-        lam = np.zeros((N + 1, *shape))
-        lam[2 : N + 1] = x[2 : N + 1][::-1]
-        return lam
+        return x[self.nsteps : 1 : -1]
 
     def _add_penalty_gradient(self, m: np.ndarray, g: np.ndarray) -> np.ndarray:
         for rows, reg in self.penalties():
@@ -454,34 +454,36 @@ class ScalarWaveInverseProblem(LeastSquaresProblem):
             batch=self.tail[0] if self.tail else None,
         )
 
-    def accumulate(self, state: ForwardState, lam: np.ndarray) -> np.ndarray:
+    def accumulate(self, state: ForwardState, L: np.ndarray) -> np.ndarray:
         """``g_e = sum_k lam^{k+1,T} [dt^2 K_e u^k + (dt/2) C_e (u^{k+1}
         - u^{k-1}) - dt^2 db^k/dmu_e]``, returned on the grid as ``P^T
         g_e``.
 
-        The stiffness term runs over the whole history on the kernel's
-        row blocks; the boundary and fault terms touch few nodes and
-        are vectorized over time in chunks.  Multi-shot fields ``(nt,
-        nnode, B)`` contract over time *and* shots; the per-shot fault
-        coupling slices its own column."""
+        The stiffness term is one stencil correlation over the whole
+        history; the boundary terms read the damped nodes only and the
+        fault terms their own few nodes, vectorized over time in
+        chunks.  Multi-shot fields ``(nt, nnode, B)`` contract over
+        time *and* shots; the per-shot fault coupling slices its own
+        column."""
         N = self.nsteps
         dt = self.dt
+        solver = self.solver
         u, mu_e = state.u, state.model
-        g = dt**2 * self.solver.K_material_gradient_batch(
-            u[1:N], lam[2 : N + 1]
-        )
+        g = dt**2 * solver.K_material_gradient_batch(u[1:N], L)
+        ub = u[:, solver.damped_nodes]
+        Lb = L[:, solver.damped_nodes]
         chunk = 128
         for k0 in range(1, N, chunk):
             k1 = min(k0 + chunk, N)
-            L = lam[k0 + 1 : k1 + 1]
-            g += 0.5 * dt * self.solver.C_material_gradient_batch(
-                u[k0 + 1 : k1 + 1] - u[k0 - 1 : k1 - 1], L, mu_e
+            g += 0.5 * dt * solver.C_material_gradient_batch(
+                ub[k0 + 1 : k1 + 1] - ub[k0 - 1 : k1 - 1],
+                Lb[k0 - 1 : k1 - 1], mu_e,
             )
             for s, shot in enumerate(self.shots):
                 if shot.fault is None or shot.source_params is None:
                     continue
                 g -= dt**2 * shot.fault.material_gradient_batch(
-                    self._column(L, s), shot.source_params,
+                    self._column(L[k0 - 1 : k1 - 1], s), shot.source_params,
                     np.arange(k0, k1) * dt,
                 )
         return self.P.T @ g
@@ -489,9 +491,9 @@ class ScalarWaveInverseProblem(LeastSquaresProblem):
     def incremental_forcing(self, state: ForwardState, v: np.ndarray) -> np.ndarray:
         """``F[k-1] = -(dt/2) C_delta (u^{k+1} - u^{k-1}) - dt^2 K(dmu)
         u^k + dt^2 (db^k/dmu) dmu`` for ``k = 1 .. N-1``, ``dmu = P v``.
-        ``K(dmu)`` is bound once and applied to the stored history in
-        one time-batched pass, so the march that consumes the table
-        never alternates materials through the kernel."""
+        ``K(dmu)`` is assembled once and applied to every row of the
+        stored history before the march that consumes the table starts;
+        the damping term is nonzero on the damped nodes only."""
         u = state.u
         dt = self.dt
         N = self.nsteps
@@ -501,10 +503,11 @@ class ScalarWaveInverseProblem(LeastSquaresProblem):
             solver.bind_K(dmu_e), u[1:N], np.empty(u[1:N].shape)
         )
         F *= -(dt**2)
+        bn = solver.damped_nodes
         c = -0.5 * dt * solver.damping_diag_perturbation(state.model, dmu_e)
-        D = u[2 : N + 1] - u[0 : N - 1]
-        D *= c[:, None] if self.tail else c
-        F += D
+        D = u[2 : N + 1, bn] - u[0 : N - 1, bn]
+        D *= c[bn, None] if self.tail else c[bn]
+        F[:, bn] += D
         ks = np.arange(1, N)
         for s, shot in enumerate(self.shots):
             if shot.fault is None:
@@ -566,21 +569,11 @@ class ScalarWaveInverseProblem(LeastSquaresProblem):
         state = ForwardState(m, mu_e, None, [traces - shot.data])
         J = self.objective(m, state)[0]
 
-        # replay machinery for the forward states
-        C = solver.damping_diag(mu_e)
-        a_plus = solver.m + 0.5 * dt * C
-        a_minus = solver.m - 0.5 * dt * C
-        K = solver.bind_K(mu_e)
-
-        def step_fn(k, x_prev, x):
-            f = forcing(k)
-            r = 2 * solver.m * x - dt**2 * solver.apply_K_bound(K, x)
-            r -= a_minus * x_prev
-            if f is not None:
-                r = r + f
-            return r / a_plus
-
-        states = CheckpointedStates(step_fn, snaps, N)
+        # the replay takes the march's own steps, bit for bit
+        states = CheckpointedStates(
+            lambda k, x_prev, x: solver.step(mu_e, dt, x_prev, x, forcing(k)),
+            snaps, N,
+        )
 
         # adjoint sweep with on-the-fly accumulation: reversed step mrev
         # carries lam^{N+2-mrev}; the material terms for k = N+1-mrev

@@ -79,7 +79,7 @@ class SourceInverseProblem(LeastSquaresProblem):
             self.mu_e, forcing, self.nsteps, self.dt, store=True
         )
 
-    def accumulate(self, state, lam: np.ndarray) -> np.ndarray:
+    def accumulate(self, state, L: np.ndarray) -> np.ndarray:
         """``-dt^2 sum_k lam^{k+1,T} db^k/dp`` packed as ``[u0; t0; T]``
         (time-batched)."""
         from repro.sources.slip import dslip_dT, dslip_dt0, slip_function
@@ -95,7 +95,7 @@ class SourceInverseProblem(LeastSquaresProblem):
         for k0 in range(1, N, chunk):
             ks = np.arange(k0, min(k0 + chunk, N))
             proj = np.einsum(
-                "tsf,f->ts", lam[ks + 1][:, self.fault.nodes], self.fault.w
+                "tsf,f->ts", L[ks - 1][:, self.fault.nodes], self.fault.w
             )
             t = (ks * dt)[:, None]
             T, t0, u0 = p.T[None, :], p.t0[None, :], p.u0[None, :]

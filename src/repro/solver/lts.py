@@ -39,7 +39,7 @@ ghost layer (the paper's own remedy for local work, Section 2.4):
 :meth:`LTSPlan.local_layouts` numbers every level compactly — own
 nodes first, halo behind — and names, for every halo row, the level
 that owns it, so a solver can hold each level's state contiguously,
-build the level's kernel over its own few rows, and copy only halo
+apply the level's operator to its own few rows, and copy only halo
 values between levels (:class:`LTSLocalLayout`).
 """
 
@@ -171,17 +171,14 @@ class LTSLocalLayout:
 
     ``local_nodes = [own_nodes | interp_nodes | fine_nodes]`` (global
     ids): the leading ``n_own`` rows of a level-local vector *are* the
-    cluster's state, the rest is its ghost layer.  ``conn_local`` is
-    the connectivity of the level's ``elems`` renumbered into it with
-    the element order unchanged, so a scatter over it sums every row in
-    the order the global scatter did.  ``coarse`` names the rate-``2r``
-    owner of the time-interpolated halo rows, ``fine`` the rate-``r/2``
-    owner of the same-time ones (None where the level has no such
-    neighbor)."""
+    cluster's state, the rest is its ghost layer; together they are
+    every node the level's elements touch.  ``coarse`` names the
+    rate-``2r`` owner of the time-interpolated halo rows, ``fine`` the
+    rate-``r/2`` owner of the same-time ones (None where the level has
+    no such neighbor)."""
 
     local_nodes: np.ndarray
     n_own: int
-    conn_local: np.ndarray
     coarse: HaloSource | None
     fine: HaloSource | None
 
@@ -240,18 +237,12 @@ class LTSPlan:
         checkpoints may be written or a resume may start."""
         return j % self.max_rate == 0
 
-    def local_layouts(self, conn) -> list[LTSLocalLayout]:
-        """Level-local layouts, one per level in ``levels`` order, for
-        the connectivity the plan was built from.  Built on first use
-        and kept: consumers that march on global vectors never pay for
-        it."""
+    def local_layouts(self) -> list[LTSLocalLayout]:
+        """Level-local layouts, one per level in ``levels`` order.
+        Built on first use and kept: consumers that march on global
+        vectors never pay for it."""
         if self._layouts is None:
-            conn = np.asarray(conn)
-            if len(conn) != self.nelem:
-                raise ValueError(
-                    f"plan covers {self.nelem} elements, conn has {len(conn)}"
-                )
-            self._layouts = _local_layouts(self, conn)
+            self._layouts = _local_layouts(self)
         return self._layouts
 
     def as_dict(self) -> dict:
@@ -331,7 +322,7 @@ def build_lts_plan(
     return plan
 
 
-def _local_layouts(plan: LTSPlan, conn: np.ndarray) -> list[LTSLocalLayout]:
+def _local_layouts(plan: LTSPlan) -> list[LTSLocalLayout]:
     """Build :meth:`LTSPlan.local_layouts` (see :class:`LTSLocalLayout`)."""
     index = {lv.rate: i for i, lv in enumerate(plan.levels)}
     nnode = len(plan.node_rate)
@@ -339,7 +330,6 @@ def _local_layouts(plan: LTSPlan, conn: np.ndarray) -> list[LTSLocalLayout]:
     pos = np.empty(nnode, dtype=np.int64)
     for lv in plan.levels:
         pos[lv.own_nodes] = np.arange(len(lv.own_nodes))
-    g2l = np.empty(nnode, dtype=np.int64)  # valid on one level's nodes
 
     def source(rate, nodes, start):
         if not len(nodes):
@@ -352,13 +342,11 @@ def _local_layouts(plan: LTSPlan, conn: np.ndarray) -> list[LTSLocalLayout]:
     layouts = []
     for lv in plan.levels:
         local = np.concatenate([lv.own_nodes, lv.interp_nodes, lv.fine_nodes])
-        g2l[local] = np.arange(len(local))
         n_own, n_coarse = len(lv.own_nodes), len(lv.interp_nodes)
         layouts.append(
             LTSLocalLayout(
                 local_nodes=local,
                 n_own=n_own,
-                conn_local=g2l[conn[lv.elems]],
                 coarse=source(2 * lv.rate, lv.interp_nodes, n_own),
                 fine=source(lv.rate // 2, lv.fine_nodes, n_own + n_coarse),
             )

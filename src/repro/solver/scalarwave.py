@@ -8,19 +8,27 @@ on a rectangular box: free surface on top (``z = 0``), first-order
 absorbing boundaries ``mu du/dn = -sqrt(rho mu) u'`` on the sides and
 bottom.  Discretization: multilinear elements on a regular grid (2D
 antiplane cross-sections or the 3D scalar case of Table 3.1), lumped
-mass, central differences — the same machinery as the 3D forward code.
+mass, central differences — the same physics as the 3D forward code.
 
-The class exposes the *operator pieces* the discrete adjoint needs:
+The stiffness is **assembled**: on a regular grid every row couples a
+node to its ``3^d`` stencil neighbors, so one int32 CSR pattern serves
+every material (built on first use) and a material is one data array,
+accumulated over the reference element's corner pairs.  The class
+exposes the *operator pieces* the discrete adjoint needs:
 
 * ``apply_K(mu, u)``        — stiffness action for per-element ``mu``
-  (``bind_K(mu)`` once, then ``apply_K_bound`` / ``apply_K_rows`` in a
-  loop or over a stored history);
+  (``bind_K(mu)`` assembles once, then ``apply_K_bound`` — one CSR
+  product — or ``apply_K_rows`` — one per row of a stored history);
 * ``damping_diag(mu)``      — lumped absorbing damping (depends on mu);
-* ``K_material_gradient``   — per-element ``lam^T (dK/dmu_e) u``;
+* ``K_material_gradient``   — per-element ``lam^T (dK/dmu_e) u``, a
+  correlation of ``lam`` with ``u`` over the stencil's node offsets;
 * ``C_material_gradient``   — per-element ``lam^T (dC/dmu_e) w``;
 * ``march``                 — the shared leapfrog driver used by the
   forward, adjoint, and incremental (Gauss-Newton) sweeps, which are
-  all the same dissipative recurrence; every step (or, clustered,
+  all the same dissipative recurrence: each step is one product of the
+  step operator ``S = [-A+^{-1} A- | A+^{-1} (2M - dt^2 K)]`` with the
+  stacked pair ``[x^{k-1}; x^k]`` (clustered, each level firing is one
+  product of the level's own rows of ``K``); every step (or, clustered,
   every sync boundary) it hands resume, fault, health and checkpoint
   duties to a :class:`~repro.solver.frame.MarchFrame`.
 
@@ -32,13 +40,13 @@ The leapfrog convention (states ``x^0 .. x^N``, ``x^0 = x^1 = 0``):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.backend import get_backend
-from repro.backend.sparse_ops import ScatterPlan
+from repro.backend.sparse_ops import CSR, ScatterPlan
 from repro.fem.scalar_element import scalar_stiffness_reference
 from repro.physics.cfl import elem_stable_dt
 from repro.solver.checkpoint import CheckpointManager
@@ -49,6 +57,19 @@ from repro import telemetry
 
 #: boundary classification helpers: (axis, side) pairs
 Plane = tuple[int, int]
+
+#: rows of the state window a march without a stored history steps
+#: through: when it fills, its last two rows (the restart pair) move to
+#: the front — one two-row copy per ``_WINDOW - 2`` steps
+_WINDOW = 8
+
+
+def _csr_pattern(mask: np.ndarray, cols: np.ndarray):
+    """int32 ``(indptr, indices)`` of the entries ``mask`` selects from
+    a dense ``(nrows, width)`` table of column indices, row by row."""
+    indptr = np.zeros(len(mask) + 1, dtype=np.int32)
+    np.cumsum(mask.sum(axis=1), out=indptr[1:])
+    return indptr, cols[mask].astype(np.int32, copy=False)
 
 
 class RegularGridScalarWave:
@@ -117,28 +138,52 @@ class RegularGridScalarWave:
         else:
             self._bnd_elems = np.zeros(0, dtype=np.int64)
             self._bnd_fnodes = np.zeros((0, nfc), dtype=np.int64)
+        #: the nodes that carry absorbing damping (the support of
+        #: damping_diag); C_material_gradient_batch takes fields on them
+        self.damped_nodes = np.unique(self._bnd_fnodes)
+        self._bnd_fnodes_damped = np.searchsorted(
+            self.damped_nodes, self._bnd_fnodes
+        )
         self._bnd_node_plan = ScatterPlan(self._bnd_fnodes.ravel(), self.nnode)
         self._bnd_node_ones = np.ones(self._bnd_node_plan.nnz)
         self._bnd_elem_plan = ScatterPlan(self._bnd_elems, self.nelem)
         self._bnd_elem_ones = np.ones(self._bnd_elem_plan.nnz)
         self._conn_plan = ScatterPlan(self._conn_flat, self.nnode)
         self._conn_ones = np.ones(self._conn_plan.nnz)
-        # single-entry cache of the hoisted march invariants (see
-        # _march_coeffs): forward/adjoint/incremental sweeps of one
-        # gradient or Hessian-vector evaluation share the same iterate
+        # the 3^d-point stencil: offsets with axis 0 slowest (so a row's
+        # entries are in ascending column order) and their flat node
+        # shifts; reference entry K_ref[i, j] couples corner i of every
+        # element to its neighbor at offset o_j - o_i, so each corner
+        # pair is one strided slice of the stencil table (see _assemble)
+        offsets = np.array(list(itertools.product((-1, 0, 1), repeat=self.d)))
+        strides = np.array(
+            [int(np.prod(self.node_shape[a + 1:])) for a in range(self.d)]
+        )
+        self._shifts = offsets @ strides
+        self._offsets = offsets
+        self._center = len(offsets) // 2
+        q_of = {tuple(o): q for q, o in enumerate(offsets.tolist())}
+        corners = [[(k >> a) & 1 for a in range(self.d)] for k in range(nn)]
+        self._corner_slices = [
+            tuple(slice(c, c + n) for c, n in zip(o, self.shape))
+            for o in corners
+        ]
+        self._pairs = [
+            (i, q_of[tuple(b - a for a, b in zip(ci, cj))],
+             float(self.K_ref[i, j]))
+            for i, ci in enumerate(corners) for j, cj in enumerate(corners)
+        ]
+        # single-entry cache of the hoisted march invariants and the
+        # step operator (see _march_coeffs): forward/adjoint/incremental
+        # sweeps of one gradient or Hessian-vector evaluation share the
+        # same iterate
         self._coeff_cache = None
         # single-entry caches for the clustered-LTS plan and its
-        # per-level execution state (kernels, coefficient slices,
+        # per-level execution state (operators, coefficient slices,
         # substep buffers) — one forward model is marched many times
         # on the same material iterate
         self._lts_plan_cache = None
         self._lts_exec_cache = None
-        # fused stiffness kernel, built without coefficients: the
-        # inversion sweeps evaluate many material iterates, each bound
-        # once per sweep (see bind_K)
-        self._kernel = get_backend().element_kernel(
-            self.conn, (self.K_ref,), self.nnode
-        )
 
     # --------------------------------------------------------------- grid
 
@@ -188,28 +233,84 @@ class RegularGridScalarWave:
 
     # ----------------------------------------------------------- operators
 
-    def bind_K(self, mu: np.ndarray) -> np.ndarray:
-        """Bind the stiffness to per-element ``mu``: the handle
-        :meth:`apply_K_bound` / :meth:`apply_K_rows` take.  Every time
-        loop binds once before it starts; handles of different
-        materials (``mu`` and a perturbation ``dmu``) stay valid side
-        by side."""
-        return self._kernel.bind(
-            (np.asarray(mu, dtype=float) * self.h ** (self.d - 2),)
+    @cached_property
+    def _mask(self) -> np.ndarray:
+        """``(nnode, 3^d)`` bool: the stencil entries whose neighbor
+        lies inside the grid — the sparsity of every assembled row."""
+        mask = np.ones((*self.node_shape, len(self._offsets)), dtype=bool)
+        for q, delta in enumerate(self._offsets):
+            for a, da in enumerate(delta):
+                if da:
+                    edge = [slice(None)] * self.d
+                    edge[a] = 0 if da < 0 else -1
+                    mask[(*edge, q)] = False
+        return mask.reshape(self.nnode, -1)
+
+    def _stencil_cols(self) -> np.ndarray:
+        """``(nnode, 3^d)`` int32 column of every stencil entry (out of
+        range where :attr:`_mask` is False)."""
+        return (
+            np.arange(self.nnode, dtype=np.int32)[:, None]
+            + self._shifts.astype(np.int32)
         )
+
+    @cached_property
+    def _K_pattern(self):
+        """int32 CSR ``(indptr, indices)`` of ``K``, built on first use."""
+        return _csr_pattern(self._mask, self._stencil_cols())
+
+    @cached_property
+    def _S_pattern(self):
+        """``(mask, indptr, indices)`` of the step operator: row ``i``
+        is the ``x^{k-1}`` entry ``i`` followed by ``K``'s row ``i``
+        shifted by ``nnode`` columns (see :meth:`_march_coeffs`)."""
+        n = self.nnode
+        mask = np.ones((n, 1 + len(self._shifts)), dtype=bool)
+        mask[:, 1:] = self._mask
+        cols = np.empty(mask.shape, dtype=np.int32)
+        cols[:, 0] = np.arange(n)
+        cols[:, 1:] = self._stencil_cols()
+        cols[:, 1:] += n
+        return (mask, *_csr_pattern(mask, cols))
+
+    def _assemble(self, mu: np.ndarray, table: np.ndarray, col0: int = 0):
+        """Accumulate ``K(mu)`` into columns ``col0 .. col0 + 3^d`` of a
+        dense C-contiguous stencil table ``(nnode, width)``: entry
+        ``[a, col0 + q]`` couples node ``a`` to node ``a + shift_q``.
+        One strided add over the element grid per corner pair — within
+        a pair no two elements touch the same entry."""
+        coef = (np.asarray(mu, dtype=float) * self.h ** (self.d - 2)).reshape(
+            self.shape
+        )
+        grid = table.reshape(*self.node_shape, table.shape[1])
+        for i, q, kij in self._pairs:
+            grid[(*self._corner_slices[i], col0 + q)] += kij * coef
+
+    def bind_K(self, mu: np.ndarray) -> np.ndarray:
+        """Assemble the stiffness for per-element ``mu``: the CSR data
+        array (on the solver's one pattern) that :meth:`apply_K_bound`
+        / :meth:`apply_K_rows` take.  Every time loop assembles once
+        before it starts; handles of different materials (``mu`` and a
+        perturbation ``dmu``) stay valid side by side."""
+        table = np.zeros((self.nnode, len(self._shifts)))
+        self._assemble(mu, table)
+        return table[self._mask]
+
+    def _K(self, K: np.ndarray) -> CSR:
+        return CSR(*self._K_pattern, K, self.nnode)
 
     def apply_K_bound(
         self, K: np.ndarray, u: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """Stiffness action ``K u`` for a :meth:`bind_K` handle.
+        """Stiffness action ``K u`` for a :meth:`bind_K` handle: one CSR
+        product.
 
         ``u`` may be a single state ``(nnode,)`` or a scenario batch
-        ``(nnode, B)`` (each column advanced by one level-3 kernel
-        call, bit-identical to the serial apply).  Pass a preallocated
-        ``out`` to make the call allocation-free.  The kernels index
-        flat memory, so ``u`` must be C-contiguous — asserted here
-        instead of silently copied (the old ``np.ascontiguousarray``
-        hid a full-state copy per call for strided inputs)."""
+        ``(nnode, B)`` (every column bit-identical to the serial
+        apply).  Pass a preallocated ``out`` to make the call
+        allocation-free.  The product indexes flat memory, so ``u``
+        must be C-contiguous — checked here instead of silently copied
+        (a copy would hide a full-state pass per call)."""
         u = np.asarray(u, dtype=float)
         if not u.flags.c_contiguous:
             raise ValueError(
@@ -218,44 +319,39 @@ class RegularGridScalarWave:
             )
         if out is None:
             out = np.empty(u.shape)
-        if u.ndim == 2:
-            self._kernel.matmat(u, out, K)
-        else:
-            self._kernel.matvec(u, out, K)
-        return out
+        out.fill(0.0)
+        return self._K(K).acc(u, out)
 
     def apply_K_rows(
         self, K: np.ndarray, rows: np.ndarray, out: np.ndarray
     ) -> np.ndarray:
         """``out[t] = K rows[t]`` over a stored history ``(T, nnode)``
-        in one time-batched kernel pass — or over a shot-batched one
-        ``(T, nnode, B)``, one ``matmat`` per row; row ``t`` is
-        bit-identical to ``apply_K_bound(K, rows[t])``."""
-        if rows.ndim == 3:
-            for t in range(len(rows)):
-                self._kernel.matmat(rows[t], out[t], K)
-            return out
-        return self._kernel.matrows(rows, out, K)
+        — or a shot-batched one ``(T, nnode, B)`` — one product per
+        row; row ``t`` is bit-identical to ``apply_K_bound(K,
+        rows[t])``."""
+        A = self._K(K)
+        out.fill(0.0)
+        for t in range(len(rows)):
+            A.acc(rows[t], out[t])
+        return out
 
     def apply_K(
         self, mu: np.ndarray, u: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
         """Stiffness action ``K(mu) u`` for per-element ``mu`` — the
-        cold-path convenience (bind, then :meth:`apply_K_bound`)."""
+        cold-path convenience (assemble, then :meth:`apply_K_bound`)."""
         return self.apply_K_bound(self.bind_K(mu), u, out)
 
     def K_diagonal(self, mu: np.ndarray) -> np.ndarray:
-        return self._kernel.diagonal(np.empty(self.nnode), self.bind_K(mu))
+        """The diagonal of the assembled ``K(mu)``, read off its CSR."""
+        at = self._K_pattern[0][:-1] + self._mask[:, : self._center].sum(1)
+        return self.bind_K(mu)[at]
 
     def K_material_gradient(
         self, u: np.ndarray, lam: np.ndarray
     ) -> np.ndarray:
         """Per-element ``lam^T (dK/dmu_e) u = h^{d-2} lam_e^T K_ref u_e``."""
-        U = u[self.conn]
-        L = lam[self.conn]
-        return self.h ** (self.d - 2) * np.einsum(
-            "ei,ij,ej->e", L, self.K_ref, U
-        )
+        return self.K_material_gradient_batch(u[None], lam[None])
 
     def K_material_gradient_batch(
         self, u: np.ndarray, lam: np.ndarray
@@ -263,33 +359,44 @@ class RegularGridScalarWave:
         """Time-batched :meth:`K_material_gradient`: ``u``/``lam`` have
         shape ``(nt, nnode)`` — or ``(nt, nnode, B)`` for shot batches,
         contracted over time *and* shots; returns the per-element sum.
-        Runs on the kernel's row blocks (blocked gathers, one
-        ``(nt * nelem, nn) @ K_ref^T`` product, a two-operand
-        contraction) in workspace that does not grow with ``nt``."""
-        if u.ndim == 3:  # shot columns are strided: contract one by one
-            return sum(
-                self.K_material_gradient_batch(
-                    np.ascontiguousarray(u[:, :, b]),
-                    np.ascontiguousarray(lam[:, :, b]),
-                )
-                for b in range(u.shape[2])
-            )
-        return self.h ** (self.d - 2) * self._kernel.coef_gradient(u, lam)[0]
+
+        A stencil correlation: ``C_q[a] = sum_t lam[t, a] u[t, a +
+        shift_q]`` for the ``3^d`` node offsets (one shifted-slice
+        contraction each; entries whose neighbor wraps across a grid
+        row are computed but never read), then ``g_e = h^{d-2} sum_ij
+        K_ref[i, j] C_{q(i, j)}[c_i(e)]``, each corner pair one strided
+        slice of ``C`` over the element grid.  Workspace is ``3^d``
+        node vectors, whatever ``nt``."""
+        spec = "tnb,tnb->n" if u.ndim == 3 else "tn,tn->n"
+        n = self.nnode
+        C = np.zeros((len(self._shifts), n))
+        for q, s in enumerate(self._shifts):
+            lo, hi = max(0, -s), n - max(0, s)
+            np.einsum(spec, lam[:, lo:hi], u[:, lo + s : hi + s],
+                      out=C[q, lo:hi])
+        C = C.reshape(len(self._shifts), *self.node_shape)
+        g = np.zeros(self.shape)
+        for i, q, kij in self._pairs:
+            g += kij * C[(q, *self._corner_slices[i])]
+        return self.h ** (self.d - 2) * g.reshape(-1)
 
     def C_material_gradient_batch(
         self, w: np.ndarray, lam: np.ndarray, mu: np.ndarray
     ) -> np.ndarray:
-        """Time-batched :meth:`C_material_gradient` (summed over time).
+        """Time-batched :meth:`C_material_gradient` (summed over time)
+        of fields given on :attr:`damped_nodes` only — a nodal history
+        ``x`` enters as ``x[:, damped_nodes]``, the only entries the
+        damping reads.
 
-        ``w``/``lam`` may be ``(nt, nnode)`` or shot-batched
-        ``(nt, nnode, B)`` (contracted over time, components *and*
+        ``w``/``lam`` may be ``(nt, n_damped)`` or shot-batched
+        ``(nt, n_damped, B)`` (contracted over time, components *and*
         shots — the multi-shot gradient accumulation)."""
         mu = np.asarray(mu, dtype=float)
         g = np.zeros(self.nelem)
         if not len(self._bnd_elems):
             return g
         ww = self.h ** (self.d - 1) / (1 << (self.d - 1))
-        fnodes = self._bnd_fnodes
+        fnodes = self._bnd_fnodes_damped
         dcdmu = 0.5 * np.sqrt(self.rho / mu[self._bnd_elems]) * ww
         if w.ndim == 3:
             contrib = np.einsum(
@@ -438,12 +545,16 @@ class RegularGridScalarWave:
         return safety * self.h / (vmax * np.sqrt(self.d))
 
     def _march_coeffs(self, mu, dt: float, alpha):
-        """Hoisted leapfrog invariants ``(inv_a_plus, a_minus)`` with a
-        single-entry cache keyed on the material iterate: the forward,
-        adjoint, and incremental sweeps of one gradient or
-        Gauss-Newton Hv evaluation all run on the *same* ``mu``, so
-        recomputing the damping diagonal and the LHS inverse for each
-        sweep (2x per CG iteration) was pure rework."""
+        """``(inv_a_plus, S)``: the inverse LHS diagonal (it scales the
+        forcing) and the step operator
+
+            ``S = [ -A+^{-1} A- | A+^{-1} (2M - dt^2 K) ]``  (n x 2n)
+
+        that takes the stacked pair ``[x^{k-1}; x^k]`` to ``x^{k+1}`` in
+        one CSR product.  Single-entry cache keyed on ``(mu, dt,
+        alpha)``: the forward, adjoint, and incremental sweeps of one
+        gradient or Gauss-Newton Hv evaluation all run on the *same*
+        ``mu``, so they share one assembly."""
         mu = np.asarray(mu, dtype=float)
         alpha = None if alpha is None else np.asarray(alpha, dtype=float)
         c = self._coeff_cache
@@ -460,14 +571,24 @@ class RegularGridScalarWave:
             C = C + self.volume_damping_diag(alpha)
         inv_a_plus = 1.0 / (self.m + 0.5 * dt * C)
         a_minus = self.m - 0.5 * dt * C
+        # row i of S as a stencil table: [x^{k-1}_i | K's row i]
+        table = np.zeros((self.nnode, 1 + len(self._shifts)))
+        self._assemble(mu, table, col0=1)
+        step = table[:, 1:]
+        step *= -(dt * dt)
+        step[:, self._center] += 2.0 * self.m
+        step *= inv_a_plus[:, None]
+        table[:, 0] = -inv_a_plus * a_minus
+        mask, indptr, indices = self._S_pattern
+        S = CSR(indptr, indices, table[mask], 2 * self.nnode)
         self._coeff_cache = (
             mu.copy(),
             None if alpha is None else alpha.copy(),
             dt,
             inv_a_plus,
-            a_minus,
+            S,
         )
-        return inv_a_plus, a_minus
+        return inv_a_plus, S
 
     # ----------------------------------------------- local time stepping
 
@@ -493,10 +614,13 @@ class RegularGridScalarWave:
         return plan
 
     def _lts_exec(self, plan, mu, dt, alpha, batch):
-        """Per-level execution state, one subdomain per cluster: a
-        fused stiffness kernel over the level's elements (own + halo)
-        **in level-local numbering** (``nnode = len(local_nodes)``, so
-        an apply touches the cluster's rows and nothing else), the
+        """Per-level execution state, one subdomain per cluster: the
+        level operator ``K`` — the own rows of the global ``K(mu)``,
+        each row's entries in the global stored order, columns
+        renumbered **level-local** (``ncols = len(local_nodes)``: every
+        element touching an own node is in ``lv.elems``, so the
+        cluster's nodes hold every column, and a firing touches the
+        cluster's rows and nothing else) — the
         cluster-step leapfrog diagonals of its own nodes, and the
         level's state — three rotating ``(n_local[, B])`` buffers
         ``x_prev / x / Kx`` whose leading ``n_own`` rows are the
@@ -522,19 +646,27 @@ class RegularGridScalarWave:
         C = self.damping_diag(mu)
         if alpha is not None:
             C = C + self.volume_damping_diag(alpha)
-        backend = get_backend()
-        coef_all = np.asarray(mu, dtype=float) * self.h ** (self.d - 2)
+        table = np.zeros((self.nnode, len(self._shifts)))
+        self._assemble(mu, table)
+        shifts = self._shifts.astype(np.int32)
+        g2l = np.empty(self.nnode, dtype=np.int32)  # valid on one level
         cols = () if batch is None else (batch,)
 
         def _diag(v):
             return v if batch is None else v[:, None]
 
-        layouts = plan.local_layouts(self.conn)
+        layouts = plan.local_layouts()
         levels = []
         for lv, lay in zip(plan.levels, layouts):
             dtc = lv.rate * dt
             own = lv.own_nodes
             n_local = len(lay.local_nodes)
+            g2l[lay.local_nodes] = np.arange(n_local)
+            rows = self._mask[own]
+            # out-of-grid entries are clipped, then masked away
+            local_cols = np.take(
+                g2l, own.astype(np.int32)[:, None] + shifts, mode="clip"
+            )
             levels.append(
                 {
                     "rate": lv.rate,
@@ -542,11 +674,9 @@ class RegularGridScalarWave:
                     "rc2": float(lv.rate) ** 2,
                     "own": own,
                     "n_own": lay.n_own,
-                    # the exec state is keyed on the material, so each
-                    # level kernel is bound to its slice for good
-                    "kernel": backend.element_kernel(
-                        lay.conn_local, (self.K_ref,), n_local,
-                        coefs=(coef_all[lv.elems],),
+                    "K": CSR(
+                        *_csr_pattern(rows, local_cols), table[own][rows],
+                        n_local,
                     ),
                     "m2": _diag(2.0 * self.m[own]),
                     "inv_ap": _diag(1.0 / (self.m[own] + 0.5 * dtc * C[own])),
@@ -588,7 +718,7 @@ class RegularGridScalarWave:
         rows from their owners — the one-coarser neighbor's ``x_prev``
         (``theta = 0``) or ``(x_prev + x) / 2`` (``theta = 1/2``), the
         one-finer neighbor's current ``x`` — applies the level's
-        compact kernel, updates the own rows in place and rotates the
+        operator to its own rows, updates them in place and rotates the
         level's buffers; nothing node-count-sized is touched.  Returns
         the final ``(2, nnode)`` restart pair (``store`` histories are
         a global-loop feature), assembled from the levels on return.
@@ -657,12 +787,10 @@ class RegularGridScalarWave:
                         src, rows, pos = lev["fine"]
                         np.take(src["x"], pos, axis=0, out=x[rows],
                                 mode="clip")
-                    if batch is None:
-                        lev["kernel"].matvec(x, Kx)
-                    else:
-                        lev["kernel"].matmat(x, Kx)
                     n = lev["n_own"]
                     xo, ko, fo = x[:n], Kx[:n], lev["fo"]
+                    ko.fill(0.0)
+                    lev["K"].acc(x, ko)
                     # r = 2M x - dt_c^2 K x~ - A- x_prev + r_c^2 f
                     np.multiply(ko, lev["dtc2"], out=ko)
                     np.multiply(lev["m2"], xo, out=fo)
@@ -680,19 +808,24 @@ class RegularGridScalarWave:
                     lev["x_prev"], lev["x"], lev["Kx"] = x, Kx, x_prev
                 frame.boundary(j + r_min, lev0["x"], snapshot)
             flops = 0
+            width = 1 if batch is None else batch
             for lev, n in zip(levels, fired):
-                per = (
-                    lev["kernel"].flops_per_matvec
-                    if batch is None
-                    else lev["kernel"].flops_per_matmat(batch)
-                )
-                flops += n * (
-                    per + 6 * lev["n_own"] * (1 if batch is None else batch)
-                )
+                flops += n * width * (2 * lev["K"].nnz + 6 * lev["n_own"])
                 _m.add(f"fired_r{lev['rate']}", n)
             _m.add("flops", flops)
         self._lts_gather(levels, pair)
         return pair
+
+    def step(self, mu, dt: float, x_prev, x, f=None) -> np.ndarray:
+        """One step of :meth:`march` (without ``alpha``): ``x^{k+1}``
+        from ``(x^{k-1}, x^k)`` and the step's forcing ``f^k`` (or
+        None), bit for bit the state the march computes — what a
+        checkpointed sweep replays with."""
+        inv_a_plus, S = self._march_coeffs(mu, dt, None)
+        out = S.acc(np.concatenate([x_prev, x]), np.zeros(np.shape(x)))
+        if f is not None:
+            out += f * inv_a_plus
+        return out
 
     def march(
         self,
@@ -714,7 +847,10 @@ class RegularGridScalarWave:
         lts: int | bool | LTSPlan | None = None,
     ) -> np.ndarray | None:
         """Run the leapfrog ``A+ x^{k+1} = (2M - dt^2 K) x^k - A- x^{k-1}
-        + f^k``; ``forcing(k)`` supplies ``f^k`` (may be None).
+        + f^k``; ``forcing(k)`` supplies ``f^k`` (may be None).  Each
+        step is one product of the step operator (:meth:`_march_coeffs`)
+        with the pair ``[x^{k-1}; x^k]``, plus ``A+^{-1} f^k`` when the
+        forcing is live.
 
         Starts from rest unless initial states ``(x0, x1)`` are given
         (used by verification tests and checkpoint restarts).  ``alpha``
@@ -726,9 +862,8 @@ class RegularGridScalarWave:
         ``(nnode, B)`` column blocks, ``forcing(k)`` returns
         ``(nnode, B)`` (or None), initial states are 2D, and the
         history gains a trailing batch axis.  All B columns share one
-        fused leapfrog loop — one level-3 stiffness application and
-        one set of broadcast diagonal updates per step instead of B of
-        each — and every column is bit-identical to the corresponding
+        leapfrog loop — one multi-vector product per step instead of B
+        — and every column is bit-identical to the corresponding
         serial march (same summation orders throughout; see
         :func:`batched_forcing` for stacking per-scenario forcings).
         ``batch`` may also be inferred from a 2D ``x0``/``x1``.
@@ -778,88 +913,64 @@ class RegularGridScalarWave:
         if batch is None and x1 is not None and np.ndim(x1) == 2:
             batch = np.shape(x1)[1]
         shape = (self.nnode,) if batch is None else (self.nnode, int(batch))
-        inv_a_plus, a_minus = self._march_coeffs(mu, dt, alpha)
-        # hoisted invariants: 2M, the inverse LHS diagonal (division ->
-        # multiply in the loop), and dt^2; for a batch the per-node
-        # diagonals broadcast as column vectors over all B columns
-        m2 = 2.0 * self.m
-        if batch is not None:
-            m2 = m2[:, None]
+        inv_a_plus, S = self._march_coeffs(mu, dt, alpha)
+        if batch is not None:  # broadcast as a column over all B
             inv_a_plus = inv_a_plus[:, None]
-            a_minus = a_minus[:, None]
-        dt2 = dt * dt
-        K = self.bind_K(mu)  # one fold per march
-        apply = self._kernel.matvec if batch is None else self._kernel.matmat
-        # per-call state/scratch buffers (march stays reentrant); the
-        # steady-state loop itself is in-place with buffer rotation —
-        # zero per-step O(nnode) allocations
-
-        def _state(xi):
-            if xi is None:
-                return np.zeros(shape)
-            xi = np.asarray(xi, dtype=float)
-            if xi.shape != shape:
-                raise ValueError(f"initial state must be {shape}, got {xi.shape}")
-            return xi.copy()
-
-        x_prev = _state(x0)
-        x = _state(x1)
-        x_next = np.empty(shape)
-        r = np.empty(shape)
-        Kx = np.empty(shape)
+        # the stored history *is* the state window: rows k-1, k are the
+        # contiguous pair S takes; without a history, a _WINDOW-row one
+        # (per-call, so march stays reentrant; nothing allocated per step)
         hist = np.zeros((nsteps + 1, *shape)) if store else None
+        win = hist if store else np.zeros((_WINDOW, *shape))
+        for row, xi in enumerate((x0, x1)):
+            if xi is not None:
+                xi = np.asarray(xi, dtype=float)
+                if xi.shape != shape:
+                    raise ValueError(
+                        f"initial state must be {shape}, got {xi.shape}"
+                    )
+                win[row] = xi
+        fk = np.empty(shape)  # A+^{-1} f^k
+        i = 1  # window row of x^k
 
         def snapshot(s):
-            rec = {"x_prev": x_prev, "x": x}
+            j = s if store else i
+            rec = {"x_prev": win[j - 1], "x": win[j]}
             if store:
                 rec["hist"] = hist[: s + 1]
             return rec
 
         k0 = frame.resume(snapshot, k0=1, latest=resume)
-        if k0 == 1:  # fresh start (not a mid-run resume)
-            if store:
-                hist[0] = x_prev
-                hist[1] = x
-            if on_step is not None:
-                on_step(0, x_prev)
-                on_step(1, x)
+        if store:
+            i = k0
+        if k0 == 1 and on_step is not None:  # fresh start
+            on_step(0, win[0])
+            on_step(1, win[1])
         # one span per march (not per step: the inverse sweeps call
-        # march thousands of times); flops attributed in aggregate from
-        # the kernel's own per-apply count
+        # march thousands of times); flops attributed in aggregate
         with telemetry.span("scalar.march") as _m:
             for k in range(k0, nsteps):
+                if i + 1 == len(win):  # only a window fills up
+                    win[:2] = win[i - 1 : i + 1]
+                    i = 1
                 f = forcing(k)
-                apply(x, Kx, K)
-                np.multiply(m2, x, out=r)
-                np.multiply(Kx, dt2, out=Kx)
-                np.subtract(r, Kx, out=r)
-                np.multiply(a_minus, x_prev, out=Kx)
-                np.subtract(r, Kx, out=r)
+                x_next = win[i + 1]
+                if not store:  # a reused row (history rows start zeroed)
+                    x_next.fill(0.0)
+                S.acc(win[i - 1 : i + 1].reshape(-1, *shape[1:]), x_next)
                 if f is not None:
-                    np.add(r, f, out=r)
-                np.multiply(r, inv_a_plus, out=x_next)
-                if store:
-                    hist[k + 1] = x_next
+                    np.multiply(f, inv_a_plus, out=fk)
+                    np.add(x_next, fk, out=x_next)
+                i += 1
                 if on_step is not None:
                     on_step(k + 1, x_next)
-                x_prev, x, x_next = x, x_next, x_prev
-                # x is now x^{k+1}, x_prev is x^k — the restart pair
-                frame.boundary(k + 1, x, snapshot)
+                # rows i-1, i are now x^k, x^{k+1} — the restart pair
+                frame.boundary(k + 1, x_next, snapshot)
             napply = max(nsteps - k0, 0)
             _m.add("steps", napply)
-            _m.add(
-                "flops",
-                napply
-                * (
-                    self._kernel.flops_per_matvec
-                    if batch is None
-                    else self._kernel.flops_per_matmat(batch)
-                )
-                + napply * 6 * int(np.prod(shape)),
-            )
+            _m.add("flops", napply * 2 * S.nnz * int(np.prod(shape[1:])))
         if store:
             return hist
-        return np.stack([x_prev, x])
+        return np.stack([win[i - 1], win[i]])
 
 
 def batched_forcing(

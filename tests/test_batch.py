@@ -194,11 +194,25 @@ def test_march_coefficient_cache_reused_and_invalidated():
     solver = RegularGridScalarWave((8, 4), 50.0, rho=1000.0)
     mu = np.full(solver.nelem, 2e9)
     dt = solver.stable_dt(mu)
-    inv1, am1 = solver._march_coeffs(mu, dt, None)
-    inv2, am2 = solver._march_coeffs(mu.copy(), dt, None)
-    assert inv1 is inv2 and am1 is am2  # same iterate -> cached arrays
-    inv3, _ = solver._march_coeffs(mu * 1.01, dt, None)
-    assert inv3 is not inv1  # material changed -> recompute
+    inv1, S1 = solver._march_coeffs(mu, dt, None)
+    inv2, S2 = solver._march_coeffs(mu.copy(), dt, None)
+    assert inv1 is inv2 and S1 is S2  # same iterate -> cached arrays
+    for key in [(mu * 1.01, dt, None), (mu, 0.5 * dt, None),
+                (mu, dt, np.full(solver.nelem, 0.2))]:
+        inv3, S3 = solver._march_coeffs(*key)
+        assert inv3 is not inv1 and S3 is not S1  # key changed -> recompute
+    # the step operator takes [x^{k-1}; x^k] to the leapfrog's x^{k+1}
+    mu3, alpha = mu * 1.01, np.full(solver.nelem, 0.2)
+    _, S = solver._march_coeffs(mu3, dt, alpha)
+    rng = np.random.default_rng(4)
+    x_prev, x = rng.standard_normal((2, solver.nnode))
+    C = solver.damping_diag(mu3) + solver.volume_damping_diag(alpha)
+    want = (
+        2 * solver.m * x - dt**2 * solver.apply_K(mu3, x)
+        - (solver.m - 0.5 * dt * C) * x_prev
+    ) / (solver.m + 0.5 * dt * C)
+    got = S.acc(np.concatenate([x_prev, x]), np.zeros(solver.nnode))
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # ------------------------------------------------ elastic ensemble run

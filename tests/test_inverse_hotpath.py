@@ -1,13 +1,15 @@
-"""The inversion hot path: bound kernel handles, the time-batched
-``matrows`` pass, the tabulated Gauss-Newton forcing and the blocked
-material accumulation.
+"""The inversion hot path: bound kernel handles and the time-batched
+``matrows`` pass (elastic), the assembled scalar stiffness, the
+tabulated Gauss-Newton forcing and the stencil-correlation material
+accumulation.
 
 Every fast path is held against the slow code it replaced, kept here as
 the oracle: bitwise where the arithmetic is unchanged (``matrows`` rows,
 the forcing table, the fault closures), to 1e-12 where only the
-summation order moved (the accumulation), and against values recorded
-at a parent commit: to 1e-9 for a whole multiscale inversion, to 1e-12
-for one objective, gradient and ``H v`` of each problem kind.
+summation order moved (the assembly, the accumulation), and against
+values recorded at a parent commit: to 1e-9 for a whole multiscale
+inversion, to 1e-12 for one objective, gradient and ``H v`` of each
+problem kind.
 """
 
 import tracemalloc
@@ -114,6 +116,34 @@ def test_alternating_handles_fold_nothing_and_allocate_nothing(monkeypatch):
     tracemalloc.stop()
     assert not folds
     assert peak < 8 * kern.ndof // 2, f"steady state allocated {peak} B"
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_assembled_stiffness_matches_element_loop(d):
+    solver = RegularGridScalarWave((7, 5) if d == 2 else (4, 3, 5), 50.0,
+                                   rho=1000.0)
+    rng = np.random.default_rng(d)
+    mu = rng.uniform(1e9, 3e9, solver.nelem)
+    Ke = solver.h ** (d - 2) * mu[:, None, None] * solver.K_ref
+    conn, n = solver.conn, solver.nnode
+
+    def element_loop(U):
+        out = np.zeros(U.shape)
+        np.add.at(out, conn, np.einsum("eij,ejb->eib", Ke, U[conn]))
+        return out
+
+    K = solver.bind_K(mu)
+    # the batched apply to the identity is the assembled matrix itself
+    for U in (np.eye(n), rng.standard_normal((n, 3))):
+        want = element_loop(U)
+        got = solver.apply_K_bound(K, U)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        for b in range(U.shape[1]):
+            col = solver.apply_K_bound(K, np.ascontiguousarray(U[:, b]))
+            assert np.array_equal(got[:, b], col)
+    diag = np.zeros(n)
+    np.add.at(diag, conn, np.einsum("eii->ei", Ke))
+    assert np.abs(solver.K_diagonal(mu) - diag).max() <= 1e-12 * diag.max()
 
 
 # ------------------------------------------------- forcing tables
@@ -280,35 +310,37 @@ def test_gn_forcing_table_bitwise_equals_per_step_closure(section, which):
 # ----------------------------------------------------- accumulation
 
 
-def test_blocked_accumulation_matches_three_operand_einsum(
-    section, monkeypatch
-):
-    solver = section[0]
-    per_row = 8 * solver.nelem * 4 * 2
-    monkeypatch.setattr(numpy_backend, "ROW_BLOCK_BYTES", 5 * per_row)
-    solver = RegularGridScalarWave(solver.shape, solver.h, rho=solver.rho)
-    rng = np.random.default_rng(4)
-    u = rng.standard_normal((23, solver.nnode))
-    lam = rng.standard_normal((23, solver.nnode))
-    want = solver.h ** (solver.d - 2) * np.einsum(
-        "tei,ij,tej->e", lam[:, solver.conn], solver.K_ref, u[:, solver.conn]
-    )
-    got = solver.K_material_gradient_batch(u[1:], lam[1:]) + (
-        solver.K_material_gradient_batch(u[:1], lam[:1])
-    )
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    # one row is the unbatched derivative
-    one = solver.K_material_gradient(u[3], lam[3])
-    got1 = solver.K_material_gradient_batch(u[3:4], lam[3:4])
-    assert np.abs(got1 - one).max() <= 1e-12 * np.abs(one).max()
-    # shot batches contract over time and shots
-    ub = rng.standard_normal((23, solver.nnode, 3))
-    lb = rng.standard_normal((23, solver.nnode, 3))
-    want = solver.h ** (solver.d - 2) * np.einsum(
-        "teib,ij,tejb->e", lb[:, solver.conn], solver.K_ref, ub[:, solver.conn]
-    )
-    got = solver.K_material_gradient_batch(ub, lb)
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+def test_blocked_accumulation_matches_three_operand_einsum(section):
+    for solver in (
+        section[0], RegularGridScalarWave((5, 4, 6), 50.0, rho=1000.0)
+    ):
+        rng = np.random.default_rng(4)
+        u = rng.standard_normal((23, solver.nnode))
+        lam = rng.standard_normal((23, solver.nnode))
+        want = solver.h ** (solver.d - 2) * np.einsum(
+            "tei,ij,tej->e", lam[:, solver.conn], solver.K_ref,
+            u[:, solver.conn],
+        )
+        got = solver.K_material_gradient_batch(u[1:], lam[1:]) + (
+            solver.K_material_gradient_batch(u[:1], lam[:1])
+        )
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        # a reversed view (the adjoint history) contracts the same
+        got_r = solver.K_material_gradient_batch(u[::-1], lam[::-1])
+        assert np.abs(got_r - want).max() <= 1e-12 * np.abs(want).max()
+        # one row is the unbatched derivative
+        one = solver.K_material_gradient(u[3], lam[3])
+        got1 = solver.K_material_gradient_batch(u[3:4], lam[3:4])
+        assert np.abs(got1 - one).max() <= 1e-12 * np.abs(one).max()
+        # shot batches contract over time and shots
+        ub = rng.standard_normal((23, solver.nnode, 3))
+        lb = rng.standard_normal((23, solver.nnode, 3))
+        want = solver.h ** (solver.d - 2) * np.einsum(
+            "teib,ij,tejb->e", lb[:, solver.conn], solver.K_ref,
+            ub[:, solver.conn],
+        )
+        got = solver.K_material_gradient_batch(ub, lb)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_elastic_accumulation_matches_three_operand_einsum():
@@ -337,27 +369,29 @@ def test_elastic_accumulation_matches_three_operand_einsum():
 # ------------------------------------------------------------ counts
 
 
-def test_one_fold_per_march_and_per_forcing_table(section, monkeypatch):
+def test_one_assembly_per_material_and_per_forcing_table(
+    section, monkeypatch
+):
     prob = _problems(section)["fault"]
-    plan = prob.solver._kernel.plan
-    folds = []
-    real_fold = plan.fold
+    solver = prob.solver
+    assembled = []
+    real_assemble = solver._assemble
 
-    def counting_fold(*a, **k):
-        folds.append(1)
-        return real_fold(*a, **k)
+    def counting_assemble(*a, **k):
+        assembled.append(1)
+        return real_assemble(*a, **k)
 
-    monkeypatch.setattr(plan, "fold", counting_fold)
+    monkeypatch.setattr(solver, "_assemble", counting_assemble)
     m0 = np.full(prob.n, 2.5e9)
     n0 = prob.n_wave_solves
     g, _, state = prob.gradient(m0)
-    assert len(folds) == 2  # forward march + adjoint march
+    assert len(assembled) == 1  # forward and adjoint share the step operator
     assert prob.n_wave_solves - n0 == 2
     prob.gn_hessvec(g, state)
-    assert len(folds) == 5  # K(dmu) table + two more marches
+    assert len(assembled) == 2  # K(dmu) for the forcing table
     assert prob.n_wave_solves - n0 == 4
     g_ck, _ = prob.gradient_checkpointed(m0, slots=4)
-    assert len(folds) == 8  # forward, replay, adjoint: one fold each
+    assert len(assembled) == 2  # forward, replay, adjoint: the same one
     np.testing.assert_allclose(g_ck, g, rtol=1e-9)
 
 

@@ -12,8 +12,9 @@ The guarantees under test (see :mod:`repro.solver.lts` and DESIGN.md):
   scalar, serial elastic, and distributed — and is second order in
   ``dt`` with the coarsest cluster's own dispersion constant;
 * the scalar solver's level-local march (one subdomain per cluster,
-  compact per-level kernels) is **bitwise** the global-state loop it
-  replaced, which survives here as the oracle; its layout invariants
+  each applying its own rows of the assembled ``K``) is **bitwise**
+  the global-state loop it replaced, which survives here as the
+  oracle; its layout invariants
   hold on random materials; its steady-state loop allocates nothing
   node-sized; its counters are per march; the NaN sentinel (scalar,
   elastic and distributed) looks at the first sync boundary after its
@@ -36,7 +37,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
-from repro.backend import get_backend, spmv_acc
+from repro.backend import spmv_acc
 from repro.materials import HomogeneousMaterial, LayeredMaterial
 from repro.mesh import extract_mesh, uniform_hex_mesh
 from repro.octree import balance_octree, build_adaptive_octree
@@ -260,16 +261,17 @@ def _oracle_march_lts(solver, mu, forcing, nsteps, dt, plan, *,
                       batch=None, alpha=None):
     """The clustered loop as it ran before the level-local layout
     (commit 88a2357), stripped of its checkpoint / fault / health /
-    telemetry hooks: global ``x / x_prev / Kx``, every level kernel
-    built over all ``nnode`` rows, the coarse halo overwritten with its
-    interpolated value around the apply and restored after, own-sized
-    gathers and scatters per firing.  The oracle the level-local march
-    must equal bit for bit."""
+    telemetry hooks: global ``x / x_prev / Kx``, every firing applying
+    the whole assembled ``K`` to the global state and keeping its own
+    rows, the coarse halo overwritten with its interpolated value
+    around the apply and restored after, own-sized gathers and scatters
+    per firing.  The oracle the level-local march must equal bit for
+    bit."""
     shape = (solver.nnode,) if batch is None else (solver.nnode, batch)
     C = solver.damping_diag(mu)
     if alpha is not None:
         C = C + solver.volume_damping_diag(alpha)
-    coef_all = np.asarray(mu, dtype=float) * solver.h ** (solver.d - 2)
+    K = solver.bind_K(mu)
 
     def _diag(v):
         return v if batch is None else v[:, None]
@@ -284,10 +286,6 @@ def _oracle_march_lts(solver, mu, forcing, nsteps, dt, plan, *,
                 "rc2": float(lv.rate) ** 2,
                 "own": own,
                 "interp": lv.interp_nodes,
-                "kernel": get_backend().element_kernel(
-                    solver.conn[lv.elems], (solver.K_ref,), solver.nnode,
-                    coefs=(coef_all[lv.elems],),
-                ),
                 "m2": _diag(2.0 * solver.m[own]),
                 "inv_ap": _diag(1.0 / (solver.m[own] + 0.5 * dtc * C[own])),
                 "a_minus": _diag(solver.m[own] - 0.5 * dtc * C[own]),
@@ -307,10 +305,7 @@ def _oracle_march_lts(solver, mu, forcing, nsteps, dt, plan, *,
                     np.add(iv, sv, out=iv)
                     np.multiply(iv, 0.5, out=iv)
                 x[interp] = iv
-            if batch is None:
-                lev["kernel"].matvec(x, Kx)
-            else:
-                lev["kernel"].matmat(x, Kx)
+            solver.apply_K_bound(K, x, Kx)
             if len(interp):
                 x[interp] = sv
             own = lev["own"]
@@ -385,16 +380,14 @@ def test_scalar_lts_level_local_equals_global_state_oracle(
             return None if f is None else np.stack([f, -0.5 * f], axis=1)
 
     # layout invariants
-    layouts = plan.local_layouts(solver.conn)
+    layouts = plan.local_layouts()
     owned = np.concatenate([lv.own_nodes for lv in plan.levels])
     assert np.array_equal(np.sort(owned), np.arange(solver.nnode))
     for lv, lay in zip(plan.levels, layouts):
         n_local = len(lay.local_nodes)
         assert np.array_equal(lay.local_nodes[: lay.n_own], lv.own_nodes)
-        assert len(np.unique(lay.local_nodes)) == n_local
-        assert lay.conn_local.min() >= 0 and lay.conn_local.max() < n_local
         assert np.array_equal(
-            lay.local_nodes[lay.conn_local], solver.conn[lv.elems]
+            np.sort(lay.local_nodes), np.unique(solver.conn[lv.elems])
         )
         halo_rate = plan.node_rate[lay.local_nodes[lay.n_own:]]
         assert np.all((halo_rate == 2 * lv.rate) | (2 * halo_rate == lv.rate))
@@ -420,8 +413,19 @@ def test_scalar_lts_level_local_equals_global_state_oracle(
             batch=batch, alpha=alpha,
         )
         assert np.array_equal(got, want)
+    # each level operator is its own rows of K, entries in K's stored
+    # order, columns renumbered into the level's local nodes
+    K = solver.bind_K(mu)
+    indptr, indices = solver._K_pattern
     for lev, lay in zip(solver._lts_exec_cache[5], layouts):
-        assert lev["kernel"].nnode == len(lay.local_nodes)
+        A = lev["K"]
+        assert A.ncols == len(lay.local_nodes)
+        ent = np.concatenate([
+            np.arange(indptr[a], indptr[a + 1])
+            for a in lay.local_nodes[: lay.n_own]
+        ])
+        assert np.array_equal(A.data, K[ent])
+        assert np.array_equal(lay.local_nodes[A.indices], indices[ent])
 
 
 def test_scalar_lts_steady_state_allocates_nothing_node_sized():
