@@ -12,9 +12,10 @@ marches the same quickstart-scale elastic problem two ways:
 * the instrumented :meth:`ElasticWaveSolver.run` with telemetry
   disabled and resilience in the shipping configuration (default
   health interval, a bound-but-never-due checkpoint manager);
-* a *replica loop* — the same kernel apply and the solver's own
-  ``elastic_update`` per step with every telemetry and resilience call
-  stripped.
+* a *replica loop* — the body of the every-step march
+  (:func:`~repro.solver.wave_solver.march_every_step`) that ``run``
+  drains: the same kernel apply and the solver's own ``elastic_update``
+  per step, with every telemetry, hook and resilience call stripped.
 
 Both runs must produce bitwise-identical final states (the replica is
 checked against the solver, so it cannot silently drift), and the
@@ -92,12 +93,13 @@ def make_force(solver: ElasticWaveSolver):
 
 
 def replica_run(solver: ElasticWaveSolver, force, nsteps: int) -> np.ndarray:
-    """The bare step of :meth:`ElasticWaveSolver.run` (damping off):
-    kernel apply, the solver's own ``elastic_update`` on the global
-    coefficient set, the seed loop's flop accounting, rotate — no
-    telemetry or resilience calls, so both sides of the ratio pay the
-    same update and a change to the step cannot leave this loop
-    behind.  Returns the final ``u`` state."""
+    """The bare step of :func:`~repro.solver.wave_solver.
+    march_every_step` as :meth:`ElasticWaveSolver.run` drains it
+    (damping off): forcing, kernel apply, the solver's own
+    ``elastic_update`` on the global coefficient set, the loop's flop
+    accounting, rotate — no spans, hooks, frame or generator, so both
+    sides of the ratio pay the same update and a change to the step
+    cannot leave this loop behind.  Returns the final ``u`` state."""
     dt = solver.dt
     shape = (solver.nnode, 3)
     co = solver._coefs()
@@ -108,9 +110,9 @@ def replica_run(solver: ElasticWaveSolver, force, nsteps: int) -> np.ndarray:
     flops_K = solver.K.flops_per_matvec
     flops_upd = update_flops_per_node(False) * solver.nnode
     for k in range(nsteps):
+        b = force(k * dt, fbuf)
         solver.K.matvec(u, out=Ku)
         solver.flops.add("stiffness", flops_K)
-        b = force(k * dt, fbuf)
         elastic_update(co, u, Ku, None, u_prev, b, u, r, tmp, r_bar, u_next)
         solver.flops.add("update", flops_upd)
         u_prev, u, u_next = u, u_next, u_prev

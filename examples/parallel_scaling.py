@@ -57,8 +57,7 @@ def main():
         parts = rcb_partition(mesh.elem_centers, nranks)
         world = SimWorld(nranks)
         dist = DistributedWaveSolver(mesh, mat, parts, world, dt=serial.dt)
-        fbuf = np.zeros((mesh.nnode, 3))
-        u = dist.run(lambda t: forces.forces_at(t, fbuf), 0.3)
+        u = dist.run(forces, 0.3)
         err = np.abs(u - ref["u"]).max() / max(np.abs(ref["u"]).max(), 1e-30)
         stats = world.total_stats()
         print(

@@ -182,11 +182,10 @@ class _ProfilePointForce:
         self.node = node
         self.nnode = nnode
 
-    def __call__(self, t, out=None):
-        b = np.zeros((self.nnode, 3)) if out is None else out
-        b.fill(0.0)
-        b[self.node, 2] = 1e9 * np.exp(-(((t - 0.05) / 0.02) ** 2))
-        return b
+    def __call__(self, t, out):
+        out.fill(0.0)
+        out[self.node, 2] = 1e9 * np.exp(-(((t - 0.05) / 0.02) ** 2))
+        return out
 
 
 def _profile_forward(args, out_dir: str) -> list:

@@ -10,10 +10,9 @@ accumulates (see :mod:`repro.parallel.decomposition` for the
 interface-first element ordering and split scatter plans).
 
 There are two domain-sharded schedules — one exchange per global step
-(:func:`_rank_program`) and the clustered-LTS march
-(:func:`_rank_program_lts`) — plus the shot-sharded
-:func:`_shot_program`.  Each is written once, as an SPMD **rank
-program** that takes its :class:`repro.parallel.simcomm.SimComm`; the
+and the clustered-LTS march — run by one SPMD **rank program**
+(:func:`_rank_program`), plus the shot-sharded :func:`_shot_program`.
+A program takes its :class:`repro.parallel.simcomm.SimComm`; the
 transport is the argument:
 
 * :class:`repro.parallel.simcomm.SimWorld` — in-process mailboxes; the
@@ -32,22 +31,27 @@ their ``run_spmd``, so per-rank arithmetic, operation order and
 equivalence tests (``np.array_equal`` trajectories, traffic matching
 message for message) pin the two *transports* against each other.
 
-The programs hold no arithmetic of their own: a rank's grid points are
-a *row set* of the serial solver's one update
-(:func:`repro.solver.wave_solver.elastic_update`, coefficients from its
-``row_coefs``; a cluster firing is its ``halo_in`` / ``fire_cluster``),
-so a one-rank run is the serial ``stacey_c1=False`` run bit for bit and
-more ranks differ only by the order of the interface sums.  Nor do they
-hold duties of their own: resume, poisoning, the health sentinel and
-checkpoints are the serial schedules'
+The programs hold no time loop of their own.  A rank's grid points are
+a *row set* of the serial solver, and the rank runs the serial
+schedule's one loop on it —
+:func:`repro.solver.wave_solver.march_every_step` or
+:func:`~repro.solver.wave_solver.march_clustered` — with its halo
+exchange as the stiffness step (``_RankFrame.exchange``: interface
+product, sends, interior product, suspend, receives, accumulate; under
+LTS only the interface-rate level's).  So a one-rank run is the serial
+``stacey_c1=False`` run bit for bit, and more ranks differ only by the
+order of the interface sums.  Resume, poisoning, the health sentinel
+and checkpoints are the loop's
 :class:`~repro.solver.frame.MarchFrame`, which ``_RankFrame`` extends
-with what needs a ``comm``.
+with what needs a ``comm``: the exchange, the top-of-step hooks, the
+phase timeline and the result write.  A shot slice is a serial batched
+march of the whole domain.
 
 Scope: lumped mass, Lysmer absorbing damping, conforming meshes — a
 rank's coefficient dict (its ``lysmer_row_set``) carries no ``c1``
 coupling, no projection and no Rayleigh term.  Adding them is three
 entries of that dict plus ghosting the masters of a rank's hanging
-nodes into its node set, not another update body.
+nodes into its node set, not another update body or loop.
 
 Two parallelisation axes are available.  :meth:`DistributedWaveSolver.
 run` shards the **domain**: each worker owns an element partition and
@@ -61,7 +65,6 @@ trade-off.
 
 from __future__ import annotations
 
-import inspect
 import time
 from typing import Callable, Sequence
 
@@ -91,13 +94,11 @@ from repro.solver.lts import (
 )
 from repro.solver.wave_solver import (
     DEFAULT_ABSORBING,
-    cluster_buffers,
-    elastic_update,
-    fire_cluster,
-    halo_in,
+    drain,
+    forcing,
     lysmer_row_set,
-    over_batch,
-    update_flops_per_node,
+    march_clustered,
+    march_every_step,
 )
 
 from repro import telemetry
@@ -143,26 +144,6 @@ def recommend_sharding(
     return "shots"
 
 
-def _make_force_caller(force_fn, nnode: int):
-    """Wrap ``force_fn`` as ``t -> global force field``, reusing one
-    preallocated buffer when it supports the serial solver's
-    ``(t, out)`` convention — no per-step node-sized allocation."""
-    try:
-        params = [
-            p
-            for p in inspect.signature(force_fn).parameters.values()
-            if p.kind
-            in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD, p.VAR_POSITIONAL)
-        ]
-        takes_out = len(params) >= 2
-    except (TypeError, ValueError):  # builtins, odd callables
-        takes_out = False
-    if not takes_out:
-        return force_fn
-    buf = np.zeros((nnode, 3))
-    return lambda t: force_fn(t, buf)
-
-
 class _RankFrame(MarchFrame):
     """The :class:`~repro.solver.frame.MarchFrame` of one rank program,
     plus what needs its ``comm``.
@@ -174,10 +155,12 @@ class _RankFrame(MarchFrame):
     :class:`~repro.resilience.FaultPlan`, ``health_interval`` for the
     NaN/Inf sentinel, and a :class:`RankTimeline` (the master's
     telemetry flag does not propagate into a worker process, so
-    recording is requested through the payload).  The plain program's
-    stride is 1, the clustered one's the sync rate.  On top of the
-    frame's resume and boundary duties: fault-plan binding, the
-    top-of-step hooks and the shared-array result write.
+    recording is requested through the payload).  The every-step
+    program's stride is 1, the clustered one's the sync rate.  On top
+    of the frame's resume and boundary duties: fault-plan binding, the
+    top-of-step hooks, the halo exchange that is the rank's stiffness
+    step, the phase timeline and compute / wait split it records, and
+    the shared-array result write.
     """
 
     def __init__(self, comm, p, *, stride=1):
@@ -203,8 +186,15 @@ class _RankFrame(MarchFrame):
             if p.get("timeline")
             else None
         )
-        #: ``(nsteps, phases)`` durations to fill in, or None
+        #: ``(nsteps, phases)`` durations to fill in, or None; the
+        #: clock is read either way (``t_compute`` / ``t_wait`` are
+        #: always returned), recording a timeline just keeps the phases
         self.dur = self.tl.durations if self.tl is not None else None
+        self.t_compute = self.t_wait = 0.0
+        # the open step: its index, start, wait and suspended seconds,
+        # and whether it exchanged
+        self._k, self._t0, self._wait, self._away = 0, 0.0, 0.0, 0.0
+        self._exchanged = False
         # kill and send-path faults (drop / delay / corrupt) exercise
         # the worker-process machinery, so only an endpoint with a
         # fault slot arms them: an in-process kill would ``os._exit``
@@ -216,14 +206,78 @@ class _RankFrame(MarchFrame):
             comm.world.fault_plan = self.faults
 
     def begin_step(self, k: int) -> None:
-        """Top-of-step hooks: scheduled kill, the step the transport's
-        send faults are keyed on, liveness ping."""
+        """Top-of-step hooks — scheduled kill, the step the transport's
+        send faults are keyed on, liveness ping — then open step ``k``
+        of the timeline."""
         if self._armed:
             self.faults.on_step_begin(self.rank, k)
             self.comm.world.fault_step = k
         self.comm.heartbeat(k)
+        self._k, self._wait, self._away = k, 0.0, 0.0
+        self._exchanged = False
+        self._t0 = time.perf_counter()
 
-    def finish(self, u, **timings) -> dict:
+    def exchange(self, op):
+        """``op``'s stiffness step with this rank's halo exchange inside
+        it: apply the interface elements, post the boundary partial
+        sums, apply the interior elements while they are in flight,
+        suspend, receive and accumulate.  Sends complete without
+        waiting, so on the process transport the interior product
+        genuinely overlaps the exchange.  ``op`` is split
+        (``split_elems``) with the interface elements first."""
+        comm, neighbors = self.comm, self.p["neighbors"]
+        rank = comm.rank
+        rbuf = {o: np.empty((len(loc), 3)) for o, loc in neighbors}
+        clock = time.perf_counter
+
+        def step(u, Ku):
+            op.matvec_interface(u, Ku)
+            t1 = clock()
+            for o, loc in neighbors:
+                comm.Send(Ku[loc], o, tag=rank)
+            t2 = clock()
+            op.matvec_interior_acc(u, Ku)
+            t3 = clock()
+            yield  # sends posted, nothing received yet
+            t3r = clock()
+            for o, loc in neighbors:
+                comm.Recv(o, tag=o, out=rbuf[o])
+            t4 = clock()
+            for o, loc in neighbors:
+                Ku[loc] += rbuf[o]
+                comm.add_flops(3 * len(loc))
+            self._wait += (t2 - t1) + (t4 - t3r)
+            # the time spent suspended is charged to no phase
+            self._away += t3r - t3
+            self._exchanged = True
+            dur = self.dur
+            if dur is not None:
+                k = self._k
+                dur[k, 0] = t1 - self._t0  # up to the interface product
+                dur[k, 1] = t2 - t1  # send
+                dur[k, 2] = t3 - t2  # interior
+                dur[k, 3] = t4 - t3r  # recv
+
+        return step
+
+    def boundary(self, s, state, snapshot) -> None:
+        """Close the open step — its busy time less its wait is
+        compute; with a timeline, what follows the receives is the
+        update phase (all of it, at a fine index that did not
+        exchange) — then the frame's boundary duties."""
+        busy = time.perf_counter() - self._t0 - self._away
+        self.t_wait += self._wait
+        self.t_compute += busy - self._wait
+        dur = self.dur
+        if dur is not None:
+            k = self._k
+            if self._exchanged:
+                dur[k, 4] = busy - dur[k, :4].sum()
+            else:
+                dur[k, 0] = busy
+        super().boundary(s, state, snapshot)
+
+    def finish(self, u, **extra) -> dict:
         """Unbind the fault plan, write the grid points this rank is
         the lowest owner of into the named shared result array, and
         build the program's return value."""
@@ -234,296 +288,112 @@ class _RankFrame(MarchFrame):
         res[self.p["gather_nodes"]] = u[self.p["gather_local"]]
         del res  # drop the exported view before closing the mapping
         shm.close()
-        out = {"nsteps": self.nsteps, **timings}
+        out = {
+            "nsteps": self.nsteps, "t_compute": self.t_compute,
+            "t_wait": self.t_wait, **extra,
+        }
         if self.tl is not None:
             out["timeline"] = self.tl.to_payload()
         return out
 
 
-def _lts_rank_levels(p: dict, plan) -> list[tuple[dict, dict]]:
-    """Per-level execution state for one rank's clustered-leapfrog loop
-    (see :mod:`repro.solver.lts` for the schedule contract), from the
-    rank's payload: the cluster's row set at its own step and its
-    operator, paired with its buffers.
+def _lts_rank_levels(p: dict, frame: _RankFrame) -> list[dict]:
+    """The clusters of one rank's clustered march (see
+    :mod:`repro.solver.lts` for the schedule contract), from the rank's
+    payload: each cluster's row set at its own step and its operator.
 
     The level whose rate equals the common interface rate ``r_int``
     carries the rank's interface elements (they are clamped to exactly
     that rate, and the partition orders them first, so they lead the
-    level's ascending own-element list) and gets a split operator for
-    the interface/interior comm-overlap phases; every other level is
+    level's ascending own-element list): its operator is split and it
+    fires through the ``frame``'s exchange.  Every other level is
     purely rank-local.
     """
+    plan = build_lts_plan(p["conn"], p["nloc"], dt=p["dt"], rates=p["rates"])
     r_int, n_iface = p["r_int"], p["n_iface"]
     levels = []
     for lv in plan.levels:
         e, own = lv.elems, lv.own_nodes
-        is_iface = r_int > 0 and lv.rate == r_int and n_iface > 0
-        op = ElasticOperator(
+        iface = r_int > 0 and lv.rate == r_int and n_iface > 0
+        K = ElasticOperator(
             p["conn"][e], p["h"][e], p["lam"][e], p["mu"][e], p["nloc"],
-            split_elems=n_iface if is_iface else None,
+            split_elems=n_iface if iface else None,
         )
         lev = {
             "rate": lv.rate,
             "own": own,
             "interp": lv.interp_nodes,
             **lysmer_row_set(p["m"][own], p["C"][own], lv.rate * p["dt"]),
-            "op": op,
-            "is_iface": is_iface,
-            "flops": op.flops_per_matvec
-            + update_flops_per_node(False) * len(own),  # one firing
+            "K": K,
         }
-        levels.append((lev, cluster_buffers(lev)))
+        if iface:
+            lev["exchange"] = frame.exchange(K)
+        levels.append(lev)
     return levels
 
 
-def _rank_program_lts(comm, payload):
-    """SPMD rank program for the clustered-LTS loop: one rank's full
-    multirate time march.
-
-    The loop runs over fine step indices at the rank's own finest rate;
-    every level fires when due (coarsest first).  Only the common
-    interface-rate level exchanges boundary partial sums — every other
-    fire is purely local — so ranks synchronize ``r_int`` times less
-    often than the global-dt program.  Checkpoints, NaN poisoning, and
-    health checks happen only at full sync boundaries (multiples of the
-    global coarsest rate ``r_sync``, identical on every rank), which
-    keeps the collective-restart recovery machinery working unchanged.
-    """
-    p = payload
-    dt, nsteps = p["dt"], p["nsteps"]
-    r_sync = p["r_sync"]
-    plan = build_lts_plan(p["conn"], p["nloc"], dt=dt, rates=p["rates"])
-    levels = _lts_rank_levels(p, plan)
-    neighbors = p["neighbors"]
-    force_fn = _make_force_caller(p["force_fn"], p["result"][1])
-    gnodes = p["gnodes"]
-    rank = comm.rank
-    nloc = p["nloc"]
-    u_prev = np.zeros((nloc, 3))
-    u = np.zeros((nloc, 3))
-    Ku = np.empty((nloc, 3))
-    b_loc = np.empty((nloc, 3))
-    rbuf = {o: np.empty((len(loc), 3)) for o, loc in neighbors}
-    t_compute = 0.0
-    t_wait = 0.0
-    clock = time.perf_counter
-
-    def snapshot(s):
-        return {"u_prev": u_prev, "u": u}
-
-    frame = _RankFrame(comm, p, stride=r_sync)
-    dur = frame.dur
-    k0 = frame.resume(snapshot, step=p.get("resume_step"))
-
-    r_min = plan.min_rate
-    for j in range(k0, nsteps, r_min):
-        frame.begin_step(j)
-        t = j * dt
-        tA = clock()
-        wait_j = 0.0
-        away_j = 0.0
-        iface_fired = False
-        b = force_fn(t)
-        if b is not None:
-            b = np.take(b, gnodes, axis=0, out=b_loc)
-        for lev, st in levels:
-            if j % lev["rate"]:
-                continue
-            op = lev["op"]
-            halo_in(lev, st, u, u_prev, j)
-            if lev["is_iface"]:
-                iface_fired = True
-                op.matvec_interface(u, Ku)
-                t1 = clock()
-                for o, loc in neighbors:
-                    comm.Send(Ku[loc], o, tag=rank)
-                t2 = clock()
-                op.matvec_interior_acc(u, Ku)
-                t3 = clock()
-                yield  # sends posted, nothing received yet
-                t3r = clock()
-                for o, loc in neighbors:
-                    comm.Recv(o, tag=o, out=rbuf[o])
-                t4 = clock()
-                for o, loc in neighbors:
-                    Ku[loc] += rbuf[o]
-                    comm.add_flops(3 * len(loc))
-                wait_j += (t2 - t1) + (t4 - t3r)
-                away_j += t3r - t3
-                if dur is not None:
-                    dur[j, 0] = t1 - tA  # up to interface matvec
-                    dur[j, 1] = t2 - t1  # send
-                    dur[j, 2] = t3 - t2  # interior
-                    dur[j, 3] = t4 - t3r  # recv
-            else:
-                op.matvec(u, out=Ku)
-            fire_cluster(lev, st, u, u_prev, Ku, b)
-            comm.add_flops(lev["flops"])
-        # time suspended at the yield belongs to no phase of this rank
-        busy_j = (clock() - tA) - away_j
-        t_wait += wait_j
-        t_compute += busy_j - wait_j
-        if dur is not None:
-            if iface_fired:
-                dur[j, 4] = busy_j - dur[j, :4].sum()
-            else:
-                dur[j, 0] = busy_j
-        frame.boundary(j + r_min, u, snapshot)
-
-    return frame.finish(
-        u, t_compute=t_compute, t_wait=t_wait,
-        lts_fired={lev["rate"]: st["fired"] for lev, st in levels},
-    )
-
-
 def _rank_program(comm, payload):
-    """SPMD rank program: one rank's full global-dt time loop.
+    """SPMD rank program: one rank's march over its grid points — the
+    serial solver's every-step loop, or its clustered one when the
+    payload carries element rates — with the halo exchange as the
+    stiffness step.
 
-    Boundary partial sums move through ``comm`` (sends complete
-    without waiting, so on the process transport the interior matvec
-    genuinely overlaps the exchange); the final displacement lands in
-    the named shared result array, each rank writing the grid points it
-    is the lowest owner of.  Returns wall-time split into compute and
-    communication-wait.  Checkpoints, fault hooks, the health sentinel
-    and the timeline are :class:`_RankFrame`'s; every step is a
-    boundary.
+    Under the clustered schedule only the common interface-rate level
+    exchanges, so ranks synchronize ``r_int`` times less often; its
+    frame acts only at full sync boundaries (multiples of the global
+    coarsest rate ``r_sync``, identical on every rank), which keeps the
+    collective-restart recovery working unchanged.  The final
+    displacement lands in the named shared result array; returns
+    wall time split into compute and communication wait (plus the
+    firings per rate when clustered).
     """
     p = payload
-    op = ElasticOperator(
-        p["conn"], p["h"], p["lam"], p["mu"], p["nloc"],
-        split_elems=p["n_iface"],
+    clustered = "rates" in p
+    frame = _RankFrame(comm, p, stride=p["r_sync"] if clustered else 1)
+    force = forcing(p["force_fn"], p["result"][1], p["dt"], rows=p["gnodes"])
+    kw = dict(
+        count=lambda _kind, n: comm.add_flops(n),
+        resume={"step": p.get("resume_step")},
     )
-    neighbors = p["neighbors"]  # [(rank, local idx of shared nodes)]
-    dt, nsteps = p["dt"], p["nsteps"]
-    co = lysmer_row_set(p["m"], p["C"], dt)
-    force_fn = _make_force_caller(p["force_fn"], p["result"][1])
-    gnodes = p["gnodes"]
-    rank = comm.rank
-    nloc = p["nloc"]
-    u_prev = np.zeros((nloc, 3))
-    u = np.zeros((nloc, 3))
-    u_next = np.zeros((nloc, 3))
-    Ku, r, tmp = (np.empty((nloc, 3)) for _ in range(3))
-    b_loc = np.empty((nloc, 3))
-    rbuf = {o: np.empty((len(loc), 3)) for o, loc in neighbors}
-    flops_mv = op.flops_per_matvec
-    flops_upd = update_flops_per_node(False) * nloc
-    t_compute = 0.0
-    t_wait = 0.0
-    clock = time.perf_counter
-
-    def snapshot(s):
-        return {"u_prev": u_prev, "u": u}
-
-    frame = _RankFrame(comm, p)
-    # the t0..t5 readings are taken either way (t_compute / t_wait are
-    # always returned); recording a timeline just keeps them
-    dur = frame.dur
-    k0 = frame.resume(snapshot, step=p.get("resume_step"))
-
-    for k in range(k0, nsteps):
-        frame.begin_step(k)
-        t = k * dt
-        t0 = clock()
-        b = force_fn(t)
-        if b is not None:
-            b = np.take(b, gnodes, axis=0, out=b_loc)
-        op.matvec_interface(u, Ku)
-        comm.add_flops(flops_mv)
-        t1 = clock()
-        for o, loc in neighbors:
-            comm.Send(Ku[loc], o, tag=rank)
-        t2 = clock()
-        op.matvec_interior_acc(u, Ku)
-        t3 = clock()
-        # sends posted, nothing received yet; the time spent suspended
-        # is charged to no phase (the clock is read again on return)
-        yield
-        t3r = clock()
-        for o, loc in neighbors:
-            comm.Recv(o, tag=o, out=rbuf[o])
-        t4 = clock()
-        for o, loc in neighbors:
-            Ku[loc] += rbuf[o]
-            comm.add_flops(3 * len(loc))
-        elastic_update(co, u, Ku, None, u_prev, b, u, r, tmp, None, u_next)
-        u_prev, u, u_next = u, u_next, u_prev
-        comm.add_flops(flops_upd)
-        t5 = clock()
-        t_compute += (t1 - t0) + (t3 - t2) + (t5 - t4)
-        t_wait += (t2 - t1) + (t4 - t3r)
-        if dur is not None:
-            dur[k, 0] = t1 - t0  # interface (+ force eval)
-            dur[k, 1] = t2 - t1  # send
-            dur[k, 2] = t3 - t2  # interior
-            dur[k, 3] = t4 - t3r  # recv
-            dur[k, 4] = t5 - t4  # accumulate + update
-        frame.boundary(k + 1, u, snapshot)  # u is x^{k+1} after rotation
-
-    return frame.finish(u, t_compute=t_compute, t_wait=t_wait)
-
-
-def _march_shot_slice(op, co, force_fns, nnode, dt, nsteps, add_flops=None):
-    """March one worker's shot slice over the *whole* domain as a
-    single batched time loop.  Each column reproduces the
-    corresponding single-shot run bit for bit (the batched ``matmat``
-    guarantees per-column identity, and every other term is
-    elementwise).
-
-    ``co`` is the whole domain's ``lysmer_row_set``; returns the final
-    ``(nnode, 3, B)`` displacement block.
-    """
-    B = len(force_fns)
-    co = over_batch(co, (B,))
-    callers = [_make_force_caller(fn, nnode) for fn in force_fns]
-    u_prev = np.zeros((nnode, 3, B))
-    u = np.zeros((nnode, 3, B))
-    u_next = np.zeros((nnode, 3, B))
-    Ku, r, tmp = (np.empty((nnode, 3, B)) for _ in range(3))
-    fbuf = np.zeros((nnode, 3, B))
-    # kernel-provided batched count (cannot drift from the 1-RHS rate)
-    flops_step = (
-        op.flops_per_matmat(B) + update_flops_per_node(False) * nnode * B
-    )
-
-    for k in range(nsteps):
-        t = k * dt
-        live = False
-        for b, fn in enumerate(callers):
-            f = fn(t)
-            if f is None:
-                fbuf[:, :, b] = 0.0
-            else:
-                fbuf[:, :, b] = f
-                live = True
-        op.matmat(u, out=Ku)
-        elastic_update(
-            co, u, Ku, None, u_prev, fbuf if live else None, u, r, tmp,
-            None, u_next,
+    if not clustered:
+        op = ElasticOperator(
+            p["conn"], p["h"], p["lam"], p["mu"], p["nloc"],
+            split_elems=p["n_iface"],
         )
-        u_prev, u, u_next = u, u_next, u_prev
-        if add_flops is not None:
-            add_flops(flops_step)
-    return u
+        u = yield from march_every_step(
+            op, lysmer_row_set(p["m"], p["C"], p["dt"]), force, frame,
+            exchange=frame.exchange(op), **kw,
+        )
+        return frame.finish(u)
+    levels = _lts_rank_levels(p, frame)
+    u, fired = yield from march_clustered(levels, force, frame, **kw)
+    return frame.finish(
+        u, lts_fired={lev["rate"]: n for lev, n in zip(levels, fired)}
+    )
 
 
 def _shot_program(comm, payload):
-    """Shot-sharded SPMD program: build the global operator and march
-    this worker's slice of the scenario batch.  No sends, no receives —
-    the transport carries nothing but the final states, written into
-    the named shared result array (disjoint shot rows per worker)."""
+    """Shot-sharded SPMD program: march this worker's slice of the
+    scenario batch over the *whole* domain as one batched every-step
+    march (each column is the single-shot run bit for bit: the batched
+    ``matmat`` is per-column exact and every other term elementwise).
+    No sends, no receives — the transport carries nothing but the final
+    states, written into the named shared result array (disjoint shot
+    rows per worker)."""
     p = payload
     idx = p["shots"]
     name, B, nnode = p["result"]
     if len(idx) == 0:
         return {"t_compute": 0.0, "nsteps": p["nsteps"], "nshots": 0}
+    tail = (len(idx),)
     op = ElasticOperator(p["conn"], p["h"], p["lam"], p["mu"], nnode)
-    co = lysmer_row_set(p["m"], p["C"], p["dt"])
     t0 = time.perf_counter()
-    u = _march_shot_slice(
-        op, co, p["force_fns"],
-        nnode, p["dt"], p["nsteps"], add_flops=comm.add_flops,
-    )
+    u = drain(march_every_step(
+        op, lysmer_row_set(p["m"], p["C"], p["dt"]),
+        forcing(p["force_fns"], nnode, p["dt"], tail),
+        MarchFrame(p["nsteps"]), tail,
+        count=lambda _kind, n: comm.add_flops(n),
+    ))
     t_compute = time.perf_counter() - t0
     shm, res = attach_shared_array(name, (B, nnode, 3))
     res[idx] = np.moveaxis(u, 2, 0)
@@ -670,7 +540,7 @@ class DistributedWaveSolver:
 
     def run(
         self,
-        force_fn: Callable[[float], np.ndarray],
+        force_fn: Callable[[float], np.ndarray] | object,
         t_end: float,
         *,
         checkpoint_dir: str | None = None,
@@ -682,9 +552,11 @@ class DistributedWaveSolver:
         retry: RetryPolicy | None = None,
         lts: int | bool | None = None,
     ) -> np.ndarray:
-        """March to ``t_end``; ``force_fn(t)`` returns the *global*
-        nodal force field (each rank reads its slice, as if the sources
-        had been assigned to owning ranks).  Returns the final global
+        """March to ``t_end``; ``force_fn`` gives the *global* nodal
+        force field — a :class:`~repro.sources.fault.SourceCollection`,
+        a ``(t, out)`` or a ``(t)`` callable, as for
+        :meth:`ElasticWaveSolver.run` — and each rank reads its slice,
+        as if the sources had been assigned to owning ranks.  Returns the final global
         displacement, gathered deterministically (each grid point from
         its lowest co-owning rank) for verification.
 
@@ -748,10 +620,9 @@ class DistributedWaveSolver:
         the transport — see :func:`recommend_sharding` for when this
         beats domain decomposition.
 
-        Each ``force_fns[b]`` follows the same convention as
-        :meth:`run`'s ``force_fn`` (``t -> (nnode, 3)`` or the
-        buffer-reusing ``(t, out)`` form); on the process transport
-        every entry must be picklable.  Returns the final displacements
+        Each ``force_fns[b]`` is what :meth:`run` takes as ``force_fn``
+        (a source collection, a ``(t, out)`` or a ``(t)`` callable); on
+        the process transport every entry must be picklable.  Returns the final displacements
         as ``(B, nnode, 3)``; row ``b`` is bit-identical to the same
         scenario marched alone.
         """
@@ -808,10 +679,10 @@ class DistributedWaveSolver:
             "gnodes": rp.nodes,
         }
 
-    def _rank_payloads(self, common: dict, lts_ctx):
-        """The schedule's rank program and one payload per rank:
-        ``common``, the rank's gather lists, its subdomain and
-        neighbors, and under LTS its element rates."""
+    def _rank_payloads(self, common: dict, lts_ctx) -> list[dict]:
+        """One rank-program payload per rank: ``common``, the rank's
+        gather lists, its subdomain and neighbors, and under LTS its
+        element rates (which pick the clustered march)."""
         payloads = []
         for rp in self.dist.ranks:
             pl = dict(
@@ -830,17 +701,16 @@ class DistributedWaveSolver:
                     r_sync=lts_ctx["r_sync"],
                 )
             payloads.append(pl)
-        program = _rank_program if lts_ctx is None else _rank_program_lts
-        return program, payloads
+        return payloads
 
     def _run_spmd(self, force_fn, nsteps, *, checkpoint_dir=None,
                   checkpoint_every=0, checkpoint_keep=3, resume=False,
                   faults=None, health_interval=0, retry=None,
                   lts_ctx=None):
-        """Hand the schedule's rank program to the world and gather the
-        result; on a :class:`WorkerFailure` (process transport only —
-        in-process a rank's exception propagates as itself) respawn,
-        rewind to the last collective checkpoint and retry."""
+        """Hand the rank program to the world and gather the result; on
+        a :class:`WorkerFailure` (process transport only — in-process a
+        rank's exception propagates as itself) respawn, rewind to the
+        last collective checkpoint and retry."""
         world = self.world
         mesh = self.mesh
         max_msg = max(
@@ -867,7 +737,7 @@ class DistributedWaveSolver:
             )
         shm, result = create_shared_array((mesh.nnode, 3))
         try:
-            program, base = self._rank_payloads(
+            base = self._rank_payloads(
                 {
                     "dt": self.dt,
                     "nsteps": nsteps,
@@ -890,7 +760,7 @@ class DistributedWaveSolver:
                     for pl in base
                 ]
                 try:
-                    timings = world.run_spmd(program, payloads)
+                    timings = world.run_spmd(_rank_program, payloads)
                     break
                 except WorkerFailure as wf:
                     telemetry.count("resilience.worker_failures")

@@ -170,27 +170,32 @@ class SimComm:
     def Barrier(self) -> None:
         self.world._barrier(self.rank)
 
-    def Allreduce(self, value: float, op=sum) -> float:
+    def Allreduce(self, value: float, op=sum):
         """Scalar allreduce over a binomial tree of Send/Recv pairs
         (reduce to rank 0, then broadcast), so the accounting reflects
         ``O(log P)`` critical-path messages.  ``op`` combines a list of
-        two partial values.  Requires a concurrent transport (every
-        rank must call it); in-process use goes through
-        :meth:`SimWorld.allreduce`, which executes the same tree."""
+        two partial values.  A generator, like an exchanging rank
+        program: it suspends once per tree round, after that round's
+        sends — call it as ``v = yield from comm.Allreduce(x)`` on every
+        rank, or through a world's ``allreduce``."""
         v = float(value)
         rounds = binomial_rounds(self.size)
         for pairs in rounds:  # reduce
             for child, parent in pairs:
                 if self.rank == child:
                     self.Send(np.array([v]), parent, tag=COLLECTIVE_TAG)
-                elif self.rank == parent:
+            yield
+            for child, parent in pairs:
+                if self.rank == parent:
                     got = self.Recv(child, tag=COLLECTIVE_TAG)
                     v = float(op([v, float(got[0])]))
         for pairs in reversed(rounds):  # broadcast
             for child, parent in pairs:
                 if self.rank == parent:
                     self.Send(np.array([v]), child, tag=COLLECTIVE_TAG)
-                elif self.rank == child:
+            yield
+            for child, parent in pairs:
+                if self.rank == child:
                     v = float(self.Recv(parent, tag=COLLECTIVE_TAG)[0])
         return v
 
@@ -287,32 +292,16 @@ class SimWorld:
         return results
 
     def allreduce(self, values: list[float], op=sum) -> float:
-        """World-level scalar allreduce (one value per rank), executed
-        as a binomial reduce + broadcast through the mailboxes — the
-        per-rank message/byte accounting is *measured* from the same
-        tree the process transport walks, not modeled."""
+        """World-level scalar allreduce (one value per rank), both
+        worlds' (``ProcWorld`` shares it; there ``op`` must pickle):
+        every rank runs :meth:`SimComm.Allreduce` through the
+        transport, so the per-rank message/byte accounting is
+        *measured* from one tree walk, not modeled."""
         if len(values) != self.nranks:
             raise ValueError("one value per rank required")
-        vals = [float(v) for v in values]
-        rounds = binomial_rounds(self.nranks)
-        for pairs in rounds:  # reduce toward rank 0
-            for child, parent in pairs:
-                self.comm(child).Send(
-                    np.array([vals[child]]), parent, tag=COLLECTIVE_TAG
-                )
-            for child, parent in pairs:
-                got = self.comm(parent).Recv(child, tag=COLLECTIVE_TAG)
-                vals[parent] = float(op([vals[parent], float(got[0])]))
-        for pairs in reversed(rounds):  # broadcast back down
-            for child, parent in pairs:
-                self.comm(parent).Send(
-                    np.array([vals[parent]]), child, tag=COLLECTIVE_TAG
-                )
-            for child, parent in pairs:
-                vals[child] = float(
-                    self.comm(child).Recv(parent, tag=COLLECTIVE_TAG)[0]
-                )
-        return vals[0]
+        return self.run_spmd(
+            _allreduce_program, [(float(v), op) for v in values]
+        )[0]
 
     # ------------------------------------------------ transport protocol
 
@@ -345,3 +334,9 @@ class SimWorld:
 
     def rank_stats(self, rank: int) -> TrafficStats:
         return self.stats[rank]
+
+
+def _allreduce_program(comm, payload):
+    """Both worlds' ``allreduce``: one rank's :meth:`SimComm.Allreduce`."""
+    value, op = payload
+    return (yield from comm.Allreduce(value, op=op))

@@ -64,7 +64,7 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.backend.blas_threads import single_thread_blas
-from repro.parallel.simcomm import SimComm, TrafficStats
+from repro.parallel.simcomm import SimComm, SimWorld, TrafficStats
 from repro.telemetry import spans
 
 _HDR = 6  # per-slot header int64s: tag, ndim, shape[0..2], crc32
@@ -551,16 +551,8 @@ class ProcWorld:
             )
         return results
 
-    def allreduce(self, values: list[float], op=sum) -> float:
-        """World-level convenience matching :meth:`SimWorld.allreduce`:
-        every worker walks the same binomial tree through the real
-        channels.  ``op`` must be picklable (module-level)."""
-        if len(values) != self.nranks:
-            raise ValueError("one value per rank required")
-        results = self.run_spmd(
-            _allreduce_program, [(float(v), op) for v in values]
-        )
-        return results[0]
+    #: the same binomial tree, walked through the real channels
+    allreduce = SimWorld.allreduce
 
     def total_stats(self) -> TrafficStats:
         out = TrafficStats()
@@ -641,11 +633,6 @@ class ProcWorld:
             self.close(force=True)
         except Exception:
             pass
-
-
-def _allreduce_program(comm, payload):
-    value, op = payload
-    return comm.Allreduce(value, op=op)
 
 
 # ----------------------------------------------- shared bulk state

@@ -1,9 +1,9 @@
 """The march frame: what every time loop does around its schedule.
 
-Every schedule in the repo — the elastic solver's every-step and
-clustered marches, the scalar solver's two, and the rank programs of
-:mod:`repro.parallel.dist_solver` — advances its own state and hands the
-rest to one :class:`MarchFrame`:
+Every schedule in the repo — the elastic every-step and clustered
+marches (which the rank programs of :mod:`repro.parallel.dist_solver`
+run too) and the scalar solver's two — advances its own state and
+hands the rest to one :class:`MarchFrame`:
 
 * **resume** — load the restart record (the latest valid snapshot, or
   exactly one collective step), refuse a record this march cannot
@@ -99,6 +99,10 @@ class MarchFrame:
                 dst[...] = src
         self._saved = self._checked = k0
         return k0
+
+    def begin_step(self, k) -> None:
+        """Open step (or fine index) ``k``: nothing in a serial march;
+        a rank's frame runs its top-of-step hooks here."""
 
     def boundary(self, s, state, snapshot) -> None:
         """Duties after ``s`` completed steps, when ``s`` is a sync

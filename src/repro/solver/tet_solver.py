@@ -7,15 +7,15 @@ memory per grid point is roughly an order of magnitude above the
 hexahedral code — the comparison the paper reports.
 
 Absorbing boundaries use the viscous (Lysmer) damping terms only, so
-the baseline's nodes are one conforming Lysmer row set and its time
-step is the hexahedral solver's own central-difference update
-(:func:`~repro.solver.wave_solver.elastic_update`) around the stored-
-matrix stiffness product.
+the baseline's nodes are one conforming Lysmer row set and its run is
+the hexahedral solver's own every-step march
+(:func:`~repro.solver.wave_solver.march_every_step`) around the
+stored-matrix stiffness product.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,10 +27,14 @@ from repro.mesh.tetmesh import TetMesh, hex_to_tet_mesh
 from repro.physics.cfl import stable_timestep
 from repro.physics.elastic import lame_from_velocities
 from repro.physics.stacey import stacey_boundary_matrices, stacey_coefficients
+from repro.solver.frame import MarchFrame
 from repro.solver.wave_solver import (
     DEFAULT_ABSORBING,
-    elastic_update,
+    drain,
+    forcing,
     lysmer_row_set,
+    march_every_step,
+    receiver_hook,
 )
 from repro.util.flops import FlopCounter
 
@@ -88,6 +92,11 @@ class TetWaveSolver:
         n += self.m.nbytes + self.C_diag.nbytes
         return n
 
+    @property
+    def flops_per_matvec(self) -> int:
+        """Kernel-provided count: dense per-element apply + scatter adds."""
+        return self._kernel.flops_per_matvec
+
     def matvec(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if out is None:
             out = np.empty((self.nnode, 3))
@@ -96,8 +105,6 @@ class TetWaveSolver:
         self._kernel.matvec(
             np.ascontiguousarray(u).reshape(-1), out.reshape(-1)
         )
-        # kernel-provided count (dense per-element apply + scatter adds)
-        self.flops.add("stiffness", self._kernel.flops_per_matvec)
         return out
 
     def run(
@@ -110,29 +117,15 @@ class TetWaveSolver:
     ) -> Seismograms | None:
         dt = self.dt
         nsteps = int(np.ceil(t_end / dt))
-        shape = (self.nnode, 3)
-        co = lysmer_row_set(self.m, self.C_diag, dt)
-        u_prev, u, u_next = np.zeros(shape), np.zeros(shape), np.zeros(shape)
-        r, Ku, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
-        if hasattr(forces, "forces_at"):
-            force_fn = lambda t, out: forces.forces_at(t, out)
-        else:
-            force_fn = forces
-        fbuf = np.zeros(shape)
         data = receivers.allocate(3, nsteps) if receivers is not None else None
-        for k in range(nsteps):
-            t = k * dt
-            self.matvec(u, out=Ku)
-            b = force_fn(t, fbuf)
-            elastic_update(co, u, Ku, None, u_prev, b, u, r, tmp, None, u_next)
-            if receivers is not None:
-                if record == "velocity":
-                    data[:, :, k] = (
-                        u_next[receivers.nodes] - u_prev[receivers.nodes]
-                    ) / (2 * dt)
-                else:
-                    data[:, :, k] = u[receivers.nodes]
-            u_prev, u, u_next = u, u_next, u_prev
+        drain(march_every_step(
+            self, lysmer_row_set(self.m, self.C_diag, dt),
+            forcing(forces, self.nnode, dt), MarchFrame(nsteps),
+            count=self.flops.add,
+            observe=() if data is None else [
+                receiver_hook([data], [(receivers.nodes,)], record, dt)
+            ],
+        ))
         if receivers is None:
             return None
         return Seismograms(

@@ -21,24 +21,27 @@ That update is written once, :func:`elastic_update`, as a function of
 a *row set* (all rows, one LTS cluster's own rows, a rank's grid
 points) whose coefficients come from :func:`row_coefs`; one cluster
 firing is :func:`halo_in` -> the caller's ``K`` -> :func:`fire_cluster`.
-They are module functions because code that holds only a row set's
-arrays calls them too: the rank programs of
-:mod:`repro.parallel.dist_solver` have no arithmetic of their own.
-Here, two schedules call the update: the every-step march ``_march``
-and the clustered one ``_march_lts``.  A batch of ``B`` scenarios is a
-trailing axis of the same bodies — ``tail = (B,)`` sizes the buffers,
-broadcasts the per-dof diagonals and picks ``matmat`` over ``matvec``
-— so ``run`` and ``run_batch`` are wrappers over one ``_run``.  What a
-schedule does around its loop — resume, and poison / health check /
-checkpoint at its boundaries (every step, or every sync under LTS) —
-is :class:`~repro.solver.frame.MarchFrame`'s; a schedule only names
-its restart record.
+The time loop around them is written once per schedule too:
+:func:`march_every_step` and :func:`march_clustered`, generators over
+an operator, a row set (one per cluster), a :func:`forcing` and a
+:class:`~repro.solver.frame.MarchFrame` (resume, and poison / health
+check / checkpoint at its boundaries).  A loop applies ``K`` through a
+*stiffness step*: the operator's product, or the caller's — a rank of
+:mod:`repro.parallel.dist_solver` passes its halo exchange, whose
+suspension is the loop's only one.  Serial callers (this solver, the
+shot slices, the linear-tet baseline) :func:`drain` a loop; a rank
+runs it with ``yield from``.  They are module functions because code
+that holds only a row set's arrays calls them.  A batch of ``B``
+scenarios is a trailing axis of the same bodies — ``tail = (B,)``
+sizes the buffers, broadcasts the per-dof diagonals and picks
+``matmat`` over ``matvec`` — so ``run`` and ``run_batch`` are wrappers
+over one ``_run``.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -70,17 +73,6 @@ from repro import telemetry
 #: absorbing boundary planes: all four sides plus the bottom;
 #: the free surface is (2, 0) — the z = 0 plane
 DEFAULT_ABSORBING = ((0, 0), (0, 1), (1, 0), (1, 1), (2, 1))
-
-
-def _restart_record(s, u_prev, u, ku, data) -> dict:
-    """The elastic restart record after ``s`` steps (see
-    :mod:`repro.solver.frame`): the pair, ``ku`` — a damped run's
-    cached ``K u`` buffers by key — and the recorded seismogram prefix
-    (a checkpointed march is solo: column 0's)."""
-    rec = {"u_prev": u_prev, "u": u, **ku}
-    if data is not None:
-        rec["rec_data"] = data[0][:, :, :s]
-    return rec
 
 
 def _column(rows: np.ndarray, b: int, tail: tuple) -> tuple:
@@ -266,6 +258,233 @@ def fire_cluster(lev, st, u, u_prev, Ku, b) -> None:
     u_prev[own] = st["u_own"]
     u[own] = st["unew"]
     st["fired"] += 1
+
+
+def _with_out(fc):
+    """One scenario's forcing as a ``(t, out)`` callable: a
+    :class:`~repro.sources.fault.SourceCollection`'s ``forces_at``, a
+    ``(t, out)`` callable as it stands, a ``(t)`` callable — told apart
+    by its positional parameters — with ``out`` ignored."""
+    if hasattr(fc, "forces_at"):
+        return fc.forces_at
+    try:
+        params = inspect.signature(fc).parameters.values()
+        takes_out = sum(
+            p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD,
+                       p.VAR_POSITIONAL)
+            for p in params
+        ) >= 2
+    except (TypeError, ValueError):  # builtins, odd callables
+        takes_out = False
+    return fc if takes_out else (lambda t, out: fc(t))
+
+
+def forcing(forces, nnode, dt, tail=(), rows=None):
+    """``force(k) -> block | None``: the forcing of step ``k`` (time
+    ``k dt``) of a march, for every schedule and caller.
+
+    Solo, ``forces`` is a :class:`~repro.sources.fault.SourceCollection`,
+    a ``(t, out)`` callable or a ``(t)`` callable returning the
+    ``(nnode, 3)`` field (None when quiet); in a batch (``tail = (B,)``)
+    a sequence of them, stacked column by column into one reused
+    ``(nnode, 3, B)`` block (None while every scenario is quiet).
+    ``rows`` — a rank's grid points — selects the rows the march reads.
+    No per-step node-sized allocation."""
+    fns = [_with_out(fc) for fc in (forces if tail else [forces])]
+    fbuf = np.zeros((nnode, 3, *tail))
+    if not tail:
+        fn = fns[0]
+        force = lambda k: fn(k * dt, fbuf)  # noqa: E731
+    else:
+        fcol = np.zeros((nnode, 3))  # contiguous per-scenario scratch
+        col_live = np.zeros(len(fns), dtype=bool)  # column nonzero in fbuf
+
+        def force(k):
+            live = False
+            for b, fn in enumerate(fns):
+                fb = fn(k * dt, fcol)
+                if fb is None:
+                    # a column goes quiet: zero it once, then skip the
+                    # fill until the source speaks again (the content
+                    # is zero either way, so bit-identity holds)
+                    if col_live[b]:
+                        fbuf[:, :, b] = 0.0
+                        col_live[b] = False
+                else:
+                    fbuf[:, :, b] = fb
+                    col_live[b] = True
+                    live = True
+            return fbuf if live else None
+
+    if rows is None:
+        return force
+    full, b_rows = force, np.empty((len(rows), 3, *tail))
+
+    def force_rows(k):
+        b = full(k)
+        return None if b is None else np.take(b, rows, axis=0, out=b_rows)
+
+    return force_rows
+
+
+def drain(march):
+    """Run a march generator to its end on this thread — a serial
+    caller, for which nothing happens at the suspension points — and
+    return what it returns."""
+    try:
+        while True:
+            next(march)
+    except StopIteration as stop:
+        return stop.value
+
+
+def receiver_hook(data, sel, record, dt):
+    """:func:`march_every_step` ``observe`` hook filling column ``k``
+    of each ``data`` block from its ``sel`` rows: the central-difference
+    velocity or (``record="displacement"``) the displacement ``u^k``."""
+    def hook(k, u_prev, u, u_next):
+        for d, rows in zip(data, sel):
+            if record == "velocity":
+                d[:, :, k] = (u_next[rows] - u_prev[rows]) / (2.0 * dt)
+            else:
+                d[:, :, k] = u[rows]
+
+    return hook
+
+
+def march_every_step(op, co, force, frame, tail=(), *, count, exchange=None,
+                     observe=(), carry=None, resume=None, traced=False):
+    """The every-step schedule, written once: each step all rows of the
+    row set ``co`` advance — the stiffness step, then
+    :func:`elastic_update` — three state buffers rotate, and a damped
+    step's ``K u`` swaps into the Rayleigh cache.  In place: no per-step
+    O(n) allocation.  A generator that returns the final ``u``.
+
+    ``op`` is the row set's operator (``nnode``, ``matvec`` /
+    ``matmat``); ``force`` a :func:`forcing`; ``frame`` the
+    :class:`~repro.solver.frame.MarchFrame` of ``nsteps``, resumed with
+    the ``resume`` keywords, whose ``begin_step`` / ``boundary`` open
+    and close each step.  ``exchange(u, Ku)``, a generator, replaces
+    ``op``'s product as the stiffness step: a rank's halo exchange,
+    suspending once between its sends and its receives — the loop
+    suspends nowhere else.  ``count(kind, flops)`` receives each step's
+    ``"stiffness"`` and ``"update"`` work; each ``observe(k, u_prev, u,
+    u_next)`` hook sees the step before the rotation; ``carry(s)`` is
+    what the restart record holds beside the state; ``traced`` opens
+    the ``stiffness`` / ``update`` spans (none spans a suspension)."""
+    n = op.nnode
+    shape = (n, 3, *tail)
+    co = over_batch(co, tail)
+    damped = bool(co["c_kup"])
+    u_prev, u, u_next = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    r, Ku, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
+    B = co["B"]
+    r_bar = None if B is None else np.empty((B.shape[1], 3, *tail))
+    Ku_prev = np.zeros(shape) if damped else None  # K u^{k-1}
+    apply = op.matmat if tail else op.matvec
+    # the kernel's own accounting, so the batched numbers cannot drift
+    # from the 1-RHS ones
+    width = math.prod(tail)
+    flops_K = op.flops_per_matmat(width) if tail else op.flops_per_matvec
+    flops_upd = update_flops_per_node(damped) * n * width
+    span = telemetry.span if traced else telemetry.no_span
+    nelem = op.nelem if traced else 0
+
+    def snapshot(s):
+        rec = {"u_prev": u_prev, "u": u}
+        if damped:
+            rec["ku_prev"] = Ku_prev
+        if carry is not None:
+            rec.update(carry(s))
+        return rec
+
+    k0 = frame.resume(snapshot, **(resume or {}))
+    for k in range(k0, frame.nsteps):
+        frame.begin_step(k)
+        b = force(k)
+        # literal span names, no kwargs: no hot-loop allocations
+        if exchange is None:
+            with span("stiffness") as _s:
+                apply(u, out=Ku)
+                _s.add("flops", flops_K)
+                _s.add("elements", nelem)
+        else:
+            yield from exchange(u, Ku)
+        count("stiffness", flops_K)
+        with span("update") as _s:
+            elastic_update(
+                co, u, Ku, Ku_prev, u_prev, b, u, r, tmp, r_bar, u_next
+            )
+            _s.add("flops", flops_upd)
+        count("update", flops_upd)
+        if damped:
+            # this step's K u is the next step's cache
+            Ku_prev, Ku = Ku, Ku_prev
+        for hook in observe:
+            hook(k, u_prev, u, u_next)
+        u_prev, u, u_next = u, u_next, u_prev
+        # u is now x^{k+1}, u_prev is x^k — the restart pair
+        frame.boundary(k + 1, u, snapshot)
+    return u
+
+
+def march_clustered(levels, force, frame, tail=(), *, count, observe=(),
+                    carry=None, resume=None):
+    """The clustered-leapfrog schedule (contract in
+    :mod:`repro.solver.lts`), written once: one loop over fine indices;
+    each cluster fires when its rate divides the index, coarsest first,
+    through :func:`halo_in` -> its stiffness step -> :func:`fire_cluster`
+    on global state.  The ``frame`` strides by the coarsest rate, so it
+    acts only at sync boundaries.  A generator that returns the final
+    ``u`` and each cluster's firing count.
+
+    ``levels``, coarsest first, hold ``rate``, ``own``, ``interp``, an
+    :func:`elastic_update` row set and ``K``, the cluster's operator
+    over the full state; a level with an ``exchange`` fires through it
+    instead of ``K``'s product (a rank's interface level).  The other
+    arguments are :func:`march_every_step`'s; an ``observe(li, j, lev,
+    st)`` hook sees level ``li`` fire at fine index ``j``."""
+    levels = [over_batch(lev, tail) for lev in levels]
+    width = math.prod(tail)
+    shape = (levels[0]["K"].nnode, 3, *tail)
+    damped = bool(levels[0]["c_kup"])
+    u_prev, u, Ku = np.zeros(shape), np.zeros(shape), np.empty(shape)
+    rt = [cluster_buffers(lev, tail, damped) for lev in levels]
+
+    def snapshot(s):
+        rec = {"u_prev": u_prev, "u": u}
+        if damped:
+            rec.update(
+                {f"ku_prev_{i}": st["ku_prev"] for i, st in enumerate(rt)}
+            )
+        if carry is not None:
+            rec.update(carry(s))
+        return rec
+
+    k0 = frame.resume(snapshot, **(resume or {}))
+    r_min = min(lev["rate"] for lev in levels)
+    for j in range(k0, frame.nsteps, r_min):
+        frame.begin_step(j)
+        b = force(j)
+        for li, (lev, st) in enumerate(zip(levels, rt)):
+            if j % lev["rate"]:
+                continue
+            halo_in(lev, st, u, u_prev, j)
+            K, exchange = lev["K"], lev.get("exchange")
+            if exchange is None:
+                (K.matmat if tail else K.matvec)(u, out=Ku)
+            else:
+                yield from exchange(u, Ku)
+            fire_cluster(lev, st, u, u_prev, Ku, b)
+            count("stiffness", K.flops_per_matmat(width))
+            count(
+                "update",
+                update_flops_per_node(damped) * len(lev["own"]) * width,
+            )
+            for hook in observe:
+                hook(li, j, lev, st)
+        frame.boundary(j + r_min, u, snapshot)
+    return u, [st["fired"] for st in rt]
 
 
 class ElasticWaveSolver:
@@ -555,205 +774,56 @@ class ElasticWaveSolver:
         r_max = plan.max_rate
         return plan, -(-nsteps // r_max) * r_max
 
-    def _forcing(self, forces, tail: tuple):
-        """``force(t) -> (nnode, 3, *tail) block | None`` for a march.
-        Solo, ``forces`` is a callable ``forces(t, out)`` or a
-        :class:`~repro.sources.fault.SourceCollection`; in a batch, a
-        sequence of them stacked column by column into one reused
-        block (None while every scenario is quiet)."""
-        fns = [
-            fc.forces_at if hasattr(fc, "forces_at") else fc
-            for fc in (forces if tail else [forces])
-        ]
-        fbuf = np.zeros((self.nnode, 3, *tail))
-        if not tail:
-            fn = fns[0]
-            return lambda t: fn(t, fbuf)
-        fcol = np.zeros((self.nnode, 3))  # contiguous per-scenario scratch
-        col_live = np.zeros(len(fns), dtype=bool)  # column nonzero in fbuf
-
-        def force(t):
-            live = False
-            for b, fn in enumerate(fns):
-                fb = fn(t, fcol)
-                if fb is None:
-                    # a column goes quiet: zero it once, then skip the
-                    # fill until the source speaks again (the content
-                    # is zero either way, so bit-identity holds)
-                    if col_live[b]:
-                        fbuf[:, :, b] = 0.0
-                        col_live[b] = False
-                else:
-                    fbuf[:, :, b] = fb
-                    col_live[b] = True
-                    live = True
-            return fbuf if live else None
-
-        return force
-
-    # ------------------------------------------------- the two schedules
-
-    def _march(
-        self, force, nsteps, tail, recs, data, record, snapshots, callback,
-        frame, resume,
-    ) -> None:
-        """Every-step schedule: all rows advance by ``dt`` each step;
-        three state buffers rotate, and the step's ``K u`` swaps into
-        the Rayleigh cache.  In place throughout — no per-step
-        O(nnode) heap allocations.  Every step is a ``frame``
-        boundary."""
+    def _step_hooks(self, data, recs, tail, record, snapshots, callback):
+        """The every-step ``observe`` hooks of a run, in order: the
+        telemetry samples, the receivers, the snapshot recorder, the
+        callback — only those the run asked for."""
         dt = self.dt
-        nnode = self.nnode
-        damped = self.beta > 0
-        co = over_batch(self._coefs(), tail)
-        shape = (nnode, 3, *tail)
-        u_prev, u, u_next = np.zeros(shape), np.zeros(shape), np.zeros(shape)
-        r, Ku, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
-        r_bar = np.empty((self.A_bar.shape[0], 3, *tail))
-        Ku_prev = np.zeros(shape) if damped else None  # K u^{k-1}
-        apply = self.K.matmat if tail else self.K.matvec
-        sel = [_column(ra.nodes, b, tail) for b, ra in enumerate(recs or ())]
-
-        def snapshot(s):
-            ku = {"ku_prev": Ku_prev} if damped else {}
-            return _restart_record(s, u_prev, u, ku, data)
-
-        k0 = frame.resume(snapshot, latest=resume)
-
-        # telemetry: one is-None gate per step region when disabled
-        # (literal span names, no kwargs — no hot-loop allocations);
-        # flop counts come from the kernel's own accounting so the
-        # batched numbers cannot drift from the 1-RHS ones
-        tel_on = telemetry.enabled()
-        width = math.prod(tail)
-        flops_K = self.K.flops_per_matmat(width)
-        flops_upd = update_flops_per_node(damped) * nnode * width
-        with telemetry.span(
-            "elastic.run_batch" if tail else "elastic.run"
-        ) as _run:
-            _run.add("nsteps", nsteps)
-            _run.add("nnode", nnode)
-            if tail:
-                _run.add("batch", width)
-            for k in range(k0, nsteps):
-                t = k * dt
-                with telemetry.span("stiffness") as _s:
-                    apply(u, out=Ku)
-                    _s.add("flops", flops_K)
-                    _s.add("elements", self.K.nelem)
-                self.flops.add("stiffness", flops_K)
-                b = force(t)
-                with telemetry.span("update") as _s:
-                    elastic_update(
-                        co, u, Ku, Ku_prev, u_prev, b, u, r, tmp, r_bar, u_next
-                    )
-                    _s.add("flops", flops_upd)
-                self.flops.add("update", flops_upd)
-                if damped:
-                    # this step's K u is the next step's cache
-                    Ku_prev, Ku = Ku, Ku_prev
-                if tel_on:
-                    # displacement "energy" proxy — drift shows up as
-                    # unbounded growth of this per-step series
-                    telemetry.sample(
-                        "elastic.u2", float(np.vdot(u_next, u_next)), step=k
-                    )
-                    telemetry.sample_alloc(step=k)
-
-                if data is not None:
-                    for d, rows in zip(data, sel):
-                        if record == "velocity":
-                            d[:, :, k] = (
-                                u_next[rows] - u_prev[rows]
-                            ) / (2.0 * dt)
-                        else:
-                            d[:, :, k] = u[rows]
-                if snapshots is not None:
-                    snapshots.maybe_record(k, t, u)
-                if callback is not None:
-                    callback(k, t, u)
-                u_prev, u, u_next = u, u_next, u_prev
-                # u is now x^{k+1}, u_prev is x^k — the restart pair
-                frame.boundary(k + 1, u, snapshot)
-
-    def _march_lts(
-        self, force, nsteps, plan, tail, recs, data, record, frame, resume,
-    ) -> None:
-        """Clustered-leapfrog schedule (contract in
-        :mod:`repro.solver.lts`): one loop over fine indices, each
-        cluster fires when its rate divides the index, coarsest first,
-        reading time-interpolated values at its one-coarser halo.  The
-        ``frame`` strides by the coarsest rate, so it acts only at sync
-        boundaries, where every node holds the state at the same time.
-        State is global: a firing gathers its own rows, updates them
-        and scatters them back."""
-        dt = self.dt
-        nnode = self.nnode
-        levels = [over_batch(lev, tail) for lev in self._lts_exec(plan)]
-        r_min, r_max = plan.min_rate, plan.max_rate
-        damped = self.beta > 0
-        width = math.prod(tail)
-        shape = (nnode, 3, *tail)
-        u_prev, u, Ku = np.zeros(shape), np.zeros(shape), np.empty(shape)
-        rt = [cluster_buffers(lev, tail, damped) for lev in levels]
-        slots = [
-            self._lts_receiver_slots(levels, ra, b, tail)
-            for b, ra in enumerate(recs or ())
-        ]
-
-        def snapshot(s):
-            ku = {
-                f"ku_prev_{i}": st["ku_prev"] for i, st in enumerate(rt)
-            } if damped else {}
-            return _restart_record(s, u_prev, u, ku, data)
-
-        k0 = frame.resume(snapshot, latest=resume)
+        hooks = []
         if telemetry.enabled():
-            telemetry.gauge(
-                "elastic.lts_theoretical_speedup", plan.theoretical_speedup()
-            )
-        with telemetry.span(
-            "elastic.run_batch_lts" if tail else "elastic.run_lts"
-        ) as _run:
-            _run.add("nsteps", nsteps)
-            _run.add("nnode", nnode)
-            if tail:
-                _run.add("batch", width)
-            _run.add("levels", len(levels))
-            _run.add("max_rate", r_max)
-            for j in range(k0, nsteps, r_min):
-                b = force(j * dt)
-                for li, (lev, st) in enumerate(zip(levels, rt)):
-                    if j % lev["rate"]:
-                        continue
-                    halo_in(lev, st, u, u_prev, j)
-                    K = lev["K"]
-                    (K.matmat if tail else K.matvec)(u, out=Ku)
-                    fire_cluster(lev, st, u, u_prev, Ku, b)
-                    for d, sl in zip(data or (), slots):
-                        ridx, rows = sl[li]
-                        if not len(ridx):
-                            continue
-                        # sampled at the cluster's own cadence (column
-                        # j); gaps are interpolated after the loop
-                        if record == "velocity":
-                            d[ridx, :, j] = (
-                                st["unew"][rows] - st["up_own"][rows]
-                            ) / (2.0 * lev["dtc"])
-                        else:
-                            d[ridx, :, j] = st["u_own"][rows]
-                frame.boundary(j + r_min, u, snapshot)
-            flops = 0
-            for lev, st in zip(levels, rt):
-                flops += st["fired"] * (
-                    lev["K"].flops_per_matmat(width)
-                    + update_flops_per_node(damped) * len(lev["own"]) * width
+            def sample(k, u_prev, u, u_next):
+                # displacement "energy" proxy — drift shows up as
+                # unbounded growth of this per-step series
+                telemetry.sample(
+                    "elastic.u2", float(np.vdot(u_next, u_next)), step=k
                 )
-                _run.add(f"fired_r{lev['rate']}", st["fired"])
-            _run.add("flops", flops)
-            self.flops.add("stiffness", flops)
-        for d, sl in zip(data or (), slots):
-            self._lts_fill_receiver_gaps(d, levels, sl, nsteps)
+                telemetry.sample_alloc(step=k)
+
+            hooks.append(sample)
+        if data is not None:
+            sel = [_column(ra.nodes, b, tail) for b, ra in enumerate(recs)]
+            hooks.append(receiver_hook(data, sel, record, dt))
+        if snapshots is not None:
+            hooks.append(
+                lambda k, u_prev, u, u_next: snapshots.maybe_record(
+                    k, k * dt, u
+                )
+            )
+        if callback is not None:
+            hooks.append(lambda k, u_prev, u, u_next: callback(k, k * dt, u))
+        return hooks
+
+    @staticmethod
+    def _lts_hooks(data, slots, record):
+        """The clustered march's receiver hook: a receiver is sampled
+        when the cluster owning it fires (column ``j``, at the cluster's
+        own cadence; :meth:`_lts_fill_receiver_gaps` fills the rest)."""
+        if data is None:
+            return []
+
+        def hook(li, j, lev, st):
+            for d, sl in zip(data, slots):
+                ridx, rows = sl[li]
+                if not len(ridx):
+                    continue
+                if record == "velocity":
+                    d[ridx, :, j] = (
+                        st["unew"][rows] - st["up_own"][rows]
+                    ) / (2.0 * lev["dtc"])
+                else:
+                    d[ridx, :, j] = st["u_own"][rows]
+
+        return [hook]
 
     def _run(
         self, forces, t_end, tail, recs, *, record, lts, faults,
@@ -762,10 +832,11 @@ class ElasticWaveSolver:
     ) -> list[Seismograms] | None:
         """What :meth:`run` (``tail = ()``) and :meth:`run_batch`
         (``tail = (B,)``) share: resolve the LTS setting, validate,
-        pick the schedule, wrap the records — one
+        drain the schedule's march — :func:`march_every_step` or
+        :func:`march_clustered` — and wrap the records, one
         :class:`ReceiverArray` of ``recs`` per column.  Snapshots,
         ``checkpoint`` and ``resume`` are solo arguments (the
-        checkpointed record is column 0's)."""
+        checkpointed record is column 0's seismogram prefix)."""
         plan, nsteps = self._lts_dispatch(lts, t_end)
         if plan is not None and (snapshots is not None or callback is not None):
             raise ValueError(
@@ -780,7 +851,6 @@ class ElasticWaveSolver:
                 stable_timestep(self.mesh.elem_h, self.vp, safety=1.0)
                 / self.dt,
             )
-        force = self._forcing(forces, tail)
         data = (
             [ra.allocate(3, nsteps) for ra in recs]
             if recs is not None else None
@@ -790,15 +860,53 @@ class ElasticWaveSolver:
             checkpoint=checkpoint, faults=faults,
             health_interval=health_interval,
         )
-        if plan is None:
-            self._march(
-                force, nsteps, tail, recs, data, record, snapshots,
-                callback, frame, resume,
-            )
-        else:
-            self._march_lts(
-                force, nsteps, plan, tail, recs, data, record, frame, resume,
-            )
+        kw = dict(
+            count=self.flops.add,
+            carry=None if data is None else (
+                lambda s: {"rec_data": data[0][:, :, :s]}
+            ),
+            resume={"latest": resume},
+        )
+        force = forcing(forces, self.nnode, self.dt, tail)
+        if plan is not None:
+            levels = self._lts_exec(plan)
+            slots = [
+                self._lts_receiver_slots(levels, ra, b, tail)
+                for b, ra in enumerate(recs or ())
+            ]
+            if telemetry.enabled():
+                telemetry.gauge(
+                    "elastic.lts_theoretical_speedup",
+                    plan.theoretical_speedup(),
+                )
+        name = "elastic.run" + ("_batch" if tail else "")
+        with telemetry.span(name if plan is None else name + "_lts") as _run:
+            _run.add("nsteps", nsteps)
+            _run.add("nnode", self.nnode)
+            if tail:
+                _run.add("batch", math.prod(tail))
+            if plan is None:
+                drain(march_every_step(
+                    self.K, self._coefs(), force, frame, tail, traced=True,
+                    observe=self._step_hooks(
+                        data, recs, tail, record, snapshots, callback
+                    ),
+                    **kw,
+                ))
+            else:
+                _run.add("levels", len(levels))
+                _run.add("max_rate", plan.max_rate)
+                before = self.flops.total
+                _, fired = drain(march_clustered(
+                    levels, force, frame, tail,
+                    observe=self._lts_hooks(data, slots, record), **kw,
+                ))
+                for lev, n in zip(levels, fired):
+                    _run.add(f"fired_r{lev['rate']}", n)
+                _run.add("flops", self.flops.total - before)
+        if plan is not None:
+            for d, sl in zip(data or (), slots):
+                self._lts_fill_receiver_gaps(d, levels, sl, nsteps)
         if recs is None:
             return None
         return [

@@ -40,6 +40,7 @@ from .spans import (
     enabled,
     get_trace_context,
     new_trace_id,
+    no_span,
     set_trace_context,
     span,
     trace_context,
@@ -74,6 +75,7 @@ __all__ = [
     "get_trace_context",
     "metrics",
     "new_trace_id",
+    "no_span",
     "observe",
     "reset",
     "sample",

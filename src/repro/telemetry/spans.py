@@ -398,6 +398,13 @@ def span(name: str, **attrs):
     return tr.span(name, attrs or None)
 
 
+def no_span(name: str, **attrs):
+    """:func:`span`'s stand-in for code that must not trace — a rank
+    program runs in the caller's process, whose tracer it must leave
+    alone: always the no-op singleton."""
+    return _NULL_SPAN
+
+
 def add(counter: str, value) -> None:
     """Accumulate ``value`` into ``counter`` on the innermost open
     span.  No-op (one ``is None`` test) when telemetry is disabled."""

@@ -59,6 +59,7 @@ from repro.solver import (
 )
 from repro.solver.checkpoint import CheckpointManager
 from repro.solver.lts import interp_theta, node_rates
+from repro.solver.wave_solver import update_flops_per_node
 
 #: soft basin (layer 0) over stiff bedrock below z = 875 m; the 8x
 #: wave-speed ratio pins the global dt 8x below what the basin needs
@@ -676,6 +677,23 @@ def test_elastic_lts_batch_matches_solo():
     batch = solver.run_batch([force, force2], t_end, receivers=rec, lts=True)
     for got, want in zip(batch, solo):
         assert np.array_equal(got.data, want.data)
+
+
+def test_elastic_lts_files_stiffness_and_update_flops_apart():
+    # a firing's K product is "stiffness" and its update is "update",
+    # as on the every-step schedule — not the sum under "stiffness"
+    _, solver, force, _ = _elastic_layered()
+    levels = solver._lts_exec(solver.lts_plan(max_rate=8))
+    nsteps = 64
+    solver.run(force, (nsteps - 0.5) * solver.dt, lts=8)
+    fired = [nsteps // lev["rate"] for lev in levels]
+    assert solver.flops.counts["stiffness"] == sum(
+        n * lev["K"].flops_per_matvec for n, lev in zip(fired, levels)
+    )
+    assert solver.flops.counts["update"] == sum(
+        n * update_flops_per_node(False) * len(lev["own"])
+        for n, lev in zip(fired, levels)
+    )
 
 
 def _elastic_lts_oracle(solver, plan, force, nsteps, rec, record):

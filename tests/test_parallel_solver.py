@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.materials import HomogeneousMaterial
+from repro.materials import HomogeneousMaterial, LayeredMaterial
 from repro.mesh import extract_mesh, rcb_partition, uniform_hex_mesh
 from repro.octree import build_adaptive_octree
 from repro.parallel import DistributedWaveSolver, SimWorld
@@ -12,6 +12,10 @@ from repro.sources import MomentTensorSource
 from repro.sources.fault import SourceCollection
 
 MAT = HomogeneousMaterial(vs=1000.0, vp=1800.0, rho=2000.0)
+#: soft layer over stiff bedrock: a non-trivial LTS plan
+LAYERED = LayeredMaterial(
+    [875.0], vs=[200.0, 1600.0], vp=[400.0, 3200.0], rho=[2000.0, 2000.0]
+)
 L = 1000.0
 
 
@@ -57,8 +61,7 @@ def test_distributed_matches_serial(problem, nranks):
     dist = DistributedWaveSolver(
         mesh, MAT, parts, world, dt=serial.dt
     )
-    fbuf = np.zeros((mesh.nnode, 3))
-    u = dist.run(lambda t: forces.forces_at(t, fbuf), 0.3)
+    u = dist.run(forces, 0.3)
     # the distributed trajectory IS the serial one: the rank program
     # calls the serial solver's update, so one rank is the same bits
     # and several differ only by the reordered interface sums
@@ -69,32 +72,56 @@ def test_distributed_matches_serial(problem, nranks):
 
 
 def test_one_rank_counts_the_serial_flops_per_step(problem):
-    # one accounting of the update's vector work for the serial loop,
-    # the rank programs and the scalability profile
+    # one accounting of the stiffness and update work for the serial
+    # marches (every-step and clustered), the rank program and the
+    # scalability profile
     mesh, tree, forces, serial, _ = problem
     parts = np.zeros(mesh.nelem, dtype=np.int64)
-    world = SimWorld(1)
-    dist = DistributedWaveSolver(mesh, MAT, parts, world, dt=serial.dt)
-    fbuf = np.zeros((mesh.nnode, 3))
-    nsteps = 5
+    nsteps = 16
     t_end = (nsteps - 0.5) * serial.dt
-    dist.run(lambda t: forces.forces_at(t, fbuf), t_end)
-    before = serial.flops.total
-    serial.run(forces, t_end)
-    per_step = (serial.flops.total - before) // nsteps
-    assert world.stats[0].flops == nsteps * per_step
-    assert dist.dist.per_step_profile()[0]["flops"] == per_step
+    for lts, mat in ((0, MAT), (8, LAYERED)):
+        if lts:
+            serial = ElasticWaveSolver(
+                mesh, tree, mat, stacey_c1=False, lts=lts
+            )
+            assert not serial.lts_plan(max_rate=lts).trivial
+        world = SimWorld(1)
+        dist = DistributedWaveSolver(
+            mesh, mat, parts, world, dt=serial.dt, lts=lts
+        )
+        dist.run(forces, t_end)
+        before = serial.flops.total
+        serial.run(forces, t_end)
+        assert world.stats[0].flops == serial.flops.total - before
+        if not lts:
+            per_step = (serial.flops.total - before) // nsteps
+            assert dist.dist.per_step_profile()[0]["flops"] == per_step
+
+
+def test_distributed_run_takes_a_source_collection(problem):
+    # the distributed run reads its forcing through the serial solver's
+    # adapter: a source collection is the (t) callable around it
+    mesh, tree, forces, serial, _ = problem
+    parts = np.zeros(mesh.nelem, dtype=np.int64)
+    fbuf = np.zeros((mesh.nnode, 3))
+    u = [
+        DistributedWaveSolver(
+            mesh, MAT, parts, SimWorld(1), dt=serial.dt
+        ).run(f, 0.2)
+        for f in (forces, lambda t: forces.forces_at(t, fbuf))
+    ]
+    assert np.abs(u[0]).max() > 0
+    assert np.array_equal(u[0], u[1])
 
 
 def test_distributed_traffic_scales_with_steps(problem):
     mesh, tree, forces, serial, _ = problem
     parts = rcb_partition(mesh.elem_centers, 4)
-    fbuf = np.zeros((mesh.nnode, 3))
 
     def run_for(t_end):
         world = SimWorld(4)
         dist = DistributedWaveSolver(mesh, MAT, parts, world, dt=serial.dt)
-        dist.run(lambda t: forces.forces_at(t, fbuf), t_end)
+        dist.run(forces, t_end)
         return world.total_stats()
 
     s1 = run_for(0.1)

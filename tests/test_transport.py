@@ -285,10 +285,11 @@ def test_both_worlds_are_handed_the_same_programs(monkeypatch):
     drive(SimWorld(2))
     with ProcWorld(2) as proc:
         drive(proc)
+    # one rank program serves both domain-sharded schedules
     assert handed[SimWorld] == handed[ProcWorld] == [
         dist_solver._rank_program,
         dist_solver._shot_program,
-        dist_solver._rank_program_lts,
+        dist_solver._rank_program,
     ]
 
 
