@@ -76,9 +76,8 @@ def elastic_3d_inversion():
         mesh, grid, rho, np.arange(0), np.zeros((nsteps + 1, 0, 3)), dt,
         nsteps, force_fn,
     )
-    lam_e, mu_e = probe.fields(m_true)
-    u = probe._march(
-        lam_e, mu_e, lambda k: dt**2 * force_fn(k * dt), store=True
+    u = probe.march(
+        probe.fields(m_true), lambda k: dt**2 * force_fn(k * dt)
     )
     # free-surface receivers plus a sparse borehole-like side array
     # (improves lambda illumination through P conversions)

@@ -7,26 +7,28 @@ but never due), and the simulation service promises *near-zero cost
 when it has nothing to coalesce* (a warm engine behind a zero-wait
 scheduler adds only a cache lookup and a Future handoff per request).
 This script holds each promise to one number.  For the first two it
-marches the same quickstart-scale elastic problem two ways:
+marches the same quickstart-scale elastic problem two ways, through
+the one every-step march
+(:func:`~repro.solver.wave_solver.march_every_step`):
 
 * the instrumented :meth:`ElasticWaveSolver.run` with telemetry
   disabled and resilience in the shipping configuration (default
-  health interval, a bound-but-never-due checkpoint manager);
-* a *replica loop* — the body of the every-step march
-  (:func:`~repro.solver.wave_solver.march_every_step`) that ``run``
-  drains: the same kernel apply and the solver's own ``elastic_update``
-  per step, with every telemetry, hook and resilience call stripped.
+  health interval, a bound-but-never-due checkpoint manager) — it
+  drains the march with ``traced=True``;
+* the *bare* march — the same generator on the solver's own operator
+  and row set, drained with ``traced=False``, no hooks and a frame with
+  no checkpoint, fault plan or health check.
 
-Both runs must produce bitwise-identical final states (the replica is
-checked against the solver, so it cannot silently drift), and the
-instrumented loop must be within ``--tol`` (default 2%) of the
-replica.
+Both runs must produce bitwise-identical final states, and the
+instrumented run must be within ``--tol`` (default 2%) of the bare
+one.  Being the same code, the bare side cannot drift from the
+solver's step.
 
 Shared CI runners are noisy enough (scheduler quanta, frequency
 phases, noisy neighbours) that a single timing pair cannot resolve a
 2% tolerance, so the gate uses two floor-seeking estimators and
 retries: each attempt times ``--repeat`` order-alternating
-instrumented/replica pairs, then the overhead estimate is the smaller
+instrumented/bare pairs, then the overhead estimate is the smaller
 of (a) the ratio of pooled minima across all attempts so far — the
 classic noise floor, monotonically improving — and (b) the best
 per-attempt median of adjacent-pair ratios — adjacent pairs share
@@ -67,7 +69,8 @@ from repro.materials import HomogeneousMaterial
 from repro.mesh import extract_mesh
 from repro.octree import build_adaptive_octree
 from repro.solver import ElasticWaveSolver
-from repro.solver.wave_solver import elastic_update, update_flops_per_node
+from repro.solver.frame import MarchFrame
+from repro.solver.wave_solver import drain, forcing, march_every_step
 
 MAT = HomogeneousMaterial(vs=1000.0, vp=1800.0, rho=2000.0)
 L = 1000.0
@@ -92,37 +95,21 @@ def make_force(solver: ElasticWaveSolver):
     return force
 
 
-def replica_run(solver: ElasticWaveSolver, force, nsteps: int) -> np.ndarray:
-    """The bare step of :func:`~repro.solver.wave_solver.
-    march_every_step` as :meth:`ElasticWaveSolver.run` drains it
-    (damping off): forcing, kernel apply, the solver's own
-    ``elastic_update`` on the global coefficient set, the loop's flop
-    accounting, rotate — no spans, hooks, frame or generator, so both
-    sides of the ratio pay the same update and a change to the step
-    cannot leave this loop behind.  Returns the final ``u`` state."""
-    dt = solver.dt
-    shape = (solver.nnode, 3)
-    co = solver._coefs()
-    u_prev, u, u_next = np.zeros(shape), np.zeros(shape), np.zeros(shape)
-    r, Ku, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
-    r_bar = np.empty((solver.A_bar.shape[0], 3))
-    fbuf = np.zeros(shape)
-    flops_K = solver.K.flops_per_matvec
-    flops_upd = update_flops_per_node(False) * solver.nnode
-    for k in range(nsteps):
-        b = force(k * dt, fbuf)
-        solver.K.matvec(u, out=Ku)
-        solver.flops.add("stiffness", flops_K)
-        elastic_update(co, u, Ku, None, u_prev, b, u, r, tmp, r_bar, u_next)
-        solver.flops.add("update", flops_upd)
-        u_prev, u, u_next = u, u_next, u_prev
-    return u
+def bare_run(solver: ElasticWaveSolver, force, nsteps: int) -> np.ndarray:
+    """The march :meth:`ElasticWaveSolver.run` drains, run bare: no
+    spans, hooks, checkpoint, fault plan or health check — the
+    generator, the forcing adapter and the flop count stay, so both
+    sides of the ratio pay the same step.  Returns the final ``u``."""
+    return drain(march_every_step(
+        solver.K, solver._coefs(), forcing(force, solver.nnode, solver.dt),
+        MarchFrame(nsteps), count=solver.flops.add,
+    ))
 
 
-def check_replica(
+def check_bare(
     solver: ElasticWaveSolver, force, nsteps: int, checkpoint
 ) -> bool:
-    """Bitwise-compare the replica's final state u^nsteps against the
+    """Bitwise-compare the bare march's final state u^nsteps against the
     instrumented solver's (the callback reports pre-update states, so
     march one extra step to observe u^nsteps)."""
     out = {}
@@ -134,25 +121,24 @@ def check_replica(
     solver.run(
         force, (nsteps + 0.5) * solver.dt, callback=cb, checkpoint=checkpoint
     )
-    u_replica = replica_run(solver, force, nsteps)
-    return np.array_equal(out["u"], u_replica)
+    return np.array_equal(out["u"], bare_run(solver, force, nsteps))
 
 
 def floor_gate(
     label: str,
     time_instr,
-    time_replica,
+    time_ref,
     *,
     repeat: int,
     attempts: int,
     tol: float,
 ) -> float:
     """Run the two floor-seeking estimators over order-alternating
-    instrumented/replica timing pairs until either estimator clears
+    instrumented/reference timing pairs until either estimator clears
     ``tol`` or ``attempts`` rounds are exhausted; returns the final
     overhead estimate (compare against ``tol`` for pass/fail)."""
     t_instr: list[float] = []
-    t_replica: list[float] = []
+    t_ref: list[float] = []
     best_median = float("inf")
     overhead = float("inf")
     for attempt in range(attempts):
@@ -161,18 +147,18 @@ def floor_gate(
             # alternate which side runs first so a frequency ramp
             # inside a pair cannot systematically favour one side
             if (i + attempt) % 2 == 0:
-                a, b = time_instr(), time_replica()
+                a, b = time_instr(), time_ref()
             else:
-                b, a = time_replica(), time_instr()
+                b, a = time_ref(), time_instr()
             t_instr.append(a)
-            t_replica.append(b)
+            t_ref.append(b)
             ratios.append(a / b)
-        floor = min(t_instr) / min(t_replica) - 1.0
+        floor = min(t_instr) / min(t_ref) - 1.0
         best_median = min(best_median, statistics.median(ratios) - 1.0)
         overhead = min(floor, best_median)
         print(
             f"[{label}] attempt {attempt + 1}/{attempts}: "
-            f"floor {min(t_instr) * 1e3:.2f}/{min(t_replica) * 1e3:.2f} ms "
+            f"floor {min(t_instr) * 1e3:.2f}/{min(t_ref) * 1e3:.2f} ms "
             f"({floor * 100:+.2f}%), "
             f"best pair-median {best_median * 100:+.2f}%"
         )
@@ -274,12 +260,13 @@ def main(argv=None) -> int:
                     help="mesh is size^3 elements (power of two)")
     ap.add_argument("--steps", type=int, default=150)
     ap.add_argument("--repeat", type=int, default=6,
-                    help="interleaved instrumented/replica pairs per attempt")
+                    help="interleaved instrumented/reference pairs per "
+                         "attempt")
     ap.add_argument("--attempts", type=int, default=5,
                     help="measurement rounds before declaring failure")
     ap.add_argument("--tol", type=float, default=0.02,
                     help="allowed relative overhead of the instrumented "
-                         "loop over the replica (0.02 = 2%%)")
+                         "side over the reference (0.02 = 2%%)")
     ap.add_argument("--skip-service", action="store_true",
                     help="run only the telemetry/resilience gate")
     ap.add_argument("--skip-telemetry", action="store_true",
@@ -322,11 +309,11 @@ def main(argv=None) -> int:
     ckpt_dir = tempfile.mkdtemp(prefix="overhead_ckpt_")
     ckpt = CheckpointManager(ckpt_dir, interval=0)
 
-    # correctness first: the replica must track the instrumented loop
-    # bitwise, or the timing comparison measures two different codes
-    if not check_replica(solver, force, args.steps, ckpt):
-        print("FAIL: replica loop diverged from ElasticWaveSolver.run — "
-              "update the replica to match the solver's time step")
+    # correctness first: the instrumentation must not change the
+    # answer, or the timing comparison measures two different codes
+    if not check_bare(solver, force, args.steps, ckpt):
+        print("FAIL: the bare march diverged from ElasticWaveSolver.run — "
+              "the instrumentation changed the solver's time step")
         return 1
 
     # both sides march exactly args.steps steps
@@ -337,13 +324,13 @@ def main(argv=None) -> int:
         solver.run(force, t_end, checkpoint=ckpt)
         return time.perf_counter() - t0
 
-    def time_replica() -> float:
+    def time_bare() -> float:
         t0 = time.perf_counter()
-        replica_run(solver, force, args.steps)
+        bare_run(solver, force, args.steps)
         return time.perf_counter() - t0
 
     overhead = floor_gate(
-        "telemetry", time_instr, time_replica,
+        "telemetry", time_instr, time_bare,
         repeat=args.repeat, attempts=args.attempts, tol=args.tol,
     )
 

@@ -8,15 +8,16 @@ grid — from three-component records, as the hooks of the same
 :class:`~repro.inverse.problem.LeastSquaresProblem` the scalar problem
 uses:
 
-* forward: the forward solver's explicit update,
-  :func:`~repro.solver.wave_solver.elastic_update`, on a lumped-mass,
+* forward: the forward solver's every-step march,
+  :func:`~repro.solver.wave_solver.march_every_step`, on a lumped-mass,
   Lysmer-damped row set (conforming meshes; the Stacey ``c1`` coupling
   and hanging projection are solver features not needed for the
   exactness result here);
 * adjoint: the same dissipative leapfrog backward in time;
 * material equations: per-element accumulations against the two
   reference stiffness matrices (``K_e = h (lambda K_l + mu K_m)``) and
-  the material-dependent boundary impedances
+  the material-dependent boundary impedances of the forward solvers'
+  :class:`~repro.physics.stacey.StaceyBoundary`
   (``d1 = sqrt(rho (lambda + 2 mu))``, ``d2 = sqrt(rho mu)``).
 
 Gradients are exact at the discrete level (FD-verified in the tests);
@@ -27,6 +28,8 @@ problem unchanged.
 
 from __future__ import annotations
 
+from functools import partial
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,20 +41,25 @@ from repro.inverse.parametrization import MaterialGrid
 from repro.inverse.problem import LeastSquaresProblem, Shot
 from repro.inverse.regularization import TotalVariation
 from repro.mesh.hexmesh import HexMesh
+from repro.physics.stacey import StaceyBoundary
+from repro.solver.frame import MarchFrame
 from repro.solver.wave_solver import (
     DEFAULT_ABSORBING,
-    elastic_update,
+    drain,
     lysmer_row_set,
+    march_every_step,
 )
 
 
 class _ElasticKernel:
     """Coefficient-parameterized stiffness actions and their material
-    derivatives on the backend element kernel — the same bound handles
-    and time-batched row blocks as the scalar inversion."""
+    derivatives on the backend element kernel: bound handles,
+    time-batched row blocks, and a handle behind the operator interface
+    the forward solver's march applies."""
 
     def __init__(self, mesh: HexMesh):
         self.h = mesh.elem_h
+        self.nnode = mesh.nnode
         self._kernel = get_backend().element_kernel(
             mesh.conn, hex_elastic_reference(), mesh.nnode, ncomp=3
         )
@@ -61,6 +69,15 @@ class _ElasticKernel:
         K_m)``); a sweep binds once."""
         return self._kernel.bind(
             (np.asarray(lam_e, float) * self.h, np.asarray(mu_e, float) * self.h)
+        )
+
+    def operator(self, lam_e, mu_e) -> SimpleNamespace:
+        """``K(lambda, mu)``, bound once, as the operator a march
+        applies: ``nnode``, ``matvec(u, out)`` and ``flops_per_matvec``."""
+        return SimpleNamespace(
+            nnode=self.nnode,
+            matvec=partial(self.apply, self.bind(lam_e, mu_e)),
+            flops_per_matvec=self._kernel.flops_per_matvec,
         )
 
     def apply(self, K: np.ndarray, u: np.ndarray, out: np.ndarray):
@@ -85,71 +102,6 @@ class _ElasticKernel:
             u.reshape(len(u), -1), lam_adj.reshape(len(u), -1)
         )
         return self.h * g_l, self.h * g_m
-
-
-class _LysmerBoundary:
-    """Material-differentiable absorbing damping (d1/d2 terms only)."""
-
-    def __init__(self, mesh: HexMesh, absorbing: Sequence[tuple[int, int]]):
-        self.faces = []
-        for axis, side in absorbing:
-            idx, fnodes = mesh.boundary_faces(axis, side)
-            self.faces.append((axis, idx, fnodes, mesh.elem_h[idx] ** 2 / 4.0))
-        self.nnode = mesh.nnode
-
-    def damping_diag(self, lam_e, mu_e, rho_e) -> np.ndarray:
-        C = np.zeros((self.nnode, 3))
-        for axis, idx, fnodes, area4 in self.faces:
-            d1 = np.sqrt(rho_e[idx] * (lam_e[idx] + 2.0 * mu_e[idx]))
-            d2 = np.sqrt(rho_e[idx] * mu_e[idx])
-            for comp in range(3):
-                d = d1 if comp == axis else d2
-                np.add.at(
-                    C[:, comp], fnodes.ravel(), np.repeat(d * area4, 4)
-                )
-        return C
-
-    def damping_perturbation(
-        self, lam_e, mu_e, rho_e, dlam_e, dmu_e
-    ) -> np.ndarray:
-        """``(dC/dlambda) dlam + (dC/dmu) dmu`` as a nodal diagonal."""
-        out = np.zeros((self.nnode, 3))
-        for axis, idx, fnodes, area4 in self.faces:
-            d1 = np.sqrt(rho_e[idx] * (lam_e[idx] + 2.0 * mu_e[idx]))
-            d2 = np.sqrt(rho_e[idx] * mu_e[idx])
-            dd1 = rho_e[idx] * (dlam_e[idx] + 2.0 * dmu_e[idx]) / (2.0 * d1)
-            dd2 = rho_e[idx] * dmu_e[idx] / (2.0 * d2)
-            for comp in range(3):
-                dd = dd1 if comp == axis else dd2
-                np.add.at(
-                    out[:, comp], fnodes.ravel(), np.repeat(dd * area4, 4)
-                )
-        return out
-
-    def material_gradient_batch(
-        self, w: np.ndarray, adj: np.ndarray, lam_e, mu_e, rho_e
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(sum_t adj^T dC/dlambda_e w, sum_t adj^T dC/dmu_e w)`` for
-        time-batched nodal fields ``(nt, nnode, 3)``."""
-        nelem = len(lam_e)
-        g_l = np.zeros(nelem)
-        g_m = np.zeros(nelem)
-        for axis, idx, fnodes, area4 in self.faces:
-            d1 = np.sqrt(rho_e[idx] * (lam_e[idx] + 2.0 * mu_e[idx]))
-            d2 = np.sqrt(rho_e[idx] * mu_e[idx])
-            # contraction of adj*w over the face nodes, per component
-            for comp in range(3):
-                contrib = np.einsum(
-                    "tsf,tsf->s",
-                    adj[:, fnodes, comp],
-                    w[:, fnodes, comp],
-                ) * area4
-                if comp == axis:
-                    np.add.at(g_l, idx, contrib * rho_e[idx] / (2.0 * d1))
-                    np.add.at(g_m, idx, contrib * rho_e[idx] / d1)
-                else:
-                    np.add.at(g_m, idx, contrib * rho_e[idx] / (2.0 * d2))
-        return g_l, g_m
 
 
 class ElasticInverseProblem(LeastSquaresProblem):
@@ -202,7 +154,7 @@ class ElasticInverseProblem(LeastSquaresProblem):
         self.mesh = mesh
         self.grid = grid
         self.kernel = _ElasticKernel(mesh)
-        self.boundary = _LysmerBoundary(mesh, absorbing)
+        self.boundary = StaceyBoundary(mesh, absorbing)
         self.rho_e = np.asarray(rho, dtype=float)
         self.mass = lumped_mass(mesh.conn, mesh.elem_h, self.rho_e, mesh.nnode)
         self.forces = forces
@@ -231,32 +183,6 @@ class ElasticInverseProblem(LeastSquaresProblem):
         n = self.nhalf
         return [(slice(None, n), self._reg), (slice(n, None), self._reg)]
 
-    # ------------------------------------------------------------ forward
-
-    def _march(self, lam_e, mu_e, forcing, *, store=True):
-        """Vector leapfrog, same convention as the scalar substrate:
-        every step is :func:`~repro.solver.wave_solver.elastic_update`
-        on the conforming, Lysmer-damped row set of all nodes — the
-        forward solver's update — with ``dtc2 = 1`` because the
-        forcings here arrive scaled by ``dt^2``.  Buffer rotation keeps
-        the loop free of per-step O(nnode) heap allocations."""
-        N = self.nsteps
-        C = self.boundary.damping_diag(lam_e, mu_e, self.rho_e)
-        co = {**lysmer_row_set(self.mass, C, self.dt), "dtc2": 1.0}
-        K = self.kernel.bind(lam_e, mu_e)  # one fold per march
-        x_prev, x, x_next, r, tmp, Kx = (
-            np.zeros((self.mesh.nnode, 3)) for _ in range(6)
-        )
-        hist = np.zeros((N + 1, *x.shape)) if store else None
-        for k in range(1, N):
-            f = forcing(k)
-            self.kernel.apply(K, x, Kx)
-            elastic_update(co, x, Kx, None, x_prev, f, x, r, tmp, None, x_next)
-            if store:
-                hist[k + 1] = x_next
-            x_prev, x, x_next = x, x_next, x_prev
-        return hist if store else np.stack([x_prev, x])
-
     # -------------------------------------------------------------- hooks
 
     def model(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -275,7 +201,27 @@ class ElasticInverseProblem(LeastSquaresProblem):
         return forcing
 
     def march(self, model, forcing) -> np.ndarray:
-        return self._march(*model, forcing)
+        """The forward solver's every-step march on the conforming,
+        Lysmer-damped row set of all nodes, from ``u^0 = u^1 = 0`` (it
+        starts at step 1), with ``dtc2 = 1`` because the forcings here
+        arrive scaled by ``dt^2``; an ``observe`` hook stores the
+        history ``(nsteps + 1, nnode, 3)``."""
+        lam_e, mu_e = model
+        C, _ = self.boundary.matrices(
+            lam_e, mu_e, self.rho_e, include_c1=False
+        )
+        co = {**lysmer_row_set(self.mass, C, self.dt), "dtc2": 1.0}
+        hist = np.zeros((self.nsteps + 1, self.mesh.nnode, 3))
+
+        def store(k, u_prev, u, u_next):
+            hist[k + 1] = u_next
+
+        drain(march_every_step(
+            self.kernel.operator(lam_e, mu_e), co, forcing,
+            MarchFrame(self.nsteps), count=lambda kind, flops: None,
+            observe=[store], resume={"k0": 1},
+        ))
+        return hist
 
     def accumulate(self, state, L: np.ndarray) -> np.ndarray:
         """Per-element ``(g_lambda, g_mu)`` stacked as one vector on the

@@ -83,7 +83,7 @@ from repro.resilience import RetryPolicy, validate_cfl
 from repro.telemetry.timeline import MergedTimeline, RankTimeline
 from repro.physics.cfl import elem_stable_dt, stable_timestep
 from repro.physics.elastic import lame_from_velocities
-from repro.physics.stacey import stacey_boundary_matrices, stacey_coefficients
+from repro.physics.stacey import StaceyBoundary
 from repro.solver.checkpoint import CheckpointManager, collective_latest_step
 from repro.solver.frame import MarchFrame
 from repro.solver.lts import (
@@ -454,13 +454,8 @@ class DistributedWaveSolver:
         # globally consistent nodal mass and boundary damping, sliced
         # per rank (setup-time exchange, accounted once)
         m_global = lumped_mass(mesh.conn, mesh.elem_h, rho, mesh.nnode)
-        faces = []
-        for axis, side in absorbing:
-            idx, fnodes = mesh.boundary_faces(axis, side)
-            coeffs = stacey_coefficients(lam[idx], mu[idx], rho[idx])
-            faces.append((fnodes, mesh.elem_h[idx], axis, side, coeffs))
-        C_global, _ = stacey_boundary_matrices(
-            faces, mesh.nnode, include_c1=False
+        C_global, _ = StaceyBoundary(mesh, absorbing).matrices(
+            lam, mu, rho, include_c1=False
         )
         # kept whole and sliced per payload: a rank's own nodes or
         # (shot sharding) the full domain

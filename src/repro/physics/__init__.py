@@ -10,13 +10,13 @@ from repro.physics.elastic import (
     lame_from_velocities,
     velocities_from_lame,
 )
-from repro.physics.stacey import stacey_boundary_matrices, stacey_coefficients
+from repro.physics.stacey import StaceyBoundary, stacey_coefficients
 from repro.physics.cfl import elem_stable_dt, stable_timestep, validate_cfl
 
 __all__ = [
     "lame_from_velocities",
     "velocities_from_lame",
-    "stacey_boundary_matrices",
+    "StaceyBoundary",
     "stacey_coefficients",
     "stable_timestep",
     "elem_stable_dt",

@@ -16,6 +16,12 @@ boundary term of the weak form produces a (lumped) damping matrix
 
 Dropping the ``c1`` terms recovers the classic Lysmer-Kuhlemeyer viscous
 boundary (exact for normal incidence), exposed via ``include_c1=False``.
+
+:class:`StaceyBoundary` is the condition on a hexahedral mesh's
+absorbing planes, found once: the forward solvers, the linear-tet
+baseline (on its hex faces) and the elastic inversion build their
+boundary from it, and the inversion's material derivatives of the
+damping live beside the damping itself.
 """
 
 from __future__ import annotations
@@ -48,78 +54,110 @@ def _face_gradient_reference(axis: int) -> np.ndarray:
     return np.einsum("q,qi,qj->ij", w, N, g[:, :, axis])
 
 
-def stacey_boundary_matrices(
-    faces: list[tuple[np.ndarray, np.ndarray, int, np.ndarray]],
-    nnode: int,
-    *,
-    include_c1: bool = True,
-) -> tuple[np.ndarray, sp.csr_matrix]:
-    """Build the absorbing-boundary damping and coupling matrices.
+class StaceyBoundary:
+    """Stacey's condition on the absorbing planes ``absorbing`` — ``(axis,
+    side)`` pairs, side 0/1 the min/max plane, which fixes the outward
+    normal — of a hexahedral mesh: the boundary faces, found once (their
+    nodes in the mesh's 2D Morton corner order within the plane), and
+    what a per-element material ``(lam, mu, rho)`` makes of them.
 
-    Parameters
-    ----------
-    faces:
-        One entry per absorbing boundary plane:
-        ``(face_nodes, h, axis, side, (d1, d2, c1))`` where
-        ``face_nodes`` is ``(nface, 4)`` global node indices of the
-        boundary quads (in the mesh's 2D Morton corner order within the
-        plane), ``h`` their physical edge lengths ``(nface,)``, ``axis``
-        the normal axis, ``side`` 0/1 for the min/max plane (fixing the
-        outward normal direction), and the coefficient arrays are per
-        face.
-    nnode:
-        Total grid points; returned shapes are ``(nnode, 3)`` and
-        ``(3 nnode, 3 nnode)``.
+    ``C_diag`` is linear in the impedances ``(d1, d2)`` face by face, so
+    its material derivative is the same lumped scatter of their
+    derivatives (:meth:`damping_perturbation`)."""
 
-    Returns
-    -------
-    (C_diag, K_AB):
-        ``C_diag`` — lumped damping per node and component (multiplies
-        velocity); ``K_AB`` — sparse coupling from the ``c1`` tangential
-        derivative terms (zero matrix when ``include_c1=False``).
-    """
-    C = np.zeros((nnode, 3))
-    rows, cols, vals = [], [], []
-    for face_nodes, h, axis, side, (d1, d2, c1) in faces:
-        sign = 1.0 if side == 1 else -1.0  # u_n = sign * u_axis
-        face_nodes = np.asarray(face_nodes)
-        h = np.asarray(h, dtype=float)
-        nface = len(face_nodes)
-        if nface == 0:
-            continue
-        area4 = h**2 / 4.0  # lumped quarter-area per face node
-        tangents = [a for a in range(3) if a != axis]
-        # damping: d1 on the normal component, d2 on the tangentials
-        np.add.at(C[:, axis], face_nodes.ravel(), np.repeat(d1 * area4, 4))
-        for t in tangents:
-            np.add.at(C[:, t], face_nodes.ravel(), np.repeat(d2 * area4, 4))
-        if not include_c1:
-            continue
-        # c1 coupling: -c1 (du_t/dt) paired with v_n and +c1 (du_n/dt)
-        # paired with v_t (signs from moving the boundary term of the
-        # weak form to the left-hand side)
-        for k, t in enumerate(tangents):
-            G = _face_gradient_reference(k)  # int N_i dN_j/dxi_k, scale h
-            # K[(i,axis),(j,t)] += -c1 * h * G[i,j]
-            # K[(i,t),(j,axis)] += +c1 * h * G[i,j]
-            coef = sign * c1 * h  # (nface,)
-            gi = face_nodes[:, :, None] * 3  # base dof of node i
-            gj = face_nodes[:, None, :] * 3
-            blk = coef[:, None, None] * G[None, :, :]
-            rows.append((gi + axis).repeat(4, axis=2).ravel())
-            cols.append((gj + t).repeat(4, axis=1).ravel())
-            vals.append(-blk.ravel())
-            rows.append((gi + t).repeat(4, axis=2).ravel())
-            cols.append((gj + axis).repeat(4, axis=1).ravel())
-            vals.append(blk.ravel())
-    if rows:
-        K_AB = sp.coo_matrix(
-            (
-                np.concatenate(vals),
-                (np.concatenate(rows), np.concatenate(cols)),
-            ),
-            shape=(3 * nnode, 3 * nnode),
-        ).tocsr()
-    else:
-        K_AB = sp.csr_matrix((3 * nnode, 3 * nnode))
-    return C, K_AB
+    def __init__(self, mesh, absorbing):
+        self.nnode = mesh.nnode
+        self.planes = []
+        for axis, side in absorbing:
+            idx, fnodes = mesh.boundary_faces(axis, side)
+            self.planes.append((axis, side, idx, fnodes, mesh.elem_h[idx]))
+
+    def _assemble(self, coefficients, include_c1):
+        """``(C_diag, K_AB)`` from ``coefficients(idx) -> (d1, d2, c1)``
+        of the boundary elements ``idx`` of each plane."""
+        nnode = self.nnode
+        C = np.zeros((nnode, 3))
+        rows, cols, vals = [], [], []
+        for axis, side, idx, face_nodes, h in self.planes:
+            if len(face_nodes) == 0:
+                continue
+            d1, d2, c1 = coefficients(idx)
+            sign = 1.0 if side == 1 else -1.0  # u_n = sign * u_axis
+            area4 = h**2 / 4.0  # lumped quarter-area per face node
+            tangents = [a for a in range(3) if a != axis]
+            # damping: d1 on the normal component, d2 on the tangentials
+            np.add.at(C[:, axis], face_nodes.ravel(), np.repeat(d1 * area4, 4))
+            for t in tangents:
+                np.add.at(C[:, t], face_nodes.ravel(), np.repeat(d2 * area4, 4))
+            if not include_c1:
+                continue
+            # c1 coupling: -c1 (du_t/dt) paired with v_n and +c1 (du_n/dt)
+            # paired with v_t (signs from moving the boundary term of the
+            # weak form to the left-hand side)
+            for k, t in enumerate(tangents):
+                G = _face_gradient_reference(k)  # int N_i dN_j/dxi_k, scale h
+                # K[(i,axis),(j,t)] += -c1 * h * G[i,j]
+                # K[(i,t),(j,axis)] += +c1 * h * G[i,j]
+                coef = sign * c1 * h  # (nface,)
+                gi = face_nodes[:, :, None] * 3  # base dof of node i
+                gj = face_nodes[:, None, :] * 3
+                blk = coef[:, None, None] * G[None, :, :]
+                rows.append((gi + axis).repeat(4, axis=2).ravel())
+                cols.append((gj + t).repeat(4, axis=1).ravel())
+                vals.append(-blk.ravel())
+                rows.append((gi + t).repeat(4, axis=2).ravel())
+                cols.append((gj + axis).repeat(4, axis=1).ravel())
+                vals.append(blk.ravel())
+        if rows:
+            K_AB = sp.coo_matrix(
+                (
+                    np.concatenate(vals),
+                    (np.concatenate(rows), np.concatenate(cols)),
+                ),
+                shape=(3 * nnode, 3 * nnode),
+            ).tocsr()
+        else:
+            K_AB = sp.csr_matrix((3 * nnode, 3 * nnode))
+        return C, K_AB
+
+    def matrices(self, lam, mu, rho, *, include_c1=True):
+        """``(C_diag, K_AB)`` of the material: the lumped damping per
+        node and component ``(nnode, 3)`` (it multiplies velocity) and
+        the sparse ``(3 nnode, 3 nnode)`` coupling of the ``c1``
+        tangential-derivative terms — empty when ``include_c1=False``,
+        the Lysmer boundary."""
+        return self._assemble(
+            lambda idx: stacey_coefficients(lam[idx], mu[idx], rho[idx]),
+            include_c1,
+        )
+
+    def damping_perturbation(self, lam, mu, rho, dlam, dmu) -> np.ndarray:
+        """``(dC/dlambda) dlam + (dC/dmu) dmu`` as a nodal diagonal."""
+
+        def derivatives(idx):
+            d1, d2, _ = stacey_coefficients(lam[idx], mu[idx], rho[idx])
+            dd1 = rho[idx] * (dlam[idx] + 2.0 * dmu[idx]) / (2.0 * d1)
+            dd2 = rho[idx] * dmu[idx] / (2.0 * d2)
+            return dd1, dd2, None
+
+        return self._assemble(derivatives, False)[0]
+
+    def material_gradient_batch(self, w, adj, lam, mu, rho):
+        """``(sum_t adj^T dC/dlambda_e w, sum_t adj^T dC/dmu_e w)`` for
+        time-batched nodal fields ``(nt, nnode, 3)``."""
+        g_l = np.zeros(len(lam))
+        g_m = np.zeros(len(lam))
+        for axis, _, idx, fnodes, h in self.planes:
+            d1, d2, _ = stacey_coefficients(lam[idx], mu[idx], rho[idx])
+            area4 = h**2 / 4.0
+            # contraction of adj*w over the face nodes, per component
+            for comp in range(3):
+                contrib = np.einsum(
+                    "tsf,tsf->s", adj[:, fnodes, comp], w[:, fnodes, comp]
+                ) * area4
+                if comp == axis:
+                    np.add.at(g_l, idx, contrib * rho[idx] / (2.0 * d1))
+                    np.add.at(g_m, idx, contrib * rho[idx] / d1)
+                else:
+                    np.add.at(g_m, idx, contrib * rho[idx] / (2.0 * d2))
+        return g_l, g_m

@@ -26,7 +26,7 @@ from repro.mesh.hexmesh import HexMesh
 from repro.mesh.tetmesh import TetMesh, hex_to_tet_mesh
 from repro.physics.cfl import stable_timestep
 from repro.physics.elastic import lame_from_velocities
-from repro.physics.stacey import stacey_boundary_matrices, stacey_coefficients
+from repro.physics.stacey import StaceyBoundary
 from repro.solver.frame import MarchFrame
 from repro.solver.wave_solver import (
     DEFAULT_ABSORBING,
@@ -59,15 +59,10 @@ class TetWaveSolver:
         self.Ke = tet_elastic_stiffness(self.tet.coords, self.tet.conn, lam, mu)
         self.m = tet_lumped_mass(self.tet.coords, self.tet.conn, rho, self.tet.nnode)
         # boundary damping reuses the hex faces (shared nodes)
-        faces = []
         hvs, hvp, hrho = material.query(mesh.elem_centers)
         hlam, hmu = lame_from_velocities(hvs, hvp, hrho)
-        for axis, side in absorbing:
-            idx, fnodes = mesh.boundary_faces(axis, side)
-            coeffs = stacey_coefficients(hlam[idx], hmu[idx], hrho[idx])
-            faces.append((fnodes, mesh.elem_h[idx], axis, side, coeffs))
-        self.C_diag, _ = stacey_boundary_matrices(
-            faces, mesh.nnode, include_c1=False
+        self.C_diag, _ = StaceyBoundary(mesh, absorbing).matrices(
+            hlam, hmu, hrho, include_c1=False
         )
         hmin = mesh.elem_h.min() / 2.0  # shortest tet edge scale
         self.dt = dt if dt is not None else stable_timestep(

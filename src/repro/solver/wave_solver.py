@@ -29,7 +29,8 @@ check / checkpoint at its boundaries).  A loop applies ``K`` through a
 *stiffness step*: the operator's product, or the caller's — a rank of
 :mod:`repro.parallel.dist_solver` passes its halo exchange, whose
 suspension is the loop's only one.  Serial callers (this solver, the
-shot slices, the linear-tet baseline) :func:`drain` a loop; a rank
+shot slices, the linear-tet baseline, the elastic inversion's forward,
+adjoint and incremental marches) :func:`drain` a loop; a rank
 runs it with ``yield from``.  They are module functions because code
 that holds only a row set's arrays calls them.  A batch of ``B``
 scenarios is a trailing axis of the same bodies — ``tail = (B,)``
@@ -56,7 +57,7 @@ from repro.mesh.hexmesh import HexMesh
 from repro.octree.linear_octree import LinearOctree
 from repro.physics.cfl import elem_stable_dt, stable_timestep
 from repro.physics.elastic import lame_from_velocities
-from repro.physics.stacey import stacey_boundary_matrices, stacey_coefficients
+from repro.physics.stacey import StaceyBoundary
 from repro.resilience import DEFAULT_HEALTH_INTERVAL, validate_cfl
 from repro.solver.checkpoint import CheckpointManager
 from repro.solver.frame import MarchFrame
@@ -555,13 +556,8 @@ class ElasticWaveSolver:
         self.m_alpha = self.alpha * self.m
 
         # Stacey absorbing boundaries
-        faces = []
-        for axis, side in absorbing:
-            idx, fnodes = mesh.boundary_faces(axis, side)
-            coeffs = stacey_coefficients(lam[idx], mu[idx], rho[idx])
-            faces.append((fnodes, mesh.elem_h[idx], axis, side, coeffs))
-        self.C_diag, self.K_AB = stacey_boundary_matrices(
-            faces, mesh.nnode, include_c1=stacey_c1
+        self.C_diag, self.K_AB = StaceyBoundary(mesh, absorbing).matrices(
+            lam, mu, rho, include_c1=stacey_c1
         )
         self._has_kab = self.K_AB.nnz > 0
 

@@ -57,9 +57,8 @@ def elastic_setup():
         mesh, grid, rho, np.arange(0), np.zeros((nsteps + 1, 0, 3)), dt,
         nsteps, force_fn,
     )
-    lam_e, mu_e = prob0.fields(m_true)
-    u = prob0._march(
-        lam_e, mu_e, lambda k: dt**2 * force_fn(k * dt), store=True
+    u = prob0.march(
+        prob0.fields(m_true), lambda k: dt**2 * force_fn(k * dt)
     )
     rec = mesh.surface_nodes(2, 0)
     data = u[:, rec, :]
@@ -102,6 +101,26 @@ class TestElasticGradient:
         Hw = prob.gn_hessvec(w, state)
         np.testing.assert_allclose(w @ Hv, v @ Hw, rtol=1e-10)
         assert v @ Hv >= 0 and w @ Hw >= 0
+
+    def test_marches_run_the_forward_solvers_loop(
+        self, elastic_setup, monkeypatch
+    ):
+        from repro.solver import wave_solver
+
+        prob, grid, m_true = elastic_setup
+        steps = []
+        real_update = wave_solver.elastic_update
+
+        def spy(*a):
+            steps.append(1)
+            real_update(*a)
+
+        monkeypatch.setattr(wave_solver, "elastic_update", spy)
+        _, _, state = prob.gradient(m_true)
+        # forward and adjoint: steps 1 .. nsteps - 1 each
+        assert len(steps) == 2 * (prob.nsteps - 1)
+        prob.gn_hessvec(np.ones(2 * grid.n), state)
+        assert len(steps) == 4 * (prob.nsteps - 1)
 
     def test_nonpositive_field_rejected(self, elastic_setup):
         prob, grid, m_true = elastic_setup
