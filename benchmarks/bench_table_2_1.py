@@ -3,8 +3,9 @@
 Reproduction method (see DESIGN.md):
 
 1. **Measure** the RCB surface-to-volume law on real wavelength-adaptive
-   basin meshes: partition them across many rank counts with the actual
-   distributed operator and record the worst rank's interface size.
+   basin meshes: partition them across many rank counts with the
+   distributed solver's partition builder and record the worst rank's
+   interface size.
 2. **Predict** each paper row (1 ... 3000 AlphaServer PEs, LA10S ...
    LA1HB models, up to 102M grid points) from its granularity with the
    fitted law and the calibrated AlphaServer/Quadrics machine model
@@ -13,8 +14,9 @@ Reproduction method (see DESIGN.md):
 3. Report modeled Gflop/s, Mflop/s per PE and parallel efficiency next
    to the paper's measured values.
 
-Also runs a *measured* weak-scaling series on meshes we actually hold in
-memory, demonstrating the same monotone trend end-to-end.
+Also models strong scaling of the basin mesh we actually hold in memory
+on its real RCB partitions (exact per-rank flop and byte accounting,
+machine-model time), showing the same monotone trend.
 """
 
 import numpy as np
@@ -31,7 +33,6 @@ from repro.parallel.perfmodel import (
     predict_paper_row,
     predict_scalability,
 )
-from repro.physics import lame_from_velocities
 
 # (PEs, model, grid pts, pts/PE, paper Gflop/s, paper Mflop/PE, paper eff)
 PAPER_ROWS = [
@@ -54,16 +55,13 @@ def build_basin_mesh(fmax: float, h_min: float, max_level: int = 6):
     tree = balance_octree(
         build_adaptive_octree(target, max_level=max_level, box_frac=(1, 1, 0.5))
     )
-    mesh = extract_mesh(tree, L=L, box_frac=(1, 1, 0.5))
-    vs, vp, rho = mat.query(mesh.elem_centers)
-    lam, mu = lame_from_velocities(vs, vp, rho)
-    return mesh, lam, mu
+    return extract_mesh(tree, L=L, box_frac=(1, 1, 0.5))
 
 
 def table_2_1():
     lines = []
     # step 1: surface law from real partitions of a real adaptive mesh
-    mesh, lam, mu = build_basin_mesh(fmax=0.2, h_min=1250.0)
+    mesh = build_basin_mesh(fmax=0.2, h_min=1250.0)
     c = fit_interface_constant(mesh, [8, 16, 32, 64])
     lines.append(
         f"RCB surface law fitted on a {mesh.nnode:,}-point adaptive basin "
@@ -92,17 +90,17 @@ def table_2_1():
         "(paper: 1.21 Tflop/s)"
     )
 
-    # step 3: fully measured strong-scaling series on the in-memory mesh
+    # step 3: modeled strong scaling of the in-memory mesh
     lines.append("")
     lines.append(
-        f"Measured strong scaling of the {mesh.nnode:,}-point mesh "
+        f"Modeled strong scaling of the {mesh.nnode:,}-point mesh "
         "(real partitions + exact flop/byte accounting):"
     )
-    measured = [
-        predict_scalability(mesh, lam, mu, p, model_name="LA-scaled")
+    modeled = [
+        predict_scalability(mesh, p, model_name="LA-scaled")
         for p in (1, 2, 4, 8, 16, 32, 64)
     ]
-    lines.append(format_table(measured))
+    lines.append(format_table(modeled))
     return "\n".join(lines), rows
 
 

@@ -18,7 +18,6 @@ from repro.mesh import extract_mesh, rcb_partition
 from repro.octree import build_adaptive_octree
 from repro.parallel import DistributedWaveSolver, SimWorld, predict_scalability
 from repro.parallel.perfmodel import format_table
-from repro.physics import lame_from_velocities
 from repro.solver import ElasticWaveSolver
 from repro.sources import MomentTensorSource
 from repro.sources.fault import SourceCollection
@@ -73,10 +72,8 @@ def main():
                               max_level=6),
         L=L,
     )
-    vs, vp, rho = mat.query(big.elem_centers)
-    lam, mu = lame_from_velocities(vs, vp, rho)
     rows = [
-        predict_scalability(big, lam, mu, p, model_name="demo")
+        predict_scalability(big, p, model_name="demo")
         for p in (1, 4, 16, 64)
     ]
     print("\nAlphaServer machine-model scalability of a "

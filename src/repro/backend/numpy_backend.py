@@ -39,6 +39,16 @@ from repro.backend.sparse_ops import ScatterPlan
 ROW_BLOCK_BYTES = 1 << 20
 
 
+def element_flops(nmat: int, nldof: int) -> int:
+    """Exact flop count of one element's stiffness application in
+    :meth:`NumpyElementKernel.matvec`, from the operation shapes: the
+    ``(nldof,) @ (nldof, nmat*nldof)`` product (multiply + add per
+    entry) plus the coefficient multiply and accumulate of the folded
+    scatter — one per (matrix, local dof) slot — plus the
+    output-touching adds (``nldof``)."""
+    return 2 * nmat * nldof * nldof + nmat * nldof + nldof
+
+
 def _element_dof(conn: np.ndarray, ncomp: int) -> np.ndarray:
     """``(nelem, ncorner*ncomp)`` flat dof map (component-fastest)."""
     if ncomp == 1:
@@ -180,18 +190,9 @@ class NumpyElementKernel:
 
     @property
     def flops_per_matvec(self) -> int:
-        """Exact flop count of one stiffness application, from the
-        operation shapes: the ``(nelem, nldof) @ (nldof, nmat*nldof)``
-        block product (multiply + add per entry) plus the coefficient
-        multiply and accumulate of the folded scatter — one per
-        (element, matrix, local dof) slot, i.e. ``nmat * nldof``
-        per element, plus the output-touching adds (``nldof``)."""
-        per_elem = (
-            2 * self.nmat * self.nldof * self.nldof
-            + self.nmat * self.nldof
-            + self.nldof
-        )
-        return self.nelem * per_elem
+        """Exact flop count of one stiffness application:
+        :func:`element_flops` per element."""
+        return self.nelem * element_flops(self.nmat, self.nldof)
 
     def flops_per_matmat(self, width: int) -> int:
         """Exact flop count of one multi-RHS application of ``width``

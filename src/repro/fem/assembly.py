@@ -147,9 +147,9 @@ class ElasticOperator:
         """Floating point operations per stiffness application, the
         count the scalability benchmark feeds the machine model.
         Delegated to the kernel (two dense ``(nelem, 24) @ (24, 24)``
-        products + coefficient scalings + scatter — the kernel's
-        general formula reduces to exactly
-        ``nelem * (2*2*24*24 + 2*24 + 24)`` here)."""
+        products + coefficient scalings + scatter:
+        ``nelem * element_flops(2, 24)``, see
+        :func:`repro.backend.numpy_backend.element_flops`)."""
         return self._kernel.flops_per_matvec
 
     def flops_per_matmat(self, width: int) -> int:

@@ -1,41 +1,33 @@
-"""Distributed element-based matvec over a pluggable communicator.
+"""Element partition of a mesh: which rank holds which elements and
+grid points, and which points it shares with whom.
 
 Elements are partitioned across ranks (ParMETIS in the paper, RCB
 here); each rank owns its elements and a local copy of every grid point
-they touch.  A stiffness application is then
+they touch.  Grid points shared between ranks hold only partial sums of
+a stiffness application, so every step each rank ships its partials on
+shared points to the co-owning ranks and accumulates what it receives —
+the exchange ``dist_solver._RankFrame.exchange`` runs, written once.
 
-1. local gather / dense element products / local scatter (the serial
-   :class:`repro.fem.assembly.ElasticOperator` on the rank's elements);
-2. **interface exchange**: grid points shared between ranks hold only
-   partial sums, so each rank sends its partials on shared nodes to the
-   co-owning ranks and accumulates what it receives.
+To let that exchange hide behind compute, each rank's elements are
+ordered **interface first**: the elements touching any shared grid
+point form a prefix, the rank's operator is built with the matching
+``split_elems``, and its planned-CSR scatter is split along the same
+boundary (:meth:`repro.backend.sparse_ops.ScatterPlan.split`).  A time
+step then applies the interface elements, ships the boundary partial
+sums, and runs the interior elements while the messages are in flight.
 
-To let step 2 hide behind step 1 — the classic bulk-synchronous
-comm/compute overlap the paper's machine model assumes — each rank's
-elements are ordered **interface first**: the elements touching any
-shared grid point form a prefix, the per-rank operator is built with
-the matching ``split_elems``, and its planned-CSR scatter is split
-along the same boundary (:meth:`repro.backend.sparse_ops.ScatterPlan.
-split`).  A time step then applies the interface elements, ships the
-boundary partial sums, and runs the interior elements while the
-messages are in flight.
-
-The exchange executes through :class:`repro.parallel.simcomm.SimComm`
-endpoints over either transport (in-process mailboxes or the real
-shared-memory process transport), so message counts and byte volumes
-are measured, not estimated — they drive the Table 2.1 machine model.
-The assembled result is verified against the serial operator in the
-tests.
+:func:`rank_partitions` is plain data from ``(mesh, parts, nranks)``:
+no transport, no material.  :func:`per_step_profile` counts one step's
+work and traffic per rank from it, for the machine model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from repro.fem.assembly import ElasticOperator
+from repro.backend.numpy_backend import element_flops
 from repro.mesh.hexmesh import HexMesh
 from repro.solver.wave_solver import update_flops_per_node
 
@@ -61,174 +53,120 @@ class RankPartition:
     gather_local: np.ndarray  # their local indices
 
 
-class DistributedElasticOperator:
-    """Element partition + per-rank operators + ghost exchange."""
+def rank_partitions(
+    mesh: HexMesh, parts: np.ndarray, nranks: int
+) -> list[RankPartition]:
+    """Split ``mesh`` by the element-to-rank map ``parts`` into one
+    :class:`RankPartition` per rank.
 
-    def __init__(
-        self,
-        mesh: HexMesh,
-        lam: np.ndarray,
-        mu: np.ndarray,
-        parts: np.ndarray,
-        world,
-    ):
-        self.mesh = mesh
-        self.world = world
-        nranks = world.nranks
-        parts = np.asarray(parts)
-        if parts.max() >= nranks:
-            raise ValueError("partition refers to more ranks than the world")
-        self.parts = parts
-        self._lam = np.asarray(lam)
-        self._mu = np.asarray(mu)
-        self.ranks: list[RankPartition] = []
+    One pass over the (grid point, rank) incidence, sorted once as the
+    1-D key ``node * nranks + rank``: a rank's rows are its sorted
+    nodes, a node's rows its co-owners in rank order (the first is the
+    lowest owner), and every rank's neighbours and shared points come
+    from one group-by of the rows of shared nodes.
 
-        # (node, part) incidence, deduplicated; rows sort by node then
-        # part, so the first row of each node names its lowest owner
-        pairs = np.unique(
-            np.stack([mesh.conn.ravel(), np.repeat(parts, 8)], axis=1),
-            axis=0,
+    ``parts`` must be integer, one id per element, each in
+    ``[0, nranks)`` (``ValueError`` otherwise): an element outside
+    every rank would silently drop out of the solve.
+    """
+    parts = np.asarray(parts)
+    if not np.issubdtype(parts.dtype, np.integer):
+        raise ValueError(f"parts must be integer, got {parts.dtype}")
+    if parts.shape != (mesh.nelem,):
+        raise ValueError(
+            f"parts must have one entry per element ({mesh.nelem}), "
+            f"got shape {parts.shape}"
         )
-        node_deg = np.bincount(pairs[:, 0], minlength=mesh.nnode)
-        first = np.unique(pairs[:, 0], return_index=True)[1]
-        min_owner = np.full(mesh.nnode, -1, dtype=np.int64)
-        min_owner[pairs[first, 0]] = pairs[first, 1]
+    if len(parts) and (parts.min() < 0 or parts.max() >= nranks):
+        raise ValueError(f"part ids must lie in [0, {nranks})")
+    parts = parts.astype(np.int64)
+    conn = mesh.conn.astype(np.int64)
 
-        rank_eids = [np.nonzero(parts == r)[0] for r in range(nranks)]
-        rank_nodes = [
-            np.unique(mesh.conn[eids].ravel())
-            if len(eids)
-            else np.array([], dtype=np.int64)
-            for eids in rank_eids
-        ]
+    # the incidence rows, and each element corner's row
+    keys, corner_row = np.unique(
+        (conn * nranks + parts[:, None]).ravel(), return_inverse=True
+    )
+    node, part = np.divmod(keys, nranks)
+    start = np.flatnonzero(np.r_[True, node[1:] != node[:-1]])
+    deg = np.diff(np.r_[start, len(keys)])
+    row_deg = np.repeat(deg, deg)
+    # a row's place among its node's co-owners (0: the lowest owner)
+    pos = np.arange(len(keys)) - np.repeat(start, deg)
+    # a row's index in its rank's sorted node list
+    by_rank = np.argsort(part, kind="stable")
+    rank_start = np.r_[0, np.cumsum(np.bincount(part, minlength=nranks))]
+    local = np.empty(len(keys), dtype=np.int64)
+    local[by_rank] = np.arange(len(keys)) - rank_start[part[by_rank]]
 
-        for r in range(nranks):
-            eids = rank_eids[r]
-            gnodes = rank_nodes[r]
-            local_conn = (
-                np.searchsorted(gnodes, mesh.conn[eids])
-                if len(eids)
-                else np.zeros((0, 8), dtype=np.int64)
+    # interface-first elements: each rank's touching a shared node in
+    # ascending id order, then its interior ones
+    iface = (row_deg[corner_row] > 1).reshape(-1, 8).any(axis=1)
+    elem_order = np.argsort(2 * parts + ~iface, kind="stable")
+    elem_start = np.r_[0, np.cumsum(np.bincount(parts, minlength=nranks))]
+    n_iface = np.bincount(parts[iface], minlength=nranks)
+    local_conn = local[corner_row].reshape(-1, 8)
+
+    # every ordered (rank, co-owner) pair of a shared node: in its
+    # node's group, row i meets the row s places further on (cyclic)
+    rows_i, rows_j = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for s in range(1, int(deg.max(initial=1))):
+        i = np.flatnonzero(row_deg > s)
+        rows_i.append(i)
+        rows_j.append(i - pos[i] + (pos[i] + s) % row_deg[i])
+    i, j = np.concatenate(rows_i), np.concatenate(rows_j)
+    pair = part[i] * nranks + part[j]
+    order = np.argsort(pair * mesh.nnode + node[i], kind="stable")
+    i, pair = i[order], pair[order]
+    cut = np.flatnonzero(np.diff(pair, prepend=-1, append=-1))
+
+    shared: list[dict] = [{} for _ in range(nranks)]
+    for a, b in zip(cut[:-1], cut[1:]):
+        r, o = divmod(int(pair[a]), nranks)
+        shared[r][o] = (local[i[a:b]], node[i[a:b]])
+
+    ranks = []
+    for r in range(nranks):
+        rows = by_rank[rank_start[r]:rank_start[r + 1]]
+        eids = elem_order[elem_start[r]:elem_start[r + 1]]
+        gather_local = np.flatnonzero(pos[rows] == 0)
+        ranks.append(
+            RankPartition(
+                elements=eids,
+                nodes=node[rows],
+                local_conn=local_conn[eids],
+                shared_with=shared[r],
+                n_iface_elems=int(n_iface[r]),
+                gather_nodes=node[rows][gather_local],
+                gather_local=gather_local,
             )
-            # neighbors: ranks sharing at least one grid point
-            shared: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-            for o in range(nranks):
-                if o == r:
-                    continue
-                inter = np.intersect1d(
-                    gnodes, rank_nodes[o], assume_unique=True
-                )
-                if len(inter):
-                    shared[o] = (np.searchsorted(gnodes, inter), inter)
-            # interface-first element ordering
-            iface_flag = node_deg[gnodes] > 1
-            if len(eids):
-                emask = iface_flag[local_conn].any(axis=1)
-                order = np.concatenate(
-                    [np.nonzero(emask)[0], np.nonzero(~emask)[0]]
-                )
-                eids = eids[order]
-                local_conn = local_conn[order]
-                n_iface = int(emask.sum())
-            else:
-                n_iface = 0
-            gather_local = np.nonzero(min_owner[gnodes] == r)[0]
-            self.ranks.append(
-                RankPartition(
-                    elements=eids,
-                    nodes=gnodes,
-                    local_conn=local_conn,
-                    shared_with=shared,
-                    n_iface_elems=n_iface,
-                    gather_nodes=gnodes[gather_local],
-                    gather_local=gather_local,
-                )
-            )
+        )
+    return ranks
 
-    @cached_property
-    def ops(self) -> list[ElasticOperator]:
-        """One interface-first split operator per rank, built on first
-        use: :meth:`matvec_distributed` and :meth:`per_step_profile`
-        run them in the master; a distributed time march never does
-        (each rank program builds its own from its payload)."""
-        return [
-            ElasticOperator(
-                rp.local_conn,
-                self.mesh.elem_h[rp.elements],
-                self._lam[rp.elements],
-                self._mu[rp.elements],
-                len(rp.nodes),
-                split_elems=rp.n_iface_elems,
-            )
-            for rp in self.ranks
-        ]
 
-    # ------------------------------------------------------------ actions
+def step_flops(nelem: int, nnode: int) -> int:
+    """Counted work of one every-step leapfrog step (undamped) over
+    ``nelem`` hex elements and ``nnode`` grid points: the element
+    kernel's count for two 24 x 24 reference matrices per element plus
+    :func:`~repro.solver.wave_solver.update_flops_per_node` per node.
+    The one formula of :func:`per_step_profile` and the modelled paper
+    rows (:func:`repro.parallel.perfmodel.predict_paper_row`)."""
+    return nelem * element_flops(2, 24) + update_flops_per_node(False) * nnode
 
-    def scatter_field(self, u: np.ndarray) -> list[np.ndarray]:
-        """Distribute a global nodal field to per-rank local copies."""
-        return [u[rp.nodes] for rp in self.ranks]
 
-    def gather_field(
-        self, locals_u: list[np.ndarray], out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Assemble per-rank local fields into a global vector; each
-        grid point is written by its lowest co-owner (deterministic
-        regardless of rank execution order)."""
-        if out is None:
-            out = np.zeros((self.mesh.nnode,) + locals_u[0].shape[1:])
-        for rp, u in zip(self.ranks, locals_u):
-            out[rp.gather_nodes] = u[rp.gather_local]
-        return out
-
-    def matvec_distributed(self, u: np.ndarray) -> np.ndarray:
-        """Full distributed stiffness application, returning the
-        assembled global result (for verification and driving).
-        Executes the overlapped schedule: interface elements, sends,
-        interior elements, receives."""
-        locals_u = self.scatter_field(u)
-        comms = self.world.comms()
-        partials = []
-        for r, (rp, op) in enumerate(zip(self.ranks, self.ops)):
-            y = np.empty((len(rp.nodes), 3))
-            op.matvec_interface(locals_u[r], y)
-            self.world.stats[r].flops += op.flops_per_matvec
-            partials.append(y)
-        # post all boundary sends (BSP superstep)
-        for r, rp in enumerate(self.ranks):
-            for o, (loc, _) in rp.shared_with.items():
-                comms[r].Send(partials[r][loc], o, tag=r)
-        # overlap region: interior work while messages are in flight
-        for r, (rp, op) in enumerate(zip(self.ranks, self.ops)):
-            op.matvec_interior_acc(locals_u[r], partials[r])
-        # receive and accumulate
-        for r, rp in enumerate(self.ranks):
-            for o, (loc, _) in rp.shared_with.items():
-                incoming = comms[r].Recv(o, tag=o)
-                partials[r][loc] += incoming
-                self.world.stats[r].flops += incoming.size
-        return self.gather_field(partials)
-
-    # --------------------------------------------------------- accounting
-
-    def per_step_profile(self) -> list[dict]:
-        """Per-rank cost profile of ONE stiffness application:
-        flops, neighbor count, bytes exchanged.  Pure accounting — no
-        execution — used by the scalability study at large P."""
-        profile = []
-        for rp, op in zip(self.ranks, self.ops):
-            bytes_out = sum(
+def per_step_profile(ranks: list[RankPartition]) -> list[dict]:
+    """Per-rank cost profile of ONE solver step: flops, neighbor count,
+    bytes exchanged.  Pure accounting — no execution — used by the
+    scalability study at large P."""
+    return [
+        {
+            "flops": step_flops(len(rp.elements), len(rp.nodes)),
+            "neighbors": len(rp.shared_with),
+            "bytes": sum(
                 8 * 3 * len(loc) for (loc, _) in rp.shared_with.values()
-            )
-            profile.append(
-                {
-                    "flops": op.flops_per_matvec
-                    + update_flops_per_node(False) * len(rp.nodes),
-                    "neighbors": len(rp.shared_with),
-                    "bytes": bytes_out,
-                    "elements": len(rp.elements),
-                    "interface_elements": rp.n_iface_elems,
-                    "nodes": len(rp.nodes),
-                }
-            )
-        return profile
+            ),
+            "elements": len(rp.elements),
+            "interface_elements": rp.n_iface_elems,
+            "nodes": len(rp.nodes),
+        }
+        for rp in ranks
+    ]

@@ -72,7 +72,7 @@ import numpy as np
 
 from repro.fem.assembly import ElasticOperator, lumped_mass
 from repro.mesh.hexmesh import HexMesh
-from repro.parallel.decomposition import DistributedElasticOperator
+from repro.parallel.decomposition import rank_partitions
 from repro.parallel.transport import (
     WorkerFailure,
     attach_shared_array,
@@ -446,7 +446,8 @@ class DistributedWaveSolver:
         lam, mu = lame_from_velocities(vs, vp, rho)
         self._lam, self._mu = lam, mu
         self._vp = vp
-        self.dist = DistributedElasticOperator(mesh, lam, mu, parts, world)
+        #: one :class:`~repro.parallel.decomposition.RankPartition` per rank
+        self.ranks = rank_partitions(mesh, parts, world.nranks)
         self.dt = dt if dt is not None else stable_timestep(
             mesh.elem_h, vp, safety=cfl_safety
         )
@@ -461,7 +462,7 @@ class DistributedWaveSolver:
         # (shot sharding) the full domain
         self._m_global = m_global
         self._C_global = C_global
-        for r, rp in enumerate(self.dist.ranks):
+        for r, rp in enumerate(self.ranks):
             # account the setup exchange (mass + damping on interfaces)
             for o, (loc, _) in rp.shared_with.items():
                 world.stats[r].record_send(r, o, 8 * 4 * len(loc))
@@ -507,7 +508,7 @@ class DistributedWaveSolver:
             mesh.conn, bin_rates(elem_dt, max_rate=max_rate), mesh.nnode
         )
         shared = np.zeros(mesh.nnode, dtype=bool)
-        for rp in self.dist.ranks:
+        for rp in self.ranks:
             for _, gids in rp.shared_with.values():
                 shared[gids] = True
         boundary = shared[mesh.conn].any(axis=1)
@@ -522,7 +523,7 @@ class DistributedWaveSolver:
                 rp.local_conn, len(rp.nodes), dt=self.dt,
                 rates=rates[rp.elements],
             )
-            for rp in self.dist.ranks
+            for rp in self.ranks
         ]
         ctx = {
             "rates": rates,
@@ -679,7 +680,7 @@ class DistributedWaveSolver:
         gather lists, its subdomain and neighbors, and under LTS its
         element rates (which pick the clustered march)."""
         payloads = []
-        for rp in self.dist.ranks:
+        for rp in self.ranks:
             pl = dict(
                 common,
                 **self._subdomain(rp),
@@ -711,7 +712,7 @@ class DistributedWaveSolver:
         max_msg = max(
             (
                 24 * len(loc)
-                for rp in self.dist.ranks
+                for rp in self.ranks
                 for (loc, _) in rp.shared_with.values()
             ),
             default=0,

@@ -27,8 +27,11 @@ import numpy as np
 
 from repro.mesh.hexmesh import HexMesh
 from repro.mesh.partition import rcb_partition
-from repro.parallel.decomposition import DistributedElasticOperator
-from repro.parallel.simcomm import SimWorld
+from repro.parallel.decomposition import (
+    per_step_profile,
+    rank_partitions,
+    step_flops,
+)
 
 
 @dataclass(frozen=True)
@@ -132,8 +135,6 @@ class ScalabilityRow:
 
 def predict_scalability(
     mesh: HexMesh,
-    lam: np.ndarray,
-    mu: np.ndarray,
     pes: int,
     *,
     machine: MachineModel = ALPHASERVER_ES45,
@@ -153,9 +154,7 @@ def predict_scalability(
         if pes > 1
         else np.zeros(mesh.nelem, dtype=np.int64)
     )
-    world = SimWorld(pes)
-    dist = DistributedElasticOperator(mesh, lam, mu, parts, world)
-    profile = dist.per_step_profile()
+    profile = per_step_profile(rank_partitions(mesh, parts, pes))
     times = [
         machine.rank_step_time(p["flops"], p["neighbors"], p["bytes"], pes)
         for p in profile
@@ -193,15 +192,7 @@ def fit_interface_constant(
         if p < 2:
             continue
         parts = rcb_partition(mesh.elem_centers, p)
-        world = SimWorld(p)
-        dist = DistributedElasticOperator(
-            mesh,
-            np.ones(mesh.nelem),
-            np.ones(mesh.nelem),
-            parts,
-            world,
-        )
-        prof = dist.per_step_profile()
+        prof = per_step_profile(rank_partitions(mesh, parts, p))
         worst = max(prof, key=lambda q: q["bytes"])
         g = worst["nodes"]
         shared = worst["bytes"] / 24.0  # 3 doubles per shared point
@@ -217,7 +208,6 @@ def predict_paper_row(
     *,
     machine: MachineModel = ALPHASERVER_ES45,
     c_interface: float,
-    flops_per_element: int = 2 * 2 * 24 * 24 + 2 * 24 + 24,
     elems_per_point: float = 0.8,
     neighbors: int = 26,
     model_name: str = "",
@@ -225,15 +215,17 @@ def predict_paper_row(
     """Model one Table 2.1 row from its granularity.
 
     Builds the interior-rank cost profile analytically — elements from
-    the grain size, interface points from the *measured* RCB surface
-    law ``c_interface`` — and converts with the machine model.  This is
+    the grain size, costed by the real partitions' formula
+    (:func:`~repro.parallel.decomposition.step_flops`), interface
+    points from the *measured* RCB surface law ``c_interface`` — and
+    converts with the machine model.  This is
     how the paper-scale rows (up to 102M points on 3000 PEs) are
     reproduced without holding a 100M-point mesh in a numpy prototype;
     the law itself is validated against real partitions in
     :func:`fit_interface_constant`.
     """
     nelem = int(pts_per_pe * elems_per_point)
-    flops = nelem * flops_per_element + 12 * pts_per_pe
+    flops = step_flops(nelem, pts_per_pe)
     shared = c_interface * pts_per_pe ** (2.0 / 3.0)
     bytes_ = int(shared * 24)
     step = machine.rank_step_time(flops, neighbors, bytes_, pes)

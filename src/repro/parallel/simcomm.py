@@ -1,11 +1,13 @@
 """Pluggable-transport MPI with exact traffic accounting.
 
-:class:`SimComm` is the per-rank communicator handle with the usual
-point-to-point and collective operations (numpy-buffer style, mirroring
-mpi4py's upper-case API, with the historical lower-case aliases kept).
-It is a thin facade over a **transport** — any object implementing the
-small world-side protocol below — so the same SPMD rank program runs
-unchanged over either backing:
+:class:`SimComm` is the per-rank communicator handle: buffered
+point-to-point ``Send`` / ``Recv`` (numpy-buffer style, mirroring
+mpi4py's upper-case API) plus flop accounting and a liveness ping.  The
+solvers need nothing else — their one exchange is a set of
+point-to-point sends and receives per step.  It is a thin facade over
+a **transport** — any object implementing the small world-side
+protocol below — so the same SPMD rank program runs unchanged over
+either backing:
 
 * :class:`SimWorld` (this module): ``P`` in-process mailboxes moved
   through deques — parallel *semantics* (who sends what to whom each
@@ -23,7 +25,6 @@ Transport protocol (what a world must provide to back a ``SimComm``)::
     nranks                      -> int
     _send_from(rank, data, dest, tag)
     _recv_at(rank, source, tag, out=None) -> np.ndarray
-    _barrier(rank)
     _add_flops(rank, n)
     rank_stats(rank)            -> TrafficStats
     _heartbeat(rank, step)      (optional: liveness ping, may no-op)
@@ -53,10 +54,6 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
 import numpy as np
-
-#: reserved tag for collective traffic (keeps it out of the
-#: point-to-point tag space used by the solvers)
-COLLECTIVE_TAG = -1
 
 
 @dataclass
@@ -115,24 +112,6 @@ class TrafficStats:
             self.peers[(src, dst)] = (pm + m, pb + b)
 
 
-def binomial_rounds(nranks: int) -> list[list[tuple[int, int]]]:
-    """Binomial reduction tree: per round, the ``(child, parent)``
-    pairs at distance ``2^k``.  Reducing runs the rounds in order
-    (children send to parents); broadcasting runs them reversed
-    (parents send to children).  Every rank appears as a child exactly
-    once, so a full allreduce costs each rank at most ``log2(P) + 1``
-    messages — the realistic collective the machine model assumes,
-    rather than a ``P``-message gather-to-root."""
-    rounds = []
-    k = 1
-    while k < nranks:
-        rounds.append(
-            [(r + k, r) for r in range(0, nranks, 2 * k) if r + k < nranks]
-        )
-        k *= 2
-    return rounds
-
-
 class SimComm:
     """Rank-local communicator handle over a pluggable transport.
 
@@ -167,43 +146,6 @@ class SimComm:
         given (zero extra copies on the hot path)."""
         return self.world._recv_at(self.rank, source, tag, out)
 
-    def Barrier(self) -> None:
-        self.world._barrier(self.rank)
-
-    def Allreduce(self, value: float, op=sum):
-        """Scalar allreduce over a binomial tree of Send/Recv pairs
-        (reduce to rank 0, then broadcast), so the accounting reflects
-        ``O(log P)`` critical-path messages.  ``op`` combines a list of
-        two partial values.  A generator, like an exchanging rank
-        program: it suspends once per tree round, after that round's
-        sends — call it as ``v = yield from comm.Allreduce(x)`` on every
-        rank, or through a world's ``allreduce``."""
-        v = float(value)
-        rounds = binomial_rounds(self.size)
-        for pairs in rounds:  # reduce
-            for child, parent in pairs:
-                if self.rank == child:
-                    self.Send(np.array([v]), parent, tag=COLLECTIVE_TAG)
-            yield
-            for child, parent in pairs:
-                if self.rank == parent:
-                    got = self.Recv(child, tag=COLLECTIVE_TAG)
-                    v = float(op([v, float(got[0])]))
-        for pairs in reversed(rounds):  # broadcast
-            for child, parent in pairs:
-                if self.rank == parent:
-                    self.Send(np.array([v]), child, tag=COLLECTIVE_TAG)
-            yield
-            for child, parent in pairs:
-                if self.rank == child:
-                    v = float(self.Recv(parent, tag=COLLECTIVE_TAG)[0])
-        return v
-
-    # historical lower-case aliases (pre-transport API)
-    send = Send
-    recv = Recv
-    barrier = Barrier
-
     def add_flops(self, n: int) -> None:
         self.world._add_flops(self.rank, n)
 
@@ -234,9 +176,6 @@ class SimWorld:
         if not 0 <= rank < self.nranks:
             raise ValueError(f"rank {rank} out of range")
         return SimComm(self, rank)
-
-    def comms(self) -> list[SimComm]:
-        return [self.comm(r) for r in range(self.nranks)]
 
     def total_stats(self) -> TrafficStats:
         out = TrafficStats()
@@ -291,18 +230,6 @@ class SimWorld:
             )
         return results
 
-    def allreduce(self, values: list[float], op=sum) -> float:
-        """World-level scalar allreduce (one value per rank), both
-        worlds' (``ProcWorld`` shares it; there ``op`` must pickle):
-        every rank runs :meth:`SimComm.Allreduce` through the
-        transport, so the per-rank message/byte accounting is
-        *measured* from one tree walk, not modeled."""
-        if len(values) != self.nranks:
-            raise ValueError("one value per rank required")
-        return self.run_spmd(
-            _allreduce_program, [(float(v), op) for v in values]
-        )[0]
-
     # ------------------------------------------------ transport protocol
 
     def _send_from(
@@ -326,17 +253,9 @@ class SimWorld:
             return out
         return got
 
-    def _barrier(self, rank: int) -> None:
-        pass  # one thread: ranks only interleave at their yields
-
     def _add_flops(self, rank: int, n: int) -> None:
         self.stats[rank].flops += int(n)
 
     def rank_stats(self, rank: int) -> TrafficStats:
         return self.stats[rank]
 
-
-def _allreduce_program(comm, payload):
-    """Both worlds' ``allreduce``: one rank's :meth:`SimComm.Allreduce`."""
-    value, op = payload
-    return (yield from comm.Allreduce(value, op=op))

@@ -64,7 +64,7 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.backend.blas_threads import single_thread_blas
-from repro.parallel.simcomm import SimComm, SimWorld, TrafficStats
+from repro.parallel.simcomm import SimComm, TrafficStats
 from repro.telemetry import spans
 
 _HDR = 6  # per-slot header int64s: tag, ndim, shape[0..2], crc32
@@ -201,13 +201,12 @@ class ProcTransport:
     channels.  Also carries the worker's heartbeat (piggybacked on the
     result pipe, rate-limited) and any bound fault-injection plan."""
 
-    def __init__(self, rank, nranks, send_chs, recv_chs, barrier,
+    def __init__(self, rank, nranks, send_chs, recv_chs,
                  conn=None, heartbeat_interval: float = 0.5):
         self.rank = int(rank)
         self.nranks = int(nranks)
         self._send_chs = send_chs  # dest rank -> _Channel
         self._recv_chs = recv_chs  # source rank -> _Channel
-        self._barrier_obj = barrier
         self._stats = TrafficStats()
         self._conn = conn
         self._hb_interval = float(heartbeat_interval)
@@ -241,10 +240,6 @@ class ProcTransport:
         self._check(rank)
         return self._recv_chs[source].recv(tag, out)
 
-    def _barrier(self, rank) -> None:
-        self._check(rank)
-        self._barrier_obj.wait()
-
     def _add_flops(self, rank, n) -> None:
         self._check(rank)
         self._stats.flops += int(n)
@@ -269,14 +264,13 @@ class ProcTransport:
         return self._stats
 
 
-def _worker_main(rank, nranks, conn, send_chs, recv_chs, barrier,
+def _worker_main(rank, nranks, conn, send_chs, recv_chs,
                  heartbeat_interval):
     """Persistent worker loop: execute submitted programs until told
     to stop, shipping results and traffic counts back over the pipe."""
     single_thread_blas()  # n workers x m BLAS threads oversubscribe
     transport = ProcTransport(
-        rank, nranks, send_chs, recv_chs, barrier, conn,
-        heartbeat_interval,
+        rank, nranks, send_chs, recv_chs, conn, heartbeat_interval,
     )
     comm = SimComm(transport, rank)
     while True:
@@ -344,11 +338,12 @@ atexit.register(_close_live_worlds)
 class ProcWorld:
     """Persistent multiprocessing SPMD executor.
 
-    Mirrors the master-side surface of :class:`SimWorld` that the
-    decomposition and solver layers use (``nranks``, ``stats``,
-    ``total_stats``, ``slot_bytes``, :meth:`run_spmd`), executing the
-    rank programs on real cores.  Workers are daemonic: they die with
-    the master even if :meth:`close` is never reached.
+    Mirrors the master-side surface of
+    :class:`~repro.parallel.simcomm.SimWorld` that the solver uses
+    (``nranks``, ``stats``, ``total_stats``, ``slot_bytes``,
+    :meth:`run_spmd`), executing the rank programs on real cores.
+    Workers are daemonic: they die with the master even if
+    :meth:`close` is never reached.
 
     Failure handling: ``hang_timeout`` (seconds, None = disabled)
     bounds how long a rank may go without any pipe activity
@@ -398,7 +393,7 @@ class ProcWorld:
         _LIVE_WORLDS.add(self)
 
     def _spawn(self) -> None:
-        """Build fresh channels, barrier, pipes, and worker processes
+        """Build fresh channels, pipes, and worker processes
         (initial start and every :meth:`respawn`)."""
         nranks = self.nranks
         ctx = self._ctx
@@ -410,7 +405,6 @@ class ProcWorld:
             for j in range(nranks)
             if i != j
         }
-        barrier = ctx.Barrier(nranks)
         self._pipes = []
         self._procs = []
         for r in range(nranks):
@@ -423,7 +417,7 @@ class ProcWorld:
             }
             p = ctx.Process(
                 target=_worker_main,
-                args=(r, nranks, child, send_chs, recv_chs, barrier,
+                args=(r, nranks, child, send_chs, recv_chs,
                       self.heartbeat_interval),
                 daemon=True,
             )
@@ -550,9 +544,6 @@ class ProcWorld:
                 fatal=False,
             )
         return results
-
-    #: the same binomial tree, walked through the real channels
-    allreduce = SimWorld.allreduce
 
     def total_stats(self) -> TrafficStats:
         out = TrafficStats()

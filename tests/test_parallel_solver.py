@@ -6,7 +6,7 @@ import pytest
 from repro.materials import HomogeneousMaterial, LayeredMaterial
 from repro.mesh import extract_mesh, rcb_partition, uniform_hex_mesh
 from repro.octree import build_adaptive_octree
-from repro.parallel import DistributedWaveSolver, SimWorld
+from repro.parallel import DistributedWaveSolver, SimWorld, per_step_profile
 from repro.solver import ElasticWaveSolver
 from repro.sources import MomentTensorSource
 from repro.sources.fault import SourceCollection
@@ -95,7 +95,7 @@ def test_one_rank_counts_the_serial_flops_per_step(problem):
         assert world.stats[0].flops == serial.flops.total - before
         if not lts:
             per_step = (serial.flops.total - before) // nsteps
-            assert dist.dist.per_step_profile()[0]["flops"] == per_step
+            assert per_step_profile(dist.ranks)[0]["flops"] == per_step
 
 
 def test_distributed_run_takes_a_source_collection(problem):
