@@ -175,8 +175,8 @@ def service_gate(args) -> int:
     With ``--policy-armed`` the routed side also pays the full
     resilience policy on every request — admission-control depth
     check, deadline minting at submit plus the dispatch/demux expiry
-    checks, and the breaker consult — proving the armed-but-never-
-    triggered policy machinery fits the same ≤tol budget."""
+    checks — proving the armed-but-never-triggered policy machinery
+    fits the same ≤tol budget."""
     from repro.materials import HomogeneousMaterial
     from repro.service import (
         CoalescingScheduler,
@@ -204,7 +204,7 @@ def service_gate(args) -> int:
     policy = None
     if args.policy_armed:
         # every knob on, none ever triggering: a deep queue bound, a
-        # generous deadline, bisection + retry + breaker armed
+        # generous deadline, bisection armed
         policy = ServicePolicy(max_queue_depth=1024, deadline=600.0)
     # one request at a time: each dispatches alone, immediately — the
     # idle configuration whose per-request cost this gate bounds
@@ -277,7 +277,7 @@ def main(argv=None) -> int:
                          "observability stack must fit the same budget")
     ap.add_argument("--policy-armed", action="store_true",
                     help="arm the full service resilience policy "
-                         "(admission control, deadlines, breaker) on "
+                         "(admission control, deadlines) on "
                          "the routed side of the service gate — the "
                          "never-triggered policy must fit the same "
                          "budget")

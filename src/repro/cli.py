@@ -405,19 +405,9 @@ def cmd_submit(args) -> int:
     return 0
 
 
-def _timelines(engine):
-    """Rank timelines of the last distributed run of each simulation
-    the engine holds."""
-    for sim in list(engine.cache._mem.values()):
-        tl = getattr(getattr(sim, "solver", None), "last_timeline", None)
-        if tl is not None:
-            yield tl
-
-
 def _serve_status_payload(engine, scheduler, tally):
     """The live-state dict ``repro serve`` publishes for ``repro top``:
-    counts, queue depth, cache tiers, latency quantiles, and the
-    per-rank phase split of the most recent distributed run."""
+    counts, queue depth, cache tiers, and latency quantiles."""
     from repro import telemetry
 
     reg = telemetry.metrics()
@@ -433,9 +423,6 @@ def _serve_status_payload(engine, scheduler, tally):
                     "p99": h.quantile(0.99),
                     "max": h.max,
                 }
-    per_rank = next(
-        (tl.summary()["per_rank"] for tl in _timelines(engine)), None
-    )
     return {
         "served": tally.served,
         "failed": tally.failed,
@@ -444,9 +431,7 @@ def _serve_status_payload(engine, scheduler, tally):
         "scheduler": scheduler.stats(),
         "cache": engine.cache.stats(),
         "drain": tally.drain,
-        "pools": engine.stats()["pools"],
         "latency": latency,
-        "per_rank": per_rank,
     }
 
 
@@ -553,8 +538,6 @@ def cmd_serve(args) -> int:
             {"type": "request_trace", "request": rid, "trace": tid}
             for rid, tid in tally.traces
         ]
-        for tl in _timelines(engine):
-            extra.extend(tl.span_records())
         n = telemetry.dump_jsonl(args.trace_out, extra_records=extra)
         print(f"trace: {n} records -> {args.trace_out}")
     if args.report:
@@ -597,16 +580,14 @@ def cmd_top(args) -> int:
         sched = snap.get("scheduler") or {}
         rb = {
             k: sched.get(k, 0)
-            for k in ("shed", "deadline_expired", "poisoned", "retries")
+            for k in ("shed", "deadline_expired", "poisoned")
         }
         rb["quarantined"] = snap.get("quarantined", 0)
-        breaker = sched.get("breaker", "disabled")
-        if any(rb.values()) or breaker not in ("disabled", "closed"):
+        if any(rb.values()):
             lines.append(
                 f"  robustness: shed {rb['shed']}, expired "
                 f"{rb['deadline_expired']}, poisoned {rb['poisoned']}, "
-                f"retries {rb['retries']}, quarantined "
-                f"{rb['quarantined']}, breaker {breaker}"
+                f"quarantined {rb['quarantined']}"
             )
         q = snap.get("queue") or {}
         lines.append(
@@ -630,10 +611,6 @@ def cmd_top(args) -> int:
                 f"  last drain: {dh}/{dt} hits "
                 f"({100.0 * d.get('hit_rate', 0.0):.0f}%)"
             )
-        pools = snap.get("pools") or {}
-        if pools:
-            running = sum(1 for v in pools.values() if v == "running")
-            lines.append(f"  pools: {running}/{len(pools)} running")
         lat = snap.get("latency") or {}
         if lat:
             lines.append(
@@ -645,18 +622,6 @@ def cmd_top(args) -> int:
                     f"  {stage:<10} {h['n']:>6} "
                     f"{h['p50'] * 1e3:>7.1f}ms {h['p95'] * 1e3:>7.1f}ms "
                     f"{h['p99'] * 1e3:>7.1f}ms"
-                )
-        per_rank = snap.get("per_rank")
-        if per_rank:
-            lines.append("  per-rank phase split (last run):")
-            for row in per_rank:
-                tot = row["compute_seconds"] + row["comm_seconds"]
-                frac = row["compute_seconds"] / tot if tot else 0.0
-                lines.append(
-                    f"    rank {row['rank']}: compute "
-                    f"{row['compute_seconds']:.3f}s "
-                    f"comm {row['comm_seconds']:.3f}s "
-                    f"({100 * frac:.0f}% compute)"
                 )
         print("\n".join(lines))
         return True

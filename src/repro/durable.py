@@ -20,9 +20,10 @@ def atomic_write(path: str, write, *, mode: str = "w",
     """``write(f)`` into a temporary sibling, fsync it, then move it
     onto ``path`` in one step: a reader sees the old file or the
     complete new one, never a torn write, and the new bytes are on disk
-    before the name points at them.  ``exclusive`` publishes with
-    ``os.link`` instead of ``os.replace`` and raises
-    :class:`FileExistsError` rather than overwrite.
+    before the name points at them.  The parent directory is fsynced
+    after the rename, so the new name survives a power cut too.
+    ``exclusive`` publishes with ``os.link`` instead of ``os.replace``
+    and raises :class:`FileExistsError` rather than overwrite.
 
     The temporary is ``<path>.<pid>-<thread id>.tmp``, so concurrent
     writers never share one; readers that scan a directory match their
@@ -35,14 +36,20 @@ def atomic_write(path: str, write, *, mode: str = "w",
             write(f)
             f.flush()
             os.fsync(f.fileno())
-        if not exclusive:
+        if exclusive:
+            os.link(tmp, path)
+        else:
             os.replace(tmp, path)
-            return
-        os.link(tmp, path)
     except BaseException:
         try:
             os.unlink(tmp)
         except OSError:
             pass
         raise
-    os.unlink(tmp)
+    if exclusive:
+        os.unlink(tmp)
+    fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)

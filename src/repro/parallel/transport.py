@@ -281,12 +281,8 @@ def _worker_main(rank, nranks, conn, send_chs, recv_chs,
         if msg[0] == "stop":
             conn.close()
             return
-        # run messages are ("run", program, payload) or, when the
-        # master has an active request trace, ("run", program,
-        # payload, trace_id) — length-guarded like the result tuple so
-        # either side can be the older protocol
-        program, payload = msg[1], msg[2]
-        trace_ctx = msg[3] if len(msg) > 3 else None
+        # ("run", program, payload, trace_id or None)
+        _, program, payload, trace_ctx = msg
         prev_trace = spans.set_trace_context(trace_ctx)
         try:
             result = program(comm, payload)
@@ -436,8 +432,7 @@ class ProcWorld:
         into ``self.stats``.
 
         ``trace_context`` piggybacks the master's request trace id on
-        the run message (a fourth tuple element, absent when None for
-        wire compatibility); workers set it as their ambient trace
+        the run message; workers set it as their ambient trace
         context for the program's duration so per-rank timelines and
         any worker-side spans stitch into the request's trace.
 
@@ -454,10 +449,7 @@ class ProcWorld:
         if trace_context is None:
             trace_context = spans.get_trace_context()
         for r, pipe in enumerate(self._pipes):
-            if trace_context is None:
-                pipe.send(("run", program, payloads[r]))
-            else:
-                pipe.send(("run", program, payloads[r], trace_context))
+            pipe.send(("run", program, payloads[r], trace_context))
         results = [None] * self.nranks
         errors = []
         pending = set(range(self.nranks))
@@ -499,8 +491,7 @@ class ProcWorld:
                     st.messages_sent += m
                     st.bytes_sent += b
                     st.flops += f
-                    if len(msg) > 3:
-                        st.merge_peers_payload(msg[3])
+                    st.merge_peers_payload(msg[3])
                 else:
                     errors.append((r, msg[1]))
             now = time.perf_counter()
@@ -565,26 +556,6 @@ class ProcWorld:
         self.close(force=True)
         self._spawn()
         self.respawns += 1
-
-    def ensure_running(self) -> None:
-        """Make the pool usable, re-attaching if necessary: a closed
-        world spawns fresh workers (so ``close`` + ``ensure_running``
-        is an explicit shutdown/re-attach cycle — a long-lived engine
-        can park its pool between bursts of traffic), and a world
-        whose workers died respawns.  A healthy pool is untouched, so
-        calling this before every submission costs two checks."""
-        if self._closed:
-            self._spawn()
-            _LIVE_WORLDS.add(self)
-            self.respawns += 1
-            return
-        if any(not p.is_alive() for p in self._procs):
-            self.respawn()
-
-    @property
-    def closed(self) -> bool:
-        """True between :meth:`close` and the next re-attach."""
-        return self._closed
 
     def close(self, force: bool = False) -> None:
         """Stop the workers; idempotent.  ``force`` terminates without

@@ -41,22 +41,3 @@ class RetryPolicy:
         telemetry.count("resilience.retries")
         if delay > 0:
             time.sleep(delay)
-
-    def call(self, fn, *, retry_on=(Exception,), on_retry=None):
-        """Run ``fn()`` under this policy: exceptions matching
-        ``retry_on`` are retried up to ``max_retries`` times with the
-        backoff schedule between attempts; anything else (and the
-        final matching failure) propagates.  ``on_retry(attempt,
-        exc)`` is invoked before each backoff sleep, letting callers
-        count or log the transient."""
-        attempt = 0
-        while True:
-            try:
-                return fn()
-            except retry_on as e:
-                attempt += 1
-                if attempt > self.max_retries:
-                    raise
-                if on_retry is not None:
-                    on_retry(attempt, e)
-                self.wait(attempt)

@@ -6,7 +6,7 @@ scenario run is a cache hit plus one batched column:
 * :mod:`~repro.service.cache` — content-addressed artifact store
   (stable spec hashing, in-memory LRU + CRC-verified disk tier);
 * :mod:`~repro.service.engine` — warm :class:`Engine` owning the
-  constructed simulations and persistent :class:`ProcWorld` pools;
+  constructed simulations;
 * :mod:`~repro.service.scheduler` — :class:`CoalescingScheduler`, a
   keyed async job queue that packs co-batchable requests into one
   fused ``run_batch`` time loop (each column bitwise-identical to a
@@ -14,11 +14,9 @@ scenario run is a cache hit plus one batched column:
   and ``submit_many`` hands over an already-collected list as one
   batch;
 * :mod:`~repro.service.policy` — :class:`ServicePolicy` resilience
-  knobs (admission control, deadlines, poisoned-batch bisection,
-  retry + circuit breaker) and the structured errors
-  (:class:`ShedError`, :class:`DeadlineExceeded`,
-  :class:`PoisonedRequestError`, :class:`CircuitOpenError`) callers
-  program against;
+  knobs (admission control, deadlines, poisoned-batch bisection) and
+  the structured errors (:class:`ShedError`, :class:`DeadlineExceeded`,
+  :class:`PoisonedRequestError`) callers program against;
 * :mod:`~repro.service.spool` — :class:`Spool`, the crash-safe
   directory protocol between ``repro submit`` and ``repro serve``;
 * :mod:`~repro.service.server` — :func:`serve`, the drain loop that
@@ -36,8 +34,6 @@ from repro.service.cache import (
 )
 from repro.service.engine import Engine, SimulationSpec
 from repro.service.policy import (
-    CircuitBreaker,
-    CircuitOpenError,
     DeadlineExceeded,
     PoisonedRequestError,
     ServicePolicy,
@@ -50,8 +46,6 @@ from repro.service.spool import Spool
 __all__ = [
     "ArtifactCache",
     "CacheCorruptError",
-    "CircuitBreaker",
-    "CircuitOpenError",
     "CoalescingScheduler",
     "DeadlineExceeded",
     "Engine",

@@ -1,12 +1,11 @@
-"""Warm simulation engine: constructed solvers + persistent pools.
+"""Warm simulation engine: constructed solvers.
 
 The engine is the stateful middle of the service: it owns an
 :class:`~repro.service.cache.ArtifactCache` of constructed
 :class:`~repro.core.simulation.ForwardSimulation` instances (octree,
 mesh, constraints, assembled operators, scatter plans — everything a
-rupture does *not* change) and a registry of persistent
-:class:`~repro.parallel.ProcWorld` pools, so successive
-:meth:`submit` calls skip straight to the time loop.
+rupture does *not* change), so successive :meth:`submit` calls skip
+straight to the time loop.  Every request runs the serial solver.
 
 A request names its basin with a :class:`SimulationSpec` — a frozen
 description whose :attr:`SimulationSpec.key` is the content address
@@ -20,7 +19,7 @@ deterministic given those operators and the scenario.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -131,7 +130,6 @@ class Engine:
         faults=None,
     ):
         self.cache = cache or ArtifactCache(capacity, disk_dir=disk_dir)
-        self._pools: dict[tuple, object] = {}
         self.submitted = 0
         self.faults = faults
 
@@ -142,23 +140,6 @@ class Engine:
         the first call (or a disk load on a fresh process when the
         engine has a disk tier)."""
         return self.cache.get_or_build(spec.key, spec.build)
-
-    def pool(self, nranks: int, **kwargs):
-        """A persistent :class:`~repro.parallel.ProcWorld` shared by
-        every submission that asks for ``nranks`` workers; re-attached
-        if a previous user closed it or its workers died.  The engine
-        owns the pool — callers must not ``close`` it mid-service
-        (:meth:`close` shuts all pools down exactly once)."""
-        from repro.parallel import ProcWorld
-
-        key = (int(nranks),) + tuple(sorted(kwargs.items()))
-        world = self._pools.get(key)
-        if world is None:
-            world = ProcWorld(nranks, **kwargs)
-            self._pools[key] = world
-        else:
-            world.ensure_running()
-        return world
 
     # ------------------------------------------------------ submission
 
@@ -178,7 +159,7 @@ class Engine:
         dispatch to ``ForwardSimulation.run`` — a warm submit differs
         from a cold library call only in skipping construction, so the
         trajectory is bitwise the same.  ``trace_id`` scopes the run's
-        spans (and any distributed per-rank timelines) to that trace."""
+        spans to that trace."""
         sim = self.simulation(spec)
         self.submitted += 1
         telemetry.count("service.submits")
@@ -250,32 +231,12 @@ class Engine:
     def stats(self) -> dict:
         s = self.cache.stats()
         s["submitted"] = self.submitted
-        s["pools"] = {
-            "+".join(str(k) for k in key): (
-                "closed" if world.closed else "running"
-            )
-            for key, world in self._pools.items()
-        }
-        # pool-health gauges ride along whenever stats are read (the
-        # serve loop polls this once per drain, not per request)
-        running = sum(
-            1 for w in self._pools.values() if not w.closed
-        )
-        telemetry.gauge("service.pools.running", running)
-        telemetry.gauge("service.pools.total", len(self._pools))
         return s
 
     def close(self) -> None:
-        """Shut every owned pool down (idempotent).  The engine stays
-        usable — the artifact cache is untouched and a later
-        :meth:`pool` call re-attaches a fresh pool — so ``close`` is
-        the explicit park/shutdown point between traffic bursts."""
-        for world in self._pools.values():
-            try:
-                world.close()
-            except Exception:
-                pass
-        self._pools.clear()
+        """Park point between traffic bursts (idempotent).  The engine
+        holds no processes, so there is nothing to release; the
+        artifact cache is untouched and the engine stays usable."""
 
     def __enter__(self) -> "Engine":
         return self

@@ -35,10 +35,8 @@ engine), fails only the culprit(s) with
 :class:`~repro.service.policy.PoisonedRequestError`, and resolves the
 innocents from the successful halves — still bitwise-identical to
 solo runs, because column independence holds for any batch width.
-The policy also bounds the queue (:class:`ShedError` fast-fail),
-mints per-request deadlines, retries transient
-:class:`~repro.parallel.transport.WorkerFailure`, and trips a circuit
-breaker on repeated pool failures.
+The policy also bounds the queue (:class:`ShedError` fast-fail) and
+mints per-request deadlines.
 """
 
 from __future__ import annotations
@@ -51,10 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import telemetry
-from repro.parallel.transport import WorkerFailure
 from repro.service.engine import Engine, SimulationSpec
 from repro.service.policy import (
-    CircuitOpenError,
     DeadlineExceeded,
     PoisonedRequestError,
     ServicePolicy,
@@ -148,9 +144,9 @@ class CoalescingScheduler:
         The widest batch a dispatch runs (``B`` of the fused loop).
     policy:
         A :class:`~repro.service.policy.ServicePolicy` arming
-        admission control, deadlines, bisection, retry, and the
-        breaker.  Defaults to ``ServicePolicy()`` (no shedding, no
-        deadlines, bisection + retry + breaker on).
+        admission control, deadlines, and bisection.  Defaults to
+        ``ServicePolicy()`` (no shedding, no deadlines, bisection
+        on).
     """
 
     def __init__(
@@ -165,7 +161,6 @@ class CoalescingScheduler:
         self.engine = engine
         self.max_batch = int(max_batch)
         self.policy = policy if policy is not None else ServicePolicy()
-        self._breaker = self.policy.make_breaker()
         self._groups: dict[tuple, _Group] = {}
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
@@ -178,7 +173,6 @@ class CoalescingScheduler:
         self.shed = 0
         self.deadline_expired = 0
         self.poisoned = 0
-        self.retries = 0
         self.bisections = 0
         # futures of the group currently running, so close() can
         # cancel in-flight work the thread never resolved
@@ -197,12 +191,6 @@ class CoalescingScheduler:
         if self._closed:
             raise RuntimeError("scheduler is closed")
         policy = self.policy
-        if self._breaker is not None and not self._breaker.allow():
-            telemetry.count("service.breaker.rejected")
-            raise CircuitOpenError(
-                "circuit breaker open after repeated pool failures",
-                retry_after=self._breaker.retry_after(),
-            )
         if policy.max_queue_depth > 0:
             depth = sum(len(g.requests) for g in self._groups.values())
             if depth >= policy.max_queue_depth:
@@ -238,11 +226,9 @@ class CoalescingScheduler:
         the engine is free, joining its key's queued group if one is
         waiting behind a running solve.
 
-        Fast-fail admission gates run *before* anything is enqueued:
-        an open circuit breaker raises
-        :class:`~repro.service.policy.CircuitOpenError` and a full
-        queue raises :class:`~repro.service.policy.ShedError` — both
-        in microseconds, with no solver time or queue slot spent."""
+        The admission gate runs *before* anything is enqueued: a full
+        queue raises :class:`~repro.service.policy.ShedError` in
+        microseconds, with no solver time or queue slot spent."""
         with self._wake:
             future = self._enqueue(request)
             self._wake.notify()
@@ -254,17 +240,17 @@ class CoalescingScheduler:
         are one batch (up to ``max_batch``) rather than a race of
         single submits against the scheduler thread.
 
-        The admission gates run per request, in order; a shed or
-        breaker-rejected request comes back as an already-failed
-        future instead of raising, so one rejection does not lose the
-        caller its handles on the rest."""
+        The admission gate runs per request, in order; a shed request
+        comes back as an already-failed future instead of raising, so
+        one rejection does not lose the caller its handles on the
+        rest."""
         futures = []
         with self._wake:
             try:
                 for request in requests:
                     try:
                         future = self._enqueue(request)
-                    except (ShedError, CircuitOpenError) as e:
+                    except ShedError as e:
                         future = Future()
                         future.set_exception(e)
                     futures.append(future)
@@ -359,18 +345,9 @@ class CoalescingScheduler:
         enq = [
             group.t_enq[i] for i in live if i < len(group.t_enq)
         ]
-        if self._breaker is not None and not self._breaker.allow():
-            err = CircuitOpenError(
-                "circuit breaker open; batch fast-failed",
-                retry_after=self._breaker.retry_after(),
-            )
-            telemetry.count("service.breaker.fastfail", len(futures))
-            for f in futures:
-                _fail(f, err)
-            return
         # one trace for the shared solve; each member request's trace
         # links to it so stitching a request pulls in the batch's
-        # solver spans and per-rank phase split
+        # solver spans
         tr = telemetry.current_tracer()
         batch_trace = None
         t_dispatch = 0.0
@@ -434,34 +411,20 @@ class CoalescingScheduler:
     # ---------------------------------------------- failure isolation
 
     def _solve(self, requests: list[ForwardRequest]) -> list:
-        """One engine call for ``requests``, retried through the
-        policy's backoff on transient :class:`WorkerFailure`."""
+        """One engine call for ``requests``."""
         first = requests[0]
-
-        def call():
-            self.solves += 1
-            return self.engine.submit_batch(
-                first.spec,
-                [r.scenario for r in requests],
-                first.t_end,
-                receivers=(
-                    [r.receivers for r in requests]
-                    if first.receivers is not None
-                    else None
-                ),
-                record=first.record,
-            )
-
-        retry = self.policy.retry
-        if retry is None:
-            return call()
-        return retry.call(
-            call, retry_on=(WorkerFailure,), on_retry=self._note_retry
+        self.solves += 1
+        return self.engine.submit_batch(
+            first.spec,
+            [r.scenario for r in requests],
+            first.t_end,
+            receivers=(
+                [r.receivers for r in requests]
+                if first.receivers is not None
+                else None
+            ),
+            record=first.record,
         )
-
-    def _note_retry(self, attempt: int, exc: BaseException) -> None:
-        self.retries += 1
-        telemetry.count("service.retries")
 
     def _dispatch(
         self, requests: list[ForwardRequest], futures: list[Future]
@@ -470,11 +433,7 @@ class CoalescingScheduler:
         returns the seconds spent resolving futures with results (the
         demux), summed over the sub-batches of a bisection.
 
-        A clean solve resolves every future.  A ``WorkerFailure``
-        surviving the retry policy is *infrastructure*, not request
-        content — the whole sub-batch fails with it (no bisection;
-        re-running a poisoned pool would just fail again) and the
-        breaker counts it.  Any other exception is *content*: split
+        A clean solve resolves every future.  On an exception, split
         the batch in half and recurse, so log₂(B) extra warm solves
         isolate the culprit(s), which alone get
         :class:`PoisonedRequestError`; innocents resolve from the
@@ -482,26 +441,6 @@ class CoalescingScheduler:
         solo run."""
         try:
             results = self._solve(requests)
-        except WorkerFailure as e:
-            tripped = (
-                self._breaker is not None
-                and self._breaker.record_failure()
-            )
-            for f in futures:
-                _fail(f, e)
-            if tripped:
-                self._drain_queue(
-                    CircuitOpenError(
-                        "circuit breaker opened by repeated pool "
-                        "failures; queued batch fast-failed",
-                        retry_after=(
-                            self._breaker.retry_after()
-                            if self._breaker is not None
-                            else 0.0
-                        ),
-                    )
-                )
-            return 0.0
         except Exception as e:
             if len(requests) == 1 or not self.policy.bisect:
                 for r, f in zip(requests, futures):
@@ -522,8 +461,6 @@ class CoalescingScheduler:
             return self._dispatch(
                 requests[:mid], futures[:mid]
             ) + self._dispatch(requests[mid:], futures[mid:])
-        if self._breaker is not None:
-            self._breaker.record_success()
         if results is None:
             results = [None] * len(requests)
         t_solved = time.perf_counter()
@@ -548,18 +485,6 @@ class CoalescingScheduler:
                 _resolve(f, seis)
         return time.perf_counter() - t_solved
 
-    def _drain_queue(self, exc: Exception) -> None:
-        """Fail every queued (not yet dispatched) request with
-        ``exc`` — the breaker just opened, so letting them wait for
-        the solver would only convert fast failures into slow ones."""
-        with self._wake:
-            drained = list(self._groups.values())
-            self._groups.clear()
-            self._wake.notify()
-        for group in drained:
-            for f in group.futures:
-                _fail(f, exc)
-
     # -------------------------------------------------------- lifetime
 
     def stats(self) -> dict:
@@ -575,27 +500,21 @@ class CoalescingScheduler:
             "shed": self.shed,
             "deadline_expired": self.deadline_expired,
             "poisoned": self.poisoned,
-            "retries": self.retries,
             "bisections": self.bisections,
-            "breaker": self._breaker_state(),
         }
-
-    def _breaker_state(self) -> str:
-        return self._breaker.state if self._breaker is not None else "disabled"
 
     def queue_snapshot(self) -> dict:
         """Point-in-time live state for the status file: the queued
         requests of each group key (oldest group first) and their
-        total ``depth`` — in-flight requests are not queued — whether
-        a batch is in flight, and the breaker state.  Taken under the
-        scheduler lock, so it is a consistent view."""
+        total ``depth`` — in-flight requests are not queued — and
+        whether a batch is in flight.  Taken under the scheduler lock,
+        so it is a consistent view."""
         with self._wake:
             pending = [len(g.requests) for g in self._groups.values()]
             return {
                 "pending": pending,
                 "depth": sum(pending),
                 "dispatching": self._dispatching,
-                "breaker": self._breaker_state(),
             }
 
     def close(self, *, wait: bool = True, timeout: float = 60.0) -> None:
@@ -603,7 +522,7 @@ class CoalescingScheduler:
         the scheduler thread.
 
         If the thread does not finish within ``timeout`` (a wedged
-        engine, a hung pool), every still-pending future — queued or
+        engine), every still-pending future — queued or
         in flight — is cancelled so ``map_wait`` callers observe a
         :class:`concurrent.futures.CancelledError` instead of
         blocking forever."""

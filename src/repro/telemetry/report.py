@@ -306,21 +306,17 @@ class PerfReport:
                     "shed",
                     "deadline_expired",
                     "poisoned",
-                    "retries",
                     "bisections",
                     "quarantined",
                 )
             }
-            breaker = sv.get("breaker", "disabled")
-            if any(rb.values()) or breaker not in ("disabled", "closed"):
+            if any(rb.values()):
                 lines.append(
                     f"  robustness: shed {rb['shed']}, "
                     f"expired {rb['deadline_expired']}, "
                     f"poisoned {rb['poisoned']} "
                     f"({rb['bisections']} bisect rounds), "
-                    f"retries {rb['retries']}, "
-                    f"quarantined {rb['quarantined']}, "
-                    f"breaker {breaker}"
+                    f"quarantined {rb['quarantined']}"
                 )
         lat = {
             name: m

@@ -1,10 +1,7 @@
 """Wall-clock timing helpers.
 
-``Timer`` is the one-shot stopwatch; ``Timer.accumulating()`` returns a
-re-enterable variant that keeps a running total and entry count, for
-timing a region inside a loop without pairing ``time.perf_counter()``
-calls by hand.  For anything richer (nesting, counters, export) use
-:func:`repro.telemetry.span` instead.
+``Timer`` is the one-shot stopwatch.  For anything richer (nesting,
+counters, export) use :func:`repro.telemetry.span` instead.
 """
 
 from __future__ import annotations
@@ -22,39 +19,3 @@ class Timer:
 
     def __exit__(self, *exc):
         self.seconds = time.perf_counter() - self._t0
-
-    @staticmethod
-    def accumulating() -> "AccumulatingTimer":
-        """A re-enterable timer that accumulates ``total`` seconds and
-        a ``count`` of entries across ``with`` blocks."""
-        return AccumulatingTimer()
-
-
-class AccumulatingTimer:
-    """Re-enterable stopwatch: each ``with`` adds to ``total``/``count``.
-
-    ``seconds`` holds the duration of the most recent entry, matching
-    the plain :class:`Timer` attribute so the two are interchangeable
-    in single-shot use.
-    """
-
-    __slots__ = ("_t0", "seconds", "total", "count")
-
-    def __init__(self):
-        self._t0 = 0.0
-        self.seconds = 0.0
-        self.total = 0.0
-        self.count = 0
-
-    def __enter__(self):
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.seconds = time.perf_counter() - self._t0
-        self.total += self.seconds
-        self.count += 1
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0

@@ -165,6 +165,41 @@ def test_serve_injected_fault_retries_then_serves(tmp_path, monkeypatch, capsys)
     assert (tmp_path / "spool" / "done" / "req-000000.json").exists()
 
 
+def test_service_traffic_never_builds_a_worker_pool(
+    tmp_path, monkeypatch, capsys
+):
+    """Every service request ends in the serial solver, which is why
+    the service has no worker-pool failure handling.  A distributed
+    service path must bring that handling back with it."""
+    from repro.parallel import ProcWorld
+    from repro.service import Engine
+    from repro.service.server import request_from_dict
+
+    def no_pools(self, *args, **kwargs):
+        raise AssertionError("service traffic built a ProcWorld")
+
+    monkeypatch.setattr(ProcWorld, "__init__", no_pools)
+    spool = tmp_path / "spool"
+    assert main(["submit", "--spool", str(spool)] + SPEC_ARGS) == 0
+    rc = main(
+        ["serve", "--spool", str(spool), "--out-dir", str(tmp_path / "out")]
+    )
+    assert rc == 0
+    served = np.load(tmp_path / "out" / "req-000000.npz")
+
+    request = request_from_dict(
+        json.loads((spool / "done" / "req-000000.json").read_text())
+    )
+    with Engine() as engine:
+        (seis,) = engine.submit_batch(
+            request.spec, [request.scenario], request.t_end,
+            receivers=request.receivers,
+        )
+    seis.save(str(tmp_path / "direct.npz"))
+    direct = np.load(tmp_path / "direct.npz")
+    assert np.array_equal(direct["data"], served["data"])
+
+
 def test_serve_quarantines_at_max_attempts(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("REPRO_FAULTS", "nan:rank=0,step=1")
     spool = str(tmp_path / "spool")

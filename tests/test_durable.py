@@ -2,6 +2,8 @@
 write, and the two CRC-framed formats that go through it."""
 
 import hashlib
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -56,6 +58,37 @@ def test_a_failed_write_leaves_the_old_file_and_no_temporary(
         atomic_write(str(path), write, mode="wb", exclusive=exclusive)
     assert path.read_bytes() == b"old contents"
     assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("exclusive", [False, True])
+def test_the_directory_is_fsynced_after_the_rename(
+    tmp_path, monkeypatch, exclusive
+):
+    """Without a directory fsync the rename itself can be lost in a
+    power cut, leaving the old file (or none) behind a completed
+    write."""
+    events = []
+    real_fsync = os.fsync
+    publish = "link" if exclusive else "replace"
+    real_publish = getattr(os, publish)
+
+    def spy_fsync(fd):
+        st = os.fstat(fd)
+        events.append(("fsync", stat.S_ISDIR(st.st_mode), st.st_ino))
+        real_fsync(fd)
+
+    def spy_publish(src, dst):
+        real_publish(src, dst)
+        events.append(("publish",))
+
+    monkeypatch.setattr(durable.os, "fsync", spy_fsync)
+    monkeypatch.setattr(durable.os, publish, spy_publish)
+    atomic_write(
+        str(tmp_path / "out.json"), lambda f: f.write("new"),
+        exclusive=exclusive,
+    )
+    after = events[events.index(("publish",)) + 1:]
+    assert ("fsync", True, os.stat(tmp_path).st_ino) in after
 
 
 def _sha256(path) -> str:

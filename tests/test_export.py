@@ -401,7 +401,6 @@ class TestServiceTracing:
                 "pending": [2, 1],
                 "depth": 3,
                 "dispatching": True,
-                "breaker": "closed",
             }
         finally:
             gate.set()

@@ -12,9 +12,6 @@ What PR 10 guarantees, each with a test:
 * **Deadlines** — a request that ages out in the queue is rejected at
   dispatch (no solver time spent); one whose batch outlives it is
   rejected at demux.
-* **Retry + breaker** — transient :class:`WorkerFailure` retries
-  through :class:`RetryPolicy`; repeated failures trip the breaker,
-  which fast-fails queued and new work, then half-opens on a probe.
 * **Close cannot hang callers** — a wedged engine at ``close`` leaves
   every pending future cancelled, not forgotten.
 """
@@ -28,12 +25,8 @@ import numpy as np
 import pytest
 
 from repro.materials import HomogeneousMaterial, LayeredMaterial
-from repro.parallel.transport import WorkerFailure
 from repro.resilience.health import NumericalHealthError
-from repro.resilience.recovery import RetryPolicy
 from repro.service import (
-    CircuitBreaker,
-    CircuitOpenError,
     CoalescingScheduler,
     DeadlineExceeded,
     Engine,
@@ -99,8 +92,8 @@ class StubEngine:
     ``script`` is a callable invoked per ``submit_batch`` call (after
     ``calls`` is bumped); raise inside it to fail the batch.  ``gate``
     is an optional :class:`threading.Event` the engine waits on
-    before touching the script — the hook the close/breaker-drain
-    tests use to hold a batch in flight."""
+    before touching the script — the hook the close and
+    queue tests use to hold a batch in flight."""
 
     def __init__(self, script=None, gate=None):
         self.calls = 0
@@ -149,7 +142,7 @@ def test_one_poisoned_member_is_isolated(warm_engine, spec=None):
     sched = CoalescingScheduler(
         warm_engine,
         max_batch=len(scenarios),
-        policy=ServicePolicy(retry=None),
+        policy=ServicePolicy(),
     )
     futures = sched.submit_many([
         ForwardRequest(
@@ -200,7 +193,7 @@ def test_two_poisoned_members_are_both_isolated(warm_engine):
     sched = CoalescingScheduler(
         warm_engine,
         max_batch=len(scenarios),
-        policy=ServicePolicy(retry=None),
+        policy=ServicePolicy(),
     )
     futures = sched.submit_many([
         ForwardRequest(
@@ -237,7 +230,7 @@ def test_bisect_disabled_fails_whole_batch(warm_engine):
     sched = CoalescingScheduler(
         warm_engine,
         max_batch=2,
-        policy=ServicePolicy(bisect=False, retry=None),
+        policy=ServicePolicy(bisect=False),
     )
     futures = sched.submit_many([
         ForwardRequest(spec, sc, t_end, receivers=RECEIVERS)
@@ -260,7 +253,7 @@ def test_expired_request_rejected_before_solve(warm_engine):
     sim = warm_engine.simulation(spec)
     t_end = 12 * sim.dt
     sched = CoalescingScheduler(
-        warm_engine, max_batch=2, policy=ServicePolicy(retry=None),
+        warm_engine, max_batch=2, policy=ServicePolicy(),
     )
     dead, live = sched.submit_many([
         ForwardRequest(
@@ -292,7 +285,7 @@ def test_deadline_checked_again_at_demux():
     eng = StubEngine(script=slow)
     sched = CoalescingScheduler(
         eng, max_batch=1,
-        policy=ServicePolicy(retry=None),
+        policy=ServicePolicy(),
     )
     f = sched.submit(_req(deadline=time.monotonic() + 0.05))
     err = f.exception(timeout=5)
@@ -304,7 +297,7 @@ def test_deadline_checked_again_at_demux():
 def test_policy_mints_deadline_at_submit():
     eng = StubEngine()
     sched = CoalescingScheduler(
-        eng, max_batch=4, policy=ServicePolicy(deadline=60.0, retry=None),
+        eng, max_batch=4, policy=ServicePolicy(deadline=60.0),
     )
     r = _req()
     [f] = sched.submit_many([r])
@@ -319,7 +312,7 @@ def test_queue_at_capacity_sheds():
     eng = StubEngine(gate=gate)
     sched = CoalescingScheduler(
         eng, max_batch=10,
-        policy=ServicePolicy(max_queue_depth=2, retry=None),
+        policy=ServicePolicy(max_queue_depth=2),
     )
     # one request in flight (gated), two queued behind it: depth
     # counts the queued ones only
@@ -337,90 +330,6 @@ def test_queue_at_capacity_sheds():
     # the admitted requests were untouched by the shed
     assert f1.result() == "result-0"
     assert f2.result() == "result-1"
-    sched.close()
-
-
-# ------------------------------------------------- retry & breaker
-
-
-def test_transient_worker_failure_retries():
-    def flaky(calls):
-        if calls <= 2:
-            raise WorkerFailure("transient rank death", ranks=[1])
-
-    eng = StubEngine(script=flaky)
-    sched = CoalescingScheduler(
-        eng, max_batch=1,
-        policy=ServicePolicy(
-            retry=RetryPolicy(max_retries=2, backoff=0.001)
-        ),
-    )
-    f = sched.submit(_req())
-    assert f.result(timeout=10) == "result-0"
-    assert eng.calls == 3
-    stats = sched.stats()
-    assert stats["retries"] == 2
-    assert stats["breaker"] == "closed"
-    sched.close()
-
-
-def test_breaker_trips_fast_fails_and_half_opens():
-    failing = [True]
-
-    def script(_calls):
-        if failing[0]:
-            raise WorkerFailure("pool died", fatal=True)
-
-    eng = StubEngine(script=script)
-    sched = CoalescingScheduler(
-        eng, max_batch=1,
-        policy=ServicePolicy(
-            retry=None, breaker_threshold=2, breaker_cooldown=0.2
-        ),
-    )
-    for _ in range(2):
-        f = sched.submit(_req())
-        with pytest.raises(WorkerFailure):
-            f.result(timeout=10)
-    # two consecutive pool failures: breaker open, submit fast-fails
-    assert sched.stats()["breaker"] == "open"
-    with pytest.raises(CircuitOpenError) as ei:
-        sched.submit(_req())
-    assert ei.value.retry_after > 0.0
-    calls_while_open = eng.calls
-    # cooldown elapses, the pool heals: the next submission is the
-    # probe, and its success closes the breaker
-    time.sleep(0.25)
-    failing[0] = False
-    f = sched.submit(_req())
-    assert f.result(timeout=10) == "result-0"
-    assert eng.calls == calls_while_open + 1
-    assert sched.stats()["breaker"] == "closed"
-    sched.close()
-
-
-def test_breaker_trip_drains_queued_requests():
-    gate = threading.Event()
-
-    def script(_calls):
-        raise WorkerFailure("pool died", fatal=True)
-
-    eng = StubEngine(script=script, gate=gate)
-    sched = CoalescingScheduler(
-        eng, max_batch=1,
-        policy=ServicePolicy(retry=None, breaker_threshold=1),
-    )
-    f1 = sched.submit(_req(t_end=1.0))
-    _wait_for(lambda: eng.calls == 1)  # f1 is in flight (blocked)
-    f2 = sched.submit(_req(t_end=2.0))  # queued behind it
-    gate.set()
-    with pytest.raises(WorkerFailure):
-        f1.result(timeout=10)
-    # the single failure tripped the breaker, which drained the queue
-    # with fast errors instead of feeding it to a dead pool
-    with pytest.raises(CircuitOpenError):
-        f2.result(timeout=10)
-    assert eng.calls == 1
     sched.close()
 
 
@@ -453,67 +362,3 @@ def test_map_wait_timeout():
         sched.map_wait([_req()], timeout=0.2)
     gate.set()
     sched.close()
-
-
-# ------------------------------------------------------ unit pieces
-
-
-def test_circuit_breaker_state_machine():
-    clock = [0.0]
-    br = CircuitBreaker(2, 10.0, clock=lambda: clock[0])
-    assert br.allow()
-    assert br.record_failure() is False
-    assert br.record_failure() is True  # threshold reached
-    assert br.state == "open"
-    assert not br.allow()
-    assert br.retry_after() == pytest.approx(10.0)
-    clock[0] = 11.0
-    assert br.state == "half_open"
-    assert br.allow()  # the probe
-    assert br.record_failure() is True  # probe failed: reopen
-    assert not br.allow()
-    clock[0] = 25.0
-    assert br.allow()
-    br.record_success()
-    assert br.state == "closed"
-    assert br.allow()
-
-
-def test_retry_policy_call():
-    policy = RetryPolicy(max_retries=2, backoff=0.0)
-    attempts = []
-    state = {"calls": 0}
-
-    def flaky():
-        state["calls"] += 1
-        if state["calls"] <= 2:
-            raise ValueError("transient")
-        return 7
-
-    assert policy.call(
-        flaky, retry_on=(ValueError,),
-        on_retry=lambda a, e: attempts.append(a),
-    ) == 7
-    assert state["calls"] == 3
-    assert attempts == [1, 2]
-
-    # exhausting the budget re-raises the last failure
-    def always():
-        state["calls"] += 1
-        raise ValueError("permanent")
-
-    state["calls"] = 0
-    with pytest.raises(ValueError):
-        policy.call(always, retry_on=(ValueError,))
-    assert state["calls"] == 3  # 1 try + 2 retries
-
-    # non-matching exceptions propagate immediately
-    state["calls"] = 0
-
-    def wrong():
-        state["calls"] += 1
-        raise KeyError("not transient")
-
-    with pytest.raises(KeyError):
-        policy.call(wrong, retry_on=(ValueError,))
-    assert state["calls"] == 1

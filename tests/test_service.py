@@ -13,9 +13,9 @@ The service tentpole's contracts, pinned:
 * **Corruption rejection** — a flipped byte anywhere in a disk
   artifact is detected (CRC/header) and the entry is rebuilt, never
   served.
-* **Pool hygiene** — the engine's persistent worker pools shut down
-  and re-attach explicitly without leaking ``/dev/shm`` segments, on
-  both transports.
+* **Pool hygiene** — a worker pool shuts down without leaking
+  ``/dev/shm`` segments, and reruns on a warm pool are bitwise equal
+  on both transports.
 
 Plus the satellite caches: the keyed fold LRU in the element kernels
 and the process-wide transport-calibration memo.
@@ -330,44 +330,16 @@ def _dist_problem():
     return mesh, tree, force, parts
 
 
-def test_pool_shutdown_reattach_no_shm_leak():
+def test_pool_shutdown_no_shm_leak():
     before = _shm_names()
-    engine = Engine()
-    world = engine.pool(2)
-    assert engine.pool(2) is world  # same key -> same pool
+    world = ProcWorld(2)
     mesh, tree, forces, parts = _dist_problem()
     solver = DistributedWaveSolver(mesh, MAT, parts, world, dt=1e-4)
-    u1 = solver.run(forces, 10.5e-4)
-    engine.close()  # explicit park between traffic bursts
-    assert world.closed
-    assert _SHM_REGISTRY == {}
-    # re-attach: the engine hands back a running pool and the run
-    # reproduces the pre-shutdown bits
-    world2 = engine.pool(2)
-    solver = DistributedWaveSolver(mesh, MAT, parts, world2, dt=1e-4)
-    u2 = solver.run(forces, 10.5e-4)
-    assert np.array_equal(u1, u2)
-    engine.close()
+    solver.run(forces, 10.5e-4)
+    world.close()
     time.sleep(0.1)  # let the resource tracker settle
     assert _SHM_REGISTRY == {}
     assert not (_shm_names() - before), "leaked /dev/shm segments"
-
-
-def test_ensure_running_revives_closed_and_dead_worlds():
-    world = ProcWorld(2)
-    try:
-        world.close()
-        assert world.closed
-        world.ensure_running()
-        assert not world.closed
-        out = world.run_spmd(_rank_program, [None, None])
-        assert out == [0, 1]
-    finally:
-        world.close()
-
-
-def _rank_program(comm, payload):
-    return comm.rank
 
 
 def test_distributed_bitwise_on_both_transports_via_pool():
@@ -394,9 +366,7 @@ def test_distributed_bitwise_on_both_transports_via_pool():
     assert np.array_equal(u_sim, dist.run(force, t_end))  # rerun: same bits
     np.testing.assert_allclose(u_sim, u_ref, rtol=1e-9, atol=1e-14)
 
-    engine = Engine()
-    try:
-        world = engine.pool(2)
+    with ProcWorld(2) as world:
         dist = DistributedWaveSolver(mesh, MAT, parts, world, dt=serial.dt)
         u_proc = dist.run(force, t_end)
         # the two transports run the identical rank arithmetic
@@ -404,8 +374,6 @@ def test_distributed_bitwise_on_both_transports_via_pool():
         # pooled reuse: a second run on the same warm world is
         # bit-identical too
         assert np.array_equal(dist.run(force, t_end), u_proc)
-    finally:
-        engine.close()
 
 
 # ------------------------------------------------- bound handles

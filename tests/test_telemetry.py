@@ -25,7 +25,6 @@ from repro.solver import ElasticWaveSolver, RegularGridScalarWave
 from repro.telemetry import MergedTimeline, MetricsRegistry, PerfReport, RankTimeline
 from repro.telemetry.timeline import PHASES
 from repro.util.flops import FlopCounter
-from repro.util.timing import Timer
 
 MAT = HomogeneousMaterial(vs=1000.0, vp=1800.0, rho=2000.0)
 L = 1000.0
@@ -252,21 +251,6 @@ class TestMetrics:
         fc.add("stiffness", 9)
         reg.absorb_flops(fc)
         assert reg.counter("flops.stiffness").value == 9
-
-
-# ------------------------------------------------------------------ timer
-
-
-class TestAccumulatingTimer:
-    def test_accumulates_over_reentries(self):
-        t = Timer.accumulating()
-        for _ in range(3):
-            with t:
-                sum(range(100))
-        assert t.count == 3
-        assert t.total > 0
-        assert t.mean == pytest.approx(t.total / 3)
-        assert t.seconds <= t.total  # last lap vs running sum
 
 
 # ------------------------------------------- trajectories on/off identity
