@@ -4,8 +4,9 @@ The telemetry subsystem promises *near-zero cost when disabled*, the
 resilience layer promises *near-zero cost when armed but idle*
 (health sentinel at its default interval, a checkpoint manager bound
 but never due), and the simulation service promises *near-zero cost
-when it has nothing to coalesce* (a warm engine behind a zero-wait
-scheduler adds only a cache lookup and a Future handoff per request).
+when it has nothing to coalesce* (a warm engine behind the
+synchronous scheduler adds only a cache lookup and the admission and
+demux bookkeeping per request).
 This script holds each promise to one number.  For the first two it
 marches the same quickstart-scale elastic problem two ways, through
 the one every-step march
@@ -174,7 +175,7 @@ def service_gate(args) -> int:
 
     With ``--policy-armed`` the routed side also pays the full
     resilience policy on every request — admission-control depth
-    check, deadline minting at submit plus the dispatch/demux expiry
+    check, deadline minting at admission plus the dispatch/demux expiry
     checks — proving the armed-but-never-triggered policy machinery
     fits the same ≤tol budget."""
     from repro.materials import HomogeneousMaterial
@@ -204,7 +205,7 @@ def service_gate(args) -> int:
     policy = None
     if args.policy_armed:
         # every knob on, none ever triggering: a deep queue bound, a
-        # generous deadline, bisection armed
+        # generous deadline
         policy = ServicePolicy(max_queue_depth=1024, deadline=600.0)
     # one request at a time: each dispatches alone, immediately — the
     # idle configuration whose per-request cost this gate bounds
@@ -213,7 +214,7 @@ def service_gate(args) -> int:
     try:
         # correctness first: the routed path must be bitwise the
         # direct path, or the timing comparison is meaningless
-        routed = scheduler.submit(request).result()
+        routed = scheduler.map_wait([request])[0]
         direct = sim.run(
             scenario, t_end, receivers=rec
         ).seismograms
@@ -228,7 +229,7 @@ def service_gate(args) -> int:
             # a fresh deadline each time (the real per-request cost)
             r = ForwardRequest(spec, scenario, t_end, receivers=rec)
             t0 = time.perf_counter()
-            scheduler.submit(r).result()
+            scheduler.map_wait([r])[0]
             return time.perf_counter() - t0
 
         def time_direct() -> float:

@@ -405,9 +405,10 @@ def cmd_submit(args) -> int:
     return 0
 
 
-def _serve_status_payload(engine, scheduler, tally):
+def _serve_status_payload(spool, engine, scheduler, tally):
     """The live-state dict ``repro serve`` publishes for ``repro top``:
-    counts, queue depth, cache tiers, and latency quantiles."""
+    counts, unclaimed spool files, cache tiers, and latency
+    quantiles."""
     from repro import telemetry
 
     reg = telemetry.metrics()
@@ -427,7 +428,7 @@ def _serve_status_payload(engine, scheduler, tally):
         "served": tally.served,
         "failed": tally.failed,
         "quarantined": tally.quarantined,
-        "queue": scheduler.queue_snapshot(),
+        "pending": len(spool.pending()),
         "scheduler": scheduler.stats(),
         "cache": engine.cache.stats(),
         "drain": tally.drain,
@@ -453,9 +454,9 @@ def cmd_serve(args) -> int:
     the server polls for new requests until interrupted; the default
     is one drain pass (empty spool = no-op).
 
-    ``--max-queue-depth`` sheds excess submissions, ``--deadline``
-    expires queued requests, ``--no-bisect`` disables poisoned-batch
-    isolation (:class:`~repro.service.policy.ServicePolicy`).
+    ``--max-queue-depth`` sheds the part of a pass past that depth (it
+    is retried on the next attempt), ``--deadline`` expires queued
+    requests (:class:`~repro.service.policy.ServicePolicy`).
     ``--status-file`` publishes live state for ``repro top``,
     ``--prometheus``/``--metrics-jsonl`` export the metric registry,
     ``--trace-out`` dumps the request-stitched span trace; any of
@@ -485,28 +486,28 @@ def cmd_serve(args) -> int:
     policy = ServicePolicy(
         max_queue_depth=args.max_queue_depth,
         deadline=args.deadline if args.deadline > 0 else None,
-        bisect=not args.no_bisect,
         max_attempts=args.max_attempts,
     )
     engine = Engine(
         capacity=args.capacity, disk_dir=args.cache_dir,
         faults=FaultPlan.from_env(),
     )
-    # every pass is handed over with submit_many and dispatches at once
     scheduler = CoalescingScheduler(
         engine, max_batch=args.max_batch, policy=policy
     )
+    spool = Spool(args.spool)
     tally = ServeStats()
 
     def publish():
         if status is not None:
-            status.write(_serve_status_payload(engine, scheduler, tally))
+            status.write(
+                _serve_status_payload(spool, engine, scheduler, tally)
+            )
         if jsonl is not None:
             jsonl.export()
         if args.prometheus:
             telemetry.write_prometheus(args.prometheus)
 
-    spool = Spool(args.spool)
     try:
         serve(
             spool, args.out_dir, scheduler, watch=args.watch,
@@ -589,12 +590,7 @@ def cmd_top(args) -> int:
                 f"{rb['deadline_expired']}, poisoned {rb['poisoned']}, "
                 f"quarantined {rb['quarantined']}"
             )
-        q = snap.get("queue") or {}
-        lines.append(
-            f"  queue: {q.get('depth', 0)} queued in "
-            f"{len(q.get('pending', []))} group(s), "
-            f"{'dispatching' if q.get('dispatching') else 'idle'}"
-        )
+        lines.append(f"  queue: {snap.get('pending', 0)} unclaimed")
         c = snap.get("cache") or {}
         lines.append(
             f"  cache: {c.get('entries', 0)}/{c.get('capacity', 0)} "
@@ -776,17 +772,14 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--report", action="store_true",
                     help="print the PerfReport service section after draining")
     pv.add_argument("--max-queue-depth", type=int, default=0,
-                    help="shed submissions past this queue depth "
-                         "(0 = unbounded)")
+                    help="shed the requests of a pass past this "
+                         "depth; they retry next attempt (0 = unbounded)")
     pv.add_argument("--deadline", type=float, default=0.0,
-                    help="per-request deadline in seconds from submit "
-                         "(0 = none)")
+                    help="per-request deadline in seconds from "
+                         "admission (0 = none)")
     pv.add_argument("--max-attempts", type=int, default=3,
                     help="drain attempts before a failing request is "
                          "quarantined")
-    pv.add_argument("--no-bisect", action="store_true",
-                    help="fail whole batches instead of bisecting out "
-                         "poisoned requests")
     pv.add_argument("--status-file",
                     help="publish live status JSON here (read by "
                          "`repro top`); enables telemetry")

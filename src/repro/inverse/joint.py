@@ -30,10 +30,6 @@ class JointResult:
     p: SourceParams
     history: list = field(default_factory=list)
 
-    @property
-    def final_misfit(self) -> float:
-        return self.history[-1]["J_data"] if self.history else np.inf
-
 
 def joint_invert(
     solver: RegularGridScalarWave,

@@ -94,25 +94,6 @@ class HexMesh:
         """Physical extents of the meshed box, meters."""
         return self.box_ticks * (self.L / MAX_COORD)
 
-    def content_digest(self) -> str:
-        """Stable hex digest of the full mesh content (connectivity,
-        lattice coordinates, element metadata) — the identity check
-        the service's artifact cache uses to assert that a cached or
-        disk-loaded mesh is exactly the one a fresh build produces."""
-        import hashlib
-
-        h = hashlib.blake2b(digest_size=20)
-        for a in (
-            self.conn,
-            self.node_ticks,
-            self.elem_anchor,
-            self.elem_size,
-            self.elem_level,
-            np.asarray(self.box_ticks),
-        ):
-            h.update(np.ascontiguousarray(a).tobytes())
-        h.update(repr(float(self.L)).encode())
-        return h.hexdigest()
 
     def boundary_faces(self, axis: int, side: int) -> tuple[np.ndarray, np.ndarray]:
         """Element faces lying exactly on a box boundary plane.

@@ -12,9 +12,9 @@ backed by real cores and real wall time:
   immediately; with the solvers' bulk-synchronous schedules at most two
   messages are ever in flight per channel, so sends never block — which
   is exactly what lets the interior matvec overlap the ghost exchange.
-  Every payload carries a CRC32 (verified on receive when
-  ``verify_crc``) so in-flight corruption surfaces as a structured
-  :class:`TransportCorruption` instead of silent garbage;
+  Every payload carries a CRC32, verified on receive, so in-flight
+  corruption surfaces as a structured :class:`TransportCorruption`
+  instead of silent garbage;
 * **programs**: any picklable ``fn(comm, payload) -> result`` submitted
   with :meth:`ProcWorld.run_spmd` — the same entry, and the same
   program objects, :class:`~repro.parallel.simcomm.SimWorld` executes
@@ -96,13 +96,11 @@ class _Channel:
     keeps its own slot cursor, and strict FIFO alternation keeps the
     cursors consistent without any shared index."""
 
-    def __init__(self, ctx, slot_bytes: int, timeout: float,
-                 verify_crc: bool = True):
+    def __init__(self, ctx, slot_bytes: int, timeout: float):
         if slot_bytes % 8:
             raise ValueError("slot_bytes must be a multiple of 8")
         self.slot_bytes = int(slot_bytes)
         self.timeout = float(timeout)
-        self.verify_crc = bool(verify_crc)
         self._hdr = ctx.RawArray("q", 2 * _HDR)
         self._buf = ctx.RawArray("b", 2 * self.slot_bytes)
         self._free = ctx.Semaphore(2)
@@ -145,9 +143,7 @@ class _Channel:
             offset=self._w * self.slot_bytes,
         )
         dst[:] = data.reshape(-1)
-        self._hdr[base + 5] = (
-            zlib.crc32(dst) & 0xFFFFFFFF if self.verify_crc else 0
-        )
+        self._hdr[base + 5] = zlib.crc32(dst) & 0xFFFFFFFF
         if corrupt and data.size:
             dst.view(np.uint8)[0] ^= 0xFF
         self._avail.release()
@@ -177,14 +173,13 @@ class _Channel:
             raise RuntimeError(
                 f"message tag mismatch: expected {tag}, got {got_tag}"
             )
-        if self.verify_crc:
-            want = int(self._hdr[base + 5]) & 0xFFFFFFFF
-            got = zlib.crc32(src) & 0xFFFFFFFF
-            if got != want:
-                raise TransportCorruption(
-                    f"payload CRC mismatch on tag {tag}: expected "
-                    f"{want:#010x}, got {got:#010x}"
-                )
+        want = int(self._hdr[base + 5]) & 0xFFFFFFFF
+        got = zlib.crc32(src) & 0xFFFFFFFF
+        if got != want:
+            raise TransportCorruption(
+                f"payload CRC mismatch on tag {tag}: expected "
+                f"{want:#010x}, got {got:#010x}"
+            )
         if out is not None:
             np.copyto(out.reshape(-1), src)
             result = out
@@ -358,7 +353,6 @@ class ProcWorld:
         start_method: str | None = None,
         hang_timeout: float | None = None,
         heartbeat_interval: float = 0.5,
-        verify_crc: bool = True,
         poll_tick: float = 0.05,
     ):
         if nranks < 1:
@@ -368,7 +362,6 @@ class ProcWorld:
         self.timeout = float(timeout)
         self.hang_timeout = hang_timeout
         self.heartbeat_interval = float(heartbeat_interval)
-        self.verify_crc = bool(verify_crc)
         self.poll_tick = float(poll_tick)
         self.stats = [TrafficStats() for _ in range(nranks)]
         #: recovery accounting: pool respawns over this world's lifetime
@@ -394,9 +387,7 @@ class ProcWorld:
         nranks = self.nranks
         ctx = self._ctx
         self._channels = {
-            (i, j): _Channel(
-                ctx, self.slot_bytes, self.timeout, self.verify_crc
-            )
+            (i, j): _Channel(ctx, self.slot_bytes, self.timeout)
             for i in range(nranks)
             for j in range(nranks)
             if i != j

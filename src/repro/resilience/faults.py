@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -207,8 +207,3 @@ class FaultPlan:
                 self._record(kind, rank, step)
                 return kind
         return None
-
-    def wants_crc(self) -> bool:
-        """True when the plan schedules payload corruption (the
-        transport then forces CRC verification on)."""
-        return any(s.kind == "corrupt" for s in self.specs)

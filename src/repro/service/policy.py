@@ -6,11 +6,11 @@ the knobs (:class:`ServicePolicy`) and the structured errors callers
 can program against:
 
 * **Admission control** — a bounded queue depth sheds excess load
-  with :class:`ShedError` at ``submit`` time, before any state is
-  enqueued, so overload fails in microseconds instead of queueing
-  into a multi-second solve.
+  with :class:`ShedError` at admission, before any state is minted,
+  so overload fails in microseconds instead of queueing into a
+  multi-second solve.
 * **Deadlines** — each request carries an absolute
-  ``time.monotonic()`` deadline minted at ``submit``; the scheduler
+  ``time.monotonic()`` deadline minted at admission; the scheduler
   rejects expired requests at dispatch (before burning solver time)
   and again at demux (a result nobody is still waiting for is not a
   success), raising :class:`DeadlineExceeded`.
@@ -36,7 +36,7 @@ __all__ = [
 
 
 class ShedError(RuntimeError):
-    """Request rejected at submit: the queue is at capacity.
+    """Request rejected at admission: the queue is at capacity.
 
     Shedding is deliberate backpressure — the caller should retry
     against another replica or after a backoff, not treat this as a
@@ -74,8 +74,7 @@ class PoisonedRequestError(RuntimeError):
     """This specific request made its solve raise.
 
     Minted by the scheduler's bisection after a batch failure has
-    been narrowed to a single culprit (with bisection off, for every
-    member of the failing batch); ``__cause__`` carries the
+    been narrowed to a single culprit; ``__cause__`` carries the
     original solver exception (e.g. a
     :class:`~repro.resilience.health.NumericalHealthError`)."""
 
@@ -96,21 +95,16 @@ class ServicePolicy:
     """Resilience knobs for one :class:`~repro.service.scheduler
     .CoalescingScheduler` (and the serve drain loop built on it).
 
-    The defaults arm poison bisection but leave admission unbounded
-    and requests deadline-free — the zero-configuration behavior
-    every existing caller sees is unchanged on the success path.
+    The defaults leave admission unbounded and requests
+    deadline-free; poison bisection is not a knob, it always runs.
     """
 
-    #: bound on queued requests (not counting the batch in flight);
-    #: 0 = unbounded.
+    #: bound on the requests one ``solve`` call admits: the one at
+    #: that depth and every later one is shed; 0 = unbounded.
     max_queue_depth: int = 0
-    #: default per-request deadline in seconds from submit; None =
+    #: default per-request deadline in seconds from admission; None =
     #: requests never expire.
     deadline: float | None = None
-    #: bisect failing batches to isolate culprits (False fails every
-    #: member with :class:`PoisonedRequestError`, the solver's
-    #: exception as its ``__cause__``, after one solve).
-    bisect: bool = True
     #: spool-drain attempts before a request is quarantined.
     max_attempts: int = 3
 

@@ -1,19 +1,18 @@
 """The drain loop behind ``repro serve``: spool → scheduler → ``.npz``.
 
 The spool is the batching queue.  A pass claims everything pending and
-hands it to the scheduler whole (``submit_many``), so co-keyed
+hands it to the scheduler whole (one ``solve`` call), so co-keyed
 requests ride one batch that dispatches at once, and what arrives while
 a pass solves is claimed together by the next pass and rides the next.
-Results are written as their futures resolve; the request then retires
-to ``done/``, stays in ``inflight/`` for the next attempt, or is
-quarantined (:mod:`repro.service.spool` has the directory protocol).
+Results are written as the scheduler yields them; the request then
+retires to ``done/``, stays in ``inflight/`` for the next attempt, or
+is quarantined (:mod:`repro.service.spool` has the directory protocol).
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import as_completed
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,15 +111,11 @@ def _attempt(spool, claimed, out_dir, scheduler, stats) -> bool:
             # matter how often we retry
             _give_up(spool, stats, fname, fname[: -len(".json")],
                      "parse", e, attempts)
-    futures = scheduler.submit_many([request for _, _, request in parsed])
-    pending = dict(zip(futures, parsed))
     still_failing = False
-    for future in as_completed(pending):
-        fname, req, request = pending[future]
+    for i, seis, e in scheduler.solve([request for _, _, request in parsed]):
+        fname, req, request = parsed[i]
         rid = req["id"]
-        try:
-            seis = future.result()
-        except Exception as e:  # keep serving the rest
+        if e is not None:  # keep serving the rest
             attempts = spool.attempts(fname)
             if attempts >= scheduler.policy.max_attempts:
                 _give_up(spool, stats, fname, rid, "solve", e, attempts,

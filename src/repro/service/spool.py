@@ -106,15 +106,18 @@ class Spool:
 
     # ---------------------------------------------------------- serving
 
+    def pending(self) -> list[str]:
+        """File names of the unclaimed requests, oldest id first."""
+        return sorted(f for f in os.listdir(self.root) if _is_request(f))
+
     def claim(self) -> None:
         """Move every pending request into ``inflight/`` — from that
         rename on it is journalled and any restart replays it."""
-        for fname in sorted(os.listdir(self.root)):
-            if _is_request(fname):
-                os.replace(
-                    os.path.join(self.root, fname),
-                    os.path.join(self.inflight_dir, fname),
-                )
+        for fname in self.pending():
+            os.replace(
+                os.path.join(self.root, fname),
+                os.path.join(self.inflight_dir, fname),
+            )
 
     def inflight(self) -> list[str]:
         """File names of the claimed requests, oldest id first."""

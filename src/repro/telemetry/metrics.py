@@ -264,12 +264,6 @@ class MetricsRegistry:
     def series(self, name: str) -> Series:
         return self._get(name, Series)
 
-    def absorb_flops(self, flops: CategoryCounter, prefix: str = "flops") -> None:
-        """Fold a category counter (e.g. a solver's ``.flops``) into
-        ``<prefix>.<category>`` counters."""
-        for cat, n in flops.counts.items():
-            self.counter(f"{prefix}.{cat}").add(n)
-
     def names(self) -> list[str]:
         return sorted(self._metrics)
 

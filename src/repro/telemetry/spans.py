@@ -268,19 +268,6 @@ class Tracer:
 
     # --------------------------------------------------------- reporting
 
-    def _path_of(self, target: SpanStats) -> str:
-        # paths are only needed at export time; recompute by walking
-        found = {}
-
-        def visit(node, prefix):
-            path = prefix + (node.name,) if node.depth >= 0 else ()
-            found[id(node)] = "/".join(path)
-            for c in node.children.values():
-                visit(c, path)
-
-        visit(self.root, ())
-        return found[id(target)]
-
     def aggregates(self) -> list[dict]:
         """Flattened span tree in depth-first order, root excluded."""
         out = []

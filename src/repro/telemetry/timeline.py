@@ -66,10 +66,6 @@ class RankTimeline:
     def comm_seconds(self) -> float:
         return float(self.durations[:, COMM_PHASES].sum())
 
-    @property
-    def total_seconds(self) -> float:
-        return float(self.durations.sum())
-
     def interface_fraction(self) -> float:
         """Interface share of the stiffness work (phase seconds)."""
         iface = float(self.durations[:, 0].sum())

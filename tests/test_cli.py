@@ -259,7 +259,7 @@ def test_serve_exporters_and_top(tmp_path, capsys):
         assert "repro_service_cache_hit_ratio" in text
         capsys.readouterr()
         assert main(["top", "--status-file", status]) == 0
-        assert "  queue: 0 queued in 0 group(s), idle" in (
+        assert "  queue: 0 unclaimed" in (
             capsys.readouterr().out
         )
     finally:

@@ -18,7 +18,6 @@ The contracts under test:
 
 import json
 import os
-import threading
 
 import numpy as np
 import pytest
@@ -51,7 +50,6 @@ from repro.telemetry.export import (
 )
 from repro.telemetry.metrics import Histogram, MetricsRegistry
 from repro.telemetry.spans import Tracer
-from tests.test_policy import StubEngine, _req, _wait_for
 
 MAT = HomogeneousMaterial(vs=1000.0, vp=1800.0, rho=2000.0)
 
@@ -385,28 +383,6 @@ class TestServiceTracing:
             e["trace"] == r2.trace_id for e in st["events"]
         )
 
-    def test_queue_snapshot_reports_depth_behind_a_running_solve(self):
-        gate = threading.Event()
-        engine = StubEngine(gate=gate)
-        sched = CoalescingScheduler(engine, max_batch=8)
-        try:
-            sched.submit(_req(t_end=1.0))
-            _wait_for(lambda: engine.calls == 1)  # in flight, gated
-            sched.submit_many(
-                [_req(t_end=2.0), _req(t_end=2.0), _req(t_end=3.0)]
-            )
-            # the in-flight request is not queued; the rest wait per
-            # key, oldest group first
-            assert sched.queue_snapshot() == {
-                "pending": [2, 1],
-                "depth": 3,
-                "dispatching": True,
-            }
-        finally:
-            gate.set()
-            sched.close()
-        assert sched.queue_snapshot()["depth"] == 0
-
     def test_disabled_scheduler_mints_no_traces(self):
         spec = SimulationSpec(**SPEC_KW)
         scen = idealized_strike_slip(L=spec.L)
@@ -414,7 +390,8 @@ class TestServiceTracing:
             sim = engine.simulation(spec)
             with CoalescingScheduler(engine) as sched:
                 req = ForwardRequest(spec, scen, 5.5 * sim.dt)
-                sched.submit(req).result()
+                [(i, seis, err)] = sched.solve([req])
+        assert (i, err) == (0, None) and seis is None
         assert req.trace_id is None
         assert not telemetry.enabled()
 

@@ -4,22 +4,17 @@ What PR 10 guarantees, each with a test:
 
 * **Poison isolation** — a coalesced batch with 1 (or 2) NaN-poisoned
   members fails *only* the culprits with
-  :class:`PoisonedRequestError`; every innocent future resolves with
-  bits identical to a solo run, and the bisection uses at most the
-  log₂ solve bound.
-* **Admission control** — a bounded queue sheds the overflow request
-  with :class:`ShedError` before enqueueing anything.
+  :class:`PoisonedRequestError`; every innocent is served with bits
+  identical to a solo run, and the bisection uses at most the log₂
+  solve bound.
+* **Admission control** — a bounded queue sheds the overflow requests
+  with :class:`ShedError` before anything is solved.
 * **Deadlines** — a request that ages out in the queue is rejected at
   dispatch (no solver time spent); one whose batch outlives it is
   rejected at demux.
-* **Close cannot hang callers** — a wedged engine at ``close`` leaves
-  every pending future cancelled, not forgotten.
 """
 
-import threading
 import time
-from concurrent.futures import CancelledError, wait
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 
 import numpy as np
 import pytest
@@ -92,8 +87,8 @@ class StubEngine:
     ``script`` is a callable invoked per ``submit_batch`` call (after
     ``calls`` is bumped); raise inside it to fail the batch.  ``gate``
     is an optional :class:`threading.Event` the engine waits on
-    before touching the script — the hook the close and
-    queue tests use to hold a batch in flight."""
+    before touching the script — the hook the serve tests use to hold
+    a pass in flight while requests arrive behind it."""
 
     def __init__(self, script=None, gate=None):
         self.calls = 0
@@ -116,6 +111,15 @@ class StubEngine:
 
 def _req(t_end=1.0, **kw):
     return ForwardRequest(_StubSpec(), object(), t_end, **kw)
+
+
+def _solve_all(sched, requests) -> list:
+    """``sched.solve(requests)`` drained into ``(result, error)`` per
+    request, in request order."""
+    outcomes = [None] * len(requests)
+    for i, result, err in sched.solve(requests):
+        outcomes[i] = (result, err)
+    return outcomes
 
 
 def _wait_for(predicate, timeout=5.0):
@@ -144,21 +148,21 @@ def test_one_poisoned_member_is_isolated(warm_engine, spec=None):
         max_batch=len(scenarios),
         policy=ServicePolicy(),
     )
-    futures = sched.submit_many([
+    outcomes = _solve_all(sched, [
         ForwardRequest(
             spec, sc, t_end, receivers=RECEIVERS, request_id=f"req-{i}",
         )
         for i, sc in enumerate(scenarios)
     ])
-    wait(futures)
     # the culprit fails alone, structurally
-    err = futures[0].exception()
+    _, err = outcomes[0]
     assert isinstance(err, PoisonedRequestError)
     assert err.request_id == "req-0"
     assert isinstance(err.__cause__, NumericalHealthError)
-    # every innocent resolves bitwise-identical to a solo run
+    # every innocent is served bitwise-identical to a solo run
     for i in (1, 2, 3):
-        seis = futures[i].result()
+        seis, err = outcomes[i]
+        assert err is None
         solo = warm_engine.submit(
             spec, scenarios[i], t_end, receivers=RECEIVERS
         )
@@ -195,19 +199,19 @@ def test_two_poisoned_members_are_both_isolated(warm_engine):
         max_batch=len(scenarios),
         policy=ServicePolicy(),
     )
-    futures = sched.submit_many([
+    outcomes = _solve_all(sched, [
         ForwardRequest(
             spec, sc, t_end, receivers=RECEIVERS, request_id=f"req-{i}",
         )
         for i, sc in enumerate(scenarios)
     ])
-    wait(futures)
     for i in (0, 3):
-        err = futures[i].exception()
+        _, err = outcomes[i]
         assert isinstance(err, PoisonedRequestError)
         assert err.request_id == f"req-{i}"
     for i in (1, 2):
-        seis = futures[i].result()
+        seis, err = outcomes[i]
+        assert err is None
         solo = warm_engine.submit(
             spec, scenarios[i], t_end, receivers=RECEIVERS
         )
@@ -216,32 +220,6 @@ def test_two_poisoned_members_are_both_isolated(warm_engine):
     stats = sched.stats()
     assert stats["solves"] == 7
     assert stats["poisoned"] == 2
-    sched.close()
-
-
-def test_bisect_disabled_fails_whole_batch(warm_engine):
-    spec = make_spec()
-    sim = warm_engine.simulation(spec)
-    t_end = 12 * sim.dt
-    scenarios = [
-        poisoned_scenario(spec.L),
-        idealized_strike_slip(L=spec.L),
-    ]
-    sched = CoalescingScheduler(
-        warm_engine,
-        max_batch=2,
-        policy=ServicePolicy(bisect=False),
-    )
-    futures = sched.submit_many([
-        ForwardRequest(spec, sc, t_end, receivers=RECEIVERS)
-        for sc in scenarios
-    ])
-    wait(futures)
-    # pre-policy blast radius: both futures fail, one solve
-    assert all(
-        isinstance(f.exception(), PoisonedRequestError) for f in futures
-    )
-    assert sched.stats()["solves"] == 1
     sched.close()
 
 
@@ -255,7 +233,7 @@ def test_expired_request_rejected_before_solve(warm_engine):
     sched = CoalescingScheduler(
         warm_engine, max_batch=2, policy=ServicePolicy(),
     )
-    dead, live = sched.submit_many([
+    dead, live = _solve_all(sched, [
         ForwardRequest(
             spec, idealized_strike_slip(L=spec.L), t_end,
             receivers=RECEIVERS, request_id="dead",
@@ -266,12 +244,11 @@ def test_expired_request_rejected_before_solve(warm_engine):
             receivers=RECEIVERS, request_id="live",
         ),
     ])
-    wait([dead, live])
-    err = dead.exception()
+    _, err = dead
     assert isinstance(err, DeadlineExceeded)
     assert err.stage == "dispatch"
     assert err.request_id == "dead"
-    assert live.result() is not None  # batchmate unharmed
+    assert live[0] is not None and live[1] is None  # batchmate unharmed
     stats = sched.stats()
     assert stats["deadline_expired"] == 1
     assert stats["solves"] == 1  # the expired request cost nothing
@@ -287,8 +264,7 @@ def test_deadline_checked_again_at_demux():
         eng, max_batch=1,
         policy=ServicePolicy(),
     )
-    f = sched.submit(_req(deadline=time.monotonic() + 0.05))
-    err = f.exception(timeout=5)
+    [(_, err)] = _solve_all(sched, [_req(deadline=time.monotonic() + 0.05)])
     assert isinstance(err, DeadlineExceeded)
     assert err.stage == "demux"
     sched.close()
@@ -300,65 +276,29 @@ def test_policy_mints_deadline_at_submit():
         eng, max_batch=4, policy=ServicePolicy(deadline=60.0),
     )
     r = _req()
-    [f] = sched.submit_many([r])
+    assert sched.map_wait([r]) == ["result-0"]
     assert r.deadline is not None
     assert 55.0 < r.deadline - time.monotonic() <= 60.0
-    f.result(timeout=5)
     sched.close()
 
 
 def test_queue_at_capacity_sheds():
-    gate = threading.Event()
-    eng = StubEngine(gate=gate)
+    eng = StubEngine()
     sched = CoalescingScheduler(
         eng, max_batch=10,
         policy=ServicePolicy(max_queue_depth=2),
     )
-    # one request in flight (gated), two queued behind it: depth
-    # counts the queued ones only
-    f0 = sched.submit(_req())
-    _wait_for(lambda: eng.calls == 1)
-    f1 = sched.submit(_req())
-    f2 = sched.submit(_req())
-    with pytest.raises(ShedError) as ei:
-        sched.submit(_req())
-    assert ei.value.depth == 2
-    assert ei.value.limit == 2
-    assert sched.stats()["shed"] == 1
-    gate.set()
-    assert f0.result(timeout=5) == "result-0"
-    # the admitted requests were untouched by the shed
-    assert f1.result() == "result-0"
-    assert f2.result() == "result-1"
-    sched.close()
-
-
-# ---------------------------------------------------- close & waits
-
-
-def test_close_cancels_stuck_futures():
-    gate = threading.Event()
-    eng = StubEngine(gate=gate)
-    sched = CoalescingScheduler(eng, max_batch=1)
-    f = sched.submit(_req())
-    _wait_for(lambda: eng.calls == 1)
-    # the engine is wedged: close's join times out and the pending
-    # future is cancelled rather than leaking a forever-block
-    sched.close(timeout=0.2)
-    with pytest.raises(CancelledError):
-        f.result(timeout=5)
-    # un-wedge; the scheduler thread must exit without raising on
-    # the already-cancelled future
-    gate.set()
-    sched._thread.join(timeout=5)
-    assert not sched._thread.is_alive()
-
-
-def test_map_wait_timeout():
-    gate = threading.Event()
-    eng = StubEngine(gate=gate)
-    sched = CoalescingScheduler(eng, max_batch=1)
-    with pytest.raises(FuturesTimeoutError):
-        sched.map_wait([_req()], timeout=0.2)
-    gate.set()
+    # the request at position i sees the i admitted ahead of it: two
+    # fit, the third and fourth are shed — first, before any solve
+    outcomes = list(sched.solve([_req(), _req(), _req(), _req()]))
+    assert [i for i, _, _ in outcomes[:2]] == [2, 3]
+    for _, result, err in outcomes[:2]:
+        assert result is None and isinstance(err, ShedError)
+        assert (err.depth, err.limit) == (2, 2)
+    assert sched.stats()["shed"] == 2
+    # the admitted requests were untouched by the shed: one batch
+    assert outcomes[2:] == [(0, "result-0", None), (1, "result-1", None)]
+    assert eng.calls == 1
+    with pytest.raises(ShedError):
+        sched.map_wait([_req(), _req(), _req()])
     sched.close()

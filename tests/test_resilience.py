@@ -216,8 +216,6 @@ def test_fault_plan_env_and_attempt_keying(monkeypatch):
     state = np.zeros(4)
     plan.retried().poison_state(2, 7, state)
     assert not np.isnan(state).any()
-    assert FaultPlan.parse("corrupt:step=1").wants_crc()
-    assert not FaultPlan.parse("kill:step=1").wants_crc()
 
 
 # ------------------------------------------------ health guards

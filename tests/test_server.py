@@ -1,12 +1,11 @@
 """``repro.service.server.serve``: the dispatch rule, without sleeps.
 
 The rule under test is work conservation — a claimed pass is handed to
-the scheduler whole (``submit_many``) and is dispatchable at once, a
-request that arrives behind a running solve joins its key's queued
-group, and no batch is ever wider than ``max_batch``.  None of it needs
-a real timer.  The engine is :class:`tests.test_policy.StubEngine`
-(scripted, gate-able); ``sleep`` is a fake that records its calls and
-ends a ``watch`` loop.
+the scheduler whole (one ``solve`` call) and dispatches at once, what
+arrives behind a running solve is the next pass, and no batch is ever
+wider than ``max_batch``.  None of it needs a real timer.  The engine
+is :class:`tests.test_policy.StubEngine` (scripted, gate-able);
+``sleep`` is a fake that records its calls and ends a ``watch`` loop.
 """
 
 import threading
@@ -17,11 +16,11 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.cli import main
+from repro.cli import _serve_status_payload, main
 from repro.io.seismogram import Seismograms
 from repro.service import CoalescingScheduler, ServicePolicy, ShedError
 from repro.service.cache import ArtifactCache
-from repro.service.server import serve
+from repro.service.server import ServeStats, serve
 from repro.service.spool import Spool
 from tests.test_policy import StubEngine, _req, _wait_for
 
@@ -166,6 +165,33 @@ def test_arrivals_during_a_solve_ride_one_batch(rig):
     assert result["stats"].served == 4
 
 
+def test_status_after_a_pass_counts_what_arrived_behind_it(rig):
+    gate = threading.Event()
+    sched = rig.scheduler(gate=gate)
+    engine = sched.engine
+    rig.spool.submit(spooled())
+    tally, published = ServeStats(), []
+    thread = threading.Thread(
+        target=lambda: serve(
+            rig.spool, rig.out, sched, watch=True, poll=0.02, stats=tally,
+            sleep=FakeSleep(), publish=lambda: published.append(
+                _serve_status_payload(rig.spool, engine, sched, tally)
+            ),
+        )
+    )
+    thread.start()
+    _wait_for(lambda: engine.calls == 1)  # pass 1 is solving, gated
+    rig.spool.submit(spooled())
+    gate.set()
+    thread.join(timeout=10.0)
+    assert not thread.is_alive()
+    # pass 1's status sees the request spooled behind it (a queue that
+    # was always empty by publish time at the parent commit); pass 2
+    # claimed and served it
+    assert [p["pending"] for p in published] == [1, 0, 0]
+    assert engine.widths == [1, 1]
+
+
 def test_shed_request_is_a_failed_future_retried_next_attempt(rig, capsys):
     for _ in range(3):
         rig.spool.submit(spooled())
@@ -179,55 +205,26 @@ def test_shed_request_is_a_failed_future_retried_next_attempt(rig, capsys):
 
 
 def test_submit_many_reports_rejection_on_the_future(rig):
-    gate = threading.Event()
-    sched = rig.scheduler(gate=gate, policy=ServicePolicy(max_queue_depth=2))
-    futures = sched.submit_many([_req(), _req(), _req()])
-    assert isinstance(futures[2].exception(timeout=5.0), ShedError)
-    gate.set()
-    assert [f.result(timeout=5.0) is not None for f in futures[:2]] == [
-        True, True,
-    ]
-
-
-@pytest.mark.parametrize("entry", ["submit", "submit_many"])
-def test_ready_group_stays_joinable_behind_a_running_solve(rig, entry):
-    gate = threading.Event()
-    sched = rig.scheduler(gate=gate)
-    engine = sched.engine
-
-    def enqueue(request):
-        if entry == "submit":
-            return [sched.submit(request)]
-        return sched.submit_many([request])
-
-    # a lone submit used to sit out the scheduler's batching window
-    first = enqueue(_req(t_end=1.0))
-    _wait_for(lambda: engine.calls == 1)  # key 1 is solving, gated
-    late = enqueue(_req(t_end=2.0)) + enqueue(_req(t_end=2.0))
-    gate.set()
-    for f in first + late:
-        f.result(timeout=5.0)
-    assert engine.widths == [1, 2]
+    # a shed request is an outcome of the call, not an exception out of
+    # it: the caller keeps its handle on the rest
+    sched = rig.scheduler(policy=ServicePolicy(max_queue_depth=2))
+    outcomes = {i: (seis, err)
+                for i, seis, err in sched.solve([_req(), _req(), _req()])}
+    assert outcomes[2][0] is None and isinstance(outcomes[2][1], ShedError)
+    assert [outcomes[i][0] is not None and outcomes[i][1] is None
+            for i in (0, 1)] == [True, True]
 
 
 def test_demux_latency_is_timed_where_the_futures_resolve(rig):
     telemetry.disable()
     telemetry.enable()
     try:
-        gate = threading.Event()
-        sched = rig.scheduler(gate=gate)
-        [future] = sched.submit_many([_req()])
-
-        def busy(_f, seconds=0.005):
+        sched = rig.scheduler()
+        for _ in sched.solve([_req()]):
+            # the caller's handling of a result is part of the demux
             t0 = time.perf_counter()
-            while time.perf_counter() - t0 < seconds:
+            while time.perf_counter() - t0 < 0.005:
                 pass
-
-        # runs inside set_result, i.e. inside the demux loop
-        future.add_done_callback(busy)
-        gate.set()
-        future.result(timeout=5.0)
-        sched.close()
         reg = telemetry.metrics()
         # a constant 0.2 µs at the parent commit
         assert reg["service.latency.demux"].quantile(0.5) >= 0.005
@@ -250,3 +247,23 @@ def test_cli_max_wait_is_inert(tmp_path, capsys):
     assert "served 1 request(s) (0 failed) in 1 batch(es)" in (
         capsys.readouterr().out
     )
+
+
+def test_service_traffic_starts_no_thread(tmp_path, monkeypatch, capsys):
+    """The scheduler solves in its caller's thread: ``repro serve`` and
+    ``map_wait`` work with thread creation switched off."""
+
+    def no_threads(thread):
+        raise AssertionError(f"service traffic started {thread.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", no_threads)
+    spool, out = str(tmp_path / "spool"), tmp_path / "out"
+    submit = ["submit", "--spool", spool, "--t-end", "1.0",
+              "--receivers", "[[4000, 4000, 0]]"]
+    for key, value in SPEC.items():
+        submit += ["--" + key.replace("_", "-"), str(value)]
+    assert main(submit) == 0
+    assert main(["serve", "--spool", spool, "--out-dir", str(out)]) == 0
+    assert (out / "req-000000.npz").exists()
+    sched = CoalescingScheduler(StubEngine())
+    assert sched.map_wait([_req(), _req()]) == ["result-0", "result-1"]

@@ -285,15 +285,6 @@ def test_incompatible_requests_do_not_coalesce(warm_engine):
         assert np.array_equal(seis.data, solo.seismograms.data)
 
 
-def test_scheduler_rejects_after_close(warm_engine):
-    sched = CoalescingScheduler(warm_engine)
-    sched.close()
-    with pytest.raises(RuntimeError):
-        sched.submit(
-            ForwardRequest(make_spec(), None, 0.1)
-        )
-
-
 # ------------------------------------------------- pools & transports
 
 

@@ -245,13 +245,6 @@ class TestMetrics:
             tracemalloc.stop()
         assert len(telemetry.metrics()["alloc.peak_bytes"]) == 1
 
-    def test_absorb_flops(self):
-        reg = MetricsRegistry()
-        fc = FlopCounter()
-        fc.add("stiffness", 9)
-        reg.absorb_flops(fc)
-        assert reg.counter("flops.stiffness").value == 9
-
 
 # ------------------------------------------- trajectories on/off identity
 
