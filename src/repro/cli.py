@@ -57,6 +57,8 @@ def _add_material_args(p: argparse.ArgumentParser) -> None:
                    help="grid points per wavelength")
     p.add_argument("--h-min", type=float, default=0.0,
                    help="element size floor (m) for scaled-down runs")
+    p.add_argument("--max-level", type=int, default=6,
+                   help="octree refinement cap")
 
 
 def _material(args):
@@ -661,13 +663,11 @@ def build_parser() -> argparse.ArgumentParser:
     pm = sub.add_parser("mesh", help="generate the etree mesh database")
     _add_material_args(pm)
     pm.add_argument("--workdir", required=True)
-    pm.add_argument("--max-level", type=int, default=7)
     pm.add_argument("--blocks", type=int, default=4)
     pm.set_defaults(func=cmd_mesh)
 
     pf = sub.add_parser("forward", help="run a forward simulation")
     _add_material_args(pf)
-    pf.add_argument("--max-level", type=int, default=6)
     pf.add_argument("--t-end", type=float, required=True)
     pf.add_argument(
         "--scenario", choices=("northridge", "strike-slip"),
@@ -732,7 +732,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="spool a forward request for the simulation service",
     )
     _add_material_args(ps)
-    ps.add_argument("--max-level", type=int, default=6)
     ps.add_argument("--t-end", type=float, required=True)
     ps.add_argument(
         "--scenario", choices=("northridge", "strike-slip"),

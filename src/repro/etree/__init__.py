@@ -14,6 +14,9 @@ support mesh generation:
   domain is partitioned into blocks that are balanced internally and
   then reconciled along boundaries, keeping the working set small.
 
+Both run the in-core octree algorithms (:mod:`repro.octree`), so the
+etree builds the same mesh as the in-core pipeline.
+
 The full pipeline (Figure 2.1) is **construct -> balance -> transform**;
 the transform step derives the element-node relation and node
 coordinates into two databases, one for elements, one for nodes.

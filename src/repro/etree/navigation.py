@@ -8,10 +8,14 @@ from the application's logic and incorporated into the etree library."
 :func:`construct_octree` owns the traversal: the application supplies a
 vectorized *decide* callback (refine or keep) and a *payload* callback
 (record for a leaf), and never tracks which octants were decomposed.
-The traversal visits the subtrees rooted at a configurable chunk level
-in Morton order, expands each subtree breadth-first in memory, and
-streams its leaves — already sorted — to the database's bulk loader, so
-the resident set is one subtree plus one leaf page.
+The expansion is the in-core one, :func:`repro.octree.linear_octree.expand`,
+streamed: the tree is cut at a chunk level, and each leaf of the cut
+roots one subtree that is expanded in memory and whose leaves — already
+sorted — go straight to the database's bulk loader, so the resident set
+is one subtree plus one leaf page.  Chunking is a traversal order only:
+an octant that stops refining above the chunk level is a leaf of the
+cut and is emitted as it is, so every chunk level yields the keys of
+the in-core expansion.
 """
 
 from __future__ import annotations
@@ -21,54 +25,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.etree.database import EtreeDatabase
-from repro.octree.linear_octree import _binary_fraction_ticks
-from repro.octree.morton import MAX_COORD, MAX_LEVEL
-from repro.octree.octant import (
-    octant_anchor,
-    octant_children,
-    octant_size,
-    pack_key,
-)
-from repro.octree.morton import morton_encode
-
-
-def _expand_subtree(
-    roots: np.ndarray,
-    decide: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    max_level: int,
-    box_ticks: np.ndarray,
-) -> np.ndarray:
-    """Breadth-first expansion of ``roots`` into leaves (sorted keys)."""
-    leaves: list[np.ndarray] = []
-    frontier = roots
-    while len(frontier):
-        x, y, z, lvl = octant_anchor(frontier)
-        size = octant_size(lvl)
-        anchors = np.stack([x, y, z], axis=1)
-        outside = np.any(anchors >= box_ticks, axis=1)
-        frontier = frontier[~outside]
-        if not len(frontier):
-            break
-        anchors = anchors[~outside]
-        size = size[~outside]
-        lvl = lvl[~outside]
-        crosses = np.any(anchors + size[:, None] > box_ticks, axis=1)
-        centers = (anchors + 0.5 * size[:, None]) / MAX_COORD
-        want = np.asarray(
-            decide(centers, size / MAX_COORD, lvl), dtype=bool
-        )
-        refine = (crosses | want) & (lvl < max_level)
-        if np.any(crosses & (lvl >= max_level)):
-            raise ValueError("max_level too small to align with box_frac")
-        leaves.append(frontier[~refine])
-        frontier = (
-            octant_children(frontier[refine]).ravel()
-            if np.any(refine)
-            else np.array([], dtype=np.uint64)
-        )
-    if not leaves:
-        return np.array([], dtype=np.uint64)
-    return np.sort(np.concatenate(leaves))
+from repro.octree.linear_octree import _binary_fraction_ticks, expand
+from repro.octree.morton import MAX_COORD
+from repro.octree.octant import octant_anchor, octant_size, pack_key
 
 
 def construct_octree(
@@ -96,8 +55,10 @@ def construct_octree(
         Meshed box as fractions of the root cube (power-of-two
         denominators).
     chunk_level:
-        The traversal streams one level-``chunk_level`` subtree at a
-        time, bounding memory to ``8**-chunk_level`` of the tree.
+        The traversal streams one subtree rooted at level
+        ``chunk_level`` (or at a coarser leaf) at a time, bounding
+        memory to about ``8**-chunk_level`` of the tree.  It does not
+        change the tree.
 
     Returns
     -------
@@ -105,24 +66,21 @@ def construct_octree(
         Number of leaf octants written.
     """
     box_ticks = np.array([_binary_fraction_ticks(f) for f in box_frac])
-    # chunk roots in Morton order; expand the tree down to chunk_level
-    # first (respecting the box), then stream each chunk subtree
-    top = np.array([pack_key(np.uint64(0), np.uint64(0))], dtype=np.uint64)
-    for _ in range(chunk_level):
-        x, y, z, lvl = octant_anchor(top)
-        anchors = np.stack([x, y, z], axis=1)
-        inside = np.all(anchors < box_ticks, axis=1)
-        top = octant_children(top[inside]).ravel()
-    top = np.sort(top)
-
+    root = np.array([pack_key(np.uint64(0), np.uint64(0))], dtype=np.uint64)
+    # the tree cut at chunk_level, in Morton order: its leaves are the
+    # tree's own leaves above chunk_level and the roots of the subtrees
+    chunks = expand(
+        root,
+        lambda c, s, lvl: (lvl < chunk_level) & decide(c, s, lvl),
+        max_level=max_level,
+        box_ticks=box_ticks,
+    )
     total = 0
     with db.bulk_loader() as loader:
-        for root in top:
-            keys = _expand_subtree(
-                np.array([root], dtype=np.uint64), decide, max_level, box_ticks
+        for chunk in chunks:
+            keys = expand(
+                chunk[None], decide, max_level=max_level, box_ticks=box_ticks
             )
-            if not len(keys):
-                continue
             x, y, z, lvl = octant_anchor(keys)
             size = octant_size(lvl)
             centers = (

@@ -1,15 +1,23 @@
 """The etree mesh-generation pipeline: construct -> balance -> transform
 (paper Figure 2.1).
 
-* **construct** builds an unbalanced octree on disk, refining until each
-  octant resolves the local seismic wavelength
-  (``h = vs / (N_lambda * f_max)``), and stores the material properties
-  queried at each octant center.
+Each stage runs the in-core algorithm of
+:class:`repro.core.ForwardSimulation`, so the databases hold exactly
+the mesh, and the constraints, the in-core pipeline builds; the etree
+adds only the streaming into the B-tree, the block-at-a-time reads and
+the element and node databases.
+
+* **construct** builds an unbalanced octree on disk under the one
+  refinement rule — the wavelength ``h = vs / (N_lambda * f_max)`` at
+  each octant center (:func:`repro.mesh.hexmesh.wavelength_target`),
+  floored at the box-alignment level — and stores the material
+  properties queried at each octant center.
 * **balance** enforces the 2-to-1 constraint with the paper's *local
-  balancing*: octants are processed block by block (each block is a
-  Morton-contiguous range scan), balanced internally, then a boundary
-  phase resolves interactions between adjacent blocks.  New octants
-  created by splitting inherit their ancestor's material record.
+  balancing* (:func:`repro.octree.balance.balance_blocks`): octants are
+  read block by block (each block is a Morton-contiguous range scan),
+  balanced internally, then a boundary phase resolves interactions
+  between adjacent blocks.  New octants created by splitting inherit
+  their ancestor's material record.
 * **transform** derives mesh-specific information — the element-node
   relation and the node coordinates (with hanging-node constraints) —
   into two databases, one for elements, one for nodes.
@@ -26,16 +34,16 @@ import numpy as np
 from repro import telemetry
 from repro.etree.database import EtreeDatabase, OctantRecord
 from repro.etree.navigation import construct_octree
-from repro.octree.balance import _balance_rounds
-from repro.octree.linear_octree import LinearOctree, _binary_fraction_ticks
-from repro.octree.morton import MAX_COORD, morton_encode
-from repro.octree.octant import (
-    octant_anchor,
-    octant_parent,
-    octant_size,
-    pack_key,
-    unpack_key,
+from repro.mesh.hanging import HangingNodeInfo, build_constraints
+from repro.mesh.hexmesh import HexMesh, extract_mesh, wavelength_target
+from repro.octree.balance import balance_blocks
+from repro.octree.linear_octree import (
+    LinearOctree,
+    _binary_fraction_ticks,
+    size_refinement,
 )
+from repro.octree.morton import MAX_COORD, morton_encode
+from repro.octree.octant import octant_anchor
 
 #: element database record: global node ids, material, level
 ElementRecord = np.dtype(
@@ -79,27 +87,19 @@ def construct_step(
     """Construct the (unbalanced) wavelength-adaptive octant database.
 
     ``material`` must expose ``query(points_m) -> (vs, vp, rho)`` for
-    physical points in meters, vectorized.
+    physical points in meters, vectorized.  The octree is the in-core
+    one: :func:`repro.mesh.hexmesh.wavelength_target` at each octant
+    center under :func:`repro.octree.linear_octree.size_refinement`.
     """
     db = EtreeDatabase(path, OctantRecord, cache_pages=cache_pages)
-    # sample the material at the center and the 8 corners of each octant
-    # and let the slowest (shortest-wavelength) sample govern refinement
-    corner_dirs = np.array(
-        [(0, 0, 0)]
-        + [((k & 1) * 2 - 1, ((k >> 1) & 1) * 2 - 1, ((k >> 2) & 1) * 2 - 1) for k in range(8)],
-        dtype=float,
+    target = wavelength_target(
+        lambda pts: material.query(pts)[0],
+        L=L,
+        fmax=fmax,
+        points_per_wavelength=points_per_wavelength,
+        h_min=h_min,
     )
-
-    def decide(centers, sizes, levels):
-        pts = (
-            centers[:, None, :]
-            + corner_dirs[None, :, :] * (0.5 * sizes[:, None, None])
-        ).reshape(-1, 3)
-        vs, _, _ = material.query(pts * L)
-        vs = np.asarray(vs, dtype=float).reshape(len(centers), len(corner_dirs))
-        vs_min = vs.min(axis=1)
-        target = np.maximum(vs_min / (points_per_wavelength * fmax), h_min) / L
-        return sizes > target + 1e-15
+    box_ticks = np.array([_binary_fraction_ticks(f) for f in box_frac])
 
     def payload(centers, sizes):
         vs, vp, rho = material.query(centers * L)
@@ -109,30 +109,13 @@ def construct_step(
 
     construct_octree(
         db,
-        decide,
+        size_refinement(target, box_ticks=box_ticks),
         payload,
         max_level=max_level,
         box_frac=box_frac,
         chunk_level=chunk_level,
     )
     return db
-
-
-def _inherit_records(db: EtreeDatabase, keys: np.ndarray) -> np.ndarray:
-    """Records for ``keys``: direct hit in ``db`` or nearest ancestor's."""
-    recs = np.zeros(len(keys), dtype=db.dtype)
-    for i, k in enumerate(keys):
-        k = np.uint64(k)
-        while True:
-            r = db.get(int(k))
-            if r is not None:
-                recs[i] = r
-                break
-            _, lvl = unpack_key(k)
-            if int(lvl) == 0:
-                raise KeyError(f"no ancestor record for key {int(keys[i])}")
-            k = octant_parent(k)
-    return recs
 
 
 def balance_step(
@@ -142,54 +125,22 @@ def balance_step(
     blocks_per_axis: int = 4,
     cache_pages: int = 256,
 ) -> EtreeDatabase:
-    """Enforce the 2-to-1 constraint out-of-core via local balancing."""
-    if MAX_COORD % blocks_per_axis:
-        raise ValueError("blocks_per_axis must divide the lattice")
-    bsize = MAX_COORD // blocks_per_axis
-    block_level = int(np.log2(blocks_per_axis))
+    """Enforce the 2-to-1 constraint out-of-core via local balancing.
 
-    balanced_keys: list[np.ndarray] = []
-    # phase 1: internal balancing, one Morton-contiguous block at a time
-    for bx in range(blocks_per_axis):
-        for by in range(blocks_per_axis):
-            for bz in range(blocks_per_axis):
-                anchor = np.array([bx, by, bz], dtype=np.int64) * bsize
-                m0 = morton_encode(anchor[0], anchor[1], anchor[2])
-                span = np.uint64(bsize) ** np.uint64(3)
-                lo = int(pack_key(m0, np.uint64(0)))
-                hi = int(pack_key(m0 + span, np.uint64(0)))
-                keys, _ = db.scan_arrays(lo, hi)
-                if not len(keys):
-                    continue
-                out = _balance_rounds(
-                    keys, keys, restrict_block=(anchor, bsize)
-                )
-                balanced_keys.append(np.sort(out))
-    if not balanced_keys:
+    Blocks are read one at a time through B-tree range scans.  Balancing
+    only splits, so each balanced octant lies in exactly one unbalanced
+    octant, whose record it inherits.
+    """
+    if not len(db):
         raise ValueError("octant database is empty")
-    # blocks were visited in x-major order but Morton order is bit-
-    # interleaved; concatenate then sort (keys only — cheap)
-    keys = np.sort(np.concatenate(balanced_keys))
-
-    # phase 2: boundary balancing over leaves touching block faces
-    x, y, z, lvl = octant_anchor(keys)
-    sz = octant_size(lvl)
-    touches = (
-        (x % bsize == 0)
-        | (y % bsize == 0)
-        | (z % bsize == 0)
-        | ((x + sz) % bsize == 0)
-        | ((y + sz) % bsize == 0)
-        | ((z + sz) % bsize == 0)
+    keys = balance_blocks(
+        lambda lo, hi: db.scan_arrays(int(lo), int(hi))[0], blocks_per_axis
     )
-    keys = np.sort(_balance_rounds(keys, keys[touches]))
-
+    old_keys, old_recs = db.scan_arrays()
+    x, y, z, _ = octant_anchor(keys)
+    recs = old_recs[LinearOctree(old_keys).locate(np.stack([x, y, z], axis=1))]
     out_db = EtreeDatabase(path_out, db.dtype, cache_pages=cache_pages)
-    with out_db.bulk_loader() as loader:
-        chunk = 8192
-        for start in range(0, len(keys), chunk):
-            ks = keys[start : start + chunk]
-            loader.append(ks, _inherit_records(db, ks))
+    out_db.append_sorted(keys, recs)
     out_db.flush()
     return out_db
 
@@ -202,11 +153,9 @@ def transform_step(
     L: float,
     box_frac: Sequence[float] = (1.0, 1.0, 1.0),
     cache_pages: int = 256,
-) -> tuple[EtreeDatabase, EtreeDatabase]:
-    """Derive the element and node databases from the balanced octants."""
-    from repro.mesh.hanging import build_constraints
-    from repro.mesh.hexmesh import extract_mesh
-
+) -> tuple[EtreeDatabase, EtreeDatabase, HangingNodeInfo]:
+    """Derive the element and node databases from the balanced octants;
+    also returns the mesh's hanging-node constraints."""
     keys, recs = db.scan_arrays()
     tree = LinearOctree(keys)
     mesh = extract_mesh(tree, L=L, box_frac=box_frac)
@@ -243,7 +192,7 @@ def transform_step(
     node_db.append_sorted(node_codes[order], nrecs[order])
     elem_db.flush()
     node_db.flush()
-    return elem_db, node_db
+    return elem_db, node_db, info
 
 
 def load_mesh_from_databases(
@@ -263,12 +212,6 @@ def load_mesh_from_databases(
     with ``materials = (vs, vp, rho)`` per element, ready for
     :class:`repro.solver.ElasticWaveSolver`.
     """
-    import scipy.sparse as sp
-
-    from repro.mesh.hanging import HangingNodeInfo
-    from repro.mesh.hexmesh import HexMesh
-    from repro.octree.linear_octree import LinearOctree
-
     with EtreeDatabase(elem_path, ElementRecord, cache_pages=cache_pages) as edb:
         keys, erecs = edb.scan_arrays()
     with EtreeDatabase(node_path, NodeRecord, cache_pages=cache_pages) as ndb:
@@ -303,23 +246,7 @@ def load_mesh_from_databases(
             if w != 0.0:
                 st[int(node)] = float(w)
         masters[int(i)] = st
-    independent = np.nonzero(~hanging)[0]
-    col_of = np.full(mesh.nnode, -1, dtype=np.int64)
-    col_of[independent] = np.arange(len(independent))
-    rows = list(independent)
-    cols = list(col_of[independent])
-    vals = [1.0] * len(independent)
-    for i, st in masters.items():
-        for j, w in st.items():
-            rows.append(i)
-            cols.append(col_of[j])
-            vals.append(w)
-    B = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(mesh.nnode, len(independent))
-    )
-    constraints = HangingNodeInfo(
-        hanging=hanging, independent=independent, B=B, masters=masters
-    )
+    constraints = HangingNodeInfo.from_masters(hanging, masters)
     materials = (
         erecs["vs"].astype(float),
         erecs["vp"].astype(float),
@@ -340,8 +267,6 @@ class DatabaseMaterial:
         self.rho = np.asarray(rho, dtype=float)
 
     def query(self, points: np.ndarray):
-        from repro.octree.morton import MAX_COORD
-
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         tol = 1e-9 * self.mesh.L
         if np.any(pts < -tol) or np.any(pts > self.mesh.L + tol):
@@ -422,7 +347,7 @@ def generate_mesh_database(
         )
     t2 = time.perf_counter()
     with telemetry.span("mesh.transform"):
-        elem_db, node_db = transform_step(
+        elem_db, node_db, info = transform_step(
             bal_db, p_elem, p_node, L=L, box_frac=box_frac,
             cache_pages=cache_pages,
         )
@@ -431,10 +356,6 @@ def generate_mesh_database(
     n_unbal = len(oct_db)
     n_elem = len(elem_db)
     n_node = len(node_db)
-    n_hanging = 0
-    for _, rec in node_db.scan():
-        if rec["flags"] & HANGING_FLAG:
-            n_hanging += 1
     stats = {
         "octants": oct_db.io_stats,
         "balanced": bal_db.io_stats,
@@ -453,7 +374,7 @@ def generate_mesh_database(
         n_octants_unbalanced=n_unbal,
         n_elements=n_elem,
         n_nodes=n_node,
-        n_hanging=n_hanging,
+        n_hanging=info.n_hanging,
         construct_seconds=t1 - t0,
         balance_seconds=t2 - t1,
         transform_seconds=t3 - t2,

@@ -52,6 +52,29 @@ class HangingNodeInfo:
     B: sp.csr_matrix
     masters: dict
 
+    @classmethod
+    def from_masters(cls, hanging: np.ndarray, masters: dict) -> "HangingNodeInfo":
+        """Constraints from the hanging mask and the resolved masters
+        (``{node: {master: weight}}``): the independent nodes, in index
+        order, are the columns of ``B``."""
+        independent = np.nonzero(~hanging)[0]
+        col_of = np.full(len(hanging), -1, dtype=np.int64)
+        col_of[independent] = np.arange(len(independent))
+
+        rows, cols, vals = [], [], []
+        rows.extend(independent)
+        cols.extend(col_of[independent])
+        vals.extend(np.ones(len(independent)))
+        for i, st in masters.items():
+            for j, w in st.items():
+                rows.append(i)
+                cols.append(col_of[j])
+                vals.append(w)
+        B = sp.csr_matrix(
+            (vals, (rows, cols)), shape=(len(hanging), len(independent))
+        )
+        return cls(hanging=hanging, independent=independent, B=B, masters=masters)
+
     @property
     def n_hanging(self) -> int:
         return int(np.sum(self.hanging))
@@ -163,26 +186,7 @@ def build_constraints(tree: LinearOctree, mesh: HexMesh) -> HangingNodeInfo:
             break
     else:  # pragma: no cover
         raise RuntimeError("constraint chains did not resolve")
-
-    independent = np.nonzero(~hanging)[0]
-    col_of = np.full(nnode, -1, dtype=np.int64)
-    col_of[independent] = np.arange(len(independent))
-
-    rows, cols, vals = [], [], []
-    rows.extend(independent)
-    cols.extend(col_of[independent])
-    vals.extend(np.ones(len(independent)))
-    for i, st in masters.items():
-        for j, w in st.items():
-            rows.append(i)
-            cols.append(col_of[j])
-            vals.append(w)
-    B = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(nnode, len(independent))
-    )
-    return HangingNodeInfo(
-        hanging=hanging, independent=independent, B=B, masters=masters
-    )
+    return HangingNodeInfo.from_masters(hanging, masters)
 
 
 def _node_index(mesh: HexMesh, ticks: np.ndarray) -> int:

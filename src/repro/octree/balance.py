@@ -12,10 +12,13 @@ search, and any leaf more than one level coarser is split.  Splitting
 can create new violations, so newly created children (and unsatisfied
 demanders) are re-queued until the tree is balanced.
 
-:func:`local_balance_octree` is the paper's *local balancing* (Section
-2.3): the domain is partitioned into equal-size blocks, each block is
+:func:`balance_blocks` is the paper's *local balancing* (Section 2.3):
+the domain is partitioned into equal-size blocks, each block is
 balanced internally against only its own leaves, and a final boundary
-phase resolves interactions between adjacent blocks.  The minimal
+phase resolves interactions between adjacent blocks.  It reads the
+leaves one block at a time through a range-scan callback, so the same
+routine balances an in-memory tree (:func:`local_balance_octree`) and
+an on-disk etree (:func:`repro.etree.pipeline.balance_step`).  The minimal
 balanced refinement of an octree is unique, so the result is identical
 to the global algorithm; the blocked version touches much smaller index
 structures in the (dominant) internal phase.
@@ -26,8 +29,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.octree.linear_octree import LinearOctree
-from repro.octree.morton import MAX_COORD
-from repro.octree.octant import octant_anchor, octant_children, octant_size
+from repro.octree.morton import MAX_COORD, morton_decode
+from repro.octree.octant import (
+    octant_anchor,
+    octant_children,
+    octant_size,
+    pack_key,
+)
 
 # the 26 neighbor direction offsets (faces, edges, corners)
 _DIRS = np.array(
@@ -107,60 +115,42 @@ def balance_octree(tree: LinearOctree) -> LinearOctree:
     return LinearOctree(keys)
 
 
-def local_balance_octree(tree: LinearOctree, blocks_per_axis: int = 4) -> LinearOctree:
-    """Blocked local balancing (paper Section 2.3).
+def balance_blocks(scan, blocks_per_axis: int) -> np.ndarray:
+    """Local balancing (paper Section 2.3) of an octree read block by block.
 
-    The domain is split into ``blocks_per_axis**3`` equal cubes.  Leaves
-    are first balanced *internally* per block (ignoring demands that
-    cross block boundaries), then a *boundary* phase re-queues every
-    leaf touching a block face and ripples the remaining violations
-    through the merged tree.
+    The domain is split into ``blocks_per_axis**3`` equal cubes, visited
+    in Morton order; ``scan(lo, hi)`` returns the sorted leaf keys in
+    ``[lo, hi)`` (``uint64`` bounds), which are exactly the leaves
+    anchored in one cube.  Each block is balanced *internally*, against
+    its own leaves only; then a *boundary* phase re-queues every leaf
+    touching a block face and ripples the remaining violations through
+    the merged tree.  A leaf larger than a block is anchored on a block
+    face, so the boundary phase handles it.  Returns the sorted keys.
     """
     if blocks_per_axis < 1 or (MAX_COORD % blocks_per_axis):
         raise ValueError("blocks_per_axis must divide the lattice size")
     bsize = MAX_COORD // blocks_per_axis
-    if len(tree.keys) and int(tree.sizes.max()) > bsize:
-        raise ValueError(
-            "blocks_per_axis too large: every leaf must fit inside one "
-            "block (coarsest leaf size "
-            f"{int(tree.sizes.max())} > block size {bsize})"
-        )
-    x, y, z, level = octant_anchor(tree.keys)
-    block_id = (x // bsize) * blocks_per_axis**2 + (y // bsize) * blocks_per_axis + (
-        z // bsize
-    )
-    merged: list[np.ndarray] = []
-    order = np.argsort(block_id, kind="stable")
-    sorted_keys = tree.keys[order]
-    sorted_blocks = block_id[order]
-    boundaries = np.searchsorted(
-        sorted_blocks, np.unique(sorted_blocks), side="left"
-    ).tolist() + [len(sorted_keys)]
-    for i in range(len(boundaries) - 1):
-        blk_keys = sorted_keys[boundaries[i] : boundaries[i + 1]]
-        bid = int(sorted_blocks[boundaries[i]])
-        bx = (bid // blocks_per_axis**2) * bsize
-        by = ((bid // blocks_per_axis) % blocks_per_axis) * bsize
-        bz = (bid % blocks_per_axis) * bsize
-        anchor = np.array([bx, by, bz], dtype=np.int64)
-        merged.append(
-            _balance_rounds(blk_keys, blk_keys, restrict_block=(anchor, bsize))
-        )
+    merged = [np.array([], dtype=np.uint64)]
+    for m0 in range(0, MAX_COORD**3, bsize**3):
+        keys = scan(pack_key(m0, 0), pack_key(m0 + bsize**3, 0))
+        anchor = np.array(morton_decode(np.uint64(m0)), dtype=np.int64)
+        merged.append(_balance_rounds(keys, keys, restrict_block=(anchor, bsize)))
     keys = np.concatenate(merged)
-    # boundary phase: only leaves touching a block boundary can still be
-    # involved in cross-block violations
-    xx, yy, zz, lvl = octant_anchor(keys)
-    sz = octant_size(lvl)
-    touches = (
-        (xx % bsize == 0)
-        | (yy % bsize == 0)
-        | (zz % bsize == 0)
-        | ((xx + sz) % bsize == 0)
-        | ((yy + sz) % bsize == 0)
-        | ((zz + sz) % bsize == 0)
-    )
-    keys = _balance_rounds(keys, keys[touches])
-    return LinearOctree(keys)
+    x, y, z, lvl = octant_anchor(keys)
+    lo = np.stack([x, y, z], axis=1)
+    hi = lo + octant_size(lvl)[:, None]
+    touches = np.any((lo % bsize == 0) | (hi % bsize == 0), axis=1)
+    return np.sort(_balance_rounds(keys, keys[touches]))
+
+
+def local_balance_octree(tree: LinearOctree, blocks_per_axis: int = 4) -> LinearOctree:
+    """Blocked local balancing of an in-memory tree: :func:`balance_blocks`
+    with binary-search range scans of its sorted keys."""
+    keys = tree.keys
+    return LinearOctree(balance_blocks(
+        lambda lo, hi: keys[keys.searchsorted(lo) : keys.searchsorted(hi)],
+        blocks_per_axis,
+    ))
 
 
 def is_balanced(tree: LinearOctree) -> bool:

@@ -10,7 +10,10 @@ given a local target element size (``h = vs / (N_lambda * f_max)`` for
 seismic meshes), an octant is refined while it is larger than the target
 size at its location.  Non-cubic domains are supported through a box
 fraction with power-of-two denominators, e.g. ``(1, 1, 3/8)`` meshes an
-80 x 80 x 30 km box inside an 80 km cube.
+80 x 80 x 30 km box inside an 80 km cube.  The breadth-first
+:func:`expand` is the one frontier expansion: the etree's streamed
+construction (:func:`repro.etree.navigation.construct_octree`) runs it
+once per chunk root with the same rule, :func:`size_refinement`.
 """
 
 from __future__ import annotations
@@ -113,6 +116,66 @@ class LinearOctree:
         return int(np.sum(self.sizes.astype(object) ** 3))
 
 
+def expand(
+    roots: np.ndarray,
+    refine: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    *,
+    max_level: int,
+    box_ticks: np.ndarray,
+) -> np.ndarray:
+    """Breadth-first expansion of ``roots`` into sorted leaf keys.
+
+    Level by level, octants wholly outside the box (``box_ticks``, the
+    box's far corner in lattice ticks) are dropped, and an octant is
+    split while it crosses the box boundary or, below ``max_level``,
+    ``refine(centers, sizes, levels)`` asks for it (centers and sizes in
+    root-cube units).  The expansion of a set of roots is the union of
+    the expansions of each root, so it can be streamed root by root.
+    """
+    leaves = [np.array([], dtype=np.uint64)]
+    frontier = np.asarray(roots, dtype=np.uint64)
+    while len(frontier):
+        x, y, z, lvl = octant_anchor(frontier)
+        anchors = np.stack([x, y, z], axis=1)
+        inside = np.all(anchors < box_ticks, axis=1)
+        frontier, anchors, lvl = frontier[inside], anchors[inside], lvl[inside]
+        if not len(frontier):
+            break
+        size = octant_size(lvl)
+        crosses = np.any(anchors + size[:, None] > box_ticks, axis=1)
+        if np.any(crosses & (lvl >= max_level)):
+            raise ValueError("max_level too small to align with box_frac")
+        centers = (anchors + 0.5 * size[:, None]) / MAX_COORD
+        want = np.asarray(refine(centers, size / MAX_COORD, lvl), dtype=bool)
+        split = crosses | (want & (lvl < max_level))
+        leaves.append(frontier[~split])
+        frontier = octant_children(frontier[split]).ravel()
+    return np.sort(np.concatenate(leaves))
+
+
+def size_refinement(
+    target_size: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    *,
+    box_ticks: np.ndarray,
+    min_level: int = 0,
+) -> Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+    """The refinement rule of :func:`build_adaptive_octree` as an
+    :func:`expand` callback: split while an octant is larger than
+    ``target_size`` at its center, or coarser than ``min_level`` raised
+    to the level at which octants align with ``box_ticks``."""
+    align_level = 0
+    for t in box_ticks:
+        while t % octant_size(align_level) != 0:
+            align_level += 1
+    floor = max(min_level, align_level)
+
+    def refine(centers, sizes, levels):
+        h = np.asarray(target_size(centers, sizes), dtype=float)
+        return (levels < floor) | (sizes > h + 1e-15)
+
+    return refine
+
+
 def build_adaptive_octree(
     target_size: Callable[[np.ndarray, np.ndarray], np.ndarray],
     *,
@@ -147,44 +210,6 @@ def build_adaptive_octree(
     if not 0 <= min_level <= max_level <= MAX_LEVEL:
         raise ValueError("need 0 <= min_level <= max_level <= MAX_LEVEL")
     box_ticks = np.array([_binary_fraction_ticks(f) for f in box_frac])
-    # level at which octants can align with the box boundary
-    align_level = 0
-    for t in box_ticks:
-        while t % octant_size(align_level) != 0:
-            align_level += 1
-    min_level = max(min_level, align_level)
-
-    leaves: list[np.ndarray] = []
-    root = pack_key(np.uint64(0), np.uint64(0))
-    frontier = np.array([root], dtype=np.uint64)
-    for level in range(0, max_level + 1):
-        if len(frontier) == 0:
-            break
-        x, y, zc, lvl = octant_anchor(frontier)
-        size = octant_size(lvl)
-        anchors = np.stack([x, y, zc], axis=1)
-        # octants fully outside the box are dropped
-        outside = np.any(anchors >= box_ticks, axis=1)
-        frontier = frontier[~outside]
-        anchors = anchors[~outside]
-        size = size[~outside]
-        if len(frontier) == 0:
-            break
-        crosses = np.any(anchors + size[:, None] > box_ticks, axis=1)
-        centers = (anchors + 0.5 * size[:, None]) / MAX_COORD
-        h = np.asarray(target_size(centers, size / MAX_COORD), dtype=float)
-        too_big = (size / MAX_COORD) > h + 1e-15
-        refine = crosses | (level < min_level) | (too_big & (level < max_level))
-        if level == max_level:
-            refine = crosses  # cannot refine further except to resolve box
-            if np.any(crosses):
-                raise ValueError("max_level too small to align with box_frac")
-        leaves.append(frontier[~refine])
-        if np.any(refine):
-            frontier = octant_children(frontier[refine]).ravel()
-        else:
-            frontier = np.array([], dtype=np.uint64)
-
-    all_keys = np.concatenate(leaves) if leaves else np.array([], dtype=np.uint64)
-    tree = LinearOctree(all_keys)
-    return tree
+    refine = size_refinement(target_size, box_ticks=box_ticks, min_level=min_level)
+    root = np.array([pack_key(np.uint64(0), np.uint64(0))], dtype=np.uint64)
+    return LinearOctree(expand(root, refine, max_level=max_level, box_ticks=box_ticks))

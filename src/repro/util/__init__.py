@@ -1,7 +1,11 @@
-"""Utilities: filtering, timing, flop accounting."""
+"""Utilities: filtering, timing, flop accounting.
 
-from repro.util.filters import lowpass
+The filters (:mod:`repro.util.filters`) import ``scipy.signal``, which
+costs most of a solver import; import them from their module where a
+filter runs.
+"""
+
 from repro.util.timing import Timer
 from repro.util.flops import FlopCounter
 
-__all__ = ["lowpass", "Timer", "FlopCounter"]
+__all__ = ["Timer", "FlopCounter"]

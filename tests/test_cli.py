@@ -37,6 +37,17 @@ def test_mesh_command(tmp_path, capsys):
     assert (tmp_path / "db" / "elements.etree").exists()
 
 
+def test_mesh_and_forward_mesh_a_basin_alike(tmp_path, capsys):
+    """One --max-level default and one refinement rule: `repro mesh`
+    builds the elements `repro forward` runs on."""
+    material = ["--L", "8000", "--fmax", "0.15"]
+    assert main(["mesh", *material, "--workdir", str(tmp_path / "db")]) == 0
+    meshed = capsys.readouterr().out.split("elements     : ")[1].split()[0]
+    assert main(["forward", *material, "--t-end", "0.2"]) == 0
+    forward = capsys.readouterr().out.split("mesh: ")[1].split()[0]
+    assert meshed == forward
+
+
 def test_forward_command_writes_npz(tmp_path, capsys):
     out_file = tmp_path / "run.npz"
     rc = main(

@@ -4,18 +4,25 @@ import numpy as np
 import pytest
 
 from repro.etree import EtreeDatabase, OctantRecord, construct_octree
-from repro.octree import LinearOctree
+from repro.octree import LinearOctree, pack_key
+from repro.octree.linear_octree import expand
+from repro.octree.morton import MAX_COORD
 
 
-def build(tmp_path, name, chunk_level, max_level=5, box_frac=(1, 1, 1)):
+def in_ball(centers, sizes, levels):
+    """Refine inside a ball only: far octants stop at level 1."""
+    r = np.linalg.norm(centers - 0.4, axis=1)
+    return (r < 0.3) & (sizes > 1.0 / 2**5)
+
+
+def uniform_then_ball(centers, sizes, levels):
+    """Refine everywhere to level 3, then adaptively inside a ball."""
+    return (levels < 3) | in_ball(centers, sizes, levels)
+
+
+def build(tmp_path, name, chunk_level, max_level=5, box_frac=(1, 1, 1),
+          decide=uniform_then_ball):
     db = EtreeDatabase(str(tmp_path / f"{name}.etree"))
-
-    def decide(centers, sizes, levels):
-        # refine everywhere to level 3 (so the traversal chunk level,
-        # which doubles as a minimum level, cannot change the result),
-        # then adaptively inside a ball
-        r = np.linalg.norm(centers - 0.4, axis=1)
-        return (levels < 3) | ((r < 0.3) & (sizes > 1.0 / 2**max_level))
 
     def payload(centers, sizes):
         rec = np.zeros(len(centers), dtype=OctantRecord)
@@ -61,11 +68,19 @@ class TestAutoNavigation:
         assert tree.covered_volume() == MAX_COORD**3 // 4
         db.close()
 
-    def test_chunk_level_acts_as_min_level(self, tmp_path):
-        db, _ = build(tmp_path, "min", 3)
-        tree = LinearOctree(db.keys())
-        assert tree.levels.min() >= 3
-        db.close()
+    def test_chunk_level_is_a_traversal_order_only(self, tmp_path):
+        """Octants that stop refining above the chunk level are leaves:
+        every chunk level streams the in-core expansion's keys."""
+        root = np.array([pack_key(np.uint64(0), np.uint64(0))])
+        ref = expand(
+            root, in_ball, max_level=5, box_ticks=np.full(3, MAX_COORD)
+        )
+        assert LinearOctree(ref).levels.min() < 2
+        for cl in (0, 1, 2, 3):
+            db, n = build(tmp_path, f"t{cl}", cl, decide=in_ball)
+            np.testing.assert_array_equal(db.keys(), ref)
+            assert n == len(ref)
+            db.close()
 
     def test_empty_database_required(self, tmp_path):
         db, _ = build(tmp_path, "full", 2)

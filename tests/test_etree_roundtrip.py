@@ -3,17 +3,19 @@
 The basin is meshed once into element/node databases; simulations are
 then driven straight from the databases.  These tests check that the
 reconstructed mesh/constraints are identical to the in-core pipeline
-and that the solver runs on them.
+(:class:`ForwardSimulation`'s) and that the solver runs on them.
 """
 
 import numpy as np
 import pytest
 
+from repro.core import ForwardSimulation
 from repro.etree import (
     DatabaseMaterial,
     generate_mesh_database,
     load_mesh_from_databases,
 )
+from repro.materials import SyntheticBasinModel
 from repro.mesh import build_constraints, extract_mesh
 from repro.octree import LinearOctree
 from repro.solver import ElasticWaveSolver
@@ -45,10 +47,17 @@ def dbs(tmp_path_factory):
     )
 
 
+def assert_is_forward_simulation_mesh(loaded, sim):
+    mesh, tree, constraints, _ = loaded
+    np.testing.assert_array_equal(tree.keys, sim.tree.keys)
+    np.testing.assert_array_equal(mesh.conn, sim.mesh.conn)
+    np.testing.assert_array_equal(mesh.node_ticks, sim.mesh.node_ticks)
+    assert (constraints.B != sim.constraints.B).nnz == 0
+
+
 def test_roundtrip_matches_in_core(dbs):
-    mesh, tree, constraints, (vs, vp, rho) = load_mesh_from_databases(
-        dbs.element_path, dbs.node_path, L=1000.0
-    )
+    loaded = load_mesh_from_databases(dbs.element_path, dbs.node_path, L=1000.0)
+    mesh, tree, constraints, (vs, vp, rho) = loaded
     assert mesh.nelem == dbs.n_elements
     assert mesh.nnode == dbs.n_nodes
     assert constraints.n_hanging == dbs.n_hanging
@@ -61,6 +70,32 @@ def test_roundtrip_matches_in_core(dbs):
     assert (constraints.B != info2.B).nnz == 0
     # materials follow the model
     assert set(np.round(np.unique(vs)).astype(int)) <= {100, 1600}
+    sim = ForwardSimulation(SlabMaterial(), L=1000.0, fmax=1.0, max_level=5)
+    assert_is_forward_simulation_mesh(loaded, sim)
+
+
+@pytest.mark.parametrize(
+    "fmax, max_level, box_frac",
+    [
+        (0.8, 6, (1, 1, 0.5)),  # perfbench basin_forward: 19,261 elements
+        (0.08, 4, (1, 1, 1)),  # level-1 leaves, coarser than the chunks
+    ],
+)
+def test_database_mesh_is_the_forward_simulation_mesh(
+    tmp_path, fmax, max_level, box_frac
+):
+    """`repro mesh` and `repro forward` mesh a basin identically: the
+    etree stages run the in-core refinement rule and balance."""
+    L = 8000.0
+    mat = SyntheticBasinModel(L=L, depth=box_frac[2] * L, vs_min=400.0)
+    kw = dict(L=L, fmax=fmax, max_level=max_level, box_frac=box_frac)
+    dbs = generate_mesh_database(str(tmp_path), mat, **kw)
+    loaded = load_mesh_from_databases(
+        dbs.element_path, dbs.node_path, L=L, box_frac=box_frac
+    )
+    sim = ForwardSimulation(mat, **kw)
+    assert_is_forward_simulation_mesh(loaded, sim)
+    assert dbs.n_hanging == sim.constraints.n_hanging
 
 
 def test_database_material_adapter(dbs):

@@ -6,7 +6,8 @@ import pytest
 from repro.io.seismogram import ReceiverArray, Seismograms
 from repro.io.snapshots import SnapshotRecorder
 from repro.mesh import uniform_hex_mesh
-from repro.util import FlopCounter, Timer, lowpass
+from repro.util import FlopCounter, Timer
+from repro.util.filters import lowpass
 
 
 class TestLowpass:
@@ -111,3 +112,22 @@ class TestTimerAndFlops:
         d.add("matvec", 1)
         c.merge(d)
         assert c.counts["matvec"] == 151
+
+
+def test_solver_and_service_imports_leave_scipy_signal_unloaded():
+    """``scipy.signal`` is most of a solver import; only a filter needs it."""
+    import os
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(root, "src"), env.get("PYTHONPATH", "")])
+    )
+    subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.core.simulation, repro.service.engine; "
+         "assert 'scipy.signal' not in sys.modules"],
+        env=env, check=True,
+    )

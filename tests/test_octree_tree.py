@@ -179,17 +179,19 @@ class TestBalance:
         assert len(b) >= len(t)
 
     @settings(deadline=None, max_examples=6)
-    @given(st.integers(min_value=0, max_value=10_000))
-    def test_local_balance_matches_global(self, seed):
+    @given(
+        st.integers(min_value=0, max_value=10_000), st.sampled_from([2, 4, 8])
+    )
+    def test_local_balance_matches_global(self, seed, blocks):
+        # graded trees keep level-1 leaves, larger than 4- and 8-blocks
         t = graded_tree(seed, n_refine=25, max_level=5)
         g = balance_octree(t)
-        l = local_balance_octree(t, blocks_per_axis=2)
+        l = local_balance_octree(t, blocks_per_axis=blocks)
         assert g == l
 
-    def test_local_balance_rejects_oversized_leaves(self):
+    def test_local_balance_of_leaves_larger_than_a_block(self):
         t = uniform_tree(1)  # leaves are half the domain
-        with pytest.raises(ValueError):
-            local_balance_octree(t, blocks_per_axis=4)
+        assert local_balance_octree(t, blocks_per_axis=4) == balance_octree(t)
 
     def test_adaptive_then_balance(self):
         def target(c, s):
