@@ -3,7 +3,8 @@
 Every file the package publishes for another reader — checkpoints,
 cache artifacts, spool requests and their sidecars, served ``.npz``
 results, the status and Prometheus files — is written by
-:func:`atomic_write`.  A leaf module: it imports nothing from
+:func:`atomic_write`; the spool's advisory ``next-id`` hint alone is
+rewritten in place (:meth:`repro.service.spool.Spool.submit`).  A leaf module: it imports nothing from
 :mod:`repro`, so any layer can use it without an import cycle.
 """
 
@@ -27,7 +28,12 @@ def atomic_write(path: str, write, *, mode: str = "w",
 
     The temporary is ``<path>.<pid>-<thread id>.tmp``, so concurrent
     writers never share one; readers that scan a directory match their
-    own suffix and never see it.  If ``write``, the fsync, the link or
+    own suffix and never see it.
+
+    Publishing onto an existing non-empty ``path`` frees the old file's
+    data blocks, which costs ≈ 45 ms on an ext4 ``discard`` mount (a
+    new name costs ≈ 0.06 ms), so writers on a per-request path publish
+    to new names.  If ``write``, the fsync, the link or
     the rename raises, the temporary is removed and the exception
     re-raised, leaving ``path`` as it was."""
     tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"

@@ -11,9 +11,16 @@ four directories, and every transition is one atomic rename::
 
 so a process killed at any instant leaves each request in one place,
 and a restarted server replays whatever it finds in ``inflight/``
-(at-least-once execution, exactly-once disposition).  Ids are unique
+(at-least-once execution, exactly-once disposition).  A request's
+``.attempts`` sidecar retires with it into ``done/`` or
+``quarantine/``, so the attempt count stays on record.  Ids are unique
 across all four directories and sort in submission order, which is the
 order a drain serves them in.
+
+A request served on its first attempt frees no disk block: each of
+its writes and renames goes to a new name (see
+:func:`repro.durable.atomic_write`), and the advisory ``next-id`` hint
+is rewritten in place.
 """
 
 from __future__ import annotations
@@ -47,16 +54,24 @@ class Spool:
 
     def recover(self) -> None:
         """Serving-side start-up: create the lifecycle directories
-        (``inflight/`` first — its appearance says a server is up) and
+        (``inflight/`` first — its appearance says a server is up),
         sweep the ``.tmp`` files a killed predecessor left in the two
-        only the server writes.  A submitter's, in the root, may be
-        live: it is left alone, and never claimed."""
+        only the server writes, and move back a sidecar it retired
+        ahead of its request (killed between :meth:`_retire`'s two
+        renames), so the replay keeps its count.  A submitter's
+        ``.tmp``, in the root, may be live: it is left alone, and never
+        claimed."""
         for d in self._dirs[1:]:
             os.makedirs(d, exist_ok=True)
         for d in (self.inflight_dir, self.quarantine_dir):
             for f in os.listdir(d):
                 if f.endswith(".tmp"):
                     os.remove(os.path.join(d, f))
+        for fname in self.inflight():
+            for d in self._dirs[2:]:
+                ahead = os.path.join(d, fname + ".attempts")
+                if os.path.exists(ahead):
+                    os.replace(ahead, self._attempts_path(fname))
 
     # ------------------------------------------------------- submitting
 
@@ -97,8 +112,22 @@ class Spool:
                 )
             except FileExistsError:
                 continue
-            atomic_write(self._hint, lambda f: f.write(str(n)))
+            self._write_hint(n)
             return req_id
+
+    def _write_hint(self, n: int) -> None:
+        """Rewrite ``next-id`` in place.  Replacing a non-empty file
+        frees its data block, which costs tens of ms on some file
+        systems, on every submit; the hint is advisory (a torn or lost
+        one only moves where the probe starts), so it needs neither a
+        temporary nor an fsync."""
+        data = str(n).encode()
+        fd = os.open(self._hint, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            os.pwrite(fd, data, 0)
+            os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
 
     def path(self, req_id: str) -> str:
         """Where :meth:`submit` published ``req_id``."""
@@ -146,11 +175,13 @@ class Spool:
         return n
 
     def _retire(self, fname: str, dest_dir: str) -> None:
-        # sidecar first: a crash in between costs the request one
-        # attempt's memory, never an orphan sidecar in inflight/
+        # the sidecar moves with its request (a rename to a new name
+        # frees nothing) and first: a crash in between leaves no orphan
+        # in inflight/, and recover() moves it back
         try:
-            os.remove(self._attempts_path(fname))
-        except OSError:
+            os.replace(self._attempts_path(fname),
+                       os.path.join(dest_dir, fname + ".attempts"))
+        except FileNotFoundError:
             pass
         src = os.path.join(self.inflight_dir, fname)
         if os.path.exists(src):

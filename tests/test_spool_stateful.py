@@ -5,9 +5,10 @@ which may "kill the process" at its *k*-th file-system mutation (the
 call either never happens or is the last thing that does), after which
 a fresh :class:`Spool` opens the same directory.  Whatever the
 interleaving, every submitted id is in exactly one of root /
-``inflight/`` / ``done/`` / ``quarantine/``, a ``.tmp`` is never
-claimed, and a recovery drain leaves every id with one disposition and
-at most one ``.npz``.  The plain tests below pin the submit race.
+``inflight/`` / ``done/`` / ``quarantine/``, every ``.attempts``
+sidecar sits next to its own request, a ``.tmp`` is never claimed, and
+a recovery drain leaves every id with one disposition and at most one
+``.npz``.  The plain tests below pin the submit race and the hint.
 """
 
 import os
@@ -47,7 +48,8 @@ class FaultyOS:
     and dies at the armed one — before it takes effect or right after
     — and stays dead until :meth:`revive`."""
 
-    MUTATORS = ("replace", "link", "remove", "unlink")
+    MUTATORS = ("replace", "link", "remove", "unlink", "pwrite",
+                "ftruncate")
 
     def __init__(self):
         self.countdown = 0
@@ -82,7 +84,7 @@ class FaultyOS:
 
 #: None, or (die at the k-th mutation, after it took effect?)
 FAULTS = st.one_of(
-    st.none(), st.tuples(st.integers(1, 3), st.booleans())
+    st.none(), st.tuples(st.integers(1, 4), st.booleans())
 )
 PICK = st.integers(0, 1_000)
 
@@ -139,12 +141,12 @@ class SpoolModel(RuleBasedStateMachine):
             disk = self.on_disk()
             assert set(self.where) <= set(disk), "a submitted id vanished"
             self.where = disk
-            for rid in disk:
-                # a bump died before or after its rename; a retire
-                # drops the sidecar first
+            for rid, where in disk.items():
+                # a bump died before or after its rename; a retire that
+                # died between its two renames had its sidecar put back
                 n = self.spool.attempts(rid + ".json")
                 old = self.attempts.get(rid, 0)
-                assert n in (0, old, old + 1)
+                assert n in ((old, old + 1) if where == "inflight" else (0,))
                 self.attempts[rid] = n
             return False
         self.os.revive()
@@ -251,6 +253,17 @@ class SpoolModel(RuleBasedStateMachine):
                 f.split(".attempts")[0] in claimed
             ), f"stray {f} in inflight/"
 
+    @invariant()
+    def every_sidecar_sits_next_to_its_request(self):
+        sp = self.spool
+        for d in (sp.root, sp.inflight_dir, sp.done_dir, sp.quarantine_dir):
+            names = set(os.listdir(d))
+            for f in names:
+                if f.endswith(".attempts"):
+                    assert f[: -len(".attempts")] in names, (
+                        f"orphan {f} in {d}"
+                    )
+
 
 TestSpoolStateful = SpoolModel.TestCase
 TestSpoolStateful.settings = settings(
@@ -259,7 +272,7 @@ TestSpoolStateful.settings = settings(
 
 
 @pytest.mark.parametrize("after", [False, True])
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize(
     "op", ["submit", "claim", "bump", "complete", "quarantine"]
 )
@@ -278,6 +291,7 @@ def test_one_crash_at_every_mutation_of_every_operation(op, k, after):
         m.every_id_is_in_exactly_one_place()
         m.done_implies_a_result()
         m.inflight_holds_claimed_requests_and_their_sidecars_only()
+        m.every_sidecar_sits_next_to_its_request()
     finally:
         m.teardown()  # recovery drain: one disposition, one .npz each
 
@@ -352,3 +366,22 @@ def test_stale_or_missing_hint_is_harmless(tmp_path):
     (tmp_path / "next-id").write_text("")
     assert spool.submit({}) == "req-000003"
     assert spool.inflight() == ["req-000001.json"]
+
+
+def test_hint_ahead_of_the_spool_skips_ids_and_never_repeats(tmp_path):
+    spool = Spool(tmp_path)
+    assert [spool.submit({}) for _ in range(2)] == [
+        "req-000000", "req-000001"
+    ]
+    # ahead (copied in with a spool, or edited by hand): the probe
+    # starts there
+    (tmp_path / "next-id").write_text("7")
+    ids = [spool.submit({}) for _ in range(3)]
+    assert ids == ["req-000007", "req-000008", "req-000009"]
+    assert (tmp_path / "next-id").read_text() == "10"
+    # missing again: the probe counts five requests and walks through
+    # the gap, but never onto an id already given out
+    os.remove(tmp_path / "next-id")
+    more = [spool.submit({}) for _ in range(6)]
+    assert more == [f"req-{i:06d}" for i in (5, 6, 10, 11, 12, 13)]
+    assert len(set(ids + more)) == 9
