@@ -5,8 +5,8 @@ Turns balanced linear octrees into hexahedral finite element meshes
 *hanging* grid points on 2-to-1 refinement interfaces together with the
 sparse constraint matrix ``B`` (paper eq. u = B ubar), boundary face
 extraction for free-surface/absorbing boundaries, a tetrahedral baseline
-mesh (the group's earlier code), and element partitioners (RCB and a
-graph partitioner standing in for ParMETIS).
+mesh (the group's earlier code), and the RCB element partitioner
+standing in for ParMETIS.
 """
 
 from repro.mesh.hexmesh import (
@@ -19,8 +19,6 @@ from repro.mesh.hexmesh import (
 from repro.mesh.hanging import HangingNodeInfo, build_constraints
 from repro.mesh.tetmesh import TetMesh, hex_to_tet_mesh
 from repro.mesh.partition import (
-    element_dual_graph,
-    graph_partition,
     partition_metrics,
     rcb_partition,
 )
@@ -36,7 +34,5 @@ __all__ = [
     "TetMesh",
     "hex_to_tet_mesh",
     "rcb_partition",
-    "graph_partition",
-    "element_dual_graph",
     "partition_metrics",
 ]

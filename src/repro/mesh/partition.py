@@ -1,14 +1,9 @@
 """Element partitioning for the parallel solver.
 
-The paper partitions elements with ParMETIS (Figure 2.3d).  We provide
-two stand-ins with the same interface:
-
-* :func:`rcb_partition` — recursive coordinate bisection on element
-  centroids, the workhorse for octree meshes (geometric locality gives
-  low surface-to-volume interfaces);
-* :func:`graph_partition` — Kernighan–Lin recursive bisection on the
-  element dual graph via networkx, for small meshes where graph quality
-  matters.
+The paper partitions elements with ParMETIS (Figure 2.3d).  The
+stand-in is :func:`rcb_partition` — recursive coordinate bisection on
+element centroids, the workhorse for octree meshes (geometric locality
+gives low surface-to-volume interfaces).
 
 :func:`partition_metrics` reports the quantities that drive parallel
 efficiency: per-part element/grid-point counts, interface (shared) grid
@@ -81,61 +76,6 @@ def rcb_partition(
         split(hi, base + p_lo, p - p_lo)
 
     split(np.arange(n), 0, nparts)
-    return parts
-
-
-def element_dual_graph(mesh: HexMesh, *, min_shared: int = 4):
-    """Dual graph of the mesh: elements are vertices, edges join
-    elements sharing at least ``min_shared`` nodes (4 = face adjacency
-    on conforming interfaces; use 1 to include edge/corner adjacency).
-
-    Returns a ``networkx.Graph`` with integer element ids.
-    """
-    import networkx as nx
-
-    pairs: dict[tuple[int, int], int] = {}
-    node_elems: dict[int, list[int]] = {}
-    for e in range(mesh.nelem):
-        for nidx in mesh.conn[e]:
-            node_elems.setdefault(int(nidx), []).append(e)
-    for elems in node_elems.values():
-        for i in range(len(elems)):
-            for j in range(i + 1, len(elems)):
-                key = (elems[i], elems[j])
-                pairs[key] = pairs.get(key, 0) + 1
-    g = nx.Graph()
-    g.add_nodes_from(range(mesh.nelem))
-    g.add_edges_from(k for k, c in pairs.items() if c >= min_shared)
-    return g
-
-
-def graph_partition(mesh: HexMesh, nparts: int, *, seed: int = 0) -> np.ndarray:
-    """Recursive Kernighan–Lin bisection of the element dual graph.
-
-    A ParMETIS stand-in for small meshes; falls back to RCB-style index
-    splitting to seed each bisection.  ``nparts`` must be a power of two.
-    """
-    import networkx as nx
-
-    if nparts & (nparts - 1):
-        raise ValueError("graph_partition requires a power-of-two nparts")
-    g = element_dual_graph(mesh)
-    parts = np.zeros(mesh.nelem, dtype=np.int64)
-    groups = [np.arange(mesh.nelem)]
-    stride = nparts
-    while stride > 1:
-        new_groups = []
-        for base, idx in enumerate(groups):
-            sub = g.subgraph(idx.tolist())
-            a, b = nx.algorithms.community.kernighan_lin_bisection(
-                sub, seed=seed + base
-            )
-            new_groups.append(np.fromiter(a, dtype=np.int64))
-            new_groups.append(np.fromiter(b, dtype=np.int64))
-        groups = new_groups
-        stride //= 2
-    for p, idx in enumerate(groups):
-        parts[idx] = p
     return parts
 
 

@@ -217,15 +217,17 @@ class _RankFrame(MarchFrame):
         self._exchanged = False
         self._t0 = time.perf_counter()
 
-    def exchange(self, op):
+    def exchange(self, op, neighbors):
         """``op``'s stiffness step with this rank's halo exchange inside
         it: apply the interface elements, post the boundary partial
         sums, apply the interior elements while they are in flight,
         suspend, receive and accumulate.  Sends complete without
         waiting, so on the process transport the interior product
         genuinely overlaps the exchange.  ``op`` is split
-        (``split_elems``) with the interface elements first."""
-        comm, neighbors = self.comm, self.p["neighbors"]
+        (``split_elems``) with the interface elements first;
+        ``neighbors`` are ``(rank, rows)`` pairs, the shared grid points
+        as rows of ``op``'s state."""
+        comm = self.comm
         rank = comm.rank
         rbuf = {o: np.empty((len(loc), 3)) for o, loc in neighbors}
         clock = time.perf_counter
@@ -300,34 +302,45 @@ class _RankFrame(MarchFrame):
 def _lts_rank_levels(p: dict, frame: _RankFrame) -> list[dict]:
     """The clusters of one rank's clustered march (see
     :mod:`repro.solver.lts` for the schedule contract), from the rank's
-    payload: each cluster's row set at its own step and its operator.
+    payload: each cluster's row set at its own step and its operator,
+    on the level's :meth:`~repro.solver.lts.LTSPlan.local_layouts`
+    numbering — the serial solver's levels, minus ``c1`` and the
+    projection.
 
     The level whose rate equals the common interface rate ``r_int``
     carries the rank's interface elements (they are clamped to exactly
     that rate, and the partition orders them first, so they lead the
     level's ascending own-element list): its operator is split and it
-    fires through the ``frame``'s exchange.  Every other level is
-    purely rank-local.
+    fires through the ``frame``'s exchange, whose neighbor rows are
+    mapped into the level's local rows — every shared grid point is an
+    own node of that level.  Every other level is purely rank-local.
     """
     plan = build_lts_plan(p["conn"], p["nloc"], dt=p["dt"], rates=p["rates"])
     r_int, n_iface = p["r_int"], p["n_iface"]
+    g2l = np.empty(p["nloc"], dtype=np.int64)  # valid on one level
     levels = []
-    for lv in plan.levels:
-        e, own = lv.elems, lv.own_nodes
+    for lv, lay in zip(plan.levels, plan.local_layouts()):
+        e, own, local = lv.elems, lv.own_nodes, lay.local_nodes
+        g2l[local] = np.arange(len(local))
         iface = r_int > 0 and lv.rate == r_int and n_iface > 0
         K = ElasticOperator(
-            p["conn"][e], p["h"][e], p["lam"][e], p["mu"][e], p["nloc"],
-            split_elems=n_iface if iface else None,
+            g2l[p["conn"][e]], p["h"][e], p["lam"][e], p["mu"][e],
+            len(local), split_elems=n_iface if iface else None,
         )
         lev = {
             "rate": lv.rate,
             "own": own,
-            "interp": lv.interp_nodes,
+            "coarse": lay.coarse,
+            "fine": lay.fine,
             **lysmer_row_set(p["m"][own], p["C"][own], lv.rate * p["dt"]),
             "K": K,
         }
         if iface:
-            lev["exchange"] = frame.exchange(K)
+            neighbors = [(o, g2l[loc]) for o, loc in p["neighbors"]]
+            for (_, loc), (_, rows) in zip(p["neighbors"], neighbors):
+                assert np.all(rows < len(own))
+                assert np.array_equal(local[rows], loc)
+            lev["exchange"] = frame.exchange(K, neighbors)
         levels.append(lev)
     return levels
 
@@ -362,13 +375,13 @@ def _rank_program(comm, payload):
         )
         u = yield from march_every_step(
             op, lysmer_row_set(p["m"], p["C"], p["dt"]), force, frame,
-            exchange=frame.exchange(op), **kw,
+            exchange=frame.exchange(op, p["neighbors"]), **kw,
         )
         return frame.finish(u)
     levels = _lts_rank_levels(p, frame)
-    u, fired = yield from march_clustered(levels, force, frame, **kw)
+    pair, fired = yield from march_clustered(levels, force, frame, **kw)
     return frame.finish(
-        u, lts_fired={lev["rate"]: n for lev, n in zip(levels, fired)}
+        pair[1], lts_fired={lev["rate"]: n for lev, n in zip(levels, fired)}
     )
 
 

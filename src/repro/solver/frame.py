@@ -1,9 +1,10 @@
 """The march frame: what every time loop does around its schedule.
 
-Every schedule in the repo — the elastic every-step and clustered
-marches (which the rank programs of :mod:`repro.parallel.dist_solver`
-run too) and the scalar solver's two — advances its own state and
-hands the rest to one :class:`MarchFrame`:
+Every schedule in the repo — the every-step marches (elastic, which
+the rank programs of :mod:`repro.parallel.dist_solver` run too, and
+the scalar solver's) and the one clustered march, which both physics
+and the rank programs drain — advances its own state and hands the
+rest to one :class:`MarchFrame`:
 
 * **resume** — load the restart record (the latest valid snapshot, or
   exactly one collective step), refuse a record this march cannot

@@ -15,10 +15,12 @@ This module holds the mesh-side planning: per-element rate binning
 (:func:`bin_rates`), the 2-to-1 rate smoothing (:func:`smooth_rates`,
 with optional equal-rate node groups for hanging-node constraint
 closures), and the per-level execution plan (:class:`LTSPlan` /
-:func:`build_lts_plan`) the solvers drive their clustered-leapfrog
-schedules from.
+:func:`build_lts_plan`).  The schedule itself is one loop,
+:func:`repro.solver.wave_solver.march_clustered`, which the elastic
+solver, its rank programs and the scalar solver all drain with their
+own per-level row sets.
 
-Schedule contract (shared by every solver; see DESIGN.md):
+Schedule contract (see DESIGN.md):
 
 * One loop over **fine step indices** ``j``; level ``c`` (rate ``r_c``)
   fires when ``j % r_c == 0``, and levels fire **coarsest first**
@@ -38,9 +40,9 @@ A cluster is a subdomain and its one-coarser / one-finer neighbors a
 ghost layer (the paper's own remedy for local work, Section 2.4):
 :meth:`LTSPlan.local_layouts` numbers every level compactly — own
 nodes first, halo behind — and names, for every halo row, the level
-that owns it, so a solver can hold each level's state contiguously,
-apply the level's operator to its own few rows, and copy only halo
-values between levels (:class:`LTSLocalLayout`).
+that owns it (:class:`LTSLocalLayout`).  The clustered loop holds
+each level's state on that numbering, applies the level's operator to
+its own rows, and copies only halo values between levels.
 """
 
 from __future__ import annotations
@@ -231,16 +233,9 @@ class LTSPlan:
         work = sum(len(lv.elems) / lv.rate for lv in self.levels)
         return self.nelem / work
 
-    def sync_boundary(self, j: int) -> bool:
-        """True when fine index ``j`` is a full synchronization point
-        (all nodes hold the state at ``j*dt``) — the only indices where
-        checkpoints may be written or a resume may start."""
-        return j % self.max_rate == 0
-
     def local_layouts(self) -> list[LTSLocalLayout]:
         """Level-local layouts, one per level in ``levels`` order.
-        Built on first use and kept: consumers that march on global
-        vectors never pay for it."""
+        Built on first use and kept."""
         if self._layouts is None:
             self._layouts = _local_layouts(self)
         return self._layouts

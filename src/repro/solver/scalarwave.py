@@ -27,10 +27,12 @@ exposes the *operator pieces* the discrete adjoint needs:
   forward, adjoint, and incremental (Gauss-Newton) sweeps, which are
   all the same dissipative recurrence: each step is one product of the
   step operator ``S = [-A+^{-1} A- | A+^{-1} (2M - dt^2 K)]`` with the
-  stacked pair ``[x^{k-1}; x^k]`` (clustered, each level firing is one
-  product of the level's own rows of ``K``); every step (or, clustered,
-  every sync boundary) it hands resume, fault, health and checkpoint
-  duties to a :class:`~repro.solver.frame.MarchFrame`.
+  stacked pair ``[x^{k-1}; x^k]``; every step it hands resume, fault,
+  health and checkpoint duties to a
+  :class:`~repro.solver.frame.MarchFrame`.  Clustered (``lts=``), it
+  drains the elastic solver's one clustered loop,
+  :func:`~repro.solver.wave_solver.march_clustered`, on per-level row
+  sets whose stiffness step is the level's own rows of ``K``.
 
 The leapfrog convention (states ``x^0 .. x^N``, ``x^0 = x^1 = 0``):
 
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,6 +54,8 @@ from repro.physics.cfl import elem_stable_dt
 from repro.solver.checkpoint import CheckpointManager
 from repro.solver.frame import MarchFrame
 from repro.solver.lts import DEFAULT_MAX_RATE, LTSPlan, build_lts_plan
+from repro.solver.wave_solver import drain, march_clustered
+from repro.util.flops import FlopCounter
 
 from repro import telemetry
 
@@ -70,6 +74,31 @@ def _csr_pattern(mask: np.ndarray, cols: np.ndarray):
     indptr = np.zeros(len(mask) + 1, dtype=np.int32)
     np.cumsum(mask.sum(axis=1), out=indptr[1:])
     return indptr, cols[mask].astype(np.int32, copy=False)
+
+
+class _LevelStiffness(NamedTuple):
+    """A clustered level's stiffness step: its own rows of the
+    assembled ``K``, a :class:`CSR` over the level's local columns —
+    the operator :func:`~repro.solver.wave_solver.march_clustered`
+    applies to the level's local state (it fills the own rows of
+    ``out``)."""
+
+    A: CSR
+
+    @property
+    def nnode(self) -> int:
+        return self.A.ncols
+
+    def matvec(self, x, out):
+        ko = out[: len(self.A.indptr) - 1]
+        ko.fill(0.0)
+        self.A.acc(x, ko)
+        return out
+
+    matmat = matvec
+
+    def flops_per_matmat(self, width: int) -> int:
+        return 2 * self.A.nnz * width
 
 
 class RegularGridScalarWave:
@@ -179,9 +208,9 @@ class RegularGridScalarWave:
         # same iterate
         self._coeff_cache = None
         # single-entry caches for the clustered-LTS plan and its
-        # per-level execution state (operators, coefficient slices,
-        # substep buffers) — one forward model is marched many times
-        # on the same material iterate
+        # per-level row sets (operators, coefficient slices) — one
+        # forward model is marched many times on the same material
+        # iterate
         self._lts_plan_cache = None
         self._lts_exec_cache = None
 
@@ -341,11 +370,6 @@ class RegularGridScalarWave:
         """Stiffness action ``K(mu) u`` for per-element ``mu`` — the
         cold-path convenience (assemble, then :meth:`apply_K_bound`)."""
         return self.apply_K_bound(self.bind_K(mu), u, out)
-
-    def K_diagonal(self, mu: np.ndarray) -> np.ndarray:
-        """The diagonal of the assembled ``K(mu)``, read off its CSR."""
-        at = self._K_pattern[0][:-1] + self._mask[:, : self._center].sum(1)
-        return self.bind_K(mu)[at]
 
     def K_material_gradient(
         self, u: np.ndarray, lam: np.ndarray
@@ -613,36 +637,31 @@ class RegularGridScalarWave:
         self._lts_plan_cache = (mu.copy(), max_rate, plan)
         return plan
 
-    def _lts_exec(self, plan, mu, dt, alpha, batch):
-        """Per-level execution state, one subdomain per cluster: the
-        level operator ``K`` — the own rows of the global ``K(mu)``,
-        each row's entries in the global stored order, columns
-        renumbered **level-local** (``ncols = len(local_nodes)``: every
-        element touching an own node is in ``lv.elems``, so the
-        cluster's nodes hold every column, and a firing touches the
-        cluster's rows and nothing else) — the
-        cluster-step leapfrog diagonals of its own nodes, and the
-        level's state — three rotating ``(n_local[, B])`` buffers
-        ``x_prev / x / Kx`` whose leading ``n_own`` rows are the
-        cluster's own values and whose tail is its ghost layer, plus an
-        ``(n_own[, B])`` scratch.  ``coarse`` / ``fine`` are the halo
-        sources ``(owner level state, local rows, positions in the
-        owner's own rows)`` from :meth:`LTSPlan.local_layouts`.
-        Single-entry cache keyed on (plan, material, dt, batch); the
-        buffers are per-march scratch that :meth:`_march_lts` re-zeroes
-        on entry."""
+    def _lts_exec(self, plan, mu, dt, alpha):
+        """Per-level row sets of the clustered march, one subdomain per
+        cluster on its :meth:`~repro.solver.lts.LTSPlan.local_layouts`
+        numbering: the level's stiffness step — the own rows of the
+        global ``K(mu)``, each row's entries in the global stored
+        order, columns renumbered **level-local** (``ncols =
+        len(local_nodes)``: every element touching an own node is in
+        ``lv.elems``, so the cluster's nodes hold every column) — and
+        its :func:`~repro.solver.wave_solver.elastic_update`
+        coefficients at the cluster step ``dt_c = r dt``: ``c_u = 2M``,
+        ``c_ku = dt_c^2``, ``prev_coef = -A-``, ``inv_A_bar = 1/A+`` and
+        ``dtc2 = r^2`` (the forcing arrives ``dt^2``-prescaled), with no
+        Rayleigh cache, ``c1`` coupling or projection.  Single-entry
+        cache keyed on (plan, material, dt)."""
         c = self._lts_exec_cache
         alpha = None if alpha is None else np.asarray(alpha, dtype=float)
         if (
             c is not None
             and c[0] is plan
             and c[2] == dt
-            and c[4] == batch
             and np.array_equal(c[1], mu)
             and (c[3] is None) == (alpha is None)
             and (c[3] is None or np.array_equal(c[3], alpha))
         ):
-            return c[5]
+            return c[4]
         C = self.damping_diag(mu)
         if alpha is not None:
             C = C + self.volume_damping_diag(alpha)
@@ -650,14 +669,8 @@ class RegularGridScalarWave:
         self._assemble(mu, table)
         shifts = self._shifts.astype(np.int32)
         g2l = np.empty(self.nnode, dtype=np.int32)  # valid on one level
-        cols = () if batch is None else (batch,)
-
-        def _diag(v):
-            return v if batch is None else v[:, None]
-
-        layouts = plan.local_layouts()
         levels = []
-        for lv, lay in zip(plan.levels, layouts):
+        for lv, lay in zip(plan.levels, plan.local_layouts()):
             dtc = lv.rate * dt
             own = lv.own_nodes
             n_local = len(lay.local_nodes)
@@ -670,151 +683,27 @@ class RegularGridScalarWave:
             levels.append(
                 {
                     "rate": lv.rate,
-                    "dtc2": dtc * dtc,
-                    "rc2": float(lv.rate) ** 2,
                     "own": own,
-                    "n_own": lay.n_own,
-                    "K": CSR(
+                    "coarse": lay.coarse,
+                    "fine": lay.fine,
+                    "K": _LevelStiffness(CSR(
                         *_csr_pattern(rows, local_cols), table[own][rows],
                         n_local,
-                    ),
-                    "m2": _diag(2.0 * self.m[own]),
-                    "inv_ap": _diag(1.0 / (self.m[own] + 0.5 * dtc * C[own])),
-                    "a_minus": _diag(self.m[own] - 0.5 * dtc * C[own]),
-                    "x_prev": np.empty((n_local, *cols)),
-                    "x": np.empty((n_local, *cols)),
-                    "Kx": np.empty((n_local, *cols)),
-                    "fo": np.empty((lay.n_own, *cols)),
+                    )),
+                    "c_u": 2.0 * self.m[own],
+                    "c_ku": dtc * dtc,
+                    "c_kup": 0.0,
+                    "prev_coef": -(self.m[own] - 0.5 * dtc * C[own]),
+                    "dtc2": float(lv.rate) ** 2,
+                    "inv_A_bar": 1.0 / (self.m[own] + 0.5 * dtc * C[own]),
+                    "kab": None,
+                    "B": None,
                 }
             )
-        for lev, lay in zip(levels, layouts):
-            for key, src in (("coarse", lay.coarse), ("fine", lay.fine)):
-                lev[key] = (
-                    None if src is None
-                    else (levels[src.level], src.rows, src.pos)
-                )
         self._lts_exec_cache = (
-            plan, np.asarray(mu, dtype=float).copy(), dt, alpha, batch, levels
+            plan, np.asarray(mu, dtype=float).copy(), dt, alpha, levels
         )
         return levels
-
-    @staticmethod
-    def _lts_gather(levels, pair) -> None:
-        """Assemble the global restart pair ``(2, nnode[, B])`` from the
-        levels' own rows (every node is owned by exactly one level)."""
-        for lev in levels:
-            n = lev["n_own"]
-            pair[0][lev["own"]] = lev["x_prev"][:n]
-            pair[1][lev["own"]] = lev["x"][:n]
-
-    def _march_lts(
-        self, mu, forcing, nsteps, dt, plan, *, batch=None, alpha=None,
-        frame, resume=False,
-    ) -> np.ndarray:
-        """Clustered-leapfrog march (see :mod:`repro.solver.lts` for
-        the schedule contract): one loop over fine indices; each level
-        fires when its rate divides the index, coarsest first.  A level
-        is a subdomain (:meth:`_lts_exec`): a firing refreshes its halo
-        rows from their owners — the one-coarser neighbor's ``x_prev``
-        (``theta = 0``) or ``(x_prev + x) / 2`` (``theta = 1/2``), the
-        one-finer neighbor's current ``x`` — applies the level's
-        operator to its own rows, updates them in place and rotates the
-        level's buffers; nothing node-count-sized is touched.  Returns
-        the final ``(2, nnode)`` restart pair (``store`` histories are
-        a global-loop feature), assembled from the levels on return.
-        Unlike the global march — which posits ``x^1 = 0`` and starts
-        at ``k = 1`` — every level takes its first step at index 0, so
-        ``forcing(0)`` is applied; sources quiet at ``t = 0`` (the
-        standard case) see identical startups.
-
-        The ``frame`` strides by the coarsest rate, so fault injection,
-        the health sentinel and checkpoints act only at **sync
-        boundaries**, where every node holds the state at the same
-        time; the global pair is assembled only when a check or a save
-        is due.  A resume restarts from a sync snapshot
-        bit-identically.
-        """
-        shape = (self.nnode,) if batch is None else (self.nnode, int(batch))
-        r_min, r_max = plan.min_rate, plan.max_rate
-        if nsteps % r_max:
-            raise ValueError(
-                f"nsteps = {nsteps} must be a multiple of the coarsest "
-                f"cluster rate {r_max} so the march ends synchronized"
-            )
-        levels = self._lts_exec(plan, mu, dt, alpha, batch)
-        for lev in levels:  # from rest, whatever the last march left
-            lev["x_prev"].fill(0.0)
-            lev["x"].fill(0.0)
-        pair = np.empty((2, *shape))
-
-        def snapshot(s):
-            self._lts_gather(levels, pair)
-            return {"x_prev": pair[0], "x": pair[1]}
-
-        k0 = frame.resume(snapshot, latest=resume)
-        if k0:  # the restored pair's own rows into each level
-            for lev in levels:
-                for key, src in zip(("x_prev", "x"), pair):
-                    np.take(src, lev["own"], axis=0,
-                            out=lev[key][: lev["n_own"]])
-        # a nan fault poisons the leading entry of the state it is
-        # handed: the owner of node 0 leads its own rows with it
-        lev0 = next(lev for lev in levels if lev["own"][0] == 0)
-        fired = [0] * len(levels)
-        with telemetry.span("scalar.march_lts") as _m:
-            for j in range(k0, nsteps, r_min):
-                f = forcing(j)
-                for i, lev in enumerate(levels):
-                    rate = lev["rate"]
-                    if j % rate:
-                        continue
-                    fired[i] += 1
-                    x_prev, x, Kx = lev["x_prev"], lev["x"], lev["Kx"]
-                    if lev["coarse"] is not None:
-                        src, rows, pos = lev["coarse"]
-                        halo = x[rows]
-                        np.take(src["x_prev"], pos, axis=0, out=halo,
-                                mode="clip")
-                        if j % (2 * rate):  # theta = 1/2
-                            # Kx is overwritten by the apply below: its
-                            # halo rows serve as the second operand
-                            mid = Kx[rows]
-                            np.take(src["x"], pos, axis=0, out=mid,
-                                    mode="clip")
-                            np.add(halo, mid, out=halo)
-                            np.multiply(halo, 0.5, out=halo)
-                    if lev["fine"] is not None:
-                        src, rows, pos = lev["fine"]
-                        np.take(src["x"], pos, axis=0, out=x[rows],
-                                mode="clip")
-                    n = lev["n_own"]
-                    xo, ko, fo = x[:n], Kx[:n], lev["fo"]
-                    ko.fill(0.0)
-                    lev["K"].acc(x, ko)
-                    # r = 2M x - dt_c^2 K x~ - A- x_prev + r_c^2 f
-                    np.multiply(ko, lev["dtc2"], out=ko)
-                    np.multiply(lev["m2"], xo, out=fo)
-                    np.subtract(fo, ko, out=ko)
-                    np.multiply(lev["a_minus"], x_prev[:n], out=fo)
-                    np.subtract(ko, fo, out=ko)
-                    if f is not None:
-                        # forcing(j) is dt^2-prescaled by convention;
-                        # the cluster step dt_c = r dt scales it by r^2
-                        np.take(f, lev["own"], axis=0, out=fo, mode="clip")
-                        np.multiply(fo, lev["rc2"], out=fo)
-                        np.add(ko, fo, out=ko)
-                    np.multiply(ko, lev["inv_ap"], out=ko)
-                    # the own rows of Kx now hold the new state
-                    lev["x_prev"], lev["x"], lev["Kx"] = x, Kx, x_prev
-                frame.boundary(j + r_min, lev0["x"], snapshot)
-            flops = 0
-            width = 1 if batch is None else batch
-            for lev, n in zip(levels, fired):
-                flops += n * width * (2 * lev["K"].nnz + 6 * lev["n_own"])
-                _m.add(f"fired_r{lev['rate']}", n)
-            _m.add("flops", flops)
-        self._lts_gather(levels, pair)
-        return pair
 
     def step(self, mu, dt: float, x_prev, x, f=None) -> np.ndarray:
         """One step of :meth:`march` (without ``alpha``): ``x^{k+1}``
@@ -875,6 +764,19 @@ class RegularGridScalarWave:
         snapshot, bit-identical to the uninterrupted march.
         ``health_interval`` arms the NaN/Inf sentinel; ``faults`` takes
         a :class:`~repro.resilience.FaultPlan` (state poisoning).
+
+        ``lts`` (a max-rate cap, True, or an :class:`LTSPlan`) marches
+        the clustered schedule instead: the levels of
+        :meth:`_lts_exec` drain
+        :func:`~repro.solver.wave_solver.march_clustered`, the elastic
+        solver's one clustered loop, and the final ``(2, nnode)`` pair
+        is returned (from rest, ``store=False``; ``nsteps`` a multiple
+        of the coarsest rate).  Unlike the global march — which posits
+        ``x^1 = 0`` and starts at ``k = 1`` — every level takes its
+        first step at index 0, so ``forcing(0)`` is applied; sources
+        quiet at ``t = 0`` (the standard case) see identical startups.
+        Faults, the sentinel and checkpoints act at sync boundaries
+        only, and a resume restarts from one bit-identically.
         """
         plan = None
         if lts:
@@ -898,16 +800,30 @@ class RegularGridScalarWave:
                     "history storage, on_step callbacks, or initial "
                     "states)"
                 )
+            elif nsteps % plan.max_rate:
+                raise ValueError(
+                    f"nsteps = {nsteps} must be a multiple of the coarsest "
+                    f"cluster rate {plan.max_rate} so the march ends "
+                    "synchronized"
+                )
         frame = MarchFrame(
             nsteps, stride=1 if plan is None else plan.max_rate,
             checkpoint=checkpoint, faults=faults,
             health_interval=health_interval, field="x",
         )
         if plan is not None:
-            return self._march_lts(
-                mu, forcing, nsteps, dt, plan, batch=batch, alpha=alpha,
-                frame=frame, resume=resume,
-            )
+            levels = self._lts_exec(plan, mu, dt, alpha)
+            flops = FlopCounter()
+            with telemetry.span("scalar.march_lts") as _m:
+                pair, fired = drain(march_clustered(
+                    levels, forcing, frame,
+                    () if batch is None else (int(batch),),
+                    count=flops.add, resume={"latest": resume},
+                ))
+                for lev, n in zip(levels, fired):
+                    _m.add(f"fired_r{lev['rate']}", n)
+                _m.add("flops", flops.total)
+            return pair
         if batch is None and x0 is not None and np.ndim(x0) == 2:
             batch = np.shape(x0)[1]
         if batch is None and x1 is not None and np.ndim(x1) == 2:

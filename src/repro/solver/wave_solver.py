@@ -19,11 +19,12 @@ the number of grid points, as the paper requires.
 
 That update is written once, :func:`elastic_update`, as a function of
 a *row set* (all rows, one LTS cluster's own rows, a rank's grid
-points) whose coefficients come from :func:`row_coefs`; one cluster
-firing is :func:`halo_in` -> the caller's ``K`` -> :func:`fire_cluster`.
-The time loop around them is written once per schedule too:
-:func:`march_every_step` and :func:`march_clustered`, generators over
-an operator, a row set (one per cluster), a :func:`forcing` and a
+points) whose coefficients come from :func:`row_coefs`.  The time loop
+around it is written once per schedule too: :func:`march_every_step`
+and :func:`march_clustered` — the one clustered loop, which the scalar
+solver's clustered march drains as well, each cluster firing on its
+own level-local state — generators over an operator (one per
+cluster), a row set (one per cluster), a :func:`forcing` and a
 :class:`~repro.solver.frame.MarchFrame` (resume, and poison / health
 check / checkpoint at its boundaries).  A loop applies ``K`` through a
 *stiffness step*: the operator's product, or the caller's — a rank of
@@ -46,6 +47,7 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from repro.backend import spmv_acc, spmv_into
 from repro.fem.assembly import ElasticOperator, lumped_mass
@@ -160,8 +162,12 @@ def elastic_update(co, uo, ko, kpo, po, bo, u, r, tmp, rbar, out) -> None:
     are its rows of ``u``, ``K u``, the cached ``K u^{prev}`` (None
     undamped), ``u^{prev}`` and the forcing (None when quiet); ``u`` is
     the full state the ``c1`` product reads; ``r``, ``tmp`` and ``rbar``
-    are caller-owned scratch.  Blocks are ``(n, 3)`` or ``(n, 3, B)`` —
-    the sparse products see them as ``(n, 3 B)`` / ``(3 n[, B])`` — and
+    are caller-owned scratch.  ``ko`` is read once, first, so without a
+    cache ``tmp`` may be ``ko``'s own buffer; ``out`` is written last
+    and may be ``ko`` or ``po``.  Blocks are ``(n, 3)`` or ``(n, 3, B)``
+    (a scalar clustered level's ``(n[, B])``, which has no sparse
+    product) — the sparse products see them as ``(n, 3 B)`` /
+    ``(3 n[, B])`` — and
     every path applies the same ufuncs in the same order, so solo,
     batched, global, clustered and distributed marches agree bit for
     bit wherever their operands do."""
@@ -191,74 +197,6 @@ def elastic_update(co, uo, ko, kpo, po, bo, u, r, tmp, rbar, out) -> None:
     spmv_into(co["BT"], r.reshape(-1, w), rbar2)
     np.multiply(rbar, co["inv_A_bar"], out=rbar)
     spmv_into(co["B"], rbar2, out.reshape(-1, w))
-
-
-def cluster_buffers(lev: dict, tail: tuple = (), damped=False) -> dict:
-    """Own- and halo-sized runtime buffers ``st`` of one cluster and
-    its firing counter; the firing itself — :func:`halo_in`, the
-    caller's ``K`` application (a rank's interface level sends,
-    suspends and receives inside it), :func:`fire_cluster` — is
-    allocation-free.  ``lev`` is the cluster's static state: ``rate``,
-    its ``own`` rows, the ``interp`` rows of its one-coarser halo and
-    an :func:`elastic_update` coefficient dict."""
-    own3 = (len(lev["own"]), 3, *tail)
-    halo3 = (len(lev["interp"]), 3, *tail)
-    B = lev["B"]
-    st = {k: np.empty(own3) for k in
-          ("r", "tmp", "u_own", "up_own", "b_own", "unew", "ku")}
-    st.update(
-        rbar=None if B is None else np.empty((B.shape[1], 3, *tail)),
-        ku_prev=np.zeros(own3) if damped else None,  # K u~ of the last firing
-        sv=np.empty(halo3),
-        iv=np.empty(halo3),
-        fired=0,
-    )
-    return st
-
-
-def halo_in(lev, st, u, u_prev, j) -> None:
-    """Overwrite the cluster's one-coarser halo rows of ``u`` with
-    their time-interpolated value at fine index ``j``, for the products
-    that read the full ``u`` (the coarse pair brackets ``j dt``; theta
-    is 0 or 1/2 — see ``lts.interp_theta``).  :func:`fire_cluster`
-    puts the saved rows back."""
-    interp = lev["interp"]
-    if not len(interp):
-        return
-    sv, iv = st["sv"], st["iv"]
-    np.take(u, interp, axis=0, out=sv)
-    np.take(u_prev, interp, axis=0, out=iv)
-    if j % (2 * lev["rate"]):  # theta = 1/2
-        np.add(iv, sv, out=iv)
-        np.multiply(iv, 0.5, out=iv)
-    u[interp] = iv
-
-
-def fire_cluster(lev, st, u, u_prev, Ku, b) -> None:
-    """Advance the cluster's own rows by its step, given ``Ku`` = its
-    ``K`` applied to the :func:`halo_in` state: gather the own rows,
-    :func:`elastic_update`, restore the halo, scatter back.  The
-    gathered ``u_own`` / ``up_own`` and the new ``unew`` stay in ``st``
-    for the caller's receivers."""
-    own, interp = lev["own"], lev["interp"]
-    np.take(u, own, axis=0, out=st["u_own"])
-    np.take(Ku, own, axis=0, out=st["ku"])
-    np.take(u_prev, own, axis=0, out=st["up_own"])
-    bo = None if b is None else np.take(b, own, axis=0, out=st["b_own"])
-    # the c1 product inside reads the halo rows of u: they must still
-    # hold the interpolated values
-    elastic_update(
-        lev, st["u_own"], st["ku"], st["ku_prev"], st["up_own"], bo, u,
-        st["r"], st["tmp"], st["rbar"], st["unew"],
-    )
-    if len(interp):
-        u[interp] = st["sv"]
-    if st["ku_prev"] is not None:
-        # this firing's K u~ is the next one's cache
-        st["ku_prev"], st["ku"] = st["ku"], st["ku_prev"]
-    u_prev[own] = st["u_own"]
-    u[own] = st["unew"]
-    st["fired"] += 1
 
 
 def _with_out(fc):
@@ -432,60 +370,149 @@ def march_every_step(op, co, force, frame, tail=(), *, count, exchange=None,
 def march_clustered(levels, force, frame, tail=(), *, count, observe=(),
                     carry=None, resume=None):
     """The clustered-leapfrog schedule (contract in
-    :mod:`repro.solver.lts`), written once: one loop over fine indices;
-    each cluster fires when its rate divides the index, coarsest first,
-    through :func:`halo_in` -> its stiffness step -> :func:`fire_cluster`
-    on global state.  The ``frame`` strides by the coarsest rate, so it
-    acts only at sync boundaries.  A generator that returns the final
-    ``u`` and each cluster's firing count.
+    :mod:`repro.solver.lts`), written once for every physics: one loop
+    over fine indices; each level fires when its rate divides the
+    index, coarsest first.  A level is a subdomain on its
+    :meth:`~repro.solver.lts.LTSPlan.local_layouts` numbering and holds
+    its own ``x_prev`` / ``x`` / ``x_next`` / ``Kx`` blocks, whose
+    leading ``len(own)`` rows are its own values and whose tail is its
+    ghost layer.  A firing refreshes the ghost layer from the owning
+    levels' buffers — the one-coarser owner's ``x_prev`` (theta = 0) or
+    ``(x_prev + x) / 2`` (theta = 1/2), the one-finer owner's ``x`` —
+    applies the level's stiffness step, runs :func:`elastic_update` on
+    the own rows and rotates the level's buffers: nothing node-count
+    sized is touched.  The ``frame`` strides by the coarsest rate, so
+    it acts only at sync boundaries; the global restart pair is
+    gathered from the levels' own rows only when it needs one.  A
+    generator that returns the final global pair ``(2, nnode, ...)``
+    and each level's firing count.
 
-    ``levels``, coarsest first, hold ``rate``, ``own``, ``interp``, an
-    :func:`elastic_update` row set and ``K``, the cluster's operator
-    over the full state; a level with an ``exchange`` fires through it
-    instead of ``K``'s product (a rank's interface level).  The other
-    arguments are :func:`march_every_step`'s; an ``observe(li, j, lev,
-    st)`` hook sees level ``li`` fire at fine index ``j``."""
+    ``levels``, coarsest first, hold ``rate``, ``own`` (the ascending
+    global ids of the level's own nodes), the ``coarse`` / ``fine``
+    :class:`~repro.solver.lts.HaloSource` of its layout, an
+    :func:`elastic_update` row set — a node's block is the shape of
+    its row of ``prev_coef``: ``(3,)`` elastic, ``()`` scalar — and
+    ``K``, its operator over its local rows (``nnode`` of them;
+    ``matvec`` / ``matmat`` fill at least the own rows of ``out``;
+    ``flops_per_matmat``).  A level with an ``exchange`` fires through
+    it instead of ``K``'s product (a rank's interface level).  The
+    other arguments are :func:`march_every_step`'s; an ``observe(li,
+    j, lev, x_prev, x, x_next)`` hook sees level ``li`` fire at fine
+    index ``j``, before its buffers rotate."""
+    block = levels[0]["prev_coef"].shape[1:]
     levels = [over_batch(lev, tail) for lev in levels]
     width = math.prod(tail)
-    shape = (levels[0]["K"].nnode, 3, *tail)
     damped = bool(levels[0]["c_kup"])
-    u_prev, u, Ku = np.zeros(shape), np.zeros(shape), np.empty(shape)
-    rt = [cluster_buffers(lev, tail, damped) for lev in levels]
+    shape = (*block, *tail)
+    st = []
+    for lev in levels:
+        n_local, n_own, B = lev["K"].nnode, len(lev["own"]), lev["B"]
+        s = {k: np.zeros((n_local, *shape)) for k in ("x_prev", "x")}
+        s["Kx"] = np.empty((n_local, *shape))
+        # undamped, the update reads K x~ before it writes the new state,
+        # so the new state goes into Kx's own rows; damped, K x~ is the
+        # next firing's cache (local-sized: the two swap)
+        s["x_next"] = np.empty((n_local, *shape)) if damped else s["Kx"]
+        s["ku_prev"] = np.zeros((n_local, *shape)) if damped else None
+        s.update({k: np.empty((n_own, *shape)) for k in ("r", "b")})
+        # undamped, the K x~ rows are the update's scratch too
+        s["tmp"] = np.empty((n_own, *shape)) if damped else None
+        s["rbar"] = None if B is None else np.empty((B.shape[1], *shape))
+        st.append(s)
+    pair = np.empty((2, sum(len(lev["own"]) for lev in levels), *shape))
+    field = frame.field
 
-    def snapshot(s):
-        rec = {"u_prev": u_prev, "u": u}
+    def gather():
+        for lev, s in zip(levels, st):
+            n = len(lev["own"])
+            pair[0][lev["own"]] = s["x_prev"][:n]
+            pair[1][lev["own"]] = s["x"][:n]
+
+    def snapshot(k):
+        gather()
+        rec = {f"{field}_prev": pair[0], field: pair[1]}
         if damped:
-            rec.update(
-                {f"ku_prev_{i}": st["ku_prev"] for i, st in enumerate(rt)}
-            )
+            rec.update({
+                f"ku_prev_{i}": s["ku_prev"][: len(lev["own"])]
+                for i, (lev, s) in enumerate(zip(levels, st))
+            })
         if carry is not None:
-            rec.update(carry(s))
+            rec.update(carry(k))
         return rec
 
     k0 = frame.resume(snapshot, **(resume or {}))
+    if k0:  # the restored pair's own rows into each level
+        for lev, s in zip(levels, st):
+            n = len(lev["own"])
+            for key, src in zip(("x_prev", "x"), pair):
+                np.take(src, lev["own"], axis=0, out=s[key][:n], mode="clip")
+    # a nan fault poisons the leading entry of the state it is handed:
+    # the owner of node 0 leads its own rows with it
+    i0 = next(i for i, lev in enumerate(levels) if lev["own"][0] == 0)
+    fired = [0] * len(levels)
+    flops = [
+        (lev["K"].flops_per_matmat(width),
+         update_flops_per_node(damped) * len(lev["own"]) * width)
+        for lev in levels
+    ]
     r_min = min(lev["rate"] for lev in levels)
     for j in range(k0, frame.nsteps, r_min):
         frame.begin_step(j)
         b = force(j)
-        for li, (lev, st) in enumerate(zip(levels, rt)):
-            if j % lev["rate"]:
+        for li, (lev, s) in enumerate(zip(levels, st)):
+            rate = lev["rate"]
+            if j % rate:
                 continue
-            halo_in(lev, st, u, u_prev, j)
+            x_prev, x, x_next, Kx = s["x_prev"], s["x"], s["x_next"], s["Kx"]
+            # ndarray.take, not np.take: the wrapper's call overhead is
+            # a visible share of a small level's firing
+            src = lev["coarse"]
+            if src is not None:
+                owner, halo = st[src.level], x[src.rows]
+                owner["x_prev"].take(src.pos, axis=0, out=halo, mode="clip")
+                if j % (2 * rate):  # theta = 1/2
+                    # the stiffness step overwrites Kx: its halo rows
+                    # serve as the second operand
+                    mid = Kx[src.rows]
+                    owner["x"].take(src.pos, axis=0, out=mid, mode="clip")
+                    np.add(halo, mid, out=halo)
+                    np.multiply(halo, 0.5, out=halo)
+            src = lev["fine"]
+            if src is not None:
+                st[src.level]["x"].take(
+                    src.pos, axis=0, out=x[src.rows], mode="clip"
+                )
             K, exchange = lev["K"], lev.get("exchange")
             if exchange is None:
-                (K.matmat if tail else K.matvec)(u, out=Ku)
+                (K.matmat if tail else K.matvec)(x, out=Kx)
             else:
-                yield from exchange(u, Ku)
-            fire_cluster(lev, st, u, u_prev, Ku, b)
-            count("stiffness", K.flops_per_matmat(width))
-            count(
-                "update",
-                update_flops_per_node(damped) * len(lev["own"]) * width,
+                yield from exchange(x, Kx)
+            n = len(lev["own"])
+            bo = None if b is None else b.take(
+                lev["own"], axis=0, out=s["b"], mode="clip"
             )
+            ku_prev, ko = s["ku_prev"], Kx[:n]
+            # the c1 product inside reads the whole local x, ghost
+            # layer included
+            elastic_update(
+                lev, x[:n], ko, None if ku_prev is None else ku_prev[:n],
+                x_prev[:n], bo, x, s["r"], ko if ku_prev is None else s["tmp"],
+                s["rbar"], x_next[:n],
+            )
+            count("stiffness", flops[li][0])
+            count("update", flops[li][1])
             for hook in observe:
-                hook(li, j, lev, st)
-        frame.boundary(j + r_min, u, snapshot)
-    return u, [st["fired"] for st in rt]
+                hook(li, j, lev, x_prev, x, x_next)
+            s["x_prev"], s["x"], s["x_next"] = x, x_next, x_prev
+            if damped:
+                # this firing's K x~ is the next one's cache
+                s["Kx"], s["ku_prev"] = ku_prev, Kx
+            else:
+                s["Kx"] = x_prev
+            fired[li] += 1
+        frame.boundary(j + r_min, st[i0]["x"], snapshot)
+    gather()
+    return pair, fired
 
 
 class ElasticWaveSolver:
@@ -666,28 +693,33 @@ class ElasticWaveSolver:
         return plan
 
     def _lts_exec(self, plan: LTSPlan) -> list[dict]:
-        """Static per-level execution state for the clustered loop: a
-        stiffness operator over the cluster's elements (own +
-        one-coarser halo), the cluster-step diagonals and residual
-        coefficients restricted to its own nodes, the per-level
-        hanging-node projection block, and the own-row slice of the
-        Stacey ``c1`` coupling prescaled by ``-dt_c^2``.  Cached on the
-        plan object."""
+        """Static per-level execution state for the clustered loop, on
+        the level's :meth:`~repro.solver.lts.LTSPlan.local_layouts`
+        numbering: a stiffness operator over the cluster's elements
+        (own + one-coarser halo) and local nodes, the cluster-step
+        diagonals and residual coefficients restricted to its own
+        nodes, the per-level hanging-node projection block, and the
+        own-row slice of the Stacey ``c1`` coupling prescaled by
+        ``-dt_c^2``, its columns renumbered to local dofs.  Cached on
+        the plan object."""
         c = self._lts_exec_cache
         if c is not None and c[0] is plan:
             return c[1]
         conn, h = self.mesh.conn, self.mesh.elem_h
         # bar (independent) dof -> rate of its constraint closure; the
-        # closures are rate-clamped, so each bar column's support lives
-        # entirely inside one level
+        # closures are rate-clamped (constraint_groups), so each bar
+        # column's support lies inside one level
         col_rate = plan.node_rate[self.constraints.independent]
+        Bc = self.B.tocoo()
+        assert np.array_equal(plan.node_rate[Bc.row], col_rate[Bc.col])
+        g2l = np.empty(self.nnode, dtype=np.int64)  # valid on one level
         levels = []
-        for lv in plan.levels:
-            e = lv.elems
-            own = lv.own_nodes
+        for lv, lay in zip(plan.levels, plan.local_layouts()):
+            e, own, local = lv.elems, lv.own_nodes, lay.local_nodes
             dtc = lv.rate * self.dt
+            g2l[local] = np.arange(len(local))
             K_c = ElasticOperator(
-                conn[e], h[e], self.lam[e], self.mu[e], self.nnode
+                g2l[conn[e]], h[e], self.lam[e], self.mu[e], len(local)
             )
             co, A_c = self._row_coefs(dtc, own)
             cols = np.nonzero(col_rate == lv.rate)[0]
@@ -695,12 +727,23 @@ class ElasticWaveSolver:
             BT_c = B_c.T.tocsr()
             own_dofs = (own[:, None] * 3 + np.arange(3)).ravel()
             kab = (self.K_AB[own_dofs] * (-(dtc * dtc))).tocsr()
+            gnode = kab.indices // 3
+            node = g2l[gnode]
+            # every c1 partner of an own node is a node of the level
+            assert np.array_equal(local[node], gnode)
+            # local columns, each row's entries in the global stored
+            # order (no re-sort), so the c1 sums do not change
+            kab = csr_matrix(
+                (kab.data, 3 * node + kab.indices % 3, kab.indptr),
+                shape=(len(own_dofs), 3 * len(local)),
+            )
             levels.append(
                 {
                     "rate": lv.rate,
                     "dtc": dtc,
                     "own": own,
-                    "interp": lv.interp_nodes,
+                    "coarse": lay.coarse,
+                    "fine": lay.fine,
                     "K": K_c,
                     **co,
                     "B": B_c,
@@ -719,7 +762,7 @@ class ElasticWaveSolver:
         """Per-level receiver membership of scenario ``b``: each
         receiver node is owned by exactly one level; returns
         ``(receiver idx, index of those nodes' rows in the level's
-        own-sized blocks)`` pairs per level."""
+        local blocks, whose own rows lead)`` pairs per level."""
         slots = []
         for lev in levels:
             own = lev["own"]
@@ -807,17 +850,17 @@ class ElasticWaveSolver:
         if data is None:
             return []
 
-        def hook(li, j, lev, st):
+        def hook(li, j, lev, x_prev, x, x_next):
             for d, sl in zip(data, slots):
                 ridx, rows = sl[li]
                 if not len(ridx):
                     continue
                 if record == "velocity":
                     d[ridx, :, j] = (
-                        st["unew"][rows] - st["up_own"][rows]
+                        x_next[rows] - x_prev[rows]
                     ) / (2.0 * lev["dtc"])
                 else:
-                    d[ridx, :, j] = st["u_own"][rows]
+                    d[ridx, :, j] = x[rows]
 
         return [hook]
 

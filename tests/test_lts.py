@@ -11,14 +11,14 @@ The guarantees under test (see :mod:`repro.solver.lts` and DESIGN.md):
   leapfrog accuracy on two-layer soft-over-stiff problems, serial
   scalar, serial elastic, and distributed — and is second order in
   ``dt`` with the coarsest cluster's own dispersion constant;
-* the scalar solver's level-local march (one subdomain per cluster,
-  each applying its own rows of the assembled ``K``) is **bitwise**
-  the global-state loop it replaced, which survives here as the
-  oracle; its layout invariants
-  hold on random materials; its steady-state loop allocates nothing
-  node-sized; its counters are per march; the NaN sentinel (scalar,
-  elastic and distributed) looks at the first sync boundary after its
-  cadence came due;
+* the one clustered loop runs every level on its layout (one
+  subdomain per cluster, each applying its own operator to its local
+  rows) for both physics, serial and on both ranks, and is **bitwise**
+  the global-state loops it replaced, which survive here as oracles;
+  the layout invariants hold on random materials; the steady-state
+  loop allocates nothing node-sized; its counters are per march; the
+  NaN sentinel (scalar, elastic and distributed) looks at the first
+  sync boundary after its cadence came due;
 * checkpoints are written only at sync boundaries and resume
   bit-identically, serial and distributed; a distributed resume from
   a checkpoint that is not on a sync boundary is rejected;
@@ -38,10 +38,12 @@ from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.backend import spmv_acc
+from repro.fem.assembly import ElasticOperator
 from repro.materials import HomogeneousMaterial, LayeredMaterial
 from repro.mesh import extract_mesh, uniform_hex_mesh
 from repro.octree import balance_octree, build_adaptive_octree
 from repro.parallel import DistributedWaveSolver, ProcWorld, SimWorld
+from repro.parallel import dist_solver
 from repro.resilience import (
     FaultPlan,
     FaultSpec,
@@ -152,10 +154,6 @@ def test_plan_levels_partition_nodes():
     assert sum(len(lv.own_nodes) for lv in plan.levels) == grid.nnode
     assert sum(plan.histogram().values()) == grid.nelem
     assert plan.theoretical_speedup() > 1.0
-    # sync boundaries are the multiples of the coarsest rate
-    r = plan.max_rate
-    assert plan.sync_boundary(0) and plan.sync_boundary(3 * r)
-    assert not plan.sync_boundary(r - 1)
 
 
 def test_trivial_plan_on_uniform_material():
@@ -258,7 +256,7 @@ def test_scalar_lts_batch_matches_solo():
     assert np.array_equal(pair[:, :, 0], solo)
 
 
-def _oracle_march_lts(solver, mu, forcing, nsteps, dt, plan, *,
+def _scalar_lts_oracle(solver, mu, forcing, nsteps, dt, plan, *,
                       batch=None, alpha=None):
     """The clustered loop as it ran before the level-local layout
     (commit 88a2357), stripped of its checkpoint / fault / health /
@@ -405,7 +403,7 @@ def test_scalar_lts_level_local_equals_global_state_oracle(
             rows[src.rows] += 1
         assert np.all(rows == 1)  # every local row has exactly one source
 
-    want = _oracle_march_lts(
+    want = _scalar_lts_oracle(
         solver, mu, forcing, nsteps, dt, plan, batch=batch, alpha=alpha
     )
     for _ in range(2):  # the second march reuses the cached exec state
@@ -418,8 +416,8 @@ def test_scalar_lts_level_local_equals_global_state_oracle(
     # order, columns renumbered into the level's local nodes
     K = solver.bind_K(mu)
     indptr, indices = solver._K_pattern
-    for lev, lay in zip(solver._lts_exec_cache[5], layouts):
-        A = lev["K"]
+    for lev, lay in zip(solver._lts_exec_cache[4], layouts):
+        A = lev["K"].A
         assert A.ncols == len(lay.local_nodes)
         ent = np.concatenate([
             np.arange(indptr[a], indptr[a + 1])
@@ -429,26 +427,51 @@ def test_scalar_lts_level_local_equals_global_state_oracle(
         assert np.array_equal(lay.local_nodes[A.indices], indices[ent])
 
 
+def _trace_window(k, nsteps, peak):
+    """Trace allocations from the second coarse step to the last: every
+    level has fired, the level state is warm, the result not yet
+    gathered."""
+    if k == 8:
+        tracemalloc.start()
+    elif k == nsteps - 1:
+        peak.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+
+
 def test_scalar_lts_steady_state_allocates_nothing_node_sized():
-    solver, mu, dt, forcing = _scalar_two_layer()
+    # both physics drain the one clustered loop: the scalar march, then
+    # the elastic run (receivers and all) as the second input
     nsteps, peak = 128, []
+    solver, mu, dt, forcing = _scalar_two_layer()
 
     def probed(k):
-        # trace from the second coarse step to the last: every level
-        # has fired, the exec state is warm, the result not yet stacked
-        if k == 8:
-            tracemalloc.start()
-        elif k == nsteps - 1:
-            peak.append(tracemalloc.get_traced_memory()[1])
-            tracemalloc.stop()
+        _trace_window(k, nsteps, peak)
         return forcing(k)
 
     solver.march(mu, forcing, 16, dt, store=False, lts=True)  # warm-up
     solver.march(mu, probed, nsteps, dt, store=False, lts=True)
-    assert peak[0] < 8 * solver.nnode // 2, (
-        f"clustered loop allocated {peak[0]} B "
-        f"(a node vector is {8 * solver.nnode} B)"
-    )
+    _, elastic, force, rec = _elastic_layered()
+
+    def eprobed(t, out):
+        _trace_window(round(t / elastic.dt), nsteps, peak)
+        return force(t, out)
+
+    t_end = (nsteps - 0.5) * elastic.dt
+    elastic.run(force, t_end, receivers=rec, lts=8)  # warm-up
+    # a ufunc buffers its broadcast (n, 1) mass diagonal in chunks of at
+    # most bufsize elements: bounded scratch (64 kB by default), not a
+    # node vector, but more than half of one on this 729-node mesh —
+    # shrink it so the probe sees the loop's own allocations
+    bufsize = np.setbufsize(16)
+    try:
+        elastic.run(eprobed, t_end, receivers=rec, lts=8)
+    finally:
+        np.setbufsize(bufsize)
+    node_bytes = (8 * solver.nnode, 24 * elastic.nnode)
+    for got, nb in zip(peak, node_bytes, strict=True):
+        assert got < nb // 2, (
+            f"clustered loop allocated {got} B (a node vector is {nb} B)"
+        )
 
 
 def _lts_counters(solver, *args, **kw):
@@ -700,14 +723,33 @@ def _elastic_lts_oracle(solver, plan, force, nsteps, rec, record):
     """The clustered elastic loop as it ran before the solver had one
     ``_update`` (commit ea6db08's ``_run_lts``), stripped of its
     checkpoint / fault / health / telemetry hooks: global ``u`` /
-    ``u_prev`` / ``K u``, the coarse halo overwritten with its
-    interpolated value for the stiffness *and* the ``c1`` product and
-    restored right after, then the rest of the residual and the
-    per-level projection on own-sized gathers.  The oracle the
+    ``u_prev`` / ``K u``, per-level operators over the global state
+    (built here, not read off the solver), the coarse halo overwritten
+    with its interpolated value for the stiffness *and* the ``c1``
+    product and restored right after, then the rest of the residual
+    and the per-level projection on own-sized gathers.  The oracle the
     clustered schedule must equal bit for bit — in particular a loop
     that restores the halo before its ``c1`` product does not."""
-    dt, nnode = solver.dt, solver.nnode
-    levels = solver._lts_exec(plan)
+    dt, nnode, mesh = solver.dt, solver.nnode, solver.mesh
+    col_rate = plan.node_rate[solver.constraints.independent]
+    levels = []
+    for lv in plan.levels:
+        e, own, dtc = lv.elems, lv.own_nodes, lv.rate * dt
+        co, A = solver._row_coefs(dtc, own)
+        B = solver.B[own][:, np.nonzero(col_rate == lv.rate)[0]].tocsr()
+        BT = B.T.tocsr()
+        own_dofs = (own[:, None] * 3 + np.arange(3)).ravel()
+        kab = (solver.K_AB[own_dofs] * (-(dtc * dtc))).tocsr()
+        levels.append({
+            **co, "rate": lv.rate, "dtc": dtc, "own": own,
+            "interp": lv.interp_nodes,
+            "K": ElasticOperator(
+                mesh.conn[e], mesh.elem_h[e], solver.lam[e], solver.mu[e],
+                nnode,
+            ),
+            "kab": kab if kab.nnz else None,
+            "B": B, "BT": BT, "inv_A_bar": 1.0 / (BT @ A),
+        })
     damped = solver.beta > 0
     u_prev, u = np.zeros((nnode, 3)), np.zeros((nnode, 3))
     Ku, fbuf = np.empty((nnode, 3)), np.zeros((nnode, 3))
@@ -773,7 +815,8 @@ def _elastic_refined_corner(*, damping_ratio=0.0):
         damping_ratio=damping_ratio,
     )
     fine = solver._lts_exec(solver.lts_plan())[-1]
-    halo_dofs = (fine["interp"][:, None] * 3 + np.arange(3)).ravel()
+    halo = fine["coarse"].rows  # local rows of the one-coarser halo
+    halo_dofs = slice(3 * halo.start, 3 * halo.stop)
     assert solver.constraints.n_hanging and fine["kab"][:, halo_dofs].nnz
     force = RickerForce(
         int(fine["own"][0]), mesh.nnode, t0=12 * solver.dt, sig=4 * solver.dt
@@ -843,9 +886,9 @@ def test_dist_lts_sim_vs_proc_bitwise():
 
 
 def test_dist_lts_one_rank_equals_serial_bitwise():
-    # the clustered rank program fires its clusters through the serial
-    # schedule's halo_in / fire_cluster, so with no neighbour to sum
-    # with it is the serial clustered march, bit for bit
+    # the clustered rank program drains the serial schedule's one
+    # clustered loop on the same level-local state, so with no
+    # neighbour to sum with it is the serial clustered march, bit for bit
     tree = build_adaptive_octree(
         lambda c, s: np.full(len(c), 1.0 / 8), max_level=3
     )
@@ -868,6 +911,65 @@ def test_dist_lts_one_rank_equals_serial_bitwise():
     )
     assert np.abs(u).max() > 0
     assert np.array_equal(seis.data[:, :, nsteps], u[rec.nodes])
+
+
+@pytest.mark.parametrize("problem", ["layered", "refined_corner", "dist"])
+def test_every_level_marches_on_its_local_layout(problem, monkeypatch):
+    """A level's state is its layout's local rows, serial and on both
+    ranks: the operator spans exactly the layout's nodes, the ``c1``
+    coupling keeps its own-dof rows in the global stored order with
+    local-dof columns, and every ``B`` column's support lies in one
+    level (the rank row sets carry neither)."""
+    if problem == "dist":
+        built = []
+        rank_levels = dist_solver._lts_rank_levels
+
+        def spy(p, frame):
+            levels = rank_levels(p, frame)
+            plan = build_lts_plan(
+                p["conn"], p["nloc"], dt=p["dt"], rates=p["rates"]
+            )
+            built.append((levels, plan.local_layouts()))
+            return levels
+
+        monkeypatch.setattr(dist_solver, "_lts_rank_levels", spy)
+        mesh, parts, src = _dist_lts_problem()
+        solver = DistributedWaveSolver(mesh, LAYERED, parts, SimWorld(2), lts=8)
+        solver.run(_dist_force(mesh, src, solver.dt), 15.5 * solver.dt)
+        assert len(built) == 2
+        for levels, layouts in built:
+            for lev, lay in zip(levels, layouts, strict=True):
+                assert lev["K"].nnode == len(lay.local_nodes)
+                assert lev["kab"] is None and lev["B"] is None
+            assert sum("exchange" in lev for lev in levels) == 1
+        return
+    problem = {
+        "layered": _elastic_layered, "refined_corner": _elastic_refined_corner
+    }[problem]
+    _, solver, _, _ = problem()
+    plan = solver.lts_plan()
+    col_rate = plan.node_rate[solver.constraints.independent]
+    K_AB = solver.K_AB.tocsr()
+    levels = solver._lts_exec(plan)
+    for lv, lev, lay in zip(
+        plan.levels, levels, plan.local_layouts(), strict=True
+    ):
+        n_own, n_local = len(lv.own_nodes), len(lay.local_nodes)
+        assert lev["K"].nnode == n_local
+        own_dofs = (lv.own_nodes[:, None] * 3 + np.arange(3)).ravel()
+        local_dofs = (lay.local_nodes[:, None] * 3 + np.arange(3)).ravel()
+        want, kab = K_AB[own_dofs], lev["kab"]
+        if kab is None:
+            assert want.nnz == 0
+        else:
+            assert kab.shape == (3 * n_own, 3 * n_local)
+            assert np.array_equal(kab.indptr, want.indptr)
+            assert np.array_equal(local_dofs[kab.indices], want.indices)
+            dtc = lev["dtc"]
+            assert np.array_equal(kab.data, want.data * -(dtc * dtc))
+        cols = np.nonzero(col_rate == lv.rate)[0]
+        assert lev["B"].shape == (n_own, len(cols))
+        assert lev["B"].nnz == solver.B[:, cols].nnz
 
 
 def test_dist_lts_exchanges_only_at_interface_rate():

@@ -7,9 +7,7 @@ import pytest
 from repro.mesh import (
     HexMesh,
     build_constraints,
-    element_dual_graph,
     extract_mesh,
-    graph_partition,
     hex_to_tet_mesh,
     partition_metrics,
     rcb_partition,
@@ -219,20 +217,6 @@ class TestPartition:
         assert m.imbalance >= 1.0
         # shared nodes are a minority for a good partition
         assert m.total_shared_nodes < mesh.nnode / 2
-
-    def test_graph_partition(self):
-        mesh = uniform_hex_mesh(4)
-        parts = graph_partition(mesh, 4)
-        counts = np.bincount(parts, minlength=4)
-        assert counts.sum() == mesh.nelem
-        assert counts.min() > 0
-
-    def test_dual_graph_face_adjacency(self):
-        mesh = uniform_hex_mesh(2)
-        g = element_dual_graph(mesh)
-        # interior cube mesh: each of the 8 elements face-touches 3 others
-        degs = [d for _, d in g.degree()]
-        assert all(d == 3 for d in degs)
 
     def test_rcb_cut_grows_sublinearly(self):
         """Surface-to-volume: interface nodes per part shrink relative to

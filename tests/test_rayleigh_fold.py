@@ -99,19 +99,26 @@ def oracle_global(solver, force, nsteps, nodes):
 
 def oracle_lts(solver, plan, force, nsteps, nodes):
     """The two-operator clustered march (a ``beta``-scaled operator per
-    level); displacement at ``nodes`` on the sync columns, where every
+    level, both over the global state and built here); displacement at ``nodes`` on the sync columns, where every
     cluster holds the state at the same time."""
     mesh = solver.mesh
     beta = solver.beta
     dt = solver.dt
     levels = solver._lts_exec(plan)
-    Kb, kb_prev = [], []
+    K, Kb, kab, kb_prev = [], [], [], []
     for lv in plan.levels:
         e = lv.elems
+        K.append(ElasticOperator(
+            mesh.conn[e], mesh.elem_h[e], solver.lam[e], solver.mu[e],
+            mesh.nnode,
+        ))
         Kb.append(ElasticOperator(
             mesh.conn[e], mesh.elem_h[e], solver.lam[e] * beta,
             solver.mu[e] * beta, mesh.nnode,
         ))
+        own_dofs = (lv.own_nodes[:, None] * 3 + np.arange(3)).ravel()
+        dtc = lv.rate * dt
+        kab.append(solver.K_AB[own_dofs] * (-(dtc * dtc)))
         kb_prev.append(np.zeros((len(lv.own_nodes), 3)))
     kb_diag = beta * solver.K.diagonal()
     u_prev = np.zeros((mesh.nnode, 3))
@@ -126,7 +133,7 @@ def oracle_lts(solver, plan, force, nsteps, nodes):
         for i, lev in enumerate(levels):
             if j % lev["rate"]:
                 continue
-            own, interp = lev["own"], lev["interp"]
+            own, interp = lev["own"], plan.levels[i].interp_nodes
             dtc = lev["dtc"]
             ut = u.copy()
             if len(interp) and j % (2 * lev["rate"]):
@@ -135,9 +142,8 @@ def oracle_lts(solver, plan, force, nsteps, nodes):
                 ut[interp] = u_prev[interp]
             kb_u = Kb[i].matvec(ut)[own]
             r = 2.0 * solver.m[own][:, None] * u[own]
-            r -= dtc * dtc * lev["K"].matvec(ut)[own]
-            if lev["kab"] is not None:
-                r += (lev["kab"] @ ut.reshape(-1)).reshape(-1, 3)
+            r -= dtc * dtc * K[i].matvec(ut)[own]
+            r += (kab[i] @ ut.reshape(-1)).reshape(-1, 3)
             r += 0.5 * dtc * (kb_diag[own] * u[own] - kb_u)
             r += 0.5 * dtc * kb_prev[i]
             r += lev["prev_coef"] * u_prev[own] + dtc * dtc * b[own]

@@ -64,15 +64,6 @@ class TestScalarWaveCore:
             v @ s.apply_K(mu, u), u @ s.apply_K(mu, v), rtol=1e-12
         )
 
-    def test_K_diagonal_matches(self):
-        s = RegularGridScalarWave((3, 3), 10.0, 1000.0)
-        mu = np.arange(1.0, s.nelem + 1)
-        diag = s.K_diagonal(mu)
-        for i in range(s.nnode):
-            e = np.zeros(s.nnode)
-            e[i] = 1.0
-            np.testing.assert_allclose(diag[i], s.apply_K(mu, e)[i], rtol=1e-12)
-
     def test_K_material_gradient_is_exact_derivative(self):
         s = RegularGridScalarWave((4, 3), 10.0, 1000.0)
         rng = np.random.default_rng(2)
