@@ -9,8 +9,9 @@ synchronous scheduler adds only a cache lookup and the admission and
 demux bookkeeping per request).
 This script holds each promise to one number.  For the first two it
 marches the same quickstart-scale elastic problem two ways, through
-the one every-step march
-(:func:`~repro.solver.wave_solver.march_every_step`):
+the one elastic loop over a single level of every node
+(:func:`~repro.solver.wave_solver.march_clustered` over a
+:func:`~repro.solver.wave_solver.whole_level`):
 
 * the instrumented :meth:`ElasticWaveSolver.run` with telemetry
   disabled and resilience in the shipping configuration (default
@@ -71,7 +72,12 @@ from repro.mesh import extract_mesh
 from repro.octree import build_adaptive_octree
 from repro.solver import ElasticWaveSolver
 from repro.solver.frame import MarchFrame
-from repro.solver.wave_solver import drain, forcing, march_every_step
+from repro.solver.wave_solver import (
+    drain,
+    forcing,
+    march_clustered,
+    whole_level,
+)
 
 MAT = HomogeneousMaterial(vs=1000.0, vp=1800.0, rho=2000.0)
 L = 1000.0
@@ -101,10 +107,12 @@ def bare_run(solver: ElasticWaveSolver, force, nsteps: int) -> np.ndarray:
     spans, hooks, checkpoint, fault plan or health check — the
     generator, the forcing adapter and the flop count stay, so both
     sides of the ratio pay the same step.  Returns the final ``u``."""
-    return drain(march_every_step(
-        solver.K, solver._coefs(), forcing(force, solver.nnode, solver.dt),
-        MarchFrame(nsteps), count=solver.flops.add,
+    (_, u), _ = drain(march_clustered(
+        [whole_level(solver.K, solver._coefs())],
+        forcing(force, solver.nnode, solver.dt), MarchFrame(nsteps),
+        count=solver.flops.add,
     ))
+    return u
 
 
 def check_bare(

@@ -8,11 +8,12 @@ grid — from three-component records, as the hooks of the same
 :class:`~repro.inverse.problem.LeastSquaresProblem` the scalar problem
 uses:
 
-* forward: the forward solver's every-step march,
-  :func:`~repro.solver.wave_solver.march_every_step`, on a lumped-mass,
-  Lysmer-damped row set (conforming meshes; the Stacey ``c1`` coupling
-  and hanging projection are solver features not needed for the
-  exactness result here);
+* forward: the forward solver's one loop,
+  :func:`~repro.solver.wave_solver.march_clustered`, over one
+  :func:`~repro.solver.wave_solver.whole_level` — a lumped-mass,
+  Lysmer-damped row set of every node (conforming meshes; the Stacey
+  ``c1`` coupling and hanging projection are solver features not
+  needed for the exactness result here);
 * adjoint: the same dissipative leapfrog backward in time;
 * material equations: per-element accumulations against the two
   reference stiffness matrices (``K_e = h (lambda K_l + mu K_m)``) and
@@ -47,7 +48,8 @@ from repro.solver.wave_solver import (
     DEFAULT_ABSORBING,
     drain,
     lysmer_row_set,
-    march_every_step,
+    march_clustered,
+    whole_level,
 )
 
 
@@ -73,11 +75,11 @@ class _ElasticKernel:
 
     def operator(self, lam_e, mu_e) -> SimpleNamespace:
         """``K(lambda, mu)``, bound once, as the operator a march
-        applies: ``nnode``, ``matvec(u, out)`` and ``flops_per_matvec``."""
+        applies: ``nnode``, ``matvec(u, out)`` and ``flops_per_matmat``."""
         return SimpleNamespace(
             nnode=self.nnode,
             matvec=partial(self.apply, self.bind(lam_e, mu_e)),
-            flops_per_matvec=self._kernel.flops_per_matvec,
+            flops_per_matmat=self._kernel.flops_per_matmat,
         )
 
     def apply(self, K: np.ndarray, u: np.ndarray, out: np.ndarray):
@@ -201,7 +203,7 @@ class ElasticInverseProblem(LeastSquaresProblem):
         return forcing
 
     def march(self, model, forcing) -> np.ndarray:
-        """The forward solver's every-step march on the conforming,
+        """The forward solver's march over one level, the conforming,
         Lysmer-damped row set of all nodes, from ``u^0 = u^1 = 0`` (it
         starts at step 1), with ``dtc2 = 1`` because the forcings here
         arrive scaled by ``dt^2``; an ``observe`` hook stores the
@@ -213,11 +215,11 @@ class ElasticInverseProblem(LeastSquaresProblem):
         co = {**lysmer_row_set(self.mass, C, self.dt), "dtc2": 1.0}
         hist = np.zeros((self.nsteps + 1, self.mesh.nnode, 3))
 
-        def store(k, u_prev, u, u_next):
+        def store(li, k, lev, u_prev, u, u_next):
             hist[k + 1] = u_next
 
-        drain(march_every_step(
-            self.kernel.operator(lam_e, mu_e), co, forcing,
+        drain(march_clustered(
+            [whole_level(self.kernel.operator(lam_e, mu_e), co)], forcing,
             MarchFrame(self.nsteps), count=lambda kind, flops: None,
             observe=[store], resume={"k0": 1},
         ))

@@ -33,12 +33,13 @@ message for message) pin the two *transports* against each other.
 
 The programs hold no time loop of their own.  A rank's grid points are
 a *row set* of the serial solver, and the rank runs the serial
-schedule's one loop on it —
-:func:`repro.solver.wave_solver.march_every_step` or
-:func:`~repro.solver.wave_solver.march_clustered` — with its halo
-exchange as the stiffness step (``_RankFrame.exchange``: interface
-product, sends, interior product, suspend, receives, accumulate; under
-LTS only the interface-rate level's).  So a one-rank run is the serial
+solver's one loop on it,
+:func:`~repro.solver.wave_solver.march_clustered` — over one
+:func:`~repro.solver.wave_solver.whole_level` every step, or over the
+rank's clusters under LTS — with its halo exchange as the stiffness
+step (``_RankFrame.exchange``: interface product, sends, interior
+product, suspend, receives, accumulate; under LTS only the
+interface-rate level's).  So a one-rank run is the serial
 ``stacey_c1=False`` run bit for bit, and more ranks differ only by the
 order of the interface sums.  Resume, poisoning, the health sentinel
 and checkpoints are the loop's
@@ -98,7 +99,7 @@ from repro.solver.wave_solver import (
     forcing,
     lysmer_row_set,
     march_clustered,
-    march_every_step,
+    whole_level,
 )
 
 from repro import telemetry
@@ -155,8 +156,8 @@ class _RankFrame(MarchFrame):
     :class:`~repro.resilience.FaultPlan`, ``health_interval`` for the
     NaN/Inf sentinel, and a :class:`RankTimeline` (the master's
     telemetry flag does not propagate into a worker process, so
-    recording is requested through the payload).  The every-step
-    program's stride is 1, the clustered one's the sync rate.  On top
+    recording is requested through the payload).  A one-level
+    march's stride is 1, a clustered one's the sync rate.  On top
     of the frame's resume and boundary duties: fault-plan binding, the
     top-of-step hooks, the halo exchange that is the rank's stiffness
     step, the phase timeline and compute / wait split it records, and
@@ -347,9 +348,9 @@ def _lts_rank_levels(p: dict, frame: _RankFrame) -> list[dict]:
 
 def _rank_program(comm, payload):
     """SPMD rank program: one rank's march over its grid points — the
-    serial solver's every-step loop, or its clustered one when the
-    payload carries element rates — with the halo exchange as the
-    stiffness step.
+    serial solver's loop over one level of all of them, or over its
+    clusters when the payload carries element rates — with the halo
+    exchange as the stiffness step.
 
     Under the clustered schedule only the common interface-rate level
     exchanges, so ranks synchronize ``r_int`` times less often; its
@@ -357,29 +358,28 @@ def _rank_program(comm, payload):
     coarsest rate ``r_sync``, identical on every rank), which keeps the
     collective-restart recovery working unchanged.  The final
     displacement lands in the named shared result array; returns
-    wall time split into compute and communication wait (plus the
-    firings per rate when clustered).
+    wall time split into compute and communication wait, and the
+    firings per rate (every step is a rate-1 firing when not clustered).
     """
     p = payload
     clustered = "rates" in p
     frame = _RankFrame(comm, p, stride=p["r_sync"] if clustered else 1)
     force = forcing(p["force_fn"], p["result"][1], p["dt"], rows=p["gnodes"])
-    kw = dict(
-        count=lambda _kind, n: comm.add_flops(n),
-        resume={"step": p.get("resume_step")},
-    )
-    if not clustered:
+    if clustered:
+        levels = _lts_rank_levels(p, frame)
+    else:
         op = ElasticOperator(
             p["conn"], p["h"], p["lam"], p["mu"], p["nloc"],
             split_elems=p["n_iface"],
         )
-        u = yield from march_every_step(
-            op, lysmer_row_set(p["m"], p["C"], p["dt"]), force, frame,
-            exchange=frame.exchange(op, p["neighbors"]), **kw,
-        )
-        return frame.finish(u)
-    levels = _lts_rank_levels(p, frame)
-    pair, fired = yield from march_clustered(levels, force, frame, **kw)
+        levels = [{
+            **whole_level(op, lysmer_row_set(p["m"], p["C"], p["dt"])),
+            "exchange": frame.exchange(op, p["neighbors"]),
+        }]
+    pair, fired = yield from march_clustered(
+        levels, force, frame, count=lambda _kind, n: comm.add_flops(n),
+        resume={"step": p.get("resume_step")},
+    )
     return frame.finish(
         pair[1], lts_fired={lev["rate"]: n for lev, n in zip(levels, fired)}
     )
@@ -387,9 +387,10 @@ def _rank_program(comm, payload):
 
 def _shot_program(comm, payload):
     """Shot-sharded SPMD program: march this worker's slice of the
-    scenario batch over the *whole* domain as one batched every-step
-    march (each column is the single-shot run bit for bit: the batched
-    ``matmat`` is per-column exact and every other term elementwise).
+    scenario batch over the *whole* domain as one batched march over a
+    single level of every node (each column is the single-shot run bit
+    for bit: the batched ``matmat`` is per-column exact and every other
+    term elementwise).
     No sends, no receives — the transport carries nothing but the final
     states, written into the named shared result array (disjoint shot
     rows per worker)."""
@@ -401,8 +402,8 @@ def _shot_program(comm, payload):
     tail = (len(idx),)
     op = ElasticOperator(p["conn"], p["h"], p["lam"], p["mu"], nnode)
     t0 = time.perf_counter()
-    u = drain(march_every_step(
-        op, lysmer_row_set(p["m"], p["C"], p["dt"]),
+    (_, u), _ = drain(march_clustered(
+        [whole_level(op, lysmer_row_set(p["m"], p["C"], p["dt"]))],
         forcing(p["force_fns"], nnode, p["dt"], tail),
         MarchFrame(p["nsteps"]), tail,
         count=lambda _kind, n: comm.add_flops(n),
@@ -488,8 +489,8 @@ class DistributedWaveSolver:
         self.last_timeline: MergedTimeline | None = None
         #: what the rank programs of the most recent :meth:`run` /
         #: :meth:`run_shots` returned, one dict per rank
-        #: (``t_compute``, ``t_wait``, ``nsteps``; ``lts_fired`` per
-        #: rate under LTS)
+        #: (``t_compute``, ``t_wait``, ``nsteps``; a domain run's
+        #: ``lts_fired``, the firings per rate)
         self.last_timings: list[dict] | None = None
 
     def _lts_setup(self, max_rate: int) -> dict:

@@ -18,7 +18,7 @@ binned power-of-two step clusters with a 2-to-1 neighbor invariant —
 which every solver takes through its ``lts=`` knob.
 
 :class:`~repro.solver.frame.MarchFrame` is what every time loop —
-serial or rank program, every-step or clustered — does around its
+serial or rank program, one level or clustered — does around its
 schedule: resume, and poison / health check / checkpoint at its
 boundaries.
 """

@@ -1,10 +1,11 @@
 """The march frame: what every time loop does around its schedule.
 
-Every schedule in the repo — the every-step marches (elastic, which
-the rank programs of :mod:`repro.parallel.dist_solver` run too, and
-the scalar solver's) and the one clustered march, which both physics
-and the rank programs drain — advances its own state and hands the
-rest to one :class:`MarchFrame`:
+Both leapfrog bodies in the repo — the one elastic loop,
+:func:`~repro.solver.wave_solver.march_clustered`, which every
+elastic schedule, the rank programs of
+:mod:`repro.parallel.dist_solver` and the scalar solver's clustered
+march drain, and the scalar solver's fused global step — advance their
+own state and hand the rest to one :class:`MarchFrame`:
 
 * **resume** — load the restart record (the latest valid snapshot, or
   exactly one collective step), refuse a record this march cannot
@@ -15,8 +16,8 @@ rest to one :class:`MarchFrame`:
 
 A clustered-LTS state is consistent only at sync boundaries, the
 multiples of the coarsest rate (the frame's ``stride``), so that is the
-only place the frame acts and the only index it resumes from; the
-every-step schedule is stride 1.  The sentinel and the checkpoint share
+only place the frame acts and the only index it resumes from; a
+one-level (every-step) march is stride 1.  The sentinel and the checkpoint share
 one cadence rule, :func:`~repro.resilience.sync_check_due`'s quotient
 rule: due when a multiple of the interval was reached since the last
 boundary that acted, so a schedule that only sees every ``stride``-th

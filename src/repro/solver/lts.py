@@ -383,9 +383,3 @@ def constraint_groups(masters: dict) -> list[np.ndarray]:
         if len(members) > 1
     ]
 
-
-def interp_theta(j: int, rate: int) -> float:
-    """Interpolation weight for a rate-``2*rate`` neighbor at fine
-    index ``j``: 0 right after the coarse update (its ``x_prev`` *is*
-    the state at ``j*dt``), 1/2 at the half-way substep."""
-    return (j % (2 * rate)) / (2.0 * rate)

@@ -8,9 +8,10 @@ hexahedral code — the comparison the paper reports.
 
 Absorbing boundaries use the viscous (Lysmer) damping terms only, so
 the baseline's nodes are one conforming Lysmer row set and its run is
-the hexahedral solver's own every-step march
-(:func:`~repro.solver.wave_solver.march_every_step`) around the
-stored-matrix stiffness product.
+the hexahedral solver's one loop
+(:func:`~repro.solver.wave_solver.march_clustered`) over a single
+:func:`~repro.solver.wave_solver.whole_level` around the stored-matrix
+stiffness product.
 """
 
 from __future__ import annotations
@@ -33,8 +34,10 @@ from repro.solver.wave_solver import (
     drain,
     forcing,
     lysmer_row_set,
-    march_every_step,
-    receiver_hook,
+    march_clustered,
+    receiver_slots,
+    record_receivers,
+    whole_level,
 )
 from repro.util.flops import FlopCounter
 
@@ -83,7 +86,9 @@ class TetWaveSolver:
         n = self.Ke.nbytes  # dominant: per-element dense stiffness
         n += self.tet.conn.nbytes
         n += self._kernel.workspace_bytes()
-        n += 8 * 3 * self.nnode * 7  # u_prev, u, u_next, r, Ku, tmp, fbuf
+        # the one level's x_prev, x, K x (also x_next and the update's
+        # scratch), r and the forcing block, and its own-row index
+        n += 8 * 3 * self.nnode * 5 + 8 * self.nnode
         n += self.m.nbytes + self.C_diag.nbytes
         return n
 
@@ -91,6 +96,9 @@ class TetWaveSolver:
     def flops_per_matvec(self) -> int:
         """Kernel-provided count: dense per-element apply + scatter adds."""
         return self._kernel.flops_per_matvec
+
+    def flops_per_matmat(self, width: int) -> int:
+        return self._kernel.flops_per_matmat(width)
 
     def matvec(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if out is None:
@@ -112,14 +120,15 @@ class TetWaveSolver:
     ) -> Seismograms | None:
         dt = self.dt
         nsteps = int(np.ceil(t_end / dt))
-        data = receivers.allocate(3, nsteps) if receivers is not None else None
-        drain(march_every_step(
-            self, lysmer_row_set(self.m, self.C_diag, dt),
-            forcing(forces, self.nnode, dt), MarchFrame(nsteps),
-            count=self.flops.add,
-            observe=() if data is None else [
-                receiver_hook([data], [(receivers.nodes,)], record, dt)
-            ],
+        levels = [whole_level(self, lysmer_row_set(self.m, self.C_diag, dt))]
+        observe = ()
+        if receivers is not None:
+            data = receivers.allocate(3, nsteps)
+            slots = [receiver_slots(levels, receivers)]
+            observe = [record_receivers([data], slots, record, dt)]
+        drain(march_clustered(
+            levels, forcing(forces, self.nnode, dt), MarchFrame(nsteps),
+            count=self.flops.add, observe=observe,
         ))
         if receivers is None:
             return None

@@ -20,24 +20,26 @@ the number of grid points, as the paper requires.
 That update is written once, :func:`elastic_update`, as a function of
 a *row set* (all rows, one LTS cluster's own rows, a rank's grid
 points) whose coefficients come from :func:`row_coefs`.  The time loop
-around it is written once per schedule too: :func:`march_every_step`
-and :func:`march_clustered` — the one clustered loop, which the scalar
-solver's clustered march drains as well, each cluster firing on its
-own level-local state — generators over an operator (one per
-cluster), a row set (one per cluster), a :func:`forcing` and a
-:class:`~repro.solver.frame.MarchFrame` (resume, and poison / health
-check / checkpoint at its boundaries).  A loop applies ``K`` through a
-*stiffness step*: the operator's product, or the caller's — a rank of
+around it is written once too, :func:`march_clustered`: the clustered
+leapfrog, each cluster firing on its own level-local state, whose one
+level (:func:`whole_level`, every row at rate 1) is the every-step
+schedule.  It is a generator over levels (an operator and a row set
+each), a :func:`forcing` and a :class:`~repro.solver.frame.MarchFrame`
+(resume, and poison / health check / checkpoint at its boundaries).
+A level applies ``K`` through a *stiffness step*: the operator's
+product, or the caller's — a rank of
 :mod:`repro.parallel.dist_solver` passes its halo exchange, whose
-suspension is the loop's only one.  Serial callers (this solver, the
-shot slices, the linear-tet baseline, the elastic inversion's forward,
-adjoint and incremental marches) :func:`drain` a loop; a rank
-runs it with ``yield from``.  They are module functions because code
-that holds only a row set's arrays calls them.  A batch of ``B``
-scenarios is a trailing axis of the same bodies — ``tail = (B,)``
-sizes the buffers, broadcasts the per-dof diagonals and picks
-``matmat`` over ``matvec`` — so ``run`` and ``run_batch`` are wrappers
-over one ``_run``.
+suspension is the loop's only one.  Every caller drains it — this
+solver, the scalar solver's clustered march, the shot slices, the
+linear-tet baseline, the elastic inversion's forward, adjoint and
+incremental marches — except a rank, which runs it with ``yield
+from``.  It is a module function because code that holds only a row
+set's arrays calls it.  The one other leapfrog body in the package is
+the scalar solver's fused global step, which one sparse product per
+step keeps faster than a level's.  A batch of ``B`` scenarios is a
+trailing axis of the same body — ``tail = (B,)`` sizes the buffers,
+broadcasts the per-dof diagonals and picks ``matmat`` over ``matvec``
+— so ``run`` and ``run_batch`` are wrappers over one ``_run``.
 """
 
 from __future__ import annotations
@@ -277,102 +279,59 @@ def drain(march):
         return stop.value
 
 
-def receiver_hook(data, sel, record, dt):
-    """:func:`march_every_step` ``observe`` hook filling column ``k``
-    of each ``data`` block from its ``sel`` rows: the central-difference
-    velocity or (``record="displacement"``) the displacement ``u^k``."""
-    def hook(k, u_prev, u, u_next):
-        for d, rows in zip(data, sel):
+def receiver_slots(levels, receivers, b=0, tail=()) -> list[tuple]:
+    """Per-level membership of the :class:`ReceiverArray` ``receivers``
+    of scenario ``b``: each receiver node is owned by exactly one level;
+    returns ``(receiver idx, index of those nodes' rows in the level's
+    local blocks, whose own rows lead)`` pairs per level."""
+    slots = []
+    for lev in levels:
+        own = lev["own"]
+        nodes = receivers.nodes
+        pos = np.searchsorted(own, nodes)
+        pos_c = np.minimum(pos, max(len(own) - 1, 0))
+        mask = (pos < len(own)) & (own[pos_c] == nodes)
+        ridx = np.nonzero(mask)[0]
+        slots.append((ridx, _column(pos[ridx], b, tail)))
+    return slots
+
+
+def record_receivers(data, slots, record, dt):
+    """:func:`march_clustered` ``observe`` hook filling each ``data``
+    block from its :func:`receiver_slots`: a receiver is sampled when
+    the level owning it fires at fine index ``j`` (column ``j``, at the
+    level's cadence) — the central-difference velocity over the level's
+    step or (``record="displacement"``) the displacement."""
+    def hook(li, j, lev, x_prev, x, x_next):
+        for d, sl in zip(data, slots):
+            ridx, rows = sl[li]
+            if not len(ridx):
+                continue
             if record == "velocity":
-                d[:, :, k] = (u_next[rows] - u_prev[rows]) / (2.0 * dt)
+                d[ridx, :, j] = (
+                    x_next[rows] - x_prev[rows]
+                ) / (2.0 * (lev["rate"] * dt))
             else:
-                d[:, :, k] = u[rows]
+                d[ridx, :, j] = x[rows]
 
     return hook
 
 
-def march_every_step(op, co, force, frame, tail=(), *, count, exchange=None,
-                     observe=(), carry=None, resume=None, traced=False):
-    """The every-step schedule, written once: each step all rows of the
-    row set ``co`` advance — the stiffness step, then
-    :func:`elastic_update` — three state buffers rotate, and a damped
-    step's ``K u`` swaps into the Rayleigh cache.  In place: no per-step
-    O(n) allocation.  A generator that returns the final ``u``.
-
-    ``op`` is the row set's operator (``nnode``, ``matvec`` /
-    ``matmat``); ``force`` a :func:`forcing`; ``frame`` the
-    :class:`~repro.solver.frame.MarchFrame` of ``nsteps``, resumed with
-    the ``resume`` keywords, whose ``begin_step`` / ``boundary`` open
-    and close each step.  ``exchange(u, Ku)``, a generator, replaces
-    ``op``'s product as the stiffness step: a rank's halo exchange,
-    suspending once between its sends and its receives — the loop
-    suspends nowhere else.  ``count(kind, flops)`` receives each step's
-    ``"stiffness"`` and ``"update"`` work; each ``observe(k, u_prev, u,
-    u_next)`` hook sees the step before the rotation; ``carry(s)`` is
-    what the restart record holds beside the state; ``traced`` opens
-    the ``stiffness`` / ``update`` spans (none spans a suspension)."""
-    n = op.nnode
-    shape = (n, 3, *tail)
-    co = over_batch(co, tail)
-    damped = bool(co["c_kup"])
-    u_prev, u, u_next = np.zeros(shape), np.zeros(shape), np.zeros(shape)
-    r, Ku, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
-    B = co["B"]
-    r_bar = None if B is None else np.empty((B.shape[1], 3, *tail))
-    Ku_prev = np.zeros(shape) if damped else None  # K u^{k-1}
-    apply = op.matmat if tail else op.matvec
-    # the kernel's own accounting, so the batched numbers cannot drift
-    # from the 1-RHS ones
-    width = math.prod(tail)
-    flops_K = op.flops_per_matmat(width) if tail else op.flops_per_matvec
-    flops_upd = update_flops_per_node(damped) * n * width
-    span = telemetry.span if traced else telemetry.no_span
-    nelem = op.nelem if traced else 0
-
-    def snapshot(s):
-        rec = {"u_prev": u_prev, "u": u}
-        if damped:
-            rec["ku_prev"] = Ku_prev
-        if carry is not None:
-            rec.update(carry(s))
-        return rec
-
-    k0 = frame.resume(snapshot, **(resume or {}))
-    for k in range(k0, frame.nsteps):
-        frame.begin_step(k)
-        b = force(k)
-        # literal span names, no kwargs: no hot-loop allocations
-        if exchange is None:
-            with span("stiffness") as _s:
-                apply(u, out=Ku)
-                _s.add("flops", flops_K)
-                _s.add("elements", nelem)
-        else:
-            yield from exchange(u, Ku)
-        count("stiffness", flops_K)
-        with span("update") as _s:
-            elastic_update(
-                co, u, Ku, Ku_prev, u_prev, b, u, r, tmp, r_bar, u_next
-            )
-            _s.add("flops", flops_upd)
-        count("update", flops_upd)
-        if damped:
-            # this step's K u is the next step's cache
-            Ku_prev, Ku = Ku, Ku_prev
-        for hook in observe:
-            hook(k, u_prev, u, u_next)
-        u_prev, u, u_next = u, u_next, u_prev
-        # u is now x^{k+1}, u_prev is x^k — the restart pair
-        frame.boundary(k + 1, u, snapshot)
-    return u
+def whole_level(op, co) -> dict:
+    """The one level of a global-step march: every row of the operator
+    ``op`` is its own, at rate 1, with no halo.  :func:`march_clustered`
+    over ``[whole_level(op, co)]`` is the every-step schedule; a rank
+    adds its ``"exchange"``."""
+    return {"rate": 1, "own": np.arange(op.nnode), "coarse": None,
+            "fine": None, "K": op, **co}
 
 
 def march_clustered(levels, force, frame, tail=(), *, count, observe=(),
-                    carry=None, resume=None):
-    """The clustered-leapfrog schedule (contract in
-    :mod:`repro.solver.lts`), written once for every physics: one loop
-    over fine indices; each level fires when its rate divides the
-    index, coarsest first.  A level is a subdomain on its
+                    carry=None, resume=None, traced=False):
+    """The leapfrog schedule, written once for every physics and every
+    step size (contract in :mod:`repro.solver.lts`): one loop over fine
+    indices; each level fires when its rate divides the index,
+    coarsest first.  A level is a subdomain on its
     :meth:`~repro.solver.lts.LTSPlan.local_layouts` numbering and holds
     its own ``x_prev`` / ``x`` / ``x_next`` / ``Kx`` blocks, whose
     leading ``len(own)`` rows are its own values and whose tail is its
@@ -381,29 +340,42 @@ def march_clustered(levels, force, frame, tail=(), *, count, observe=(),
     ``(x_prev + x) / 2`` (theta = 1/2), the one-finer owner's ``x`` —
     applies the level's stiffness step, runs :func:`elastic_update` on
     the own rows and rotates the level's buffers: nothing node-count
-    sized is touched.  The ``frame`` strides by the coarsest rate, so
-    it acts only at sync boundaries; the global restart pair is
-    gathered from the levels' own rows only when it needs one.  A
-    generator that returns the final global pair ``(2, nnode, ...)``
-    and each level's firing count.
+    sized is touched, and no per-step O(n) allocation is made.  The
+    ``frame`` strides by the coarsest rate, so it acts only at sync
+    boundaries; the global restart pair is gathered from the levels'
+    own rows only when it needs one.  One level (a
+    :func:`whole_level`) owns every row: its buffers *are* the global
+    state, so its forcing, restart record and result are used as they
+    stand, and its record is the every-step one (``u_prev`` / ``u`` /
+    ``ku_prev``).  A generator that returns the final global pair
+    ``(x_prev, x)`` and each level's firing count.
 
     ``levels``, coarsest first, hold ``rate``, ``own`` (the ascending
     global ids of the level's own nodes), the ``coarse`` / ``fine``
-    :class:`~repro.solver.lts.HaloSource` of its layout, an
-    :func:`elastic_update` row set — a node's block is the shape of
-    its row of ``prev_coef``: ``(3,)`` elastic, ``()`` scalar — and
-    ``K``, its operator over its local rows (``nnode`` of them;
+    :class:`~repro.solver.lts.HaloSource` of its layout (None without
+    one), an :func:`elastic_update` row set — a node's block is the
+    shape of its row of ``prev_coef``: ``(3,)`` elastic, ``()`` scalar —
+    and ``K``, its operator over its local rows (``nnode`` of them;
     ``matvec`` / ``matmat`` fill at least the own rows of ``out``;
-    ``flops_per_matmat``).  A level with an ``exchange`` fires through
-    it instead of ``K``'s product (a rank's interface level).  The
-    other arguments are :func:`march_every_step`'s; an ``observe(li,
-    j, lev, x_prev, x, x_next)`` hook sees level ``li`` fire at fine
-    index ``j``, before its buffers rotate."""
+    ``flops_per_matmat``).  A level with an ``exchange(x, Kx)``, a
+    generator, fires through it instead of ``K``'s product: a rank's
+    halo exchange, suspending once between its sends and its receives
+    — the loop suspends nowhere else.  ``force`` is a :func:`forcing`;
+    ``frame`` the :class:`~repro.solver.frame.MarchFrame` of
+    ``nsteps``, resumed with the ``resume`` keywords, whose
+    ``begin_step`` / ``boundary`` open and close each fine index.
+    ``count(kind, flops)`` receives each firing's ``"stiffness"`` and
+    ``"update"`` work; each ``observe(li, j, lev, x_prev, x, x_next)``
+    hook sees level ``li`` fire at fine index ``j``, before its buffers
+    rotate; ``carry(s)`` is what the restart record holds beside the
+    state; ``traced`` opens the ``stiffness`` / ``update`` spans (none
+    spans a suspension)."""
     block = levels[0]["prev_coef"].shape[1:]
     levels = [over_batch(lev, tail) for lev in levels]
     width = math.prod(tail)
     damped = bool(levels[0]["c_kup"])
     shape = (*block, *tail)
+    whole = len(levels) == 1
     st = []
     for lev in levels:
         n_local, n_own, B = lev["K"].nnode, len(lev["own"]), lev["B"]
@@ -414,34 +386,47 @@ def march_clustered(levels, force, frame, tail=(), *, count, observe=(),
         # next firing's cache (local-sized: the two swap)
         s["x_next"] = np.empty((n_local, *shape)) if damped else s["Kx"]
         s["ku_prev"] = np.zeros((n_local, *shape)) if damped else None
-        s.update({k: np.empty((n_own, *shape)) for k in ("r", "b")})
+        s["r"] = np.empty((n_own, *shape))
+        # one level reads the forcing block as it stands
+        s["b"] = None if whole else np.empty((n_own, *shape))
         # undamped, the K x~ rows are the update's scratch too
         s["tmp"] = np.empty((n_own, *shape)) if damped else None
         s["rbar"] = None if B is None else np.empty((B.shape[1], *shape))
         st.append(s)
-    pair = np.empty((2, sum(len(lev["own"]) for lev in levels), *shape))
+    # several levels gather their own rows into one global pair
+    pair = None if whole else np.empty(
+        (2, sum(len(lev["own"]) for lev in levels), *shape)
+    )
     field = frame.field
+    loaded = False
 
-    def gather():
+    def restart_pair():
+        if whole:
+            return st[0]["x_prev"], st[0]["x"]
         for lev, s in zip(levels, st):
             n = len(lev["own"])
             pair[0][lev["own"]] = s["x_prev"][:n]
             pair[1][lev["own"]] = s["x"][:n]
+        return pair
 
     def snapshot(k):
-        gather()
-        rec = {f"{field}_prev": pair[0], field: pair[1]}
+        x_prev, x = restart_pair()
+        rec = {f"{field}_prev": x_prev, field: x}
         if damped:
-            rec.update({
-                f"ku_prev_{i}": s["ku_prev"][: len(lev["own"])]
-                for i, (lev, s) in enumerate(zip(levels, st))
-            })
+            for i, (lev, s) in enumerate(zip(levels, st)):
+                key = "ku_prev" if whole else f"ku_prev_{i}"
+                rec[key] = s["ku_prev"][: len(lev["own"])]
         if carry is not None:
             rec.update(carry(k))
         return rec
 
-    k0 = frame.resume(snapshot, **(resume or {}))
-    if k0:  # the restored pair's own rows into each level
+    def restore(k):  # the frame loads a restart record into these
+        nonlocal loaded
+        loaded = True
+        return snapshot(k)
+
+    k0 = frame.resume(restore, **(resume or {}))
+    if loaded and not whole:  # the record's own rows into each level
         for lev, s in zip(levels, st):
             n = len(lev["own"])
             for key, src in zip(("x_prev", "x"), pair):
@@ -450,11 +435,15 @@ def march_clustered(levels, force, frame, tail=(), *, count, observe=(),
     # the owner of node 0 leads its own rows with it
     i0 = next(i for i, lev in enumerate(levels) if lev["own"][0] == 0)
     fired = [0] * len(levels)
+    # the kernel's own accounting, so the batched numbers cannot drift
+    # from the 1-RHS ones
     flops = [
         (lev["K"].flops_per_matmat(width),
-         update_flops_per_node(damped) * len(lev["own"]) * width)
+         update_flops_per_node(damped) * len(lev["own"]) * width,
+         lev["K"].nelem if traced else 0)
         for lev in levels
     ]
+    span = telemetry.span if traced else telemetry.no_span
     r_min = min(lev["rate"] for lev in levels)
     for j in range(k0, frame.nsteps, r_min):
         frame.begin_step(j)
@@ -483,24 +472,31 @@ def march_clustered(levels, force, frame, tail=(), *, count, observe=(),
                     src.pos, axis=0, out=x[src.rows], mode="clip"
                 )
             K, exchange = lev["K"], lev.get("exchange")
+            fl_K, fl_upd, nelem = flops[li]
             if exchange is None:
-                (K.matmat if tail else K.matvec)(x, out=Kx)
+                # literal span names, no kwargs: no hot-loop allocations
+                with span("stiffness") as _s:
+                    (K.matmat if tail else K.matvec)(x, out=Kx)
+                    _s.add("flops", fl_K)
+                    _s.add("elements", nelem)
             else:
                 yield from exchange(x, Kx)
-            n = len(lev["own"])
-            bo = None if b is None else b.take(
-                lev["own"], axis=0, out=s["b"], mode="clip"
-            )
+            count("stiffness", fl_K)
+            n, bo = len(lev["own"]), b
+            if b is not None and s["b"] is not None:
+                bo = b.take(lev["own"], axis=0, out=s["b"], mode="clip")
             ku_prev, ko = s["ku_prev"], Kx[:n]
-            # the c1 product inside reads the whole local x, ghost
-            # layer included
-            elastic_update(
-                lev, x[:n], ko, None if ku_prev is None else ku_prev[:n],
-                x_prev[:n], bo, x, s["r"], ko if ku_prev is None else s["tmp"],
-                s["rbar"], x_next[:n],
-            )
-            count("stiffness", flops[li][0])
-            count("update", flops[li][1])
+            with span("update") as _s:
+                # the c1 product inside reads the whole local x, ghost
+                # layer included
+                elastic_update(
+                    lev, x[:n], ko, None if ku_prev is None else ku_prev[:n],
+                    x_prev[:n], bo, x, s["r"],
+                    ko if ku_prev is None else s["tmp"], s["rbar"],
+                    x_next[:n],
+                )
+                _s.add("flops", fl_upd)
+            count("update", fl_upd)
             for hook in observe:
                 hook(li, j, lev, x_prev, x, x_next)
             s["x_prev"], s["x"], s["x_next"] = x, x_next, x_prev
@@ -511,8 +507,7 @@ def march_clustered(levels, force, frame, tail=(), *, count, observe=(),
                 s["Kx"] = x_prev
             fired[li] += 1
         frame.boundary(j + r_min, st[i0]["x"], snapshot)
-    gather()
-    return pair, fired
+    return restart_pair(), fired
 
 
 class ElasticWaveSolver:
@@ -656,12 +651,15 @@ class ElasticWaveSolver:
         n += self.mesh.conn.nbytes
         n += 8 * (2 * self.mesh.nelem)  # material coefficient vectors
         n += self.K.workspace_bytes()  # gather/scatter plan + buffers
-        # time-loop vectors: u_prev, u, u_next, r, Ku, tmp, fbuf
-        nvec = 7
+        # what march_clustered allocates for one whole level: x_prev,
+        # x, K x (also x_next and the update's scratch), r and the
+        # forcing block; damped, x_next, the cached K x and tmp apart
+        nvec = 5
         if self.Kb_diag is not None:
             n += self.Kb_diag.nbytes
-            nvec += 1  # the cached K u^{k-1}
+            nvec += 3
         n += 8 * 3 * self.nnode * nvec
+        n += 8 * self.nnode  # the level's own-row index
         n += self.m.nbytes + self.m_alpha.nbytes
         n += self.A.nbytes + self.A_bar.nbytes + self._inv_A_bar.nbytes
         n += self.C_diag.nbytes
@@ -756,25 +754,6 @@ class ElasticWaveSolver:
         return levels
 
     @staticmethod
-    def _lts_receiver_slots(
-        levels: list[dict], receivers, b: int, tail: tuple
-    ) -> list[tuple]:
-        """Per-level receiver membership of scenario ``b``: each
-        receiver node is owned by exactly one level; returns
-        ``(receiver idx, index of those nodes' rows in the level's
-        local blocks, whose own rows lead)`` pairs per level."""
-        slots = []
-        for lev in levels:
-            own = lev["own"]
-            nodes = receivers.nodes
-            pos = np.searchsorted(own, nodes)
-            pos_c = np.minimum(pos, max(len(own) - 1, 0))
-            mask = (pos < len(own)) & (own[pos_c] == nodes)
-            ridx = np.nonzero(mask)[0]
-            slots.append((ridx, _column(pos[ridx], b, tail)))
-        return slots
-
-    @staticmethod
     def _lts_fill_receiver_gaps(data, levels, slots, nsteps: int) -> None:
         """Receivers owned by a coarse cluster are sampled at its own
         cadence; linearly interpolate the unrecorded columns so every
@@ -813,56 +792,38 @@ class ElasticWaveSolver:
         r_max = plan.max_rate
         return plan, -(-nsteps // r_max) * r_max
 
-    def _step_hooks(self, data, recs, tail, record, snapshots, callback):
-        """The every-step ``observe`` hooks of a run, in order: the
-        telemetry samples, the receivers, the snapshot recorder, the
-        callback — only those the run asked for."""
+    def _hooks(self, levels, data, slots, record, snapshots, callback):
+        """The ``observe`` hooks of a run, in order: the telemetry
+        samples, the receivers (:func:`record_receivers`;
+        :meth:`_lts_fill_receiver_gaps` fills the columns a coarse
+        level skips), the snapshot recorder, the callback — only those
+        the run asked for.  All but the receivers see the full state,
+        which only one level holds."""
         dt = self.dt
         hooks = []
-        if telemetry.enabled():
-            def sample(k, u_prev, u, u_next):
+        if telemetry.enabled() and len(levels) == 1:
+            def sample(li, j, lev, x_prev, x, x_next):
                 # displacement "energy" proxy — drift shows up as
                 # unbounded growth of this per-step series
                 telemetry.sample(
-                    "elastic.u2", float(np.vdot(u_next, u_next)), step=k
+                    "elastic.u2", float(np.vdot(x_next, x_next)), step=j
                 )
-                telemetry.sample_alloc(step=k)
+                telemetry.sample_alloc(step=j)
 
             hooks.append(sample)
         if data is not None:
-            sel = [_column(ra.nodes, b, tail) for b, ra in enumerate(recs)]
-            hooks.append(receiver_hook(data, sel, record, dt))
+            hooks.append(record_receivers(data, slots, record, dt))
         if snapshots is not None:
             hooks.append(
-                lambda k, u_prev, u, u_next: snapshots.maybe_record(
-                    k, k * dt, u
+                lambda li, j, lev, x_prev, x, x_next: snapshots.maybe_record(
+                    j, j * dt, x
                 )
             )
         if callback is not None:
-            hooks.append(lambda k, u_prev, u, u_next: callback(k, k * dt, u))
+            hooks.append(
+                lambda li, j, lev, x_prev, x, x_next: callback(j, j * dt, x)
+            )
         return hooks
-
-    @staticmethod
-    def _lts_hooks(data, slots, record):
-        """The clustered march's receiver hook: a receiver is sampled
-        when the cluster owning it fires (column ``j``, at the cluster's
-        own cadence; :meth:`_lts_fill_receiver_gaps` fills the rest)."""
-        if data is None:
-            return []
-
-        def hook(li, j, lev, x_prev, x, x_next):
-            for d, sl in zip(data, slots):
-                ridx, rows = sl[li]
-                if not len(ridx):
-                    continue
-                if record == "velocity":
-                    d[ridx, :, j] = (
-                        x_next[rows] - x_prev[rows]
-                    ) / (2.0 * lev["dtc"])
-                else:
-                    d[ridx, :, j] = x[rows]
-
-        return [hook]
 
     def _run(
         self, forces, t_end, tail, recs, *, record, lts, faults,
@@ -870,14 +831,25 @@ class ElasticWaveSolver:
         resume=False,
     ) -> list[Seismograms] | None:
         """What :meth:`run` (``tail = ()``) and :meth:`run_batch`
-        (``tail = (B,)``) share: resolve the LTS setting, validate,
-        drain the schedule's march — :func:`march_every_step` or
-        :func:`march_clustered` — and wrap the records, one
-        :class:`ReceiverArray` of ``recs`` per column.  Snapshots,
-        ``checkpoint`` and ``resume`` are solo arguments (the
-        checkpointed record is column 0's seismogram prefix)."""
+        (``tail = (B,)``) share: resolve the LTS setting into levels —
+        one :func:`whole_level` of every node, or the plan's clusters —
+        validate, drain :func:`march_clustered` over them and wrap the
+        records, one :class:`ReceiverArray` of ``recs`` per column.
+        Snapshots, ``checkpoint`` and ``resume`` are solo arguments
+        (the checkpointed record is column 0's seismogram prefix)."""
         plan, nsteps = self._lts_dispatch(lts, t_end)
-        if plan is not None and (snapshots is not None or callback is not None):
+        name = "elastic.run" + ("_batch" if tail else "")
+        if plan is None:
+            levels = [whole_level(self.K, self._coefs())]
+        else:
+            levels = self._lts_exec(plan)
+            name += "_lts"
+            if telemetry.enabled():
+                telemetry.gauge(
+                    "elastic.lts_theoretical_speedup",
+                    plan.theoretical_speedup(),
+                )
+        if len(levels) > 1 and (snapshots is not None or callback is not None):
             raise ValueError(
                 "snapshots/callback need the full state every step; "
                 "run with lts=0 (they are unsupported under LTS)"
@@ -894,58 +866,38 @@ class ElasticWaveSolver:
             [ra.allocate(3, nsteps) for ra in recs]
             if recs is not None else None
         )
+        slots = [
+            receiver_slots(levels, ra, b, tail)
+            for b, ra in enumerate(recs or ())
+        ]
         frame = MarchFrame(
-            nsteps, stride=1 if plan is None else plan.max_rate,
-            checkpoint=checkpoint, faults=faults,
-            health_interval=health_interval,
+            nsteps, stride=levels[0]["rate"], checkpoint=checkpoint,
+            faults=faults, health_interval=health_interval,
         )
-        kw = dict(
-            count=self.flops.add,
-            carry=None if data is None else (
-                lambda s: {"rec_data": data[0][:, :, :s]}
-            ),
-            resume={"latest": resume},
-        )
-        force = forcing(forces, self.nnode, self.dt, tail)
-        if plan is not None:
-            levels = self._lts_exec(plan)
-            slots = [
-                self._lts_receiver_slots(levels, ra, b, tail)
-                for b, ra in enumerate(recs or ())
-            ]
-            if telemetry.enabled():
-                telemetry.gauge(
-                    "elastic.lts_theoretical_speedup",
-                    plan.theoretical_speedup(),
-                )
-        name = "elastic.run" + ("_batch" if tail else "")
-        with telemetry.span(name if plan is None else name + "_lts") as _run:
+        with telemetry.span(name) as _run:
             _run.add("nsteps", nsteps)
             _run.add("nnode", self.nnode)
             if tail:
                 _run.add("batch", math.prod(tail))
-            if plan is None:
-                drain(march_every_step(
-                    self.K, self._coefs(), force, frame, tail, traced=True,
-                    observe=self._step_hooks(
-                        data, recs, tail, record, snapshots, callback
-                    ),
-                    **kw,
-                ))
-            else:
-                _run.add("levels", len(levels))
-                _run.add("max_rate", plan.max_rate)
-                before = self.flops.total
-                _, fired = drain(march_clustered(
-                    levels, force, frame, tail,
-                    observe=self._lts_hooks(data, slots, record), **kw,
-                ))
-                for lev, n in zip(levels, fired):
-                    _run.add(f"fired_r{lev['rate']}", n)
-                _run.add("flops", self.flops.total - before)
-        if plan is not None:
-            for d, sl in zip(data or (), slots):
-                self._lts_fill_receiver_gaps(d, levels, sl, nsteps)
+            _run.add("levels", len(levels))
+            _run.add("max_rate", levels[0]["rate"])
+            before = self.flops.total
+            _, fired = drain(march_clustered(
+                levels, forcing(forces, self.nnode, self.dt, tail), frame,
+                tail, count=self.flops.add, traced=True,
+                observe=self._hooks(
+                    levels, data, slots, record, snapshots, callback
+                ),
+                carry=None if data is None else (
+                    lambda s: {"rec_data": data[0][:, :, :s]}
+                ),
+                resume={"latest": resume},
+            ))
+            for lev, n in zip(levels, fired):
+                _run.add(f"fired_r{lev['rate']}", n)
+            _run.add("flops", self.flops.total - before)
+        for d, sl in zip(data or (), slots):
+            self._lts_fill_receiver_gaps(d, levels, sl, nsteps)
         if recs is None:
             return None
         return [
@@ -989,11 +941,14 @@ class ElasticWaveSolver:
 
         ``lts`` overrides the solver's clustered local-time-stepping
         setting for this run (None = use the ``lts=`` knob from the
-        constructor).  A trivial plan — every element in the rate-1
-        cluster — falls back to the every-step schedule, so ``lts``
-        enabled on an unclustered model stays bitwise-identical to
-        ``lts`` off.  Snapshot recorders and per-step callbacks need the
-        full state at every step and are not supported under LTS.
+        constructor).  Either way the run drains
+        :func:`march_clustered`: ``lts`` off, or a trivial plan — every
+        element in the rate-1 cluster — marches one
+        :func:`whole_level` of every node, so ``lts`` enabled on an
+        unclustered model stays bitwise-identical to ``lts`` off.
+        Snapshot recorders and per-step callbacks need the full state
+        at every step and are not supported on a plan of several
+        levels.
         """
         out = self._run(
             forces, t_end, (), None if receivers is None else [receivers],

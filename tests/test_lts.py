@@ -60,8 +60,14 @@ from repro.solver import (
     smooth_rates,
 )
 from repro.solver.checkpoint import CheckpointManager
-from repro.solver.lts import interp_theta, node_rates
-from repro.solver.wave_solver import update_flops_per_node
+from repro.solver.lts import node_rates
+from repro.solver.frame import MarchFrame
+from repro.solver.wave_solver import (
+    drain,
+    forcing,
+    march_clustered,
+    update_flops_per_node,
+)
 
 #: soft basin (layer 0) over stiff bedrock below z = 875 m; the 8x
 #: wave-speed ratio pins the global dt 8x below what the basin needs
@@ -163,14 +169,6 @@ def test_trivial_plan_on_uniform_material():
     )
     assert plan.trivial
     assert plan.theoretical_speedup() == 1.0
-
-
-def test_interp_theta_brackets():
-    # right after a coarse update theta = 0; at the half substep 1/2
-    for r in (1, 2, 4):
-        assert interp_theta(0, r) == 0.0
-        assert interp_theta(r, r) == 0.5
-        assert interp_theta(2 * r, r) == 0.0
 
 
 # ------------------------------------------------------- scalar solver
@@ -685,6 +683,34 @@ def test_elastic_lts_checkpoint_resume_bitwise(tmp_path):
         force, t_end, receivers=rec, lts=8, checkpoint=mgr, resume=True
     )
     assert np.array_equal(resumed.data, ref.data)
+
+
+def test_elastic_clustered_march_at_k0_1_starts_from_rest():
+    # resume={"k0": 1} loads no record: the levels start from rest, not
+    # from whatever the unloaded restart pair's memory held — so with a
+    # quiet force(0) the march equals the one from k0 = 0
+    _, solver, force, _ = _elastic_layered(damping_ratio=0.02)
+    levels = solver._lts_exec(solver.lts_plan(max_rate=8))
+    nsteps = 64
+
+    def march(k0):
+        pair, _ = drain(march_clustered(
+            levels,
+            forcing(lambda t, out: force(t, out) if t else None,
+                    solver.nnode, solver.dt),
+            MarchFrame(nsteps), count=lambda kind, n: None,
+            resume={"k0": k0},
+        ))
+        return np.array(pair)
+
+    ref = march(0)
+    assert np.any(ref)
+    # leave NaN-filled blocks on the heap for np.empty to hand out (the
+    # first 2 MB block is mapped; freeing it raises malloc's mapping
+    # threshold, so the next ones come from the heap)
+    for _ in range(3):
+        np.full(1 << 18, np.nan)
+    assert np.array_equal(march(1), ref)
 
 
 def test_elastic_lts_batch_matches_solo():
