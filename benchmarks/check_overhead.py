@@ -108,7 +108,7 @@ def bare_run(solver: ElasticWaveSolver, force, nsteps: int) -> np.ndarray:
     generator, the forcing adapter and the flop count stay, so both
     sides of the ratio pay the same step.  Returns the final ``u``."""
     (_, u), _ = drain(march_clustered(
-        [whole_level(solver.K, solver._coefs())],
+        [whole_level(solver.K, solver.row_set)],
         forcing(force, solver.nnode, solver.dt), MarchFrame(nsteps),
         count=solver.flops.add,
     ))

@@ -47,8 +47,8 @@ from repro.solver.frame import MarchFrame
 from repro.solver.wave_solver import (
     DEFAULT_ABSORBING,
     drain,
-    lysmer_row_set,
     march_clustered,
+    restrict,
     whole_level,
 )
 
@@ -212,7 +212,7 @@ class ElasticInverseProblem(LeastSquaresProblem):
         C, _ = self.boundary.matrices(
             lam_e, mu_e, self.rho_e, include_c1=False
         )
-        co = {**lysmer_row_set(self.mass, C, self.dt), "dtc2": 1.0}
+        co = {**restrict(self.mass, C, self.dt), "dtc2": 1.0}
         hist = np.zeros((self.nsteps + 1, self.mesh.nnode, 3))
 
         def store(li, k, lev, u_prev, u, u_next):

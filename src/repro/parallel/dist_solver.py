@@ -32,8 +32,9 @@ equivalence tests (``np.array_equal`` trajectories, traffic matching
 message for message) pin the two *transports* against each other.
 
 The programs hold no time loop of their own.  A rank's grid points are
-a *row set* of the serial solver, and the rank runs the serial
-solver's one loop on it,
+a *row set* of the serial solver, built by the same
+:func:`~repro.solver.wave_solver.restrict`, and the rank runs the
+serial solver's one loop on it,
 :func:`~repro.solver.wave_solver.march_clustered` — over one
 :func:`~repro.solver.wave_solver.whole_level` every step, or over the
 rank's clusters under LTS — with its halo exchange as the stiffness
@@ -49,10 +50,10 @@ phase timeline and the result write.  A shot slice is a serial batched
 march of the whole domain.
 
 Scope: lumped mass, Lysmer absorbing damping, conforming meshes — a
-rank's coefficient dict (its ``lysmer_row_set``) carries no ``c1``
-coupling, no projection and no Rayleigh term.  Adding them is three
-entries of that dict plus ghosting the masters of a rank's hanging
-nodes into its node set, not another update body or loop.
+rank's ``restrict`` call passes no ``c1`` coupling, no ``B`` and no
+Rayleigh term.  Adding them is three arguments of that call plus
+ghosting the masters of a rank's hanging nodes into its node set, not
+another update body or loop.
 
 Two parallelisation axes are available.  :meth:`DistributedWaveSolver.
 run` shards the **domain**: each worker owns an element partition and
@@ -97,8 +98,8 @@ from repro.solver.wave_solver import (
     DEFAULT_ABSORBING,
     drain,
     forcing,
-    lysmer_row_set,
     march_clustered,
+    restrict,
     whole_level,
 )
 
@@ -333,7 +334,7 @@ def _lts_rank_levels(p: dict, frame: _RankFrame) -> list[dict]:
             "own": own,
             "coarse": lay.coarse,
             "fine": lay.fine,
-            **lysmer_row_set(p["m"][own], p["C"][own], lv.rate * p["dt"]),
+            **restrict(p["m"], p["C"], lv.rate * p["dt"], rows=own),
             "K": K,
         }
         if iface:
@@ -373,7 +374,7 @@ def _rank_program(comm, payload):
             split_elems=p["n_iface"],
         )
         levels = [{
-            **whole_level(op, lysmer_row_set(p["m"], p["C"], p["dt"])),
+            **whole_level(op, restrict(p["m"], p["C"], p["dt"])),
             "exchange": frame.exchange(op, p["neighbors"]),
         }]
     pair, fired = yield from march_clustered(
@@ -403,7 +404,7 @@ def _shot_program(comm, payload):
     op = ElasticOperator(p["conn"], p["h"], p["lam"], p["mu"], nnode)
     t0 = time.perf_counter()
     (_, u), _ = drain(march_clustered(
-        [whole_level(op, lysmer_row_set(p["m"], p["C"], p["dt"]))],
+        [whole_level(op, restrict(p["m"], p["C"], p["dt"]))],
         forcing(p["force_fns"], nnode, p["dt"], tail),
         MarchFrame(p["nsteps"]), tail,
         count=lambda _kind, n: comm.add_flops(n),

@@ -54,7 +54,7 @@ from repro.physics.cfl import elem_stable_dt
 from repro.solver.checkpoint import CheckpointManager
 from repro.solver.frame import MarchFrame
 from repro.solver.lts import DEFAULT_MAX_RATE, LTSPlan, build_lts_plan
-from repro.solver.wave_solver import drain, march_clustered
+from repro.solver.wave_solver import drain, march_clustered, restrict
 from repro.util.flops import FlopCounter
 
 from repro import telemetry
@@ -568,6 +568,34 @@ class RegularGridScalarWave:
         vmax = float(np.sqrt(np.max(mu) / self.rho))
         return safety * self.h / (vmax * np.sqrt(self.d))
 
+    def _cached(self, slot: str, plan, mu, dt: float, alpha, build):
+        """Single-entry cache ``slot`` keyed on ``(plan, mu, dt,
+        alpha)``: the forward, adjoint and incremental sweeps of one
+        gradient or Gauss-Newton Hv evaluation march the *same*
+        iterate, so they share one assembly.  On a miss, ``build(mu,
+        C)`` runs with the iterate's damping diagonal ``C`` (absorbing
+        plus, given ``alpha``, mass-proportional)."""
+        mu = np.asarray(mu, dtype=float)
+        alpha = None if alpha is None else np.asarray(alpha, dtype=float)
+        c = getattr(self, slot)
+        if (
+            c is not None
+            and c[0] is plan
+            and c[2] == dt
+            and np.array_equal(c[1], mu)
+            and (c[3] is None) == (alpha is None)
+            and (alpha is None or np.array_equal(c[3], alpha))
+        ):
+            return c[4]
+        C = self.damping_diag(mu)
+        if alpha is not None:
+            C = C + self.volume_damping_diag(alpha)
+        out = build(mu, C)
+        setattr(self, slot, (
+            plan, mu.copy(), dt, None if alpha is None else alpha.copy(), out
+        ))
+        return out
+
     def _march_coeffs(self, mu, dt: float, alpha):
         """``(inv_a_plus, S)``: the inverse LHS diagonal (it scales the
         forcing) and the step operator
@@ -575,44 +603,25 @@ class RegularGridScalarWave:
             ``S = [ -A+^{-1} A- | A+^{-1} (2M - dt^2 K) ]``  (n x 2n)
 
         that takes the stacked pair ``[x^{k-1}; x^k]`` to ``x^{k+1}`` in
-        one CSR product.  Single-entry cache keyed on ``(mu, dt,
-        alpha)``: the forward, adjoint, and incremental sweeps of one
-        gradient or Gauss-Newton Hv evaluation all run on the *same*
-        ``mu``, so they share one assembly."""
-        mu = np.asarray(mu, dtype=float)
-        alpha = None if alpha is None else np.asarray(alpha, dtype=float)
-        c = self._coeff_cache
-        if (
-            c is not None
-            and c[2] == dt
-            and np.array_equal(c[0], mu)
-            and (c[1] is None) == (alpha is None)
-            and (c[1] is None or np.array_equal(c[1], alpha))
-        ):
-            return c[3], c[4]
-        C = self.damping_diag(mu)
-        if alpha is not None:
-            C = C + self.volume_damping_diag(alpha)
-        inv_a_plus = 1.0 / (self.m + 0.5 * dt * C)
-        a_minus = self.m - 0.5 * dt * C
-        # row i of S as a stencil table: [x^{k-1}_i | K's row i]
-        table = np.zeros((self.nnode, 1 + len(self._shifts)))
-        self._assemble(mu, table, col0=1)
-        step = table[:, 1:]
-        step *= -(dt * dt)
-        step[:, self._center] += 2.0 * self.m
-        step *= inv_a_plus[:, None]
-        table[:, 0] = -inv_a_plus * a_minus
-        mask, indptr, indices = self._S_pattern
-        S = CSR(indptr, indices, table[mask], 2 * self.nnode)
-        self._coeff_cache = (
-            mu.copy(),
-            None if alpha is None else alpha.copy(),
-            dt,
-            inv_a_plus,
-            S,
-        )
-        return inv_a_plus, S
+        one CSR product, from the :func:`~repro.solver.wave_solver.
+        restrict` row set of every node (``-A+^{-1} A-`` is ``inv_A_bar
+        * prev_coef``).  Cached on ``(mu, dt, alpha)``."""
+
+        def build(mu, C):
+            co = restrict(self.m, C, dt)
+            # row i of S as a stencil table: [x^{k-1}_i | K's row i]
+            table = np.zeros((self.nnode, 1 + len(self._shifts)))
+            self._assemble(mu, table, col0=1)
+            step = table[:, 1:]
+            step *= -co["c_ku"]
+            step[:, self._center] += co["c_u"]
+            step *= co["inv_A_bar"][:, None]
+            table[:, 0] = co["inv_A_bar"] * co["prev_coef"]
+            mask, indptr, indices = self._S_pattern
+            S = CSR(indptr, indices, table[mask], 2 * self.nnode)
+            return co["inv_A_bar"], S
+
+        return self._cached("_coeff_cache", None, mu, dt, alpha, build)
 
     # ----------------------------------------------- local time stepping
 
@@ -645,43 +654,27 @@ class RegularGridScalarWave:
         order, columns renumbered **level-local** (``ncols =
         len(local_nodes)``: every element touching an own node is in
         ``lv.elems``, so the cluster's nodes hold every column) — and
-        its :func:`~repro.solver.wave_solver.elastic_update`
-        coefficients at the cluster step ``dt_c = r dt``: ``c_u = 2M``,
-        ``c_ku = dt_c^2``, ``prev_coef = -A-``, ``inv_A_bar = 1/A+`` and
-        ``dtc2 = r^2`` (the forcing arrives ``dt^2``-prescaled), with no
-        Rayleigh cache, ``c1`` coupling or projection.  Single-entry
-        cache keyed on (plan, material, dt)."""
-        c = self._lts_exec_cache
-        alpha = None if alpha is None else np.asarray(alpha, dtype=float)
-        if (
-            c is not None
-            and c[0] is plan
-            and c[2] == dt
-            and np.array_equal(c[1], mu)
-            and (c[3] is None) == (alpha is None)
-            and (c[3] is None or np.array_equal(c[3], alpha))
-        ):
-            return c[4]
-        C = self.damping_diag(mu)
-        if alpha is not None:
-            C = C + self.volume_damping_diag(alpha)
-        table = np.zeros((self.nnode, len(self._shifts)))
-        self._assemble(mu, table)
-        shifts = self._shifts.astype(np.int32)
-        g2l = np.empty(self.nnode, dtype=np.int32)  # valid on one level
-        levels = []
-        for lv, lay in zip(plan.levels, plan.local_layouts()):
-            dtc = lv.rate * dt
-            own = lv.own_nodes
-            n_local = len(lay.local_nodes)
-            g2l[lay.local_nodes] = np.arange(n_local)
-            rows = self._mask[own]
-            # out-of-grid entries are clipped, then masked away
-            local_cols = np.take(
-                g2l, own.astype(np.int32)[:, None] + shifts, mode="clip"
-            )
-            levels.append(
-                {
+        the :func:`~repro.solver.wave_solver.restrict` row set of its
+        own nodes at the cluster step ``dt_c = r dt``, with ``dtc2 =
+        r^2`` (the forcing arrives ``dt^2``-prescaled).  Cached on
+        ``(plan, mu, dt, alpha)``."""
+
+        def build(mu, C):
+            table = np.zeros((self.nnode, len(self._shifts)))
+            self._assemble(mu, table)
+            shifts = self._shifts.astype(np.int32)
+            g2l = np.empty(self.nnode, dtype=np.int32)  # valid on one level
+            levels = []
+            for lv, lay in zip(plan.levels, plan.local_layouts()):
+                own = lv.own_nodes
+                n_local = len(lay.local_nodes)
+                g2l[lay.local_nodes] = np.arange(n_local)
+                rows = self._mask[own]
+                # out-of-grid entries are clipped, then masked away
+                local_cols = np.take(
+                    g2l, own.astype(np.int32)[:, None] + shifts, mode="clip"
+                )
+                levels.append({
                     "rate": lv.rate,
                     "own": own,
                     "coarse": lay.coarse,
@@ -690,20 +683,12 @@ class RegularGridScalarWave:
                         *_csr_pattern(rows, local_cols), table[own][rows],
                         n_local,
                     )),
-                    "c_u": 2.0 * self.m[own],
-                    "c_ku": dtc * dtc,
-                    "c_kup": 0.0,
-                    "prev_coef": -(self.m[own] - 0.5 * dtc * C[own]),
+                    **restrict(self.m, C, lv.rate * dt, rows=own),
                     "dtc2": float(lv.rate) ** 2,
-                    "inv_A_bar": 1.0 / (self.m[own] + 0.5 * dtc * C[own]),
-                    "kab": None,
-                    "B": None,
-                }
-            )
-        self._lts_exec_cache = (
-            plan, np.asarray(mu, dtype=float).copy(), dt, alpha, levels
-        )
-        return levels
+                })
+            return levels
+
+        return self._cached("_lts_exec_cache", plan, mu, dt, alpha, build)
 
     def step(self, mu, dt: float, x_prev, x, f=None) -> np.ndarray:
         """One step of :meth:`march` (without ``alpha``): ``x^{k+1}``

@@ -33,10 +33,10 @@ from repro.solver.wave_solver import (
     DEFAULT_ABSORBING,
     drain,
     forcing,
-    lysmer_row_set,
     march_clustered,
     receiver_slots,
     record_receivers,
+    restrict,
     whole_level,
 )
 from repro.util.flops import FlopCounter
@@ -120,7 +120,7 @@ class TetWaveSolver:
     ) -> Seismograms | None:
         dt = self.dt
         nsteps = int(np.ceil(t_end / dt))
-        levels = [whole_level(self, lysmer_row_set(self.m, self.C_diag, dt))]
+        levels = [whole_level(self, restrict(self.m, self.C_diag, dt))]
         observe = ()
         if receivers is not None:
             data = receivers.allocate(3, nsteps)

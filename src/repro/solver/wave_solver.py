@@ -19,7 +19,7 @@ the number of grid points, as the paper requires.
 
 That update is written once, :func:`elastic_update`, as a function of
 a *row set* (all rows, one LTS cluster's own rows, a rank's grid
-points) whose coefficients come from :func:`row_coefs`.  The time loop
+points) built once, by :func:`restrict`.  The time loop
 around it is written once too, :func:`march_clustered`: the clustered
 leapfrog, each cluster firing on its own level-local state, whose one
 level (:func:`whole_level`, every row at rate 1) is the every-step
@@ -94,25 +94,54 @@ def update_flops_per_node(damped: bool) -> int:
     return 18 if damped else 12
 
 
-def row_coefs(m, C_diag, dt, m_alpha=None, Kb_diag=None, beta=0.0):
-    """Coefficients of a step of size ``dt`` on one row set, from its
-    rows of the lumped mass ``m`` ``(n,)``, the boundary damping
-    ``C_diag`` ``(n, 3)`` and, when attenuating, Rayleigh ``alpha M``
-    ``(n,)`` and ``beta diag K`` ``(n, 3)``.  Returns ``(co, A)``:
+def restrict(m, C, dt, *, rows=None, local=None, m_alpha=None,
+             Kb_diag=None, beta=0.0, K_AB=None, B=None) -> dict:
+    """The :func:`elastic_update` *row set* of the rows ``rows`` (every
+    row when None) at step ``dt``: the one builder of the coefficient
+    dict every march runs on — the serial march, an LTS cluster's own
+    rows, a rank's grid points, a rank's cluster, the scalar solver's
+    levels and fused step, the elastic inversion, the tet baseline.
 
-    ``co`` — the residual coefficients of ``u``, ``K u`` and the cached
-    ``K u^{prev}`` — ``2M + (dt/2) beta diag K``, ``dt^2 + (dt/2) beta``
-    and ``(dt/2) beta``; Rayleigh ``beta K u`` is ``beta * (K u)``, so
-    one matvec serves the stiffness and the damping term — of
-    ``u^{prev}`` (mass, Rayleigh alpha, boundary damping) and of the
-    forcing; ``A`` — the LHS diagonal of eq. (2.4), which the caller
-    inverts (after projecting it, where rows hang).
-    :func:`elastic_update` is the one place that applies them."""
+    The physics is given globally: the lumped mass ``m`` ``(n,)``
+    (broadcast to ``C``'s block shape), the damping diagonal ``C``
+    ``(n, *block)`` — ``block`` is ``(3,)`` elastic, ``()`` scalar — and,
+    where they exist, Rayleigh ``alpha M`` ``m_alpha`` ``(n,)`` and
+    ``beta diag K`` ``Kb_diag`` (``C``'s shape) with its ``beta``, the
+    Stacey ``c1`` coupling ``K_AB`` (CSR over dofs) and the hanging-node
+    constraint ``B`` (CSR, rows x independent dofs).  ``local`` — the
+    global ids of the rows' local numbering, own rows first — renumbers
+    the ``c1`` columns.  The keys, with ``A = M + (dt/2)(alpha M + C +
+    beta diag K)`` the LHS diagonal of eq. (2.4):
+
+    * ``c_u = 2M + (dt/2) beta diag K``, ``c_ku = dt^2 + (dt/2) beta``,
+      ``c_kup = (dt/2) beta`` — the residual coefficients of ``u``,
+      ``K u`` and the cached ``K u^{prev}`` (Rayleigh ``beta K u`` is
+      ``beta * (K u)``: one matvec serves stiffness and damping);
+    * ``prev_coef = -(M - (dt/2)(alpha M + C))``, of ``u^{prev}``;
+    * ``dtc2 = dt^2``, of the forcing (a caller whose forcing arrives
+      scaled overrides it);
+    * ``kab`` — the rows' ``c1`` block prescaled by ``-dt^2``, its
+      columns local dofs (given ``local``) in the global stored order,
+      so the ``c1`` sums do not change; None without coupling;
+    * ``B`` / ``BT`` — the projection block: ``B``'s rows ``rows``
+      restricted to the columns they touch, ascending; None when
+      conforming;
+    * ``inv_A_bar`` — ``1 / (B^T A)`` (``1 / A`` conforming): the
+      row-sum projection of the diagonal LHS preserves its diagonality.
+
+    Raises ``ValueError`` when a ``B`` column's support leaves ``rows``
+    (the projection would not split) or a ``c1`` partner is not in
+    ``local``."""
+    if rows is not None:
+        m, C, m_alpha, Kb_diag = (
+            None if a is None else a[rows] for a in (m, C, m_alpha, Kb_diag)
+        )
     hd = 0.5 * dt
-    m = m[:, None]
-    ma = 0.0 if m_alpha is None else m_alpha[:, None]
+    block = (1,) * (C.ndim - 1)
+    m = m.reshape(-1, *block)
+    ma = 0.0 if m_alpha is None else m_alpha.reshape(-1, *block)
     c_u = 2.0 * m
-    A = (m + hd * ma) + hd * C_diag
+    A = (m + hd * ma) + hd * C
     if Kb_diag is not None:
         c_u = c_u + hd * Kb_diag
         A = A + hd * Kb_diag
@@ -120,22 +149,44 @@ def row_coefs(m, C_diag, dt, m_alpha=None, Kb_diag=None, beta=0.0):
         "c_u": c_u,
         "c_ku": dt * dt + hd * beta,
         "c_kup": hd * beta,
-        "prev_coef": (hd * ma - m) + hd * C_diag,
+        "prev_coef": (hd * ma - m) + hd * C,
         "dtc2": dt * dt,
+        "kab": None, "B": None, "BT": None,
     }
-    return co, A
-
-
-def lysmer_row_set(m, C, dt) -> dict:
-    """:func:`elastic_update` coefficients of a conforming,
-    Lysmer-damped row set at step ``dt`` from its rows of the lumped
-    mass and damping: no ``c1`` coupling, no projection, the LHS
-    diagonal inverted as it stands.  The rank programs of
-    :mod:`repro.parallel.dist_solver`, the elastic inversion's march and
-    the linear-tet baseline build theirs here, so their coefficients
-    are the serial solver's bits."""
-    co, A = row_coefs(m, C, dt)
-    return {**co, "kab": None, "B": None, "inv_A_bar": 1.0 / A}
+    if B is not None:
+        if rows is not None:
+            sub = B[rows]
+            cols = np.unique(sub.indices)
+            # the rows hold every entry of the columns they touch
+            if np.count_nonzero(np.isin(B.indices, cols)) != sub.nnz:
+                raise ValueError(
+                    "a hanging node and its masters are split across row "
+                    "sets: the projection does not restrict"
+                )
+            B = sub[:, cols].tocsr()
+        co["B"], co["BT"] = B, B.T.tocsr()
+        A = co["BT"] @ A
+    co["inv_A_bar"] = 1.0 / A
+    if K_AB is not None:
+        nb = math.prod(C.shape[1:])
+        kab = K_AB
+        if rows is not None:
+            kab = kab[(rows[:, None] * nb + np.arange(nb)).ravel()]
+        kab = (kab * -(dt * dt)).tocsr()
+        if local is not None:
+            g2l = np.full(K_AB.shape[1] // nb, -1, dtype=np.int64)
+            g2l[local] = np.arange(len(local))
+            node = g2l[kab.indices // nb]
+            if np.any(node < 0):
+                raise ValueError(
+                    "a c1 partner of the rows is not in their local set"
+                )
+            kab = csr_matrix(
+                (kab.data, nb * node + kab.indices % nb, kab.indptr),
+                shape=(kab.shape[0], nb * len(local)),
+            )
+        co["kab"] = kab if kab.nnz else None
+    return co
 
 
 def over_batch(co: dict, tail: tuple) -> dict:
@@ -155,12 +206,9 @@ def elastic_update(co, uo, ko, kpo, po, bo, u, r, tmp, rbar, out) -> None:
         + prev_coef∘u^{prev} + dt² b``,
         ``out = B (BᵀAB)⁻¹ Bᵀ r``.
 
-    ``co`` is the row set's coefficient dict — all rows of the serial
-    march, one cluster's own rows, a rank's grid points: :func:`row_coefs`
-    plus ``inv_A_bar`` and what the row set carries of ``kab`` (the
-    prescaled ``c1`` coupling) and ``B`` / ``BT``, each ``None`` when it
-    has none: a conforming row set's ``inv_A_bar`` is ``1 / A`` and
-    ``out = r ∘ inv_A_bar``.  ``uo``, ``ko``, ``kpo``, ``po`` and ``bo``
+    ``co`` is the row set's coefficient dict, built by :func:`restrict`
+    (its docstring holds the keys); without ``B``, ``out = r ∘
+    inv_A_bar``.  ``uo``, ``ko``, ``kpo``, ``po`` and ``bo``
     are its rows of ``u``, ``K u``, the cached ``K u^{prev}`` (None
     undamped), ``u^{prev}`` and the forcing (None when quiet); ``u`` is
     the full state the ``c1`` product reads; ``r``, ``tmp`` and ``rbar``
@@ -409,8 +457,7 @@ def march_clustered(levels, force, frame, tail=(), *, count, observe=(),
             pair[1][lev["own"]] = s["x"][:n]
         return pair
 
-    def snapshot(k):
-        x_prev, x = restart_pair()
+    def record(k, x_prev, x):
         rec = {f"{field}_prev": x_prev, field: x}
         if damped:
             for i, (lev, s) in enumerate(zip(levels, st)):
@@ -420,10 +467,14 @@ def march_clustered(levels, force, frame, tail=(), *, count, observe=(),
             rec.update(carry(k))
         return rec
 
+    def snapshot(k):
+        return record(k, *restart_pair())
+
     def restore(k):  # the frame loads a restart record into these
         nonlocal loaded
         loaded = True
-        return snapshot(k)
+        # the pair is overwritten: gather nothing into it first
+        return record(k, *(restart_pair() if whole else pair))
 
     k0 = frame.resume(restore, **(resume or {}))
     if loaded and not whole:  # the record's own rows into each level
@@ -581,7 +632,6 @@ class ElasticWaveSolver:
         self.C_diag, self.K_AB = StaceyBoundary(mesh, absorbing).matrices(
             lam, mu, rho, include_c1=stacey_c1
         )
-        self._has_kab = self.K_AB.nnz > 0
 
         # hanging-node constraints
         self.constraints = (
@@ -589,24 +639,13 @@ class ElasticWaveSolver:
             if constraints is not None
             else build_constraints(tree, mesh)
         )
-        B = self.constraints.B
-        self.B = B.tocsr()
-        self.BT = B.T.tocsr()
+        self.B = self.constraints.B.tocsr()
 
         self.dt = dt if dt is not None else stable_timestep(
             h, vp, safety=cfl_safety
         )
-        dt_ = self.dt
-        # LHS diagonal of eq. (2.4)
-        _, self.A = self._row_coefs(dt_)
-        # row-sum (lumped) projection of the diagonal LHS: hanging-node
-        # mass is distributed to the masters by the constraint weights,
-        # which conserves mass and "preserves the diagonality of A"
-        self.A_bar = self.BT @ self.A
-        self._inv_A_bar = 1.0 / self.A_bar
-        # c1 coupling pre-scaled by -dt^2 so the time loop accumulates
-        # it into the residual with one sparse product, no temporaries
-        self._K_AB_mdt2 = (self.K_AB * (-(dt_**2))).tocsr()
+        #: the global march's row set: every node at the solver's ``dt``
+        self.row_set = self._restrict(self.dt)
         self.flops = FlopCounter()
         #: default clustered-LTS setting for run/run_batch: 0/False =
         #: global dt, True = LTS at DEFAULT_MAX_RATE, an int = the
@@ -619,34 +658,22 @@ class ElasticWaveSolver:
     def nnode(self) -> int:
         return self.mesh.nnode
 
-    def _row_coefs(self, dt: float, own=slice(None)) -> tuple[dict, np.ndarray]:
-        """:func:`row_coefs` of a step of size ``dt`` on the rows
-        ``own`` of this solver's mass and damping diagonals."""
-        kb = self.Kb_diag
-        return row_coefs(
-            self.m[own], self.C_diag[own], dt, self.m_alpha[own],
-            None if kb is None else kb[own], self.beta,
+    def _restrict(self, dt: float, **rows) -> dict:
+        """:func:`restrict` of this solver's physics — mass, boundary
+        and Rayleigh damping, ``c1`` coupling, projection — at step
+        ``dt`` (``rows`` / ``local`` select a level's rows)."""
+        return restrict(
+            self.m, self.C_diag, dt, m_alpha=self.m_alpha,
+            Kb_diag=self.Kb_diag, beta=self.beta, K_AB=self.K_AB, B=self.B,
+            **rows,
         )
-
-    def _coefs(self) -> dict:
-        """The row set of the global march: every node at the solver's
-        own ``dt``, with the projection and the prescaled ``c1``
-        coupling ``__init__`` already holds — the same keys
-        :meth:`_lts_exec` builds per cluster."""
-        return {
-            **self._row_coefs(self.dt)[0],
-            "kab": self._K_AB_mdt2 if self._has_kab else None,
-            "B": self.B,
-            "BT": self.BT,
-            "inv_A_bar": self._inv_A_bar,
-        }
 
     def memory_bytes(self) -> int:
         """Solver working-set estimate (the paper's ~10x hex-vs-tet
         memory claim is measured from this and the tet counterpart):
         everything the solver actually holds — connectivity, kernel
-        workspace, state/force/scratch buffers, LHS diagonals, and the
-        sparse boundary/constraint structures."""
+        workspace, state/force/scratch buffers, the global row set, and
+        the sparse boundary/constraint structures."""
         n = 0
         n += self.mesh.conn.nbytes
         n += 8 * (2 * self.mesh.nelem)  # material coefficient vectors
@@ -660,12 +687,14 @@ class ElasticWaveSolver:
             nvec += 3
         n += 8 * 3 * self.nnode * nvec
         n += 8 * self.nnode  # the level's own-row index
-        n += self.m.nbytes + self.m_alpha.nbytes
-        n += self.A.nbytes + self.A_bar.nbytes + self._inv_A_bar.nbytes
-        n += self.C_diag.nbytes
-        for S in (self.K_AB, self._K_AB_mdt2, self.B, self.BT):
-            n += S.data.nbytes + S.indices.nbytes + S.indptr.nbytes
-        n += 8 * 3 * self.A_bar.shape[0]  # projected residual buffer
+        n += self.m.nbytes + self.m_alpha.nbytes + self.C_diag.nbytes
+        co = self.row_set
+        n += co["c_u"].nbytes + co["prev_coef"].nbytes
+        # inv_A_bar, and the projected residual buffer of its size
+        n += 2 * co["inv_A_bar"].nbytes
+        for S in (self.K_AB, co["kab"], co["B"], co["BT"]):
+            if S is not None:
+                n += S.data.nbytes + S.indices.nbytes + S.indptr.nbytes
         return n
 
     # ----------------------------------------------- local time stepping
@@ -694,62 +723,33 @@ class ElasticWaveSolver:
         """Static per-level execution state for the clustered loop, on
         the level's :meth:`~repro.solver.lts.LTSPlan.local_layouts`
         numbering: a stiffness operator over the cluster's elements
-        (own + one-coarser halo) and local nodes, the cluster-step
-        diagonals and residual coefficients restricted to its own
-        nodes, the per-level hanging-node projection block, and the
-        own-row slice of the Stacey ``c1`` coupling prescaled by
-        ``-dt_c^2``, its columns renumbered to local dofs.  Cached on
-        the plan object."""
+        (own + one-coarser halo) and local nodes, and the
+        :func:`restrict` row set of its own nodes at the cluster step,
+        its ``c1`` columns on the local numbering.  The hanging-node
+        closures are rate-clamped (:func:`constraint_groups`), so each
+        level's projection block splits off.  Cached on the plan
+        object."""
         c = self._lts_exec_cache
         if c is not None and c[0] is plan:
             return c[1]
         conn, h = self.mesh.conn, self.mesh.elem_h
-        # bar (independent) dof -> rate of its constraint closure; the
-        # closures are rate-clamped (constraint_groups), so each bar
-        # column's support lies inside one level
-        col_rate = plan.node_rate[self.constraints.independent]
-        Bc = self.B.tocoo()
-        assert np.array_equal(plan.node_rate[Bc.row], col_rate[Bc.col])
         g2l = np.empty(self.nnode, dtype=np.int64)  # valid on one level
         levels = []
         for lv, lay in zip(plan.levels, plan.local_layouts()):
             e, own, local = lv.elems, lv.own_nodes, lay.local_nodes
             dtc = lv.rate * self.dt
             g2l[local] = np.arange(len(local))
-            K_c = ElasticOperator(
-                g2l[conn[e]], h[e], self.lam[e], self.mu[e], len(local)
-            )
-            co, A_c = self._row_coefs(dtc, own)
-            cols = np.nonzero(col_rate == lv.rate)[0]
-            B_c = self.B[own][:, cols].tocsr()
-            BT_c = B_c.T.tocsr()
-            own_dofs = (own[:, None] * 3 + np.arange(3)).ravel()
-            kab = (self.K_AB[own_dofs] * (-(dtc * dtc))).tocsr()
-            gnode = kab.indices // 3
-            node = g2l[gnode]
-            # every c1 partner of an own node is a node of the level
-            assert np.array_equal(local[node], gnode)
-            # local columns, each row's entries in the global stored
-            # order (no re-sort), so the c1 sums do not change
-            kab = csr_matrix(
-                (kab.data, 3 * node + kab.indices % 3, kab.indptr),
-                shape=(len(own_dofs), 3 * len(local)),
-            )
-            levels.append(
-                {
-                    "rate": lv.rate,
-                    "dtc": dtc,
-                    "own": own,
-                    "coarse": lay.coarse,
-                    "fine": lay.fine,
-                    "K": K_c,
-                    **co,
-                    "B": B_c,
-                    "BT": BT_c,
-                    "inv_A_bar": 1.0 / (BT_c @ A_c),
-                    "kab": kab if kab.nnz else None,
-                }
-            )
+            levels.append({
+                "rate": lv.rate,
+                "dtc": dtc,
+                "own": own,
+                "coarse": lay.coarse,
+                "fine": lay.fine,
+                "K": ElasticOperator(
+                    g2l[conn[e]], h[e], self.lam[e], self.mu[e], len(local)
+                ),
+                **self._restrict(dtc, rows=own, local=local),
+            })
         self._lts_exec_cache = (plan, levels)
         return levels
 
@@ -840,7 +840,7 @@ class ElasticWaveSolver:
         plan, nsteps = self._lts_dispatch(lts, t_end)
         name = "elastic.run" + ("_batch" if tail else "")
         if plan is None:
-            levels = [whole_level(self.K, self._coefs())]
+            levels = [whole_level(self.K, self.row_set)]
         else:
             levels = self._lts_exec(plan)
             name += "_lts"

@@ -758,11 +758,22 @@ def _elastic_lts_oracle(solver, plan, force, nsteps, rec, record):
     that restores the halo before its ``c1`` product does not."""
     dt, nnode, mesh = solver.dt, solver.nnode, solver.mesh
     col_rate = plan.node_rate[solver.constraints.independent]
+    B_all = solver.constraints.B.tocsr()
+    beta, kb = solver.beta, solver.Kb_diag
     levels = []
     for lv in plan.levels:
         e, own, dtc = lv.elems, lv.own_nodes, lv.rate * dt
-        co, A = solver._row_coefs(dtc, own)
-        B = solver.B[own][:, np.nonzero(col_rate == lv.rate)[0]].tocsr()
+        # the row set's coefficients, written out here
+        hd, m = 0.5 * dtc, solver.m[own][:, None]
+        ma, C = solver.m_alpha[own][:, None], solver.C_diag[own]
+        c_u, A = 2.0 * m, (m + hd * ma) + hd * C
+        if kb is not None:
+            c_u, A = c_u + hd * kb[own], A + hd * kb[own]
+        co = {
+            "c_u": c_u, "c_ku": dtc * dtc + hd * beta, "c_kup": hd * beta,
+            "prev_coef": (hd * ma - m) + hd * C, "dtc2": dtc * dtc,
+        }
+        B = B_all[own][:, np.nonzero(col_rate == lv.rate)[0]].tocsr()
         BT = B.T.tocsr()
         own_dofs = (own[:, None] * 3 + np.arange(3)).ravel()
         kab = (solver.K_AB[own_dofs] * (-(dtc * dtc))).tocsr()
@@ -996,6 +1007,52 @@ def test_every_level_marches_on_its_local_layout(problem, monkeypatch):
         cols = np.nonzero(col_rate == lv.rate)[0]
         assert lev["B"].shape == (n_own, len(cols))
         assert lev["B"].nnz == solver.B[:, cols].nnz
+
+
+def test_restrict_to_rows_is_the_all_rows_set_sliced():
+    # a level's row set is the every-row set at its step, sliced: the
+    # diagonals to its own rows, the projected inverse to the columns
+    # those rows touch, bit for bit — and those columns are the ones
+    # the plan's rates select
+    _, solver, _, _ = _elastic_refined_corner(damping_ratio=0.02)
+    assert solver.beta > 0
+    plan = solver.lts_plan()
+    col_rate = plan.node_rate[solver.constraints.independent]
+    for lv, lev in zip(plan.levels, solver._lts_exec(plan), strict=True):
+        own = lv.own_nodes
+        whole = solver._restrict(lev["dtc"])
+        for key in ("c_u", "prev_coef"):
+            assert lev[key].shape == (len(own), 3)
+            assert np.array_equal(lev[key], whole[key][own])
+        for key in ("c_ku", "c_kup", "dtc2"):
+            assert lev[key] == whole[key]
+        cols = np.nonzero(col_rate == lv.rate)[0]
+        want = solver.B[own][:, cols].tocsr()
+        assert len(cols) and lev["B"].shape == want.shape
+        for a in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(lev["B"], a), getattr(want, a))
+        assert np.array_equal(lev["inv_A_bar"], whole["inv_A_bar"][cols])
+
+
+def test_restrict_refuses_a_local_set_missing_a_c1_partner():
+    _, solver, _, _ = _elastic_refined_corner()
+    plan = solver.lts_plan()
+    lv, lay = plan.levels[-1], plan.local_layouts()[-1]
+    solver._restrict(solver.dt, rows=lv.own_nodes, local=lay.local_nodes)
+    # the fine level's c1 block reaches into its halo
+    with pytest.raises(ValueError, match="c1 partner"):
+        solver._restrict(solver.dt, rows=lv.own_nodes, local=lv.own_nodes)
+
+
+def test_restrict_refuses_rows_that_split_a_hanging_node_from_its_masters():
+    _, solver, _, _ = _elastic_refined_corner()
+    every = np.arange(solver.nnode)
+    h = int(np.nonzero(solver.constraints.hanging)[0][0])
+    # its masters without it, then it without its masters
+    with pytest.raises(ValueError, match="hanging node"):
+        solver._restrict(solver.dt, rows=np.delete(every, h))
+    with pytest.raises(ValueError, match="hanging node"):
+        solver._restrict(solver.dt, rows=np.array([h]))
 
 
 def test_dist_lts_exchanges_only_at_interface_rate():

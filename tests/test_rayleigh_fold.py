@@ -79,7 +79,12 @@ def oracle_global(solver, force, nsteps, nodes):
     dt = solver.dt
     hd = 0.5 * dt
     m = solver.m[:, None]
-    prev_coef = (hd * solver.m_alpha[:, None] - m) + hd * solver.C_diag
+    ma = solver.m_alpha[:, None]
+    prev_coef = (hd * ma - m) + hd * solver.C_diag
+    B = solver.constraints.B.tocsr()
+    BT = B.T.tocsr()
+    A = (m + hd * ma) + hd * solver.C_diag + hd * kb_diag
+    inv_A_bar = 1.0 / (BT @ A)  # the projected LHS diagonal
     u_prev = np.zeros((mesh.nnode, 3))
     u = np.zeros((mesh.nnode, 3))
     kb_u_prev = np.zeros((mesh.nnode, 3))
@@ -93,7 +98,7 @@ def oracle_global(solver, force, nsteps, nodes):
         r += prev_coef * u_prev + dt * dt * force(k * dt, fbuf)
         kb_u_prev = kb_u
         data[:, :, k] = u[nodes]
-        u_prev, u = u, solver.B @ ((solver.BT @ r) * solver._inv_A_bar)
+        u_prev, u = u, B @ ((BT @ r) * inv_A_bar)
     return data
 
 
