@@ -1,15 +1,13 @@
 """Ablations of the paper's design choices (DESIGN.md).
 
-1. element-based dense matvec vs assembled CSR (cache-friendliness and
-   memory: the reason the hexahedral code stores no matrix);
+1. element-based dense matvec vs assembled CSR (the same product, and
+   the memory that is the reason the hexahedral code stores no matrix);
 2. hex vs tet memory per grid point (~10x in the paper);
 3. octree-adaptive vs uniform meshing (the ~2000x grid-point savings
    mechanism, measured at our scale);
 4. multiscale continuation vs direct fine-grid inversion (the local
    minima / entrapment remedy of Section 3.1).
 """
-
-import time
 
 import numpy as np
 
@@ -34,23 +32,11 @@ def matvec_ablation():
     # correctness (relative: the entries are modulus-scaled, ~1e9)
     y = op.matvec(u)
     err = np.abs(y - (A @ u.ravel()).reshape(-1, 3)).max() / np.abs(y).max()
-    reps = 20
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        op.matvec(u)
-    t_elem = (time.perf_counter() - t0) / reps
-    v = u.ravel()
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        A @ v
-    t_csr = (time.perf_counter() - t0) / reps
     mem_elem = mesh.conn.nbytes + 2 * 8 * mesh.nelem + 2 * 24 * 24 * 8
     mem_csr = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
     return {
         "nelem": mesh.nelem,
         "err": float(err),
-        "t_elem_ms": 1e3 * t_elem,
-        "t_csr_ms": 1e3 * t_csr,
         "mem_ratio": mem_csr / mem_elem,
     }
 
@@ -152,8 +138,7 @@ def ablations():
     m = matvec_ablation()
     lines.append(
         f"1. element-based matvec vs CSR ({m['nelem']:,} elements): "
-        f"dense-element {m['t_elem_ms']:.1f} ms vs CSR {m['t_csr_ms']:.1f} ms "
-        f"per apply (identical to {m['err']:.1e}); CSR stores "
+        f"identical to {m['err']:.1e}; CSR stores "
         f"{m['mem_ratio']:.0f}x more bytes — the matrix-free design removes "
         "that storage entirely"
     )

@@ -125,7 +125,6 @@ def cmd_forward(args) -> int:
         max_level=args.max_level,
         h_min=args.h_min,
         damping_ratio=args.damping,
-        lts=args.lts,
     )
     summary = sim.mesh_summary()
     print(f"mesh: {summary['elements']:,} elements, "
@@ -159,10 +158,10 @@ def cmd_forward(args) -> int:
         receivers=rec,
         checkpoint=ckpt,
         resume=args.resume,
+        lts=args.lts,
     )
     seis = result.seismograms
-    pgv = np.abs(seis.data).max(axis=(1, 2))
-    for i, v in enumerate(pgv):
+    for i, v in enumerate(seis.peak_ground_motion()):
         print(f"  receiver {i}: PGV {v:.4f} m/s")
     if args.out:
         np.savez_compressed(
@@ -256,18 +255,14 @@ def _profile_forward(args, out_dir: str) -> list:
         else np.zeros(mesh.nelem, dtype=np.int64)
     )
     runs = []
-    solver = DistributedWaveSolver(
-        mesh, mat, parts, SimWorld(nw), dt=dt, lts=lts
-    )
+    solver = DistributedWaveSolver(mesh, mat, parts, SimWorld(nw), dt=dt)
     with Timer() as t_run:
-        solver.run(force, t_end)
+        solver.run(force, t_end, lts=lts)
     runs.append(("sim", solver.world, solver.last_timeline, t_run.seconds))
     with ProcWorld(nw) as world:
-        solver = DistributedWaveSolver(
-            mesh, mat, parts, world, dt=dt, lts=lts
-        )
+        solver = DistributedWaveSolver(mesh, mat, parts, world, dt=dt)
         with Timer() as t_run:
-            solver.run(force, t_end)
+            solver.run(force, t_end, lts=lts)
         runs.append(("proc", world, solver.last_timeline, t_run.seconds))
 
     reports = []

@@ -35,10 +35,6 @@ class ForwardResult:
     nsteps: int
 
     @property
-    def n_grid_points(self) -> int:
-        return self.mesh.nnode
-
-    @property
     def n_elements(self) -> int:
         return self.mesh.nelem
 
@@ -66,10 +62,6 @@ class ForwardSimulation:
         Rayleigh attenuation target and fit band.
     stacey_c1:
         Full Stacey condition (vs. Lysmer-only damping).
-    lts:
-        Clustered local time stepping (``0``/``False`` = off, ``True``
-        = on with the default rate cap, an int = the cap); see
-        :mod:`repro.solver.lts`.
 
     Examples
     --------
@@ -95,7 +87,6 @@ class ForwardSimulation:
         damping_band: tuple[float, float] | None = None,
         stacey_c1: bool = True,
         cfl_safety: float = 0.5,
-        lts: int | bool = 0,
     ):
         self.material = material
         self.L = float(L)
@@ -125,7 +116,6 @@ class ForwardSimulation:
             stacey_c1=stacey_c1,
             cfl_safety=cfl_safety,
             constraints=self.constraints,
-            lts=lts,
         )
 
     @property
@@ -165,7 +155,7 @@ class ForwardSimulation:
         checkpoint=None,
         resume: bool = False,
         health_interval: int | None = None,
-        lts: int | bool | None = None,
+        lts: int | bool = 0,
         faults=None,
     ) -> ForwardResult:
         """Simulate a rupture scenario.
@@ -175,7 +165,9 @@ class ForwardSimulation:
         ``checkpoint`` (a :class:`~repro.solver.checkpoint
         .CheckpointManager`) enables durable snapshots; ``resume=True``
         restarts from the latest valid one, bit-identical to an
-        uninterrupted run.
+        uninterrupted run.  ``lts`` turns on clustered local time
+        stepping (``0``/``False`` = off, ``True`` = on with the default
+        rate cap, an int = the cap); see :mod:`repro.solver.lts`.
         """
         forces = SourceCollection(self.mesh, self.tree, scenario.sources)
         rec = (
@@ -190,8 +182,6 @@ class ForwardSimulation:
         extra = {}
         if health_interval is not None:
             extra["health_interval"] = health_interval
-        if lts is not None:
-            extra["lts"] = lts
         if faults is not None:
             extra["faults"] = faults
         seis = self.solver.run(
@@ -202,6 +192,7 @@ class ForwardSimulation:
             record=record,
             checkpoint=checkpoint,
             resume=resume,
+            lts=lts,
             **extra,
         )
         return ForwardResult(
@@ -211,5 +202,5 @@ class ForwardSimulation:
             tree=self.tree,
             solver=self.solver,
             # the count the solver marched (LTS rounds it up to a sync)
-            nsteps=self.solver._lts_dispatch(lts, t_end)[1],
+            nsteps=self.solver.schedule(lts, t_end)[1],
         )

@@ -54,19 +54,3 @@ def hex_lumped_mass_factor() -> float:
     """Lumped (row-sum) mass per node of a unit-density unit cube:
     ``rho h^3 / 8`` per node per component."""
     return 1.0 / 8.0
-
-
-def hex_element_stiffness(h: float, lam: float, mu: float) -> np.ndarray:
-    """Dense 24x24 element stiffness for a cube of edge ``h``."""
-    K_l, K_m = hex_elastic_reference()
-    return h * (lam * K_l + mu * K_m)
-
-
-def hex_consistent_mass_reference() -> np.ndarray:
-    """Unit-cube scalar consistent mass ``int N_i N_j`` (8x8); the
-    vector-valued mass is block-diagonal per component."""
-    from repro.fem.shape import shape_functions
-
-    pts, w = gauss_points_weights(3, n=2)
-    N = shape_functions(pts, 3)
-    return np.einsum("q,qi,qj->ij", w, N, N)

@@ -4,10 +4,14 @@
 preconditioning: curvature pairs ``(s, H s)`` harvested from the CG
 iterations of one Gauss-Newton step build a limited-memory BFGS
 approximation of the reduced Hessian inverse that preconditions the
-*next* step's CG.  Its base matrix ``H0`` applies a few **Frankel
-two-step** (second-order stationary Richardson) iterations to the
-regularization operator — the cheap, spectrally matched part of the
-Hessian.
+*next* step's CG.  Its base matrix ``H0`` is the scaled identity
+``(s^T y / y^T y) I`` of the newest pair unless a ``base_apply`` is
+given.  The paper's choice of ``H0`` — a few **Frankel two-step**
+(second-order stationary Richardson) iterations on the regularization
+operator, :func:`frankel_solve` with :func:`power_estimate_lmax` for
+the spectrum bound — is written here, but the one construction in the
+product (:func:`repro.inverse.multiscale.multiscale_invert`) passes no
+``base_apply``, so only the tests reach it.
 """
 
 from __future__ import annotations

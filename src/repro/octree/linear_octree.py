@@ -111,10 +111,6 @@ class LinearOctree:
         inside = np.all((rel >= 0) & (rel < self.sizes[safe, None]), axis=1)
         return np.where(ok & inside & in_lattice, idx, -1)
 
-    def covered_volume(self) -> int:
-        """Total lattice volume covered by the leaves."""
-        return int(np.sum(self.sizes.astype(object) ** 3))
-
 
 def expand(
     roots: np.ndarray,

@@ -68,7 +68,7 @@ trade-off.
 from __future__ import annotations
 
 import time
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -88,15 +88,12 @@ from repro.physics.elastic import lame_from_velocities
 from repro.physics.stacey import StaceyBoundary
 from repro.solver.checkpoint import CheckpointManager, collective_latest_step
 from repro.solver.frame import MarchFrame
-from repro.solver.lts import (
-    DEFAULT_MAX_RATE,
-    bin_rates,
-    build_lts_plan,
-    smooth_rates,
-)
+from repro.solver.lts import bin_rates, build_lts_plan, resolve, smooth_rates
 from repro.solver.wave_solver import (
     DEFAULT_ABSORBING,
+    cluster_levels,
     drain,
+    elastic_level_operator,
     forcing,
     march_clustered,
     restrict,
@@ -301,52 +298,6 @@ class _RankFrame(MarchFrame):
         return out
 
 
-def _lts_rank_levels(p: dict, frame: _RankFrame) -> list[dict]:
-    """The clusters of one rank's clustered march (see
-    :mod:`repro.solver.lts` for the schedule contract), from the rank's
-    payload: each cluster's row set at its own step and its operator,
-    on the level's :meth:`~repro.solver.lts.LTSPlan.local_layouts`
-    numbering — the serial solver's levels, minus ``c1`` and the
-    projection.
-
-    The level whose rate equals the common interface rate ``r_int``
-    carries the rank's interface elements (they are clamped to exactly
-    that rate, and the partition orders them first, so they lead the
-    level's ascending own-element list): its operator is split and it
-    fires through the ``frame``'s exchange, whose neighbor rows are
-    mapped into the level's local rows — every shared grid point is an
-    own node of that level.  Every other level is purely rank-local.
-    """
-    plan = build_lts_plan(p["conn"], p["nloc"], dt=p["dt"], rates=p["rates"])
-    r_int, n_iface = p["r_int"], p["n_iface"]
-    g2l = np.empty(p["nloc"], dtype=np.int64)  # valid on one level
-    levels = []
-    for lv, lay in zip(plan.levels, plan.local_layouts()):
-        e, own, local = lv.elems, lv.own_nodes, lay.local_nodes
-        g2l[local] = np.arange(len(local))
-        iface = r_int > 0 and lv.rate == r_int and n_iface > 0
-        K = ElasticOperator(
-            g2l[p["conn"][e]], p["h"][e], p["lam"][e], p["mu"][e],
-            len(local), split_elems=n_iface if iface else None,
-        )
-        lev = {
-            "rate": lv.rate,
-            "own": own,
-            "coarse": lay.coarse,
-            "fine": lay.fine,
-            **restrict(p["m"], p["C"], lv.rate * p["dt"], rows=own),
-            "K": K,
-        }
-        if iface:
-            neighbors = [(o, g2l[loc]) for o, loc in p["neighbors"]]
-            for (_, loc), (_, rows) in zip(p["neighbors"], neighbors):
-                assert np.all(rows < len(own))
-                assert np.array_equal(local[rows], loc)
-            lev["exchange"] = frame.exchange(K, neighbors)
-        levels.append(lev)
-    return levels
-
-
 def _rank_program(comm, payload):
     """SPMD rank program: one rank's march over its grid points — the
     serial solver's loop over one level of all of them, or over its
@@ -367,7 +318,35 @@ def _rank_program(comm, payload):
     frame = _RankFrame(comm, p, stride=p["r_sync"] if clustered else 1)
     force = forcing(p["force_fn"], p["result"][1], p["dt"], rows=p["gnodes"])
     if clustered:
-        levels = _lts_rank_levels(p, frame)
+        # the level at the common interface rate carries the rank's
+        # interface elements (clamped to exactly that rate and ordered
+        # first, so they lead its own elements): its operator is split
+        # and it fires through the exchange; every other level is
+        # purely rank-local
+        r_int = p["r_int"]
+        split = p["n_iface"] if r_int > 0 and p["n_iface"] > 0 else None
+        levels = cluster_levels(
+            build_lts_plan(p["conn"], p["nloc"], dt=p["dt"], rates=p["rates"]),
+            elastic_level_operator(
+                p["conn"], p["h"], p["lam"], p["mu"],
+                split=lambda lv: split if lv.rate == r_int else None,
+            ),
+            lambda lv, local: restrict(
+                p["m"], p["C"], lv.rate * p["dt"], rows=lv.own_nodes
+            ),
+        )
+        for lev in levels:
+            if lev["K"].split_elems is None:
+                continue
+            # every shared grid point is an own node of the level, and
+            # own nodes lead its local rows
+            own = lev["own"]
+            neighbors = [(o, np.searchsorted(own, loc))
+                         for o, loc in p["neighbors"]]
+            for (_, loc), (_, rows) in zip(p["neighbors"], neighbors):
+                assert np.all(rows < len(own))
+                assert np.array_equal(own[rows], loc)
+            lev["exchange"] = frame.exchange(lev["K"], neighbors)
     else:
         op = ElasticOperator(
             p["conn"], p["h"], p["lam"], p["mu"], p["nloc"],
@@ -419,6 +398,18 @@ def _shot_program(comm, payload):
     }
 
 
+class _RankRates(NamedTuple):
+    """The clustered schedule of a partitioned mesh
+    (:meth:`DistributedWaveSolver._lts_setup`): the global element
+    rates, the common interface rate ``r_int`` and the sync rate
+    ``max_rate`` (the coarsest rank's coarsest rate)."""
+
+    rates: np.ndarray
+    r_int: int
+    max_rate: int
+    trivial: bool
+
+
 class DistributedWaveSolver:
     """SPMD central-difference elastodynamics on an element partition.
 
@@ -446,7 +437,6 @@ class DistributedWaveSolver:
         absorbing: Sequence[tuple[int, int]] = DEFAULT_ABSORBING,
         dt: float | None = None,
         cfl_safety: float = 0.5,
-        lts: int | bool = 0,
     ):
         if len(np.unique(mesh.elem_level)) > 1:
             raise ValueError(
@@ -481,9 +471,6 @@ class DistributedWaveSolver:
             # account the setup exchange (mass + damping on interfaces)
             for o, (loc, _) in rp.shared_with.items():
                 world.stats[r].record_send(r, o, 8 * 4 * len(loc))
-        #: default LTS setting for :meth:`run` (``0``/``False`` = off,
-        #: ``True`` = on with the default rate cap, an int = the cap)
-        self.lts = lts
         self._lts_cache: tuple | None = None
         #: merged per-rank timeline of the most recent :meth:`run`,
         #: populated when telemetry is enabled at run time
@@ -494,7 +481,7 @@ class DistributedWaveSolver:
         #: ``lts_fired``, the firings per rate)
         self.last_timings: list[dict] | None = None
 
-    def _lts_setup(self, max_rate: int) -> dict:
+    def _lts_setup(self, max_rate: int) -> _RankRates:
         """Global clustered-LTS plan for the partitioned mesh.
 
         Element rates are binned and 2-to-1 smoothed **globally**, then
@@ -540,12 +527,10 @@ class DistributedWaveSolver:
             )
             for rp in self.ranks
         ]
-        ctx = {
-            "rates": rates,
-            "r_int": r_int,
-            "r_sync": max(p.max_rate for p in plans),
-            "trivial": bool(np.all(rates == 1)),
-        }
+        ctx = _RankRates(
+            rates, r_int, max(p.max_rate for p in plans),
+            bool(np.all(rates == 1)),
+        )
         self._lts_cache = (max_rate, ctx)
         return ctx
 
@@ -561,7 +546,7 @@ class DistributedWaveSolver:
         faults=None,
         health_interval: int = 0,
         retry: RetryPolicy | None = None,
-        lts: int | bool | None = None,
+        lts: int | bool = 0,
     ) -> np.ndarray:
         """March to ``t_end``; ``force_fn`` gives the *global* nodal
         force field — a :class:`~repro.sources.fault.SourceCollection`,
@@ -587,8 +572,8 @@ class DistributedWaveSolver:
         injection; ``health_interval`` arms the NaN/Inf sentinel (and
         re-validates the CFL bound up front) every that many steps.
 
-        ``lts`` (default: the constructor setting) turns on clustered
-        local time stepping — see :meth:`_lts_setup`.  Ranks then
+        ``lts`` (off by default; True, or an int rate cap) turns on
+        clustered local time stepping — see :meth:`_lts_setup`.  Ranks then
         exchange interface partial sums only at the common interface
         rate and synchronize (checkpoint / poison / health-check) only
         at multiples of the coarsest rate; ``nsteps`` is rounded up to
@@ -599,20 +584,15 @@ class DistributedWaveSolver:
         nsteps = int(np.ceil(t_end / self.dt))
         if health_interval:
             validate_cfl(self.dt, self.mesh.elem_h, self._vp)
-        lts = self.lts if lts is None else lts
-        ctx = None
-        if lts:
-            cap = DEFAULT_MAX_RATE if lts is True else int(lts)
-            c = self._lts_setup(cap)
-            if not c["trivial"]:
-                ctx = c
-                nsteps = -(-nsteps // c["r_sync"]) * c["r_sync"]
+        ctx = resolve(lts, self._lts_setup)
+        if ctx is not None:
+            nsteps = -(-nsteps // ctx.max_rate) * ctx.max_rate
         with telemetry.span("dist.run") as _s:
             _s.add("nsteps", nsteps)
             _s.add("nranks", self.world.nranks)
             if ctx is not None:
-                _s.add("lts_r_int", ctx["r_int"])
-                _s.add("lts_r_sync", ctx["r_sync"])
+                _s.add("lts_r_int", ctx.r_int)
+                _s.add("lts_r_sync", ctx.max_rate)
             return self._run_spmd(
                 force_fn, nsteps,
                 checkpoint_dir=checkpoint_dir,
@@ -707,9 +687,9 @@ class DistributedWaveSolver:
             )
             if lts_ctx is not None:
                 pl.update(
-                    rates=lts_ctx["rates"][rp.elements],
-                    r_int=lts_ctx["r_int"],
-                    r_sync=lts_ctx["r_sync"],
+                    rates=lts_ctx.rates[rp.elements],
+                    r_int=lts_ctx.r_int,
+                    r_sync=lts_ctx.max_rate,
                 )
             payloads.append(pl)
         return payloads

@@ -69,6 +69,10 @@ from repro.telemetry import spans
 
 _HDR = 6  # per-slot header int64s: tag, ndim, shape[0..2], crc32
 
+#: seconds the master's gather waits on the worker pipes per poll: the
+#: latency of noticing a dead worker
+POLL_TICK = 0.05
+
 
 class TransportCorruption(RuntimeError):
     """A channel payload failed its CRC32 check on receive."""
@@ -339,7 +343,7 @@ class ProcWorld:
     Failure handling: ``hang_timeout`` (seconds, None = disabled)
     bounds how long a rank may go without any pipe activity
     (result/error/heartbeat) before the gather declares it hung; dead
-    workers are detected within one poll tick either way.  Both paths
+    workers are detected within one :data:`POLL_TICK` either way.  Both paths
     tear the pool down and raise :class:`WorkerFailure` with
     ``fatal=True`` — call :meth:`respawn` before reuse.
     """
@@ -350,10 +354,8 @@ class ProcWorld:
         *,
         slot_bytes: int = 1 << 18,
         timeout: float = 120.0,
-        start_method: str | None = None,
         hang_timeout: float | None = None,
         heartbeat_interval: float = 0.5,
-        poll_tick: float = 0.05,
     ):
         if nranks < 1:
             raise ValueError("need at least one rank")
@@ -362,7 +364,6 @@ class ProcWorld:
         self.timeout = float(timeout)
         self.hang_timeout = hang_timeout
         self.heartbeat_interval = float(heartbeat_interval)
-        self.poll_tick = float(poll_tick)
         self.stats = [TrafficStats() for _ in range(nranks)]
         #: recovery accounting: pool respawns over this world's lifetime
         self.respawns = 0
@@ -377,7 +378,8 @@ class ProcWorld:
             resource_tracker.ensure_running()
         except Exception:
             pass
-        self._ctx = mp.get_context(start_method)
+        # the platform's default start method (fork on Linux)
+        self._ctx = mp.get_context()
         self._spawn()
         _LIVE_WORLDS.add(self)
 
@@ -451,7 +453,7 @@ class ProcWorld:
             by_pipe = {self._pipes[r]: r for r in pending}
             try:
                 ready = mp_connection.wait(
-                    list(by_pipe), timeout=self.poll_tick
+                    list(by_pipe), timeout=POLL_TICK
                 )
             except OSError:
                 ready = []
@@ -644,12 +646,13 @@ def attach_shared_array(name, shape, dtype=np.float64):
     """Attach to a named shared-memory array from a worker; returns
     ``(shm, view)``.
 
-    Under the fork start method (the ProcWorld default on Linux) the
-    workers share the parent's resource-tracker process, whose cache
-    holds one entry per segment name — the worker's attach re-register
-    deduplicates against the creator's, and the creator's ``unlink``
-    retires it exactly once.  (Unregistering here instead would strip
-    the creator's entry and make its unlink warn.)"""
+    Under the platform's default start method, which ProcWorld uses
+    (fork on Linux), the workers share the parent's resource-tracker
+    process, whose cache holds one entry per segment name — the
+    worker's attach re-register deduplicates against the creator's,
+    and the creator's ``unlink`` retires it exactly once.
+    (Unregistering here instead would strip the creator's entry and
+    make its unlink warn.)"""
     shm = shared_memory.SharedMemory(name=name)
     view = np.frombuffer(shm.buf, dtype=dtype)[: int(np.prod(shape))]
     return shm, view.reshape(shape)

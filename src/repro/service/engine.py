@@ -35,7 +35,8 @@ class SimulationSpec:
     """Everything that determines the expensive immutables of a basin.
 
     Mirrors the :class:`~repro.core.simulation.ForwardSimulation`
-    constructor; :attr:`key` is the stable content hash of every field
+    constructor, plus ``lts``, which :class:`Engine` passes to every run
+    of the spec; :attr:`key` is the stable content hash of every field
     (including the material model's arrays), so a cache entry can never
     be served across a change that would alter the constructed
     operators.  The key also hashes the literal ``backend="numpy"``:
@@ -97,7 +98,6 @@ class SimulationSpec:
             damping_band=self.damping_band,
             stacey_c1=self.stacey_c1,
             cfl_safety=self.cfl_safety,
-            lts=self.lts,
         )
 
 
@@ -165,6 +165,7 @@ class Engine:
         telemetry.count("service.submits")
         if self.faults is not None:
             run_kwargs.setdefault("faults", self.faults)
+        run_kwargs.setdefault("lts", spec.lts)
         with telemetry.trace_context(
             trace_id if trace_id is not None
             else telemetry.get_trace_context()
@@ -223,7 +224,8 @@ class Engine:
         with telemetry.span("service.run_batch") as _s:
             _s.add("batch", len(scenarios))
             return sim.solver.run_batch(
-                forces, t_end, receivers=recs, record=record, **extra
+                forces, t_end, receivers=recs, record=record, lts=spec.lts,
+                **extra
             )
 
     # -------------------------------------------------------- lifetime

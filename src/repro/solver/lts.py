@@ -61,6 +61,7 @@ __all__ = [
     "build_lts_plan",
     "constraint_groups",
     "node_rates",
+    "resolve",
     "smooth_rates",
 ]
 
@@ -315,6 +316,22 @@ def build_lts_plan(
     # over its adjacent elements, so it always names an existing level)
     assert sum(len(lv.own_nodes) for lv in levels) == nnode
     return plan
+
+
+def resolve(lts, plan_for):
+    """The clustered schedule a run's ``lts`` argument asks for, or None
+    for the global-step march: ``lts`` is off (``0`` / ``False`` /
+    None), ``True`` (the :data:`DEFAULT_MAX_RATE` cap), an int cap or a
+    ready plan; ``plan_for(cap)`` builds the caller's plan under a cap.
+    A trivial plan — one rate-1 cluster — is None too, so ``lts`` on an
+    unclustered model runs the global march bit for bit."""
+    if not lts:
+        return None
+    if isinstance(lts, LTSPlan):
+        plan = lts
+    else:
+        plan = plan_for(DEFAULT_MAX_RATE if lts is True else int(lts))
+    return None if plan.trivial else plan
 
 
 def _local_layouts(plan: LTSPlan) -> list[LTSLocalLayout]:

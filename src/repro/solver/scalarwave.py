@@ -53,8 +53,13 @@ from repro.fem.scalar_element import scalar_stiffness_reference
 from repro.physics.cfl import elem_stable_dt
 from repro.solver.checkpoint import CheckpointManager
 from repro.solver.frame import MarchFrame
-from repro.solver.lts import DEFAULT_MAX_RATE, LTSPlan, build_lts_plan
-from repro.solver.wave_solver import drain, march_clustered, restrict
+from repro.solver.lts import DEFAULT_MAX_RATE, LTSPlan, build_lts_plan, resolve
+from repro.solver.wave_solver import (
+    cluster_levels,
+    drain,
+    march_clustered,
+    restrict,
+)
 from repro.util.flops import FlopCounter
 
 from repro import telemetry
@@ -514,54 +519,6 @@ class RegularGridScalarWave:
         )
         return g
 
-    def plane_wave_injection(
-        self,
-        mu: np.ndarray,
-        incident_velocity: Callable[[np.ndarray], np.ndarray],
-        dt: float,
-        *,
-        axis: int | None = None,
-        side: int = 1,
-    ) -> Callable[[int], np.ndarray]:
-        """Forcing that injects a plane wave through an absorbing face.
-
-        With a Lysmer dashpot on the boundary, an incident wave of
-        particle velocity ``v_inc(t)`` entering through face
-        ``(axis, side)`` is realized by the standard traction
-        ``2 sqrt(rho mu) v_inc`` applied on the face (the factor 2
-        compensates the dashpot absorbing half of it).  Used by the
-        layer-over-halfspace verification against the Haskell transfer
-        function.
-
-        Returns a ``forcing(k)`` callable for :meth:`march` (includes
-        the ``dt^2`` scaling).
-        """
-        axis = self.d - 1 if axis is None else axis
-        if (axis, side) not in self.absorbing:
-            raise ValueError("plane waves must enter through an absorbing face")
-        mu = np.asarray(mu, dtype=float)
-        elems, fnodes = self._boundary[self.absorbing.index((axis, side))]
-        w = self.h ** (self.d - 1) / (1 << (self.d - 1))
-        coef = 2.0 * np.sqrt(self.rho * mu[elems]) * w  # per face element
-        # the accumulated per-node amplitude is time-invariant: fold the
-        # scatter into one bincount here and scale it per step (the old
-        # np.add.at per call was pure waste)
-        amp_node = np.bincount(
-            fnodes.ravel(),
-            weights=dt**2 * np.repeat(coef, fnodes.shape[1]),
-            minlength=self.nnode,
-        )
-        buf = np.zeros(self.nnode)  # reused: march only reads it
-
-        def forcing(k: int) -> np.ndarray | None:
-            v = float(incident_velocity(k * dt))
-            if v == 0.0:
-                return None
-            np.multiply(amp_node, v, out=buf)
-            return buf
-
-        return forcing
-
     # ---------------------------------------------------------- leapfrog
 
     def stable_dt(self, mu: np.ndarray, *, safety: float = 0.5) -> float:
@@ -647,9 +604,8 @@ class RegularGridScalarWave:
         return plan
 
     def _lts_exec(self, plan, mu, dt, alpha):
-        """Per-level row sets of the clustered march, one subdomain per
-        cluster on its :meth:`~repro.solver.lts.LTSPlan.local_layouts`
-        numbering: the level's stiffness step — the own rows of the
+        """The :func:`~repro.solver.wave_solver.cluster_levels` of the
+        clustered march: the level's stiffness step — the own rows of the
         global ``K(mu)``, each row's entries in the global stored
         order, columns renumbered **level-local** (``ncols =
         len(local_nodes)``: every element touching an own node is in
@@ -663,30 +619,25 @@ class RegularGridScalarWave:
             table = np.zeros((self.nnode, len(self._shifts)))
             self._assemble(mu, table)
             shifts = self._shifts.astype(np.int32)
-            g2l = np.empty(self.nnode, dtype=np.int32)  # valid on one level
-            levels = []
-            for lv, lay in zip(plan.levels, plan.local_layouts()):
+
+            def operator(lv, g2l, n_local):
                 own = lv.own_nodes
-                n_local = len(lay.local_nodes)
-                g2l[lay.local_nodes] = np.arange(n_local)
                 rows = self._mask[own]
                 # out-of-grid entries are clipped, then masked away
                 local_cols = np.take(
                     g2l, own.astype(np.int32)[:, None] + shifts, mode="clip"
                 )
-                levels.append({
-                    "rate": lv.rate,
-                    "own": own,
-                    "coarse": lay.coarse,
-                    "fine": lay.fine,
-                    "K": _LevelStiffness(CSR(
-                        *_csr_pattern(rows, local_cols), table[own][rows],
-                        n_local,
-                    )),
-                    **restrict(self.m, C, lv.rate * dt, rows=own),
+                return _LevelStiffness(CSR(
+                    *_csr_pattern(rows, local_cols), table[own][rows], n_local
+                ))
+
+            return cluster_levels(
+                plan, operator,
+                lambda lv, local: {
+                    **restrict(self.m, C, lv.rate * dt, rows=lv.own_nodes),
                     "dtc2": float(lv.rate) ** 2,
-                })
-            return levels
+                },
+            )
 
         return self._cached("_lts_exec_cache", plan, mu, dt, alpha, build)
 
@@ -763,29 +714,21 @@ class RegularGridScalarWave:
         Faults, the sentinel and checkpoints act at sync boundaries
         only, and a resume restarts from one bit-identically.
         """
-        plan = None
-        if lts:
-            if isinstance(lts, LTSPlan):
-                plan = lts
-            else:
-                cap = DEFAULT_MAX_RATE if lts is True else int(lts)
-                # all nodes must be synchronized when the march ends,
-                # so the coarsest rate must divide nsteps: cap by the
-                # largest power of two that does
-                cap = min(cap, nsteps & -nsteps)
-                plan = self.lts_plan(mu, max_rate=cap)
-            if plan.trivial:
-                plan = None
-            elif (
-                store or on_step is not None
-                or x0 is not None or x1 is not None
-            ):
+        # all nodes must be synchronized when the march ends, so the
+        # coarsest rate must divide nsteps: cap by the largest power of
+        # two that does
+        plan = resolve(lts, lambda cap: self.lts_plan(
+            mu, max_rate=min(cap, nsteps & -nsteps)
+        ))
+        if plan is not None:
+            if (store or on_step is not None
+                    or x0 is not None or x1 is not None):
                 raise ValueError(
                     "lts marches run from rest with store=False (no "
                     "history storage, on_step callbacks, or initial "
                     "states)"
                 )
-            elif nsteps % plan.max_rate:
+            if nsteps % plan.max_rate:
                 raise ValueError(
                     f"nsteps = {nsteps} must be a multiple of the coarsest "
                     f"cluster rate {plan.max_rate} so the march ends "

@@ -70,6 +70,7 @@ from repro.solver.lts import (
     LTSPlan,
     build_lts_plan,
     constraint_groups,
+    resolve,
 )
 from repro.util.flops import FlopCounter
 
@@ -374,6 +375,50 @@ def whole_level(op, co) -> dict:
             "fine": None, "K": op, **co}
 
 
+def cluster_levels(plan: LTSPlan, operator, row_set) -> list[dict]:
+    """The levels of a clustered march, one per cluster of ``plan``,
+    coarsest first, each on its
+    :meth:`~repro.solver.lts.LTSPlan.local_layouts` numbering (own rows
+    first, ghost layer behind) — the one builder of every clustered
+    level: the elastic solver's, a rank's and the scalar solver's.  The
+    caller passes its physics as two callbacks:
+    ``operator(lv, g2l, n_local)`` returns the level's stiffness over
+    its ``n_local`` local rows, ``g2l`` mapping the global ids of the
+    level's nodes to them (valid during the call only), and
+    ``row_set(lv, local)`` returns the :func:`restrict` row set of
+    ``lv.own_nodes`` at the level's step, ``local`` being the layout's
+    global ids."""
+    g2l = np.empty(len(plan.node_rate), dtype=np.int64)
+    levels = []
+    for lv, lay in zip(plan.levels, plan.local_layouts()):
+        local = lay.local_nodes
+        g2l[local] = np.arange(len(local))
+        levels.append({
+            "rate": lv.rate,
+            "own": lv.own_nodes,
+            "coarse": lay.coarse,
+            "fine": lay.fine,
+            "K": operator(lv, g2l, len(local)),
+            **row_set(lv, local),
+        })
+    return levels
+
+
+def elastic_level_operator(conn, h, lam, mu, split=lambda lv: None):
+    """The :func:`cluster_levels` ``operator`` of the elastic stiffness
+    of the elements ``(conn, h, lam, mu)``: a level's
+    :class:`ElasticOperator` over its cluster's elements on its local
+    numbering.  ``split(lv)`` — a rank's — names the level's leading
+    interface elements, whose product the halo exchange runs first."""
+    def operator(lv, g2l, n_local):
+        e = lv.elems
+        return ElasticOperator(
+            g2l[conn[e]], h[e], lam[e], mu[e], n_local, split_elems=split(lv)
+        )
+
+    return operator
+
+
 def march_clustered(levels, force, frame, tail=(), *, count, observe=(),
                     carry=None, resume=None, traced=False):
     """The leapfrog schedule, written once for every physics and every
@@ -599,7 +644,6 @@ class ElasticWaveSolver:
         dt: float | None = None,
         cfl_safety: float = 0.5,
         constraints: HangingNodeInfo | None = None,
-        lts: int | bool = 0,
     ):
         self.mesh = mesh
         self.tree = tree
@@ -623,10 +667,11 @@ class ElasticWaveSolver:
             #: hoisted out of the time loop: the diagonal is a full
             #: O(nelem) scatter, constant across steps
             self.Kb_diag = self.beta * self.K.diagonal()
+            self.m_alpha = self.alpha * self.m
         else:
+            # undamped, restrict's zero Rayleigh terms give the same bits
             self.alpha = self.beta = 0.0
-            self.Kb_diag = None
-        self.m_alpha = self.alpha * self.m
+            self.Kb_diag = self.m_alpha = None
 
         # Stacey absorbing boundaries
         self.C_diag, self.K_AB = StaceyBoundary(mesh, absorbing).matrices(
@@ -647,10 +692,6 @@ class ElasticWaveSolver:
         #: the global march's row set: every node at the solver's ``dt``
         self.row_set = self._restrict(self.dt)
         self.flops = FlopCounter()
-        #: default clustered-LTS setting for run/run_batch: 0/False =
-        #: global dt, True = LTS at DEFAULT_MAX_RATE, an int = the
-        #: max-rate cap (power of two)
-        self.lts = lts
         self._lts_plan_cache = None
         self._lts_exec_cache = None
 
@@ -682,12 +723,14 @@ class ElasticWaveSolver:
         # x, K x (also x_next and the update's scratch), r and the
         # forcing block; damped, x_next, the cached K x and tmp apart
         nvec = 5
+        if self.m_alpha is not None:
+            n += self.m_alpha.nbytes
         if self.Kb_diag is not None:
             n += self.Kb_diag.nbytes
             nvec += 3
         n += 8 * 3 * self.nnode * nvec
         n += 8 * self.nnode  # the level's own-row index
-        n += self.m.nbytes + self.m_alpha.nbytes + self.C_diag.nbytes
+        n += self.m.nbytes + self.C_diag.nbytes
         co = self.row_set
         n += co["c_u"].nbytes + co["prev_coef"].nbytes
         # inv_A_bar, and the projected residual buffer of its size
@@ -720,36 +763,25 @@ class ElasticWaveSolver:
         return plan
 
     def _lts_exec(self, plan: LTSPlan) -> list[dict]:
-        """Static per-level execution state for the clustered loop, on
-        the level's :meth:`~repro.solver.lts.LTSPlan.local_layouts`
-        numbering: a stiffness operator over the cluster's elements
-        (own + one-coarser halo) and local nodes, and the
-        :func:`restrict` row set of its own nodes at the cluster step,
-        its ``c1`` columns on the local numbering.  The hanging-node
-        closures are rate-clamped (:func:`constraint_groups`), so each
-        level's projection block splits off.  Cached on the plan
-        object."""
+        """The :func:`cluster_levels` of ``plan``: each level's
+        stiffness over the cluster's elements (own + one-coarser halo)
+        and local nodes, and the :meth:`_restrict` row set of its own
+        nodes at the cluster step, its ``c1`` columns on the local
+        numbering.  The hanging-node closures are rate-clamped
+        (:func:`constraint_groups`), so each level's projection block
+        splits off.  Cached on the plan object."""
         c = self._lts_exec_cache
         if c is not None and c[0] is plan:
             return c[1]
-        conn, h = self.mesh.conn, self.mesh.elem_h
-        g2l = np.empty(self.nnode, dtype=np.int64)  # valid on one level
-        levels = []
-        for lv, lay in zip(plan.levels, plan.local_layouts()):
-            e, own, local = lv.elems, lv.own_nodes, lay.local_nodes
-            dtc = lv.rate * self.dt
-            g2l[local] = np.arange(len(local))
-            levels.append({
-                "rate": lv.rate,
-                "dtc": dtc,
-                "own": own,
-                "coarse": lay.coarse,
-                "fine": lay.fine,
-                "K": ElasticOperator(
-                    g2l[conn[e]], h[e], self.lam[e], self.mu[e], len(local)
-                ),
-                **self._restrict(dtc, rows=own, local=local),
-            })
+        levels = cluster_levels(
+            plan,
+            elastic_level_operator(
+                self.mesh.conn, self.mesh.elem_h, self.lam, self.mu
+            ),
+            lambda lv, local: self._restrict(
+                lv.rate * self.dt, rows=lv.own_nodes, local=local
+            ),
+        )
         self._lts_exec_cache = (plan, levels)
         return levels
 
@@ -771,23 +803,17 @@ class ElasticWaveSolver:
                         cols, fcols, data[i, comp, filled]
                     )
 
-    def _lts_dispatch(self, lts, t_end: float) -> tuple[LTSPlan | None, int]:
-        """Resolve the effective LTS setting for a run: returns the
-        non-trivial plan (or None for the global loop) and ``nsteps``.
-        The march must end on a sync boundary (all nodes at the same
-        time), so ``nsteps`` is rounded **up** to the next multiple of
-        the coarsest cluster rate — a few extra steps past ``t_end``,
-        never fewer."""
-        lts = self.lts if lts is None else lts
+    def schedule(self, lts, t_end: float) -> tuple[LTSPlan | None, int]:
+        """The schedule a run to ``t_end`` marches: the non-trivial
+        plan its ``lts`` argument resolves to (:func:`~repro.solver.lts.
+        resolve`; None for the global loop) and ``nsteps``.  The march
+        must end on a sync boundary (all nodes at the same time), so
+        ``nsteps`` is rounded **up** to the next multiple of the
+        coarsest cluster rate — a few extra steps past ``t_end``, never
+        fewer."""
         nsteps = int(np.ceil(t_end / self.dt))
-        if not lts:
-            return None, nsteps
-        if isinstance(lts, LTSPlan):
-            plan = lts
-        else:
-            cap = DEFAULT_MAX_RATE if lts is True else int(lts)
-            plan = self.lts_plan(max_rate=cap)
-        if plan.trivial:
+        plan = resolve(lts, lambda cap: self.lts_plan(max_rate=cap))
+        if plan is None:
             return None, nsteps
         r_max = plan.max_rate
         return plan, -(-nsteps // r_max) * r_max
@@ -837,7 +863,7 @@ class ElasticWaveSolver:
         records, one :class:`ReceiverArray` of ``recs`` per column.
         Snapshots, ``checkpoint`` and ``resume`` are solo arguments
         (the checkpointed record is column 0's seismogram prefix)."""
-        plan, nsteps = self._lts_dispatch(lts, t_end)
+        plan, nsteps = self.schedule(lts, t_end)
         name = "elastic.run" + ("_batch" if tail else "")
         if plan is None:
             levels = [whole_level(self.K, self.row_set)]
@@ -918,7 +944,7 @@ class ElasticWaveSolver:
         resume: bool = False,
         faults=None,
         health_interval: int = DEFAULT_HEALTH_INTERVAL,
-        lts: int | bool | LTSPlan | None = None,
+        lts: int | bool | LTSPlan = 0,
     ) -> Seismograms | None:
         """March the wave equation from rest to ``t_end``.
 
@@ -939,11 +965,11 @@ class ElasticWaveSolver:
         :class:`~repro.resilience.FaultPlan` (state poisoning only in
         serial runs).
 
-        ``lts`` overrides the solver's clustered local-time-stepping
-        setting for this run (None = use the ``lts=`` knob from the
-        constructor).  Either way the run drains
-        :func:`march_clustered`: ``lts`` off, or a trivial plan — every
-        element in the rate-1 cluster — marches one
+        ``lts`` turns on clustered local time stepping for this run:
+        off (the default), True (the default rate cap), an int cap or
+        an :class:`LTSPlan` (:meth:`schedule`).  Either way the run
+        drains :func:`march_clustered`: ``lts`` off, or a trivial plan
+        — every element in the rate-1 cluster — marches one
         :func:`whole_level` of every node, so ``lts`` enabled on an
         unclustered model stays bitwise-identical to ``lts`` off.
         Snapshot recorders and per-step callbacks need the full state
@@ -966,7 +992,7 @@ class ElasticWaveSolver:
         receivers: ReceiverArray | Sequence[ReceiverArray] | None = None,
         record: str = "velocity",
         callback: Callable[[int, float, np.ndarray], None] | None = None,
-        lts: int | bool | LTSPlan | None = None,
+        lts: int | bool | LTSPlan = 0,
         faults=None,
         health_interval: int = DEFAULT_HEALTH_INTERVAL,
     ) -> list[Seismograms] | None:

@@ -55,12 +55,13 @@ class TestForwardSimulation:
         )
         sim = ForwardSimulation(
             soft_over_stiff, L=2000.0, fmax=0.1, box_frac=(1, 1, 0.5),
-            max_level=3, lts=8,
+            max_level=3,
         )
         assert sim.solver.lts_plan(max_rate=8).max_rate == 8
         result = sim.run(
             idealized_strike_slip(L=2000.0, n_strike=2, n_dip=1),
             t_end=12.5 * sim.dt, receivers=np.array([[1000.0, 1000.0, 0.0]]),
+            lts=8,
         )
         assert result.nsteps == result.seismograms.data.shape[2] == 16
 

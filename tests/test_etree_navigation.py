@@ -7,6 +7,7 @@ from repro.etree import EtreeDatabase, OctantRecord, construct_octree
 from repro.octree import LinearOctree, pack_key
 from repro.octree.linear_octree import expand
 from repro.octree.morton import MAX_COORD
+from tests.oracles import covered_volume
 
 
 def in_ball(centers, sizes, levels):
@@ -65,7 +66,7 @@ class TestAutoNavigation:
         tree.validate()
         from repro.octree.morton import MAX_COORD
 
-        assert tree.covered_volume() == MAX_COORD**3 // 4
+        assert covered_volume(tree) == MAX_COORD**3 // 4
         db.close()
 
     def test_chunk_level_is_a_traversal_order_only(self, tmp_path):

@@ -11,6 +11,7 @@ from repro.etree import (
 )
 from repro.etree.pipeline import HANGING_FLAG, balance_step, construct_step
 from repro.octree import LinearOctree, is_balanced, balance_octree
+from tests.oracles import covered_volume
 
 
 class TwoSpeedMaterial:
@@ -89,7 +90,7 @@ class TestConstructOctree:
         tree = LinearOctree(db.keys())
         from repro.octree.morton import MAX_COORD
 
-        assert tree.covered_volume() == MAX_COORD**3
+        assert covered_volume(tree) == MAX_COORD**3
         db.close()
 
     def test_payload_matches_material(self, tmp_path):

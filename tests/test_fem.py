@@ -21,8 +21,8 @@ from repro.fem import (
 )
 from repro.fem.assembly import lumped_mass
 from repro.fem.damping import damping_ratio
-from repro.fem.hex_element import hex_consistent_mass_reference, hex_element_stiffness
 from repro.mesh import hex_to_tet_mesh, uniform_hex_mesh
+from tests.oracles import hex_consistent_mass_reference, hex_element_stiffness
 
 
 class TestShape:

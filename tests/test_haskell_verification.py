@@ -12,6 +12,7 @@ import pytest
 
 from repro.analytic import fundamental_frequency, layer_halfspace_transfer
 from repro.solver import RegularGridScalarWave
+from tests.oracles import plane_wave_injection
 
 
 def run_column(H=200.0, vs1=400.0, vs2=2000.0, rho=2000.0, depth=1600.0,
@@ -29,11 +30,11 @@ def run_column(H=200.0, vs1=400.0, vs2=2000.0, rho=2000.0, depth=1600.0,
 
     nsteps = int(30.0 / f0 / dt)
     surf = s.surface_nodes()[0]
-    u = s.march(mu, s.plane_wave_injection(mu, vinc, dt, axis=1, side=1),
+    u = s.march(mu, plane_wave_injection(s, mu, vinc, dt, axis=1, side=1),
                 nsteps, dt, store=True)[:, surf]
     mu_ref = np.full(s.nelem, rho * vs2**2)
     u_ref = s.march(
-        mu_ref, s.plane_wave_injection(mu_ref, vinc, dt, axis=1, side=1),
+        mu_ref, plane_wave_injection(s, mu_ref, vinc, dt, axis=1, side=1),
         nsteps, dt, store=True,
     )[:, surf]
     freqs = np.fft.rfftfreq(len(u), dt)
@@ -68,4 +69,4 @@ class TestHaskellVerification:
         s = RegularGridScalarWave((2, 8), 10.0, 1000.0, absorbing=[(1, 1)])
         mu = np.full(s.nelem, 1e9)
         with pytest.raises(ValueError):
-            s.plane_wave_injection(mu, lambda t: 0.0, 1e-3, axis=1, side=0)
+            plane_wave_injection(s, mu, lambda t: 0.0, 1e-3, axis=1, side=0)

@@ -66,6 +66,7 @@ from repro.solver.wave_solver import (
     drain,
     forcing,
     march_clustered,
+    restrict,
     update_flops_per_node,
 )
 
@@ -765,7 +766,7 @@ def _elastic_lts_oracle(solver, plan, force, nsteps, rec, record):
         e, own, dtc = lv.elems, lv.own_nodes, lv.rate * dt
         # the row set's coefficients, written out here
         hd, m = 0.5 * dtc, solver.m[own][:, None]
-        ma, C = solver.m_alpha[own][:, None], solver.C_diag[own]
+        ma, C = solver.alpha * m, solver.C_diag[own]
         c_u, A = 2.0 * m, (m + hd * ma) + hd * C
         if kb is not None:
             c_u, A = c_u + hd * kb[own], A + hd * kb[own]
@@ -908,14 +909,14 @@ def _dist_force(mesh, src, dt):
 def test_dist_lts_sim_vs_proc_bitwise():
     mesh, parts, src = _dist_lts_problem()
     sim = SimWorld(2)
-    solver = DistributedWaveSolver(mesh, LAYERED, parts, sim, lts=8)
+    solver = DistributedWaveSolver(mesh, LAYERED, parts, sim)
     force = _dist_force(mesh, src, solver.dt)
     t_end = 47.5 * solver.dt
-    u_sim = solver.run(force, t_end)
+    u_sim = solver.run(force, t_end, lts=8)
     stats_sim = [s.as_tuple() for s in sim.stats]
     with ProcWorld(2) as proc:
-        solver = DistributedWaveSolver(mesh, LAYERED, parts, proc, lts=8)
-        u_proc = solver.run(force, t_end)
+        solver = DistributedWaveSolver(mesh, LAYERED, parts, proc)
+        u_proc = solver.run(force, t_end, lts=8)
         stats_proc = [s.as_tuple() for s in proc.stats]
     assert np.abs(u_sim).max() > 0
     assert np.array_equal(u_sim, u_proc)
@@ -930,21 +931,21 @@ def test_dist_lts_one_rank_equals_serial_bitwise():
         lambda c, s: np.full(len(c), 1.0 / 8), max_level=3
     )
     mesh = extract_mesh(tree, L=1000.0)
-    serial = ElasticWaveSolver(mesh, tree, LAYERED, stacey_c1=False, lts=8)
+    serial = ElasticWaveSolver(mesh, tree, LAYERED, stacey_c1=False)
     dist = DistributedWaveSolver(
         mesh, LAYERED, np.zeros(mesh.nelem, dtype=np.int64), SimWorld(1),
-        dt=serial.dt, lts=8,
+        dt=serial.dt,
     )
     force = _dist_force(mesh, mesh.nnode // 2, serial.dt)
     nsteps = 48
-    u = dist.run(force, (nsteps - 0.5) * serial.dt)
+    u = dist.run(force, (nsteps - 0.5) * serial.dt, lts=8)
     fired = dist.last_timings[0]["lts_fired"]
     assert fired == {r: nsteps // r for r in (8, 4, 2, 1)}
     # every cluster fires at a sync column and records u^j there
     rec = ReceiverArray(mesh, mesh.coords)
     seis = serial.run(
         force, (nsteps + 8 - 0.5) * serial.dt, receivers=rec,
-        record="displacement",
+        record="displacement", lts=8,
     )
     assert np.abs(u).max() > 0
     assert np.array_equal(seis.data[:, :, nsteps], u[rec.nodes])
@@ -959,20 +960,17 @@ def test_every_level_marches_on_its_local_layout(problem, monkeypatch):
     level (the rank row sets carry neither)."""
     if problem == "dist":
         built = []
-        rank_levels = dist_solver._lts_rank_levels
+        rank_levels = dist_solver.cluster_levels
 
-        def spy(p, frame):
-            levels = rank_levels(p, frame)
-            plan = build_lts_plan(
-                p["conn"], p["nloc"], dt=p["dt"], rates=p["rates"]
-            )
+        def spy(plan, operator, row_set):
+            levels = rank_levels(plan, operator, row_set)
             built.append((levels, plan.local_layouts()))
             return levels
 
-        monkeypatch.setattr(dist_solver, "_lts_rank_levels", spy)
+        monkeypatch.setattr(dist_solver, "cluster_levels", spy)
         mesh, parts, src = _dist_lts_problem()
-        solver = DistributedWaveSolver(mesh, LAYERED, parts, SimWorld(2), lts=8)
-        solver.run(_dist_force(mesh, src, solver.dt), 15.5 * solver.dt)
+        solver = DistributedWaveSolver(mesh, LAYERED, parts, SimWorld(2))
+        solver.run(_dist_force(mesh, src, solver.dt), 15.5 * solver.dt, lts=8)
         assert len(built) == 2
         for levels, layouts in built:
             for lev, lay in zip(levels, layouts, strict=True):
@@ -1002,7 +1000,7 @@ def test_every_level_marches_on_its_local_layout(problem, monkeypatch):
             assert kab.shape == (3 * n_own, 3 * n_local)
             assert np.array_equal(kab.indptr, want.indptr)
             assert np.array_equal(local_dofs[kab.indices], want.indices)
-            dtc = lev["dtc"]
+            dtc = lv.rate * solver.dt
             assert np.array_equal(kab.data, want.data * -(dtc * dtc))
         cols = np.nonzero(col_rate == lv.rate)[0]
         assert lev["B"].shape == (n_own, len(cols))
@@ -1020,7 +1018,7 @@ def test_restrict_to_rows_is_the_all_rows_set_sliced():
     col_rate = plan.node_rate[solver.constraints.independent]
     for lv, lev in zip(plan.levels, solver._lts_exec(plan), strict=True):
         own = lv.own_nodes
-        whole = solver._restrict(lev["dtc"])
+        whole = solver._restrict(lv.rate * solver.dt)
         for key in ("c_u", "prev_coef"):
             assert lev[key].shape == (len(own), 3)
             assert np.array_equal(lev[key], whole[key][own])
@@ -1032,6 +1030,28 @@ def test_restrict_to_rows_is_the_all_rows_set_sliced():
         for a in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(lev["B"], a), getattr(want, a))
         assert np.array_equal(lev["inv_A_bar"], whole["inv_A_bar"][cols])
+
+
+def test_undamped_solver_holds_no_mass_damping():
+    # m_alpha = None gives restrict's zero Rayleigh terms: the row set of
+    # an explicit all-zero alpha M, key by key, and 8 B per grid point
+    # less in the working set
+    _, solver, _, _ = _elastic_refined_corner()
+    assert solver.m_alpha is None
+    want = restrict(
+        solver.m, solver.C_diag, solver.dt, m_alpha=np.zeros_like(solver.m),
+        K_AB=solver.K_AB, B=solver.B,
+    )
+    assert want.keys() == solver.row_set.keys()
+    for key, a in solver.row_set.items():
+        if hasattr(a, "indptr"):
+            for f in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(a, f), getattr(want[key], f))
+        else:
+            assert np.array_equal(a, want[key])
+    held = solver.memory_bytes()
+    solver.m_alpha = np.zeros_like(solver.m)
+    assert solver.memory_bytes() - held == 8 * solver.nnode
 
 
 def test_restrict_refuses_a_local_set_missing_a_c1_partner():
@@ -1065,8 +1085,8 @@ def test_dist_lts_exchanges_only_at_interface_rate():
     msgs_global = sum(s.as_tuple()[0] for s in sim_g.stats)
 
     sim_l = SimWorld(2)
-    solver = DistributedWaveSolver(mesh, LAYERED, parts, sim_l, lts=8)
-    u_lts = solver.run(force, t_end)
+    solver = DistributedWaveSolver(mesh, LAYERED, parts, sim_l)
+    u_lts = solver.run(force, t_end, lts=8)
     msgs_lts = sum(s.as_tuple()[0] for s in sim_l.stats)
 
     # the cut lies in rate >= 2 territory: at most half the handoffs
@@ -1081,19 +1101,19 @@ def test_dist_lts_exchanges_only_at_interface_rate():
 
 def test_dist_lts_resume_bit_identical(tmp_path):
     mesh, parts, src = _dist_lts_problem()
-    solver = DistributedWaveSolver(mesh, LAYERED, parts, SimWorld(2), lts=8)
+    solver = DistributedWaveSolver(mesh, LAYERED, parts, SimWorld(2))
     force = _dist_force(mesh, src, solver.dt)
     t_end = 47.5 * solver.dt
-    u_ref = solver.run(force, t_end)
+    u_ref = solver.run(force, t_end, lts=8)
 
     d = str(tmp_path)
-    solver = DistributedWaveSolver(mesh, LAYERED, parts, SimWorld(2), lts=8)
+    solver = DistributedWaveSolver(mesh, LAYERED, parts, SimWorld(2))
     u_full = solver.run(
-        force, t_end, checkpoint_dir=d, checkpoint_every=20
+        force, t_end, lts=8, checkpoint_dir=d, checkpoint_every=20
     )
     assert np.array_equal(u_full, u_ref)
-    solver = DistributedWaveSolver(mesh, LAYERED, parts, SimWorld(2), lts=8)
-    u = solver.run(force, t_end, checkpoint_dir=d, resume=True)
+    solver = DistributedWaveSolver(mesh, LAYERED, parts, SimWorld(2))
+    u = solver.run(force, t_end, lts=8, checkpoint_dir=d, resume=True)
     assert np.array_equal(u, u_ref)
 
 
@@ -1205,19 +1225,19 @@ def test_checkpoint_steps_of_each_schedule(tmp_path, schedule):
 def test_proc_lts_kill_mid_coarse_step_recovers_bitwise(tmp_path):
     mesh, parts, src = _dist_lts_problem()
     with ProcWorld(2) as clean:
-        solver = DistributedWaveSolver(mesh, LAYERED, parts, clean, lts=8)
+        solver = DistributedWaveSolver(mesh, LAYERED, parts, clean)
         force = _dist_force(mesh, src, solver.dt)
         t_end = 47.5 * solver.dt
-        u_ref = solver.run(force, t_end)
+        u_ref = solver.run(force, t_end, lts=8)
 
     # step 18 is not a sync boundary: the kill lands in the middle of a
     # coarse step, and recovery rewinds to the last sync checkpoint
     plan = FaultPlan([FaultSpec("kill", rank=1, step=18)])
     with ProcWorld(2) as world:
-        solver = DistributedWaveSolver(mesh, LAYERED, parts, world, lts=8)
+        solver = DistributedWaveSolver(mesh, LAYERED, parts, world)
         u = solver.run(
-            force, t_end, checkpoint_dir=str(tmp_path), checkpoint_every=8,
-            faults=plan, retry=RetryPolicy(backoff=0.0),
+            force, t_end, lts=8, checkpoint_dir=str(tmp_path),
+            checkpoint_every=8, faults=plan, retry=RetryPolicy(backoff=0.0),
         )
         assert world.respawns == 1
         assert np.array_equal(u, u_ref)
@@ -1238,21 +1258,20 @@ def test_env_fault_matrix_lts(tmp_path):
     if transport == "sim":
         if kinds - {"nan"}:
             pytest.skip("kill/channel faults need the process transport")
-        solver = DistributedWaveSolver(
-            mesh, LAYERED, parts, SimWorld(2), lts=8
-        )
+        solver = DistributedWaveSolver(mesh, LAYERED, parts, SimWorld(2))
         force = _dist_force(mesh, src, solver.dt)
         with pytest.raises(NumericalHealthError):
             solver.run(
-                force, 47.5 * solver.dt, faults=plan, health_interval=1
+                force, 47.5 * solver.dt, lts=8, faults=plan,
+                health_interval=1,
             )
         return
 
     with ProcWorld(2) as clean:
-        solver = DistributedWaveSolver(mesh, LAYERED, parts, clean, lts=8)
+        solver = DistributedWaveSolver(mesh, LAYERED, parts, clean)
         force = _dist_force(mesh, src, solver.dt)
         t_end = 47.5 * solver.dt
-        u_ref = solver.run(force, t_end)
+        u_ref = solver.run(force, t_end, lts=8)
     if "nan" in kinds:
         # mirror NaN faults onto every rank so no peer blocks on a
         # failed one (they only fire at shared sync boundaries)
@@ -1264,10 +1283,11 @@ def test_env_fault_matrix_lts(tmp_path):
             ]
         )
     with ProcWorld(2, timeout=5.0) as world:
-        solver = DistributedWaveSolver(mesh, LAYERED, parts, world, lts=8)
+        solver = DistributedWaveSolver(mesh, LAYERED, parts, world)
         u = solver.run(
-            force, t_end, checkpoint_dir=str(tmp_path), checkpoint_every=8,
-            faults=plan, health_interval=1, retry=RetryPolicy(backoff=0.0),
+            force, t_end, lts=8, checkpoint_dir=str(tmp_path),
+            checkpoint_every=8, faults=plan, health_interval=1,
+            retry=RetryPolicy(backoff=0.0),
         )
         assert world.respawns >= 1
         assert np.array_equal(u, u_ref)

@@ -16,6 +16,7 @@ from repro.octree import (
     octant_children,
     pack_key,
 )
+from tests.oracles import covered_volume
 
 
 def uniform_tree(level: int) -> LinearOctree:
@@ -47,7 +48,7 @@ class TestLinearOctree:
         t = uniform_tree(3)
         assert len(t) == 8**3
         t.validate()
-        assert t.covered_volume() == MAX_COORD**3
+        assert covered_volume(t) == MAX_COORD**3
 
     def test_locate_uniform(self):
         t = uniform_tree(2)
@@ -114,7 +115,7 @@ class TestAdaptiveConstruction:
             lambda c, s: np.full(len(c), 0.25), max_level=6, box_frac=(1, 1, 0.5)
         )
         t.validate()
-        assert t.covered_volume() == MAX_COORD**3 // 2
+        assert covered_volume(t) == MAX_COORD**3 // 2
         assert np.all(t.anchors[:, 2] + t.sizes <= MAX_COORD // 2)
 
     def test_box_fraction_three_eighths(self):
@@ -123,7 +124,7 @@ class TestAdaptiveConstruction:
             max_level=6,
             box_frac=(1, 1, 3 / 8),
         )
-        assert t.covered_volume() == (MAX_COORD**3 * 3) // 8
+        assert covered_volume(t) == (MAX_COORD**3 * 3) // 8
 
     def test_non_binary_box_fraction_rejected(self):
         with pytest.raises(ValueError):
@@ -163,7 +164,7 @@ class TestBalance:
         b = balance_octree(t)
         b.validate()
         assert is_balanced(b)
-        assert b.covered_volume() == MAX_COORD**3
+        assert covered_volume(b) == MAX_COORD**3
         # the original deep leaf must survive (balancing never coarsens)
         assert int(deep) in set(int(k) for k in b.keys)
 
@@ -174,7 +175,7 @@ class TestBalance:
         b = balance_octree(t)
         b.validate()
         assert is_balanced(b)
-        assert b.covered_volume() == MAX_COORD**3
+        assert covered_volume(b) == MAX_COORD**3
         # refinement only: every original leaf is a leaf or was split
         assert len(b) >= len(t)
 
@@ -202,4 +203,4 @@ class TestBalance:
         assert not is_balanced(t)
         b = balance_octree(t)
         assert is_balanced(b)
-        assert b.covered_volume() == MAX_COORD**3
+        assert covered_volume(b) == MAX_COORD**3

@@ -81,17 +81,13 @@ def test_one_rank_counts_the_serial_flops_per_step(problem):
     t_end = (nsteps - 0.5) * serial.dt
     for lts, mat in ((0, MAT), (8, LAYERED)):
         if lts:
-            serial = ElasticWaveSolver(
-                mesh, tree, mat, stacey_c1=False, lts=lts
-            )
+            serial = ElasticWaveSolver(mesh, tree, mat, stacey_c1=False)
             assert not serial.lts_plan(max_rate=lts).trivial
         world = SimWorld(1)
-        dist = DistributedWaveSolver(
-            mesh, mat, parts, world, dt=serial.dt, lts=lts
-        )
-        dist.run(forces, t_end)
+        dist = DistributedWaveSolver(mesh, mat, parts, world, dt=serial.dt)
+        dist.run(forces, t_end, lts=lts)
         before = serial.flops.total
-        serial.run(forces, t_end)
+        serial.run(forces, t_end, lts=lts)
         assert world.stats[0].flops == serial.flops.total - before
         if not lts:
             per_step = (serial.flops.total - before) // nsteps

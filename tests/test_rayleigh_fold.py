@@ -79,7 +79,7 @@ def oracle_global(solver, force, nsteps, nodes):
     dt = solver.dt
     hd = 0.5 * dt
     m = solver.m[:, None]
-    ma = solver.m_alpha[:, None]
+    ma = solver.alpha * m
     prev_coef = (hd * ma - m) + hd * solver.C_diag
     B = solver.constraints.B.tocsr()
     BT = B.T.tocsr()
@@ -104,28 +104,40 @@ def oracle_global(solver, force, nsteps, nodes):
 
 def oracle_lts(solver, plan, force, nsteps, nodes):
     """The two-operator clustered march (a ``beta``-scaled operator per
-    level, both over the global state and built here); displacement at ``nodes`` on the sync columns, where every
-    cluster holds the state at the same time."""
+    level, both over the global state, and each level's coefficients
+    and projection block, all built here from the solver's physics);
+    displacement at ``nodes`` on the sync columns, where every cluster
+    holds the state at the same time."""
     mesh = solver.mesh
     beta = solver.beta
     dt = solver.dt
-    levels = solver._lts_exec(plan)
-    K, Kb, kab, kb_prev = [], [], [], []
-    for lv in plan.levels:
-        e = lv.elems
-        K.append(ElasticOperator(
-            mesh.conn[e], mesh.elem_h[e], solver.lam[e], solver.mu[e],
-            mesh.nnode,
-        ))
-        Kb.append(ElasticOperator(
-            mesh.conn[e], mesh.elem_h[e], solver.lam[e] * beta,
-            solver.mu[e] * beta, mesh.nnode,
-        ))
-        own_dofs = (lv.own_nodes[:, None] * 3 + np.arange(3)).ravel()
-        dtc = lv.rate * dt
-        kab.append(solver.K_AB[own_dofs] * (-(dtc * dtc)))
-        kb_prev.append(np.zeros((len(lv.own_nodes), 3)))
     kb_diag = beta * solver.K.diagonal()
+    B_all = solver.constraints.B.tocsr()
+    col_rate = plan.node_rate[solver.constraints.independent]
+    levels = []
+    for lv in plan.levels:
+        e, own, dtc = lv.elems, lv.own_nodes, lv.rate * dt
+        hd, m = 0.5 * dtc, solver.m[own][:, None]
+        ma, C = solver.alpha * m, solver.C_diag[own]
+        A = (m + hd * ma) + hd * C + hd * kb_diag[own]
+        B = B_all[own][:, np.nonzero(col_rate == lv.rate)[0]].tocsr()
+        BT = B.T.tocsr()
+        own_dofs = (own[:, None] * 3 + np.arange(3)).ravel()
+        levels.append({
+            "rate": lv.rate, "own": own, "interp": lv.interp_nodes,
+            "K": ElasticOperator(
+                mesh.conn[e], mesh.elem_h[e], solver.lam[e], solver.mu[e],
+                mesh.nnode,
+            ),
+            "Kb": ElasticOperator(
+                mesh.conn[e], mesh.elem_h[e], solver.lam[e] * beta,
+                solver.mu[e] * beta, mesh.nnode,
+            ),
+            "kab": solver.K_AB[own_dofs] * (-(dtc * dtc)),
+            "kb_prev": np.zeros((len(own), 3)),
+            "prev_coef": (hd * ma - m) + hd * C,
+            "B": B, "BT": BT, "inv_A_bar": 1.0 / (BT @ A),
+        })
     u_prev = np.zeros((mesh.nnode, 3))
     u = np.zeros((mesh.nnode, 3))
     fbuf = np.zeros((mesh.nnode, 3))
@@ -135,24 +147,24 @@ def oracle_lts(solver, plan, force, nsteps, nodes):
         if j % plan.max_rate == 0:
             data[:, :, j // plan.max_rate] = u[nodes]
         b = force(j * dt, fbuf)
-        for i, lev in enumerate(levels):
+        for lev in levels:
             if j % lev["rate"]:
                 continue
-            own, interp = lev["own"], plan.levels[i].interp_nodes
-            dtc = lev["dtc"]
+            own, interp = lev["own"], lev["interp"]
+            dtc = lev["rate"] * dt
             ut = u.copy()
             if len(interp) and j % (2 * lev["rate"]):
                 ut[interp] = 0.5 * (u_prev[interp] + u[interp])
             elif len(interp):
                 ut[interp] = u_prev[interp]
-            kb_u = Kb[i].matvec(ut)[own]
+            kb_u = lev["Kb"].matvec(ut)[own]
             r = 2.0 * solver.m[own][:, None] * u[own]
-            r -= dtc * dtc * K[i].matvec(ut)[own]
-            r += (kab[i] @ ut.reshape(-1)).reshape(-1, 3)
+            r -= dtc * dtc * lev["K"].matvec(ut)[own]
+            r += (lev["kab"] @ ut.reshape(-1)).reshape(-1, 3)
             r += 0.5 * dtc * (kb_diag[own] * u[own] - kb_u)
-            r += 0.5 * dtc * kb_prev[i]
+            r += 0.5 * dtc * lev["kb_prev"]
             r += lev["prev_coef"] * u_prev[own] + dtc * dtc * b[own]
-            kb_prev[i] = kb_u
+            lev["kb_prev"] = kb_u
             unew = lev["B"] @ ((lev["BT"] @ r) * lev["inv_A_bar"])
             u_prev[own] = u[own]
             u[own] = unew

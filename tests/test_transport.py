@@ -254,8 +254,8 @@ def test_both_worlds_are_handed_the_same_programs(monkeypatch):
         t_end = 3.5 * solver.dt
         solver.run(force, t_end)
         solver.run_shots([force, force], t_end)
-        solver = DistributedWaveSolver(mesh, LAYERED, parts, world, lts=8)
-        solver.run(force, 7.5 * solver.dt)
+        solver = DistributedWaveSolver(mesh, LAYERED, parts, world)
+        solver.run(force, 7.5 * solver.dt, lts=8)
         assert sum(solver.last_timings[0]["lts_fired"].values()) > 0
 
     drive(SimWorld(2))
