@@ -5,9 +5,15 @@ stiffness application (gather element corner values, scatter-add the
 element results).  The seed code paid for that scatter with a fresh
 ``np.bincount`` — and a fresh output array — on every call.  Here the
 scatter is planned **once**: the flat destination indices are sorted
-into CSR form (row = global dof, entries = positions in the element
-result block), so every subsequent scatter is a single C-level CSR
-matvec into a caller-owned output buffer.
+into CSR form (row = destination, entries = positions in the element
+result block), so every subsequent scatter is a C-level CSR matvec into
+a caller-owned output buffer.
+
+A plan may be cut into blocks of source slots (the element kernel cuts
+it at its element blocks).  Each block is a CSR matrix of its own over
+the window of rows it touches, and its entries are a contiguous slice
+of the plan's, so one folded data array serves every block and a block
+can be scattered on its own, right after its products are computed.
 
 Per-element material coefficients are *folded into the CSR data array*
 (see :class:`ScatterPlan.fold`), which removes the separate per-element
@@ -30,12 +36,12 @@ from scipy.sparse import _sparsetools as _st
 
 def _csr_acc(nrows, ncols, indptr, indices, data, x, y):
     """``y += A x`` for the CSR arrays of an ``(nrows, ncols)`` matrix;
-    a C-contiguous 2D ``x`` / ``y`` is a block of column vectors, each
-    column bit for bit the 1D product."""
-    if x.ndim == 2:
+    a 2D ``x`` / ``y`` is a block of column vectors, each column bit for
+    bit the 1D product (a single column takes the 1D kernel, which
+    skips the per-entry inner vector loop of ``csr_matvecs``)."""
+    if x.ndim == 2 and x.shape[1] != 1:
         _st.csr_matvecs(
-            nrows, ncols, x.shape[1], indptr, indices, data,
-            x.reshape(-1), y.reshape(-1),
+            nrows, ncols, x.shape[1], indptr, indices, data, x, y
         )
     else:
         _st.csr_matvec(nrows, ncols, indptr, indices, data, x, y)
@@ -65,95 +71,84 @@ class CSR(NamedTuple):
 
 
 class ScatterPlan:
-    """CSR-form plan for repeated scatter-adds to a fixed index set.
+    """CSR-form plan for repeated scatter-adds to a fixed index set,
+    cut into blocks of source slots.
 
     Parameters
     ----------
     idx:
         Flat destination index per source slot (``nnz`` entries, each in
-        ``[0, n)``) — e.g. the global dof of every element-local dof.
+        ``[0, n)``) — e.g. the node of every (element, matrix, corner)
+        slot.
     n:
         Size of the destination vector.
+    cuts:
+        Source-slot positions at which a new block starts (e.g. element
+        boundaries times slots per element); none makes one block.
+
+    The CSR entries are **block-major**: block ``j`` owns entries (and
+    slots) ``[s0, s1)``, sorted by destination within the block, so a
+    folded data array is one array whose slice ``[s0, s1)`` is the
+    block's data.  Each block has its own ``indptr`` over the window of
+    rows ``[r0, r1)`` it touches, so applying a block walks only that
+    window.  Within a block a row's entries keep ascending slot order,
+    and the blocks run in slot order, so a row accumulates its terms in
+    the same sequence as one unblocked plan, bit for bit.
     """
 
-    def __init__(self, idx: np.ndarray, n: int):
+    def __init__(self, idx: np.ndarray, n: int, cuts=()):
         idx = np.asarray(idx, dtype=np.int64).ravel()
         self.n = int(n)
         self.nnz = int(idx.size)
-        #: width of the source slot space the CSR indices refer to;
-        #: equals ``nnz`` for a full plan, and stays at the parent's
-        #: width for the sub-plans produced by :meth:`split`
-        self.ncols = self.nnz
-        #: stable source permutation sorting slots by destination; used
-        #: both as the CSR column indices and to permute folded data
-        self.order = np.argsort(idx, kind="stable")
-        counts = (
-            np.bincount(idx, minlength=self.n)
-            if self.nnz
-            else np.zeros(self.n, dtype=np.int64)
-        )
         itype = (
             np.int32
             if max(self.nnz, self.n) < np.iinfo(np.int32).max
             else np.int64
         )
-        self.indptr = np.zeros(self.n + 1, dtype=itype)
-        self.indptr[1:] = np.cumsum(counts)
-        self.indices = self.order.astype(itype)
+        #: ``(s0, s1, r0, r1, p0)`` per block: its slots, its row window,
+        #: and where the window's row pointers start in ``indptr``
+        self.blocks = []
+        #: block-local source slot of every entry, block-major
+        self.indices = np.empty(self.nnz, dtype=itype)
+        # one array each, not one per block: many small long-lived
+        # arrays fragment the heap and hold freed setup memory resident
+        indptrs, p0 = [np.zeros(0, dtype=itype)], 0
+        bounds = sorted({0, self.nnz, *(int(c) for c in cuts)})
+        for s0, s1 in zip(bounds[:-1], bounds[1:]):
+            sub = idx[s0:s1]
+            r0, r1 = int(sub.min()), int(sub.max()) + 1
+            indptr = np.zeros(r1 - r0 + 1, dtype=itype)
+            np.cumsum(np.bincount(sub - r0, minlength=r1 - r0), out=indptr[1:])
+            indptrs.append(indptr)
+            self.indices[s0:s1] = np.argsort(sub, kind="stable")
+            self.blocks.append((s0, s1, r0, r1, p0))
+            p0 += len(indptr)
+        #: every block's window row pointers, block after block
+        self.indptr = np.concatenate(indptrs)
 
     def fold(self, coef_flat: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Permute per-slot coefficients into CSR data order (so the
         scatter applies them for free)."""
-        if self.order is None:
-            raise ValueError("fold permutation was dropped (fixed-coef plan)")
-        np.take(coef_flat, self.order, out=out, mode="clip")
+        for s0, s1, *_ in self.blocks:
+            np.take(
+                coef_flat[s0:s1], self.indices[s0:s1], out=out[s0:s1],
+                mode="clip",
+            )
         return out
 
-    def split(self, cut: int):
-        """Split the plan at source-slot ``cut`` into two sub-plans.
-
-        ``plan_lo`` scatters only slots ``< cut`` and ``plan_hi`` the
-        rest; running them in sequence over the same slot block sums
-        every destination row in exactly the order of the full scatter
-        (the stable sort keeps slots ascending within a row, so the low
-        entries of every row are its leading entries).  This is what
-        lets the distributed solver scatter its interface elements
-        first (elements are ordered interface-first, so their slots are
-        a prefix), ship the boundary partial sums, and overlap the
-        interior scatter with the ghost exchange.
-
-        Returns ``(plan_lo, plan_hi, mask_lo)`` where ``mask_lo`` marks
-        the CSR entries (in this plan's data order) that went to
-        ``plan_lo`` — use it to split a folded data array the same way.
-        """
-        cut = int(cut)
-        if not 0 <= cut <= self.nnz:
-            raise ValueError(f"cut {cut} outside [0, {self.nnz}]")
-        mask_lo = self.indices < cut
-        rows = np.repeat(
-            np.arange(self.n, dtype=np.int64),
-            np.diff(self.indptr).astype(np.int64),
+    def block_acc(
+        self, j: int, data: np.ndarray, x: np.ndarray, y: np.ndarray
+    ) -> None:
+        """Block ``j``: ``y[row] += data * x[slot - s0]`` over its
+        slots.  ``data`` is the whole folded array, ``x`` the block's
+        own ``(s1 - s0,)`` or ``(s1 - s0, ncomp)`` values and ``y`` the
+        whole ``(n,)`` or ``(n, ncomp)`` output; only the window
+        ``y[r0:r1]`` is touched."""
+        s0, s1, r0, r1, p0 = self.blocks[j]
+        _csr_acc(
+            r1 - r0, s1 - s0, self.indptr[p0 : p0 + r1 - r0 + 1],
+            self.indices[s0:s1], data[s0:s1], x, y[r0:r1],
         )
-        plans = []
-        for m in (mask_lo, ~mask_lo):
-            sub = ScatterPlan.__new__(ScatterPlan)
-            sub.n = self.n
-            sub.nnz = int(m.sum())
-            sub.ncols = self.ncols
-            sub.order = None  # sub-plans never fold; data comes masked
-            sub.indptr = np.zeros(self.n + 1, dtype=self.indptr.dtype)
-            sub.indptr[1:] = np.cumsum(
-                np.bincount(rows[m], minlength=self.n)
-            )
-            sub.indices = self.indices[m]
-            plans.append(sub)
-        return plans[0], plans[1], mask_lo
-
-    def drop_order(self) -> None:
-        """Free the int64 fold permutation once coefficients are folded
-        for good (fixed-coefficient operators); the int32 ``indices``
-        copy keeps serving the scatter."""
-        self.order = None
 
     def scatter_acc(
         self, data: np.ndarray, x: np.ndarray, y: np.ndarray
@@ -165,31 +160,12 @@ class ScatterPlan:
         pass — one indirect lookup per slot instead of per value.
         Allocation-free via scipy's C CSR matvec(s).
         """
-        if self.nnz == 0:
-            return y
-        if x.ndim == 2 and x.shape[1] == 1:
-            # single-component block: the 1D kernel skips the per-entry
-            # inner vector loop of csr_matvecs
-            _st.csr_matvec(
-                self.n, self.ncols, self.indptr, self.indices, data,
-                x.reshape(-1), y.reshape(-1),
-            )
-        elif x.ndim == 2:
-            _st.csr_matvecs(
-                self.n, self.ncols, x.shape[1], self.indptr,
-                self.indices, data, x.reshape(-1), y.reshape(-1),
-            )
-        else:
-            _st.csr_matvec(
-                self.n, self.ncols, self.indptr, self.indices, data, x, y
-            )
+        for j, (s0, s1, *_) in enumerate(self.blocks):
+            self.block_acc(j, data, x[s0:s1], y)
         return y
 
     def workspace_bytes(self) -> int:
-        n = self.indptr.nbytes + self.indices.nbytes
-        if self.order is not None:
-            n += self.order.nbytes
-        return n
+        return self.indptr.nbytes + self.indices.nbytes
 
 
 def spmv_acc(A, x: np.ndarray, y: np.ndarray) -> np.ndarray:

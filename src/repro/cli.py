@@ -164,13 +164,7 @@ def cmd_forward(args) -> int:
     for i, v in enumerate(seis.peak_ground_motion()):
         print(f"  receiver {i}: PGV {v:.4f} m/s")
     if args.out:
-        np.savez_compressed(
-            args.out,
-            data=seis.data,
-            dt=seis.dt,
-            kind=seis.kind,
-            positions=seis.positions,
-        )
+        seis.save(args.out)
         print(f"seismograms written to {args.out}")
     return 0
 

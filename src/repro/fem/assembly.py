@@ -54,14 +54,12 @@ class ElasticOperator:
         self._ndof = 3 * self.nnode
         # fused gather/apply/scatter kernel (it owns the element dof
         # map); the material coefficients are fixed, so they fold into
-        # the scatter
+        # the scatter, and the phase cut is one of its block bounds
         self._kernel = get_backend().element_kernel(
             self.conn, hex_elastic_reference(), self.nnode, ncomp=3,
-            coefs=(self.c_lam, self.c_mu),
+            coefs=(self.c_lam, self.c_mu), split_elems=split_elems,
         )
         self.split_elems = split_elems
-        if split_elems is not None:
-            self._kernel.set_split(split_elems)
 
     def _flat(self, u: np.ndarray, what: str) -> np.ndarray:
         """Flat dof view of a ``(nnode, 3)`` field.  The kernels index
@@ -124,8 +122,7 @@ class ElasticOperator:
     def matvec_interior_acc(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Phase 2: accumulate the interior elements into ``out``.
         ``matvec_interface`` + ``matvec_interior_acc`` equals a single
-        :meth:`matvec` to roundoff and is bit-reproducible across
-        runs and processes."""
+        :meth:`matvec` bit for bit."""
         self._kernel.matvec_interior(self._flat(u, "u"), out.reshape(-1))
         return out
 

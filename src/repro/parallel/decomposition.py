@@ -10,11 +10,10 @@ the exchange ``dist_solver._RankFrame.exchange`` runs, written once.
 
 To let that exchange hide behind compute, each rank's elements are
 ordered **interface first**: the elements touching any shared grid
-point form a prefix, the rank's operator is built with the matching
-``split_elems``, and its planned-CSR scatter is split along the same
-boundary (:meth:`repro.backend.sparse_ops.ScatterPlan.split`).  A time
-step then applies the interface elements, ships the boundary partial
-sums, and runs the interior elements while the messages are in flight.
+point form a prefix, and the rank's operator is built with the
+matching ``split_elems``: a cut between its element blocks.  A time
+step then applies the blocks before the cut, ships the boundary partial
+sums, and runs the blocks after it while the messages are in flight.
 
 :func:`rank_partitions` is plain data from ``(mesh, parts, nranks)``:
 no transport, no material.  :func:`per_step_profile` counts one step's

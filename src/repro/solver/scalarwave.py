@@ -716,9 +716,9 @@ class RegularGridScalarWave:
         """
         # all nodes must be synchronized when the march ends, so the
         # coarsest rate must divide nsteps: cap by the largest power of
-        # two that does
+        # two that does (every one divides a 0-step march)
         plan = resolve(lts, lambda cap: self.lts_plan(
-            mu, max_rate=min(cap, nsteps & -nsteps)
+            mu, max_rate=min(cap, nsteps & -nsteps or cap)
         ))
         if plan is not None:
             if (store or on_step is not None

@@ -69,11 +69,24 @@ class TestScatterPlan:
         got = plan.scatter_acc(data, x, np.zeros(n))
         np.testing.assert_allclose(got, expect, rtol=1e-13, atol=1e-13)
 
-    def test_fold_after_drop_raises(self):
-        plan = ScatterPlan(np.array([0, 1, 1]), 2)
-        plan.drop_order()
-        with pytest.raises(ValueError):
-            plan.fold(np.ones(3), np.empty(3))
+    def test_cut_plan_sums_like_one_block(self):
+        """Cutting the slots into blocks moves no bit: every row adds
+        its terms in slot order either way, and each block touches only
+        its window of rows."""
+        rng = np.random.default_rng(3)
+        n, nnz = 40, 300
+        idx = rng.integers(0, n, size=nnz)
+        coef, x = rng.standard_normal(nnz), rng.standard_normal((nnz, 3))
+        whole = ScatterPlan(idx, n)
+        cut = ScatterPlan(idx, n, cuts=[0, 7, 8, 150, 299, nnz])
+        assert len(cut.blocks) == 5
+        for s0, s1, r0, r1, *_ in cut.blocks:
+            assert (r0, r1) == (idx[s0:s1].min(), idx[s0:s1].max() + 1)
+        got = [
+            p.scatter_acc(p.fold(coef, np.empty(nnz)), x, np.zeros((n, 3)))
+            for p in (whole, cut)
+        ]
+        assert np.array_equal(got[0], got[1])
 
     def test_empty_plan(self):
         plan = ScatterPlan(np.array([], dtype=np.int64), 4)
@@ -275,6 +288,46 @@ class TestZeroAllocation:
         tracemalloc.stop()
         assert peak < node_bytes // 2, (
             f"matvec allocated {peak} B (node vector is {node_bytes} B)"
+        )
+
+    def test_phased_and_bound_applies_allocate_nothing(self):
+        """After warmup, the phased pair of a distributed rank's
+        operator and a bound-handle ``matvec`` / ``matrows`` allocate
+        nothing node-sized: the block views are built once."""
+        _, mesh = make_uniform(8)
+        rng = np.random.default_rng(0)
+        lam, mu = rng.uniform(1, 2, mesh.nelem), rng.uniform(1, 2, mesh.nelem)
+        op = ElasticOperator(
+            mesh.conn, mesh.elem_h, lam, mu, mesh.nnode,
+            split_elems=mesh.nelem // 3,
+        )
+        kern = get_backend().element_kernel(
+            mesh.conn, [np.eye(8)], mesh.nnode
+        )
+        ha, hb = kern.bind((lam,)), kern.bind((mu,))
+        u = rng.standard_normal((mesh.nnode, 3))
+        out = np.empty_like(u)
+        s, s_out = rng.standard_normal(mesh.nnode), np.empty(mesh.nnode)
+        rows = rng.standard_normal((4, mesh.nnode))
+        out_rows = np.empty_like(rows)
+
+        def cycle():
+            op.matvec_interface(u, out)
+            op.matvec_interior_acc(u, out)
+            for h in (ha, hb):
+                kern.matvec(s, s_out, h)
+                kern.matrows(rows, out_rows, h)
+
+        cycle()  # warmup builds the block views
+        node_bytes = 8 * mesh.nnode
+        tracemalloc.start()
+        for _ in range(5):
+            cycle()
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < node_bytes // 2, (
+            f"applies allocated {peak} B (a scalar node vector is "
+            f"{node_bytes} B)"
         )
 
     def test_scalar_march_no_per_step_growth(self):

@@ -100,9 +100,9 @@ class TestKernelMatmat:
 
 @pytest.mark.parametrize("split", ["none", "third", "all"])
 def test_phased_matvec_equals_plain(split):
-    """Interface + interior phases partition the element loop, so they
-    sum to the single pass to roundoff and are bit-reproducible — at
-    an empty interface, a proper split and an empty interior."""
+    """Interface + interior phases run the single pass's element
+    blocks in its order, so they equal it bit for bit — at an empty
+    interface, a proper split and an empty interior."""
     _, mesh = make_mesh()
     k = {"none": 0, "third": mesh.nelem // 3, "all": mesh.nelem}[split]
     rng = np.random.default_rng(1)
@@ -119,9 +119,8 @@ def test_phased_matvec_equals_plain(split):
         op.matvec_interface(u, out)
         return op.matvec_interior_acc(u, out)
 
-    first = phased()
-    np.testing.assert_allclose(first, full, rtol=1e-12, atol=1e-12)
-    assert np.array_equal(phased(), first)
+    assert np.array_equal(phased(), full)
+    assert np.array_equal(phased(), full)
 
 
 def test_strided_input_rejected_not_copied():

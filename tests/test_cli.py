@@ -68,6 +68,40 @@ def test_forward_command_writes_npz(tmp_path, capsys):
     assert "PGV" in capsys.readouterr().out
 
 
+def test_forward_out_round_trips_through_seismograms_load(
+    tmp_path, monkeypatch, capsys
+):
+    """`repro forward --out` writes through `Seismograms.save`, the one
+    writer of the format, and `Seismograms.load` reads back what ran."""
+    from repro.io.seismogram import Seismograms
+
+    saved = []
+    real_save = Seismograms.save
+
+    def spy(self, path):
+        saved.append(self)
+        real_save(self, path)
+
+    monkeypatch.setattr(Seismograms, "save", spy)
+    out_file = tmp_path / "run.npz"
+    rc = main(
+        [
+            "forward",
+            "--L", "2000", "--fmax", "1.0", "--vs-min", "500",
+            "--h-min", "250", "--max-level", "4",
+            "--t-end", "0.5",
+            "--receivers", "[[1000, 1000, 0], [500, 1500, 0]]",
+            "--out", str(out_file),
+        ]
+    )
+    assert rc == 0 and len(saved) == 1
+    ran, back = saved[0], Seismograms.load(str(out_file))
+    assert np.array_equal(back.data, ran.data) and back.data.shape[0] == 2
+    assert back.dt == ran.dt and back.kind == ran.kind
+    assert np.array_equal(back.positions, ran.positions)
+    assert "written to" in capsys.readouterr().out
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

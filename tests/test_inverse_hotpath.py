@@ -64,9 +64,11 @@ def _kernel(ncomp, shape=(6, 5)):
 @pytest.mark.parametrize("ncomp", [1, 3])
 @pytest.mark.parametrize("block", [1, 4])
 def test_matrows_rows_bitwise_equal_matvec(ncomp, block, monkeypatch):
-    kern, (ca, cb) = _kernel(ncomp)
+    kern, _ = _kernel(ncomp)
     per_row = 8 * kern.nelem * kern.nldof * (1 + kern.nmat)
+    # row stacks are sized at construction: `block` rows per stack
     monkeypatch.setattr(numpy_backend, "ROW_BLOCK_BYTES", block * per_row)
+    kern, (ca, cb) = _kernel(ncomp)
     ha, hb = kern.bind(ca), kern.bind(cb)
     rng = np.random.default_rng(0)
     out1 = np.empty(kern.ndof)

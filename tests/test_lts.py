@@ -241,6 +241,18 @@ def test_scalar_lts_rejects_history_and_unsynced_nsteps():
         )
 
 
+def test_scalar_lts_zero_step_march_returns_the_rest_pair():
+    """Every rate divides a 0-step march, so the clustered schedule
+    returns the rest pair, as the global one does."""
+    solver, mu, dt, forcing = _scalar_two_layer()
+    assert not solver.lts_plan(mu).trivial
+    rest = solver.march(mu, forcing, 0, dt, store=False)
+    pair = solver.march(mu, forcing, 0, dt, store=False, lts=True)
+    assert pair.shape == rest.shape == (2, solver.nnode)
+    assert np.array_equal(pair, rest)
+    assert not pair.any()
+
+
 def test_scalar_lts_batch_matches_solo():
     solver, mu, dt, forcing = _scalar_two_layer(shape=(32, 16), nsteps=64)
     solo = solver.march(mu, forcing, 64, dt, store=False, lts=True)
