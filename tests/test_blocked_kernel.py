@@ -129,11 +129,14 @@ def oracle_coef_gradient(conn, mats, ncomp, rows, adj_rows):
 # ------------------------------------------------------------------ tests
 
 
-BLOCKS = ["1", "7", "nelem-1", "nelem", "nelem+5"]
-
-
-def _block(name, nelem):
-    return eval(name, {"nelem": nelem})
+#: elements per block, from the mesh's element count
+BLOCKS = {
+    "1": lambda n: 1,
+    "7": lambda n: 7,
+    "nelem-1": lambda n: n - 1,
+    "nelem": lambda n: n,
+    "nelem+5": lambda n: n + 5,
+}
 
 
 @pytest.mark.parametrize("ncomp", [1, 3])
@@ -144,7 +147,7 @@ def test_blocked_kernel_equals_oracle(monkeypatch, ncomp, block, split):
     nelem = len(conn)
     k = {None: None, "0": 0, "mid": nelem // 2, "nelem": nelem}[split]
     kern, conn, nnode, mats, (ca, cb) = _kernel(
-        monkeypatch, ncomp, _block(block, nelem), split=k
+        monkeypatch, ncomp, BLOCKS[block](nelem), split=k
     )
     ha, hb = kern.bind(ca), kern.bind(cb)
     rng = np.random.default_rng(5)
