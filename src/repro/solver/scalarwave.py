@@ -60,7 +60,7 @@ from repro.solver.wave_solver import (
     march_clustered,
     restrict,
 )
-from repro.util.flops import FlopCounter
+from repro.telemetry.metrics import CategoryCounter
 
 from repro import telemetry
 
@@ -741,7 +741,7 @@ class RegularGridScalarWave:
         )
         if plan is not None:
             levels = self._lts_exec(plan, mu, dt, alpha)
-            flops = FlopCounter()
+            flops = CategoryCounter()
             with telemetry.span("scalar.march_lts") as _m:
                 pair, fired = drain(march_clustered(
                     levels, forcing, frame,

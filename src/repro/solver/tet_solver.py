@@ -39,7 +39,7 @@ from repro.solver.wave_solver import (
     restrict,
     whole_level,
 )
-from repro.util.flops import FlopCounter
+from repro.telemetry.metrics import CategoryCounter
 
 
 class TetWaveSolver:
@@ -76,7 +76,7 @@ class TetWaveSolver:
         self._kernel = get_backend().varmat_kernel(
             self.tet.conn, self.Ke, self.tet.nnode, ncomp=3
         )
-        self.flops = FlopCounter()
+        self.flops = CategoryCounter()
 
     @property
     def nnode(self) -> int:

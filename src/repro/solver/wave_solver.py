@@ -72,7 +72,7 @@ from repro.solver.lts import (
     constraint_groups,
     resolve,
 )
-from repro.util.flops import FlopCounter
+from repro.telemetry.metrics import CategoryCounter
 
 from repro import telemetry
 
@@ -691,7 +691,7 @@ class ElasticWaveSolver:
         )
         #: the global march's row set: every node at the solver's ``dt``
         self.row_set = self._restrict(self.dt)
-        self.flops = FlopCounter()
+        self.flops = CategoryCounter()
         self._lts_plan_cache = None
         self._lts_exec_cache = None
 

@@ -6,13 +6,17 @@ One subsystem answers "where did the time go" for any run:
   time + call counts + attached counters, near-zero overhead when
   disabled (see :mod:`repro.telemetry.spans`);
 * **metrics** — a global :class:`MetricsRegistry` of counters, gauges,
-  histograms, and per-step series (:func:`sample`, :func:`gauge`),
-  superseding the old ``FlopCounter``/``TrafficStats`` fragments;
+  histograms, and per-step series (:func:`sample`, :func:`gauge`), plus
+  :class:`CategoryCounter`, the per-category flop tally a solver holds
+  as ``solver.flops``;
 * **timelines** — per-rank phase timelines of the distributed time
   loop, merged into comm/compute-overlap and load-imbalance views
   (:mod:`repro.telemetry.timeline`);
-* **exporters** — :func:`dump_jsonl` trace dumps and the
-  Table-2.1-style :class:`PerfReport`.
+* **exporters** — :func:`dump_jsonl` trace dumps, the flight recorder
+  and the other :mod:`repro.telemetry.export` writers, and the
+  Table-2.1-style :class:`PerfReport`.  The tracer builds the ``span``,
+  ``event`` and ``trace_link`` records and this module the ``metric``
+  records, each in one place; every file reads them from there.
 
 Enable via :func:`enable`, the ``REPRO_TELEMETRY=1`` environment
 variable, or the ``repro profile`` CLI.  While disabled every hook is
@@ -70,7 +74,6 @@ __all__ = [
     "dump_jsonl",
     "enable",
     "enabled",
-    "flight_dump",
     "gauge",
     "get_trace_context",
     "metrics",
@@ -165,14 +168,20 @@ def dump_jsonl(path: str, *, extra_records=()) -> int:
     tr = current_tracer()
     if tr is None:
         return 0
+    return tr.dump_jsonl(
+        path, extra_records=[*extra_records, *_metric_records()]
+    )
+
+
+def _metric_records() -> list[dict]:
+    """One ``metric`` record per registry entry, the drop count synced
+    first: the entry's own fields with its kind under ``metric_type``,
+    ``type`` set to ``"metric"``, then ``name``."""
     sync_dropped_counter()
-    metric_records = [
+    return [
         {**m, "metric_type": m["type"], "type": "metric", "name": name}
         for name, m in _registry.as_dict().items()
     ]
-    return tr.dump_jsonl(
-        path, extra_records=list(extra_records) + metric_records
-    )
 
 
 def sync_dropped_counter() -> None:
@@ -185,21 +194,13 @@ def sync_dropped_counter() -> None:
         c.value = tr.dropped_events
 
 
-def flight_dump(reason: str) -> str | None:
-    """Dump the flight recorder (last-N span events + metric snapshot)
-    if one is armed; returns the artifact path or None.  See
-    :func:`repro.telemetry.export.arm_flight_recorder`."""
-    from .export import flight_dump as _dump
-
-    return _dump(reason)
-
-
 # imported last: export builds on the registry/tracer defined above
 from .export import (  # noqa: E402
     FlightRecorder,
     MetricsJsonlExporter,
     StatusFile,
     arm_flight_recorder,
+    flight_dump,
     prometheus_text,
     stitch_trace,
     write_prometheus,
@@ -210,6 +211,7 @@ __all__ += [
     "MetricsJsonlExporter",
     "StatusFile",
     "arm_flight_recorder",
+    "flight_dump",
     "prometheus_text",
     "stitch_trace",
     "sync_dropped_counter",

@@ -5,16 +5,27 @@ Four consumers of the same collected state:
 
 * :func:`prometheus_text` renders the :class:`MetricsRegistry` in the
   Prometheus exposition format (counters as ``_total``, histograms as
-  summaries with ``quantile`` labels) for a scrape endpoint or a
-  node-exporter textfile collector;
-* :class:`MetricsJsonlExporter` appends periodic registry snapshots to
-  a JSONL file — the poor man's time-series database;
+  summaries with ``quantile`` labels, plus span totals while a tracer
+  is active) for a scrape endpoint or a node-exporter textfile
+  collector;
+* :class:`MetricsJsonlExporter` appends registry snapshots to a JSONL
+  file — the poor man's time-series database;
 * :func:`stitch_trace` reassembles one request's end-to-end trace from
-  the span event ring + trace links + per-rank timeline records;
+  the tracer's ``event`` records + trace links + per-rank timeline
+  records;
 * :class:`StatusFile` atomically publishes the live service state that
   ``repro top`` renders, and :class:`FlightRecorder` dumps the last-N
   events + a metric snapshot when resilience detects a dead rank or a
   numerical health violation.
+
+The trace records themselves (``span``, ``event``, ``trace_link``) are
+built by :class:`repro.telemetry.spans.Tracer` and the ``metric``
+records by :mod:`repro.telemetry`; the trace dump, the flight dump and
+the stitcher only choose which of them to write.  A trace dump holds
+``meta``, every ``span``, every ``event``, every ``trace_link``, the
+caller's extra records, then every ``metric``; a flight dump holds
+``flight_meta``, the newest ``max_events`` events, every
+``trace_link``, then every ``metric``.
 
 Everything here runs at export time, never on the hot path: the only
 cost telemetry-off code pays for this module existing is the import.
@@ -59,9 +70,9 @@ def _finite(v) -> float:
     return float(v) if v is not None else 0.0
 
 
-def prometheus_text(registry=None, *, include_spans: bool = True) -> str:
-    """The metrics registry (and, optionally, top-level span totals)
-    in the Prometheus text exposition format, version 0.0.4."""
+def prometheus_text(registry=None) -> str:
+    """The metrics registry (and the span totals, while a tracer is
+    active) in the Prometheus text exposition format, version 0.0.4."""
     from repro import telemetry as T
 
     if registry is None:
@@ -92,21 +103,18 @@ def prometheus_text(registry=None, *, include_spans: bool = True) -> str:
             if m["values"]:
                 lines.append(f"# TYPE {pname} gauge")
                 lines.append(f"{pname} {m['values'][-1]}")
-    if include_spans:
-        tr = T.current_tracer()
-        if tr is not None:
-            lines.append("# TYPE repro_span_seconds counter")
-            lines.append("# TYPE repro_span_calls_total counter")
-            for agg in tr.aggregates():
-                label = agg["path"].replace('"', "'")
-                lines.append(
-                    f'repro_span_seconds{{path="{label}"}} '
-                    f'{agg["seconds"]}'
-                )
-                lines.append(
-                    f'repro_span_calls_total{{path="{label}"}} '
-                    f'{agg["count"]}'
-                )
+    tr = T.current_tracer()
+    if tr is not None:
+        lines.append("# TYPE repro_span_seconds counter")
+        lines.append("# TYPE repro_span_calls_total counter")
+        for agg in tr.aggregates():
+            label = agg["path"].replace('"', "'")
+            lines.append(
+                f'repro_span_seconds{{path="{label}"}} {agg["seconds"]}'
+            )
+            lines.append(
+                f'repro_span_calls_total{{path="{label}"}} {agg["count"]}'
+            )
     return "\n".join(lines) + "\n"
 
 
@@ -121,15 +129,13 @@ class MetricsJsonlExporter:
     """Appends registry snapshots to a JSONL file, one object per
     line: ``{"ts": ..., "seq": ..., "metrics": {...}}``.
 
-    Driven by whoever owns a convenient loop (the serve drain calls
-    :meth:`maybe_export` once per poll); no thread of its own, so
-    arming it costs nothing between calls."""
+    Driven by whoever owns a convenient loop (the serve loop calls
+    :meth:`export` once per pass); no thread of its own, so arming it
+    costs nothing between calls."""
 
-    def __init__(self, path: str, interval: float | None = None):
+    def __init__(self, path: str):
         self.path = path
-        self.interval = interval
         self.seq = 0
-        self._last = -float("inf")
 
     def export(self, extra: dict | None = None) -> int:
         """Write one snapshot now; returns the sequence number."""
@@ -146,39 +152,22 @@ class MetricsJsonlExporter:
         with open(self.path, "a") as f:
             f.write(json.dumps(rec) + "\n")
         self.seq += 1
-        self._last = time.monotonic()
         return self.seq - 1
-
-    def maybe_export(self, extra: dict | None = None) -> bool:
-        """Write a snapshot if ``interval`` seconds have elapsed since
-        the last one (always writes when ``interval`` is None)."""
-        if (
-            self.interval is not None
-            and time.monotonic() - self._last < self.interval
-        ):
-            return False
-        self.export(extra)
-        return True
 
 
 # ---------------------------------------------------------- stitching
 
 
 def _linked_ids(trace_id: str, links: dict[str, str]) -> set[str]:
-    """The trace ids reachable from ``trace_id``: its ancestors (the
-    batches it was solved inside) and every descendant of those."""
+    """``trace_id`` and its ancestor chain (the batches it was solved
+    inside).  Descendants are not collected, so a request's stitched
+    trace never pulls in the peers it shared a batch with."""
     ids = {trace_id}
-    # walk up the parent chain
     cur = trace_id
-    seen = set()
-    while cur in links and cur not in seen:
-        seen.add(cur)
+    # the parent chain; a cycle in the links ends the walk
+    while cur in links and links[cur] not in ids:
         cur = links[cur]
         ids.add(cur)
-    # include descendants of anything collected so far (other requests
-    # in the same batch are *not* pulled in: only ids whose ancestor
-    # chain passes through trace_id itself or its ancestors via the
-    # solve side, i.e. children of the batch that are not peers)
     return ids
 
 
@@ -204,25 +193,10 @@ def stitch_trace(trace_id: str, tracer=None, extra_records=()) -> dict:
         return {"trace": trace_id, "linked": [], "events": [],
                 "rank_spans": [], "t_start": None, "duration": 0.0}
     ids = _linked_ids(trace_id, tracer.trace_links)
-    paths: dict[int, str] = {}
-
-    def visit(node, prefix):
-        p = prefix + (node.name,)
-        paths[id(node)] = "/".join(p)
-        for c in node.children.values():
-            visit(c, p)
-
-    for c in tracer.root.children.values():
-        visit(c, ())
     events = [
-        {
-            "path": paths[id(node)],
-            "t_start": t0,
-            "duration": dt,
-            "trace": trace,
-        }
-        for node, t0, dt, trace in tracer.events
-        if trace in ids
+        {k: v for k, v in rec.items() if k != "type"}
+        for rec in tracer._event_records()
+        if rec.get("trace") in ids
     ]
     events.sort(key=lambda e: e["t_start"])
     rank_spans = [
@@ -297,70 +271,24 @@ class FlightRecorder:
             self.out_dir,
             f"flight-{os.getpid()}-{next(self._seq):03d}.jsonl",
         )
-        T.sync_dropped_counter()
         tr = T.current_tracer()
+        records = [
+            {
+                "type": "flight_meta",
+                "reason": reason,
+                "ts": time.time(),
+                "pid": os.getpid(),
+                "telemetry_enabled": tr is not None,
+                "dropped_events": tr.dropped_events if tr is not None else 0,
+                "trace_context": T.get_trace_context(),
+            }
+        ]
+        if tr is not None:
+            records += tr._event_records(last=self.max_events)
+            records += tr._link_records()
+        records += T._metric_records()
         with open(path, "w") as f:
-            f.write(
-                json.dumps(
-                    {
-                        "type": "flight_meta",
-                        "reason": reason,
-                        "ts": time.time(),
-                        "pid": os.getpid(),
-                        "telemetry_enabled": tr is not None,
-                        "dropped_events": (
-                            tr.dropped_events if tr is not None else 0
-                        ),
-                        "trace_context": T.get_trace_context(),
-                    }
-                )
-                + "\n"
-            )
-            if tr is not None:
-                paths: dict[int, str] = {}
-
-                def visit(node, prefix):
-                    p = prefix + (node.name,)
-                    paths[id(node)] = "/".join(p)
-                    for c in node.children.values():
-                        visit(c, p)
-
-                for c in tr.root.children.values():
-                    visit(c, ())
-                tail = list(tr.events)[-self.max_events:]
-                for node, t0, dt, trace in tail:
-                    rec = {
-                        "type": "event",
-                        "path": paths[id(node)],
-                        "t_start": t0,
-                        "duration": dt,
-                    }
-                    if trace is not None:
-                        rec["trace"] = trace
-                    f.write(json.dumps(rec) + "\n")
-                for child, parent in tr.trace_links.items():
-                    f.write(
-                        json.dumps(
-                            {
-                                "type": "trace_link",
-                                "trace": child,
-                                "parent": parent,
-                            }
-                        )
-                        + "\n"
-                    )
-            for name, m in T.metrics().as_dict().items():
-                f.write(
-                    json.dumps(
-                        {
-                            **m,
-                            "metric_type": m["type"],
-                            "type": "metric",
-                            "name": name,
-                        }
-                    )
-                    + "\n"
-                )
+            f.writelines(json.dumps(rec) + "\n" for rec in records)
         return path
 
 

@@ -2,11 +2,11 @@
 
 The :class:`MetricsRegistry` is the single sink for run-level numbers
 that are not wall time: flop counts by category, residual norms per CG
-iteration, CFL margins, allocation watermarks.  It absorbs the two
-pre-telemetry fragments — :class:`repro.util.flops.FlopCounter` is now
-a back-compat shim over :class:`CategoryCounter`, and the per-peer
-traffic matrix of :class:`repro.parallel.simcomm.TrafficStats` feeds
-the registry's report path — so "where did the work go" has one answer.
+iteration, CFL margins, allocation watermarks.  A solver tallies its
+flops in a :class:`CategoryCounter` (``solver.flops``), and the
+per-peer traffic matrix of :class:`repro.parallel.simcomm.TrafficStats`
+feeds the registry's report path — so "where did the work go" has one
+answer.
 
 Samples are gated the same way spans are: :func:`repro.telemetry.
 sample` is a no-op while telemetry is disabled, so per-step sampling
@@ -30,9 +30,13 @@ __all__ = [
 
 @dataclass
 class CategoryCounter:
-    """Accumulates an extensive quantity by category (the superset of
-    the old ``util.flops.FlopCounter`` surface, kept verbatim so the
-    shim is a subclass with nothing to do)."""
+    """Accumulates an extensive quantity by category: ``counts`` dict,
+    ``add``, ``total``, ``merge``.
+
+    A solver holds one as ``solver.flops``.  Table 2.1 reports
+    sustained flop rates; a numpy prototype cannot measure them, so it
+    counts the arithmetic it performs (exactly, from the operation
+    shapes) and the machine model converts counts to wall time."""
 
     counts: dict = field(default_factory=dict)
 

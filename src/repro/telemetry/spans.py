@@ -11,10 +11,18 @@ counters through :func:`add`, which performs the same cheap gate.
 When enabled, spans nest through a stack and *aggregate*: entering the
 same name under the same parent accumulates wall seconds and a call
 count into one :class:`SpanStats` node instead of growing a list, so a
-100 000-step loop costs O(1) memory.  A bounded event stream records
-individual ``(path, start, duration)`` intervals for the JSONL trace
-export; when the cap is hit, further events are counted as dropped
-rather than silently lost.
+100 000-step loop costs O(1) memory.  A bounded event ring records
+individual ``(node, start, duration, trace)`` intervals; once the cap
+is hit the oldest is evicted and counted as dropped rather than
+silently lost.
+
+The tracer is the one place its trace records are built: ``span``
+records from :meth:`Tracer.aggregates` (a :meth:`SpanStats.walk` of
+the tree, each node carrying the ``path`` it was created under),
+``event`` records from the ring (optionally only its tail), and
+``trace_link`` records from the link table.  :meth:`Tracer.dump_jsonl`,
+the flight recorder and :func:`repro.telemetry.export.stitch_trace`
+only choose which of these records to write.
 """
 
 from __future__ import annotations
@@ -120,10 +128,14 @@ class trace_context:
 class SpanStats:
     """Aggregated statistics of one span path in the trace tree."""
 
-    __slots__ = ("name", "depth", "seconds", "count", "counters", "children")
+    __slots__ = (
+        "name", "path", "depth", "seconds", "count", "counters", "children"
+    )
 
-    def __init__(self, name: str, depth: int):
+    def __init__(self, name: str, depth: int, path: str = ""):
         self.name = name
+        #: ``/``-joined names from the top-level span down to this one
+        self.path = path
         self.depth = depth
         self.seconds = 0.0
         self.count = 0
@@ -133,26 +145,18 @@ class SpanStats:
     def child(self, name: str) -> "SpanStats":
         node = self.children.get(name)
         if node is None:
-            node = self.children[name] = SpanStats(name, self.depth + 1)
+            path = name if self.depth < 0 else f"{self.path}/{name}"
+            node = self.children[name] = SpanStats(name, self.depth + 1, path)
         return node
 
     def add_counter(self, counter: str, value) -> None:
         self.counters[counter] = self.counters.get(counter, 0) + value
 
     def walk(self) -> Iterator["SpanStats"]:
+        """This node, then its subtree depth-first in creation order."""
         yield self
         for c in self.children.values():
             yield from c.walk()
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "depth": self.depth,
-            "seconds": self.seconds,
-            "count": self.count,
-            "counters": dict(self.counters),
-            "children": [c.as_dict() for c in self.children.values()],
-        }
 
 
 class _Span:
@@ -179,14 +183,7 @@ class _Span:
         node.count += 1
         tr = self._tracer
         tr._stack.pop()
-        events = tr.events
-        if len(events) >= tr.max_events:
-            # ring semantics: evict the oldest so the stream always
-            # holds the most recent window (what a postmortem wants),
-            # and count the eviction instead of losing it silently
-            events.popleft()
-            tr.dropped_events += 1
-        events.append((node, self._t0 - tr.t_origin, dt, _TRACE_CTX))
+        tr._push(node, self._t0 - tr.t_origin, dt, _TRACE_CTX)
         return False
 
     def add(self, counter: str, value) -> "_Span":
@@ -209,6 +206,18 @@ class Tracer:
         self._stack: list[SpanStats] = [self.root]
 
     # --------------------------------------------------------- recording
+
+    def _push(
+        self, node: SpanStats, t_rel: float, dt: float, trace: str | None
+    ) -> None:
+        events = self.events
+        if len(events) >= self.max_events:
+            # ring semantics: evict the oldest so the stream always
+            # holds the most recent window (what a postmortem wants),
+            # and count the eviction instead of losing it silently
+            events.popleft()
+            self.dropped_events += 1
+        events.append((node, t_rel, dt, trace))
 
     def span(self, name: str, attrs: dict | None = None) -> _Span:
         node = self._stack[-1].child(name)
@@ -251,13 +260,9 @@ class Tracer:
         if counters:
             for k, v in counters.items():
                 node.add_counter(k, v)
-        events = self.events
-        if len(events) >= self.max_events:
-            events.popleft()
-            self.dropped_events += 1
         if trace_id is None:
             trace_id = _TRACE_CTX
-        events.append((node, t_start - self.t_origin, duration, trace_id))
+        self._push(node, t_start - self.t_origin, duration, trace_id)
 
     def link_trace(self, child: str, parent: str) -> None:
         """Declare that trace ``child`` was carried out inside trace
@@ -270,80 +275,63 @@ class Tracer:
 
     def aggregates(self) -> list[dict]:
         """Flattened span tree in depth-first order, root excluded."""
-        out = []
+        return [
+            {
+                "path": node.path,
+                "name": node.name,
+                "depth": node.depth,
+                "seconds": node.seconds,
+                "count": node.count,
+                "counters": dict(node.counters),
+            }
+            for node in itertools.islice(self.root.walk(), 1, None)
+        ]
 
-        def visit(node, prefix):
-            path = prefix + (node.name,)
-            out.append(
-                {
-                    "path": "/".join(path),
-                    "name": node.name,
-                    "depth": node.depth,
-                    "seconds": node.seconds,
-                    "count": node.count,
-                    "counters": dict(node.counters),
-                }
-            )
-            for c in node.children.values():
-                visit(c, path)
+    def _event_records(self, last: int | None = None) -> Iterator[dict]:
+        """One ``event`` record per ring entry, oldest first; with
+        ``last``, only the newest ``last`` entries.  ``trace`` is
+        present only on events recorded inside a trace context."""
+        events = self.events if last is None else list(self.events)[-last:]
+        for node, t0, dt, trace in events:
+            rec = {
+                "type": "event",
+                "path": node.path,
+                "t_start": t0,
+                "duration": dt,
+            }
+            if trace is not None:
+                rec["trace"] = trace
+            yield rec
 
-        for c in self.root.children.values():
-            visit(c, ())
-        return out
+    def _link_records(self) -> list[dict]:
+        """One ``trace_link`` record per :meth:`link_trace` call."""
+        return [
+            {"type": "trace_link", "trace": child, "parent": parent}
+            for child, parent in self.trace_links.items()
+        ]
 
     def dump_jsonl(self, path: str, *, extra_records=()) -> int:
         """Write the trace as JSON lines: one ``meta`` record, one
         ``span`` record per aggregate node, one ``event`` record per
-        recorded interval, plus any ``extra_records`` (e.g. per-rank
-        timeline spans).  Returns the number of lines written."""
-        paths = {}
-
-        def visit(node, prefix):
-            p = prefix + (node.name,)
-            paths[id(node)] = "/".join(p)
-            for c in node.children.values():
-                visit(c, p)
-
-        for c in self.root.children.values():
-            visit(c, ())
-        n = 0
+        recorded interval, one ``trace_link`` record per link, plus any
+        ``extra_records`` (e.g. per-rank timeline spans).  Returns the
+        number of lines written."""
+        meta = {
+            "type": "meta",
+            "dropped_events": self.dropped_events,
+            "pid": os.getpid(),
+        }
+        # streamed: a full ring is never held as records all at once
+        records = itertools.chain(
+            [meta],
+            ({"type": "span", **agg} for agg in self.aggregates()),
+            self._event_records(),
+            self._link_records(),
+            extra_records,
+        )
         with open(path, "w") as f:
-            f.write(
-                json.dumps(
-                    {
-                        "type": "meta",
-                        "dropped_events": self.dropped_events,
-                        "pid": os.getpid(),
-                    }
-                )
-                + "\n"
-            )
-            n += 1
-            for agg in self.aggregates():
-                f.write(json.dumps({"type": "span", **agg}) + "\n")
-                n += 1
-            for node, t0, dt, trace in self.events:
-                rec = {
-                    "type": "event",
-                    "path": paths[id(node)],
-                    "t_start": t0,
-                    "duration": dt,
-                }
-                if trace is not None:
-                    rec["trace"] = trace
+            for n, rec in enumerate(records, 1):
                 f.write(json.dumps(rec) + "\n")
-                n += 1
-            for child, parent in self.trace_links.items():
-                f.write(
-                    json.dumps(
-                        {"type": "trace_link", "trace": child, "parent": parent}
-                    )
-                    + "\n"
-                )
-                n += 1
-            for rec in extra_records:
-                f.write(json.dumps(rec) + "\n")
-                n += 1
         return n
 
 

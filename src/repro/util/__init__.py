@@ -1,4 +1,4 @@
-"""Utilities: filtering, timing, flop accounting.
+"""Utilities: filtering and timing.
 
 The filters (:mod:`repro.util.filters`) import ``scipy.signal``, which
 costs most of a solver import; import them from their module where a
@@ -6,6 +6,5 @@ filter runs.
 """
 
 from repro.util.timing import Timer
-from repro.util.flops import FlopCounter
 
-__all__ = ["Timer", "FlopCounter"]
+__all__ = ["Timer"]

@@ -241,7 +241,7 @@ class TestPrometheus:
         h = reg.histogram("service.latency.total")
         for v in (0.1, 0.2, 0.3):
             h.observe(v)
-        text = prometheus_text(reg, include_spans=False)
+        text = prometheus_text(reg)
         assert "# TYPE repro_service_requests_total counter" in text
         assert "repro_service_requests_total 7" in text
         assert "repro_service_cache_hit_ratio 0.75" in text
@@ -280,11 +280,6 @@ class TestJsonlExporter:
         assert recs[1]["metrics"]["reqs"]["value"] == 5
         assert recs[1]["drain"] == 1
 
-    def test_interval_gating(self, tmp_path):
-        exp = MetricsJsonlExporter(str(tmp_path / "m.jsonl"), interval=3600)
-        assert exp.maybe_export() is True
-        assert exp.maybe_export() is False
-
 
 class TestStatusFile:
     def test_write_read_roundtrip(self, tmp_path):
@@ -322,6 +317,38 @@ class TestFlightRecorder:
         assert {"event", "metric"} <= kinds
         ev = next(r for r in recs if r["type"] == "event")
         assert ev["trace"] == "t-9"
+
+    def test_flight_dump_is_a_tail_of_the_trace_dump(self, tmp_path):
+        tr = telemetry.enable()
+        for trace in ("t-a", "t-b"):
+            with telemetry.trace_context(trace):
+                with telemetry.span("run"):
+                    for _ in range(3):
+                        with telemetry.span("step"):
+                            pass
+        tr.record_event(("queue",), tr.t_origin, 0.5, trace_id="t-req")
+        tr.link_trace("t-req", "t-a")
+        telemetry.count("requests")
+        trace_path = str(tmp_path / "t.jsonl")
+        telemetry.dump_jsonl(trace_path)
+        recorder = arm_flight_recorder(str(tmp_path / "flight"), max_events=5)
+        flight = [json.loads(l) for l in open(recorder.dump("compare"))]
+        trace = [json.loads(l) for l in open(trace_path)]
+
+        def of(recs, kind):
+            return [r for r in recs if r["type"] == kind]
+
+        assert len(of(trace, "event")) == 9  # more than the tail holds
+        assert of(flight, "event") == of(trace, "event")[-5:]
+        assert of(flight, "trace_link") == of(trace, "trace_link") == [
+            {"type": "trace_link", "trace": "t-req", "parent": "t-a"}
+        ]
+        assert of(flight, "metric") == of(trace, "metric")
+        spans = [
+            {k: v for k, v in r.items() if k != "type"}
+            for r in of(trace, "span")
+        ]
+        assert spans == tr.aggregates()
 
     def test_flight_dump_module_gate(self, tmp_path):
         assert flight_dump("nothing armed") is None

@@ -6,7 +6,8 @@ import pytest
 from repro.io.seismogram import ReceiverArray, Seismograms
 from repro.io.snapshots import SnapshotRecorder
 from repro.mesh import uniform_hex_mesh
-from repro.util import FlopCounter, Timer
+from repro.telemetry import CategoryCounter
+from repro.util import Timer
 from repro.util.filters import lowpass
 
 
@@ -103,12 +104,12 @@ class TestTimerAndFlops:
         assert t.seconds >= 0.009
 
     def test_flop_counter(self):
-        c = FlopCounter()
+        c = CategoryCounter()
         c.add("matvec", 100)
         c.add("matvec", 50)
         c.add("update", 10)
         assert c.total == 160
-        d = FlopCounter()
+        d = CategoryCounter()
         d.add("matvec", 1)
         c.merge(d)
         assert c.counts["matvec"] == 151

@@ -24,7 +24,6 @@ from repro.parallel.simcomm import TrafficStats
 from repro.solver import ElasticWaveSolver, RegularGridScalarWave
 from repro.telemetry import MergedTimeline, MetricsRegistry, PerfReport, RankTimeline
 from repro.telemetry.timeline import PHASES
-from repro.util.flops import FlopCounter
 
 MAT = HomogeneousMaterial(vs=1000.0, vp=1800.0, rho=2000.0)
 L = 1000.0
@@ -210,19 +209,6 @@ class TestMetrics:
         s.append(1.0)
         s.append(2.0, step=10)
         assert s.steps == [0, 10] and s.values == [1.0, 2.0]
-
-    def test_flopcounter_shim_is_category_counter(self):
-        fc = FlopCounter()
-        fc.add("stiffness", 100)
-        fc.add("stiffness", 50)
-        fc.add("update", 7)
-        assert fc.counts == {"stiffness": 150, "update": 7}
-        assert fc.total == 157
-        other = FlopCounter()
-        other.add("update", 3)
-        fc.merge(other)
-        assert fc.counts["update"] == 10
-        assert isinstance(fc, telemetry.CategoryCounter)
 
     def test_sample_and_gauge_gated_on_enabled(self):
         telemetry.sample("x", 1.0)
@@ -532,7 +518,7 @@ class TestPerfReport:
         telemetry.enable()
         with telemetry.span("work") as s:
             s.add("flops", 1000)
-        fc = FlopCounter()
+        fc = telemetry.CategoryCounter()
         fc.add("stiffness", 500)
         st = TrafficStats()
         st.record_send(0, 1, 64)
