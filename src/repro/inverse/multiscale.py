@@ -40,15 +40,13 @@ class MultiscaleResult:
 
 
 def multiscale_invert(
-    make_problem: Callable[[MaterialGrid], object],
+    make_problem: Callable[[MaterialGrid, int], object],
     grids: Sequence[MaterialGrid],
     m_init: float | np.ndarray,
     *,
     beta_tv: float = 0.0,
-    tv_eps: float = 1e-3,
     newton_per_level: int = 8,
     cg_maxiter: int = 40,
-    use_preconditioner: bool = True,
     verbose: bool = False,
     level_callback: Callable | None = None,
 ) -> MultiscaleResult:
@@ -57,33 +55,23 @@ def multiscale_invert(
     Parameters
     ----------
     make_problem:
-        Factory ``make_problem(grid) -> ScalarWaveInverseProblem`` —
-        called once per level, so each level's problem carries its own
+        Factory ``make_problem(grid, level) -> ScalarWaveInverseProblem``
+        — called once per level, so each level's problem carries its own
         prolongation (and its TV regularizer can be attached here or via
-        ``beta_tv``).
+        ``beta_tv``); the level index lets it vary e.g. the residual
+        smoother (frequency continuation).
     grids:
         Material grids, coarse to fine.
     m_init:
         Homogeneous initial modulus (scalar) or nodal array on the
         coarsest grid.
     """
-    import inspect
-
-    try:
-        two_arg_factory = (
-            len(inspect.signature(make_problem).parameters) >= 2
-        )
-    except (TypeError, ValueError):  # builtins / partials without sig
-        two_arg_factory = False
-
     levels = []
     m = None
     for li, grid in enumerate(grids):
-        # a two-argument factory also receives the level index, so it
-        # can vary e.g. the residual smoother (frequency continuation)
-        problem = make_problem(grid, li) if two_arg_factory else make_problem(grid)
+        problem = make_problem(grid, li)
         if beta_tv > 0 and problem.reg is None:
-            problem.reg = TotalVariation(grid, beta_tv, eps=tv_eps)
+            problem.reg = TotalVariation(grid, beta_tv)
         if m is None:
             m = (
                 np.full(grid.n, float(m_init))
@@ -92,15 +80,12 @@ def multiscale_invert(
             )
         else:
             m = grids[li - 1].to_finer(grid) @ m
-        precond = (
-            LBFGSPreconditioner(grid.n) if use_preconditioner else None
-        )
         result = gauss_newton_cg(
             problem,
             m,
             max_newton=newton_per_level,
             cg_maxiter=cg_maxiter,
-            precond=precond,
+            precond=LBFGSPreconditioner(grid.n),
             verbose=verbose,
         )
         m = result.m

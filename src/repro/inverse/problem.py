@@ -454,10 +454,14 @@ class ScalarWaveInverseProblem(LeastSquaresProblem):
             batch=self.tail[0] if self.tail else None,
         )
 
-    def accumulate(self, state: ForwardState, L: np.ndarray) -> np.ndarray:
+    def accumulate(
+        self, state: ForwardState, L: np.ndarray, *, _step0: int = 0
+    ) -> np.ndarray:
         """``g_e = sum_k lam^{k+1,T} [dt^2 K_e u^k + (dt/2) C_e (u^{k+1}
         - u^{k-1}) - dt^2 db^k/dmu_e]``, returned on the grid as ``P^T
-        g_e``.
+        g_e``, over the ``len(L) + 1`` rows of ``state.u``; ``u[0]`` is
+        step ``_step0`` of the march (a checkpointed segment's start),
+        which only the fault term's source times read.
 
         The stiffness term is one stencil correlation over the whole
         history; the boundary terms read the damped nodes only and the
@@ -465,7 +469,7 @@ class ScalarWaveInverseProblem(LeastSquaresProblem):
         chunks.  Multi-shot fields ``(nt, nnode, B)`` contract over
         time *and* shots; the per-shot fault coupling slices its own
         column."""
-        N = self.nsteps
+        N = len(L) + 1
         dt = self.dt
         solver = self.solver
         u, mu_e = state.u, state.model
@@ -484,7 +488,7 @@ class ScalarWaveInverseProblem(LeastSquaresProblem):
                     continue
                 g -= dt**2 * shot.fault.material_gradient_batch(
                     self._column(L[k0 - 1 : k1 - 1], s), shot.source_params,
-                    np.arange(k0, k1) * dt,
+                    np.arange(_step0 + k0, _step0 + k1) * dt,
                 )
         return self.P.T @ g
 
@@ -523,82 +527,64 @@ class ScalarWaveInverseProblem(LeastSquaresProblem):
     def gradient_checkpointed(
         self, m: np.ndarray, slots: int = 8
     ) -> tuple[np.ndarray, float]:
-        """Memory-bounded gradient via Griewank checkpointing [21].
+        """Memory-bounded gradient via checkpointing [21]; returns
+        ``(g, J)``.
 
-        Instead of storing all ``nsteps + 1`` forward states, the
-        forward sweep keeps ``slots`` two-state snapshots and the
-        receiver traces; during the backward (adjoint) sweep the needed
-        forward states are replayed segment by segment.  Peak state
-        memory drops from ``O(N)`` to ``O(N / slots + slots)`` at the
-        price of one extra forward recomputation.
-
-        Returns ``(g, J)``; the result matches :meth:`gradient` to
-        roundoff (tested).
+        The forward sweep keeps every shot's receiver rows and only the
+        restart pairs ``(u^s, u^{s+1})`` at ``s = 0, stride, 2 stride,
+        ...`` (``stride = ceil((N - 1) / slots)``: at most ``slots``
+        pairs).  The backward sweep takes the segments last first: it
+        continues the adjoint march from its own pair up to ``x^{N-s}``,
+        replays the forward segment from its pair, and adds
+        :meth:`accumulate` over the segment's steps ``k = s+1 .. next
+        start``.  Every sweep is a segment of the one :meth:`march`,
+        which restarts bit for bit from a pair, so ``slots=1`` gives
+        :meth:`gradient`'s ``g`` bit for bit; more segments only regroup
+        the sum.  Peak state memory drops from ``N + 1`` rows to about
+        ``2 (stride + 2 + slots)``, for one more forward march.
         """
-        from repro.solver.checkpoint import (
-            CheckpointedStates,
-            checkpoint_schedule,
-        )
-
-        if self.tail:
-            raise NotImplementedError(
-                "checkpointed gradients are single-shot only; multi-shot "
-                "gradients already run one batched sweep each way"
-            )
+        if slots < 1:
+            raise ValueError(f"need slots >= 1, got {slots}")
         mu_e = self.model(m)
         N = self.nsteps
-        dt = self.dt
-        solver = self.solver
-        shot = self.shots[0]
+        stride = max(1, -(-(N - 1) // slots))
+        starts = list(range(0, max(N - 1, 1), stride))
+        lasts = starts[1:] + [N - 1]  # each segment's last step k
+        rest = np.zeros((2, self.solver.nnode, *self.tail))
+
+        def segment(forcing, s, n, pair):
+            """Rows ``s .. s + n`` of the march driven by ``forcing``,
+            restarted from its rows ``pair = (s, s + 1)``."""
+            return self.solver.march(
+                mu_e, lambda k: forcing(k + s), n, self.dt, store=True,
+                x0=pair[0], x1=pair[1],
+                batch=self.tail[0] if self.tail else None,
+            )
+
         forcing = self.sources(mu_e)
+        pairs = [rest]
+        traces = [np.empty(shot.data.shape) for shot in self.shots]
+        for s, t in zip(starts, lasts):
+            u = segment(forcing, s, t + 1 - s, pairs[-1])
+            for tr, r in zip(traces, self._traces(u)):
+                tr[s : t + 2] = r
+            pairs.append(u[-2:].copy())
+        check_finite(pairs.pop()[1], step=N, field="u")
+        residuals = [tr - shot.data for tr, shot in zip(traces, self.shots)]
+        J = self.objective(m, ForwardState(m, mu_e, None, residuals))[0]
 
-        # forward sweep: snapshots + receiver traces only
-        sched = set(checkpoint_schedule(N, slots))
-        snaps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        traces = np.zeros((N + 1, len(shot.receivers)))
-        last: dict = {}
-
-        def on_step(k, x):
-            traces[k] = x[shot.receivers]
-            if k - 1 in sched:
-                snaps[k - 1] = (last["x"], x.copy())
-            last["x"] = x.copy()
-
-        solver.march(mu_e, forcing, N, dt, store=False, on_step=on_step)
-        self.n_wave_solves += 1
-        state = ForwardState(m, mu_e, None, [traces - shot.data])
-        J = self.objective(m, state)[0]
-
-        # the replay takes the march's own steps, bit for bit
-        states = CheckpointedStates(
-            lambda k, x_prev, x: solver.step(mu_e, dt, x_prev, x, forcing(k)),
-            snaps, N,
-        )
-
-        # adjoint sweep with on-the-fly accumulation: reversed step mrev
-        # carries lam^{N+2-mrev}; the material terms for k = N+1-mrev
-        # need u^{k-1}, u^k, u^{k+1}
-        g_e = np.zeros(solver.nelem)
-
-        def adj_on_step(mrev, x):
-            j = N + 2 - mrev  # lam index
-            k = j - 1
-            if not (1 <= k <= N - 1) or not x.any():
-                return
-            # descending access order keeps the replay cache warm
-            up = states.state(k + 1)
-            uk = states.state(k)
-            um = states.state(k - 1)
-            g_e[:] += dt**2 * solver.K_material_gradient(uk, x)
-            g_e[:] += 0.5 * dt * solver.C_material_gradient(up - um, x, mu_e)
-            if shot.fault is not None and shot.source_params is not None:
-                g_e[:] -= dt**2 * shot.fault.material_gradient_batch(
-                    x[None], shot.source_params, np.array([k * dt])
-                )
-
-        solver.march(
-            mu_e, self._receiver_forcing((solver.nnode,), state.residuals),
-            N, dt, store=False, on_step=adj_on_step,
-        )
-        self.n_wave_solves += 1
-        return self._add_penalty_gradient(m, self.P.T @ g_e), J
+        # x^{N+1-k} = lam^{k+1} for the segment's k: adjoint rows
+        # N - t - 1 .. N - s, read back from the end down to row 2
+        adjoint = self._receiver_forcing(rest.shape[1:], residuals)
+        g = np.zeros(self.n)
+        x_pair = rest
+        for s, t, pair in zip(starts[::-1], lasts[::-1], pairs[::-1]):
+            x = segment(adjoint, N - t - 1, t + 1 - s, x_pair)
+            x_pair = x[-2:].copy()
+            u = segment(forcing, s, t + 1 - s, pair)
+            g += self.accumulate(
+                ForwardState(m, mu_e, u, residuals), x[:1:-1], _step0=s
+            )
+            del x, u  # one segment of each sweep is alive at a time
+        self.n_wave_solves += 2
+        return self._add_penalty_gradient(m, g), J

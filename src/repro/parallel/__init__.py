@@ -10,11 +10,11 @@ point-to-point transport: the same SPMD rank programs, with the one
 halo exchange, run over an in-process simulated MPI
 (:class:`SimWorld`, one core, measured traffic) or over persistent
 worker processes with shared-memory channels (:class:`ProcWorld`, N
-real cores, comm/compute overlap).  There are
-two domain-sharded schedules — one interface exchange per global step,
-as in the paper, and clustered local time stepping, which exchanges at
-the interface rate — plus shot sharding.  The two transports produce
-bit-identical trajectories and identical traffic statistics; the
+real cores, comm/compute overlap).  There are two domain-sharded
+schedules — one interface exchange per global step, as in the paper,
+and clustered local time stepping, which exchanges at the interface
+rate.  The two transports produce bit-identical trajectories and
+identical traffic statistics; the
 measured work/communication converts to wall time with an alpha-beta
 machine model (:class:`MachineModel`) calibrated either to LeMieux
 (:data:`ALPHASERVER_ES45`) or to the local transport
@@ -29,10 +29,7 @@ from repro.parallel.transport import (
     measure_transport,
 )
 from repro.parallel.decomposition import per_step_profile, rank_partitions
-from repro.parallel.dist_solver import (
-    DistributedWaveSolver,
-    recommend_sharding,
-)
+from repro.parallel.dist_solver import DistributedWaveSolver
 from repro.parallel.perfmodel import (
     MachineModel,
     ALPHASERVER_ES45,
@@ -52,7 +49,6 @@ __all__ = [
     "rank_partitions",
     "per_step_profile",
     "DistributedWaveSolver",
-    "recommend_sharding",
     "MachineModel",
     "ALPHASERVER_ES45",
     "ScalabilityRow",

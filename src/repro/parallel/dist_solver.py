@@ -11,9 +11,8 @@ interface-first element ordering and split scatter plans).
 
 There are two domain-sharded schedules — one exchange per global step
 and the clustered-LTS march — run by one SPMD **rank program**
-(:func:`_rank_program`), plus the shot-sharded :func:`_shot_program`.
-A program takes its :class:`repro.parallel.simcomm.SimComm`; the
-transport is the argument:
+(:func:`_rank_program`).  A program takes its
+:class:`repro.parallel.simcomm.SimComm`; the transport is the argument:
 
 * :class:`repro.parallel.simcomm.SimWorld` — in-process mailboxes; the
   rank programs are resumed round-robin on one core (each suspends once
@@ -46,23 +45,13 @@ order of the interface sums.  Resume, poisoning, the health sentinel
 and checkpoints are the loop's
 :class:`~repro.solver.frame.MarchFrame`, which ``_RankFrame`` extends
 with what needs a ``comm``: the exchange, the top-of-step hooks, the
-phase timeline and the result write.  A shot slice is a serial batched
-march of the whole domain.
+phase timeline and the result write.
 
 Scope: lumped mass, Lysmer absorbing damping, conforming meshes — a
 rank's ``restrict`` call passes no ``c1`` coupling, no ``B`` and no
 Rayleigh term.  Adding them is three arguments of that call plus
 ghosting the masters of a rank's hanging nodes into its node set, not
 another update body or loop.
-
-Two parallelisation axes are available.  :meth:`DistributedWaveSolver.
-run` shards the **domain**: each worker owns an element partition and
-exchanges interface partial sums every step.  :meth:`DistributedWave
-Solver.run_shots` shards the **scenario batch**: each worker holds the
-whole domain and marches its slice of the shots as one batched
-(level-3) time loop — zero boundary traffic, at the cost of replicating
-the full mesh per worker.  :func:`recommend_sharding` encodes the
-trade-off.
 """
 
 from __future__ import annotations
@@ -92,7 +81,6 @@ from repro.solver.lts import bin_rates, build_lts_plan, resolve, smooth_rates
 from repro.solver.wave_solver import (
     DEFAULT_ABSORBING,
     cluster_levels,
-    drain,
     elastic_level_operator,
     forcing,
     march_clustered,
@@ -101,46 +89,6 @@ from repro.solver.wave_solver import (
 )
 
 from repro import telemetry
-
-
-def recommend_sharding(
-    nelem: int,
-    nshots: int,
-    nworkers: int,
-    *,
-    nnode: int | None = None,
-    worker_mem_bytes: float = 2.0e9,
-) -> str:
-    """Pick the parallelisation axis for an ensemble run: ``"shots"``
-    or ``"domain"``.
-
-    Shot sharding wins whenever it is feasible, because it removes the
-    per-step interface exchange entirely (the scaling bottleneck the
-    paper's machine model is built around) and each worker's batched
-    level-3 stiffness application is more cache-efficient than B
-    separate matvecs.  It is feasible when
-
-    * there are at least as many shots as workers (otherwise some
-      workers idle — domain decomposition keeps them all busy), and
-    * one worker can hold the *whole* mesh plus its shot slice's state:
-      roughly the operator workspace (gather/apply buffers scale with
-      ``nelem * 24`` doubles per batch column) plus six ``(nnode, 3)``
-      state blocks per shot.
-
-    Otherwise shard the domain.  Hybrid sharding (shot groups x
-    subdomains) would interpolate; we keep the axes pure so the
-    measured traffic of each regime stays interpretable.
-    """
-    if nshots < nworkers:
-        return "domain"
-    if nnode is None:
-        nnode = int(1.3 * nelem) + 1  # conforming hex meshes: nnode ~ nelem
-    b_local = -(-nshots // nworkers)  # ceil
-    op_bytes = 8 * nelem * 24 * (2 * b_local + 2)
-    state_bytes = 8 * 6 * nnode * 3 * b_local
-    if op_bytes + state_bytes > worker_mem_bytes:
-        return "domain"
-    return "shots"
 
 
 class _RankFrame(MarchFrame):
@@ -365,39 +313,6 @@ def _rank_program(comm, payload):
     )
 
 
-def _shot_program(comm, payload):
-    """Shot-sharded SPMD program: march this worker's slice of the
-    scenario batch over the *whole* domain as one batched march over a
-    single level of every node (each column is the single-shot run bit
-    for bit: the batched ``matmat`` is per-column exact and every other
-    term elementwise).
-    No sends, no receives — the transport carries nothing but the final
-    states, written into the named shared result array (disjoint shot
-    rows per worker)."""
-    p = payload
-    idx = p["shots"]
-    name, B, nnode = p["result"]
-    if len(idx) == 0:
-        return {"t_compute": 0.0, "nsteps": p["nsteps"], "nshots": 0}
-    tail = (len(idx),)
-    op = ElasticOperator(p["conn"], p["h"], p["lam"], p["mu"], nnode)
-    t0 = time.perf_counter()
-    (_, u), _ = drain(march_clustered(
-        [whole_level(op, restrict(p["m"], p["C"], p["dt"]))],
-        forcing(p["force_fns"], nnode, p["dt"], tail),
-        MarchFrame(p["nsteps"]), tail,
-        count=lambda _kind, n: comm.add_flops(n),
-    ))
-    t_compute = time.perf_counter() - t0
-    shm, res = attach_shared_array(name, (B, nnode, 3))
-    res[idx] = np.moveaxis(u, 2, 0)
-    del res  # drop the exported view before closing the mapping
-    shm.close()
-    return {
-        "t_compute": t_compute, "nsteps": p["nsteps"], "nshots": len(idx)
-    }
-
-
 class _RankRates(NamedTuple):
     """The clustered schedule of a partitioned mesh
     (:meth:`DistributedWaveSolver._lts_setup`): the global element
@@ -463,8 +378,7 @@ class DistributedWaveSolver:
         C_global, _ = StaceyBoundary(mesh, absorbing).matrices(
             lam, mu, rho, include_c1=False
         )
-        # kept whole and sliced per payload: a rank's own nodes or
-        # (shot sharding) the full domain
+        # kept whole and sliced per rank payload
         self._m_global = m_global
         self._C_global = C_global
         for r, rp in enumerate(self.ranks):
@@ -475,10 +389,9 @@ class DistributedWaveSolver:
         #: merged per-rank timeline of the most recent :meth:`run`,
         #: populated when telemetry is enabled at run time
         self.last_timeline: MergedTimeline | None = None
-        #: what the rank programs of the most recent :meth:`run` /
-        #: :meth:`run_shots` returned, one dict per rank
-        #: (``t_compute``, ``t_wait``, ``nsteps``; a domain run's
-        #: ``lts_fired``, the firings per rate)
+        #: what the rank programs of the most recent :meth:`run`
+        #: returned, one dict per rank (``t_compute``, ``t_wait``,
+        #: ``nsteps``, ``lts_fired``: the firings per rate)
         self.last_timings: list[dict] | None = None
 
     def _lts_setup(self, max_rate: int) -> _RankRates:
@@ -603,82 +516,29 @@ class DistributedWaveSolver:
                 lts_ctx=ctx,
             )
 
-    def run_shots(self, force_fns: Sequence, t_end: float) -> np.ndarray:
-        """Shot-sharded ensemble run: march ``B = len(force_fns)``
-        scenarios to ``t_end``, each worker advancing a contiguous
-        slice of the batch over the **whole** domain with the batched
-        level-3 stiffness kernel.  No per-step boundary traffic crosses
-        the transport — see :func:`recommend_sharding` for when this
-        beats domain decomposition.
-
-        Each ``force_fns[b]`` is what :meth:`run` takes as ``force_fn``
-        (a source collection, a ``(t, out)`` or a ``(t)`` callable); on
-        the process transport every entry must be picklable.  Returns the final displacements
-        as ``(B, nnode, 3)``; row ``b`` is bit-identical to the same
-        scenario marched alone.
-        """
-        B = len(force_fns)
-        if B == 0:
-            raise ValueError("need at least one shot")
-        nsteps = int(np.ceil(t_end / self.dt))
-        mesh = self.mesh
-        slices = np.array_split(np.arange(B), self.world.nranks)
-        shm, result = create_shared_array((B, mesh.nnode, 3))
-        try:
-            result.fill(0.0)
-            payloads = [
-                {
-                    "conn": mesh.conn,
-                    "h": mesh.elem_h,
-                    "lam": self._lam,
-                    "mu": self._mu,
-                    "m": self._m_global,
-                    "C": self._C_global,
-                    "dt": self.dt,
-                    "nsteps": nsteps,
-                    "shots": idx,
-                    "force_fns": [force_fns[i] for i in idx],
-                    "result": (shm.name, B, mesh.nnode),
-                }
-                for idx in slices
-            ]
-            self.last_timings = self.world.run_spmd(_shot_program, payloads)
-            out = result.copy()
-        finally:
-            del result  # drop the exported view before closing
-            release_shared_array(shm)
-        return out
-
     # ------------------------------------------------ running the ranks
-
-    def _subdomain(self, rp) -> dict:
-        """What a rank program builds its subdomain's operator and
-        update coefficients from: local connectivity plus the element
-        (size, material) and node (mass, damping) slices.  The
-        coefficients travel raw — every program hoists its own — and
-        everything is a plain numpy array, so the dict pickles straight
-        into a worker."""
-        return {
-            "conn": rp.local_conn,
-            "h": self.mesh.elem_h[rp.elements],
-            "lam": self._lam[rp.elements],
-            "mu": self._mu[rp.elements],
-            "nloc": len(rp.nodes),
-            "n_iface": rp.n_iface_elems,
-            "m": self._m_global[rp.nodes],
-            "C": self._C_global[rp.nodes],
-            "gnodes": rp.nodes,
-        }
 
     def _rank_payloads(self, common: dict, lts_ctx) -> list[dict]:
         """One rank-program payload per rank: ``common``, the rank's
-        gather lists, its subdomain and neighbors, and under LTS its
-        element rates (which pick the clustered march)."""
+        gather lists, its subdomain — local connectivity plus the
+        element (size, material) and node (mass, damping) slices, raw:
+        every program hoists its own coefficients — and neighbors, and
+        under LTS its element rates (which pick the clustered march).
+        Everything is a plain numpy array, so a payload pickles straight
+        into a worker."""
         payloads = []
         for rp in self.ranks:
             pl = dict(
                 common,
-                **self._subdomain(rp),
+                conn=rp.local_conn,
+                h=self.mesh.elem_h[rp.elements],
+                lam=self._lam[rp.elements],
+                mu=self._mu[rp.elements],
+                nloc=len(rp.nodes),
+                n_iface=rp.n_iface_elems,
+                m=self._m_global[rp.nodes],
+                C=self._C_global[rp.nodes],
+                gnodes=rp.nodes,
                 gather_nodes=rp.gather_nodes,
                 gather_local=rp.gather_local,
                 neighbors=[

@@ -65,6 +65,7 @@ import numpy as np
 
 from repro.backend.blas_threads import single_thread_blas
 from repro.parallel.simcomm import SimComm, TrafficStats
+from repro import telemetry
 from repro.telemetry import spans
 
 _HDR = 6  # per-slot header int64s: tag, ndim, shape[0..2], crc32
@@ -268,6 +269,9 @@ def _worker_main(rank, nranks, conn, send_chs, recv_chs,
     """Persistent worker loop: execute submitted programs until told
     to stop, shipping results and traffic counts back over the pipe."""
     single_thread_blas()  # n workers x m BLAS threads oversubscribe
+    # a forked worker inherits the master's span ring and metrics: its
+    # flight dumps must hold only what this process measured
+    telemetry.reset()
     transport = ProcTransport(
         rank, nranks, send_chs, recv_chs, conn, heartbeat_interval,
     )

@@ -192,18 +192,11 @@ class ArtifactCache:
     ``service.cache.*`` when telemetry is enabled.
     """
 
-    def __init__(
-        self,
-        capacity: int = 8,
-        *,
-        disk_dir: str | None = None,
-        persist: bool = True,
-    ):
+    def __init__(self, capacity: int = 8, *, disk_dir: str | None = None):
         if capacity < 1:
             raise ValueError("cache needs at least one slot")
         self.capacity = int(capacity)
         self.disk_dir = disk_dir
-        self.persist = bool(persist)
         if disk_dir is not None:
             os.makedirs(disk_dir, exist_ok=True)
         self._mem: "OrderedDict[str, object]" = OrderedDict()
@@ -255,7 +248,7 @@ class ArtifactCache:
         """Insert (or refresh) ``key``; persists to the disk tier when
         configured.  Unpicklable artifacts stay memory-only."""
         self._insert(key, artifact)
-        if self.disk_dir is not None and self.persist:
+        if self.disk_dir is not None:
             try:
                 nbytes = save_artifact(self._path(key), key, artifact)
             except (pickle.PicklingError, TypeError, AttributeError):

@@ -26,7 +26,6 @@ boundaries.
 from repro.solver.wave_solver import ElasticWaveSolver
 from repro.solver.tet_solver import TetWaveSolver
 from repro.solver.scalarwave import RegularGridScalarWave, batched_forcing
-from repro.solver.checkpoint import checkpoint_schedule
 from repro.solver.lts import (
     LTSPlan,
     bin_rates,
@@ -43,7 +42,6 @@ __all__ = [
     "batched_forcing",
     "bin_rates",
     "build_lts_plan",
-    "checkpoint_schedule",
     "constraint_groups",
     "smooth_rates",
 ]

@@ -1,24 +1,14 @@
-"""Checkpointing: in-memory adjoint snapshots and durable run restarts.
+"""Durable checkpoint/restart for crash recovery: the
+:class:`RunCheckpoint` disk format (versioned header, CRC32-verified
+state arrays, atomic write-rename) and the :class:`CheckpointManager`
+that writes, prunes, and scans them.
 
-Two related mechanisms live here:
-
-* **Algorithmic checkpointing** for the adjoint sweep (Griewank [21]):
-  the adjoint wave equation is solved backward in time and needs the
-  forward states in reverse order.  Storing all of them costs O(N)
-  memory; checkpointing trades recomputation for storage
-  (:func:`checkpoint_schedule` + :class:`CheckpointedStates`).  The
-  leapfrog needs *two* consecutive states per snapshot to restart,
-  which the scheduler accounts for.
-
-* **Durable checkpoint/restart** for crash recovery: the
-  :class:`RunCheckpoint` disk format (versioned header, CRC32-verified
-  state arrays, atomic write-rename) and the :class:`CheckpointManager`
-  that writes, prunes, and scans them.  The solvers' march frame
-  (:mod:`repro.solver.frame`) snapshots the leapfrog restart pair (plus
-  any carried recurrences) every ``interval`` steps and resume **bit-identically** from the latest
-  valid file — the explicit update depends only on the two previous
-  states and the (deterministic) forcing, so restoring them reproduces
-  the uninterrupted trajectory exactly.
+The solvers' march frame (:mod:`repro.solver.frame`) snapshots the
+leapfrog restart pair (plus any carried recurrences) every ``interval``
+steps and resumes **bit-identically** from the latest valid file — the
+explicit update depends only on the two previous states and the
+(deterministic) forcing, so restoring them reproduces the uninterrupted
+trajectory exactly.
 """
 
 from __future__ import annotations
@@ -34,80 +24,6 @@ import numpy as np
 from repro import telemetry
 from repro.durable import atomic_write
 
-
-def checkpoint_schedule(nsteps: int, slots: int) -> list[int]:
-    """Steps at which to store (two-state) snapshots.
-
-    Uniform placement: with ``slots`` snapshots the backward sweep
-    recomputes at most ``ceil(nsteps / slots)`` forward steps per
-    segment, giving the classic memory/recompute trade-off.
-
-    When the uniform placement leaves slots to spare (the ceil-stride
-    can generate fewer snapshots than requested), one spare slot is
-    spent on the final restart pair at ``nsteps - 1``: the backward
-    sweep's *first* accesses are the late states ``x^N, x^{N-1}, ...``,
-    and a snapshot holding ``(x^{N-1}, x^N)`` makes them free instead
-    of costing a full final-segment replay.  The schedule never exceeds
-    ``slots`` entries and every entry is ``<= max(nsteps - 1, 0)``.
-    """
-    if slots < 1:
-        raise ValueError("need at least one checkpoint slot")
-    if nsteps < 1:
-        return [0]
-    stride = max(1, int(np.ceil(nsteps / slots)))
-    sched = list(range(0, nsteps, stride))
-    if len(sched) < slots and sched[-1] != nsteps - 1:
-        sched.append(nsteps - 1)
-    return sched
-
-
-class CheckpointedStates:
-    """Replays forward states backward from snapshots.
-
-    Parameters
-    ----------
-    step_fn:
-        ``step_fn(k, x_prev, x) -> x_next`` advancing the forward
-        recurrence from states ``(x^{k-1}, x^k)`` to ``x^{k+1}``
-        (i.e. evaluated with the step-``k`` forcing, ``k >= 1``).
-    snapshots:
-        dict ``s -> (x^s, x^{s+1})`` — consecutive state pairs captured
-        during the forward sweep at :func:`checkpoint_schedule` steps.
-        A snapshot at 0 (``(x^0, x^1)``, both zero for a from-rest run)
-        makes every state reachable.
-    nsteps:
-        Final step index N (states x^0 .. x^N exist).
-    """
-
-    def __init__(self, step_fn, snapshots: dict, nsteps: int):
-        self.step_fn = step_fn
-        self.snapshots = snapshots
-        self.nsteps = nsteps
-        self._cache: dict[int, np.ndarray] = {}
-        self.recomputed_steps = 0
-
-    def state(self, k: int) -> np.ndarray:
-        """Forward state ``x^k``, recomputing from the nearest earlier
-        snapshot when not cached."""
-        if k in self._cache:
-            return self._cache[k]
-        starts = [s for s in self.snapshots if s <= k]
-        if not starts:
-            raise KeyError(f"no snapshot at or before step {k}")
-        s = max(starts)
-        x_prev, x = self.snapshots[s]
-        self._cache = {s: x_prev, s + 1: x}
-        kk = s + 1
-        while kk < k:
-            x_next = self.step_fn(kk, x_prev, x)
-            self.recomputed_steps += 1
-            x_prev, x = x, x_next
-            kk += 1
-            self._cache[kk] = x
-        return self._cache[k]
-
-
-# ------------------------------------------------ durable checkpoints
 
 #: file magic + format version; bump the version on layout changes so
 #: stale files are rejected instead of misread

@@ -20,9 +20,11 @@ exposes the *operator pieces* the discrete adjoint needs:
   (``bind_K(mu)`` assembles once, then ``apply_K_bound`` — one CSR
   product — or ``apply_K_rows`` — one per row of a stored history);
 * ``damping_diag(mu)``      — lumped absorbing damping (depends on mu);
-* ``K_material_gradient``   — per-element ``lam^T (dK/dmu_e) u``, a
-  correlation of ``lam`` with ``u`` over the stencil's node offsets;
-* ``C_material_gradient``   — per-element ``lam^T (dC/dmu_e) w``;
+* ``K_material_gradient_batch`` — per-element ``sum_t lam^T (dK/dmu_e)
+  u`` over a time-batched history, a correlation of ``lam`` with ``u``
+  over the stencil's node offsets;
+* ``C_material_gradient_batch`` — per-element ``sum_t lam^T (dC/dmu_e)
+  w`` of fields on the damped nodes;
 * ``march``                 — the shared leapfrog driver used by the
   forward, adjoint, and incremental (Gauss-Newton) sweeps, which are
   all the same dissipative recurrence: each step is one product of the
@@ -376,18 +378,13 @@ class RegularGridScalarWave:
         cold-path convenience (assemble, then :meth:`apply_K_bound`)."""
         return self.apply_K_bound(self.bind_K(mu), u, out)
 
-    def K_material_gradient(
-        self, u: np.ndarray, lam: np.ndarray
-    ) -> np.ndarray:
-        """Per-element ``lam^T (dK/dmu_e) u = h^{d-2} lam_e^T K_ref u_e``."""
-        return self.K_material_gradient_batch(u[None], lam[None])
-
     def K_material_gradient_batch(
         self, u: np.ndarray, lam: np.ndarray
     ) -> np.ndarray:
-        """Time-batched :meth:`K_material_gradient`: ``u``/``lam`` have
-        shape ``(nt, nnode)`` — or ``(nt, nnode, B)`` for shot batches,
-        contracted over time *and* shots; returns the per-element sum.
+        """Per-element ``sum_t lam^T (dK/dmu_e) u = h^{d-2} sum_t lam_e^T
+        K_ref u_e``: ``u``/``lam`` have shape ``(nt, nnode)`` — or
+        ``(nt, nnode, B)`` for shot batches, contracted over time *and*
+        shots; returns the per-element sum.
 
         A stencil correlation: ``C_q[a] = sum_t lam[t, a] u[t, a +
         shift_q]`` for the ``3^d`` node offsets (one shifted-slice
@@ -412,10 +409,11 @@ class RegularGridScalarWave:
     def C_material_gradient_batch(
         self, w: np.ndarray, lam: np.ndarray, mu: np.ndarray
     ) -> np.ndarray:
-        """Time-batched :meth:`C_material_gradient` (summed over time)
-        of fields given on :attr:`damped_nodes` only — a nodal history
-        ``x`` enters as ``x[:, damped_nodes]``, the only entries the
-        damping reads.
+        """Per-element ``sum_t lam^T (dC/dmu_e) w`` (nonzero only on
+        absorbing boundary elements: ``dC/dmu_e = 0.5 sqrt(rho/mu_e) *
+        lumping``) of fields given on :attr:`damped_nodes` only — a
+        nodal history ``x`` enters as ``x[:, damped_nodes]``, the only
+        entries the damping reads.
 
         ``w``/``lam`` may be ``(nt, n_damped)`` or shot-batched
         ``(nt, n_damped, B)`` (contracted over time, components *and*
@@ -500,24 +498,6 @@ class RegularGridScalarWave:
             out,
         )
         return out
-
-    def C_material_gradient(
-        self, w_field: np.ndarray, lam: np.ndarray, mu: np.ndarray
-    ) -> np.ndarray:
-        """Per-element ``lam^T (dC/dmu_e) w`` (nonzero only on absorbing
-        boundary elements): ``dC/dmu_e = 0.5 sqrt(rho/mu_e) * lumping``."""
-        mu = np.asarray(mu, dtype=float)
-        g = np.zeros(self.nelem)
-        if not len(self._bnd_elems):
-            return g
-        w = self.h ** (self.d - 1) / (1 << (self.d - 1))
-        fnodes = self._bnd_fnodes
-        dcdmu = 0.5 * np.sqrt(self.rho / mu[self._bnd_elems]) * w
-        contrib = np.sum(lam[fnodes] * w_field[fnodes], axis=1)
-        self._bnd_elem_plan.scatter_acc(
-            self._bnd_elem_ones, dcdmu * contrib, g
-        )
-        return g
 
     # ---------------------------------------------------------- leapfrog
 
@@ -641,17 +621,6 @@ class RegularGridScalarWave:
 
         return self._cached("_lts_exec_cache", plan, mu, dt, alpha, build)
 
-    def step(self, mu, dt: float, x_prev, x, f=None) -> np.ndarray:
-        """One step of :meth:`march` (without ``alpha``): ``x^{k+1}``
-        from ``(x^{k-1}, x^k)`` and the step's forcing ``f^k`` (or
-        None), bit for bit the state the march computes — what a
-        checkpointed sweep replays with."""
-        inv_a_plus, S = self._march_coeffs(mu, dt, None)
-        out = S.acc(np.concatenate([x_prev, x]), np.zeros(np.shape(x)))
-        if f is not None:
-            out += f * inv_a_plus
-        return out
-
     def march(
         self,
         mu: np.ndarray,
@@ -660,7 +629,6 @@ class RegularGridScalarWave:
         dt: float,
         *,
         store: bool = True,
-        on_step: Callable[[int, np.ndarray], None] | None = None,
         x0: np.ndarray | None = None,
         x1: np.ndarray | None = None,
         alpha: np.ndarray | None = None,
@@ -677,11 +645,13 @@ class RegularGridScalarWave:
         with the pair ``[x^{k-1}; x^k]``, plus ``A+^{-1} f^k`` when the
         forcing is live.
 
-        Starts from rest unless initial states ``(x0, x1)`` are given
-        (used by verification tests and checkpoint restarts).  ``alpha``
-        adds per-element mass-proportional attenuation.  Returns the
-        state history ``(nsteps + 1, nnode)`` when ``store``, else the
-        final two states stacked as ``(2, nnode)``.
+        Starts from rest unless initial states ``(x0, x1)`` are given:
+        a march restarted from rows ``(x^s, x^{s+1})`` of a history with
+        ``forcing(k + s)`` returns its rows ``s ..`` bit for bit (the
+        segments of a checkpointed gradient).  ``alpha`` adds
+        per-element mass-proportional attenuation.  Returns the state
+        history ``(nsteps + 1, nnode)`` when ``store``, else the final
+        two states stacked as ``(2, nnode)``.
 
         ``batch=B`` advances ``B`` scenarios at once: states are
         ``(nnode, B)`` column blocks, ``forcing(k)`` returns
@@ -721,12 +691,10 @@ class RegularGridScalarWave:
             mu, max_rate=min(cap, nsteps & -nsteps or cap)
         ))
         if plan is not None:
-            if (store or on_step is not None
-                    or x0 is not None or x1 is not None):
+            if store or x0 is not None or x1 is not None:
                 raise ValueError(
                     "lts marches run from rest with store=False (no "
-                    "history storage, on_step callbacks, or initial "
-                    "states)"
+                    "history storage or initial states)"
                 )
             if nsteps % plan.max_rate:
                 raise ValueError(
@@ -786,9 +754,6 @@ class RegularGridScalarWave:
         k0 = frame.resume(snapshot, k0=1, latest=resume)
         if store:
             i = k0
-        if k0 == 1 and on_step is not None:  # fresh start
-            on_step(0, win[0])
-            on_step(1, win[1])
         # one span per march (not per step: the inverse sweeps call
         # march thousands of times); flops attributed in aggregate
         with telemetry.span("scalar.march") as _m:
@@ -805,8 +770,6 @@ class RegularGridScalarWave:
                     np.multiply(f, inv_a_plus, out=fk)
                     np.add(x_next, fk, out=x_next)
                 i += 1
-                if on_step is not None:
-                    on_step(k + 1, x_next)
                 # rows i-1, i are now x^k, x^{k+1} — the restart pair
                 frame.boundary(k + 1, x_next, snapshot)
             napply = max(nsteps - k0, 0)

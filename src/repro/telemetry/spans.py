@@ -291,7 +291,10 @@ class Tracer:
         """One ``event`` record per ring entry, oldest first; with
         ``last``, only the newest ``last`` entries.  ``trace`` is
         present only on events recorded inside a trace context."""
-        events = self.events if last is None else list(self.events)[-last:]
+        events = self.events
+        if last is not None:  # ``[-0:]`` would be the whole ring
+            events = list(events)
+            events = events[max(len(events) - last, 0):]
         for node, t0, dt, trace in events:
             rec = {
                 "type": "event",

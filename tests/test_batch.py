@@ -5,10 +5,9 @@ fused level-3 time loop produces, for every column, exactly the bits
 the serial single-RHS run produces — same gather, same row-stacked
 GEMM accumulation order, same slot-ordered scatter, same elementwise
 updates.  These tests pin that contract at every layer: the element
-kernel (``matmat`` vs ``matvec``), the scalar and
-elastic ensemble time loops, the multi-shot inverse problem (one
-batched forward + one batched adjoint regardless of shot count), and
-the shot-sharded distributed path on both transports.
+kernel (``matmat`` vs ``matvec``), the scalar and elastic ensemble time
+loops, and the multi-shot inverse problem (one batched forward + one
+batched adjoint regardless of shot count).
 """
 
 import tracemalloc
@@ -25,14 +24,8 @@ from repro.inverse import (
 )
 from repro.io.seismogram import ReceiverArray
 from repro.materials import HomogeneousMaterial
-from repro.mesh import extract_mesh, rcb_partition, uniform_hex_mesh
+from repro.mesh import extract_mesh
 from repro.octree import build_adaptive_octree
-from repro.parallel import (
-    DistributedWaveSolver,
-    ProcWorld,
-    SimWorld,
-    recommend_sharding,
-)
 from repro.solver import (
     ElasticWaveSolver,
     RegularGridScalarWave,
@@ -421,128 +414,3 @@ class TestMultiShotInverse:
                 solver, grid, shots[0].receivers, shots[0].data, dt, nsteps,
                 shots=shots,
             )
-
-
-# ------------------------------------------------ shot-sharded parallel
-
-
-class PointForce:
-    """Picklable point force (worker processes unpickle it by value)."""
-
-    def __init__(self, node, nnode, t0=0.02):
-        self.node = node
-        self.nnode = nnode
-        self.t0 = t0
-
-    def __call__(self, t, out=None):
-        b = np.zeros((self.nnode, 3)) if out is None else out
-        b.fill(0.0)
-        b[self.node, 2] = 1e9 * np.exp(-(((t - self.t0) / 0.008) ** 2))
-        return b
-
-
-class TestShotSharding:
-    def _problem(self):
-        mesh = uniform_hex_mesh(4)
-        forces = [
-            PointForce(mesh.nnode // 2, mesh.nnode),
-            PointForce(mesh.nnode // 3, mesh.nnode, t0=0.03),
-            PointForce(mesh.nnode // 5, mesh.nnode, t0=0.01),
-        ]
-        return mesh, rcb_partition(mesh.elem_centers, 2), forces
-
-    def test_simworld_matches_single_shot_runs(self):
-        mesh, parts, forces = self._problem()
-        world = SimWorld(2)
-        solver = DistributedWaveSolver(mesh, MAT, parts, world)
-        t_end = 24.5 * solver.dt
-        u = solver.run_shots(forces, t_end)
-        assert u.shape == (3, mesh.nnode, 3)
-        assert np.abs(u).max() > 0
-        for b, f in enumerate(forces):
-            ub = solver.run_shots([f], t_end)
-            assert np.array_equal(ub[0], u[b]), f"shot {b}"
-
-    def test_transports_bit_identical(self):
-        mesh, parts, forces = self._problem()
-        sim = SimWorld(2)
-        solver = DistributedWaveSolver(mesh, MAT, parts, sim)
-        t_end = 24.5 * solver.dt
-        u_sim = solver.run_shots(forces, t_end)
-        with ProcWorld(2) as proc:
-            dist = DistributedWaveSolver(
-                mesh, MAT, parts, proc, dt=solver.dt
-            )
-            u_proc = dist.run_shots(forces, t_end)
-            # the whole point: zero per-step boundary traffic (only
-            # the setup-time mass/damping exchange is accounted)
-            per_step = [
-                s.messages_sent for s in proc.stats
-            ]
-        assert np.array_equal(u_sim, u_proc)
-        setup_msgs = [s.messages_sent for s in sim.stats]
-        assert per_step == setup_msgs
-
-    def test_matches_serial_elastic_solver(self):
-        tree, mesh = make_mesh()
-        serial = ElasticWaveSolver(mesh, tree, MAT, stacey_c1=False)
-        forces = [
-            PointForce(mesh.nnode // 2, mesh.nnode),
-            PointForce(mesh.nnode // 3, mesh.nnode, t0=0.03),
-        ]
-        nsteps = 20
-        refs = []
-        for f in forces:
-            out = {}
-
-            def cb(k, t, u, out=out):
-                if k == nsteps:
-                    out["u"] = u.copy()
-
-            serial.run(f, (nsteps + 0.5) * serial.dt, callback=cb)
-            refs.append(out["u"])
-        world = SimWorld(2)
-        dist = DistributedWaveSolver(
-            mesh, MAT, rcb_partition(mesh.elem_centers, 2), world,
-            dt=serial.dt,
-        )
-        u = dist.run_shots(forces, (nsteps - 0.5) * serial.dt)
-        for b, ref in enumerate(refs):
-            scale = np.abs(ref).max()
-            assert scale > 0
-            np.testing.assert_allclose(
-                u[b], ref, rtol=1e-9, atol=1e-12 * scale
-            )
-
-    def test_row_equals_serial_run_batch_column_bitwise(self):
-        # a shot slice is marched by the serial solver's update over
-        # the same per-column-exact matmat: not close, the same bits
-        tree, mesh = make_mesh()
-        serial = ElasticWaveSolver(mesh, tree, MAT, stacey_c1=False)
-        forces = [
-            PointForce(mesh.nnode // 2, mesh.nnode),
-            PointForce(mesh.nnode // 3, mesh.nnode, t0=0.03),
-        ]
-        nsteps = 20
-        out = {}
-
-        def cb(k, t, u):
-            if k == nsteps:  # the pre-update state of step k is u^k
-                out["u"] = u.copy()
-
-        serial.run_batch(forces, (nsteps + 0.5) * serial.dt, callback=cb)
-        dist = DistributedWaveSolver(
-            mesh, MAT, rcb_partition(mesh.elem_centers, 2), SimWorld(2),
-            dt=serial.dt,
-        )
-        u = dist.run_shots(forces, (nsteps - 0.5) * serial.dt)
-        assert np.abs(u[1]).max() > 0
-        assert np.array_equal(u[1], out["u"][:, :, 1])
-
-    def test_recommend_sharding_heuristic(self):
-        # plenty of shots, small mesh -> shard the batch
-        assert recommend_sharding(1000, 8, 4) == "shots"
-        # fewer shots than workers -> some would idle
-        assert recommend_sharding(1000, 2, 4) == "domain"
-        # mesh too big to replicate per worker
-        assert recommend_sharding(10**8, 64, 4) == "domain"

@@ -350,6 +350,19 @@ class TestFlightRecorder:
         ]
         assert spans == tr.aggregates()
 
+    def test_zero_max_events_dumps_no_event(self, tmp_path):
+        tr = telemetry.enable()
+        with telemetry.span("run"):
+            pass
+        tr.link_trace("t-req", "t-a")
+        telemetry.count("requests")
+        recorder = arm_flight_recorder(str(tmp_path / "flight"), max_events=0)
+        recs = [json.loads(l) for l in open(recorder.dump("no tail"))]
+        assert recs[0]["type"] == "flight_meta"
+        kinds = [r["type"] for r in recs[1:]]
+        assert "event" not in kinds
+        assert {"trace_link", "metric"} <= set(kinds)
+
     def test_flight_dump_module_gate(self, tmp_path):
         assert flight_dump("nothing armed") is None
         arm_flight_recorder(str(tmp_path))

@@ -1,5 +1,6 @@
-"""Tests for the inversion extensions: Griewank-checkpointed gradients
-and frequency continuation (residual smoothing)."""
+"""Tests for the inversion extensions: checkpointed gradients (segment
+replays of the one march) and frequency continuation (residual
+smoothing)."""
 
 import numpy as np
 import pytest
@@ -65,6 +66,85 @@ class TestCheckpointedGradient:
         g_cp, J_cp = prob.gradient_checkpointed(m0, slots=6)
         np.testing.assert_allclose(J_cp, J_full, rtol=1e-12)
         np.testing.assert_allclose(g_cp, g_full, rtol=1e-9)
+
+
+def _shots(setup2d, n):
+    """``n`` fault shots on the fixture's model, each its own data."""
+    from repro.inverse.problem import Shot
+
+    solver, grid, _, _, rec, _, dt, nsteps, m_true = setup2d
+    mu_e = grid.to_elements(solver) @ m_true
+    shots = []
+    for ix in (8, 4, 12)[:n]:
+        fault = FaultLineSource2D(solver, ix=ix, jz=range(2, 6))
+        params = fault.hypocentral_params(
+            hypo_j=4, rupture_velocity=2000.0, u0=1.0, t0=0.3
+        )
+        u = solver.march(
+            mu_e, fault.forcing(mu_e, params, dt), nsteps, dt, store=True
+        )
+        shots.append(Shot(rec, u[:, rec], fault=fault, source_params=params))
+    return shots
+
+
+class TestCheckpointedSegments:
+    @pytest.mark.parametrize("nshots", [1, 2])
+    def test_one_slot_is_the_stored_gradient_bitwise(self, setup2d, nshots):
+        solver, grid, _, _, _, _, dt, nsteps, _ = setup2d
+        prob = ScalarWaveInverseProblem.multi_shot(
+            solver, grid, _shots(setup2d, nshots), dt, nsteps
+        )
+        m0 = np.full(grid.n, 2.5e9)
+        g_full, J_full, _ = prob.gradient(m0)
+        g_cp, J_cp = prob.gradient_checkpointed(m0, slots=1)
+        assert np.array_equal(g_cp, g_full)
+        np.testing.assert_allclose(J_cp, J_full, rtol=1e-14)
+
+    def test_two_shots_match_the_stored_gradient(self, setup2d):
+        solver, grid, _, _, _, _, dt, nsteps, _ = setup2d
+        prob = ScalarWaveInverseProblem.multi_shot(
+            solver, grid, _shots(setup2d, 2), dt, nsteps
+        )
+        rng = np.random.default_rng(1)
+        m0 = 2.5e9 + 1e8 * rng.standard_normal(grid.n)
+        g_full, J_full, _ = prob.gradient(m0)
+        n0 = prob.n_wave_solves
+        g_cp, J_cp = prob.gradient_checkpointed(m0, slots=5)
+        assert prob.n_wave_solves - n0 == 2
+        np.testing.assert_allclose(J_cp, J_full, rtol=1e-12)
+        np.testing.assert_allclose(g_cp, g_full, rtol=1e-12)
+
+    def test_peak_memory_is_at_most_half_the_stored_gradient(self, setup2d):
+        import tracemalloc
+
+        solver, grid, fault, params, rec, data, dt, nsteps, _ = setup2d
+        prob = ScalarWaveInverseProblem(
+            solver, grid, rec, data, dt, nsteps, fault=fault,
+            source_params=params,
+        )
+        m0 = np.full(grid.n, 2.5e9)
+        prob.gradient(m0)  # warm the operator cache
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        full = peak(lambda: prob.gradient(m0))
+        checkpointed = peak(lambda: prob.gradient_checkpointed(m0, slots=8))
+        assert checkpointed <= 0.5 * full
+
+    def test_rejects_no_slots(self, setup2d):
+        solver, grid, fault, params, rec, data, dt, nsteps, _ = setup2d
+        prob = ScalarWaveInverseProblem(
+            solver, grid, rec, data, dt, nsteps, fault=fault,
+            source_params=params,
+        )
+        with pytest.raises(ValueError, match="slot"):
+            prob.gradient_checkpointed(np.full(grid.n, 2.5e9), slots=0)
 
 
 class TestFrequencyContinuation:

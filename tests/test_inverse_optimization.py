@@ -257,7 +257,7 @@ class TestMultiscale:
             small_inversion
         )
 
-        def make_problem(grid):
+        def make_problem(grid, level):
             return ScalarWaveInverseProblem(
                 solver, grid, rec, data, dt, nsteps, fault=fault,
                 source_params=params,

@@ -45,7 +45,6 @@ from repro.solver import ElasticWaveSolver, RegularGridScalarWave
 from repro.solver.checkpoint import (
     CheckpointCorruptError,
     CheckpointManager,
-    checkpoint_schedule,
     collective_latest_step,
     load_checkpoint,
     save_checkpoint,
@@ -165,20 +164,6 @@ def test_collective_latest_step_intersects_ranks(tmp_path):
     assert collective_latest_step(d, 2) == 4
     # a rank with no checkpoints at all -> no collective restart point
     assert collective_latest_step(d, 3) is None
-
-
-def test_checkpoint_schedule_spends_spare_slot_on_final_pair():
-    # the ceil-stride for (9, 4) places only 3 snapshots; the spare
-    # slot buys the final restart pair at nsteps - 1
-    assert checkpoint_schedule(9, 4) == [0, 3, 6, 8]
-    # exact division uses every slot: no spare to spend
-    assert checkpoint_schedule(100, 4) == [0, 25, 50, 75]
-    # the budget is never exceeded and entries never pass nsteps - 1
-    for nsteps, slots in [(9, 4), (100, 8), (7, 3), (10, 4)]:
-        sched = checkpoint_schedule(nsteps, slots)
-        assert len(sched) <= slots
-        assert all(s <= nsteps - 1 for s in sched)
-        assert sched == sorted(set(sched))
 
 
 # ------------------------------------------------ fault-plan grammar
@@ -325,15 +310,13 @@ def test_scalar_march_resume_bit_identical(tmp_path):
     ref = solver.march(mu, forcing, nsteps, dt, store=True)
     mgr = CheckpointManager(str(tmp_path), interval=4)
 
-    def crash(k, x):
+    def crash(k):
         if k == 10:
             raise Interrupt
+        return forcing(k)
 
     with pytest.raises(Interrupt):
-        solver.march(
-            mu, forcing, nsteps, dt, store=True, on_step=crash,
-            checkpoint=mgr,
-        )
+        solver.march(mu, crash, nsteps, dt, store=True, checkpoint=mgr)
     hist = solver.march(
         mu, forcing, nsteps, dt, store=True, checkpoint=mgr, resume=True
     )

@@ -32,7 +32,6 @@ from repro.parallel.transport import (
     fit_alpha_beta,
 )
 from repro.resilience import FaultPlan, NumericalHealthError
-from repro.solver.checkpoint import checkpoint_schedule
 
 MAT = HomogeneousMaterial(vs=1000.0, vp=1800.0, rho=2000.0)
 #: soft layer over stiff bedrock on a 1000 m box: a non-trivial LTS plan
@@ -253,7 +252,6 @@ def test_both_worlds_are_handed_the_same_programs(monkeypatch):
         solver = DistributedWaveSolver(mesh, MAT, parts, world)
         t_end = 3.5 * solver.dt
         solver.run(force, t_end)
-        solver.run_shots([force, force], t_end)
         solver = DistributedWaveSolver(mesh, LAYERED, parts, world)
         solver.run(force, 7.5 * solver.dt, lts=8)
         assert sum(solver.last_timings[0]["lts_fired"].values()) > 0
@@ -261,10 +259,9 @@ def test_both_worlds_are_handed_the_same_programs(monkeypatch):
     drive(SimWorld(2))
     with ProcWorld(2) as proc:
         drive(proc)
-    # one rank program serves both domain-sharded schedules
+    # one rank program serves both schedules
     assert handed[SimWorld] == handed[ProcWorld] == [
         dist_solver._rank_program,
-        dist_solver._shot_program,
         dist_solver._rank_program,
     ]
 
@@ -289,6 +286,43 @@ def test_in_process_suspension_is_charged_to_no_phase():
                 t["t_compute"] + t["t_wait"] for t in solver.last_timings
             ) <= wall
     finally:
+        telemetry.disable()
+        telemetry.reset()
+
+
+def _flight_dump_program(comm, payload):
+    return telemetry.flight_dump(f"rank {comm.rank}")
+
+
+def test_worker_flight_dumps_hold_none_of_the_masters_telemetry(tmp_path):
+    import json
+
+    tr = telemetry.enable()
+    try:
+        with telemetry.span("master.only"):
+            pass
+        telemetry.count("master.only")
+        telemetry.arm_flight_recorder(str(tmp_path))
+        master = {
+            (r["path"], r["t_start"], r["duration"])
+            for r in tr._event_records()
+        }
+        assert master
+        with ProcWorld(2) as world:
+            paths = world.run_spmd(_flight_dump_program, [None, None])
+        assert len(set(paths)) == 2
+        for path in paths:
+            recs = [json.loads(line) for line in open(path)]
+            events = {
+                (r["path"], r["t_start"], r["duration"])
+                for r in recs if r["type"] == "event"
+            }
+            assert not events & master, path
+            assert "master.only" not in {
+                r["name"] for r in recs if r["type"] == "metric"
+            }
+    finally:
+        telemetry.arm_flight_recorder(None)
         telemetry.disable()
         telemetry.reset()
 
@@ -332,26 +366,3 @@ def test_failed_in_process_run_leaves_the_world_reusable():
     )
     assert np.array_equal(solver.run(force, t_end, faults=plan), u_ref)
     assert plan.fired == []
-
-
-# --------------------------------------------- checkpoint_schedule edges
-
-
-def test_checkpoint_schedule_more_slots_than_steps():
-    # nsteps < slots: stride collapses to 1, one snapshot per step,
-    # never more snapshots than steps
-    sched = checkpoint_schedule(3, 10)
-    assert sched == [0, 1, 2]
-
-
-def test_checkpoint_schedule_single_slot():
-    # slots == 1: only the initial state is stored; the backward sweep
-    # recomputes the whole trajectory from step 0
-    assert checkpoint_schedule(100, 1) == [0]
-    assert checkpoint_schedule(1, 1) == [0]
-
-
-def test_checkpoint_schedule_degenerate_and_invalid():
-    assert checkpoint_schedule(0, 4) == [0]
-    with pytest.raises(ValueError):
-        checkpoint_schedule(10, 0)
