@@ -34,6 +34,7 @@ Examples
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -442,8 +443,10 @@ def cmd_serve(args) -> int:
     restarted server replays ``inflight/``; a request that fails
     ``--max-attempts`` times (or cannot be parsed) moves to
     ``<spool>/quarantine/`` with a failure report.  With ``--watch``
-    the server polls for new requests until interrupted; the default
-    is one drain pass (empty spool = no-op).
+    the server keeps draining until interrupted: an idle server wakes
+    when a submit rings the spool's doorbell, or after ``--poll``
+    seconds if no ring comes; the default is one drain pass (empty
+    spool = no-op).
 
     ``--max-queue-depth`` sheds the part of a pass past that depth (it
     is retried on the next attempt), ``--deadline`` expires queued
@@ -638,7 +641,10 @@ def cmd_profile(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` parser, built once per process: every ``parse_args``
+    fills a fresh namespace, so calls share no parsed state."""
     p = argparse.ArgumentParser(
         prog="repro",
         description="Forward/inverse earthquake modeling (SC2003 reproduction)",
@@ -754,9 +760,12 @@ def build_parser() -> argparse.ArgumentParser:
                          "parsed because the serve_open benchmark "
                          "passes it")
     pv.add_argument("--watch", action="store_true",
-                    help="keep polling the spool instead of one drain pass")
+                    help="keep draining the spool instead of one pass")
     pv.add_argument("--poll", type=float, default=0.5,
-                    help="idle poll interval with --watch (s)")
+                    help="longest idle wait with --watch (s): a submit "
+                         "wakes the server at once through the spool's "
+                         "doorbell, so this is only the fallback for a "
+                         "missed ring, not the request latency")
     pv.add_argument("--report", action="store_true",
                     help="print the PerfReport service section after draining")
     pv.add_argument("--max-queue-depth", type=int, default=0,

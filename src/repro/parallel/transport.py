@@ -347,8 +347,9 @@ class ProcWorld:
     Failure handling: ``hang_timeout`` (seconds, None = disabled)
     bounds how long a rank may go without any pipe activity
     (result/error/heartbeat) before the gather declares it hung; dead
-    workers are detected within one :data:`POLL_TICK` either way.  Both paths
-    tear the pool down and raise :class:`WorkerFailure` with
+    workers are detected within one :data:`POLL_TICK` either way.  Both
+    paths, and a program error whose peers are still running one tick
+    later, tear the pool down and raise :class:`WorkerFailure` with
     ``fatal=True`` — call :meth:`respawn` before reuse.
     """
 
@@ -435,9 +436,11 @@ class ProcWorld:
 
         Failures raise :class:`WorkerFailure`: program-level exceptions
         carry the failing ranks' tracebacks (``fatal=False``, pool
-        still usable); dead or hung workers tear the whole pool down
-        first (``fatal=True`` — :meth:`respawn` before the next
-        program).
+        still usable) once every rank has reported; dead or hung
+        workers, or ranks still running one :data:`POLL_TICK` after a
+        peer's program error (blocked, most likely, on a message the
+        failed peer will not send), tear the whole pool down first
+        (``fatal=True`` — :meth:`respawn` before the next program).
         """
         if self._closed:
             raise RuntimeError("world is closed")
@@ -453,6 +456,7 @@ class ProcWorld:
         now = time.perf_counter()
         last_seen = {r: now for r in pending}
         dead: dict[int, str] = {}
+        first_error = None
         while pending:
             by_pipe = {self._pipes[r]: r for r in pending}
             try:
@@ -491,6 +495,8 @@ class ProcWorld:
                     st.merge_peers_payload(msg[3])
                 else:
                     errors.append((r, msg[1]))
+                    if first_error is None:
+                        first_error = time.perf_counter()
             now = time.perf_counter()
             for r in list(pending):
                 if not self._procs[r].is_alive():
@@ -506,22 +512,28 @@ class ProcWorld:
                         f"{self.hang_timeout}s)"
                     )
                     pending.discard(r)
-            if dead:
-                # the pool is broken: peers of a dead rank are blocked
-                # in channel waits — tear everything down now instead
-                # of letting each of them ride out its own timeout
+            if dead or (
+                errors and pending and now - first_error > POLL_TICK
+            ):
+                # the pool is broken: peers of a dead rank, or ranks
+                # still running a tick after a peer's program error,
+                # are blocked in channel waits for messages that will
+                # not come — tear everything down now instead of
+                # letting each of them ride out its own timeout
                 self.close(force=True)
+                failed = sorted([*dead.items(), *errors])
                 detail = "\n".join(
-                    f"-- rank {r} --\n{why}" for r, why in sorted(dead.items())
+                    f"-- rank {r} --\n{why}" for r, why in failed
                 )
-                if errors:
-                    detail += "\n" + "\n".join(
-                        f"-- rank {r} --\n{tb}" for r, tb in errors
-                    )
+                detail += "".join(
+                    f"\n-- rank {r} --\nstill running: torn down"
+                    for r in sorted(pending)
+                )
+                ranks = sorted({r for r, _ in failed})
                 raise WorkerFailure(
-                    f"{len(dead)} rank(s) failed in SPMD program "
+                    f"{len(ranks)} rank(s) failed in SPMD program "
                     f"(pool torn down, respawn before reuse):\n{detail}",
-                    ranks=sorted(set(dead) | {r for r, _ in errors}),
+                    ranks=ranks,
                     fatal=True,
                 )
         if errors:

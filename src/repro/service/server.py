@@ -12,7 +12,6 @@ is quarantined (:mod:`repro.service.spool` has the directory protocol).
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,7 +140,7 @@ def _attempt(spool, claimed, out_dir, scheduler, stats) -> bool:
 def serve(
     spool: Spool, out_dir: str, scheduler: CoalescingScheduler, *,
     watch: bool = False, poll: float = 0.5, publish=None,
-    stats: ServeStats | None = None, sleep=time.sleep,
+    stats: ServeStats | None = None, sleep=None,
 ) -> ServeStats:
     """Drain ``spool`` through ``scheduler`` into ``out_dir``.
 
@@ -150,12 +149,16 @@ def serve(
     rounds; the engine's one-shot injected faults advance per round,
     as in the solver's own recovery loop).  Without ``watch`` that is
     all (an empty spool is a no-op); with it the loop claims again at
-    once after a pass that did work and ``sleep(poll)``-s after an
-    idle one, until interrupted.  ``publish()`` runs after every pass.
+    once after a pass that did work and, after an idle one, waits on
+    the spool's doorbell (:meth:`Spool.wait`) for at most ``poll``
+    seconds — a submit wakes it, ``poll`` is only the fallback — until
+    interrupted.  ``sleep``, if given, stands in for that wait (tests
+    pass a fake).  ``publish()`` runs after every pass.
     """
     engine = scheduler.engine
     stats = ServeStats() if stats is None else stats
     spool.recover()
+    wait = spool.wait if sleep is None else sleep
     os.makedirs(out_dir, exist_ok=True)
     try:
         while True:
@@ -179,7 +182,9 @@ def serve(
             if not watch:
                 break
             if not progressed:
-                sleep(poll)
+                wait(poll)
     except KeyboardInterrupt:
         pass
+    finally:
+        spool.close()
     return stats

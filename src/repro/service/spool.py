@@ -21,12 +21,24 @@ A request served on its first attempt frees no disk block: each of
 its writes and renames goes to a new name (see
 :func:`repro.durable.atomic_write`), and the advisory ``next-id`` hint
 is rewritten in place.
+
+``<spool>/doorbell`` is a FIFO the serving side creates.  A submit
+rings it (one byte, non-blocking, after the publish) and an idle
+server waits on it, so a request wakes the server when it is
+published; the server's ``poll`` timeout is only the fallback for a
+ring that never came (a submitter killed before it rang, a file
+system with no FIFOs).  A ring is never lost to a busy server: the
+byte stays in the pipe until the next idle wait drains it, and that
+wait then returns at once and the server claims again.  It is not a
+request: it is never listed, claimed or removed.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import select
+import stat
 import time
 
 from repro.durable import atomic_write
@@ -48,6 +60,9 @@ class Spool:
         self.done_dir = os.path.join(self.root, "done")
         self.quarantine_dir = os.path.join(self.root, "quarantine")
         self._hint = os.path.join(self.root, "next-id")
+        self._bell = os.path.join(self.root, "doorbell")
+        #: the serving side's (read, keep-alive write) doorbell fds
+        self._bell_fds = None
         self._dirs = (self.root, self.inflight_dir, self.done_dir,
                       self.quarantine_dir)
         os.makedirs(self.root, exist_ok=True)
@@ -60,9 +75,11 @@ class Spool:
         ahead of its request (killed between :meth:`_retire`'s two
         renames), so the replay keeps its count.  A submitter's
         ``.tmp``, in the root, may be live: it is left alone, and never
-        claimed."""
+        claimed.  It also opens the doorbell (see :meth:`wait`) before
+        the first claim, so no ring after that claim is missed."""
         for d in self._dirs[1:]:
             os.makedirs(d, exist_ok=True)
+        self._open_doorbell()
         for d in (self.inflight_dir, self.quarantine_dir):
             for f in os.listdir(d):
                 if f.endswith(".tmp"):
@@ -113,6 +130,7 @@ class Spool:
             except FileExistsError:
                 continue
             self._write_hint(n)
+            self.ring()
             return req_id
 
     def _write_hint(self, n: int) -> None:
@@ -129,11 +147,68 @@ class Spool:
         finally:
             os.close(fd)
 
+    def ring(self) -> None:
+        """Wake a server waiting on the doorbell.  Never blocks and
+        never raises: no FIFO (no server yet, or no FIFOs on this file
+        system), no reader (``ENXIO``) or a full pipe (``EAGAIN``: a
+        wake-up is already pending) all leave the request to be found
+        by the next claim."""
+        try:
+            fd = os.open(self._bell, os.O_WRONLY | os.O_NONBLOCK)
+        except OSError:
+            return
+        try:
+            os.write(fd, b"\0")
+        except OSError:
+            pass
+        finally:
+            os.close(fd)
+
     def path(self, req_id: str) -> str:
         """Where :meth:`submit` published ``req_id``."""
         return os.path.join(self.root, req_id + ".json")
 
     # ---------------------------------------------------------- serving
+
+    def _open_doorbell(self) -> None:
+        """Create the doorbell FIFO if it is missing and open it for
+        reading, plus one write end of its own so the reader never sees
+        end-of-file (``select`` would then spin).  Where ``mkfifo``
+        fails, or ``doorbell`` is not a FIFO, there is no doorbell and
+        :meth:`wait` sleeps."""
+        if self._bell_fds is not None:
+            return
+        try:
+            os.mkfifo(self._bell)
+        except FileExistsError:
+            pass
+        except OSError:
+            return
+        fd = os.open(self._bell, os.O_RDONLY | os.O_NONBLOCK)
+        if not stat.S_ISFIFO(os.fstat(fd).st_mode):
+            os.close(fd)
+            return
+        self._bell_fds = (fd, os.open(self._bell, os.O_WRONLY | os.O_NONBLOCK))
+
+    def wait(self, timeout: float) -> None:
+        """The idle wait: return when the doorbell rings or after
+        ``timeout`` seconds, whichever is first, with the pipe drained
+        (the caller claims next, so a ring drained here is answered by
+        that claim).  Without a doorbell this is ``time.sleep``."""
+        if self._bell_fds is None:
+            time.sleep(timeout)
+            return
+        fd = self._bell_fds[0]
+        if select.select([fd], [], [], timeout)[0]:
+            os.read(fd, 1 << 16)  # a default pipe holds 64 KiB
+
+    def close(self) -> None:
+        """Close the doorbell fds :meth:`recover` opened; idempotent."""
+        fds, self._bell_fds = self._bell_fds, None
+        for fd in fds or ():
+            os.close(fd)
+
+    __del__ = close
 
     def pending(self) -> list[str]:
         """File names of the unclaimed requests, oldest id first."""

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 def test_estimate_outputs_json(capsys):
@@ -105,6 +105,31 @@ def test_forward_out_round_trips_through_seismograms_load(
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_parser_is_built_once_and_calls_share_no_state(tmp_path, capsys):
+    # every main() rebuilt all seven subcommands' parsers at the parent
+    # commit: ~2 ms of an in-process submit
+    assert build_parser() is build_parser()
+    spool = tmp_path / "spool"
+    submit = ["submit", "--spool", str(spool), "--L", "8000",
+              "--fmax", "0.15", "--t-end", "1.0"]
+    assert main(submit + ["--ppw", "12", "--scenario", "northridge",
+                          "--receivers", "[[100, 100, 0]]"]) == 0
+    assert main(["estimate", "--L", "8000", "--fmax", "0.15",
+                 "--ppw", "8"]) == 0
+    assert main(submit) == 0
+    first, second = (
+        json.loads((spool / f"req-00000{i}.json").read_text())
+        for i in (0, 1)
+    )
+    assert (first["spec"]["ppw"], first["scenario"]) == (12.0, "northridge")
+    assert first["receivers"] == [[100, 100, 0]]
+    # the second submit sees the defaults, not the first one's flags
+    assert (second["spec"]["ppw"], second["scenario"]) == (
+        10.0, "strike-slip"
+    )
+    assert len(second["receivers"]) == 5
 
 
 def test_submit_serve_roundtrip(tmp_path, capsys):

@@ -566,9 +566,9 @@ def test_proc_corrupt_payload_recovery(tmp_path):
 
     d = str(tmp_path)
     # rank 0's step-8 boundary send is corrupted after its CRC: rank 1's
-    # receive raises TransportCorruption; rank 0 then blocks on its own
-    # receive until the (short) channel timeout — both surface in one
-    # WorkerFailure and the run recovers from the step-4 checkpoint
+    # receive raises TransportCorruption; rank 0, blocked on its own
+    # receive, is torn down a poll tick later — one WorkerFailure, and
+    # the run recovers from the step-4 checkpoint
     plan = FaultPlan([FaultSpec("corrupt", rank=0, step=8)])
     with ProcWorld(2, timeout=3.0) as world:
         solver = DistributedWaveSolver(mesh, MAT, parts, world)
@@ -578,6 +578,31 @@ def test_proc_corrupt_payload_recovery(tmp_path):
         )
         assert world.respawns >= 1
         assert np.array_equal(u, u_ref)
+
+
+def test_proc_corrupt_recovery_does_not_wait_out_the_recv_timeout(tmp_path):
+    # the CI matrix's corrupt cell: rank 0's CRC check fails on rank 1's
+    # step-5 message while rank 1 blocks on its own receive.  5.8 s at
+    # the parent commit, where the failure surfaced only when that
+    # receive timed out; the kill cell recovers in 0.6 s
+    mesh, parts, force = _dist_problem()
+    with ProcWorld(2) as clean:
+        solver = DistributedWaveSolver(mesh, MAT, parts, clean)
+        t_end = 24.5 * solver.dt
+        u_ref = solver.run(force, t_end)
+
+    with ProcWorld(2, timeout=5.0) as world:
+        solver = DistributedWaveSolver(mesh, MAT, parts, world)
+        t0 = time.perf_counter()
+        u = solver.run(
+            force, t_end, checkpoint_dir=str(tmp_path), checkpoint_every=5,
+            faults=FaultPlan.parse("corrupt:rank=1,step=5"),
+            retry=RetryPolicy(backoff=0.0),
+        )
+        elapsed = time.perf_counter() - t0
+        assert world.respawns == 1
+        assert np.array_equal(u, u_ref)
+    assert elapsed < 1.5
 
 
 def test_channel_crc_catches_corruption_directly():

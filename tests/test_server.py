@@ -9,6 +9,7 @@ is :class:`tests.test_policy.StubEngine` (scripted, gate-able);
 """
 
 import os
+import stat
 import threading
 import time
 from types import SimpleNamespace
@@ -328,3 +329,112 @@ def test_a_served_request_frees_no_disk_block(rig, monkeypatch):
         path = os.path.join(rig.spool.done_dir, f"req-{i:06d}.json.attempts")
         with open(path) as f:
             assert f.read() == "1"
+
+
+# ----------------------------------------------------------- doorbell
+
+
+def watching(rig, sched, poll, served=1):
+    """``serve(watch=True, poll=poll)`` in a thread that ends the loop
+    (the way SIGINT would) once ``served`` requests are out; returns
+    the thread and an event set after the server's first (idle) pass."""
+    tally, idle = ServeStats(), threading.Event()
+
+    def publish():
+        idle.set()
+        if tally.served >= served:
+            raise KeyboardInterrupt
+
+    thread = threading.Thread(target=lambda: serve(
+        rig.spool, rig.out, sched, watch=True, poll=poll, stats=tally,
+        publish=publish,
+    ))
+    thread.start()
+    assert idle.wait(10.0)
+    return thread
+
+
+def test_watch_wakes_when_a_request_is_published(rig):
+    sched = rig.scheduler()
+    thread = watching(rig, sched, poll=30.0)
+    t0 = time.perf_counter()
+    rig.spool.submit(spooled())
+    # 30 s at the parent commit: the idle server slept out its poll
+    _wait_for(lambda: os.path.exists(rig.out + "/req-000000.npz"),
+              timeout=2.0)
+    elapsed = time.perf_counter() - t0
+    thread.join(timeout=10.0)
+    assert not thread.is_alive()
+    assert elapsed < 2.0 and sched.engine.widths == [1]
+
+
+def test_a_missed_ring_is_served_within_poll(rig, monkeypatch):
+    monkeypatch.setattr(Spool, "ring", lambda self: None)
+    sched = rig.scheduler()
+    thread = watching(rig, sched, poll=0.3)
+    rig.spool.submit(spooled())
+    _wait_for(lambda: os.path.exists(rig.out + "/req-000000.npz"),
+              timeout=2.0)
+    thread.join(timeout=10.0)
+    assert not thread.is_alive()
+    assert sched.engine.widths == [1]
+
+
+def test_submit_never_blocks_or_raises_on_the_doorbell(rig):
+    def timed_submit():
+        t0 = time.perf_counter()
+        rig.spool.submit(spooled())
+        assert time.perf_counter() - t0 < 1.0
+
+    timed_submit()  # no server yet: no FIFO
+    rig.spool.recover()
+    rw = rig.spool._bell_fds[1]
+    with pytest.raises(BlockingIOError):  # fill the pipe
+        while True:
+            os.write(rw, b"\0" * 4096)
+    timed_submit()  # full pipe: EAGAIN
+    rig.spool.close()
+    timed_submit()  # FIFO, but no reader: ENXIO
+    assert rig.spool.pending() == [f"req-{i:06d}.json" for i in range(3)]
+
+
+def test_doorbell_is_never_a_request_and_survives_a_restart(rig):
+    rig.spool.recover()
+    bell = os.path.join(rig.spool.root, "doorbell")
+    inode = os.stat(bell).st_ino
+    assert stat.S_ISFIFO(os.stat(bell).st_mode)
+    for _ in range(2):
+        rig.spool.submit(spooled())
+    assert rig.spool.pending() == ["req-000000.json", "req-000001.json"]
+    rig.spool.claim()
+    assert rig.spool.inflight() == ["req-000000.json", "req-000001.json"]
+    # the id probe counts requests only
+    os.remove(os.path.join(rig.spool.root, "next-id"))
+    assert rig.spool.submit(spooled()) == "req-000002"
+    rig.spool.close()
+    restarted = Spool(rig.spool.root)
+    restarted.recover()
+    try:
+        assert os.stat(bell).st_ino == inode
+        assert restarted.pending() == ["req-000002.json"]
+        restarted.ring()
+        t0 = time.perf_counter()
+        restarted.wait(30.0)
+        assert time.perf_counter() - t0 < 1.0
+    finally:
+        restarted.close()
+
+
+def test_no_fifo_falls_back_to_sleeping_out_the_poll(rig, monkeypatch):
+    def no_fifos(path, mode=0o666):
+        raise PermissionError(path)
+
+    monkeypatch.setattr(os, "mkfifo", no_fifos)
+    rig.spool.recover()
+    assert rig.spool._bell_fds is None
+    assert rig.spool.submit(spooled()) == "req-000000"
+    t0 = time.perf_counter()
+    rig.spool.wait(0.05)
+    assert time.perf_counter() - t0 >= 0.05
+    stats = serve(rig.spool, rig.out, rig.scheduler(), sleep=FakeSleep())
+    assert stats.served == 1

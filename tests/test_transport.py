@@ -27,6 +27,7 @@ from repro.parallel import (
     predict_scalability,
 )
 from repro.parallel.transport import (
+    WorkerFailure,
     attach_shared_array,
     create_shared_array,
     fit_alpha_beta,
@@ -121,6 +122,27 @@ def test_worker_error_propagates():
         with pytest.raises(RuntimeError, match="rank 1 exploded"):
             world.run_spmd(_boom_program, [None, None])
         # the world survives a failed program
+        assert world.run_spmd(_rank_id, ["a", "b"]) == [(0, "a"), (1, "b")]
+
+
+def _boom_while_peer_waits(comm, payload):
+    if comm.rank == 1:
+        raise ValueError("rank 1 exploded")
+    comm.Recv(1, tag=0)  # a message the failed rank never sends
+
+
+def test_worker_error_with_a_blocked_peer_tears_the_pool_down_at_once():
+    with ProcWorld(2, timeout=5.0) as world:
+        t0 = time.perf_counter()
+        with pytest.raises(WorkerFailure, match="rank 1 exploded") as ei:
+            world.run_spmd(_boom_while_peer_waits, [None, None])
+        # 5 s at the parent commit: the gather waited out rank 0's recv
+        # timeout before it reported rank 1's error
+        assert time.perf_counter() - t0 < 1.0
+        assert ei.value.fatal and ei.value.ranks == [1]
+        assert "still running: torn down" in str(ei.value)
+        assert world._closed
+        world.respawn()
         assert world.run_spmd(_rank_id, ["a", "b"]) == [(0, "a"), (1, "b")]
 
 
